@@ -286,35 +286,40 @@ func (srv *server) handle(p *simtime.Proc, c *lite.Client, call *lite.Call) []by
 
 // put stores a value. Same-size overwrites update in place and bump
 // the version; size changes allocate a fresh LMR (old readers' cached
-// handles fail their version check and re-resolve).
+// handles fail their version check and re-resolve). A fresh LMR is
+// written before it is published and the one it replaces is freed
+// last: every call here yields, and the store's other threads must
+// never find a still-zero value behind the key.
 func (srv *server) put(p *simtime.Proc, c *lite.Client, key string, value []byte) response {
 	total := valueHdr + int64(len(value))
 	e, ok := srv.index[key]
-	if !ok || e.size != total {
+	var old *entry
+	fresh := !ok || e.size != total
+	if fresh {
 		srv.seq++
 		name := fmt.Sprintf("kv%d-%d-g%d-%d", srv.store.id, srv.node, srv.gen, srv.seq)
 		lh, err := c.Malloc(p, total, name, lite.PermRead)
 		if err != nil {
 			return response{}
 		}
-		var old *entry
-		if ok {
-			old = e
-		}
-		e = &entry{name: name, lh: lh, size: total}
-		srv.index[key] = e
-		if old != nil {
-			// Old LMR freed after the new one is published; stale
-			// handles are invalidated cluster-wide by LT_free.
-			_ = c.Free(p, old.lh)
-		}
+		old, e = e, &entry{name: name, lh: lh, size: total}
 	}
 	e.version++
 	buf := make([]byte, total)
 	binary.LittleEndian.PutUint64(buf, e.version)
 	copy(buf[valueHdr:], value)
 	if err := c.Write(p, e.lh, 0, buf); err != nil {
+		if fresh {
+			_ = c.Free(p, e.lh)
+		}
 		return response{}
+	}
+	if fresh {
+		srv.index[key] = e
+		if old != nil {
+			// Stale handles are invalidated cluster-wide by LT_free.
+			_ = c.Free(p, old.lh)
+		}
 	}
 	return response{OK: true, Name: e.name, Len: e.size, Version: e.version}
 }

@@ -13,7 +13,7 @@ import (
 	"lite/internal/workload"
 )
 
-func testEnv(t *testing.T, n int) (*cluster.Cluster, *lite.Deployment) {
+func testEnv(t testing.TB, n int) (*cluster.Cluster, *lite.Deployment) {
 	t.Helper()
 	cfg := params.Default()
 	cls := cluster.MustNew(&cfg, n, 1<<30)
@@ -238,6 +238,50 @@ func TestFacebookWorkloadMix(t *testing.T) {
 		}
 		if k.OneSidedGets < 300 {
 			t.Fatalf("only %d one-sided gets; the data path should dominate", k.OneSidedGets)
+		}
+	})
+	if err := cls.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A size-changing Put allocates a fresh LMR. The store's other thread
+// must never serve that LMR before the value is in it: every GetRPC
+// racing the Puts returns one of the written values whole.
+func TestPutWritesBeforeItPublishes(t *testing.T) {
+	cls, dep := testEnv(t, 3)
+	s, err := Start(cls, dep, []int{0}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := false
+	cls.GoOn(1, "writer", func(p *simtime.Proc) {
+		defer func() { done = true }()
+		k := s.NewClient(1)
+		for i := 1; i <= 60; i++ {
+			// Alternating sizes: every Put after the first replaces the LMR.
+			if err := k.Put(p, "k", bytes.Repeat([]byte{byte(i)}, 64+64*(i%2))); err != nil {
+				t.Errorf("put %d: %v", i, err)
+				return
+			}
+		}
+	})
+	cls.GoOn(2, "reader", func(p *simtime.Proc) {
+		k := s.NewClient(2)
+		reads := 0
+		for !done {
+			v, err := k.GetRPC(p, "k")
+			if err != nil {
+				continue // not yet put, or caught between two LMRs
+			}
+			reads++
+			if (len(v) != 64 && len(v) != 128) || v[0] == 0 || !bytes.Equal(v, bytes.Repeat(v[:1], len(v))) {
+				t.Errorf("GetRPC returned %d bytes starting %x: not a value any Put wrote", len(v), v[:8])
+				return
+			}
+		}
+		if reads < 60 {
+			t.Errorf("only %d reads raced the puts", reads)
 		}
 	})
 	if err := cls.Run(); err != nil {

@@ -14,19 +14,22 @@
 //     a heap read can never be torn — the slot write is the single
 //     commit point of every mutation.
 //
-// Clients resolve a GET with LT_reads of the bucket and the record,
-// then validate the slot version with a no-op masked LT_cas (compare
-// the version they read, swap nothing): a seqlock. Odd versions mark
-// mutations in progress; misses are linearized by CAS-validating the
-// fence word instead. Torn reads retry; a fence change, revoked handle
-// or persistent conflict falls back to the RPC path ("get") and, for
-// the index location, re-attaches.
+// Clients resolve a GET in two vectored LT_reads (lite.Client.ReadV),
+// each one WR chain behind one doorbell: both candidate buckets, then
+// the record followed by the slot's 8-byte version word. RC executes a
+// chain in order at the responder, so a version word equal to the one
+// the bucket read saw proves the slot did not change across the record
+// read: a seqlock validated by an ordered read, no atomic. Odd versions
+// mark mutations in progress; a miss is linearized by reading the fence
+// word after the buckets. Torn reads retry; a fence change, revoked
+// handle or persistent conflict falls back to the RPC path ("get") and,
+// for the index location, re-attaches.
 //
 // Resize and shard drain invalidate in-flight readers by writing the
 // fence odd and poisoning every slot version (one LT_memset of 0xff:
 // all-ones is odd), then freeing the old generation's LMRs. A reader
-// holding the old attachment fails its validation CAS — or its read
-// outright — and re-attaches.
+// holding the old attachment reads a version or fence it did not expect
+// — or fails its read outright — and re-attaches.
 //
 // Tenant keys are never indexed: the index and heap are kernel-public
 // (tenant 0), and publishing tenant data there would bypass the lite
@@ -125,18 +128,15 @@ func buckets(h uint64, nb int64) (int64, int64) {
 	return int64(h % uint64(nb)), int64((h >> 32) % uint64(nb))
 }
 
-// findFree returns a free slot in key's two candidate buckets, or -1.
-func (ix *idxState) findFree(h uint64) int64 {
-	b1, b2 := buckets(h, ix.nb)
+// findFree returns a free slot in h's two candidate buckets of an
+// nb-bucket occupancy table, or -1.
+func findFree(occ []string, nb int64, h uint64) int64 {
+	b1, b2 := buckets(h, nb)
 	for _, b := range []int64{b1, b2} {
 		for i := int64(0); i < slotsPerBucket; i++ {
-			s := b*slotsPerBucket + i
-			if ix.occ[s] == "" {
+			if s := b*slotsPerBucket + i; occ[s] == "" {
 				return s
 			}
-		}
-		if b2 == b1 {
-			break
 		}
 	}
 	return -1
@@ -169,20 +169,7 @@ placement:
 		heapImg := make([]byte, 0, minHeap)
 		for _, r := range recs {
 			h := hashKey64(r.key)
-			// Inline findFree against the in-progress occupancy.
-			slot := int64(-1)
-			b1, b2 := buckets(h, nb)
-			for _, b := range []int64{b1, b2} {
-				for i := int64(0); i < slotsPerBucket; i++ {
-					if s := b*slotsPerBucket + i; occ[s] == "" {
-						slot = s
-						break
-					}
-				}
-				if slot >= 0 || b2 == b1 {
-					break
-				}
-			}
+			slot := findFree(occ, nb, h)
 			if slot < 0 {
 				nb *= 2
 				continue placement
@@ -213,26 +200,25 @@ placement:
 		binary.LittleEndian.PutUint64(idxImg[0:], ix.seq<<1)
 		binary.LittleEndian.PutUint64(idxImg[8:], uint64(nb))
 		binary.LittleEndian.PutUint64(idxImg[16:], slotsPerBucket)
-		// The index is CAS-validated by readers, so its default map
-		// permission must include write; the heap is read-only.
-		lh, err := c.Malloc(p, int64(len(idxImg)), idxName, lite.PermRead|lite.PermWrite)
+		// Readers only ever read: both LMRs map read-only.
+		lh, err := c.Malloc(p, int64(len(idxImg)), idxName, lite.PermRead)
 		if err != nil {
 			ix.seq--
 			return err
 		}
 		heapLH, err := c.Malloc(p, heapCap, heapName, lite.PermRead)
+		if err == nil {
+			if err = c.Write(p, lh, 0, idxImg); err == nil && len(heapImg) > 0 {
+				err = c.Write(p, heapLH, 0, heapImg)
+			}
+			if err != nil {
+				_ = c.Free(p, heapLH)
+			}
+		}
 		if err != nil {
 			_ = c.Free(p, lh)
 			ix.seq--
 			return err
-		}
-		if err := c.Write(p, lh, 0, idxImg); err != nil {
-			return err
-		}
-		if len(heapImg) > 0 {
-			if err := c.Write(p, heapLH, 0, heapImg); err != nil {
-				return err
-			}
 		}
 		vers := make([]uint64, nb*slotsPerBucket)
 		for _, e := range slots {
@@ -335,7 +321,7 @@ func (srv *server) idxPut(p *simtime.Proc, c *lite.Client, key string, value []b
 			slot = e.slot
 			break
 		}
-		if slot = ix.findFree(h); slot >= 0 {
+		if slot = findFree(ix.occ, ix.nb, h); slot >= 0 {
 			break
 		}
 		if srv.idxResize(p, c, ix.nb*2, ix.heapCap) != nil {
@@ -475,73 +461,77 @@ func (k *Client) detach(p *simtime.Proc, node int) {
 }
 
 // tryDirect runs one round of the client-traversed GET protocol
-// against an attachment. It returns the value, ErrNotFound (linearized
-// at the bucket read, validated through the fence), errTorn (retry) or
-// errStale (re-attach).
+// against an attachment: two WR chains, one doorbell and one round trip
+// each. It returns the value, ErrNotFound (linearized at the bucket
+// read, validated through the fence), errTorn (retry) or errStale
+// (re-attach).
 func (k *Client) tryDirect(p *simtime.Proc, a *attachInfo, key string) ([]byte, error) {
 	h := hashKey64(key)
 	b1, b2 := buckets(h, a.nb)
-	bs := []int64{b1, b2}
-	if b2 == b1 {
-		bs = bs[:1]
+	bs := [2]int64{b1, b2}
+	var bb [2 * bucketBytes]byte
+	segs := []lite.ReadSeg{
+		{LH: a.idx, Off: idxHdr + b1*bucketBytes, Buf: bb[:bucketBytes]},
+		{LH: a.idx, Off: idxHdr + b2*bucketBytes, Buf: bb[bucketBytes:]},
 	}
+	if b2 == b1 {
+		segs = segs[:1]
+	}
+	// Chain 1: both candidate buckets.
+	if k.c.ReadV(p, segs) != nil {
+		return nil, errStale
+	}
+	var word [8]byte
 	sawOdd := false
-	for _, b := range bs {
-		var bb [bucketBytes]byte
-		if err := k.c.Read(p, a.idx, idxHdr+b*bucketBytes, bb[:]); err != nil {
+	for s := int64(0); s < int64(len(segs))*slotsPerBucket; s++ {
+		w := bb[s*slotBytes:]
+		ver := binary.LittleEndian.Uint64(w[0:])
+		tag := binary.LittleEndian.Uint64(w[8:])
+		pos := int64(binary.LittleEndian.Uint64(w[16:]))
+		rlen := int64(binary.LittleEndian.Uint64(w[24:]))
+		if ver&1 == 1 {
+			sawOdd = true
+			continue
+		}
+		if rlen == 0 || tag != h {
+			continue
+		}
+		// Chain 2: the record, then the slot's version word. The
+		// responder executes the second READ after the first, so an
+		// unchanged version proves the slot — and with it the generation
+		// holding the record — was stable from the bucket read to past
+		// the record read: the seqlock validation, without an atomic.
+		rec := make([]byte, rlen)
+		slot := bs[s/slotsPerBucket]*slotsPerBucket + s%slotsPerBucket
+		if k.c.ReadV(p, []lite.ReadSeg{
+			{LH: a.heap, Off: pos, Buf: rec},
+			{LH: a.idx, Off: slotOff(slot), Buf: word[:]},
+		}) != nil {
 			return nil, errStale
 		}
-		for s := int64(0); s < slotsPerBucket; s++ {
-			w := bb[s*slotBytes:]
-			ver := binary.LittleEndian.Uint64(w[0:])
-			tag := binary.LittleEndian.Uint64(w[8:])
-			pos := int64(binary.LittleEndian.Uint64(w[16:]))
-			rlen := int64(binary.LittleEndian.Uint64(w[24:]))
-			if ver&1 == 1 {
-				sawOdd = true
-				continue
-			}
-			if rlen == 0 || tag != h {
-				continue
-			}
-			rec := make([]byte, rlen)
-			if err := k.c.Read(p, a.heap, pos, rec); err != nil {
-				return nil, errStale
-			}
-			klen := int(binary.LittleEndian.Uint16(rec))
-			if 2+klen > len(rec) || string(rec[2:2+klen]) != key {
-				continue
-			}
-			// Seqlock validation: a no-op masked CAS (swap mask zero)
-			// proves the slot is still at the version we read.
-			old, err := k.c.CompareSwapMasked(p, a.idx, idxHdr+b*bucketBytes+s*slotBytes, ver, 0, ^uint64(0), 0)
-			if err != nil {
-				return nil, errStale
-			}
-			if old != ver {
-				return nil, errTorn
-			}
-			return rec[2+klen:], nil
+		if binary.LittleEndian.Uint64(word[:]) != ver {
+			return nil, errTorn
 		}
+		klen := int(binary.LittleEndian.Uint16(rec))
+		if 2+klen > len(rec) || string(rec[2:2+klen]) != key {
+			continue
+		}
+		return rec[2+klen:], nil
 	}
 	if sawOdd {
 		return nil, errTorn
 	}
-	// Miss: CAS-validate the fence so "not found" is known to come
+	// Miss: the fence, read after the buckets, proves "not found" comes
 	// from a generation that was live and stable at the bucket read.
-	old, err := k.c.CompareSwapMasked(p, a.idx, 0, a.fence, 0, ^uint64(0), 0)
-	if err != nil {
-		return nil, errStale
-	}
-	if old != a.fence {
+	if k.c.Read(p, a.idx, 0, word[:]) != nil || binary.LittleEndian.Uint64(word[:]) != a.fence {
 		return nil, errStale
 	}
 	return nil, ErrNotFound
 }
 
 // GetDirect fetches key's value with the client-traversed one-sided
-// protocol: bucket read, record read, CAS validation — zero server CPU
-// and zero admission cost on the stable path. Torn reads retry;
+// protocol: a buckets chain, then a record + version chain — zero server
+// CPU and zero admission cost on the stable path. Torn reads retry;
 // persistent conflict, a resize/migration fence, or a server that
 // publishes no index falls back to the RPC path.
 func (k *Client) GetDirect(p *simtime.Proc, key string) ([]byte, error) {

@@ -20,15 +20,15 @@ func init() {
 // of keys; a growing fan-out of client nodes issues Poisson GETs
 // against it, once through the RPC path (one round trip plus server
 // CPU and admission per GET) and once through the one-sided path (the
-// client walks the published bucket index with LT_read and validates
-// with a masked CAS — three NIC round trips, zero server anything).
+// client reads both candidate buckets, then the record and the slot's
+// version word, as two vectored LT_reads — two NIC round trips, four
+// READs, no atomic, zero server anything).
 //
 // The sweep exposes both sides of the trade. At low fan-out the
-// one-sided path wins the tail: its three NIC round trips are fixed
+// one-sided path wins the tail: its two NIC round trips are fixed
 // cost, while the RPC p99 eats server-side dequeue jitter. But every
-// one-sided GET also charges the responder NIC's rx pipeline three
-// times (two reads plus the atomic, which reserves AtomicProcess
-// extra), so as fan-out grows the *NIC*, not the server, saturates
+// one-sided GET also charges the responder NIC's rx pipeline four
+// times, so as fan-out grows the *NIC*, not the server, saturates
 // first — the RPC path sends one inbound message per GET and its
 // 2-thread server still has CPU headroom when the traversal path has
 // collapsed. The note pins both ends: the fan-out range where
@@ -212,7 +212,7 @@ func crossoverExp() (*Table, error) {
 		case rpcBack < 0:
 			t.Note("hotset %d: one-sided holds the better p99 across the whole sweep", hotset)
 		default:
-			t.Note("hotset %d: one-sided holds the better p99 through fan-out %d; RPC takes it back at %d when the responder NIC's rx pipeline (3 inbound ops per traversal, atomics serialized) saturates before the 2-thread RPC server does", hotset, lastWin, rpcBack)
+			t.Note("hotset %d: one-sided holds the better p99 through fan-out %d; RPC takes it back at %d when the responder NIC's rx pipeline (4 inbound READs per traversal) saturates before the 2-thread RPC server does", hotset, lastWin, rpcBack)
 		}
 	}
 	t.Note("every one-sided phase ran with the server's lite.rpc.served flat: stable GETs consume zero server CPU and zero admission budget")

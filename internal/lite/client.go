@@ -148,6 +148,20 @@ func (c *Client) Read(p *simtime.Proc, h LH, off int64, buf []byte) error {
 	return err
 }
 
+// ReadV implements vectored LT_read: every segment is read into its
+// Buf under one kernel entry, and the remote segments on one node go
+// out as a single WR chain — one doorbell, one completion — instead of
+// one round trip each. Segments are checked like Read (a bad segment
+// fails the whole vector before anything is read) and are read in the
+// order given, so a later segment can validate an earlier one; a vector
+// spanning several remote nodes is split into one chain per run of
+// same-node segments.
+func (c *Client) ReadV(p *simtime.Proc, segs []ReadSeg) error {
+	var err error
+	c.syscall(p, func() { err = c.inst.readVInternal(p, segs, c.pri, c.tenant) })
+	return err
+}
+
 // Write implements LT_write symmetrically to Read.
 func (c *Client) Write(p *simtime.Proc, h LH, off int64, data []byte) error {
 	var err error

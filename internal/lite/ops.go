@@ -145,6 +145,7 @@ func (i *Instance) runParts(p *simtime.Proc, parts []part, buf []byte, kind rnic
 			Len:       pt.n,
 			RemoteKey: i.dep.Instances[pt.c.node].globalMR.Key(),
 			RemoteOff: int64(pt.c.pa) + pt.cOff,
+			Trace:     procSpan(p),
 		})
 		if err != nil {
 			release()
@@ -164,6 +165,128 @@ func (i *Instance) runParts(p *simtime.Proc, parts []part, buf []byte, kind rnic
 		i.qos.record(p, pri, total, p.Now()-start)
 	}
 	return firstErr
+}
+
+// ReadSeg is one segment of a vectored LT_read: len(Buf) bytes of the
+// LMR behind LH, starting at Off.
+type ReadSeg struct {
+	LH  LH
+	Off int64
+	Buf []byte
+}
+
+// readVInternal implements vectored LT_read. Every segment passes the
+// same handle, permission and bounds checks as readInternal before any
+// byte moves, so a vector with a bad segment reads nothing. Local
+// pieces are then served by memcpy, and remote pieces go out as WR
+// chains in vector order: consecutive pieces on one node share a QP and
+// one doorbell, and a chain completes before the next is posted. A
+// vector that spans several remote nodes is therefore split per node,
+// not rejected, and remote segments are always read in the order given
+// — the responder NIC executes a chain in order (RC), which lets a
+// caller validate one segment with a later one.
+func (i *Instance) readVInternal(p *simtime.Proc, segs []ReadSeg, pri Priority, ten uint16) error {
+	type localRead struct {
+		pa  hostmem.PAddr
+		buf []byte
+	}
+	var locals []localRead
+	// The common vector is a handful of single-chunk segments: keep its
+	// requests on the stack.
+	var wrBuf [4]rnic.WR
+	var nodeBuf [4]int
+	wrs, nodes := wrBuf[:0], nodeBuf[:0] // nodes[k] is the target of wrs[k]
+	var total int64
+	trace := procSpan(p)
+	for _, s := range segs {
+		e, err := i.lookupLH(s.LH, ten)
+		if err != nil {
+			return err
+		}
+		if e.perm&PermRead == 0 {
+			return ErrPermission
+		}
+		p.Work(i.cfg.LITECheck)
+		parts, err := split(e.ls, s.Off, int64(len(s.Buf)))
+		if err != nil {
+			return err
+		}
+		for _, pt := range parts {
+			buf := s.Buf[pt.bufOff : pt.bufOff+pt.n]
+			if pt.c.node == i.node.ID {
+				locals = append(locals, localRead{pt.c.pa + hostmem.PAddr(pt.cOff), buf})
+				continue
+			}
+			total += pt.n
+			nodes = append(nodes, pt.c.node)
+			wrs = append(wrs, rnic.WR{
+				Kind:      rnic.OpRead,
+				WRID:      i.wrID(),
+				LocalBuf:  buf,
+				Len:       pt.n,
+				RemoteKey: i.dep.Instances[pt.c.node].globalMR.Key(),
+				RemoteOff: int64(pt.c.pa) + pt.cOff,
+				Trace:     trace,
+			})
+		}
+	}
+	for _, l := range locals {
+		i.memcpyCost(p, int64(len(l.buf)))
+		if err := i.node.Mem.Read(l.pa, l.buf); err != nil {
+			return err
+		}
+	}
+	if len(wrs) == 0 {
+		return nil
+	}
+	i.qos.throttle(p, pri, total)
+	start := p.Now()
+	var err error
+	for len(wrs) > 0 && err == nil {
+		var n int
+		n, err = i.postReadChain(p, nodes, wrs, pri)
+		wrs, nodes = wrs[n:], nodes[n:]
+	}
+	i.qos.record(p, pri, total, p.Now()-start)
+	return err
+}
+
+// postReadChain posts the longest prefix of wrs that targets one node
+// and fits the picked QP's send queue — one slot per WR, the first
+// waited for, the rest taken only while free, so two chains can never
+// deadlock holding half a queue each — behind one doorbell with only
+// the last WR signaled, and waits for it. It returns the prefix length
+// and the first error in chain order. RC completes in order, so once
+// the last completion is in, an earlier member's error completion (they
+// are delivered signaled or not) has arrived too: each is claimed here,
+// never left in the dispatcher's stash.
+func (i *Instance) postReadChain(p *simtime.Proc, nodes []int, wrs []rnic.WR, pri Priority) (int, error) {
+	dst := nodes[0]
+	qp, k, release := i.pickQP(p, dst, pri)
+	slot := i.qpSlots[dst][k]
+	n := 1
+	for n < len(wrs) && nodes[n] == dst && slot.TryAcquire(p) {
+		n++
+	}
+	chain := wrs[:n]
+	chain[n-1].Signaled = true
+	err := i.ctx.PostSendList(p, qp, chain)
+	if err == nil {
+		last := i.sendDisp.Wait(p, chain[n-1].WRID)
+		for _, wr := range chain[:n-1] {
+			if cqe, ok := i.sendDisp.TryClaim(p, wr.WRID); ok && err == nil {
+				err = statusErr(cqe.Status)
+			}
+		}
+		if err == nil {
+			err = statusErr(last.Status)
+		}
+	}
+	release()
+	for s := 1; s < n; s++ {
+		slot.Release(i.cls.Env)
+	}
+	return n, err
 }
 
 // memsetInternal implements LT_memset by sending the command to the

@@ -97,6 +97,7 @@ type NIC struct {
 	// Counters for diagnostics and experiments.
 	OpsPosted   int64
 	OpsDeliverd int64
+	Doorbells   int64 // PostSend/PostSendList calls: one doorbell ring each
 
 	// obs, when non-nil, receives the NIC's counters (cache hits and
 	// misses, RC timeouts, RNR exhaustion) and pipeline spans.

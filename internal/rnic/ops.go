@@ -16,6 +16,7 @@ func (n *NIC) PostSend(at simtime.Time, qp *QP, wr WR) error {
 	if err := n.validate(qp, &wr); err != nil {
 		return err
 	}
+	n.Doorbells++
 	n.dispatch(at, qp, wr)
 	return nil
 }
@@ -25,7 +26,10 @@ func (n *NIC) PostSend(at simtime.Time, qp *QP, wr WR) error {
 // NICDoorbell for the whole chain). Each WQE still pays its own
 // processing time in the transmit pipeline; the chain is validated in
 // full before any request is posted, so a malformed entry posts
-// nothing.
+// nothing. READ members keep RC's order (see sendChain): they execute
+// at the responder in chain order, their completions arrive in chain
+// order, and the transport timeout of an unsignaled member, which has no
+// CQE of its own, is reported by the next signaled READ.
 func (n *NIC) PostSendList(at simtime.Time, qp *QP, wrs []WR) error {
 	if len(wrs) == 0 {
 		return ErrEmptyList
@@ -35,9 +39,12 @@ func (n *NIC) PostSendList(at simtime.Time, qp *QP, wrs []WR) error {
 			return err
 		}
 	}
+	n.Doorbells++
+	qp.chain.begin()
 	for k := range wrs {
 		n.dispatch(at, qp, wrs[k])
 	}
+	qp.chain.on = false
 	return nil
 }
 
@@ -141,14 +148,16 @@ func (n *NIC) txSchedule(at simtime.Time, qp *QP, wr WR) (t1, t2 simtime.Time) {
 	return t1, n.dma.Reserve(t1, params.TransferTime(wr.Len, cfg.DMABandwidth))
 }
 
-// writeLocal scatters result bytes into the request's local buffer.
-func writeLocal(wr WR, data []byte) {
-	if wr.LocalBuf != nil {
-		copy(wr.LocalBuf, data)
+// writeLocal scatters result bytes into a request's local buffer. It
+// takes the three local fields, not the WR, so a completion callback
+// captures those and the ~200-byte request stays off the heap.
+func writeLocal(buf []byte, mr *MR, off int64, data []byte) {
+	if buf != nil {
+		copy(buf, data)
 		return
 	}
-	if wr.LocalMR != nil {
-		_ = wr.LocalMR.WriteAt(wr.LocalOff, data)
+	if mr != nil {
+		_ = mr.WriteAt(off, data)
 	}
 }
 
@@ -177,7 +186,11 @@ func (n *NIC) completeSend(t simtime.Time, qp *QP, wr WR, st Status) {
 // failAfterTimeout completes the request in error after the RC
 // transport timeout. Used when the destination is unreachable.
 func (n *NIC) failAfterTimeout(at simtime.Time, qp *QP, wr WR) {
-	n.completeSend(at+n.cfg().RCTimeout, qp, wr, StatusTimeout)
+	t := at + n.cfg().RCTimeout
+	if qp.chain.on {
+		t, _ = qp.chain.complete(t, wr.Signaled, StatusTimeout)
+	}
+	n.completeSend(t, qp, wr, StatusTimeout)
 }
 
 // snapshot reads the gather buffer at post time (the host buffer must
@@ -304,6 +317,9 @@ func (n *NIC) nack(t simtime.Time, rn *NIC, qp *QP, wr WR, st Status) {
 		return
 	}
 	t6 := n.rxPipe.Reserve(back, n.ackProcess())
+	if qp.chain.on {
+		t6 = notBefore(&qp.chain.done, t6)
+	}
 	// Errors are always reported, signaled or not.
 	cqe := CQE{WRID: wr.WRID, QPN: qp.qpn, Kind: wr.Kind, Status: st, Len: wr.Len}
 	n.env().At(t6, func(e *simtime.Env) { qp.sendCQ.Push(e, cqe) })
@@ -348,12 +364,16 @@ func (n *NIC) postRead(at simtime.Time, qp *QP, wr WR) {
 	}
 	t4 := rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN)+rn.mrAccessCost(rmr, wr.RemoteOff, wr.Len))
 	t5 := rn.dma.Reserve(t4, params.TransferTime(wr.Len, cfg.DMABandwidth))
+	if qp.chain.on {
+		t5 = notBefore(&qp.chain.exec, t5)
+	}
 
 	// Snapshot the remote bytes at the instant the remote DMA reads them.
 	data := make([]byte, wr.Len)
+	remoteOff := wr.RemoteOff
 	n.env().At(t5, func(*simtime.Env) {
 		rn.OpsDeliverd++
-		_ = rmr.ReadAt(wr.RemoteOff, data)
+		_ = rmr.ReadAt(remoteOff, data)
 	})
 
 	back, ok := n.reg.fab.ReservePath(t5, dst, n.node, wr.Len+int64(cfg.WireHeader))
@@ -372,9 +392,13 @@ func (n *NIC) postRead(at simtime.Time, qp *QP, wr WR) {
 		n.obs.AddSpan(back, t7, "rnic.rx", wr.Trace)
 		n.obs.AddSpan(t7, t8, "rnic.rx_dma", wr.Trace)
 	}
-	wrCopy := wr
-	n.env().At(t8, func(*simtime.Env) { writeLocal(wrCopy, data) })
-	n.completeSend(t8, qp, wr, StatusOK)
+	buf, mr, off := wr.LocalBuf, wr.LocalMR, wr.LocalOff
+	n.env().At(t8, func(*simtime.Env) { writeLocal(buf, mr, off, data) })
+	st := StatusOK
+	if qp.chain.on {
+		t8, st = qp.chain.complete(t8, wr.Signaled, st)
+	}
+	n.completeSend(t8, qp, wr, st)
 }
 
 // postSendRC implements two-sided send on a reliable connection.
@@ -603,11 +627,11 @@ func (n *NIC) postAtomic(at simtime.Time, qp *QP, wr WR) {
 		return
 	}
 	t6 := n.rxPipe.Reserve(back, n.ackProcess())
-	wrCopy, res := wr, wr.AtomicResult
+	buf, mr, off, res := wr.LocalBuf, wr.LocalMR, wr.LocalOff, wr.AtomicResult
 	n.env().At(t6, func(*simtime.Env) {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], old)
-		writeLocal(wrCopy, b[:])
+		writeLocal(buf, mr, off, b[:])
 		if res != nil {
 			*res = old
 		}

@@ -340,6 +340,52 @@ type QP struct {
 	sliding bool
 
 	owner string // optional subsystem/tenant label for accounting
+
+	chain sendChain // RC ordering state of the PostSendList in progress
+}
+
+// sendChain carries RC's in-order guarantees across the READ members
+// of one PostSendList call — the requests whose result the poster
+// consumes. The NIC books a WR's whole timeline when it is posted, and
+// the pipeline servers fit a short request into an earlier idle gap —
+// so without this a later READ of a chain could execute at the
+// responder, or complete, before an earlier one, and a member that
+// timed out unsignaled (no CQE) would go unnoticed behind a successful
+// signaled READ. Active only while PostSendList dispatches: completions
+// computed later (write-imm delivery, RNR retries) belong to no chain.
+type sendChain struct {
+	on   bool
+	exec simtime.Time // responder instant of the latest READ member
+	done simtime.Time // completion instant of the latest member
+	lost bool         // an unsignaled member timed out without a CQE
+}
+
+// begin arms the chain state for one PostSendList dispatch.
+func (c *sendChain) begin() { c.on, c.exec, c.done, c.lost = true, 0, 0, false }
+
+// notBefore returns t moved no earlier than *prev, and records the
+// result as the new *prev.
+func notBefore(prev *simtime.Time, t simtime.Time) simtime.Time {
+	if t < *prev {
+		return *prev
+	}
+	*prev = t
+	return t
+}
+
+// complete applies the chain rules to one member's send completion:
+// its instant is ordered after its predecessors', an unsignaled failure
+// (which has no CQE) is remembered, and the next signaled member that
+// would have succeeded reports it.
+func (c *sendChain) complete(t simtime.Time, signaled bool, st Status) (simtime.Time, Status) {
+	t = notBefore(&c.done, t)
+	switch {
+	case !signaled && st != StatusOK:
+		c.lost = true
+	case signaled && st == StatusOK && c.lost:
+		st = StatusTimeout
+	}
+	return t, st
 }
 
 // QPN returns the queue pair number (unique per NIC).
