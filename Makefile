@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race lint cover bench bench-smoke bench-guard smoke obs-guard migrate-chaos determinism-guard determinism-record
+.PHONY: ci fmt vet build benchmark-build test race lint cover bench bench-smoke bench-guard smoke obs-guard migrate-chaos determinism-guard determinism-record
 
-ci: fmt vet lint build race cover migrate-chaos smoke obs-guard determinism-guard bench-guard
+ci: fmt vet lint build benchmark-build race cover migrate-chaos smoke obs-guard determinism-guard bench-guard
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -15,6 +15,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# benchmark-build: benchmark/ is a nested module (replace lite => ../)
+# that `go build ./...` does not see; compile and vet it so an exported
+# symbol it uses cannot disappear unnoticed.
+benchmark-build:
+	$(GO) -C benchmark build -o /dev/null .
+	$(GO) -C benchmark vet .
 
 test:
 	$(GO) test ./...
@@ -58,17 +65,16 @@ bench:
 	$(GO) run ./cmd/litebench -all
 
 # bench-smoke regenerates the machine-readable perf feed from a fast
-# experiment subset (sub-second each, except scale — the 500-node run
-# deliberately includes the expensive pre-PR baseline for its speedup
-# gate — and the three 500-node stressors churn/incast/rebalance,
-# which run twice each for their built-in replay check).
+# experiment subset (sub-second each, except scale and the three
+# 500-node stressors churn/incast/rebalance, which run twice each for
+# their built-in replay check).
 bench-smoke:
 	$(GO) run ./cmd/litebench -metrics -json BENCH_litebench.json trace breakdown tput tail saturate fairness lease drain tenants scale churn incast rebalance crossover
 
 # bench-guard re-runs the experiments recorded in the committed feed
-# and fails if any virtual-time figure drifted: performance changes
-# must be deliberate (and re-recorded with bench-smoke), never
-# accidental.
+# and fails if any virtual-time figure or event count differs from the
+# committed one at all: performance changes must be deliberate (and
+# re-recorded with bench-smoke), never accidental.
 bench-guard:
 	$(GO) run ./cmd/litebench -compare BENCH_litebench.json
 

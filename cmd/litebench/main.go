@@ -93,12 +93,6 @@ func main() {
 	}
 }
 
-// compareTolerance is the allowed relative drift between a committed
-// virtual-time figure and a fresh run. The simulation is deterministic
-// so matching runs agree exactly; the slack only keeps the guard from
-// flagging a deliberate sub-percent calibration tweak as a regression.
-const compareTolerance = 0.01
-
 // compareEPSBand is the allowed relative deviation for the recorded
 // events/sec figures, the only host-dependent numbers in the feed.
 // The band is generous because the figure moves with the recording
@@ -107,10 +101,11 @@ const compareTolerance = 0.01
 const compareEPSBand = 0.25
 
 // compareReport re-runs every experiment recorded in the committed
-// report and compares the virtual durations — the bench guard that
-// catches accidental performance regressions (or unrecorded
-// improvements) in the simulated timeline. Returns a process exit
-// code.
+// report and compares the virtual durations and event counts — the
+// bench guard that catches accidental performance regressions (or
+// unrecorded improvements) in the simulated timeline. The simulation is
+// deterministic, so both must match the committed figures exactly.
+// Returns a process exit code.
 func compareReport(path string) int {
 	rep, err := bench.ReadJSON(path)
 	if err != nil {
@@ -128,18 +123,18 @@ func compareReport(path string) int {
 			code = 1
 			continue
 		}
-		got := int64(tab.Virtual)
-		drift := float64(got-r.VirtualNs) / float64(r.VirtualNs)
-		if drift < -compareTolerance || drift > compareTolerance {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s: virtual time drifted %+.2f%%: committed %dns, fresh run %dns (re-run 'make bench-smoke' if the change is intentional)\n",
-				r.ID, drift*100, r.VirtualNs, got)
+		if got := int64(tab.Virtual); got != r.VirtualNs {
+			fmt.Fprintf(os.Stderr, "bench-guard: %s: virtual time drifted %+dns: committed %dns, fresh run %dns (re-run 'make bench-smoke' if the change is intentional)\n",
+				r.ID, got-r.VirtualNs, r.VirtualNs, got)
 			code = 1
 			continue
 		}
-		// The event count is exact by construction (same workload, same
-		// deterministic scheduler), so any difference is a behavioral
-		// change, not noise.
-		if r.Events > 0 && tab.Events != r.Events {
+		if r.Events == 0 {
+			fmt.Fprintf(os.Stderr, "bench-guard: %s: committed entry records no event count (re-record it with 'make bench-smoke')\n", r.ID)
+			code = 1
+			continue
+		}
+		if tab.Events != r.Events {
 			fmt.Fprintf(os.Stderr, "bench-guard: %s: event count changed: committed %d, fresh run %d (re-run 'make bench-smoke' if the change is intentional)\n",
 				r.ID, r.Events, tab.Events)
 			code = 1
@@ -163,7 +158,7 @@ func compareReport(path string) int {
 					r.ID, tab.EventsPerSec, rel, r.EventsPerSec)
 			}
 		}
-		fmt.Printf("bench-guard: %-10s ok (%dns, %+.2f%%)\n", r.ID, got, drift*100)
+		fmt.Printf("bench-guard: %-10s ok (%dns, %d events)\n", r.ID, r.VirtualNs, r.Events)
 	}
 	return code
 }

@@ -1,13 +1,10 @@
 // The scale experiment makes the simulator itself the system under
 // test: a 500-node two-tier Clos cluster running a kvstore + tenants
-// mix, executed on the identical workload by the post-PR simulator
-// (calendar-queue scheduler, hub mesh, dirty-list restock — twice, as
-// a same-scheduler determinism check), by the legacy binary-heap
-// scheduler on the same hub-mesh workload, and by the pre-PR
-// configuration (heap scheduler + full K×N mesh + restock scan +
-// sliding queues) — reporting virtual-time results plus host
-// bring-up/run wall time, CPU time, and end-to-end events per CPU
-// second for each, and gating on the post-PR speedup.
+// mix over a hub mesh, executed twice on the identical workload. The
+// two runs must agree bit for bit on the virtual timeline; the table
+// reports host bring-up/run wall time, CPU time, and end-to-end events
+// per CPU second for each, and the faster run's events per CPU second
+// is the figure bench-guard holds within its band.
 //
 // This file measures the simulator's own host-time throughput (events
 // per CPU second): the host clocks are the measurement here, never an
@@ -32,8 +29,10 @@ import (
 )
 
 func init() {
-	register("scale", "500-node Clos cluster: kvstore+tenants mix, post-PR simulator vs pre-PR baseline", runScale)
+	register("scale", scaleTitle, runScale)
 }
+
+const scaleTitle = "500-node Clos cluster: kvstore+tenants mix, simulator events per CPU second"
 
 const (
 	scaleNodes     = 500
@@ -43,16 +42,14 @@ const (
 	scaleThreads   = 4  // RPC threads per server node
 	scaleOps       = 48 // closed-loop ops per client node
 	scaleMinEvents = 1_000_000
-	scaleMinGain   = 5.0 // required post-PR speedup over the pre-PR baseline
 )
 
-// scaleOutcome is one scheduler's run of the identical workload. boot
-// is the host wall time to stand the cluster up (node construction,
-// the QP mesh, control rings, kvstore); run is the host wall time to
-// simulate the workload to completion; cpu is the process CPU time
-// the whole thing consumed. Events per second is end-to-end — at 500
-// nodes the pre-PR full-mesh bring-up is a first-class part of what
-// it costs to complete an experiment.
+// scaleOutcome is one run of the workload. boot is the host wall time
+// to stand the cluster up (node construction, the QP mesh, control
+// rings, kvstore); run is the host wall time to simulate the workload
+// to completion; cpu is the process CPU time the whole thing consumed.
+// Events per second is end-to-end: bring-up is part of what an
+// experiment costs.
 type scaleOutcome struct {
 	events  int64
 	virtual simtime.Time
@@ -88,19 +85,11 @@ func cpuTime() time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// scaleWorkload builds the 500-node cluster on the given environment
-// and drives the mix to completion. Everything inside is seeded and
-// virtual, so two calls with different schedulers must produce the
-// same events, virtual duration, op count, and error count.
-//
-// prePR additionally reverts the bring-up and hot path to their
-// pre-calendar-queue shape: a full K×N QP mesh (MeshPeers did not
-// exist, so 500 nodes meant ~125k QP pairs and ~250k control rings —
-// the RDMAvisor connection explosion), the O(peers)-per-completion
-// receive restock scan, and the reallocate-per-lap sliding completion
-// and receive queues. Virtual-time behavior of the client mix is
-// unchanged; what it restores is the pre-PR host cost per event.
-func scaleWorkload(env *simtime.Env, prePR bool) (*scaleOutcome, error) {
+// scaleWorkload builds the 500-node cluster and drives the mix to
+// completion. Everything inside is seeded and virtual, so two calls
+// must produce the same events, virtual duration, op count, and error
+// count.
+func scaleWorkload() (*scaleOutcome, error) {
 	// Collect the previous run's garbage now so no run pays another
 	// run's GC debt inside its measured window. (The clusters are
 	// deliberately not track()ed: each becomes collectable as soon as
@@ -111,19 +100,15 @@ func scaleWorkload(env *simtime.Env, prePR bool) (*scaleOutcome, error) {
 	cfg := params.Default()
 	cfg.ClosLeafNodes = scaleLeafNodes
 	cfg.ClosSpines = scaleSpines
-	cls, err := cluster.NewOn(env, &cfg, scaleNodes, 4<<30)
+	cls, err := cluster.New(&cfg, scaleNodes, 4<<30)
 	if err != nil {
 		return nil, err
 	}
 	opts := lite.DefaultOptions()
 	opts.QPsPerPair = 1
-	if prePR {
-		opts.CompatBaseline = true
-	} else {
-		// Hub mesh: every node brings up QPs and control rings to the
-		// manager and the kvstore servers only.
-		opts.MeshPeers = func(a, b int) bool { return a <= scaleServers || b <= scaleServers }
-	}
+	// Hub mesh: every node brings up QPs and control rings to the
+	// manager and the kvstore servers only.
+	opts.MeshPeers = func(a, b int) bool { return a <= scaleServers || b <= scaleServers }
 	opts.AdmissionHighWater = 64
 	opts.FairAdmission = true
 	dep, err := lite.Start(cls, opts)
@@ -199,59 +184,39 @@ func scaleWorkload(env *simtime.Env, prePR bool) (*scaleOutcome, error) {
 	}
 	out.boot = time.Since(bootStart)
 	start := time.Now()
-	runErr := env.Run()
+	runErr := cls.Env.Run()
 	out.run = time.Since(start)
 	out.cpu = cpuTime() - cpuStart
-	out.events = env.Events()
-	out.virtual = env.Now()
+	out.events = cls.Env.Events()
+	out.virtual = cls.Env.Now()
 	if runErr != nil {
 		return nil, runErr
 	}
 	return out, nil
 }
 
-// runScale executes the workload four times — the post-PR simulator
-// (calendar queue, handoff-free wakeups, hub mesh, dirty-list
-// restock) twice, the legacy heap scheduler on the same hub-mesh
-// workload (isolating the scheduler), and the full pre-PR
-// configuration (heap scheduler + full mesh + restock scan + sliding
-// queues) — and gates: every run must agree bit-for-bit on the
-// virtual timeline, the run must dispatch at least a million events,
-// and the post-PR simulator must beat the pre-PR baseline by
-// scaleMinGain in events per CPU second.
-// Each gate is an experiment error, so bench-guard fails loudly on a
-// scheduler performance or determinism regression.
+// runScale executes the workload twice and gates: the two runs must
+// agree bit for bit on the virtual timeline, no client op may fail, and
+// the run must dispatch at least a million events. Each gate is an
+// experiment error, so bench-guard fails loudly on a determinism
+// regression; the recorded events per CPU second is the faster run's
+// (wall jitter on a shared host dwarfs a three-second total).
 func runScale() (*Table, error) {
-	calRun, err := scaleWorkload(simtime.NewEnv(), false)
+	first, err := scaleWorkload()
 	if err != nil {
-		return nil, fmt.Errorf("scale: calendar-queue run: %w", err)
+		return nil, fmt.Errorf("scale: run 1: %w", err)
 	}
-	// Second post-PR run: wall jitter on a shared host dwarfs the
-	// post-PR row's small total, so the reported wall is the better of
-	// two runs — and the two runs double as a same-scheduler
-	// determinism check (they must agree bit-for-bit).
-	calRun2, err := scaleWorkload(simtime.NewEnv(), false)
+	second, err := scaleWorkload()
 	if err != nil {
-		return nil, fmt.Errorf("scale: calendar-queue rerun: %w", err)
-	}
-	if calRun2.cpu < calRun.cpu {
-		calRun, calRun2 = calRun2, calRun
-	}
-	heapRun, err := scaleWorkload(simtime.NewLegacyEnv(), false)
-	if err != nil {
-		return nil, fmt.Errorf("scale: legacy-heap run: %w", err)
-	}
-	preRun, err := scaleWorkload(simtime.NewLegacyEnv(), true)
-	if err != nil {
-		return nil, fmt.Errorf("scale: pre-PR baseline run: %w", err)
+		return nil, fmt.Errorf("scale: run 2: %w", err)
 	}
 	tab := &Table{
 		ID:     "scale",
-		Title:  "500-node Clos cluster: kvstore+tenants mix, post-PR simulator vs pre-PR baseline",
-		Header: []string{"simulator", "events", "virtual_ms", "ops", "errs", "boot_ms", "run_ms", "cpu_ms", "events_per_sec"},
+		Title:  scaleTitle,
+		Header: []string{"run", "events", "virtual_ms", "ops", "errs", "boot_ms", "run_ms", "cpu_ms", "events_per_sec"},
 	}
-	row := func(name string, o *scaleOutcome) {
-		tab.AddRow(name,
+	for i, o := range []*scaleOutcome{first, second} {
+		tab.AddRow(fmt.Sprintf("run-%d", i+1),
 			fmt.Sprintf("%d", o.events),
 			fmt.Sprintf("%.3f", float64(o.virtual)/1e6),
 			fmt.Sprintf("%d", o.ops),
@@ -262,47 +227,26 @@ func runScale() (*Table, error) {
 			fmt.Sprintf("%.0f", o.eventsPerSec()),
 		)
 	}
-	row("calendar-queue", calRun)
-	row("legacy-heap", heapRun)
-	row("pre-PR-full-mesh", preRun)
-	tab.Events = calRun.events
-	tab.Virtual = calRun.virtual
-	tab.EventsPerSec = calRun.eventsPerSec()
-	ratio := 0.0
-	if preRun.eventsPerSec() > 0 {
-		ratio = calRun.eventsPerSec() / preRun.eventsPerSec()
-	}
-	schedRatio := 0.0
-	if heapRun.eventsPerSec() > 0 {
-		schedRatio = calRun.eventsPerSec() / heapRun.eventsPerSec()
-	}
+	tab.Events = first.events
+	tab.Virtual = first.virtual
+	tab.EventsPerSec = max(first.eventsPerSec(), second.eventsPerSec())
 	cfg := params.Default()
 	cfg.ClosLeafNodes = scaleLeafNodes
 	cfg.ClosSpines = scaleSpines
-	tab.Note("topology: %d nodes over %d leaves x %d spines, %.1fx oversubscribed; hub mesh to manager+%d servers (pre-PR row: full %d-pair mesh + restock scan + sliding queues)",
-		scaleNodes, scaleNodes/scaleLeafNodes, scaleSpines, cfg.ClosOversubscription(), scaleServers, scaleNodes*(scaleNodes-1)/2)
-	tab.Note("speedup: %.2fx end-to-end events per CPU second over the pre-PR simulator (%.2fx from the scheduler alone); wall and CPU columns are host-dependent, virtual columns must match exactly", ratio, schedRatio)
+	tab.Note("topology: %d nodes over %d leaves x %d spines, %.1fx oversubscribed; hub mesh to manager+%d servers",
+		scaleNodes, scaleNodes/scaleLeafNodes, scaleSpines, cfg.ClosOversubscription(), scaleServers)
+	tab.Note("wall and CPU columns are host-dependent; virtual columns must match exactly")
 	// Gate failures return the table too, so the failing numbers are
 	// visible in the report next to the error.
-	for _, o := range []struct {
-		name string
-		run  *scaleOutcome
-	}{{"calendar-queue-rerun", calRun2}, {"legacy-heap", heapRun}, {"pre-PR-full-mesh", preRun}} {
-		if calRun.events != o.run.events || calRun.virtual != o.run.virtual ||
-			calRun.ops != o.run.ops || calRun.errs != o.run.errs {
-			return tab, fmt.Errorf("scale: %s diverges from calendar-queue: (events=%d virtual=%v ops=%d errs=%d) vs (events=%d virtual=%v ops=%d errs=%d)",
-				o.name, o.run.events, o.run.virtual, o.run.ops, o.run.errs,
-				calRun.events, calRun.virtual, calRun.ops, calRun.errs)
-		}
+	if first.events != second.events || first.virtual != second.virtual ||
+		first.ops != second.ops || first.errs != second.errs {
+		return tab, errors.New("scale: the two runs diverge on the virtual columns")
 	}
-	if calRun.errs != 0 {
-		return tab, fmt.Errorf("scale: %d of %d client ops failed", calRun.errs, calRun.ops)
+	if first.errs != 0 {
+		return tab, fmt.Errorf("scale: %d of %d client ops failed", first.errs, first.ops)
 	}
-	if calRun.events < scaleMinEvents {
-		return tab, fmt.Errorf("scale: only %d events dispatched, want >= %d", calRun.events, scaleMinEvents)
-	}
-	if ratio < scaleMinGain {
-		return tab, fmt.Errorf("scale: only %.2fx the pre-PR baseline in events/sec, want >= %.1fx", ratio, scaleMinGain)
+	if first.events < scaleMinEvents {
+		return tab, fmt.Errorf("scale: only %d events dispatched, want >= %d", first.events, scaleMinEvents)
 	}
 	return tab, nil
 }

@@ -2,16 +2,17 @@ package lite
 
 import (
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"lite/internal/simtime"
 )
 
-// TestCompareSwapLocalRemoteParity runs LT_cas and the masked variants
+// TestAtomicsLocalRemoteParity runs LT_fetch-add and LT_test-set
 // against a local and a remote LMR word and requires identical
-// semantics: the local fast path must compute exactly what the
-// responder NIC does.
-func TestCompareSwapLocalRemoteParity(t *testing.T) {
+// semantics: the local fast path must leave exactly what the responder
+// NIC does.
+func TestAtomicsLocalRemoteParity(t *testing.T) {
 	cls, dep := testDep(t, 2)
 	cls.GoOn(0, "app", func(p *simtime.Proc) {
 		c := dep.Instance(0).KernelClient()
@@ -20,54 +21,42 @@ func TestCompareSwapLocalRemoteParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// CAS success and failure.
-			if old, err := c.CompareSwap(p, h, 0, 0, 7); err != nil || old != 0 {
-				t.Fatalf("home %d: CAS(0->7) old=%d err=%v", home, old, err)
+			word := func(off int64) uint64 {
+				var b [8]byte
+				if err := c.Read(p, h, off, b[:]); err != nil {
+					t.Fatal(err)
+				}
+				return binary.LittleEndian.Uint64(b[:])
 			}
-			if old, err := c.CompareSwap(p, h, 0, 0, 9); err != nil || old != 7 {
-				t.Fatalf("home %d: failed CAS old=%d err=%v (want 7, unchanged)", home, old, err)
+			// Test-and-set: succeeds on zero, fails (unchanged) otherwise.
+			if old, err := c.TestSet(p, h, 0, 7); err != nil || old != 0 {
+				t.Fatalf("home %d: TestSet(7) old=%d err=%v", home, old, err)
 			}
-			// Masked CAS: match the low byte only, swap bits 8-15 only.
-			if old, err := c.CompareSwapMasked(p, h, 0, 7, 0x0100, 0xff, 0xff00); err != nil || old != 7 {
-				t.Fatalf("home %d: masked CAS old=%d err=%v", home, old, err)
+			if old, err := c.TestSet(p, h, 0, 9); err != nil || old != 7 {
+				t.Fatalf("home %d: failed TestSet old=%d err=%v (want 7)", home, old, err)
 			}
-			var b [8]byte
-			if err := c.Read(p, h, 0, b[:]); err != nil {
-				t.Fatal(err)
+			if v := word(0); v != 7 {
+				t.Fatalf("home %d: word = %d after a failed TestSet, want 7", home, v)
 			}
-			if v := binary.LittleEndian.Uint64(b[:]); v != 0x0107 {
-				t.Fatalf("home %d: word = %#x, want 0x0107", home, v)
+			// Fetch-add returns the previous value and wraps mod 2^64.
+			if old, err := c.FetchAdd(p, h, 8, 5); err != nil || old != 0 {
+				t.Fatalf("home %d: FetchAdd(5) old=%d err=%v", home, old, err)
 			}
-			// No-op masked CAS (swap mask zero): pure compare, no change.
-			if old, err := c.CompareSwapMasked(p, h, 0, 0x0107, 0, ^uint64(0), 0); err != nil || old != 0x0107 {
-				t.Fatalf("home %d: no-op CAS old=%d err=%v", home, old, err)
+			if old, err := c.FetchAdd(p, h, 8, ^uint64(0)); err != nil || old != 5 {
+				t.Fatalf("home %d: FetchAdd(-1) old=%d err=%v", home, old, err)
 			}
-			// Masked FAA: low 32-bit field wraps without carrying.
-			if err := c.Write(p, h, 8, le64(0x00000000_ffffffff)); err != nil {
-				t.Fatal(err)
-			}
-			old, err := c.FetchAddMasked(p, h, 8, 1, 1<<31)
-			if err != nil || old != 0x00000000_ffffffff {
-				t.Fatalf("home %d: masked FAA old=%#x err=%v", home, old, err)
-			}
-			if err := c.Read(p, h, 8, b[:]); err != nil {
-				t.Fatal(err)
-			}
-			if v := binary.LittleEndian.Uint64(b[:]); v != 0 {
-				t.Fatalf("home %d: word after masked FAA = %#x, want 0", home, v)
+			if v := word(8); v != 4 {
+				t.Fatalf("home %d: word = %d after +5-1, want 4", home, v)
 			}
 			// Misaligned offsets are rejected (words must be 8-aligned to
 			// be NIC atomics; the local path enforces the same contract).
-			if _, err := c.CompareSwap(p, h, 4, 0, 1); err == nil {
-				t.Fatalf("home %d: misaligned CAS succeeded", home)
+			if _, err := c.FetchAdd(p, h, 4, 1); !errors.Is(err, ErrAlign) {
+				t.Fatalf("home %d: misaligned FetchAdd: err = %v, want ErrAlign", home, err)
+			}
+			if _, err := c.TestSet(p, h, 12, 1); !errors.Is(err, ErrAlign) {
+				t.Fatalf("home %d: misaligned TestSet: err = %v, want ErrAlign", home, err)
 			}
 		}
 	})
 	run(t, cls)
-}
-
-func le64(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
 }

@@ -200,38 +200,6 @@ func (c *Client) FetchAdd(p *simtime.Proc, h LH, off int64, delta uint64) (uint6
 	return v, err
 }
 
-// CompareSwap implements LT_cas on an 8-byte word of an LMR: replace
-// the word with swap iff it equals cmp. Returns the previous value
-// (equal to cmp means the swap happened).
-func (c *Client) CompareSwap(p *simtime.Proc, h LH, off int64, cmp, swap uint64) (uint64, error) {
-	var v uint64
-	var err error
-	c.syscall(p, func() { v, err = c.inst.casInternal(p, h, off, cmp, swap, c.pri, c.tenant) })
-	return v, err
-}
-
-// CompareSwapMasked implements masked LT_cas (ConnectX extended
-// atomics): the compare applies only under cmpMask and the swap
-// replaces only the bits under swapMask.
-func (c *Client) CompareSwapMasked(p *simtime.Proc, h LH, off int64, cmp, swap, cmpMask, swapMask uint64) (uint64, error) {
-	var v uint64
-	var err error
-	c.syscall(p, func() {
-		v, err = c.inst.casMaskedInternal(p, h, off, cmp, swap, cmpMask, swapMask, c.pri, c.tenant)
-	})
-	return v, err
-}
-
-// FetchAddMasked implements masked LT_faa: fetch-add whose carries do
-// not propagate across the field boundaries marked in boundary (each
-// set bit is the MSB of an independent field).
-func (c *Client) FetchAddMasked(p *simtime.Proc, h LH, off int64, delta, boundary uint64) (uint64, error) {
-	var v uint64
-	var err error
-	c.syscall(p, func() { v, err = c.inst.faaMaskedInternal(p, h, off, delta, boundary, c.pri, c.tenant) })
-	return v, err
-}
-
 // TestSet implements LT_test-set: atomically set the word to val if it
 // was zero; returns the previous value (zero means the set succeeded).
 func (c *Client) TestSet(p *simtime.Proc, h LH, off int64, val uint64) (uint64, error) {

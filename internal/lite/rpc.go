@@ -1401,19 +1401,9 @@ func (i *Instance) headUpdateLoop(p *simtime.Proc) {
 // -metrics output.
 // The QPs needing a refill arrive on i.lowRecv via the per-QP
 // low-water notification (rnic.SetRecvLowWater), so a restock pass is
-// O(QPs below low water) — at 500 nodes a full scan of every peer's
-// QPs on each completion was the dominant per-event cost.
+// O(QPs below low water) — at 500 nodes a scan of every peer's QPs on
+// each completion would be the dominant per-event cost.
 func (i *Instance) topUpRecvs(p *simtime.Proc) {
-	if i.opts.CompatBaseline {
-		// Baseline hot path: scan every peer's QPs on each completion.
-		i.lowRecv = i.lowRecv[:0]
-		for _, qs := range i.qps {
-			for _, qp := range qs {
-				i.restockQP(p, qp)
-			}
-		}
-		return
-	}
 	if len(i.lowRecv) == 0 {
 		return
 	}

@@ -11,10 +11,12 @@ import (
 // localAtomicCost is the host cost of a node-local atomic operation.
 const localAtomicCost = 150 // nanoseconds, see use below
 
-// rawFetchAdd atomically adds delta to the 8-byte word at (node, pa)
-// and returns the previous value. Remote words go through the NIC's
-// masked atomic engine; local words execute directly.
-func (i *Instance) rawFetchAdd(p *simtime.Proc, node int, pa hostmem.PAddr, delta uint64, pri Priority) (uint64, error) {
+// rawAtomic executes the atomic work request wr (kind and operands
+// filled in by the caller) on the 8-byte word at (node, pa) and returns
+// the word's previous value. Remote words go through the responder
+// NIC's atomic engine; a node-local word is updated directly, by the
+// rule that engine runs.
+func (i *Instance) rawAtomic(p *simtime.Proc, node int, pa hostmem.PAddr, wr rnic.WR, pri Priority) (uint64, error) {
 	if node == i.node.ID {
 		p.Work(localAtomicCost)
 		var b [8]byte
@@ -22,78 +24,9 @@ func (i *Instance) rawFetchAdd(p *simtime.Proc, node int, pa hostmem.PAddr, delt
 			return 0, err
 		}
 		old := binary.LittleEndian.Uint64(b[:])
-		binary.LittleEndian.PutUint64(b[:], old+delta)
+		binary.LittleEndian.PutUint64(b[:], wr.AtomicNext(old))
 		return old, i.node.Mem.Write(pa, b[:])
 	}
-	return i.remoteAtomic(p, node, pa, rnic.WR{Kind: rnic.OpFetchAdd, Add: delta}, pri)
-}
-
-// rawCmpSwap atomically compares the word at (node, pa) with cmp and,
-// if equal, replaces it with swap. It returns the previous value.
-func (i *Instance) rawCmpSwap(p *simtime.Proc, node int, pa hostmem.PAddr, cmp, swap uint64, pri Priority) (uint64, error) {
-	if node == i.node.ID {
-		p.Work(localAtomicCost)
-		var b [8]byte
-		if err := i.node.Mem.Read(pa, b[:]); err != nil {
-			return 0, err
-		}
-		old := binary.LittleEndian.Uint64(b[:])
-		if old == cmp {
-			binary.LittleEndian.PutUint64(b[:], swap)
-			if err := i.node.Mem.Write(pa, b[:]); err != nil {
-				return 0, err
-			}
-		}
-		return old, nil
-	}
-	return i.remoteAtomic(p, node, pa, rnic.WR{Kind: rnic.OpCmpSwap, Compare: cmp, Swap: swap}, pri)
-}
-
-// rawMaskCmpSwap is rawCmpSwap under masks: the compare applies only
-// under cmpMask and the swap replaces only the bits under swapMask
-// (ConnectX extended-atomic semantics). The local fast path computes
-// exactly what the responder NIC would.
-func (i *Instance) rawMaskCmpSwap(p *simtime.Proc, node int, pa hostmem.PAddr, cmp, swap, cmpMask, swapMask uint64, pri Priority) (uint64, error) {
-	if node == i.node.ID {
-		p.Work(localAtomicCost)
-		var b [8]byte
-		if err := i.node.Mem.Read(pa, b[:]); err != nil {
-			return 0, err
-		}
-		old := binary.LittleEndian.Uint64(b[:])
-		if old&cmpMask == cmp&cmpMask {
-			binary.LittleEndian.PutUint64(b[:], old&^swapMask|swap&swapMask)
-			if err := i.node.Mem.Write(pa, b[:]); err != nil {
-				return 0, err
-			}
-		}
-		return old, nil
-	}
-	return i.remoteAtomic(p, node, pa, rnic.WR{
-		Kind: rnic.OpMaskCmpSwap, Compare: cmp, Swap: swap,
-		CompareMask: cmpMask, SwapMask: swapMask,
-	}, pri)
-}
-
-// rawMaskFetchAdd is rawFetchAdd with carries confined by the boundary
-// mask (each set bit ends an independent field; see rnic.MaskedAdd).
-func (i *Instance) rawMaskFetchAdd(p *simtime.Proc, node int, pa hostmem.PAddr, delta, boundary uint64, pri Priority) (uint64, error) {
-	if node == i.node.ID {
-		p.Work(localAtomicCost)
-		var b [8]byte
-		if err := i.node.Mem.Read(pa, b[:]); err != nil {
-			return 0, err
-		}
-		old := binary.LittleEndian.Uint64(b[:])
-		binary.LittleEndian.PutUint64(b[:], rnic.MaskedAdd(old, delta, boundary))
-		return old, i.node.Mem.Write(pa, b[:])
-	}
-	return i.remoteAtomic(p, node, pa, rnic.WR{
-		Kind: rnic.OpMaskFetchAdd, Add: delta, BoundaryMask: boundary,
-	}, pri)
-}
-
-func (i *Instance) remoteAtomic(p *simtime.Proc, node int, pa hostmem.PAddr, wr rnic.WR, pri Priority) (uint64, error) {
 	qp, _, release := i.pickQP(p, node, pri)
 	defer release()
 	var result uint64
@@ -148,7 +81,7 @@ func (i *Instance) fetchAddInternal(p *simtime.Proc, h LH, off int64, delta uint
 	if err != nil {
 		return 0, err
 	}
-	return i.rawFetchAdd(p, node, pa, delta, pri)
+	return i.rawAtomic(p, node, pa, rnic.WR{Kind: rnic.OpFetchAdd, Add: delta}, pri)
 }
 
 // testSetInternal implements LT_test-set on LMR space: it atomically
@@ -159,41 +92,7 @@ func (i *Instance) testSetInternal(p *simtime.Proc, h LH, off int64, val uint64,
 	if err != nil {
 		return 0, err
 	}
-	return i.rawCmpSwap(p, node, pa, 0, val, pri)
-}
-
-// casInternal implements LT_cas on LMR space: compare the word at
-// (h, off) with cmp and, if equal, replace it with swap. Returns the
-// previous value; the caller infers success by comparing it to cmp.
-func (i *Instance) casInternal(p *simtime.Proc, h LH, off int64, cmp, swap uint64, pri Priority, ten uint16) (uint64, error) {
-	p.Work(i.cfg.LITECheck)
-	node, pa, err := i.resolveWord(h, off, PermWrite, ten)
-	if err != nil {
-		return 0, err
-	}
-	return i.rawCmpSwap(p, node, pa, cmp, swap, pri)
-}
-
-// casMaskedInternal implements masked LT_cas on LMR space (ConnectX
-// extended atomics: compare under cmpMask, swap bits under swapMask).
-func (i *Instance) casMaskedInternal(p *simtime.Proc, h LH, off int64, cmp, swap, cmpMask, swapMask uint64, pri Priority, ten uint16) (uint64, error) {
-	p.Work(i.cfg.LITECheck)
-	node, pa, err := i.resolveWord(h, off, PermWrite, ten)
-	if err != nil {
-		return 0, err
-	}
-	return i.rawMaskCmpSwap(p, node, pa, cmp, swap, cmpMask, swapMask, pri)
-}
-
-// faaMaskedInternal implements masked LT_faa on LMR space: fetch-add
-// with carries confined to the fields delimited by boundary.
-func (i *Instance) faaMaskedInternal(p *simtime.Proc, h LH, off int64, delta, boundary uint64, pri Priority, ten uint16) (uint64, error) {
-	p.Work(i.cfg.LITECheck)
-	node, pa, err := i.resolveWord(h, off, PermWrite, ten)
-	if err != nil {
-		return 0, err
-	}
-	return i.rawMaskFetchAdd(p, node, pa, delta, boundary, pri)
+	return i.rawAtomic(p, node, pa, rnic.WR{Kind: rnic.OpCmpSwap, Swap: val}, pri)
 }
 
 // ---- distributed locks (§7.2) ----
@@ -256,7 +155,7 @@ func (i *Instance) allocLockLocal() Lock {
 // one message, minimizing network traffic (§7.2).
 func (i *Instance) lockInternal(p *simtime.Proc, lk Lock, pri Priority) error {
 	p.Work(i.cfg.LITECheck)
-	old, err := i.rawFetchAdd(p, lk.Owner, lk.pa, 1, pri)
+	old, err := i.rawAtomic(p, lk.Owner, lk.pa, rnic.WR{Kind: rnic.OpFetchAdd, Add: 1}, pri)
 	if err != nil {
 		return err
 	}
@@ -275,7 +174,7 @@ func (i *Instance) lockInternal(p *simtime.Proc, lk Lock, pri Priority) error {
 // unlockInternal implements LT_unlock.
 func (i *Instance) unlockInternal(p *simtime.Proc, lk Lock, pri Priority) error {
 	p.Work(i.cfg.LITECheck)
-	old, err := i.rawFetchAdd(p, lk.Owner, lk.pa, ^uint64(0), pri) // -1
+	old, err := i.rawAtomic(p, lk.Owner, lk.pa, rnic.WR{Kind: rnic.OpFetchAdd, Add: ^uint64(0)}, pri) // -1
 	if err != nil {
 		return err
 	}

@@ -44,8 +44,8 @@ func TestMaskedAddFieldBoundaries(t *testing.T) {
 		{0x01ff01ff01ff01ff, 0x0101010101010101, 0x8080808080808080, 0x0200020002000200},
 	}
 	for _, c := range cases {
-		if got := MaskedAdd(c.val, c.delta, c.boundary); got != c.want {
-			t.Errorf("MaskedAdd(%#x, %#x, %#x) = %#x, want %#x", c.val, c.delta, c.boundary, got, c.want)
+		if got := maskedAdd(c.val, c.delta, c.boundary); got != c.want {
+			t.Errorf("maskedAdd(%#x, %#x, %#x) = %#x, want %#x", c.val, c.delta, c.boundary, got, c.want)
 		}
 	}
 }

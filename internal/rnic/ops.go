@@ -510,14 +510,12 @@ func (n *NIC) postSendUD(at simtime.Time, qp *QP, wr WR) {
 	})
 }
 
-// MaskedAdd adds delta to val with carries confined by boundary: each
+// maskedAdd adds delta to val with carries confined by boundary: each
 // set bit of boundary marks the most significant bit of an independent
 // field, so the addition of one field never carries into the next.
 // This is the ConnectX masked-fetch-add ("extended atomics") rule; a
-// zero boundary degenerates to a plain 64-bit add. Exported so host
-// layers (LITE's local fast path, tests) compute the exact value the
-// responder NIC would.
-func MaskedAdd(val, delta, boundary uint64) uint64 {
+// zero boundary degenerates to a plain 64-bit add.
+func maskedAdd(val, delta, boundary uint64) uint64 {
 	if boundary == 0 {
 		return val + delta
 	}
@@ -547,6 +545,24 @@ func maskedCASNext(old, cmp, swp, cmpMask, swapMask uint64) uint64 {
 		return old
 	}
 	return old&^swapMask | swp&swapMask
+}
+
+// AtomicNext returns the word an atomic work request leaves behind when
+// it finds old in memory. The responder NIC executes every atomic
+// through it; exported so a host-side fast path on a node-local word
+// (LITE's) applies the identical rule.
+func (wr *WR) AtomicNext(old uint64) uint64 {
+	switch wr.Kind {
+	case OpFetchAdd:
+		return old + wr.Add
+	case OpCmpSwap:
+		return maskedCASNext(old, wr.Compare, wr.Swap, ^uint64(0), ^uint64(0))
+	case OpMaskFetchAdd:
+		return maskedAdd(old, wr.Add, wr.BoundaryMask)
+	case OpMaskCmpSwap:
+		return maskedCASNext(old, wr.Compare, wr.Swap, wr.CompareMask, wr.SwapMask)
+	}
+	return old
 }
 
 // atomicObs records the per-kind posting counter for an atomic verb.
@@ -597,27 +613,13 @@ func (n *NIC) postAtomic(at simtime.Time, qp *QP, wr WR) {
 	t4 := rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN)+rn.mrAccessCost(rmr, wr.RemoteOff, 8)+cfg.AtomicProcess)
 
 	var old uint64
-	kind := wr.Kind
-	add, cmp, swp := wr.Add, wr.Compare, wr.Swap
-	cmpMask, swapMask, bound := wr.CompareMask, wr.SwapMask, wr.BoundaryMask
 	n.env().At(t4, func(*simtime.Env) {
 		rn.OpsDeliverd++
 		rn.obs.Add("rnic.atomic.executed", 1)
 		var b [8]byte
 		_ = rmr.ReadAt(wr.RemoteOff, b[:])
 		old = binary.LittleEndian.Uint64(b[:])
-		next := old
-		switch kind {
-		case OpFetchAdd:
-			next = old + add
-		case OpCmpSwap:
-			next = maskedCASNext(old, cmp, swp, ^uint64(0), ^uint64(0))
-		case OpMaskFetchAdd:
-			next = MaskedAdd(old, add, bound)
-		case OpMaskCmpSwap:
-			next = maskedCASNext(old, cmp, swp, cmpMask, swapMask)
-		}
-		binary.LittleEndian.PutUint64(b[:], next)
+		binary.LittleEndian.PutUint64(b[:], wr.AtomicNext(old))
 		_ = rmr.WriteAt(wr.RemoteOff, b[:])
 	})
 

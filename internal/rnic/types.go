@@ -220,9 +220,6 @@ type CQ struct {
 	q    []CQE
 	head int
 	cond simtime.Cond
-	// sliding restores the pre-ring consume-by-reslice discipline (see
-	// NIC.SetCompatSlidingQueues).
-	sliding bool
 }
 
 // CQN returns the completion queue number.
@@ -234,7 +231,7 @@ func (c *CQ) Len() int { return len(c.q) - c.head }
 // Push appends a completion and wakes one poller. It may be called
 // from scheduler callbacks.
 func (c *CQ) Push(e *simtime.Env, cqe CQE) {
-	if !c.sliding && c.head > 0 && len(c.q) == cap(c.q) {
+	if c.head > 0 && len(c.q) == cap(c.q) {
 		n := copy(c.q, c.q[c.head:])
 		clear(c.q[n:])
 		c.q = c.q[:n]
@@ -250,10 +247,6 @@ func (c *CQ) TryPoll() (CQE, bool) {
 		return CQE{}, false
 	}
 	cqe := c.q[c.head]
-	if c.sliding {
-		c.q = c.q[1:] // head stays 0; append reallocates each lap
-		return cqe, true
-	}
 	c.q[c.head] = CQE{} // release references held by the slot
 	c.head++
 	if c.head == len(c.q) {
@@ -334,10 +327,6 @@ type QP struct {
 	lowFired bool
 
 	drops int64 // UD datagrams dropped for lack of a posted receive
-
-	// sliding restores the pre-ring consume-by-reslice discipline (see
-	// NIC.SetCompatSlidingQueues).
-	sliding bool
 
 	owner string // optional subsystem/tenant label for accounting
 
@@ -463,7 +452,7 @@ func (q *QP) rearmRecvLow() {
 // not fit in the tail, so the post reuses the backing array instead of
 // growing it.
 func (q *QP) compactRQ(need int) {
-	if !q.sliding && q.rqHead > 0 && len(q.rq)+need > cap(q.rq) {
+	if q.rqHead > 0 && len(q.rq)+need > cap(q.rq) {
 		n := copy(q.rq, q.rq[q.rqHead:])
 		clear(q.rq[n:])
 		q.rq = q.rq[:n]
@@ -520,11 +509,6 @@ func (q *QP) popRecv() (PostedRecv, bool) {
 		return PostedRecv{}, false
 	}
 	r := q.rq[q.rqHead]
-	if q.sliding {
-		q.rq = q.rq[1:] // rqHead stays 0; post reallocates each lap
-		q.notifyRecvLow()
-		return r, true
-	}
 	q.rq[q.rqHead] = PostedRecv{} // release the MR reference
 	q.rqHead++
 	if q.rqHead == len(q.rq) {

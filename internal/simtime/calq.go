@@ -4,8 +4,7 @@ import "math/bits"
 
 // This file implements the calendar-queue event scheduler: a two-level
 // hierarchical timing wheel with a same-instant run queue below it and
-// an overflow heap above it. It replaces the binary heap (kept in
-// legacy.go as the measured baseline) on the hot path.
+// an overflow heap above it.
 //
 // The tiers match the workload's bimodal delay distribution:
 //
@@ -26,8 +25,7 @@ import "math/bits"
 //     horizon (rare: multi-second experiment deadlines).
 //
 // Ordering contract: pop returns events in strictly nondecreasing
-// (t, seq) order — exactly the order the legacy binary heap produces —
-// so every seeded experiment replays bit-identically.
+// (t, seq) order, so every seeded experiment replays bit-identically.
 //
 // Invariants:
 //

@@ -3,12 +3,14 @@ package simtime
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 )
 
-// calqRand is a tiny deterministic PRNG so the equivalence workloads
+// calqRand is a tiny deterministic PRNG so the randomized workloads
 // replay identically run to run.
 type calqRand uint64
 
@@ -69,27 +71,122 @@ func mixedWorkload(env *Env, procs, steps int) ([]string, error) {
 	return trace, err
 }
 
-// TestSchedulerEquivalence replays one randomized workload under the
-// calendar-queue scheduler and the legacy binary-heap scheduler and
-// requires bit-identical dispatch traces — the determinism contract
-// that lets every seeded experiment reproduce across scheduler
-// implementations.
-func TestSchedulerEquivalence(t *testing.T) {
-	calTrace, calErr := mixedWorkload(NewEnv(), 24, 40)
-	heapTrace, heapErr := mixedWorkload(NewLegacyEnv(), 24, 40)
-	if (calErr == nil) != (heapErr == nil) {
-		t.Fatalf("run errors diverge: calendar=%v legacy=%v", calErr, heapErr)
+// TestMixedWorkloadTracePinned pins the dispatch order of the park /
+// resume / continuation-stealing protocol: the digest is the trace a
+// plain binary heap on (t, seq) with a dedicated scheduler goroutine
+// produces for this workload, so any change to which event runs next —
+// in the queue or in the handoff — moves it.
+func TestMixedWorkloadTracePinned(t *testing.T) {
+	const (
+		wantLen    = 1181
+		wantDigest = 0x373c51be637fc18d // FNV-64a of the trace joined by "\n"
+	)
+	trace, err := mixedWorkload(NewEnv(), 24, 40)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(calTrace) != len(heapTrace) {
-		t.Fatalf("trace lengths diverge: calendar=%d legacy=%d", len(calTrace), len(heapTrace))
+	h := fnv.New64a()
+	h.Write([]byte(strings.Join(trace, "\n")))
+	if len(trace) != wantLen || h.Sum64() != wantDigest {
+		t.Fatalf("dispatch trace moved: %d entries, digest %#x; want %d, %#x",
+			len(trace), h.Sum64(), wantLen, uint64(wantDigest))
 	}
-	for i := range calTrace {
-		if calTrace[i] != heapTrace[i] {
-			t.Fatalf("traces diverge at step %d: calendar=%q legacy=%q", i, calTrace[i], heapTrace[i])
+}
+
+// TestCalqMatchesSortedModel drives the calendar queue directly with
+// seeded random push/pop interleavings and requires the popped order to
+// equal a stable sort of everything pushed on (t, seq). Pushes obey the
+// scheduler's contract (t >= now, seq increasing, now = the last popped
+// t), under which the global pop order is exactly that sort. Each seed
+// must exercise the run queue, both wheels, a coarse-to-fine cascade and
+// the spillover heap.
+func TestCalqMatchesSortedModel(t *testing.T) {
+	type key struct {
+		t   Time
+		seq int64
+	}
+	for seed := 1; seed <= 8; seed++ {
+		rng := calqRand(seed * 2654435761)
+		var q calq
+		var now Time
+		var seq int64
+		var pushed, popped []key
+		var sawRunq, sawL0, sawL1, sawOverflow, sawRunqTie bool
+		cascades := 0
+
+		push := func(at Time) {
+			seq++
+			pushed = append(pushed, key{at, seq})
+			q.push(now, event{t: at, seq: seq})
 		}
-	}
-	if len(calTrace) < 24*40 {
-		t.Fatalf("workload too small to be meaningful: %d trace entries", len(calTrace))
+		pop := func() {
+			base1, wheelTie := q.base1, false
+			if idx := int((int64(now) >> l0Shift) & l0Mask); q.runq.n > 0 && q.l0.occupied(idx) {
+				b := &q.l0.buckets[idx]
+				wheelTie = b.ev[b.head].t == now
+			}
+			ev, ok := q.pop(now)
+			if !ok {
+				t.Fatalf("seed %d: pop on a queue of %d events returned empty", seed, len(pushed)-len(popped))
+			}
+			sawRunqTie = sawRunqTie || wheelTie
+			if q.base1 != base1 && q.l0.size > 0 {
+				cascades++
+			}
+			now = ev.t
+			popped = append(popped, key{ev.t, ev.seq})
+		}
+		for step := 0; step < 6000; step++ {
+			if pending := len(pushed) - len(popped); pending > 0 && rng.next()%5 < 2 {
+				pop()
+				continue
+			}
+			switch rng.next() % 8 {
+			case 0, 1: // same instant: run queue
+				push(now)
+			case 2: // a burst sharing one future instant, later tied by run-queue pushes
+				at := now + Time(1+rng.next()%2000)
+				for i := 0; i < 3; i++ {
+					push(at)
+				}
+			case 3: // same or neighbouring fine bucket
+				push(now + Time(rng.next()%600))
+			case 4: // within the fine wheel's lap
+				push(now + Time(rng.next()%900_000))
+			case 5: // coarse wheel: cascades into the fine wheel on rollover
+				push(now + Time(1_100_000+rng.next()%40_000_000))
+			case 6: // anywhere in the coarse wheel, up to its ~4.29 s horizon
+				push(now + Time(1_100_000+rng.next()%4_290_000_000))
+			case 7: // around and beyond the horizon: spillover heap, drained as the window advances
+				push(now + Time(4_290_000_000+rng.next()%2_000_000_000))
+			}
+			sawRunq = sawRunq || q.runq.n > 0
+			sawL0 = sawL0 || q.l0.size > 0
+			sawL1 = sawL1 || q.l1.size > 0
+			sawOverflow = sawOverflow || len(q.overflow) > 0
+		}
+		for len(popped) < len(pushed) {
+			pop()
+		}
+		if _, ok := q.pop(now); ok || q.len() != 0 {
+			t.Fatalf("seed %d: queue not empty after popping everything pushed (len %d)", seed, q.len())
+		}
+		if !sawRunq || !sawL0 || !sawL1 || !sawOverflow || !sawRunqTie || cascades == 0 {
+			t.Fatalf("seed %d: workload missed a tier: runq=%v l0=%v l1=%v overflow=%v runq/wheel tie=%v cascades=%d",
+				seed, sawRunq, sawL0, sawL1, sawOverflow, sawRunqTie, cascades)
+		}
+		want := append([]key(nil), pushed...)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].t != want[j].t {
+				return want[i].t < want[j].t
+			}
+			return want[i].seq < want[j].seq
+		})
+		for i := range want {
+			if popped[i] != want[i] {
+				t.Fatalf("seed %d: pop %d = %+v, sorted model has %+v", seed, i, popped[i], want[i])
+			}
+		}
 	}
 }
 
@@ -203,25 +300,21 @@ func TestBucketRollover(t *testing.T) {
 }
 
 // TestDeadlockReported checks that a stuck simulation names the parked
-// processes instead of hanging, under both schedulers.
+// processes instead of hanging.
 func TestDeadlockReported(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		env  *Env
-	}{{"calendar", NewEnv()}, {"legacy", NewLegacyEnv()}} {
-		var c Cond
-		mk.env.Go("stuck", func(p *Proc) { c.Wait(p) })
-		err := mk.env.Run()
-		var dl *DeadlockError
-		if !errors.As(err, &dl) {
-			t.Fatalf("%s: Run() = %v, want DeadlockError", mk.name, err)
-		}
-		if len(dl.Parked) != 1 || dl.Parked[0] != "stuck" {
-			t.Fatalf("%s: parked = %v, want [stuck]", mk.name, dl.Parked)
-		}
-		if !strings.Contains(dl.Error(), "stuck") {
-			t.Fatalf("%s: error text %q does not name the process", mk.name, dl.Error())
-		}
+	env := NewEnv()
+	var c Cond
+	env.Go("stuck", func(p *Proc) { c.Wait(p) })
+	err := env.Run()
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("Run() = %v, want DeadlockError", err)
+	}
+	if len(dl.Parked) != 1 || dl.Parked[0] != "stuck" {
+		t.Fatalf("parked = %v, want [stuck]", dl.Parked)
+	}
+	if !strings.Contains(dl.Error(), "stuck") {
+		t.Fatalf("error text %q does not name the process", dl.Error())
 	}
 }
 
@@ -310,11 +403,11 @@ func TestServerAccessors(t *testing.T) {
 	}
 }
 
-// benchTimerChain measures raw scheduler throughput: one process
+// BenchmarkEnvRun measures raw scheduler throughput: one process
 // sleeping in a tight loop, so every event is a self-wake (the
-// continuation-stealing fast path; under the legacy scheduler, a full
-// two-handoff park/resume).
-func benchTimerChain(b *testing.B, env *Env) {
+// continuation-stealing fast path).
+func BenchmarkEnvRun(b *testing.B) {
+	env := NewEnv()
 	env.Go("timer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(100)
@@ -328,14 +421,12 @@ func benchTimerChain(b *testing.B, env *Env) {
 	b.ReportMetric(float64(env.Events())/b.Elapsed().Seconds(), "events/s")
 }
 
-func BenchmarkEnvRun(b *testing.B)       { benchTimerChain(b, NewEnv()) }
-func BenchmarkEnvRunLegacy(b *testing.B) { benchTimerChain(b, NewLegacyEnv()) }
-
-// benchWakeStorm measures cross-proc wakeups under fan-out: 1024
+// BenchmarkWakeStorm measures cross-proc wakeups under fan-out: 1024
 // processes all sleeping to the same instants, so every round is a
 // thundering herd through the same calendar bucket.
-func benchWakeStorm(b *testing.B, env *Env) {
+func BenchmarkWakeStorm(b *testing.B) {
 	const procs = 1024
+	env := NewEnv()
 	for pi := 0; pi < procs; pi++ {
 		env.Go(fmt.Sprintf("w%d", pi), func(p *Proc) {
 			for i := 0; i < b.N; i++ {
@@ -350,6 +441,3 @@ func benchWakeStorm(b *testing.B, env *Env) {
 	}
 	b.ReportMetric(float64(env.Events())/b.Elapsed().Seconds(), "events/s")
 }
-
-func BenchmarkWakeStorm(b *testing.B)       { benchWakeStorm(b, NewEnv()) }
-func BenchmarkWakeStormLegacy(b *testing.B) { benchWakeStorm(b, NewLegacyEnv()) }

@@ -102,36 +102,6 @@ func (c *Context) PostSendList(p *simtime.Proc, qp *rnic.QP, wrs []rnic.WR) erro
 	return c.nic.PostSendList(p.Now(), qp, wrs)
 }
 
-// AtomicRMW posts one atomic work request (fetch-add, cmp-swap, or a
-// masked variant) and busy-waits on the dispatcher for its completion,
-// returning the remote word's value before the operation. It fills the
-// bookkeeping fields of the request (WRID, Signaled, Len, the result
-// sink); the caller supplies kind, operands, masks, and the remote
-// address. Alignment and size violations surface synchronously as the
-// rnic layer's typed errors (ErrAtomicSize, ErrAtomicAlign).
-func (c *Context) AtomicRMW(p *simtime.Proc, d *Dispatcher, qp *rnic.QP, wr rnic.WR) (uint64, error) {
-	if !wr.Kind.IsAtomic() {
-		return 0, rnic.ErrBadQPState
-	}
-	var result uint64
-	var buf [8]byte
-	wr.WRID = c.nic.NextWRID()
-	wr.Signaled = true
-	wr.Len = 8
-	if wr.LocalMR == nil {
-		wr.LocalBuf = buf[:]
-	}
-	wr.AtomicResult = &result
-	if err := c.PostSend(p, qp, wr); err != nil {
-		return 0, err
-	}
-	cqe := d.Wait(p, wr.WRID)
-	if cqe.Status != rnic.StatusOK {
-		return 0, rnic.ErrBadMR
-	}
-	return result, nil
-}
-
 // PostRecv charges the doorbell and posts a receive buffer.
 func (c *Context) PostRecv(p *simtime.Proc, qp *rnic.QP, r rnic.PostedRecv) error {
 	p.Work(c.cfg.NICDoorbell)
