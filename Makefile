@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build benchmark-build test race lint cover bench bench-smoke bench-guard smoke obs-guard migrate-chaos determinism-guard determinism-record
+.PHONY: ci fmt vet build benchmark-build benchmark-smoke test race lint cover bench bench-smoke bench-guard smoke obs-guard migrate-chaos determinism-guard determinism-record
 
-ci: fmt vet lint build benchmark-build race cover migrate-chaos smoke obs-guard determinism-guard bench-guard
+ci: fmt vet lint build benchmark-build benchmark-smoke race cover migrate-chaos smoke obs-guard determinism-guard bench-guard
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -22,6 +22,19 @@ build:
 benchmark-build:
 	$(GO) -C benchmark build -o /dev/null .
 	$(GO) -C benchmark vet .
+
+# benchmark-smoke: run the instrument CI builds — each small workload at
+# --seconds 1, a twelfth of the op counts (fleet's 500-node bring-up is
+# too slow for CI). The run's last stdout line is its JSON verdict,
+# which must report correct replies and no failed operation.
+benchmark-smoke:
+	@for w in rpc-small mem-mixed kv-direct; do \
+		last=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		case "$$last" in \
+		*'"correct":true,'*'"failed":0,'*) echo "benchmark-smoke: $$w ok" ;; \
+		*) echo "benchmark-smoke: $$w FAILED: $$last"; exit 1 ;; \
+		esac; \
+	done
 
 test:
 	$(GO) test ./...

@@ -344,8 +344,14 @@ type Client struct {
 	// Stats.
 	OneSidedGets int64
 	MetaLookups  int64
-	Overloads    int64
-	Resubmits    int64
+	// HandlesKept counts own PUTs that landed in place under a cached
+	// handle; HandlesDropped counts handles invalidated (size-changing
+	// PUT, delete, revoked LMR) — each one is a MetaLookup the next Get
+	// of that key pays.
+	HandlesKept    int64
+	HandlesDropped int64
+	Overloads      int64
+	Resubmits      int64
 	// Client-traversed path stats.
 	DirectGets      int64 // GETs resolved without any server CPU
 	DirectRetries   int64 // torn reads / stale attachments retried
@@ -354,6 +360,7 @@ type Client struct {
 }
 
 type cachedHandle struct {
+	name    string // LMR name the handle maps; a PUT reply naming it landed in place
 	lh      lite.LH
 	size    int64
 	version uint64
@@ -440,13 +447,36 @@ func (k *Client) Put(p *simtime.Proc, key string, value []byte) error {
 	if err != nil {
 		return err
 	}
+	return k.putDone(key, out)
+}
+
+// putDone decodes a put reply and keeps the client's cached handle
+// coherent with it. A same-size PUT overwrote the value in place under
+// the same LMR, so the handle still maps the live value: keep it and
+// raise its version floor to the one just written, so the next Get
+// re-reads rather than return anything older than our own write. Only
+// a size-changing PUT (fresh LMR, the old one freed) invalidates it.
+func (k *Client) putDone(key string, out []byte) error {
 	var resp response
 	if err := json.Unmarshal(out, &resp); err != nil || !resp.OK {
 		return fmt.Errorf("kvstore: put %q failed", key)
 	}
-	// Our own cached handle may now be stale.
-	delete(k.cache, key)
+	if ch, ok := k.cache[key]; ok && ch.name == resp.Name && ch.size == resp.Len {
+		ch.version = resp.Version
+		k.HandlesKept++
+	} else {
+		k.dropHandle(key)
+	}
 	return nil
+}
+
+// dropHandle forgets key's cached handle, if there is one; the next
+// Get re-resolves.
+func (k *Client) dropHandle(key string) {
+	if _, ok := k.cache[key]; ok {
+		delete(k.cache, key)
+		k.HandlesDropped++
+	}
 }
 
 // PutOnce stores value under key with a single unretried RPC. Open-loop
@@ -460,12 +490,7 @@ func (k *Client) PutOnce(p *simtime.Proc, key string, value []byte) error {
 	if err != nil {
 		return err
 	}
-	var resp response
-	if err := json.Unmarshal(out, &resp); err != nil || !resp.OK {
-		return fmt.Errorf("kvstore: put %q failed", key)
-	}
-	delete(k.cache, key)
-	return nil
+	return k.putDone(key, out)
 }
 
 // LookupOnce resolves key's metadata with a single unretried RPC and
@@ -504,8 +529,12 @@ func (k *Client) ResolveName(p *simtime.Proc, key string) (string, error) {
 }
 
 // Get fetches the value for key. The hot path is one one-sided
-// LT_read against the cached handle; version mismatches and revoked
-// handles fall back to the metadata path.
+// LT_read against the cached handle. The handle stays valid for as
+// long as the value keeps its LMR: same-size PUTs (this client's or
+// anyone's) overwrite in place and are simply read through it; only a
+// size-changing PUT or a delete frees the LMR, and the failed LT_read
+// that follows is what drops the handle and falls back to the
+// metadata path.
 func (k *Client) Get(p *simtime.Proc, key string) ([]byte, error) {
 	key = k.prefix + key
 	k.refreshEpoch()
@@ -521,14 +550,14 @@ func (k *Client) Get(p *simtime.Proc, key string) ([]byte, error) {
 		buf := make([]byte, ch.size)
 		if err := k.c.Read(p, ch.lh, 0, buf); err != nil {
 			// Handle revoked (value freed and reallocated): re-resolve.
-			delete(k.cache, key)
+			k.dropHandle(key)
 			continue
 		}
 		k.OneSidedGets++
-		ver := binary.LittleEndian.Uint64(buf)
-		if ver < ch.version {
-			// Torn historical read; retry.
-			delete(k.cache, key)
+		if ver := binary.LittleEndian.Uint64(buf); ver < ch.version {
+			// The version we were told of is not in memory yet: the
+			// server bumps it before its write lands. The handle is
+			// fine — read again through it.
 			continue
 		}
 		return buf[valueHdr:], nil
@@ -552,7 +581,7 @@ func (k *Client) resolve(p *simtime.Proc, key string) (*cachedHandle, error) {
 	if err != nil {
 		return nil, ErrNotFound
 	}
-	ch := &cachedHandle{lh: lh, size: resp.Len, version: resp.Version}
+	ch := &cachedHandle{name: resp.Name, lh: lh, size: resp.Len, version: resp.Version}
 	k.cache[key] = ch
 	return ch, nil
 }
@@ -569,6 +598,6 @@ func (k *Client) Delete(p *simtime.Proc, key string) error {
 	if err := json.Unmarshal(out, &resp); err != nil || !resp.OK {
 		return ErrNotFound
 	}
-	delete(k.cache, key)
+	k.dropHandle(key)
 	return nil
 }

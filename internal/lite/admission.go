@@ -28,7 +28,11 @@ import (
 //     flight banks the unused part (capped at two shares) as deficit;
 //   - a call past the share line is admitted only if the marginal cost
 //     is covered 1:1 by banked deficit, and otherwise shed with a
-//     Retry-After hint sized to when a slot for it should free up.
+//     Retry-After hint sized to when a slot for it should free up;
+//   - shares and banks bind only under contention: a call that a parked
+//     server thread can take at once (the caller's idle predicate) is
+//     admitted while the budget has room, whatever its client's share
+//     or its tenant's bank says — refusing it would idle the server.
 //
 // All state is integers, mutated only from the node's poller and server
 // threads inside the deterministic simulation, so runs replay bit for
@@ -117,6 +121,11 @@ type fnAdm struct {
 	tenants map[uint16]*tenantAdm
 	tsumW   int64 // sum of weights of tenants seen by this function
 	accrued int64 // admitted tenant cost, monotonic (rebased, see below)
+
+	// idleAdmits counts calls past their client's share or their
+	// tenant's bank that were admitted because a worker was parked
+	// (lite.adm.idle_admit).
+	idleAdmits int64
 
 	// Caps from params.Config (admFor overwrites the packaged
 	// defaults with the deployment's config).
@@ -231,8 +240,10 @@ func (a *fnAdm) endRound(share int64) {
 // returns the charged cost, to be released via complete() when the
 // reply posts. On a shed it returns a Retry-After hint: the estimated
 // time until the client's in-flight work drains enough to admit one
-// more call.
-func (a *fnAdm) admit(src int, bytes int64, hw, depth int) (cost int64, hint simtime.Time, ok bool) {
+// more call. idle reports a parked server thread no queued call has
+// claimed: the share test is for dividing busy workers, so while the
+// budget has room an idle arrival skips it (and spends no deficit).
+func (a *fnAdm) admit(src int, bytes int64, hw, depth int, idle bool) (cost int64, hint simtime.Time, ok bool) {
 	a.in.observe(bytes)
 	cost = a.callCost(bytes)
 	if !a.svc.primed {
@@ -261,19 +272,25 @@ func (a *fnAdm) admit(src int, bytes int64, hw, depth int) (cost int64, hint sim
 			// to arrival rate, so a work-conservation rule hands
 			// nearly all of them to the most aggressive client and
 			// quietly re-creates the depth-only policy's proportional
-			// allocation.
+			// allocation. A spare worker is different from a spare
+			// queue slot: the idle arm gives away nothing a
+			// better-behaved client is waiting for.
 			spend := cost
 			if over < cost {
 				spend = over
 			}
-			if spend > c.deficit {
+			switch {
+			case idle && a.total+cost <= bud:
+				a.idleAdmits++
+			case spend > c.deficit:
 				h := simtime.Time(a.svc.v) * simtime.Time(c.calls+1)
 				if h > a.hintCap {
 					h = a.hintCap
 				}
 				return 0, h, false
+			default:
+				c.deficit -= spend
 			}
-			c.deficit -= spend
 		}
 	}
 	c := a.client(src)
@@ -397,8 +414,9 @@ func (a *fnAdm) tenantHint(c *tenantAdm, cost int64) simtime.Time {
 // tenant's excess arrivals bounce off its empty bank without consuming
 // budget, so it cannot move a well-behaved tenant's tail. The bank cap
 // (creditCap) bounds idle hoarding; banking and the Retry-After hint
-// are tenant-scoped.
-func (a *fnAdm) admitTenant(t uint16, w, bytes int64, hw, depth int) (cost int64, hint simtime.Time, ok bool) {
+// are tenant-scoped. The bank binds only while every worker is busy:
+// idle (see admit) admits on budget alone.
+func (a *fnAdm) admitTenant(t uint16, w, bytes int64, hw, depth int, idle bool) (cost int64, hint simtime.Time, ok bool) {
 	a.in.observe(bytes)
 	cost = a.callCost(bytes)
 	c := a.tenant(t, w)
@@ -411,24 +429,22 @@ func (a *fnAdm) admitTenant(t uint16, w, bytes int64, hw, depth int) (cost int64
 	} else {
 		a.refreshTenant(c)
 		switch {
-		case a.total == 0:
-			// Work-conservation floor: the function is completely idle,
-			// so holding this tenant to its bank would shed work a free
-			// server could run — and, since credit accrues only from
-			// admitted tenant cost, an all-banks-empty pool would
-			// otherwise starve forever. Admit, spending whatever credit
-			// is there (never going negative). Under load total > 0 and
-			// the floor vanishes, so a greedy tenant cannot ride it
-			// while victims hold work in flight.
-			if c.credit >= cost {
-				c.credit -= cost
-			} else {
-				c.credit, c.rem = 0, 0
-			}
-		case a.total+cost > a.budget(hw) || c.credit < cost:
+		case a.total+cost > a.budget(hw):
 			return 0, a.tenantHint(c, cost), false
-		default:
+		case c.credit >= cost:
 			c.credit -= cost
+		case idle:
+			// Work-conservation floor: a worker is free, so holding this
+			// tenant to its bank would shed work the server could run at
+			// once — and, since credit accrues only from admitted tenant
+			// cost, an all-banks-empty pool would otherwise starve
+			// forever. Admit, spending whatever credit is there (never
+			// going negative). With every worker busy the floor vanishes,
+			// so a greedy tenant cannot ride it while victims queue.
+			c.credit, c.rem = 0, 0
+			a.idleAdmits++
+		default:
+			return 0, a.tenantHint(c, cost), false
 		}
 	}
 	c.cost += cost

@@ -61,10 +61,10 @@ func TestAdmitColdStartFallsBackToDepth(t *testing.T) {
 	a := newFnAdm()
 	// No service-time estimate yet: the policy must behave exactly like
 	// the depth-only shed.
-	if _, hint, ok := a.admit(1, 64, 4, 4); ok || hint != 0 {
+	if _, hint, ok := a.admit(1, 64, 4, 4, false); ok || hint != 0 {
 		t.Fatalf("depth at high water: ok=%v hint=%v, want shed with no hint", ok, hint)
 	}
-	cost, _, ok := a.admit(1, 64, 4, 3)
+	cost, _, ok := a.admit(1, 64, 4, 3, false)
 	if !ok {
 		t.Fatal("depth under high water must admit during cold start")
 	}
@@ -80,7 +80,7 @@ func TestAdmitOneClientDegenerate(t *testing.T) {
 	a.svc.observe(1000)
 	costs := make([]int64, 0, 4)
 	for k := 0; k < 4; k++ {
-		cost, hint, ok := a.admit(1, 100, 4, k)
+		cost, hint, ok := a.admit(1, 100, 4, k, false)
 		if !ok || hint != 0 {
 			t.Fatalf("admit %d: ok=%v hint=%v", k, ok, hint)
 		}
@@ -94,7 +94,7 @@ func TestAdmitOneClientDegenerate(t *testing.T) {
 	}
 	// The 5th call finds the budget full and the deficit empty: shed,
 	// with a hint sized to draining the client's in-flight work.
-	_, hint, ok := a.admit(1, 100, 4, 4)
+	_, hint, ok := a.admit(1, 100, 4, 4, false)
 	if ok {
 		t.Fatal("5th call admitted past a full budget")
 	}
@@ -103,7 +103,7 @@ func TestAdmitOneClientDegenerate(t *testing.T) {
 	}
 	// One completion frees a slot.
 	a.complete(1, 1100)
-	if _, _, ok := a.admit(1, 100, 4, 3); !ok {
+	if _, _, ok := a.admit(1, 100, 4, 3, false); !ok {
 		t.Fatal("admit after completion failed")
 	}
 }
@@ -111,7 +111,7 @@ func TestAdmitOneClientDegenerate(t *testing.T) {
 func TestAdmitCostOverflowClamp(t *testing.T) {
 	a := newFnAdm()
 	a.svc.observe(1)
-	cost, _, ok := a.admit(1, int64(1)<<60, 2, 0)
+	cost, _, ok := a.admit(1, int64(1)<<60, 2, 0, false)
 	if !ok {
 		t.Fatal("first oversized call must be admitted")
 	}
@@ -121,10 +121,10 @@ func TestAdmitCostOverflowClamp(t *testing.T) {
 	// A second clamped call still fits the budget (2 x avg unit); the
 	// third must shed — and the arithmetic stays well clear of int64
 	// overflow throughout.
-	if _, _, ok := a.admit(1, int64(1)<<60, 2, 1); !ok {
+	if _, _, ok := a.admit(1, int64(1)<<60, 2, 1, false); !ok {
 		t.Fatal("second oversized call must be admitted")
 	}
-	_, hint, ok := a.admit(1, int64(1)<<60, 2, 2)
+	_, hint, ok := a.admit(1, int64(1)<<60, 2, 2, false)
 	if ok {
 		t.Fatal("third oversized call admitted past the budget")
 	}
@@ -141,10 +141,10 @@ func TestAdmitHintClamp(t *testing.T) {
 	// An enormous (clamped) service estimate times queued calls must
 	// never exceed the hint cap.
 	a.svc.observe(1 << 62)
-	if _, _, ok := a.admit(1, 0, 1, 0); !ok {
+	if _, _, ok := a.admit(1, 0, 1, 0, false); !ok {
 		t.Fatal("first call must be admitted")
 	}
-	_, hint, ok := a.admit(1, 0, 1, 1)
+	_, hint, ok := a.admit(1, 0, 1, 1, false)
 	if ok {
 		t.Fatal("second call admitted past a budget of one")
 	}
@@ -185,7 +185,7 @@ func TestAdmitDeficitRoundRobin(t *testing.T) {
 			a.complete(st.src, 1000)
 			continue
 		}
-		_, hint, ok := a.admit(st.src, 0, 4, k)
+		_, hint, ok := a.admit(st.src, 0, 4, k, false)
 		if ok != st.wantOK {
 			t.Fatalf("step %d (src %d): ok=%v, want %v", k, st.src, ok, st.wantOK)
 		}
@@ -204,19 +204,19 @@ func TestAdmitDeficitSpendIsIncremental(t *testing.T) {
 	a.client(2).cost, a.client(2).calls = 1000, 1 // keeps active=2, share=2000
 	c := a.client(1)
 	c.cost, c.calls, c.deficit = 2000, 2, 2000
-	if _, _, ok := a.admit(1, 0, 4, 0); !ok {
+	if _, _, ok := a.admit(1, 0, 4, 0, false); !ok {
 		t.Fatal("first over-share call must spend deficit and admit")
 	}
 	if c.deficit != 1000 {
 		t.Fatalf("deficit after first spend = %d, want 1000", c.deficit)
 	}
-	if _, _, ok := a.admit(1, 0, 4, 0); !ok {
+	if _, _, ok := a.admit(1, 0, 4, 0, false); !ok {
 		t.Fatal("second over-share call must spend the remaining deficit")
 	}
 	if c.deficit != 0 {
 		t.Fatalf("deficit after second spend = %d, want 0", c.deficit)
 	}
-	if _, hint, ok := a.admit(1, 0, 4, 0); ok || hint == 0 {
+	if _, hint, ok := a.admit(1, 0, 4, 0, false); ok || hint == 0 {
 		t.Fatalf("third over-share call: ok=%v hint=%v, want shed with hint", ok, hint)
 	}
 }
@@ -255,7 +255,7 @@ func TestAdmitDeterministicReplay(t *testing.T) {
 		var out []string
 		srcs := []int{3, 1, 2, 1, 1, 3, 2, 1, 3, 2, 1, 1, 2, 3, 1, 2}
 		for k, src := range srcs {
-			cost, hint, ok := a.admit(src, int64(16*(k%3)), 6, k%6)
+			cost, hint, ok := a.admit(src, int64(16*(k%3)), 6, k%6, false)
 			out = append(out, fmt.Sprintf("%d:%v/%d/%v", src, ok, cost, hint))
 			if k%5 == 4 && ok {
 				a.complete(src, cost)
@@ -273,10 +273,10 @@ func TestAdmitDeterministicReplay(t *testing.T) {
 
 func TestAdmitTenantColdStartFallsBackToDepth(t *testing.T) {
 	a := newFnAdm()
-	if _, hint, ok := a.admitTenant(1, 1, 64, 4, 4); ok || hint != 0 {
+	if _, hint, ok := a.admitTenant(1, 1, 64, 4, 4, false); ok || hint != 0 {
 		t.Fatalf("depth at high water: ok=%v hint=%v, want shed with no hint", ok, hint)
 	}
-	cost, _, ok := a.admitTenant(1, 1, 64, 4, 3)
+	cost, _, ok := a.admitTenant(1, 1, 64, 4, 3, false)
 	if !ok {
 		t.Fatal("depth under high water must admit during cold start")
 	}
@@ -309,7 +309,7 @@ func TestAdmitTenantNewcomerSeededAtCap(t *testing.T) {
 	// banked credit.
 	a := newFnAdm()
 	a.svc.observe(1000)
-	cost, _, ok := a.admitTenant(1, 1, 0, 4, 0)
+	cost, _, ok := a.admitTenant(1, 1, 0, 4, 0, false)
 	if !ok || cost != 1000 {
 		t.Fatalf("newcomer: ok=%v cost=%d, want admit at cost 1000", ok, cost)
 	}
@@ -325,13 +325,13 @@ func TestAdmitTenantEmptyBankShedsWithoutConsumingBudget(t *testing.T) {
 	a := newFnAdm()
 	a.svc.observe(1000)
 	// Another tenant holds work in flight, so the idle floor is off.
-	if _, _, ok := a.admitTenant(1, 1, 0, 8, 0); !ok {
+	if _, _, ok := a.admitTenant(1, 1, 0, 8, 0, false); !ok {
 		t.Fatal("setup admit failed")
 	}
 	g := a.tenant(7, 1)
 	g.credit, g.rem, g.lastA = 0, 0, a.accrued
 	before := a.total
-	_, hint, ok := a.admitTenant(7, 1, 0, 8, 0)
+	_, hint, ok := a.admitTenant(7, 1, 0, 8, 0, false)
 	if ok {
 		t.Fatal("empty bank must shed while the server is busy")
 	}
@@ -345,15 +345,14 @@ func TestAdmitTenantEmptyBankShedsWithoutConsumingBudget(t *testing.T) {
 
 func TestAdmitTenantIdleFloorNeverStarves(t *testing.T) {
 	// Credit accrues only from admitted tenant cost, so an empty bank
-	// with a completely idle server must admit (work conservation),
-	// never deadlock waiting for accrual that can only come from
-	// itself.
+	// with a parked server thread must admit (work conservation), never
+	// deadlock waiting for accrual that can only come from itself.
 	a := newFnAdm()
 	a.svc.observe(1000)
 	g := a.tenant(7, 1)
 	g.credit, g.rem = 0, 0
 	for k := 0; k < 3; k++ {
-		cost, _, ok := a.admitTenant(7, 1, 0, 8, 0)
+		cost, _, ok := a.admitTenant(7, 1, 0, 8, 0, true)
 		if !ok {
 			t.Fatalf("serial call %d shed on an idle server", k)
 		}
@@ -369,13 +368,13 @@ func TestAdmitTenantFullBudgetShedsDespiteCredit(t *testing.T) {
 	a.svc.observe(1000)
 	// hw=2 -> budget 2000. Two admitted calls fill it; the third tenant
 	// holds a full bank but must still shed on the global budget.
-	if _, _, ok := a.admitTenant(1, 1, 0, 2, 0); !ok {
+	if _, _, ok := a.admitTenant(1, 1, 0, 2, 0, false); !ok {
 		t.Fatal("first call must be admitted")
 	}
-	if _, _, ok := a.admitTenant(2, 1, 0, 2, 0); !ok {
+	if _, _, ok := a.admitTenant(2, 1, 0, 2, 0, false); !ok {
 		t.Fatal("second call must be admitted")
 	}
-	_, hint, ok := a.admitTenant(3, 1, 0, 2, 0)
+	_, hint, ok := a.admitTenant(3, 1, 0, 2, 0, false)
 	if ok {
 		t.Fatal("third call admitted past a full budget")
 	}
@@ -385,7 +384,7 @@ func TestAdmitTenantFullBudgetShedsDespiteCredit(t *testing.T) {
 	// A completion frees the budget again.
 	cost := a.tenants[1].cost
 	a.completeTenant(1, cost)
-	if _, _, ok := a.admitTenant(3, 1, 0, 2, 0); !ok {
+	if _, _, ok := a.admitTenant(3, 1, 0, 2, 0, false); !ok {
 		t.Fatal("admit after completion failed")
 	}
 }
@@ -393,10 +392,10 @@ func TestAdmitTenantFullBudgetShedsDespiteCredit(t *testing.T) {
 func TestAdmitTenantHintClamp(t *testing.T) {
 	a := newFnAdm()
 	a.svc.observe(1 << 62) // clamps to maxAdmCost
-	if _, _, ok := a.admitTenant(1, 1, 0, 1, 0); !ok {
+	if _, _, ok := a.admitTenant(1, 1, 0, 1, 0, false); !ok {
 		t.Fatal("first call must be admitted")
 	}
-	_, hint, ok := a.admitTenant(1, 1, 0, 1, 1)
+	_, hint, ok := a.admitTenant(1, 1, 0, 1, 1, false)
 	if ok {
 		t.Fatal("second call admitted past a budget of one")
 	}
@@ -425,7 +424,7 @@ func TestAdmitTenantWeightedGoodputSplit(t *testing.T) {
 			if tn == 1 {
 				w = 3
 			}
-			cost, _, ok := a.admitTenant(tn, w, 0, 16, 0)
+			cost, _, ok := a.admitTenant(tn, w, 0, 16, 0, false)
 			if ok {
 				admits[tn]++
 				inflight = append(inflight, flight{tn, cost})
@@ -451,7 +450,7 @@ func TestAdmitTenantAccrualRebasePreservesDiffs(t *testing.T) {
 	t1 := a.tenant(1, 1) // snapshot at accrued=0
 	// Pretend a long run: push the accrual clock to the rebase edge.
 	a.accrued = admAccrueRebase - 500
-	cost, _, ok := a.admitTenant(2, 1, 0, 4, 0)
+	cost, _, ok := a.admitTenant(2, 1, 0, 4, 0, false)
 	if !ok || cost != 1000 {
 		t.Fatalf("edge admit: ok=%v cost=%d", ok, cost)
 	}
@@ -498,9 +497,9 @@ func TestAdmitTenantDeterministicReplay(t *testing.T) {
 			var hint simtime.Time
 			var ok bool
 			if st.ten != 0 {
-				cost, hint, ok = a.admitTenant(st.ten, st.w, int64(16*(k%3)), 5, k%5)
+				cost, hint, ok = a.admitTenant(st.ten, st.w, int64(16*(k%3)), 5, k%5, false)
 			} else {
-				cost, hint, ok = a.admit(st.src, int64(16*(k%3)), 5, k%5)
+				cost, hint, ok = a.admit(st.src, int64(16*(k%3)), 5, k%5, false)
 			}
 			out = append(out, fmt.Sprintf("%d/%d:%v/%d/%v", st.ten, st.src, ok, cost, hint))
 			if k%4 == 3 && ok {

@@ -23,6 +23,16 @@ func procSpan(p *simtime.Proc) *obs.Span {
 	return s
 }
 
+// sleepSpan sleeps d and records the wait as a span under the
+// process's active trace, so time an op spends waiting on purpose
+// (retry back-off, pacing) is attributed to a name instead of showing
+// up as a gap in the op's span tree.
+func (i *Instance) sleepSpan(p *simtime.Proc, d simtime.Time, name string) {
+	t0 := p.Now()
+	p.Sleep(d)
+	i.obsReg().AddSpan(t0, p.Now(), name, procSpan(p))
+}
+
 // noopEnd is returned by rootSpan when tracing is off, so the
 // disabled path allocates nothing.
 var noopEnd = func() {}

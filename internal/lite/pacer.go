@@ -41,5 +41,5 @@ func (i *Instance) pacerWait(p *simtime.Proc, dst, fn int) {
 		return
 	}
 	i.obsReg().Add("lite.pacer.delayed", 1)
-	p.Sleep(until - p.Now())
+	i.sleepSpan(p, until-p.Now(), "lite.pacer.wait")
 }

@@ -116,7 +116,7 @@ func (i *Instance) rpcRetryT(p *simtime.Proc, dst, fn int, input []byte, maxRepl
 				i.resetBinding(dst, fn)
 			}
 		}
-		p.Sleep(delay)
+		i.sleepSpan(p, delay, "lite.retry.backoff")
 	}
 	return nil, lastErr
 }

@@ -241,6 +241,11 @@ type rpcFunc struct {
 	// reply has not yet posted. Drain's quiescence condition is
 	// len(queue) == 0 && executing == 0.
 	executing int
+	// waiting counts the server threads parked in LT_recvRPC on this
+	// function. Fair admission reads it: a parked thread that no queued
+	// call has already claimed means the call can run at once, so
+	// shedding it would only idle the server (see handleRPCReq).
+	waiting int
 }
 
 // Call is a received RPC call. The server thread must reply exactly
@@ -816,19 +821,14 @@ func (i *Instance) recvRPCInternal(p *simtime.Proc, fn int) (*Call, error) {
 	if !ok {
 		return nil, ErrNoSuchRPC
 	}
-	var call *Call
-	for call == nil {
-		if !i.adaptiveWait(p, &f.cond, func() bool { return i.stopped || len(f.queue) > 0 }, 0) {
-			return nil, ErrTimeout
-		}
-		if i.stopped {
-			return nil, ErrNodeDead
-		}
-		if len(f.queue) == 0 {
-			continue // another server thread took it during our wakeup
-		}
-		call = f.queue[0]
-		f.queue = f.queue[1:]
+	// The thread counts as parked from here to the instant it dequeues
+	// a call or gives up: one increment, one decrement, whatever the
+	// exit, so the count can neither leak nor survive its thread.
+	f.waiting++
+	call, err := i.awaitCall(p, f)
+	f.waiting--
+	if err != nil {
+		return nil, err
 	}
 	i.memcpyCost(p, int64(len(call.Input)))
 	// Stamp the dequeue instant: reply time minus this is the observed
@@ -848,6 +848,25 @@ func (i *Instance) recvRPCInternal(p *simtime.Proc, fn int) (*Call, error) {
 		f.executing++
 	}
 	return call, nil
+}
+
+// awaitCall parks the calling server thread until a call is queued for
+// f and dequeues it.
+func (i *Instance) awaitCall(p *simtime.Proc, f *rpcFunc) (*Call, error) {
+	for {
+		if !i.adaptiveWait(p, &f.cond, func() bool { return i.stopped || len(f.queue) > 0 }, 0) {
+			return nil, ErrTimeout
+		}
+		if i.stopped {
+			return nil, ErrNodeDead
+		}
+		if len(f.queue) == 0 {
+			continue // another server thread took it during our wakeup
+		}
+		call := f.queue[0]
+		f.queue = f.queue[1:]
+		return call, nil
+	}
 }
 
 // replyRPCInternal implements LT_replyRPC: write-imm the return value
@@ -1219,6 +1238,14 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) {
 			p.Work(i.cfg.AdmissionCheck)
 			if i.opts.FairAdmission {
 				p.Work(i.cfg.FairAdmissionCheck)
+				// Work conservation: a server thread is parked that no
+				// queued call has already claimed, so this call would run
+				// at once. Shares and banks arbitrate between tenants only
+				// when every worker is busy; either policy admits on idle
+				// as long as the budget has room.
+				idle := len(f.queue) < f.waiting
+				a := i.admFor(fn)
+				floored := a.idleAdmits
 				var cost int64
 				var hint simtime.Time
 				var ok bool
@@ -1226,10 +1253,13 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) {
 					// A tenant-tagged request: weighted-tenant admission,
 					// with the extra credential/credit bookkeeping charged.
 					p.Work(i.cfg.TenantCheck)
-					cost, hint, ok = i.admFor(fn).admitTenant(ten, i.dep.tenantWeight(ten), inLen, hw, len(f.queue))
+					cost, hint, ok = a.admitTenant(ten, i.dep.tenantWeight(ten), inLen, hw, len(f.queue), idle)
 					i.tenantCount(ten, tenObsAdmit, ok)
 				} else {
-					cost, hint, ok = i.admFor(fn).admit(src, inLen, hw, len(f.queue))
+					cost, hint, ok = a.admit(src, inLen, hw, len(f.queue), idle)
+				}
+				if a.idleAdmits != floored {
+					reg.Add("lite.adm.idle_admit", 1)
 				}
 				if !ok {
 					// Shed the over-share client: credit the frame and
