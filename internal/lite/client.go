@@ -25,6 +25,19 @@ type Client struct {
 	tenant uint16
 }
 
+// caller is what the RPC path needs to know about the client behind a
+// call: the tenant whose namespace and QoS weight apply (0 = kernel /
+// untenanted), and whether the thread came from user level — a
+// user-level caller is back in user space while it waits (§5.2), a
+// kernel-level one waits inside the kernel. The zero value is LITE's
+// own kernel threads.
+type caller struct {
+	tenant uint16
+	user   bool
+}
+
+func (c *Client) who() caller { return caller{tenant: c.tenant, user: !c.kernel} }
+
 // KernelClient returns a kernel-level client of this instance.
 func (i *Instance) KernelClient() *Client { return &Client{inst: i, kernel: true} }
 
@@ -250,7 +263,7 @@ func (c *Client) RPC(p *simtime.Proc, dst, fn int, input []byte, maxReply int64)
 	t0 := p.Now()
 	end := c.inst.rootSpan(p, "lite.rpc")
 	c.enter(p)
-	out, err := c.inst.rpcInternalFull(p, dst, fn, input, maxReply, c.pri, c.inst.opts.RPCTimeout, false, nil, c.tenant)
+	out, err := c.inst.rpcInternalFull(p, dst, fn, input, maxReply, c.pri, c.inst.opts.RPCTimeout, false, nil, c.who())
 	end()
 	reg.Add("lite.rpc.calls", 1)
 	if err != nil {

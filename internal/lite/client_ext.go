@@ -8,7 +8,7 @@ import "lite/internal/simtime"
 // transport timeout.
 func (c *Client) RPCT(p *simtime.Proc, dst, fn int, input []byte, maxReply int64, timeout simtime.Time) ([]byte, error) {
 	c.enter(p)
-	return c.inst.rpcInternalFull(p, dst, fn, input, maxReply, c.pri, timeout, false, nil, c.tenant)
+	return c.inst.rpcInternalFull(p, dst, fn, input, maxReply, c.pri, timeout, false, nil, c.who())
 }
 
 // RPCRetry is RPC through the bounded retry layer: timeouts are
@@ -27,7 +27,7 @@ func (c *Client) RPCRetryT(p *simtime.Proc, dst, fn int, input []byte, maxReply 
 	if timeout <= 0 {
 		timeout = c.inst.opts.RPCTimeout
 	}
-	return c.inst.rpcRetryT(p, dst, fn, input, maxReply, c.pri, timeout, c.tenant)
+	return c.inst.rpcRetryT(p, dst, fn, input, maxReply, c.pri, timeout, c.who())
 }
 
 // NodeDead reports whether this client's node has been told (via a

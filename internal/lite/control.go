@@ -260,7 +260,7 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 			// callers have already timed out or failed over). The dedup
 			// window and its boot stamp survive — the server did not
 			// restart, so its duplicate-suppression history is intact.
-			ring.headLocal = 0
+			ring.reset()
 		}
 		out := make([]byte, 24)
 		binary.LittleEndian.PutUint64(out[0:], uint64(ring.pa))

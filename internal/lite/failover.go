@@ -179,9 +179,9 @@ func (i *Instance) restart(p *simtime.Proc) {
 	for _, key := range i.sortedBindKeys() {
 		b := i.bindings[key]
 		b.dead = false
-		b.tail, b.head = 0, 0
+		b.reset()
 		if ring, ok := i.dep.Instances[key.node].srvRings[bindKey{i.node.ID, key.fn}]; ok {
-			ring.headLocal = 0
+			ring.reset()
 		}
 	}
 	for _, peer := range i.dep.Instances {
@@ -190,11 +190,11 @@ func (i *Instance) restart(p *simtime.Proc) {
 		}
 		if b, ok := peer.bindings[bindKey{i.node.ID, funcControl}]; ok {
 			b.dead = false
-			b.tail, b.head = 0, 0
+			b.reset()
 			b.space.Broadcast(env)
 		}
 		if ring, ok := i.srvRings[bindKey{peer.node.ID, funcControl}]; ok {
-			ring.headLocal = 0
+			ring.reset()
 		}
 	}
 
@@ -256,9 +256,9 @@ func (i *Instance) resetBinding(dst, fn int) {
 		delete(i.bindings, key)
 		return
 	}
-	b.tail, b.head = 0, 0
+	b.reset()
 	b.space.Broadcast(i.cls.Env)
 	if ring, ok := i.dep.Instances[dst].srvRings[bindKey{i.node.ID, fn}]; ok {
-		ring.headLocal = 0
+		ring.reset()
 	}
 }

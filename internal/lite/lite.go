@@ -402,6 +402,11 @@ type Instance struct {
 	epoch    uint64
 	deadView map[int]bool
 
+	// spinners counts kernel-level threads inside the busy window of an
+	// LT_RPC reply wait (awaitReply). While it is nonzero and the shared
+	// poller is asleep, one of them polls the receive CQ itself.
+	spinners int
+
 	// Diagnostics.
 	PollerCPU simtime.Time
 }
@@ -884,22 +889,28 @@ func (i *Instance) scratchAlloc(n int64) hostmem.PAddr {
 // then sleep and pay one wakeup. It returns false if the deadline (if
 // nonzero) passed first.
 func (i *Instance) adaptiveWait(p *simtime.Proc, cond *simtime.Cond, ready func() bool, deadline simtime.Time) bool {
-	if ready() {
-		return true
+	i.spinWait(p, cond, ready, deadline)
+	return i.sleepWait(p, cond, ready, deadline)
+}
+
+// spinWait is adaptiveWait's busy phase: it returns once ready() holds,
+// the poll window closes or the deadline passes, with the whole wait
+// charged as CPU.
+func (i *Instance) spinWait(p *simtime.Proc, cond *simtime.Cond, ready func() bool, deadline simtime.Time) {
+	limit := p.Now() + i.cfg.AdaptivePollWindow
+	if deadline > 0 && deadline < limit {
+		limit = deadline
 	}
-	busyUntil := p.Now() + i.cfg.AdaptivePollWindow
-	for !ready() && p.Now() < busyUntil {
-		if deadline > 0 && p.Now() >= deadline {
-			return false
-		}
-		limit := busyUntil
-		if deadline > 0 && deadline < limit {
-			limit = deadline
-		}
+	for !ready() && p.Now() < limit {
 		t0 := p.Now()
 		cond.WaitTimeout(p, limit-p.Now())
 		p.CPUAccount().Charge(p.Now() - t0)
 	}
+}
+
+// sleepWait is adaptiveWait's sleep phase: a wait that outlasted the
+// busy phase parks for free and pays one wakeup when ready() holds.
+func (i *Instance) sleepWait(p *simtime.Proc, cond *simtime.Cond, ready func() bool, deadline simtime.Time) bool {
 	if ready() {
 		return true
 	}

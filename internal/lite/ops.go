@@ -80,7 +80,7 @@ func (i *Instance) readInternal(p *simtime.Proc, h LH, off int64, buf []byte, pr
 	if err != nil {
 		return err
 	}
-	return i.runParts(p, parts, buf, rnic.OpRead, pri)
+	return i.runParts(p, e.ls, parts, buf, rnic.OpRead, pri)
 }
 
 // writeInternal implements LT_write symmetrically to readInternal.
@@ -97,13 +97,19 @@ func (i *Instance) writeInternal(p *simtime.Proc, h LH, off int64, data []byte, 
 	if err != nil {
 		return err
 	}
-	return i.runParts(p, parts, data, rnic.OpWrite, pri)
+	return i.runParts(p, e.ls, parts, data, rnic.OpWrite, pri)
 }
 
-// runParts executes the per-chunk pieces of a read or write: local
-// pieces via host memcpy, remote pieces as parallel one-sided verbs,
-// then waits for all completions.
-func (i *Instance) runParts(p *simtime.Proc, parts []part, buf []byte, kind rnic.OpKind, pri Priority) error {
+// runParts executes the per-chunk pieces of a read or write of ls:
+// local pieces via host memcpy, remote pieces as parallel one-sided
+// verbs, then waits for all completions.
+//
+// The caller resolved the handle before it yielded (LITECheck, the QoS
+// throttle, and each memcpy's own duration below), and an LT_free on
+// another thread releases local chunks the moment it runs; every local
+// arm therefore re-checks ls.freed after its last yield and before it
+// touches memory that may already belong to someone else.
+func (i *Instance) runParts(p *simtime.Proc, ls *lmrState, parts []part, buf []byte, kind rnic.OpKind, pri Priority) error {
 	var total int64
 	for _, pt := range parts {
 		if pt.c.node != i.node.ID {
@@ -123,6 +129,9 @@ func (i *Instance) runParts(p *simtime.Proc, parts []part, buf []byte, kind rnic
 		if pt.c.node == i.node.ID {
 			// Local piece: direct physical access, one copy.
 			i.memcpyCost(p, pt.n)
+			if ls.freed {
+				return ErrFreed
+			}
 			if kind == rnic.OpRead {
 				if err := i.node.Mem.Read(pt.c.pa+hostmem.PAddr(pt.cOff), seg); err != nil {
 					return err
@@ -187,6 +196,7 @@ type ReadSeg struct {
 // caller validate one segment with a later one.
 func (i *Instance) readVInternal(p *simtime.Proc, segs []ReadSeg, pri Priority, ten uint16) error {
 	type localRead struct {
+		ls  *lmrState
 		pa  hostmem.PAddr
 		buf []byte
 	}
@@ -214,7 +224,7 @@ func (i *Instance) readVInternal(p *simtime.Proc, segs []ReadSeg, pri Priority, 
 		for _, pt := range parts {
 			buf := s.Buf[pt.bufOff : pt.bufOff+pt.n]
 			if pt.c.node == i.node.ID {
-				locals = append(locals, localRead{pt.c.pa + hostmem.PAddr(pt.cOff), buf})
+				locals = append(locals, localRead{e.ls, pt.c.pa + hostmem.PAddr(pt.cOff), buf})
 				continue
 			}
 			total += pt.n
@@ -232,6 +242,9 @@ func (i *Instance) readVInternal(p *simtime.Proc, segs []ReadSeg, pri Priority, 
 	}
 	for _, l := range locals {
 		i.memcpyCost(p, int64(len(l.buf)))
+		if l.ls.freed {
+			return ErrFreed // freed while this thread yielded; see runParts
+		}
 		if err := i.node.Mem.Read(l.pa, l.buf); err != nil {
 			return err
 		}
@@ -308,6 +321,9 @@ func (i *Instance) memsetInternal(p *simtime.Proc, h LH, off int64, val byte, n 
 	for _, pt := range parts {
 		if pt.c.node == i.node.ID {
 			i.memcpyCost(p, pt.n)
+			if e.ls.freed {
+				return ErrFreed // freed while this thread yielded; see runParts
+			}
 			if err := memsetPhys(i, pt.c.pa+hostmem.PAddr(pt.cOff), val, pt.n); err != nil {
 				return err
 			}
@@ -360,7 +376,7 @@ func (i *Instance) memcpyInternal(p *simtime.Proc, dst LH, dstOff int64, src LH,
 		sp, dp := piece.src, piece.dst
 		if sp.c.node == i.node.ID {
 			// Source is local: read here, write through the normal path.
-			if err := i.copySegment(p, sp, dp, pri); err != nil {
+			if err := i.copySegment(p, se.ls, de.ls, sp, dp, pri); err != nil {
 				return err
 			}
 			continue
@@ -412,15 +428,23 @@ func alignParts(src, dst []part) []alignedPiece {
 	return out
 }
 
-// copySegment copies one aligned piece whose source chunk is local.
-func (i *Instance) copySegment(p *simtime.Proc, sp, dp part, pri Priority) error {
+// copySegment copies one aligned piece of src into dst whose source
+// chunk is local. Both local arms re-check for an LT_free that ran
+// while this thread yielded (see runParts).
+func (i *Instance) copySegment(p *simtime.Proc, src, dst *lmrState, sp, dp part, pri Priority) error {
 	buf := make([]byte, sp.n)
 	i.memcpyCost(p, sp.n)
+	if src.freed {
+		return ErrFreed
+	}
 	if err := i.node.Mem.Read(sp.c.pa+hostmem.PAddr(sp.cOff), buf); err != nil {
 		return err
 	}
 	if dp.c.node == i.node.ID {
 		i.memcpyCost(p, sp.n)
+		if dst.freed {
+			return ErrFreed
+		}
 		return i.node.Mem.Write(dp.c.pa+hostmem.PAddr(dp.cOff), buf)
 	}
 	return i.rawWrite(p, dp.c.node, dp.c.pa+hostmem.PAddr(dp.cOff), buf, pri)

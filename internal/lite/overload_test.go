@@ -107,6 +107,9 @@ func TestRPCDedupDropReply(t *testing.T) {
 	if !bytes.Equal(out, want) {
 		t.Fatalf("replayed reply = %q, want %q", out, want)
 	}
+	// The duplicate frame was consumed by the dedup window, not by a
+	// server thread: it must still be credited exactly once.
+	checkRingsSettled(t, dep)
 }
 
 // TestAdmissionShedsFast checks the admission-control contract: once
@@ -153,6 +156,9 @@ func TestAdmissionShedsFast(t *testing.T) {
 	if shedLatency >= simtime.Time(opts.RPCTimeout) {
 		t.Fatalf("shed took %v, want well under the %v timeout", shedLatency, opts.RPCTimeout)
 	}
+	// Two frames sit unconsumed in the queue, the third was shed: only
+	// the shed one has been credited.
+	checkRingsSettled(t, dep)
 }
 
 // TestRetryOverloadBacksOff checks that the retry layer treats
@@ -433,6 +439,9 @@ func TestRetryRestartCrossingMaybeExecuted(t *testing.T) {
 	if n := snap.Counters["lite.retry.maybe_executed"]; n < 1 {
 		t.Fatalf("lite.retry.maybe_executed = %d, want >= 1", n)
 	}
+	// The frame answered with the ambiguity notice is credited like any
+	// other, on the ring the restarted server renegotiated.
+	checkRingsSettled(t, dep)
 }
 
 // TestServeRPCRearmAfterRestart checks that a ServeRPC registration

@@ -2,6 +2,7 @@ package lite
 
 import (
 	"testing"
+	"time"
 
 	"lite/internal/cluster"
 	"lite/internal/params"
@@ -145,5 +146,33 @@ func TestPickQPSlotsRecycled(t *testing.T) {
 					0, node, k, held, len(sig.pending)+inflight, len(sig.pending), inflight)
 			}
 		}
+	}
+}
+
+// A burst of more simultaneous posts than the send queues hold, with
+// nothing posted after it: the senders that found every slot taken park
+// on the slot semaphore while the holders are still posting, and the
+// holders' slots are reclaimed lazily — by the next poster. When there
+// is no next poster, the last holder to leave must reap, or the parked
+// senders wait forever (the run ends in a simtime deadlock).
+func TestSendQueueBurstLeavesNobodyParked(t *testing.T) {
+	cls, dep := testDep(t, 2)
+	startEchoServer(cls, dep, 1, 2)
+	const burst = 4 * 2 * qpDepth // four times what the two shared QPs hold
+	done := 0
+	for k := 0; k <= burst; k++ {
+		k := k
+		cls.GoOn(0, "burst", func(p *simtime.Proc) {
+			if k > 0 { // call 0 negotiates the binding ahead of the burst
+				p.SleepUntil(100 * time.Microsecond)
+			}
+			if _, err := dep.Instance(0).KernelClient().RPC(p, 1, echoFn, []byte("burst"), 16); err != nil {
+				t.Errorf("call %d: %v", k, err)
+			}
+			done++
+		})
+	}
+	if err := cls.Run(); err != nil {
+		t.Fatalf("%d of %d calls done: %v", done, burst+1, err)
 	}
 }

@@ -36,15 +36,17 @@ const maxRetryBackoff = 20 * 1000 * 1000 // 20ms
 // tries again — stretching the backoff to any Retry-After hint the
 // fair admission policy shipped — but never rebinds (the binding is
 // healthy; the server is just full) and never counts toward the
-// rebind-forcing timeout streak.
-func (i *Instance) rpcRetryT(p *simtime.Proc, dst, fn int, input []byte, maxReply int64, pri Priority, timeout simtime.Time, ten uint16) ([]byte, error) {
+// rebind-forcing timeout streak. At a pacing client (Options.Pacer) a
+// shed that names its Retry-After costs the call time, not an attempt
+// (see the loop).
+func (i *Instance) rpcRetryT(p *simtime.Proc, dst, fn int, input []byte, maxReply int64, pri Priority, timeout simtime.Time, who caller) ([]byte, error) {
 	attempts := i.opts.RetryAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
 	var meta *callMeta
 	if fn >= FirstUserFunc && dst != i.node.ID {
-		meta = &callMeta{seq: i.seqID()}
+		meta = &callMeta{seq: i.seqID(), began: p.Now()}
 	}
 	dst = i.resolveMoved(dst, fn)
 	var lastErr error
@@ -59,7 +61,7 @@ func (i *Instance) rpcRetryT(p *simtime.Proc, dst, fn int, input []byte, maxRepl
 		}
 		i.pacerWait(p, dst, fn)
 		epochBefore := i.epoch
-		out, err := i.rpcInternalFull(p, dst, fn, input, maxReply, pri, timeout, false, meta, ten)
+		out, err := i.rpcInternalFull(p, dst, fn, input, maxReply, pri, timeout, false, meta, who)
 		if err == nil {
 			return out, nil
 		}
@@ -86,7 +88,19 @@ func (i *Instance) rpcRetryT(p *simtime.Proc, dst, fn int, input []byte, maxRepl
 			return nil, err
 		}
 		lastErr = err
-		if a == attempts-1 {
+		// A shed that says when to come back is the server's flow
+		// control, and a pacing client is one that obeys it: like a
+		// moved redirect it is an answer, not a failure, and consumes no
+		// attempt. Counted, it made survival a matter of luck whenever a
+		// node runs more threads than its share of the server: siblings
+		// released at the same horizon take the freed slot, and the call
+		// that loses that race RetryAttempts times fails against a
+		// healthy server. The exemption ends once the call is one timeout
+		// old, so a server that never drains still fails it. (Only
+		// remote user functions shed, and those calls carry meta.)
+		var oe *OverloadError
+		paced := errors.As(err, &oe) && i.opts.Pacer && meta != nil && p.Now()-meta.began < timeout
+		if a == attempts-1 && !paced {
 			break
 		}
 		i.obsReg().Add("lite.retry.attempts", 1)
@@ -94,8 +108,7 @@ func (i *Instance) rpcRetryT(p *simtime.Proc, dst, fn int, input []byte, maxRepl
 		if errors.Is(err, ErrOverloaded) {
 			i.obsReg().Add("lite.retry.overloads", 1)
 			timeouts = 0
-			var oe *OverloadError
-			if errors.As(err, &oe) {
+			if oe != nil {
 				// The hint also feeds the client-side pacer, so sibling
 				// callers on this node hold off instead of piling on.
 				i.pacerLearn(p, dst, fn, oe.RetryAfter)
@@ -117,6 +130,9 @@ func (i *Instance) rpcRetryT(p *simtime.Proc, dst, fn int, input []byte, maxRepl
 			}
 		}
 		i.sleepSpan(p, delay, "lite.retry.backoff")
+		if paced {
+			a--
+		}
 	}
 	return nil, lastErr
 }

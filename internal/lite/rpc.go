@@ -34,6 +34,11 @@ const (
 	tagRPCShed  = 4 // admission control: call shed, token in the low 28 bits
 	tagRPCMaybe = 5 // dedup ambiguity: retry crossed a server restart
 	tagRPCMoved = 6 // migration fence: function moved, new home in the reply buffer
+	// tagCreditReq is the ring-credit pull: a sender about to block on a
+	// full ring asks the server to ship whatever credit it is holding
+	// back (see queueHeadUpdate). Zero-length; the fn bits name the ring
+	// and the value bits carry the sender's tail in pullUnit granules.
+	tagCreditReq = 7
 
 	// MaxFunc is the exclusive upper bound on RPC function IDs.
 	MaxFunc = 32
@@ -81,7 +86,7 @@ func encodeMovedImm(token uint32) uint32 { return uint32(tagRPCMoved)<<28 | toke
 
 // Ring message header layout (all little endian):
 //
-//	[0:4]   total payload length (header + input), pre-alignment
+//	[0:4]   wrap padding the sender skipped before this frame
 //	[4:8]   reply token
 //	[8:16]  reply physical address on the caller's node
 //	[16:20] input length
@@ -96,6 +101,15 @@ func encodeMovedImm(token uint32) uint32 { return uint32(tagRPCMoved)<<28 | toke
 // lost, so the server keeps a small per-(client, function) window of
 // recently seen sequence numbers and answers duplicates from it
 // instead of running the handler twice.
+//
+// The padding travels with the frame because frames of one binding do
+// not arrive in ring order: its senders reserve in order but then pay
+// posting costs that depend on frame size, so a small frame reserved
+// later overtakes a large one. What a frame used (padding + aligned
+// length) must therefore be stated by the sender, not inferred from the
+// previous arrival's end — inferring it charges an overtaken frame
+// almost a whole ring of phantom padding, and the credit for that lets
+// the client write over frames nobody has read.
 //
 // The boot stamp closes that window's restart gap: the window dies
 // with the server's rings on a crash, so a retry that crosses a server
@@ -129,7 +143,17 @@ type binding struct {
 	srvBoot uint64
 	// dead marks a binding severed by a node crash; waiters abort.
 	dead bool
+	// asked marks a credit pull already posted for the current blocked
+	// episode: set by the first sender that finds the ring full, cleared
+	// by the next frame reserved (which is also what ends the server's
+	// eagerness), so an episode costs exactly one pull however many
+	// threads are parked in it.
+	asked bool
 }
+
+// reset restarts the ring pointers from zero (rebind, restart); the
+// server side of the ring is reset with srvRing.reset.
+func (b *binding) reset() { b.tail, b.head, b.asked = 0, 0, false }
 
 // srvRing is the server-side state of a binding.
 type srvRing struct {
@@ -137,7 +161,17 @@ type srvRing struct {
 	fn        int
 	pa        hostmem.PAddr
 	size      int64
-	headLocal int64 // monotonic bytes consumed (incl. wrap padding)
+	headLocal int64 // monotonic bytes arrived (incl. wrap padding)
+	// owed is ring credit the server has generated but not yet shipped:
+	// head updates are lazy (queueHeadUpdate), so at any instant the
+	// client's head trails the truly consumed count by owed plus what is
+	// in flight. eagerTo makes every credit ship at once while
+	// headLocal < eagerTo: a blocked client pulled (tagCreditReq) with
+	// its tail at eagerTo-1, and nothing it reserved after that has
+	// arrived yet. A byte count, not a flag, because the pull and the
+	// frames around it overtake one another on the wire.
+	owed    int64
+	eagerTo int64
 	// boot is the serving instance's incarnation when the ring (and
 	// with it the dedup window below) was created — the window's
 	// epoch stamp. Non-control rings never survive a restart, so a
@@ -162,6 +196,34 @@ type srvRing struct {
 	// boots is covered by this window, so the restart-ambiguity check
 	// must not fire for it.
 	adoptedBoots []uint64
+}
+
+// reset restarts the ring's accounting from zero, matching a client
+// that restarted its tail (binding.reset). Credit owed for frames of the
+// old epoch is void: the client's fresh head already treats them as free.
+func (r *srvRing) reset() { r.headLocal, r.owed, r.eagerTo = 0, 0, 0 }
+
+// eager reports whether the client is (as far as the server can tell)
+// still blocked behind its last pull.
+func (r *srvRing) eager() bool { return r.headLocal < r.eagerTo }
+
+// pullUnit is the granule in which a credit pull states the sender's
+// tail: 8 bytes up to a 16 MB ring, coarser above, so that the IMM's 23
+// value bits always span four rings — more than the tail can be ahead
+// of or behind the server's arrived count when the pull lands.
+func pullUnit(ringSize int64) int64 { return max(ringAlign, ringSize>>21) }
+
+// pulled records a credit pull that states the sender's tail as units
+// (mod 2^23) of pullUnit: the tail is the value congruent to it nearest
+// the arrived count.
+func (r *srvRing) pulled(units int64) {
+	u := pullUnit(r.size)
+	span := u << 23
+	d := ((units*u-r.headLocal)%span + span) % span
+	if d >= span/2 {
+		d -= span
+	}
+	r.eagerTo = max(r.eagerTo, r.headLocal+d+1)
 }
 
 // bootKnown reports whether the given boot stamp's dedup history is
@@ -222,11 +284,14 @@ func (r *srvRing) dedupInsert(e *dedupEntry) {
 // server incarnation the call was first posted to. The boot stamp is
 // (re)captured on every attempt until one turns ambiguous, then
 // frozen: from that point a differing server incarnation means the
-// window that could have remembered the call is gone.
+// window that could have remembered the call is gone. began is when
+// the logical call was first issued (the pacing exemption in rpcRetryT
+// is bounded by the call's age).
 type callMeta struct {
 	seq     uint64
 	attempt uint16
 	boot    uint64
+	began   simtime.Time
 }
 
 // rpcFunc is a registered RPC function. Application functions queue
@@ -454,40 +519,86 @@ func (i *Instance) seqID() uint64 {
 
 // reserveRing claims space for a message of the given aligned size in
 // the ring, waiting for head updates if the ring is full, and returns
-// the ring offset to write at. It accounts wrap padding. It aborts
+// the ring offset to write at and the wrap padding skipped to get
+// there. It aborts
 // with ErrNodeDead if the binding is severed (crash or membership)
 // and with ErrTimeout if no credit arrives within the RPC timeout —
 // a full ring whose head updates were lost must not block forever;
 // the retry layer heals it by renegotiating the binding.
-func (i *Instance) reserveRing(p *simtime.Proc, b *binding, need int64, probe bool) (int64, error) {
+//
+// Head updates are lazy (the server holds back up to a quarter ring,
+// see queueHeadUpdate), so a sender that finds the ring full first
+// pulls: one tagCreditReq per blocked episode makes the server ship
+// what it owes and keep shipping until a frame this client reserved
+// after the pull arrives. What a blocked sender can rely on is
+// therefore exactly what it could before — every byte the server
+// consumes reaches it — at the price of one extra round trip per
+// episode.
+func (i *Instance) reserveRing(p *simtime.Proc, b *binding, need int64, probe bool) (off, pad int64, err error) {
 	var deadline simtime.Time
 	if i.opts.RPCTimeout > 0 {
 		deadline = p.Now() + i.opts.RPCTimeout
 	}
 	for {
 		if i.stopped || b.dead || (!probe && i.deadView[b.dst]) {
-			return 0, ErrNodeDead
+			return 0, 0, ErrNodeDead
 		}
 		// Pad to the ring start if the message would wrap.
-		pad := int64(0)
+		pad = 0
 		if off := b.tail % b.ringSize; off+need > b.ringSize {
 			pad = b.ringSize - off
 		}
-		if b.tail+pad+need-b.head <= b.ringSize {
+		// An empty ring (every byte posted has been credited back) takes
+		// any frame that fits the ring at all: the wrap padding is then
+		// bookkeeping over bytes nobody will read, and holding it against
+		// the window would block a frame longer than both the run before
+		// and the run after the tail forever, not until the next credit.
+		if b.tail+pad+need-b.head <= b.ringSize || (b.tail == b.head && need <= b.ringSize) {
 			b.tail += pad
-			off := b.tail % b.ringSize
+			off = b.tail % b.ringSize
 			b.tail += need
-			return off, nil
+			if b.asked {
+				// This frame turns the server lazy again: senders still
+				// parked must re-check and open a new episode.
+				b.asked = false
+				b.space.Broadcast(i.cls.Env)
+			}
+			return off, pad, nil
+		}
+		if !b.asked {
+			b.asked = true
+			i.pullCredit(p, b)
+			continue // posting yielded; credit may already be here
 		}
 		if deadline > 0 {
 			if p.Now() >= deadline {
-				return 0, ErrTimeout
+				return 0, 0, ErrTimeout
 			}
 			b.space.WaitTimeout(p, deadline-p.Now())
 		} else {
 			b.space.Wait(p)
 		}
 	}
+}
+
+// pullCredit posts the credit pull for b: a zero-length write-imm the
+// server's poller answers by shipping the ring's owed credit. It states
+// the tail (rounded up to the pull granule, which can only make the
+// server eager a few bytes longer) so the server can tell frames
+// reserved before the pull from frames reserved after it, whatever
+// order they arrive in. Like the frames it unblocks it is never polled;
+// a lost pull ends in the sender's reserveRing timeout.
+func (i *Instance) pullCredit(p *simtime.Proc, b *binding) {
+	i.obsReg().Add("lite.ring.credit_pull", 1)
+	u := pullUnit(b.ringSize)
+	units := (b.tail + u - 1) / u
+	_ = i.postShared(p, b.dst, PriHigh, []rnic.WR{{
+		Kind:      rnic.OpWriteImm,
+		WRID:      i.wrID(),
+		Inline:    i.wantInline(0),
+		RemoteKey: i.dep.Instances[b.dst].globalMR.Key(),
+		Imm:       encodeImm(tagCreditReq, b.fn, units%(1<<23)*ringAlign),
+	}})
 }
 
 // ---- small-message fast path ----
@@ -576,16 +687,23 @@ func (i *Instance) acquireShared(p *simtime.Proc, dst int, pri Priority) (*rnic.
 			slot.Acquire(p)
 			return qp, k, sig, func() { slot.Release(env) }
 		}
-		sig.reaping = true
-		b := sig.inflight[0]
-		sig.inflight = sig.inflight[1:]
-		i.sendDisp.WaitQuiet(p, b.wrid)
-		for _, rel := range b.releases {
-			rel()
-		}
-		sig.reaping = false
-		sig.cond.Broadcast(env)
+		i.reapOldest(p, sig)
 	}
+}
+
+// reapOldest waits for the QP's oldest in-flight signaled batch and
+// frees its send-queue slots. The caller has checked that there is one
+// and that nobody else is reaping.
+func (i *Instance) reapOldest(p *simtime.Proc, sig *qpSigState) {
+	sig.reaping = true
+	b := sig.inflight[0]
+	sig.inflight = sig.inflight[1:]
+	i.sendDisp.WaitQuiet(p, b.wrid)
+	for _, rel := range b.releases {
+		rel()
+	}
+	sig.reaping = false
+	sig.cond.Broadcast(i.cls.Env)
 }
 
 // postShared posts a chain of work requests to dst over one shared QP
@@ -597,7 +715,7 @@ func (i *Instance) acquireShared(p *simtime.Proc, dst int, pri Priority) (*rnic.
 // qpDepth: a sender is never more than one signaled completion away
 // from free slots.
 func (i *Instance) postShared(p *simtime.Proc, dst int, pri Priority, wrs []rnic.WR) error {
-	qp, _, sig, release := i.acquireShared(p, dst, pri)
+	qp, k, sig, release := i.acquireShared(p, dst, pri)
 	// The signaling decision must be made AND published in sig.count
 	// before PostSendList parks to pay the posting cost. Concurrent
 	// posters on the same QP would otherwise all read the
@@ -621,15 +739,22 @@ func (i *Instance) postShared(p *simtime.Proc, dst int, pri Priority, wrs []rnic
 		return err
 	}
 	sig.pending = append(sig.pending, release)
-	if !signaled {
-		return nil
+	if signaled {
+		// The batch takes every release currently deferred on this QP.
+		// Releases of posts that raced in after this WR was decided may
+		// ride along and free their slot on this completion — a slightly
+		// early reclaim of the simulated slot budget, never a leak.
+		sig.inflight = append(sig.inflight, reclaimBatch{wrid: wrs[len(wrs)-1].WRID, releases: sig.pending})
+		sig.pending = nil
 	}
-	// The batch takes every release currently deferred on this QP.
-	// Releases of posts that raced in after this WR was decided may
-	// ride along and free their slot on this completion — a slightly
-	// early reclaim of the simulated slot budget, never a leak.
-	sig.inflight = append(sig.inflight, reclaimBatch{wrid: wrs[len(wrs)-1].WRID, releases: sig.pending})
-	sig.pending = nil
+	// Lazy reclaim counts on a later poster to reap. Senders that found
+	// the queue full while its holders were still posting are parked on
+	// the slot semaphore, not in the reap loop, so when a burst is not
+	// followed by another post nobody would ever free their slots: a
+	// poster that leaves the queue exhausted reaps before it goes.
+	for slot := i.qpSlots[dst][k]; slot.Available() == 0 && len(sig.inflight) > 0 && !sig.reaping; {
+		i.reapOldest(p, sig)
+	}
 	return nil
 }
 
@@ -653,13 +778,13 @@ func (i *Instance) postToRing(p *simtime.Proc, b *binding, fn int, token uint32,
 	}
 	need := int64(ringHdr + len(input))
 	aligned := (need + ringAlign - 1) &^ (ringAlign - 1)
-	off, err := i.reserveRing(p, b, aligned, probe)
+	off, pad, err := i.reserveRing(p, b, aligned, probe)
 	if err != nil {
 		return err
 	}
 
 	msg := i.getFrame(need)
-	binary.LittleEndian.PutUint32(msg[0:], uint32(need))
+	binary.LittleEndian.PutUint32(msg[0:], uint32(pad))
 	binary.LittleEndian.PutUint32(msg[4:], token)
 	binary.LittleEndian.PutUint64(msg[8:], uint64(replyPA))
 	binary.LittleEndian.PutUint32(msg[16:], uint32(len(input)))
@@ -699,24 +824,25 @@ func (i *Instance) rpcInternal(p *simtime.Proc, dst, fn int, input []byte, maxRe
 // means wait forever (used by locks and barriers, whose replies are
 // intentionally withheld until the event occurs).
 func (i *Instance) rpcInternalT(p *simtime.Proc, dst, fn int, input []byte, maxReply int64, pri Priority, timeout simtime.Time) ([]byte, error) {
-	return i.rpcInternalFull(p, dst, fn, input, maxReply, pri, timeout, false, nil, 0)
+	return i.rpcInternalFull(p, dst, fn, input, maxReply, pri, timeout, false, nil, caller{})
 }
 
 // rpcInternalProbe is rpcInternalT with the probe flag exposed:
 // keepalives may target declared-dead nodes, since a successful probe
 // is exactly what revives one.
 func (i *Instance) rpcInternalProbe(p *simtime.Proc, dst, fn int, input []byte, maxReply int64, pri Priority, timeout simtime.Time, probe bool) ([]byte, error) {
-	return i.rpcInternalFull(p, dst, fn, input, maxReply, pri, timeout, probe, nil, 0)
+	return i.rpcInternalFull(p, dst, fn, input, maxReply, pri, timeout, probe, nil, caller{})
 }
 
 // rpcInternalFull is the complete LT_RPC entry point. meta, when
 // non-nil, identifies this logical call across retry attempts (client
 // sequence number, ambiguous-attempt count, server boot stamp); the
 // server's dedup window uses it to suppress duplicate execution after
-// a lost reply and to detect retries that crossed its restart. ten is
-// the caller's tenant ID (0 = kernel/untenanted), carried in the ring
-// header so the server can apply tenant-weighted admission.
-func (i *Instance) rpcInternalFull(p *simtime.Proc, dst, fn int, input []byte, maxReply int64, pri Priority, timeout simtime.Time, probe bool, meta *callMeta, ten uint16) ([]byte, error) {
+// a lost reply and to detect retries that crossed its restart. who is
+// the calling client: its tenant ID travels in the ring header so the
+// server can apply tenant-weighted admission, and its level decides who
+// polls for the reply (awaitReply).
+func (i *Instance) rpcInternalFull(p *simtime.Proc, dst, fn int, input []byte, maxReply int64, pri Priority, timeout simtime.Time, probe bool, meta *callMeta, who caller) ([]byte, error) {
 	reg := i.obsReg()
 	parent := procSpan(p)
 	t0 := p.Now()
@@ -726,7 +852,7 @@ func (i *Instance) rpcInternalFull(p *simtime.Proc, dst, fn int, input []byte, m
 		return nil, ErrNodeDead
 	}
 	if dst == i.node.ID {
-		return i.rpcLocal(p, fn, input, timeout, ten)
+		return i.rpcLocal(p, fn, input, timeout, who.tenant)
 	}
 	b, err := i.getBinding(p, dst, fn, pri)
 	if err != nil {
@@ -738,7 +864,7 @@ func (i *Instance) rpcInternalFull(p *simtime.Proc, dst, fn int, input []byte, m
 	i.pending[token] = pc
 
 	post := reg.StartSpan(p.Now(), "lite.rpc.post", parent)
-	err = i.postToRing(p, b, fn, token, respPA, input, pri, probe, meta, ten)
+	err = i.postToRing(p, b, fn, token, respPA, input, pri, probe, meta, who.tenant)
 	post.Done(p.Now())
 	if err != nil {
 		delete(i.pending, token)
@@ -749,7 +875,7 @@ func (i *Instance) rpcInternalFull(p *simtime.Proc, dst, fn int, input []byte, m
 		deadline = p.Now() + timeout
 	}
 	wait := reg.StartSpan(p.Now(), "lite.rpc.wait", parent)
-	waited := i.adaptiveWait(p, &pc.cond, func() bool { return pc.done }, deadline)
+	waited := i.awaitReply(p, pc, deadline, who.user)
 	wait.Done(p.Now())
 	if !waited {
 		// The server may yet deliver a late reply write-imm into
@@ -774,6 +900,26 @@ func (i *Instance) rpcInternalFull(p *simtime.Proc, dst, fn int, input []byte, m
 		return nil, err
 	}
 	return out, nil
+}
+
+// awaitReply is LT_RPC's adaptive wait for the reply write-imm. A
+// kernel-level caller spends its busy window on a core inside the
+// kernel with nothing to do but look for its completion, so it is
+// counted in spinners and — while the shared poller sleeps — polls the
+// receive CQ itself (pollForCaller): the reply is demultiplexed at
+// arrival + pollerHandleCost without waking the poller. A user-level
+// caller left the kernel at post time and spins on the §5.2 completion
+// page in user space; it cannot touch the CQ and keeps needing the
+// poller.
+func (i *Instance) awaitReply(p *simtime.Proc, pc *pendingCall, deadline simtime.Time, user bool) bool {
+	ready := func() bool { return pc.done }
+	if user {
+		return i.adaptiveWait(p, &pc.cond, ready, deadline)
+	}
+	i.spinners++
+	i.spinWait(p, &pc.cond, ready, deadline)
+	i.spinners--
+	return i.sleepWait(p, &pc.cond, ready, deadline)
 }
 
 // rpcLocal dispatches an RPC whose server is this node without
@@ -1018,11 +1164,44 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 		d := p.Now() - t0
 		p.CPUAccount().Charge(d)
 		i.PollerCPU += d
-		// Sleep until the next completion.
-		i.recvCQ.Wait(p)
+		// Sleep until the next completion nobody else polls for.
+		for {
+			i.recvCQ.Wait(p)
+			if !i.pollForCaller(p) {
+				break
+			}
+		}
 		p.Work(i.cfg.WakeupLatency)
 		i.PollerCPU += i.cfg.WakeupLatency
 	}
+}
+
+// pollForCaller runs when a completion arrives with the shared poller
+// asleep: if a kernel-level caller is spinning on its reply
+// (spinners > 0) the queued completions are demultiplexed on that
+// caller's behalf — at the poller's per-CQE cost but on the caller's
+// time, which its busy wait is already charging, so this thread neither
+// pays a wakeup nor burns a busy window afterwards. It reports whether
+// the poller may go back to sleep; false means the completion at the
+// head of the CQ (or the wake itself) is the poller's to handle at full
+// price.
+//
+// The body runs on the poller's proc only because CQ.Push signals the
+// oldest waiter, which is always the sleeping poller; nothing here is
+// charged to it.
+func (i *Instance) pollForCaller(p *simtime.Proc) bool {
+	polled, cost := false, pollerHandleCost
+	for i.spinners > 0 && !i.stopped {
+		cqe, ok := i.recvCQ.TryPoll()
+		if !ok {
+			break
+		}
+		p.Sleep(cost)
+		polled, cost = true, pollerBatchCost
+		i.obsReg().Add("lite.poller.caller_polled", 1)
+		i.handleRecvCQE(p, cqe)
+	}
+	return polled && !i.stopped && i.recvCQ.Len() == 0
 }
 
 func (i *Instance) handleRecvCQE(p *simtime.Proc, cqe rnic.CQE) {
@@ -1053,6 +1232,11 @@ func (i *Instance) handleRecvCQE(p *simtime.Proc, cqe rnic.CQE) {
 		if b, ok := i.bindings[bindKey{cqe.SrcNode, fn}]; ok {
 			b.head += v
 			b.space.Broadcast(i.cls.Env)
+		}
+	case tagCreditReq:
+		if ring, ok := i.srvRings[bindKey{cqe.SrcNode, fn}]; ok {
+			ring.pulled(v / ringAlign)
+			i.shipCredit(p, ring)
 		}
 	case tagRPCShed:
 		token := cqe.Imm & 0x0fffffff
@@ -1134,7 +1318,7 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) {
 	if err := i.node.Mem.Read(ring.pa+hostmem.PAddr(off), hdr[:]); err != nil {
 		return
 	}
-	total := int64(binary.LittleEndian.Uint32(hdr[0:]))
+	pad := int64(binary.LittleEndian.Uint32(hdr[0:]))
 	token := binary.LittleEndian.Uint32(hdr[4:])
 	replyPA := hostmem.PAddr(binary.LittleEndian.Uint64(hdr[8:]))
 	inLen := int64(binary.LittleEndian.Uint32(hdr[16:]))
@@ -1142,16 +1326,16 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) {
 	boot := binary.LittleEndian.Uint64(hdr[28:])
 	attempt := binary.LittleEndian.Uint16(hdr[36:])
 	ten := binary.LittleEndian.Uint16(hdr[38:])
-	if inLen < 0 || inLen > total-ringHdr {
+	if off+ringHdr+inLen > ring.size || pad >= ring.size {
 		return
 	}
 	input := make([]byte, inLen)
 	_ = i.node.Mem.Read(ring.pa+hostmem.PAddr(off+ringHdr), input)
 
-	// Ring accounting, in arrival order: account wrap padding the
-	// client inserted before this frame, then the frame itself.
-	pad := (off - ring.headLocal%ring.size + ring.size) % ring.size
-	aligned := (total + ringAlign - 1) &^ (ringAlign - 1)
+	// Ring accounting: the wrap padding the client says it skipped
+	// before this frame, then the frame itself. Frames arrive out of
+	// ring order (see the header layout), so only the sum is meaningful.
+	aligned := (ringHdr + inLen + ringAlign - 1) &^ (ringAlign - 1)
 	ring.headLocal += pad + aligned
 	delta := pad + aligned
 
@@ -1302,16 +1486,40 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) {
 	// a background thread; the delta rides on the call until consumed.
 }
 
-// queueHeadUpdate hands a ring-credit notification to the background
-// header-update thread (step f in Figure 9). Credits larger than the
-// IMM delta encoding (possible with wrap padding on a near-maximal
-// ring) are split across several updates.
+// creditShare is the fraction of a ring the server may hold back as
+// unshipped credit: a head update goes out once owed reaches
+// size/creditShare, so a client always sees at least three quarters of
+// the truly free ring and a small-frame workload pays one head update
+// per quarter ring instead of one per call.
+const creditShare = 4
+
+// queueHeadUpdate returns delta bytes of consumed ring space to the
+// client — lazily: the credit accumulates in the ring's owed count and
+// ships from the background header-update thread (step f in Figure 9)
+// only once it is worth a work request, or at once while the client is
+// known to be blocked (srvRing.eager). No timer flushes the remainder;
+// a sender that needs it asks (reserveRing's pull).
 func (i *Instance) queueHeadUpdate(p *simtime.Proc, client, fn int, delta int64) {
-	for delta > maxImmDelta {
-		i.queueNotify(p, headUpdate{kind: updCredit, client: client, fn: fn, delta: maxImmDelta})
-		delta -= maxImmDelta
+	ring, ok := i.srvRings[bindKey{client, fn}]
+	if !ok {
+		return // torn down with its client; nobody is left to credit
 	}
-	i.queueNotify(p, headUpdate{kind: updCredit, client: client, fn: fn, delta: delta})
+	ring.owed += delta
+	if ring.eager() || ring.owed >= ring.size/creditShare {
+		i.shipCredit(p, ring)
+	}
+}
+
+// shipCredit queues everything the ring owes as head updates. Credits
+// larger than the IMM delta encoding (possible with wrap padding on a
+// near-maximal ring) are split across several updates.
+func (i *Instance) shipCredit(p *simtime.Proc, ring *srvRing) {
+	for ring.owed > 0 {
+		d := min(ring.owed, maxImmDelta)
+		ring.owed -= d
+		i.obsReg().Add("lite.ring.credit_wr", 1)
+		i.queueNotify(p, headUpdate{kind: updCredit, client: ring.client, fn: ring.fn, delta: d})
+	}
 }
 
 // queueNotify hands any notification (credit, shed, reply replay) to
