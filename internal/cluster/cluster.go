@@ -66,6 +66,9 @@ func New(cfg *params.Config, n int, memPerNode int64) (*Cluster, error) {
 	}
 	env := simtime.NewEnv()
 	fab := fabric.New(cfg)
+	// Every link server and NIC pipeline runs on the cluster's clock, so
+	// its busy list holds only what lies ahead of now.
+	fab.SetClock(env)
 	c := &Cluster{
 		Env:  env,
 		Cfg:  cfg,

@@ -88,6 +88,10 @@ type Fabric struct {
 	downlinks [][]*simtime.Server
 
 	nports int
+
+	// env, when set, is the clock every link server retires its past
+	// busy intervals against (see SetClock).
+	env *simtime.Env
 }
 
 type port struct {
@@ -128,16 +132,37 @@ func (f *Fabric) AddPort(node int) error {
 		for len(f.ports) <= node {
 			f.ports = append(f.ports, nil)
 		}
-		f.ports[node] = &port{}
+		f.ports[node] = f.newPort()
 	} else {
 		if f.portsM == nil {
 			f.portsM = make(map[int]*port)
 		}
-		f.portsM[node] = &port{}
+		f.portsM[node] = f.newPort()
 	}
 	f.nports++
 	return nil
 }
+
+func (f *Fabric) newPort() *port {
+	p := &port{}
+	p.egress.SetClock(f.env)
+	p.ingress.SetClock(f.env)
+	return p
+}
+
+// newLink returns a link server on the fabric's clock.
+func (f *Fabric) newLink() *simtime.Server {
+	s := &simtime.Server{}
+	s.SetClock(f.env)
+	return s
+}
+
+// SetClock puts the fabric's link servers on env's clock, so each
+// keeps only the busy intervals still ahead of it; every ReservePath
+// must then be issued at or after env.Now(). Call it before the first
+// AddPort. A fabric without a clock (driven by hand-picked instants)
+// keeps each link's full history, capped.
+func (f *Fabric) SetClock(env *simtime.Env) { f.env = env }
 
 // SetLinkDown makes messages from src to dst undeliverable (in that
 // direction only) until SetLinkUp. Used for failure injection.
@@ -365,7 +390,7 @@ func (f *Fabric) uplink(leaf, spine int) *simtime.Server {
 	}
 	row := f.uplinks[leaf]
 	for len(row) <= spine {
-		row = append(row, &simtime.Server{})
+		row = append(row, f.newLink())
 	}
 	f.uplinks[leaf] = row
 	return row[spine]
@@ -378,7 +403,7 @@ func (f *Fabric) downlink(spine, leaf int) *simtime.Server {
 	}
 	row := f.downlinks[spine]
 	for len(row) <= leaf {
-		row = append(row, &simtime.Server{})
+		row = append(row, f.newLink())
 	}
 	f.downlinks[spine] = row
 	return row[leaf]

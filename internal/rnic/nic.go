@@ -59,6 +59,11 @@ func (r *Registry) NewNIC(node int, mem *hostmem.Memory) (*NIC, error) {
 		nextQPN:  1,
 		nextCQN:  1,
 	}
+	// On the registry's clock the pipelines keep only the busy intervals
+	// still ahead of it: every reservation is made at or after now.
+	n.txPipe.SetClock(r.env)
+	n.rxPipe.SetClock(r.env)
+	n.dma.SetClock(r.env)
 	r.nics[node] = n
 	return n, nil
 }

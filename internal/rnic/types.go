@@ -312,12 +312,14 @@ type QP struct {
 
 	sendCQ *CQ
 	recvCQ *CQ
-	// rq[rqHead:] holds the posted receives, consumed by advancing
-	// rqHead and compacted in place on post — same alloc-free ring
-	// discipline as CQ.q (the restock path was the simulator's single
-	// largest allocation source before this).
-	rq     []PostedRecv
+	// rq[rqHead:] holds the posted receives as runs of identical
+	// descriptors — a restock posts hundreds of the same zero-byte IMM
+	// buffer, which one run stores — consumed by advancing rqHead and
+	// compacted in place on post, the same alloc-free ring discipline
+	// as CQ.q. posted counts the receives across all runs.
+	rq     []recvRun
 	rqHead int
+	posted int
 
 	// Low-water notification (see SetRecvLowWater): fires once when the
 	// posted-receive count crosses below lowWater, re-arms when a
@@ -331,6 +333,12 @@ type QP struct {
 	owner string // optional subsystem/tenant label for accounting
 
 	chain sendChain // RC ordering state of the PostSendList in progress
+}
+
+// recvRun is n consecutive posted receives sharing one descriptor.
+type recvRun struct {
+	r PostedRecv
+	n int
 }
 
 // sendChain carries RC's in-order guarantees across the READ members
@@ -448,16 +456,22 @@ func (q *QP) rearmRecvLow() {
 	}
 }
 
-// compactRQ reclaims consumed slots when the next need entries would
-// not fit in the tail, so the post reuses the backing array instead of
-// growing it.
-func (q *QP) compactRQ(need int) {
-	if q.rqHead > 0 && len(q.rq)+need > cap(q.rq) {
+// pushRecv appends r to the receive queue, extending the tail run when
+// r repeats its descriptor. A new run reuses the consumed slots at the
+// front before growing the backing array.
+func (q *QP) pushRecv(r PostedRecv) {
+	q.posted++
+	if n := len(q.rq); n > q.rqHead && q.rq[n-1].r == r {
+		q.rq[n-1].n++
+		return
+	}
+	if q.rqHead > 0 && len(q.rq) == cap(q.rq) {
 		n := copy(q.rq, q.rq[q.rqHead:])
 		clear(q.rq[n:])
 		q.rq = q.rq[:n]
 		q.rqHead = 0
 	}
+	q.rq = append(q.rq, recvRun{r, 1})
 }
 
 // PostRecv posts a receive buffer. The buffer's MR must belong to the
@@ -469,8 +483,7 @@ func (q *QP) PostRecv(r PostedRecv) error {
 	if err := r.MR.checkRange(r.Off, r.Len); err != nil {
 		return err
 	}
-	q.compactRQ(1)
-	q.rq = append(q.rq, r)
+	q.pushRecv(r)
 	q.rearmRecvLow()
 	return nil
 }
@@ -491,29 +504,35 @@ func (q *QP) PostRecvList(rs []PostedRecv) error {
 			return err
 		}
 	}
-	q.compactRQ(len(rs))
-	q.rq = append(q.rq, rs...)
+	for _, r := range rs {
+		q.pushRecv(r)
+	}
 	q.rearmRecvLow()
 	return nil
 }
 
 // RecvPosted returns the number of posted receive buffers.
-func (q *QP) RecvPosted() int { return len(q.rq) - q.rqHead }
+func (q *QP) RecvPosted() int { return q.posted }
 
 // Drops returns the number of UD datagrams dropped because no receive
 // buffer was posted.
 func (q *QP) Drops() int64 { return q.drops }
 
 func (q *QP) popRecv() (PostedRecv, bool) {
-	if q.rqHead == len(q.rq) {
+	if q.posted == 0 {
 		return PostedRecv{}, false
 	}
-	r := q.rq[q.rqHead]
-	q.rq[q.rqHead] = PostedRecv{} // release the MR reference
-	q.rqHead++
-	if q.rqHead == len(q.rq) {
-		q.rq = q.rq[:0]
-		q.rqHead = 0
+	run := &q.rq[q.rqHead]
+	r := run.r
+	q.posted--
+	run.n--
+	if run.n == 0 {
+		*run = recvRun{} // release the MR reference
+		q.rqHead++
+		if q.rqHead == len(q.rq) {
+			q.rq = q.rq[:0]
+			q.rqHead = 0
+		}
 	}
 	q.notifyRecvLow()
 	return r, true

@@ -73,6 +73,20 @@ type Env struct {
 	live  int // non-daemon procs that have not finished
 	procs map[int]*Proc
 	limit Time // 0 means no limit
+
+	// idle holds the goroutines of finished procs, each blocked on its
+	// resume channel until spawn hands it the next proc; Run closes
+	// them when it returns.
+	idle []*worker
+}
+
+// worker is a goroutine that runs procs one after another. Reusing it
+// keeps the stack an earlier proc grew, where a fresh goroutine would
+// start small and copy its stack as the proc's calls deepen.
+type worker struct {
+	resume chan WakeReason
+	p      *Proc
+	fn     func(*Proc)
 }
 
 // event is a pending wakeup or callback. Events are stored by value
@@ -160,35 +174,61 @@ func (e *Env) GoDaemon(name string, fn func(*Proc)) *Proc {
 }
 
 func (e *Env) spawn(name string, fn func(*Proc), daemon bool) *Proc {
+	var w *worker
+	if n := len(e.idle); n > 0 {
+		w = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		w = &worker{resume: make(chan WakeReason)}
+		go e.work(w)
+	}
 	e.nextPID++
 	p := &Proc{
 		env:    e,
 		id:     e.nextPID,
 		name:   name,
-		resume: make(chan WakeReason),
+		resume: w.resume,
 		gen:    1,
 		parked: true,
 		daemon: daemon,
 	}
+	w.p, w.fn = p, fn
 	e.procs[p.id] = p
 	if !daemon {
 		e.live++
 	}
-	go func() {
-		<-p.resume
-		fn(p)
+	e.wakeAt(e.now, p, p.gen, WakeSignal)
+	return p
+}
+
+// work is the body of w's goroutine. Each proc it is handed starts at
+// its first wakeup; once the proc returns, w joins the idle pool and,
+// as the active goroutine, drives the event loop until the next
+// handoff — which may be to a proc spawned onto w meanwhile, which it
+// then runs without a channel operation.
+func (e *Env) work(w *worker) {
+	if _, ok := <-w.resume; !ok {
+		return
+	}
+	for {
+		p := w.p
+		w.fn(p)
+		w.p, w.fn = nil, nil
 		p.done = true
 		p.parked = false
-		// The finished process is the active goroutine: retire it and
-		// keep driving the event loop until the next handoff.
 		delete(e.procs, p.id)
 		if !p.daemon {
 			e.live--
 		}
-		e.sched(nil)
-	}()
-	e.wakeAt(e.now, p, p.gen, WakeSignal)
-	return p
+		e.idle = append(e.idle, w)
+		if _, ok := e.sched(w.resume); ok {
+			continue
+		}
+		if _, ok := <-w.resume; !ok {
+			return
+		}
+	}
 }
 
 // wakeAt schedules a wakeup for p at time t, provided p is still in
@@ -234,19 +274,20 @@ func (p *Proc) prepareWait() uint64 {
 func (p *Proc) park() WakeReason {
 	e := p.env
 	p.parked = true
-	if r, ok := e.sched(p); ok {
+	if r, ok := e.sched(p.resume); ok {
 		return r
 	}
 	return <-p.resume
 }
 
 // sched drains the event queue on the calling goroutine. self is the
-// process that just parked (nil when called from Run or a finished
-// process's epilogue). It returns (reason, true) when the next wakeup
-// is for self. Otherwise it ends by either handing the scheduler role
-// to the woken process (one resume send) or completing the run
-// (doneCh), and returns ok=false.
-func (e *Env) sched(self *Proc) (WakeReason, bool) {
+// calling goroutine's resume channel (nil when called from Run). It
+// returns (reason, true) when the next wakeup is for a proc running on
+// that goroutine — the one that just parked, or one spawned onto an
+// idle worker that is itself driving the loop. Otherwise it ends by
+// either handing the scheduler role to the woken process (one resume
+// send) or completing the run (doneCh), and returns ok=false.
+func (e *Env) sched(self chan WakeReason) (WakeReason, bool) {
 	for {
 		if e.live == 0 {
 			e.doneCh <- nil
@@ -284,7 +325,7 @@ func (e *Env) sched(self *Proc) (WakeReason, bool) {
 		}
 		e.events++
 		p.parked = false
-		if p == self {
+		if p.resume == self {
 			return ev.reason, true
 		}
 		p.resume <- ev.reason
@@ -328,10 +369,16 @@ func (e *DeadlockError) Error() string {
 
 // Run executes the simulation until all non-daemon processes finish,
 // the time limit (if set) is reached, or no progress is possible. It
-// returns a *DeadlockError in the latter case and nil otherwise.
+// returns a *DeadlockError in the latter case and nil otherwise. The
+// idle worker goroutines exit with it.
 func (e *Env) Run() error {
 	e.sched(nil)
-	return <-e.doneCh
+	err := <-e.doneCh
+	for _, w := range e.idle {
+		close(w.resume)
+	}
+	e.idle = nil
+	return err
 }
 
 func (e *Env) deadlock() error {

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -198,5 +199,64 @@ func TestYieldLetsPeersRun(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
+	}
+}
+
+// A forked proc runs on the goroutine of one that already finished:
+// 50 000 short procs forked one after another, a few alive at a time,
+// keep the goroutine count within their peak concurrency plus a
+// constant, and the idle goroutines exit when Run returns.
+func TestForkedProcsReuseGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEnv()
+	live, peakLive, peakG := 0, 0, 0
+	e.Go("forker", func(p *Proc) {
+		for i := 0; i < 50000; i++ {
+			live++
+			peakLive = max(peakLive, live)
+			e.Go("op", func(q *Proc) {
+				q.Sleep(Time(1 + i%4)) // overlaps the next few forks
+				live--
+			})
+			peakG = max(peakG, runtime.NumGoroutine())
+			p.Sleep(1)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if peakG > base+1+peakLive+2 {
+		t.Errorf("%d goroutines at peak for %d procs alive at once (baseline %d)", peakG, peakLive+1, base)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A callback may fork a proc while the goroutine driving the event loop
+// is a finished proc's, already back in the idle pool: the new proc
+// lands on that very goroutine, which must run it itself rather than
+// hand off to itself.
+func TestCallbackForksOntoFinishingGoroutine(t *testing.T) {
+	e := NewEnv()
+	ran := 0
+	var fork func(*Env)
+	fork = func(e *Env) {
+		e.Go("child", func(q *Proc) {
+			if ran++; ran < 100 {
+				e.At(q.Now(), fork) // runs once this proc has finished
+			}
+		})
+	}
+	e.Go("root", func(p *Proc) { e.At(p.Now(), fork) })
+	e.Go("hold", func(p *Proc) { p.Sleep(time.Microsecond) }) // keeps Run going
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 100 {
+		t.Fatalf("%d of 100 chained procs ran", ran)
 	}
 }

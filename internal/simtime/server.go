@@ -1,6 +1,9 @@
 package simtime
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Server models a work-conserving FIFO service facility: each request
 // occupies the facility for its service time. It is the building block
@@ -17,8 +20,11 @@ import "sort"
 // Because the simulation kernel serializes processes, Server needs no
 // locking.
 type Server struct {
-	// busy holds non-overlapping reserved intervals sorted by start.
+	// busy[head:] holds non-overlapping reserved intervals sorted by
+	// start. busy[:head] are intervals a clocked server has retired.
 	busy []interval
+	head int
+	env  *Env // the clock (see SetClock); nil keeps every interval
 	acc  Time // total busy time, for utilization reporting
 }
 
@@ -26,10 +32,16 @@ type interval struct {
 	start, end Time
 }
 
-// maxIntervals bounds the busy list; when exceeded, the oldest
-// intervals are coalesced into one (they lie in the past of every
-// future reservation in any realistic workload).
+// maxIntervals bounds the busy list of a server without a clock; when
+// exceeded, the oldest intervals are coalesced into one (they lie in
+// the past of every future reservation in any realistic workload).
 const maxIntervals = 1024
+
+// SetClock ties the server to e's clock. Every reservation must then
+// arrive at or after e.Now() (Reserve panics otherwise), so an interval
+// that ended at or before now can never be chosen again and is
+// dropped: the busy list holds only what lies ahead of the clock.
+func (s *Server) SetClock(e *Env) { s.env = e }
 
 // Reserve books a request with service time d arriving at time at and
 // returns its completion instant. The request takes the earliest idle
@@ -39,13 +51,15 @@ func (s *Server) Reserve(at Time, d Time) Time {
 		d = 0
 	}
 	s.acc += d
+	if s.env != nil {
+		s.retire(at)
+	}
 	if d == 0 {
 		// Zero-length requests complete at their queue position
 		// without occupying the facility.
 		return s.nextFree(at)
 	}
-	// Find the first interval ending after at.
-	i := sort.Search(len(s.busy), func(k int) bool { return s.busy[k].end > at })
+	i := s.after(at)
 	start := at
 	for ; i < len(s.busy); i++ {
 		if start+d <= s.busy[i].start {
@@ -59,11 +73,28 @@ func (s *Server) Reserve(at Time, d Time) Time {
 	return start + d
 }
 
+// retire advances head past the intervals that ended at or before now,
+// keeping the last one so FreeAt stays exact.
+func (s *Server) retire(at Time) {
+	now := s.env.now
+	if at < now {
+		panic(fmt.Sprintf("simtime: Server.Reserve at %v, before now (%v)", at, now))
+	}
+	for s.head < len(s.busy)-1 && s.busy[s.head].end <= now {
+		s.head++
+	}
+}
+
+// after returns the index of the first live interval ending after at.
+func (s *Server) after(at Time) int {
+	live := s.busy[s.head:]
+	return s.head + sort.Search(len(live), func(k int) bool { return live[k].end > at })
+}
+
 // nextFree returns the earliest idle instant at or after at.
 func (s *Server) nextFree(at Time) Time {
-	i := sort.Search(len(s.busy), func(k int) bool { return s.busy[k].end > at })
 	t := at
-	for ; i < len(s.busy); i++ {
+	for i := s.after(at); i < len(s.busy); i++ {
 		if t < s.busy[i].start {
 			return t
 		}
@@ -72,10 +103,10 @@ func (s *Server) nextFree(at Time) Time {
 	return t
 }
 
-// insert places iv at index i, merging with touching neighbors.
+// insert places iv at index i, merging with touching live neighbors.
 func (s *Server) insert(iv interval, i int) {
 	// Merge with predecessor if touching.
-	if i > 0 && s.busy[i-1].end == iv.start {
+	if i > s.head && s.busy[i-1].end == iv.start {
 		s.busy[i-1].end = iv.end
 		// Merge with successor too if now touching.
 		if i < len(s.busy) && s.busy[i-1].end == s.busy[i].start {
@@ -88,15 +119,23 @@ func (s *Server) insert(iv interval, i int) {
 		s.busy[i].start = iv.start
 		return
 	}
+	if len(s.busy) == cap(s.busy) && 2*s.head >= len(s.busy) {
+		// At least half the backing array is retired: slide the live
+		// intervals down instead of growing. Each slide frees as many
+		// slots as it copies, so its cost amortises to O(1) a Reserve.
+		n := copy(s.busy, s.busy[s.head:])
+		s.busy = s.busy[:n]
+		i -= s.head
+		s.head = 0
+	}
 	s.busy = append(s.busy, interval{})
 	copy(s.busy[i+1:], s.busy[i:])
 	s.busy[i] = iv
-	if len(s.busy) > maxIntervals {
+	if s.env == nil && len(s.busy) > maxIntervals {
 		// Coalesce the oldest half into one block; those gaps are in
 		// the distant past of any future arrival.
 		keep := len(s.busy) / 2
 		s.busy[keep-1].start = s.busy[0].start
-		s.busy = append(s.busy[:keep-1], s.busy[keep-1:]...)
 		copy(s.busy, s.busy[keep-1:])
 		s.busy = s.busy[:len(s.busy)-(keep-1)]
 	}

@@ -142,3 +142,75 @@ func TestMultiServerUsesIdleServer(t *testing.T) {
 		t.Fatalf("c = %v, want queued", c)
 	}
 }
+
+// A server on a clock retires the intervals that ended at or before
+// now. Under the contract that every reservation arrives at or after
+// now, it must complete every request at exactly the instant a server
+// keeping its whole history does, while its live list stays bounded by
+// the reservations still ahead of the clock.
+func TestClockedServerMatchesFullHistory(t *testing.T) {
+	for seed := 1; seed <= 8; seed++ {
+		rng := calqRand(seed * 2654435761)
+		e := NewEnv()
+		var clocked, full Server
+		clocked.SetClock(e)
+		var ahead []Time // completion instants of every reservation, pruned to > now
+		var last Time
+		maxLive := 0
+		for step := 0; step < 30000; step++ {
+			switch rng.next() % 8 {
+			case 0: // the clock moves on a little
+				e.now += Time(rng.next() % 400)
+			case 1: // the clock lands exactly on a completion instant
+				if last > e.now {
+					e.now = last
+				}
+			}
+			at := e.now
+			switch rng.next() % 4 {
+			case 1: // near future: fills gaps between booked intervals
+				at += Time(rng.next() % 600)
+			case 2: // far future: fragments the list ahead of the clock
+				at += Time(2000 + rng.next()%20000)
+			}
+			d := Time(rng.next() % 120) // zero-length requests included
+			got, want := clocked.Reserve(at, d), full.Reserve(at, d)
+			if got != want {
+				t.Fatalf("seed %d step %d: Reserve(%v, %v) at now %v = %v with a clock, %v without", seed, step, at, d, e.now, got, want)
+			}
+			last = got
+			ahead = append(ahead, got)
+			kept := ahead[:0]
+			for _, end := range ahead {
+				if end > e.now {
+					kept = append(kept, end)
+				}
+			}
+			ahead = kept
+			live := len(clocked.busy) - clocked.head
+			if live > len(ahead)+1 {
+				t.Fatalf("seed %d step %d: %d live intervals for %d reservations ahead of now", seed, step, live, len(ahead))
+			}
+			maxLive = max(maxLive, live)
+		}
+		if clocked.FreeAt() != full.FreeAt() {
+			t.Fatalf("seed %d: FreeAt %v with a clock, %v without", seed, clocked.FreeAt(), full.FreeAt())
+		}
+		if cap(clocked.busy) > 4*maxLive+8 {
+			t.Errorf("seed %d: backing array of %d intervals for at most %d live", seed, cap(clocked.busy), maxLive)
+		}
+	}
+}
+
+func TestClockedServerRejectsThePast(t *testing.T) {
+	e := NewEnv()
+	var s Server
+	s.SetClock(e)
+	e.now = 10 * time.Microsecond
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a reservation before now was accepted")
+		}
+	}()
+	s.Reserve(5*time.Microsecond, time.Microsecond)
+}
