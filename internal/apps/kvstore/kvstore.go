@@ -185,6 +185,8 @@ type server struct {
 	// served counts metadata-path requests handled by this incarnation;
 	// load-driven rebalancers read it through Store.ServedOps.
 	served int64
+	// freeFailed counts value-LMR frees that returned an error.
+	freeFailed int64
 	// tcs caches per-tenant clients so a tenant's value LMRs are
 	// allocated in that tenant's namespace (another tenant cannot map
 	// or read them, even knowing the LMR name).
@@ -272,7 +274,7 @@ func (srv *server) handle(p *simtime.Proc, c *lite.Client, call *lite.Call) []by
 		case "delete":
 			if e, ok := srv.index[req.Key]; ok {
 				delete(srv.index, req.Key)
-				_ = c.Free(p, e.lh)
+				srv.free(p, c, e.lh)
 				resp.OK = true
 				if srv.store.onesided && call.Tenant == 0 {
 					srv.idxDelete(p, c, req.Key)
@@ -289,39 +291,55 @@ func (srv *server) handle(p *simtime.Proc, c *lite.Client, call *lite.Call) []by
 // handles fail their version check and re-resolve). A fresh LMR is
 // written before it is published and the one it replaces is freed
 // last: every call here yields, and the store's other threads must
-// never find a still-zero value behind the key.
+// never find a still-zero value behind the key. What a fresh LMR
+// replaces is read when it is published, not before the yields, so
+// two racing resizes each free exactly the entry they displaced.
 func (srv *server) put(p *simtime.Proc, c *lite.Client, key string, value []byte) response {
 	total := valueHdr + int64(len(value))
-	e, ok := srv.index[key]
-	var old *entry
-	fresh := !ok || e.size != total
-	if fresh {
-		srv.seq++
-		name := fmt.Sprintf("kv%d-%d-g%d-%d", srv.store.id, srv.node, srv.gen, srv.seq)
-		lh, err := c.Malloc(p, total, name, lite.PermRead)
-		if err != nil {
+	for {
+		e, ok := srv.index[key]
+		fresh := !ok || e.size != total
+		if fresh {
+			srv.seq++
+			name := fmt.Sprintf("kv%d-%d-g%d-%d", srv.store.id, srv.node, srv.gen, srv.seq)
+			lh, err := c.Malloc(p, total, name, lite.PermRead)
+			if err != nil {
+				return response{}
+			}
+			e = &entry{name: name, lh: lh, size: total}
+		}
+		e.version++
+		buf := make([]byte, total)
+		binary.LittleEndian.PutUint64(buf, e.version)
+		copy(buf[valueHdr:], value)
+		if err := c.Write(p, e.lh, 0, buf); err != nil {
+			if fresh {
+				srv.free(p, c, e.lh)
+			} else if srv.index[key] != e {
+				// A resize displaced (and freed) the entry this in-place
+				// write was aimed at: write against the current one.
+				continue
+			}
 			return response{}
 		}
-		old, e = e, &entry{name: name, lh: lh, size: total}
-	}
-	e.version++
-	buf := make([]byte, total)
-	binary.LittleEndian.PutUint64(buf, e.version)
-	copy(buf[valueHdr:], value)
-	if err := c.Write(p, e.lh, 0, buf); err != nil {
 		if fresh {
-			_ = c.Free(p, e.lh)
+			old := srv.index[key]
+			srv.index[key] = e
+			if old != nil {
+				// Stale handles are invalidated cluster-wide by LT_free.
+				srv.free(p, c, old.lh)
+			}
 		}
-		return response{}
+		return response{OK: true, Name: e.name, Len: e.size, Version: e.version}
 	}
-	if fresh {
-		srv.index[key] = e
-		if old != nil {
-			// Stale handles are invalidated cluster-wide by LT_free.
-			_ = c.Free(p, old.lh)
-		}
+}
+
+// free releases a value LMR this server allocated; a failure (freeing
+// an LMR twice is one) is counted in freeFailed.
+func (srv *server) free(p *simtime.Proc, c *lite.Client, lh lite.LH) {
+	if c.Free(p, lh) != nil {
+		srv.freeFailed++
 	}
-	return response{OK: true, Name: e.name, Len: e.size, Version: e.version}
 }
 
 // Client is one process's handle on the store.
