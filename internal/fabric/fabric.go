@@ -89,9 +89,7 @@ type Fabric struct {
 
 	nports int
 
-	// env, when set, is the clock every link server retires its past
-	// busy intervals against (see SetClock).
-	env *simtime.Env
+	env *simtime.Env // the links' clock; see SetClock
 }
 
 type port struct {
@@ -128,26 +126,22 @@ func (f *Fabric) AddPort(node int) error {
 	if f.port(node) != nil {
 		return fmt.Errorf("fabric: port %d already exists", node)
 	}
+	pt := &port{}
+	pt.egress.SetClock(f.env)
+	pt.ingress.SetClock(f.env)
 	if node >= 0 && node < denseLimit {
 		for len(f.ports) <= node {
 			f.ports = append(f.ports, nil)
 		}
-		f.ports[node] = f.newPort()
+		f.ports[node] = pt
 	} else {
 		if f.portsM == nil {
 			f.portsM = make(map[int]*port)
 		}
-		f.portsM[node] = f.newPort()
+		f.portsM[node] = pt
 	}
 	f.nports++
 	return nil
-}
-
-func (f *Fabric) newPort() *port {
-	p := &port{}
-	p.egress.SetClock(f.env)
-	p.ingress.SetClock(f.env)
-	return p
 }
 
 // newLink returns a link server on the fabric's clock.
