@@ -135,10 +135,6 @@ func runRebalanceOnce() (*rebOutcome, error) {
 	opts := lite.DefaultOptions()
 	opts.QPsPerPair = 1
 	opts.MeshPeers = func(a, b int) bool { return a <= rebPool || b <= rebPool }
-	// Without this, each commit holds the migration fence for the full
-	// O(cluster) membership fan-out (~3.2ms at 500 nodes) — the moves
-	// per run drop below the gate and clients stall behind the fence.
-	opts.AsyncCommitBroadcast = true
 	cls, dep, err := newLITEOpts(rebNodes, opts)
 	if err != nil {
 		return nil, err

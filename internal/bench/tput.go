@@ -3,38 +3,24 @@ package bench
 import (
 	"fmt"
 
-	"lite/internal/lite"
 	"lite/internal/simtime"
 )
 
 func init() {
-	register("tput", "LT_RPC throughput vs size and threads: fast path vs per-WR posting (Fig 7 shape)", tput)
-}
-
-// perWROptions disables every small-message fast-path lever: payloads
-// always take the DMA read, every post rings its own doorbell
-// (including the 512-buffer receive restocks), and every send is
-// signaled. This is what the stack looked like before the fast path
-// and is the baseline the speedup column measures against.
-func perWROptions() lite.Options {
-	o := lite.DefaultOptions()
-	o.DisableInline = true
-	o.DisableDoorbellBatch = true
-	o.SignalEvery = 1
-	return o
+	register("tput", "LT_RPC throughput vs size and threads on the small-message fast path (Fig 7 shape)", tput)
 }
 
 // litePathThroughput measures the aggregate LT_RPC rate of `clients`
-// threads sending inputSize-byte requests (8-byte replies) under the
-// given LITE options, using the same rendezvous discipline as fig11:
-// the clock starts when every thread has completed a warmup call. It
-// also reports how many ring-credit work requests the server posted per
-// call over the whole run (read back from the lite.ring.credit_wr
-// counter, so the cluster's observability domain is switched on; that
-// never moves the virtual timeline).
-func litePathThroughput(opts lite.Options, inputSize, clients, opsPerClient int) (simtime.Time, float64, error) {
+// threads sending inputSize-byte requests (8-byte replies), using the
+// same rendezvous discipline as fig11: the clock starts when every
+// thread has completed a warmup call. It also reports how many
+// ring-credit work requests the server posted per call over the whole
+// run (read back from the lite.ring.credit_wr counter, so the cluster's
+// observability domain is switched on; that never moves the virtual
+// timeline).
+func litePathThroughput(inputSize, clients, opsPerClient int) (simtime.Time, float64, error) {
 	const replySize = 8
-	cls, dep, err := newLITEOpts(2, opts)
+	cls, dep, err := newLITE(2)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -93,37 +79,26 @@ func litePathThroughput(opts lite.Options, inputSize, clients, opsPerClient int)
 }
 
 // tput is the small-message fast-path experiment: multi-thread LT_RPC
-// throughput versus request size, once with the fast path on (inline
-// WQEs, doorbell-batched post lists, selective signaling — the
-// defaults) and once with per-WR posting, at equal offered load.
+// throughput versus request size with inline WQEs, doorbell-batched
+// post lists and selective signaling.
 func tput() (*Table, error) {
 	t := &Table{
 		ID:     "tput",
-		Title:  "LT_RPC throughput vs request size (8B replies): fast path vs per-WR posting",
-		Header: []string{"Input (B)", "Threads", "Fast path (req/us)", "Per-WR (req/us)", "Speedup", "Credit WRs per RPC"},
+		Title:  "LT_RPC throughput vs request size (8B replies) on the small-message fast path",
+		Header: []string{"Input (B)", "Threads", "Throughput (req/us)", "Credit WRs per RPC"},
 	}
 	const ops = 150
-	fast := lite.DefaultOptions()
-	perWR := perWROptions()
 	for _, size := range []int{8, 64, 256, 1024, 4096} {
 		for _, clients := range []int{1, 8} {
-			ef, credits, err := litePathThroughput(fast, size, clients, ops)
+			el, credits, err := litePathThroughput(size, clients, ops)
 			if err != nil {
 				return nil, err
 			}
-			ew, _, err := litePathThroughput(perWR, size, clients, ops)
-			if err != nil {
-				return nil, err
-			}
-			n := int64(clients * ops)
 			t.AddRow(fmt.Sprintf("%d", size), fmt.Sprintf("%d", clients),
-				reqPerUs(n, ef), reqPerUs(n, ew),
-				fmt.Sprintf("%.2fx", float64(ew)/float64(ef)),
-				fmt.Sprintf("%.2f", credits))
+				reqPerUs(int64(clients*ops), el), fmt.Sprintf("%.2f", credits))
 		}
 	}
-	t.Note("per-WR = DisableInline + DisableDoorbellBatch + SignalEvery=1: every payload takes the DMA read, every post (including 512-buffer recv restocks) rings its own doorbell, every send is signaled")
-	t.Note("credit WRs per RPC (fast path): ring head updates the server posted, per call; one ships per quarter ring consumed (256 KB of the 1 MB ring), not per call, so LT_RPC is two work requests")
-	t.Note("requests <= MaxInline (256B) ride inline in the WQE; the gap narrows at 1KB+ where the payload DMA dominates either way")
+	t.Note("credit WRs per RPC: ring head updates the server posted, per call; one ships per quarter ring consumed (256 KB of the 1 MB ring), not per call, so LT_RPC is two work requests")
+	t.Note("requests <= MaxInline (256B) ride inline in the WQE; larger ones pay the NIC's payload DMA read")
 	return t, nil
 }

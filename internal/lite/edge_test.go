@@ -2,6 +2,7 @@ package lite
 
 import (
 	"testing"
+	"time"
 
 	"lite/internal/cluster"
 	"lite/internal/hostmem"
@@ -143,4 +144,47 @@ func TestSWPriThrottleOnlyWhenHighActive(t *testing.T) {
 		}
 	})
 	run(t, cls)
+}
+
+// lowWriteThrottle returns how long the QoS policy makes a 64 KB
+// low-priority write wait behind an identical one issued at the same
+// instant, on a deployment whose links run at link bytes/s.
+func lowWriteThrottle(t *testing.T, mode QoSMode, link float64) simtime.Time {
+	t.Helper()
+	cfg := params.Default()
+	cfg.LinkBandwidth = link
+	cls := cluster.MustNew(&cfg, 2, 1<<30)
+	dep, err := Start(cls, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep.SetQoSMode(mode)
+	var delay simtime.Time
+	cls.GoOn(0, "low", func(p *simtime.Proc) {
+		p.Sleep(time.Microsecond)
+		q := &dep.Instance(0).qos
+		q.sig.lastHigh = p.Now() // SW-Pri throttles only while high is active
+		q.throttle(p, PriLow, 64<<10)
+		start := p.Now()
+		q.throttle(p, PriLow, 64<<10)
+		delay = p.Now() - start
+	})
+	run(t, cls)
+	return delay
+}
+
+// Both isolation policies pace low-priority bytes at a share of the
+// configured link, so a link half as fast doubles the wait.
+func TestQoSThrottleFollowsLinkBandwidth(t *testing.T) {
+	link := params.Default().LinkBandwidth
+	for _, mode := range []QoSMode{QoSHWSep, QoSSWPri} {
+		full := lowWriteThrottle(t, mode, link)
+		half := lowWriteThrottle(t, mode, link/2)
+		if full <= 0 {
+			t.Fatalf("mode %d: no throttle at the default link", mode)
+		}
+		if d := half - 2*full; d < -1 || d > 1 {
+			t.Fatalf("mode %d: throttle %v at full link, %v at half; want double", mode, full, half)
+		}
+	}
 }

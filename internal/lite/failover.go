@@ -222,7 +222,7 @@ func (i *Instance) restart(p *simtime.Proc) {
 		}
 		// Announce to the manager with bounded retries; if the manager
 		// is itself down, its own restart broadcast revives us.
-		for a := 0; a < i.opts.RetryAttempts; a++ {
+		for a := 0; a < retryAttempts; a++ {
 			if i.ctlJoin(q) == nil {
 				return
 			}

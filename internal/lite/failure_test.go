@@ -267,7 +267,7 @@ func TestRPCRetryGivesUpAfterBoundedAttempts(t *testing.T) {
 		el := p.Now() - start
 		// Bounded: at most attempts * (timeout + max backoff), far from
 		// an unbounded wait.
-		max := simtime.Time(dep.opts.RetryAttempts) * (500*time.Microsecond + 25*time.Millisecond)
+		max := simtime.Time(retryAttempts) * (500*time.Microsecond + 25*time.Millisecond)
 		if el > max {
 			t.Fatalf("retries took %v, over the bound %v", el, max)
 		}

@@ -2,7 +2,6 @@ package lite
 
 import (
 	"lite/internal/detrand"
-	"lite/internal/hostmem"
 	"lite/internal/simtime"
 )
 
@@ -14,12 +13,10 @@ import (
 // connections per peer ahead of demand, a node needing connectivity
 // leases one at Params.QPLeaseGrant (a lookup and an ownership
 // handoff), and a background replenisher rebuilds the pool off the
-// critical path. The same idea applies to RPC ring arenas: a pool of
-// pre-allocated scratch rings lets binding negotiation skip the
-// contiguous-page allocation.
+// critical path.
 //
 // In the simulation the pool is modeled as per-peer spare-connection
-// counts plus a ring free list; the lease/cold distinction is purely
+// counts; the lease/cold distinction is purely
 // which cost the verbs layer charges. The pool, like the manager's
 // membership table, is modeled as surviving node restarts — it lives
 // in the kernel connection service on the paper's HA pair.
@@ -30,8 +27,6 @@ type leaseState struct {
 	want int
 	// spares[peer] counts pre-established spare connections to peer.
 	spares []int
-	// rings is the free list of pre-allocated ring arenas.
-	rings []hostmem.PAddr
 	// replenishing marks an active background replenisher, so at most
 	// one runs per node at a time.
 	replenishing bool
@@ -77,30 +72,6 @@ func (i *Instance) LeaseSpares(dst int) int {
 
 // LeaseTarget reports the configured spare-connection target per peer.
 func (i *Instance) LeaseTarget() int { return i.lease.want }
-
-// initRingLeases pre-allocates the configured number of ring arenas at
-// boot, so runtime binding negotiation can lease one instead of
-// calling the contiguous-page allocator.
-func (i *Instance) initRingLeases() error {
-	for k := 0; k < i.opts.RingLeasePool; k++ {
-		pa, err := i.node.Mem.AllocContiguous(i.opts.RingBytes)
-		if err != nil {
-			return err
-		}
-		i.lease.rings = append(i.lease.rings, pa)
-	}
-	return nil
-}
-
-// takeRing pops a pre-allocated ring arena from the lease pool.
-func (l *leaseState) takeRing() (hostmem.PAddr, bool) {
-	if n := len(l.rings); n > 0 {
-		pa := l.rings[n-1]
-		l.rings = l.rings[:n-1]
-		return pa, true
-	}
-	return 0, false
-}
 
 // ConnectPeer (re-)establishes this node's shared-QP connectivity to
 // dst: each of the K shared QPs is either leased from the connection

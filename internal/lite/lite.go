@@ -140,9 +140,6 @@ type Options struct {
 	// RingBytes is the size of each RPC ring buffer LMR (§5.1 uses
 	// 16 MB; the default is smaller to fit many bindings).
 	RingBytes int64
-	// ScratchBytes is the per-node scratch arena used for response
-	// buffers and internal operations.
-	ScratchBytes int64
 	// RPCTimeout bounds LT_RPC waiting for a reply.
 	RPCTimeout simtime.Time
 	// ManagerNode hosts the cluster name directory (§3.3).
@@ -186,23 +183,10 @@ type Options struct {
 	// from the target id, not wall-clock). At hundreds of nodes this
 	// turns the manager's probe traffic from one synchronized burst per
 	// interval — which a leaf failure converts into a correlated
-	// timeout storm — into a flat trickle. Off by default so existing
-	// recorded timelines are unchanged.
+	// timeout storm — into a flat trickle. The `churn` experiment and
+	// the benchmark's `fleet` workload run with it on; the `chaos` and
+	// `drain` experiments and the fault tests run synchronized probers.
 	ProbeStagger bool
-	// AsyncCommitBroadcast acks a migration commit before fanning the
-	// new membership epoch out to the cluster, instead of after. The
-	// commit's linearization point is the manager's moves-table update
-	// either way; what the synchronous fan-out adds is an O(cluster)
-	// wait — ~3.2ms at 500 nodes — spent with the source still fenced
-	// and every held client call parked behind it. The rebalance storm
-	// flushed this out: each shard move's fence window was dominated
-	// not by quiesce or transfer but by the manager reciting the epoch
-	// to 499 bystanders. Off by default so existing recorded timelines
-	// are unchanged.
-	AsyncCommitBroadcast bool
-	// RetryAttempts bounds the RPC retry wrapper (RPCRetry); each
-	// attempt pays its own timeout.
-	RetryAttempts int
 	// RetryBackoff is the base of the exponential backoff between
 	// retry attempts (doubled per attempt, plus deterministic jitter
 	// derived from the simulation clock, never wall-clock).
@@ -226,21 +210,6 @@ type Options struct {
 	// default) keeps the PR 4 depth-only behaviour.
 	FairAdmission bool
 
-	// DisableInline turns off in-WQE (inline) payload delivery: every
-	// ring post then pays the NIC's payload DMA-read stage regardless
-	// of size. Used by ablation experiments; off (inline on) is the
-	// production configuration.
-	DisableInline bool
-	// DisableDoorbellBatch turns off single-doorbell list posting:
-	// head updates and receive restocks then ring one doorbell per
-	// work request, the pre-fast-path behaviour.
-	DisableDoorbellBatch bool
-	// SignalEvery is the selective-signaling period on the shared QPs:
-	// every Nth post is signaled (and its completion lazily reclaims
-	// the accumulated send-queue slots); the posts in between produce
-	// no CQE at all. Zero selects the default; 1 signals every post.
-	SignalEvery int
-
 	// QPLeasePool, when positive, keeps that many pre-established spare
 	// QPs per peer in a kernel connection pool (KRCORE-style): a node
 	// re-establishing connectivity leases one per needed QP at
@@ -251,22 +220,26 @@ type Options struct {
 	// membership table, is modeled as surviving node restarts (it lives
 	// in the kernel connection service on the paper's HA pair).
 	QPLeasePool int
-	// RingLeasePool, when positive, pre-allocates that many RPC ring
-	// arenas per node at boot; a binding negotiated at runtime leases
-	// one at Params.QPLeaseGrant instead of paying the page-allocator
-	// cost for a fresh contiguous arena. Zero disables it.
-	RingLeasePool int
 	// ReconnectOnRestart makes a restarting node re-establish its
 	// shared QP mesh (leasing from the pool when QPLeasePool is set,
-	// cold-connecting otherwise) before it rejoins the cluster. Off by
-	// default: the base simulation models QPs as surviving restarts,
-	// and flipping this on changes restart timelines.
+	// cold-connecting otherwise) before it rejoins the cluster; off,
+	// QPs are modeled as surviving the restart. The `churn` experiment
+	// and the restart-storm tests run with it on; the `chaos` and
+	// `drain` experiments and the fault tests run with it off. Forced
+	// on, it moves reply timing enough that TestChaosUnderOverload's
+	// client 3 starves: a reply to a lossy client can park a
+	// single-worker function for a full RCTimeout in postShared's
+	// exhausted-queue reap, a hazard that exists with it off too.
 	ReconnectOnRestart bool
 
 	// Pacer enables the client-side overload pacer: a Retry-After hint
 	// shipped with a fair-admission shed is remembered per (node,
 	// function) and delays this client's NEXT sends to that target —
-	// flow control, not just retry backoff. Off by default.
+	// flow control, not just retry backoff. The `incast` experiment and
+	// the pacer tests run with it on (`incast` never sheds, so its
+	// timeline is the same either way); every other experiment runs
+	// with it off. Forced on in `scale`, it halves throughput: the same
+	// ops take about twice the virtual time.
 	Pacer bool
 }
 
@@ -275,14 +248,12 @@ func DefaultOptions() Options {
 	return Options{
 		QPsPerPair:       2,
 		RingBytes:        1 << 20,
-		ScratchBytes:     64 << 20,
 		RPCTimeout:       10 * 1000 * 1000, // 10ms
 		ManagerNode:      0,
 		RecvBatch:        512,
 		MaxChunkBytes:    4 << 20,
 		HeartbeatTimeout: 500 * 1000, // 500us per keepalive round trip
 		HeartbeatMiss:    3,
-		RetryAttempts:    4,
 		RetryBackoff:     100 * 1000, // 100us base, doubled per attempt
 	}
 }
@@ -377,7 +348,7 @@ type Instance struct {
 	onAdoptFrom map[migKey]AdoptFunc
 
 	// Lease state (lease.go): the node's view of the kernel connection
-	// pool plus the pre-allocated ring arenas.
+	// pool.
 	lease leaseState
 
 	// Pacer state (pacer.go): per-(node, function) earliest-next-send
@@ -534,9 +505,6 @@ func Start(cls *cluster.Cluster, opts Options) (*Deployment, error) {
 		if err := inst.initScratch(); err != nil {
 			return nil, err
 		}
-		if err := inst.initRingLeases(); err != nil {
-			return nil, err
-		}
 		dep.Instances = append(dep.Instances, inst)
 	}
 	// Shared QP mesh: K QPs per node pair, all completing into the
@@ -622,29 +590,24 @@ func (i *Instance) spawnDaemons() {
 // makes HW-Sep QP reservation an actual resource partition.
 const qpDepth = 16
 
-// defaultSignalEvery is the selective-signaling period: one signaled
-// send per this many posts on a shared QP. It must stay below qpDepth
-// so a full send queue always has a signaled completion in flight to
-// unblock it.
-const defaultSignalEvery = 4
+// signalEvery is the selective-signaling period: one signaled send per
+// this many posts on a shared QP (its completion lazily reclaims the
+// accumulated send-queue slots; the posts in between produce no CQE).
+// It must stay below qpDepth so a full send queue always has a
+// signaled completion in flight to unblock it.
+const signalEvery = 4
+
+// The array length is negative, and the build fails, unless
+// signalEvery < qpDepth.
+var _ [qpDepth - 1 - signalEvery]struct{}
 
 // systemWorkers is the number of kernel worker threads per node that
 // execute LITE-internal RPC handlers.
 const systemWorkers = 4
 
-// signalEvery returns the effective selective-signaling period,
-// clamped below qpDepth so a full send queue always has a signaled
-// completion in flight to unblock it.
-func (i *Instance) signalEvery() int {
-	se := i.opts.SignalEvery
-	if se <= 0 {
-		se = defaultSignalEvery
-	}
-	if se >= qpDepth {
-		se = qpDepth - 1
-	}
-	return se
-}
+// scratchBytes is the size of each node's scratch arena, used for
+// response buffers and internal operations.
+const scratchBytes = 64 << 20
 
 // qpSigState is the selective-signaling bookkeeping of one shared QP:
 // how many posts have gone unsignaled since the last signaled one, the
@@ -759,11 +722,11 @@ type quarRange struct {
 }
 
 func (i *Instance) initScratch() error {
-	pa, err := i.node.Mem.AllocContiguous(i.opts.ScratchBytes)
+	pa, err := i.node.Mem.AllocContiguous(scratchBytes)
 	if err != nil {
 		return err
 	}
-	i.scratch = scratchRing{base: pa, size: i.opts.ScratchBytes}
+	i.scratch = scratchRing{base: pa, size: scratchBytes}
 	return nil
 }
 

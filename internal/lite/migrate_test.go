@@ -165,6 +165,49 @@ func TestDrainLiveMigration(t *testing.T) {
 	}
 }
 
+// drainPhaseTimes drains an idle migFn from node 1 to node 2 of an
+// n-node deployment with default options and returns two intervals
+// read from the migration phase announcements: prepare→fence (one
+// control round trip to the manager) and commit→done.
+func drainPhaseTimes(t *testing.T, n int) (rtt, commit simtime.Time) {
+	t.Helper()
+	cls, dep := testDep(t, n)
+	src, tgt := dep.Instance(1), dep.Instance(2)
+	if err := src.RegisterRPC(migFn); err != nil {
+		t.Fatal(err)
+	}
+	tgt.OnAdopt(migFn, func(p *simtime.Proc, from int, app []byte) error {
+		return tgt.RegisterRPC(migFn)
+	})
+	at := make(map[string]simtime.Time)
+	cls.OnEvent(func(p *simtime.Proc, name string) { at[name] = p.Now() })
+	var err error
+	cls.GoOn(1, "drain-driver", func(p *simtime.Proc) {
+		err = src.Drain(p, migFn, 2, nil)
+	})
+	run(t, cls)
+	if err != nil {
+		t.Fatalf("%d nodes: Drain: %v", n, err)
+	}
+	return at["lite.migrate.fence"] - at["lite.migrate.prepare"],
+		at["lite.migrate.done"] - at["lite.migrate.commit"]
+}
+
+// TestCommitDoesNotWaitForBroadcast: the manager acks a migration
+// commit at its moves-table update and recites the new epoch to the
+// cluster afterwards, so the source's commit→done interval — spent
+// with the function still fenced — does not grow with cluster size.
+func TestCommitDoesNotWaitForBroadcast(t *testing.T) {
+	rtt, small := drainPhaseTimes(t, 8)
+	_, large := drainPhaseTimes(t, 64)
+	if rtt <= 0 || small <= 0 {
+		t.Fatalf("phases not announced: rtt %v, commit→done %v", rtt, small)
+	}
+	if large > small+rtt {
+		t.Fatalf("commit→done %v at 64 nodes vs %v at 8: grew by more than one control round trip (%v)", large, small, rtt)
+	}
+}
+
 // TestMovedBounceStaleClient clears a client's committed-moves view
 // after a migration and calls the old home directly: the source must
 // answer with the new home and the retry layer must re-route without

@@ -99,7 +99,7 @@ func (q *qosState) throttle(p *simtime.Proc, pri Priority, bytes int64) {
 		// wire whether or not high-priority traffic exists — exactly
 		// why the paper finds HW-Sep's aggregate throughput lowest.
 		lo, hi := q.qpRange(PriLow, q.k)
-		rate = float64(hi-lo) / float64(q.k) * 4.2e9
+		rate = float64(hi-lo) / float64(q.k) * q.inst.cfg.LinkBandwidth
 	case QoSSWPri:
 		active := q.sig.lastHigh > 0 && p.Now()-q.sig.lastHigh < highActiveWindow
 		congested := q.sig.rttBase > 0 && q.sig.rttEMA > 1.5*q.sig.rttBase
@@ -109,7 +109,7 @@ func (q *qosState) throttle(p *simtime.Proc, pri Priority, bytes int64) {
 			return
 		}
 		// Policies 1 and 3: rate limit.
-		rate = lowRateFraction * 4.2e9
+		rate = lowRateFraction * q.inst.cfg.LinkBandwidth
 	default:
 		return
 	}
@@ -120,11 +120,9 @@ func (q *qosState) throttle(p *simtime.Proc, pri Priority, bytes int64) {
 	}
 	q.lowNext = start + d
 	if start > p.Now() {
-		if q.inst != nil {
-			reg := q.inst.obsReg()
-			reg.Add("lite.qos.throttled", 1)
-			reg.Observe("lite.qos.throttle", start-p.Now())
-		}
+		reg := q.inst.obsReg()
+		reg.Add("lite.qos.throttled", 1)
+		reg.Observe("lite.qos.throttle", start-p.Now())
 		p.SleepUntil(start)
 	}
 }

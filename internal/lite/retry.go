@@ -16,7 +16,12 @@ import (
 // maxRetryBackoff caps a single backoff sleep.
 const maxRetryBackoff = 20 * 1000 * 1000 // 20ms
 
-// rpcRetryT issues the RPC with up to opts.RetryAttempts attempts.
+// retryAttempts bounds the RPC retry wrapper (RPCRetry) and a
+// restarted node's rejoin announcement; each attempt pays its own
+// timeout.
+const retryAttempts = 4
+
+// rpcRetryT issues the RPC with up to retryAttempts attempts.
 // Between attempts it sleeps base<<attempt plus jitter. Once the
 // membership view declares the target dead the call fails fast with
 // ErrNodeDead; if the membership epoch advanced across a failed
@@ -40,10 +45,6 @@ const maxRetryBackoff = 20 * 1000 * 1000 // 20ms
 // shed that names its Retry-After costs the call time, not an attempt
 // (see the loop).
 func (i *Instance) rpcRetryT(p *simtime.Proc, dst, fn int, input []byte, maxReply int64, pri Priority, timeout simtime.Time, who caller) ([]byte, error) {
-	attempts := i.opts.RetryAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	var meta *callMeta
 	if fn >= FirstUserFunc && dst != i.node.ID {
 		meta = &callMeta{seq: i.seqID(), began: p.Now()}
@@ -52,7 +53,7 @@ func (i *Instance) rpcRetryT(p *simtime.Proc, dst, fn int, input []byte, maxRepl
 	var lastErr error
 	timeouts := 0
 	movedHops := 0
-	for a := 0; a < attempts; a++ {
+	for a := 0; a < retryAttempts; a++ {
 		if i.stopped {
 			return nil, ErrNodeDead
 		}
@@ -94,13 +95,13 @@ func (i *Instance) rpcRetryT(p *simtime.Proc, dst, fn int, input []byte, maxRepl
 		// attempt. Counted, it made survival a matter of luck whenever a
 		// node runs more threads than its share of the server: siblings
 		// released at the same horizon take the freed slot, and the call
-		// that loses that race RetryAttempts times fails against a
+		// that loses that race retryAttempts times fails against a
 		// healthy server. The exemption ends once the call is one timeout
 		// old, so a server that never drains still fails it. (Only
 		// remote user functions shed, and those calls carry meta.)
 		var oe *OverloadError
 		paced := errors.As(err, &oe) && i.opts.Pacer && meta != nil && p.Now()-meta.began < timeout
-		if a == attempts-1 && !paced {
+		if a == retryAttempts-1 && !paced {
 			break
 		}
 		i.obsReg().Add("lite.retry.attempts", 1)

@@ -637,7 +637,7 @@ func (i *Instance) putFrame(buf []byte) {
 // wantInline reports whether an n-byte payload should ride inline in
 // the WQE (skipping the NIC's payload DMA read).
 func (i *Instance) wantInline(n int64) bool {
-	return !i.opts.DisableInline && n <= int64(i.cfg.MaxInline)
+	return n <= int64(i.cfg.MaxInline)
 }
 
 // reapQP frees the send-queue slots of every in-flight signaled batch
@@ -724,7 +724,7 @@ func (i *Instance) postShared(p *simtime.Proc, dst int, pri Priority, wrs []rnic
 	// completion to ever reclaim the slots and deadlocking every
 	// sender to this destination. (Closed-loop clients never hit this;
 	// an open-loop burst does.)
-	signaled := sig.count+len(wrs) >= i.signalEvery()
+	signaled := sig.count+len(wrs) >= signalEvery
 	if signaled {
 		last := &wrs[len(wrs)-1]
 		last.Signaled = true
@@ -1600,14 +1600,12 @@ func (i *Instance) headUpdateLoop(p *simtime.Proc) {
 			return
 		}
 		batch := []headUpdate{u}
-		if !i.opts.DisableDoorbellBatch {
-			for len(batch) < headUpdBatchMax {
-				v, ok := i.headUpd.TryRecv(p)
-				if !ok {
-					break
-				}
-				batch = append(batch, v)
+		for len(batch) < headUpdBatchMax {
+			v, ok := i.headUpd.TryRecv(p)
+			if !ok {
+				break
 			}
+			batch = append(batch, v)
 		}
 		// Group into per-client chains, preserving arrival order (order
 		// matters: credits for one binding must land in sequence).
@@ -1672,10 +1670,6 @@ func (i *Instance) restockQP(p *simtime.Proc, qp *rnic.QP) {
 	rs := i.recvTmpl[:n]
 	if p == nil {
 		_ = qp.PostRecvList(rs)
-	} else if i.opts.DisableDoorbellBatch {
-		for _, r := range rs {
-			_ = i.ctx.PostRecv(p, qp, r)
-		}
 	} else {
 		_ = i.ctx.PostRecvList(p, qp, rs)
 	}
