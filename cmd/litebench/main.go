@@ -32,7 +32,7 @@ func main() {
 	flag.Parse()
 
 	if *comparePath != "" {
-		os.Exit(compareReport(*comparePath))
+		os.Exit(compareReport(*comparePath, bench.Run))
 	}
 	if *list {
 		for _, e := range bench.All() {
@@ -100,13 +100,18 @@ func main() {
 // slower.
 const compareEPSBand = 0.25
 
+// compareEPSRetimes is how many more runs an entry whose events/sec
+// fell below the band gets before it fails; the best run is judged. A
+// shared host stalls one run now and then, a slower simulator every run.
+const compareEPSRetimes = 2
+
 // compareReport re-runs every experiment recorded in the committed
-// report and compares the virtual durations and event counts — the
-// bench guard that catches accidental performance regressions (or
-// unrecorded improvements) in the simulated timeline. The simulation is
-// deterministic, so both must match the committed figures exactly.
-// Returns a process exit code.
-func compareReport(path string) int {
+// report (with run, bench.Run outside tests) and compares the virtual
+// durations and event counts — the bench guard that catches accidental
+// performance regressions (or unrecorded improvements) in the simulated
+// timeline. The simulation is deterministic, so both must match the
+// committed figures exactly. Returns a process exit code.
+func compareReport(path string, run func(id string) (*bench.Table, error)) int {
 	rep, err := bench.ReadJSON(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench-guard: %v\n", err)
@@ -117,7 +122,7 @@ func compareReport(path string) int {
 		if r.Error != "" {
 			continue
 		}
-		tab, err := bench.Run(r.ID)
+		tab, err := run(r.ID)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bench-guard: %s: %v\n", r.ID, err)
 			code = 1
@@ -141,21 +146,36 @@ func compareReport(path string) int {
 			continue
 		}
 		// Events/sec is the one host-dependent figure in the feed:
-		// compare within a band instead of exactly. Falling out the
-		// bottom is a simulator performance regression and fails;
-		// overshooting the top just means the committed figure is stale
-		// (or the host fast), which is worth a note, not a failure.
+		// compare within a band instead of exactly, judging the best of
+		// up to 1+compareEPSRetimes runs (the re-runs are timed only).
+		// Falling out the bottom is a simulator performance regression
+		// and fails; overshooting the top just means the committed figure
+		// is stale (or the host fast), which is worth a note, not a
+		// failure.
 		if r.EventsPerSec > 0 && tab.EventsPerSec > 0 {
-			rel := tab.EventsPerSec / r.EventsPerSec
+			eps, runs := tab.EventsPerSec, 1
+			for ; runs <= compareEPSRetimes && eps < (1-compareEPSBand)*r.EventsPerSec; runs++ {
+				again, err := run(r.ID)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "bench-guard: %s: re-timing run: %v\n", r.ID, err)
+					break
+				}
+				eps = max(eps, again.EventsPerSec)
+			}
+			rel := eps / r.EventsPerSec
 			if rel < 1-compareEPSBand {
-				fmt.Fprintf(os.Stderr, "bench-guard: %s: events/sec regressed to %.0f, committed %.0f (%.0f%% of committed, floor is %.0f%%)\n",
-					r.ID, tab.EventsPerSec, r.EventsPerSec, rel*100, (1-compareEPSBand)*100)
+				fmt.Fprintf(os.Stderr, "bench-guard: %s: events/sec regressed to %.0f (best of %d runs), committed %.0f (%.0f%% of committed, floor is %.0f%%)\n",
+					r.ID, eps, runs, r.EventsPerSec, rel*100, (1-compareEPSBand)*100)
 				code = 1
 				continue
 			}
+			if runs > 1 {
+				fmt.Printf("bench-guard: %s: note: events/sec %.0f, below the floor, was re-timed; best of %d runs is %.0f\n",
+					r.ID, tab.EventsPerSec, runs, eps)
+			}
 			if rel > 1+compareEPSBand {
 				fmt.Printf("bench-guard: %s: note: events/sec is %.0f, %.2fx the committed %.0f — consider refreshing the feed\n",
-					r.ID, tab.EventsPerSec, rel, r.EventsPerSec)
+					r.ID, eps, rel, r.EventsPerSec)
 			}
 		}
 		fmt.Printf("bench-guard: %-10s ok (%dns, %d events)\n", r.ID, r.VirtualNs, r.Events)

@@ -40,10 +40,18 @@ var ErrNotFound = errors.New("kvstore: key not found")
 const valueHdr = 8
 
 type request struct {
-	Op    string // "put", "lookup", "delete"
+	Op    string // "put", "lookup", "get", "attach", "delete"
 	Key   string
 	Value []byte `json:",omitempty"`
+	// Budget is a "get"'s reply budget in bytes when it is not
+	// getReplyBudget: a retry sized by a previous reply's Need.
+	Budget int64 `json:",omitempty"`
 }
+
+// getReplyBudget is the reply budget a "get" asks with first. The value
+// travels base64-encoded in a JSON reply, so this fits values up to
+// about 6 KB; a reply that would not fit states its size in Need instead.
+const getReplyBudget = 8192
 
 type response struct {
 	OK      bool
@@ -57,6 +65,9 @@ type response struct {
 	HeapName  string `json:",omitempty"`
 	Gen       uint64 `json:",omitempty"`
 	NBuckets  int64  `json:",omitempty"`
+	// Need is the reply budget a "get" reply would have taken, sent
+	// instead of the value when it exceeds the request's budget.
+	Need int64 `json:",omitempty"`
 }
 
 // Store is a deployed key-value store.
@@ -233,6 +244,7 @@ func (srv *server) handle(p *simtime.Proc, c *lite.Client, call *lite.Call) []by
 	srv.served++
 	var req request
 	var resp response
+	var budget int64 // a "get" reply's byte budget
 	if json.Unmarshal(call.Input, &req) == nil {
 		// Tenant calls only reach their own key namespace: the required
 		// prefix comes from the transport's tenant label, not the
@@ -255,6 +267,10 @@ func (srv *server) handle(p *simtime.Proc, c *lite.Client, call *lite.Call) []by
 		case "get":
 			// RPC-path value fetch: the server reads the value itself and
 			// ships it in the reply — the baseline GetDirect competes with.
+			budget = getReplyBudget
+			if req.Budget > 0 {
+				budget = req.Budget
+			}
 			if e, ok := srv.index[req.Key]; ok {
 				buf := make([]byte, e.size)
 				if c.Read(p, e.lh, 0, buf) == nil {
@@ -283,6 +299,11 @@ func (srv *server) handle(p *simtime.Proc, c *lite.Client, call *lite.Call) []by
 		}
 	}
 	out, _ := json.Marshal(resp)
+	if budget > 0 && int64(len(out)) > budget {
+		// The caller would get a truncated, undecodable reply: tell it
+		// the budget to ask again with.
+		out, _ = json.Marshal(response{Need: int64(len(out))})
+	}
 	return out
 }
 
@@ -449,7 +470,7 @@ func (k *Client) metaRPCN(p *simtime.Proc, dst int, req []byte, maxReply int64) 
 	out, err := k.c.RPCRetry(p, dst, k.store.fn, req, maxReply)
 	if errors.Is(err, lite.ErrMaybeExecuted) {
 		k.Resubmits++
-		out, err = k.c.RPCRetry(p, dst, k.store.fn, req, 512)
+		out, err = k.c.RPCRetry(p, dst, k.store.fn, req, maxReply)
 	}
 	if errors.Is(err, lite.ErrOverloaded) {
 		k.Overloads++

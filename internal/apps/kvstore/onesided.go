@@ -576,17 +576,33 @@ func (k *Client) GetRPC(p *simtime.Proc, key string) ([]byte, error) {
 	return k.getValRPC(p, k.prefix+key)
 }
 
+// getValRPC asks with getReplyBudget first. A value too large for it
+// comes back as the budget it needs, and the client asks once more with
+// that; a value that outgrew even the second budget in between is an
+// error, not a miss.
 func (k *Client) getValRPC(p *simtime.Proc, full string) ([]byte, error) {
-	req, _ := json.Marshal(request{Op: "get", Key: full})
-	out, err := k.metaRPCN(p, k.serverFor(full), req, 8192)
-	if err != nil {
-		return nil, err
+	req := request{Op: "get", Key: full}
+	budget := int64(getReplyBudget)
+	for try := 0; try < 2; try++ {
+		in, _ := json.Marshal(req)
+		out, err := k.metaRPCN(p, k.serverFor(full), in, budget)
+		if err != nil {
+			return nil, err
+		}
+		var resp response
+		if json.Unmarshal(out, &resp) != nil {
+			return nil, ErrNotFound
+		}
+		if resp.Need > 0 {
+			req.Budget, budget = resp.Need, resp.Need
+			continue
+		}
+		if !resp.OK {
+			return nil, ErrNotFound
+		}
+		return resp.Value, nil
 	}
-	var resp response
-	if json.Unmarshal(out, &resp) != nil || !resp.OK {
-		return nil, ErrNotFound
-	}
-	return resp.Value, nil
+	return nil, fmt.Errorf("kvstore: get %q: value outgrew its reply budget", full)
 }
 
 // refreshEpoch drops per-epoch caches (value handles and index

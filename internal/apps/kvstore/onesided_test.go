@@ -276,3 +276,47 @@ func TestGetDirectFallsBackWithoutIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGetRPCShipsLargeValues: the RPC-path GET ships the value
+// base64-encoded in a JSON reply, so values past ~6 KB outgrow the
+// first reply budget. The server answers with the budget it needs and
+// the client asks once more, for GetRPC and for GetDirect's fallback
+// alike, instead of reporting a stored value as missing.
+func TestGetRPCShipsLargeValues(t *testing.T) {
+	cls, dep := testEnv(t, 2)
+	s, err := Start(cls, dep, []int{0}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls.GoOn(1, "client", func(p *simtime.Proc) {
+		k := s.NewClient(1)
+		for _, tc := range []struct {
+			size int
+			rpcs int64 // metadata requests one GET costs
+		}{{6000, 1}, {6200, 2}, {8192, 2}, {64 << 10, 2}} {
+			key := fmt.Sprintf("v%d", tc.size)
+			val := bytes.Repeat([]byte{byte(tc.size)}, tc.size)
+			val[0] = 'x'
+			if err := k.Put(p, key, val); err != nil {
+				t.Errorf("put %d bytes: %v", tc.size, err)
+				return
+			}
+			for _, g := range []struct {
+				name string
+				get  func(*simtime.Proc, string) ([]byte, error)
+			}{{"GetRPC", k.GetRPC}, {"GetDirect", k.GetDirect}, {"Get", k.Get}} {
+				served := s.ServedOps(0)
+				v, err := g.get(p, key)
+				if err != nil || !bytes.Equal(v, val) {
+					t.Errorf("%s of a %d-byte value: %d bytes, %v", g.name, tc.size, len(v), err)
+				}
+				if n := s.ServedOps(0) - served; g.name == "GetRPC" && n != tc.rpcs {
+					t.Errorf("GetRPC of a %d-byte value took %d requests, want %d", tc.size, n, tc.rpcs)
+				}
+			}
+		}
+	})
+	if err := cls.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -20,7 +20,7 @@ const (
 	copInvalidate
 	copMemset
 	copMemcpy
-	copPing       // keepalive probe; reply carries the node's epoch
+	copPing       // keepalive probe, answered by the poller (answerPing); reply carries the node's epoch
 	copMembership // manager -> node membership (epoch, dead set, moves) push
 	copJoin       // restarted node -> manager rejoin announcement
 	copMigPrepare // source -> manager: record the handoff {src, fn} -> target
@@ -372,11 +372,6 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 			err = i.rawWrite(p, dstNode, dstPA, buf, PriHigh)
 		}
 		reply(errToCst(err), nil)
-
-	case copPing:
-		out := make([]byte, 8)
-		binary.LittleEndian.PutUint64(out, i.epoch)
-		reply(cstOK, out)
 
 	case copMembership:
 		if len(in) < 11 {

@@ -320,8 +320,12 @@ type Instance struct {
 	// server-side dedup windows, so a retry whose first attempt
 	// targeted an earlier incarnation is detectably ambiguous
 	// (ErrMaybeExecuted) instead of silently re-executing.
-	boots    uint64
-	headUpd  *simtime.Chan[headUpdate]
+	boots   uint64
+	headUpd *simtime.Chan[headUpdate]
+	// notifying is set while the header-update thread works through a
+	// batch (answerPing does not queue a keepalive reply behind it).
+	notifying bool
+
 	msgQueue []Message
 	msgCond  simtime.Cond
 	sysQueue []*rpcFunc

@@ -1135,12 +1135,20 @@ const pollerBatchCost = 40 * time.Nanosecond
 // sweep at the amortized batch cost — the consumer half of CQ
 // moderation (the producer half is selective signaling: unsignaled
 // WRs never generate a CQE at all).
+//
+// A keepalive is the one completion that never has a follow-up: the
+// manager's probe is answered on the spot and nothing else on this node
+// moved. So when the first batch after a wakeup holds nothing but
+// keepalives, the poller goes straight back to sleep instead of opening
+// a busy window for traffic the probe does not bring. Any other CQE in
+// that batch, or an empty CQ after the wakeup, keeps the window.
 func (i *Instance) pollerLoop(p *simtime.Proc) {
+	woke := false // the poller has just slept and handled nothing since
 	for !i.stopped {
 		if cqe, ok := i.recvCQ.TryPoll(); ok {
 			p.Work(pollerHandleCost)
 			i.PollerCPU += pollerHandleCost
-			i.handleRecvCQE(p, cqe)
+			pings := i.handleRecvCQE(p, cqe)
 			for !i.stopped {
 				cqe, ok := i.recvCQ.TryPoll()
 				if !ok {
@@ -1149,10 +1157,16 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 				p.Work(pollerBatchCost)
 				i.PollerCPU += pollerBatchCost
 				i.obsReg().Add("lite.poller.coalesced", 1)
-				i.handleRecvCQE(p, cqe)
+				pings = i.handleRecvCQE(p, cqe) && pings
 			}
+			if woke && pings && !i.stopped {
+				i.pollerSleep(p)
+				continue
+			}
+			woke = false
 			continue
 		}
+		woke = false
 		// Busy window.
 		t0 := p.Now()
 		if i.recvCQ.WaitTimeout(p, i.cfg.AdaptivePollWindow) {
@@ -1164,16 +1178,22 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 		d := p.Now() - t0
 		p.CPUAccount().Charge(d)
 		i.PollerCPU += d
-		// Sleep until the next completion nobody else polls for.
-		for {
-			i.recvCQ.Wait(p)
-			if !i.pollForCaller(p) {
-				break
-			}
-		}
-		p.Work(i.cfg.WakeupLatency)
-		i.PollerCPU += i.cfg.WakeupLatency
+		i.pollerSleep(p)
+		woke = true
 	}
+}
+
+// pollerSleep parks the poller until the next completion nobody else
+// polls for, then charges its wakeup.
+func (i *Instance) pollerSleep(p *simtime.Proc) {
+	for {
+		i.recvCQ.Wait(p)
+		if !i.pollForCaller(p) {
+			break
+		}
+	}
+	p.Work(i.cfg.WakeupLatency)
+	i.PollerCPU += i.cfg.WakeupLatency
 }
 
 // pollForCaller runs when a completion arrives with the shared poller
@@ -1204,7 +1224,9 @@ func (i *Instance) pollForCaller(p *simtime.Proc) bool {
 	return polled && !i.stopped && i.recvCQ.Len() == 0
 }
 
-func (i *Instance) handleRecvCQE(p *simtime.Proc, cqe rnic.CQE) {
+// handleRecvCQE demultiplexes one receive completion; ping reports a
+// keepalive, answered on the spot (see handleRPCReq).
+func (i *Instance) handleRecvCQE(p *simtime.Proc, cqe rnic.CQE) (ping bool) {
 	i.topUpRecvs(p)
 	if !cqe.HasImm {
 		return
@@ -1212,7 +1234,7 @@ func (i *Instance) handleRecvCQE(p *simtime.Proc, cqe rnic.CQE) {
 	tag, fn, v := decodeImm(cqe.Imm)
 	switch tag {
 	case tagRPCReq:
-		i.handleRPCReq(p, cqe.SrcNode, fn, v)
+		return i.handleRPCReq(p, cqe.SrcNode, fn, v)
 	case tagRPCRep:
 		token := cqe.Imm & 0x0fffffff
 		if pc, ok := i.pending[token]; ok {
@@ -1304,12 +1326,14 @@ func (i *Instance) handleRecvCQE(p *simtime.Proc, cqe rnic.CQE) {
 			pc.cond.Broadcast(i.cls.Env)
 		}
 	}
+	return false
 }
 
 // handleRPCReq parses a request frame out of the server-side ring and
 // routes it to the function's queue (applications) or the system
-// worker pool (LITE-internal functions).
-func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) {
+// worker pool (LITE-internal functions). ping reports a keepalive,
+// which it answers itself.
+func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) (ping bool) {
 	ring, ok := i.srvRings[bindKey{src, fn}]
 	if !ok {
 		return
@@ -1339,6 +1363,15 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) {
 	ring.headLocal += pad + aligned
 	delta := pad + aligned
 
+	if fn == funcControl && inLen == 1 && input[0] == copPing {
+		// A keepalive is answered here, by the poller: no system worker
+		// wakes to build nine bytes, and pollerLoop opens no busy window
+		// after it.
+		i.obsReg().Add("lite.heartbeat.answered", 1)
+		i.queueHeadUpdate(p, src, fn, delta)
+		i.answerPing(p, src, token, replyPA)
+		return true
+	}
 	call := &Call{Func: fn, Src: src, Tenant: ten, Input: input, token: token, replyPA: replyPA, headDelta: delta}
 	if fn == funcMsg {
 		i.msgQueue = append(i.msgQueue, Message{Src: src, Data: input})
@@ -1484,6 +1517,7 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) {
 	i.dispatchCall(f, call)
 	// The paper adjusts the header at LT_recvRPC time and ships it from
 	// a background thread; the delta rides on the call until consumed.
+	return false
 }
 
 // creditShare is the fraction of a ring the server may hold back as
@@ -1533,6 +1567,28 @@ func (i *Instance) queueNotify(p *simtime.Proc, u headUpdate) {
 		// credit would leak ring space, so fail loudly.
 		panic("lite: header-update queue overflow")
 	}
+}
+
+// answerPing replies to a keepalive with [cstOK][membership epoch],
+// through the header-update thread like a replayed cached reply. That
+// thread serves every peer in turn and can sit in a send-queue reap
+// toward a crashed one for a whole RCTimeout, far longer than a prober
+// waits; so while it is busy the reply gets a one-shot poster of its
+// own instead of queueing behind other peers' notifications.
+func (i *Instance) answerPing(p *simtime.Proc, src int, token uint32, replyPA hostmem.PAddr) {
+	reply := make([]byte, 9)
+	reply[0] = cstOK
+	binary.LittleEndian.PutUint64(reply[1:], i.epoch)
+	u := headUpdate{kind: updReply, client: src, token: token, replyPA: replyPA, reply: reply}
+	if !i.notifying {
+		i.queueNotify(p, u)
+		return
+	}
+	i.cls.GoDaemonOn(i.node.ID, "lite-ping-reply", func(q *simtime.Proc) {
+		if !i.stopped {
+			_ = i.postShared(q, src, PriHigh, []rnic.WR{i.notifyWR(u)})
+		}
+	})
 }
 
 // headUpdBatchMax bounds how many queued head updates the background
@@ -1599,6 +1655,7 @@ func (i *Instance) headUpdateLoop(p *simtime.Proc) {
 		if !ok {
 			return
 		}
+		i.notifying = true
 		batch := []headUpdate{u}
 		for len(batch) < headUpdBatchMax {
 			v, ok := i.headUpd.TryRecv(p)
@@ -1623,6 +1680,7 @@ func (i *Instance) headUpdateLoop(p *simtime.Proc) {
 			batch = rest
 			_ = i.postShared(p, client, PriHigh, wrs)
 		}
+		i.notifying = false
 	}
 }
 
