@@ -2,8 +2,10 @@
 // paper's evaluation (Tsai & Zhang, SOSP'17) on the simulated
 // substrate. Run with -list to enumerate experiments, with experiment
 // ids to run a subset, or with -all for everything. -metrics appends
-// each experiment's observability snapshot; -json additionally writes
-// every table (and snapshot) as a machine-readable report.
+// each experiment's observability snapshot; -json additionally records
+// every table (and snapshot) in a machine-readable report, replacing
+// the entries of the experiments run and keeping every other entry of
+// an existing report byte for byte.
 //
 // Usage:
 //
@@ -27,7 +29,7 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	all := flag.Bool("all", false, "run every experiment")
 	metrics := flag.Bool("metrics", false, "collect and print observability metrics per experiment")
-	jsonPath := flag.String("json", "", "write a machine-readable report to this file")
+	jsonPath := flag.String("json", "", "record the experiments run in this machine-readable report, keeping its other entries")
 	comparePath := flag.String("compare", "", "re-run the experiments in this report and fail on virtual-time drift")
 	flag.Parse()
 
@@ -83,7 +85,7 @@ func main() {
 			id, tab.Virtual, wall.Round(time.Millisecond))
 	}
 	if *jsonPath != "" {
-		if err := bench.WriteJSON(*jsonPath, results); err != nil {
+		if err := bench.UpdateJSON(*jsonPath, results); err != nil {
 			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
 			failed = true
 		}
@@ -129,19 +131,19 @@ func compareReport(path string, run func(id string) (*bench.Table, error)) int {
 			continue
 		}
 		if got := int64(tab.Virtual); got != r.VirtualNs {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s: virtual time drifted %+dns: committed %dns, fresh run %dns (re-run 'make bench-smoke' if the change is intentional)\n",
-				r.ID, got-r.VirtualNs, r.VirtualNs, got)
+			fmt.Fprintf(os.Stderr, "bench-guard: %s: virtual time drifted %+dns: committed %dns, fresh run %dns (if the change is intentional, re-record it: %s)\n",
+				r.ID, got-r.VirtualNs, r.VirtualNs, got, rerecord(path, r.ID))
 			code = 1
 			continue
 		}
 		if r.Events == 0 {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s: committed entry records no event count (re-record it with 'make bench-smoke')\n", r.ID)
+			fmt.Fprintf(os.Stderr, "bench-guard: %s: committed entry records no event count (re-record it: %s)\n", r.ID, rerecord(path, r.ID))
 			code = 1
 			continue
 		}
 		if tab.Events != r.Events {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s: event count changed: committed %d, fresh run %d (re-run 'make bench-smoke' if the change is intentional)\n",
-				r.ID, r.Events, tab.Events)
+			fmt.Fprintf(os.Stderr, "bench-guard: %s: event count changed: committed %d, fresh run %d (if the change is intentional, re-record it: %s)\n",
+				r.ID, r.Events, tab.Events, rerecord(path, r.ID))
 			code = 1
 			continue
 		}
@@ -181,6 +183,12 @@ func compareReport(path string, run func(id string) (*bench.Table, error)) int {
 		fmt.Printf("bench-guard: %-10s ok (%dns, %d events)\n", r.ID, r.VirtualNs, r.Events)
 	}
 	return code
+}
+
+// rerecord is the command that re-records one entry of the report at
+// path, leaving the others as they are.
+func rerecord(path, id string) string {
+	return fmt.Sprintf("go run ./cmd/litebench -metrics -json %s %s", path, id)
 }
 
 // printMetrics dumps a snapshot as '%'-prefixed lines, so tooling

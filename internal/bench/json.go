@@ -2,6 +2,9 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"time"
 
@@ -106,6 +109,55 @@ func WriteJSON(path string, results []JSONResult) error {
 	cfg := params.Default()
 	data, err := json.MarshalIndent(JSONReport{Benchmark: "litebench", Params: &cfg, Results: results}, "", "  ")
 	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// UpdateJSON records results in the report at path: each replaces the
+// entry with its id, or is appended if there is none, and every other
+// entry is kept byte for byte. A missing file is written afresh.
+func UpdateJSON(path string, results []JSONResult) error {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return WriteJSON(path, results)
+	}
+	if err != nil {
+		return err
+	}
+	// The outer Results shadows JSONReport's, so old entries stay raw.
+	var rep struct {
+		JSONReport
+		Results []json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	at := make(map[string]int, len(rep.Results))
+	for k, raw := range rep.Results {
+		var entry struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(raw, &entry); err != nil {
+			return fmt.Errorf("%s: result %d: %w", path, k, err)
+		}
+		at[entry.ID] = k
+	}
+	for _, r := range results {
+		raw, err := json.Marshal(r)
+		if err != nil {
+			return err
+		}
+		if k, ok := at[r.ID]; ok {
+			rep.Results[k] = raw
+		} else {
+			at[r.ID] = len(rep.Results)
+			rep.Results = append(rep.Results, raw)
+		}
+	}
+	cfg := params.Default()
+	rep.Benchmark, rep.Params = "litebench", &cfg
+	if data, err = json.MarshalIndent(rep, "", "  "); err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)

@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 
 	"lite/internal/fabric"
 	"lite/internal/hostmem"
@@ -28,6 +29,31 @@ type Node struct {
 	CPU      *simtime.CPUAccount
 	// Obs is the node's metric registry; nil until EnableObs.
 	Obs *obs.Registry
+
+	// kinds holds CPU's sub-accounts, one per thread kind (see procKind).
+	kinds map[string]*simtime.CPUAccount
+}
+
+// procKind is what a proc's CPU is attributed to: its name without a
+// trailing instance number, so "lite-serve-7" and "herd-worker3" bill
+// "lite-serve" and "herd-worker".
+func procKind(name string) string {
+	if k := strings.TrimRight(name, "0123456789-"); k != "" {
+		return k
+	}
+	return name
+}
+
+// kindCPU returns the node's account for procs named name, created on
+// first use. With obs on it mirrors into the counter cpu.<kind>.
+func (nd *Node) kindCPU(name string) *simtime.CPUAccount {
+	kind := procKind(name)
+	a, ok := nd.kinds[kind]
+	if !ok {
+		a = &simtime.CPUAccount{Parent: nd.CPU, Counter: nd.Obs.Counter("cpu." + kind)}
+		nd.kinds[kind] = a
+	}
+	return a
 }
 
 // Cluster is the whole simulated testbed.
@@ -91,6 +117,7 @@ func New(cfg *params.Config, n int, memPerNode int64) (*Cluster, error) {
 			TCP:      c.Net.Stack(i),
 			KernelAS: hostmem.NewAddressSpace(mem),
 			CPU:      &simtime.CPUAccount{},
+			kinds:    make(map[string]*simtime.CPUAccount),
 		})
 	}
 	return c, nil
@@ -99,9 +126,10 @@ func New(cfg *params.Config, n int, memPerNode int64) (*Cluster, error) {
 // EnableObs creates the cluster's observability domain and points
 // every layer's collector at it: each node's NIC and OS report into
 // that node's registry, the shared fabric into the domain's global
-// registry. Idempotent, and callable at any point in the simulation
-// (layers read their registry pointer on every event). Returns the
-// domain for convenience.
+// registry, and each thread kind's CPU into that node's cpu.<kind>
+// counter (ns charged from now on). Idempotent, and callable at any
+// point in the simulation (layers read their registry pointer on every
+// event). Returns the domain for convenience.
 func (c *Cluster) EnableObs() *obs.Domain {
 	if c.Obs != nil {
 		return c.Obs
@@ -112,6 +140,9 @@ func (c *Cluster) EnableObs() *obs.Domain {
 		nd.Obs = c.Obs.Node(i)
 		nd.NIC.SetObs(nd.Obs)
 		nd.OS.SetObs(nd.Obs)
+		for kind, a := range nd.kinds {
+			a.Counter = nd.Obs.Counter("cpu." + kind)
+		}
 	}
 	return c.Obs
 }
@@ -126,20 +157,20 @@ func MustNew(cfg *params.Config, n int, memPerNode int64) *Cluster {
 }
 
 // GoOn spawns a process logically running on the given node: its CPU
-// time accrues to that node's account.
+// time accrues to that node's account, attributed to the proc's kind.
 func (c *Cluster) GoOn(node int, name string, fn func(*simtime.Proc)) *simtime.Proc {
-	nd := c.Nodes[node]
+	acct := c.Nodes[node].kindCPU(name)
 	return c.Env.Go(fmt.Sprintf("n%d/%s", node, name), func(p *simtime.Proc) {
-		p.SetCPUAccount(nd.CPU)
+		p.SetCPUAccount(acct)
 		fn(p)
 	})
 }
 
 // GoDaemonOn is GoOn for daemon processes (background pollers).
 func (c *Cluster) GoDaemonOn(node int, name string, fn func(*simtime.Proc)) *simtime.Proc {
-	nd := c.Nodes[node]
+	acct := c.Nodes[node].kindCPU(name)
 	return c.Env.GoDaemon(fmt.Sprintf("n%d/%s", node, name), func(p *simtime.Proc) {
-		p.SetCPUAccount(nd.CPU)
+		p.SetCPUAccount(acct)
 		fn(p)
 	})
 }

@@ -95,7 +95,7 @@ func (o *OS) AdaptiveWait(p *simtime.Proc, c *CompletionPage) simtime.Time {
 	for !c.ready && p.Now() < deadline {
 		t0 := p.Now()
 		c.cond.WaitTimeout(p, deadline-p.Now())
-		p.CPUAccount().Charge(p.Now() - t0)
+		p.Charge(p.Now() - t0)
 	}
 	if c.ready {
 		o.reg.Add("hostos.wait.polled", 1)
@@ -121,7 +121,7 @@ func (o *OS) BusyWait(p *simtime.Proc, c *CompletionPage) simtime.Time {
 	for !c.ready {
 		t0 := p.Now()
 		c.cond.Wait(p)
-		p.CPUAccount().Charge(p.Now() - t0)
+		p.Charge(p.Now() - t0)
 	}
 	return p.Now() - start
 }

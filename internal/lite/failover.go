@@ -98,7 +98,8 @@ func (i *Instance) crash(p *simtime.Proc) {
 			}
 		}
 		f.queue = nil
-		f.cond.Broadcast(env)
+		f.spin.Broadcast(env)
+		f.sleep.Broadcast(env)
 	}
 
 	// Tear down this node's client bindings. Control bindings survive

@@ -871,7 +871,7 @@ func (i *Instance) spinWait(p *simtime.Proc, cond *simtime.Cond, ready func() bo
 	for !ready() && p.Now() < limit {
 		t0 := p.Now()
 		cond.WaitTimeout(p, limit-p.Now())
-		p.CPUAccount().Charge(p.Now() - t0)
+		p.Charge(p.Now() - t0)
 	}
 }
 

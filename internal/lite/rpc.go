@@ -298,10 +298,14 @@ type callMeta struct {
 // calls for LT_recvRPC; system functions carry a handler executed by
 // the kernel worker pool.
 type rpcFunc struct {
-	id      int
-	queue   []*Call
-	cond    simtime.Cond
-	handler func(p *simtime.Proc, c *Call)
+	id    int
+	queue []*Call
+	// spin parks the server threads inside their busy window, sleep
+	// those past it. A call goes to the newest spinner, so the threads
+	// the load does not need let their windows lapse; only when none
+	// spins is the oldest sleeper woken (see dispatchCall).
+	spin, sleep simtime.Cond
+	handler     func(p *simtime.Proc, c *Call)
 	// executing counts remote calls dequeued by a server thread whose
 	// reply has not yet posted. Drain's quiescence condition is
 	// len(queue) == 0 && executing == 0.
@@ -954,8 +958,8 @@ func (i *Instance) dispatchCall(f *rpcFunc, call *Call) {
 	if f.handler != nil {
 		i.sysQueue = append(i.sysQueue, f)
 		i.sysCond.Signal(i.cls.Env)
-	} else {
-		f.cond.Signal(i.cls.Env)
+	} else if !f.spin.SignalNewest(i.cls.Env) {
+		f.sleep.Signal(i.cls.Env)
 	}
 }
 
@@ -997,12 +1001,13 @@ func (i *Instance) recvRPCInternal(p *simtime.Proc, fn int) (*Call, error) {
 }
 
 // awaitCall parks the calling server thread until a call is queued for
-// f and dequeues it.
+// f and dequeues it: the adaptive wait, spinning on f.spin and then
+// sleeping on f.sleep.
 func (i *Instance) awaitCall(p *simtime.Proc, f *rpcFunc) (*Call, error) {
+	ready := func() bool { return i.stopped || len(f.queue) > 0 }
 	for {
-		if !i.adaptiveWait(p, &f.cond, func() bool { return i.stopped || len(f.queue) > 0 }, 0) {
-			return nil, ErrTimeout
-		}
+		i.spinWait(p, &f.spin, ready, 0)
+		i.sleepWait(p, &f.sleep, ready, 0)
 		if i.stopped {
 			return nil, ErrNodeDead
 		}
@@ -1171,12 +1176,12 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 		t0 := p.Now()
 		if i.recvCQ.WaitTimeout(p, i.cfg.AdaptivePollWindow) {
 			d := p.Now() - t0
-			p.CPUAccount().Charge(d)
+			p.Charge(d)
 			i.PollerCPU += d
 			continue
 		}
 		d := p.Now() - t0
-		p.CPUAccount().Charge(d)
+		p.Charge(d)
 		i.PollerCPU += d
 		i.pollerSleep(p)
 		woke = true

@@ -125,6 +125,6 @@ func (e *FaRMEnd) Recv(p *simtime.Proc) ([]byte, error) {
 		}
 		t0 := p.Now()
 		en.inCond.Wait(p)
-		p.CPUAccount().Charge(p.Now() - t0)
+		p.Charge(p.Now() - t0)
 	}
 }

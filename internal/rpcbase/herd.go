@@ -102,7 +102,7 @@ func (s *HERDServer) workerLoop(p *simtime.Proc, w, workers int) {
 			// whole gap as CPU.
 			t0 := p.Now()
 			s.newWork.Wait(p)
-			p.CPUAccount().Charge(p.Now() - t0)
+			p.Charge(p.Now() - t0)
 		}
 	}
 }

@@ -53,6 +53,6 @@ func busyWait(p *simtime.Proc, cond *simtime.Cond, ready func() bool) {
 	for !ready() {
 		t0 := p.Now()
 		cond.Wait(p)
-		p.CPUAccount().Charge(p.Now() - t0)
+		p.Charge(p.Now() - t0)
 	}
 }

@@ -39,6 +39,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"lite/internal/obs"
 )
 
 // Time is an absolute virtual timestamp, measured as a duration since
@@ -398,6 +400,11 @@ func (e *Env) deadlock() error {
 // is not.
 type CPUAccount struct {
 	busy Time
+	// Parent, when set, is charged everything this account is: a
+	// per-thread-kind account rolls up into its node's.
+	Parent *CPUAccount
+	// Counter, when set, mirrors each charge (in ns) into a metric.
+	Counter *obs.Counter
 }
 
 // Busy returns the accumulated busy CPU time.
@@ -408,19 +415,28 @@ func (a *CPUAccount) Busy() Time {
 	return a.busy
 }
 
-// Charge adds d of busy time to the account.
+// Charge adds d of busy time to the account and its ancestors.
 func (a *CPUAccount) Charge(d Time) {
-	if a != nil && d > 0 {
+	if d <= 0 {
+		return
+	}
+	for ; a != nil; a = a.Parent {
 		a.busy += d
+		a.Counter.Add(int64(d))
 	}
 }
 
 // SetCPUAccount attaches an account to the process; subsequent Work
-// calls (and busy-waits that the caller charges) accrue to it.
+// calls and Charge calls accrue to it.
 func (p *Proc) SetCPUAccount(a *CPUAccount) { p.cpu = a }
 
 // CPUAccount returns the account attached to the process, or nil.
 func (p *Proc) CPUAccount() *CPUAccount { return p.cpu }
+
+// Charge bills d of busy CPU time to the process's account without
+// advancing virtual time: a busy-wait that a wakeup ended charges the
+// time it spun.
+func (p *Proc) Charge(d Time) { p.cpu.Charge(d) }
 
 // Work advances virtual time by d and charges d of busy CPU time to
 // the process's account. Use it for computation, memory copies, and

@@ -77,12 +77,26 @@ func (c *Cond) Wait(p *Proc) {
 
 // WaitTimeout parks the process until it is signaled or d elapses. It
 // reports whether the wake came from a signal (true) rather than the
-// timeout (false).
+// timeout (false). A timed-out waiter takes its record with it, so the
+// queue never holds more records than parked waiters, whichever end
+// signals pop from.
 func (c *Cond) WaitTimeout(p *Proc, d Time) bool {
 	gen := p.prepareWait()
-	c.q = append(c.q, waiter{p, gen})
+	me := waiter{p, gen}
+	c.q = append(c.q, me)
 	p.env.wakeAt(p.env.now+d, p, gen, WakeTimer)
-	return p.park() == WakeSignal
+	if p.park() == WakeSignal {
+		return true
+	}
+	for k, w := range c.q {
+		if w == me {
+			n := copy(c.q[k:], c.q[k+1:])
+			c.q[k+n] = waiter{}
+			c.q = c.q[:k+n]
+			break
+		}
+	}
+	return false
 }
 
 // Signal wakes the oldest valid waiter, if any, and reports whether a
@@ -101,6 +115,22 @@ func (c *Cond) Signal(e *Env) bool {
 	return false
 }
 
+// SignalNewest is Signal in LIFO order: it wakes the most recently
+// queued valid waiter, the one whose wait began last.
+func (c *Cond) SignalNewest(e *Env) bool {
+	for n := len(c.q); n > 0; n = len(c.q) {
+		w := c.q[n-1]
+		c.q[n-1] = waiter{}
+		c.q = c.q[:n-1]
+		if w.gen != w.p.gen || w.p.done {
+			continue
+		}
+		e.wakeAt(e.now, w.p, w.gen, WakeSignal)
+		return true
+	}
+	return false
+}
+
 // Broadcast wakes every valid waiter and returns how many were woken.
 func (c *Cond) Broadcast(e *Env) int {
 	n := 0
@@ -110,8 +140,9 @@ func (c *Cond) Broadcast(e *Env) int {
 	return n
 }
 
-// Waiters returns the number of queued wait records, including stale
-// ones that have not yet been skipped. It is intended for diagnostics.
+// Waiters returns the number of queued wait records: the processes
+// parked on c that no signal has yet claimed. It is intended for
+// diagnostics.
 func (c *Cond) Waiters() int { return len(c.q) }
 
 // Semaphore is a counting semaphore in virtual time with FIFO wakeup.

@@ -124,7 +124,7 @@ func TestCondWaitTimeout(t *testing.T) {
 	})
 	e.Go("signaler", func(p *Proc) {
 		p.Sleep(5 * time.Microsecond)
-		// The first waiter's stale entry must be skipped.
+		// The first waiter's entry left the queue with its timeout.
 		c.Signal(p.Env())
 	})
 	if err := e.Run(); err != nil {
@@ -132,6 +132,46 @@ func TestCondWaitTimeout(t *testing.T) {
 	}
 	if !timedOut || !signaled {
 		t.Fatalf("timedOut=%v signaled=%v", timedOut, signaled)
+	}
+}
+
+// TestCondSignalNewestIsLIFO: SignalNewest wakes the waiter that
+// queued last, and a waiter whose timeout fired has already taken its
+// record out of the queue, wherever in it the record sat.
+func TestCondSignalNewestIsLIFO(t *testing.T) {
+	e := NewEnv()
+	var c Cond
+	var order []int
+	for i := 0; i < 3; i++ {
+		e.Go("waiter", func(p *Proc) {
+			p.Sleep(Time(i+1) * time.Microsecond)
+			if i == 1 {
+				if c.WaitTimeout(p, 2*time.Microsecond) {
+					t.Error("middle waiter signaled, want its timeout")
+				}
+				return
+			}
+			c.Wait(p)
+			order = append(order, i)
+		})
+	}
+	e.Go("signaler", func(p *Proc) {
+		p.Sleep(5 * time.Microsecond)
+		if n := c.Waiters(); n != 2 {
+			t.Errorf("Waiters() = %d after the middle one timed out, want 2", n)
+		}
+		c.SignalNewest(p.Env())
+		p.Sleep(time.Microsecond)
+		c.SignalNewest(p.Env())
+		if c.SignalNewest(p.Env()) {
+			t.Error("SignalNewest woke a waiter from an empty queue")
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != 2 || order[1] != 0 {
+		t.Fatalf("woken in order %v, want [2 0]", order)
 	}
 }
 

@@ -124,7 +124,7 @@ func (c *Context) PollCQ(p *simtime.Proc, cq *rnic.CQ) rnic.CQE {
 		}
 		t0 := p.Now()
 		cq.Wait(p)
-		p.CPUAccount().Charge(p.Now() - t0)
+		p.Charge(p.Now() - t0)
 	}
 }
 
@@ -191,7 +191,7 @@ func (d *Dispatcher) Wait(p *simtime.Proc, wrid uint64) rnic.CQE {
 		}
 		t0 := p.Now()
 		d.cq.Wait(p)
-		p.CPUAccount().Charge(p.Now() - t0)
+		p.Charge(p.Now() - t0)
 	}
 }
 
