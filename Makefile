@@ -80,8 +80,11 @@ bench:
 # bench-smoke regenerates the machine-readable perf feed from a fast
 # experiment subset (sub-second each, except scale and the three
 # 500-node stressors churn/incast/rebalance, which run twice each for
-# their built-in replay check).
+# their built-in replay check). The feed is deleted first, so an id
+# dropped from this list or from the registry leaves it too; to re-record
+# only some entries, run litebench -metrics -json BENCH_litebench.json ids...
 bench-smoke:
+	rm -f BENCH_litebench.json
 	$(GO) run ./cmd/litebench -metrics -json BENCH_litebench.json trace breakdown tput tail saturate fairness lease drain tenants scale churn incast rebalance crossover
 
 # bench-guard re-runs the experiments recorded in the committed feed

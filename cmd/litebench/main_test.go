@@ -32,7 +32,7 @@ func TestCompareReportIsExact(t *testing.T) {
 		r := good
 		c.mutate(&r)
 		path := filepath.Join(t.TempDir(), "feed.json")
-		if err := bench.WriteJSON(path, []bench.JSONResult{r}); err != nil {
+		if err := bench.UpdateJSON(path, []bench.JSONResult{r}); err != nil {
 			t.Fatal(err)
 		}
 		if got := compareReport(path, bench.Run); got != c.want {
@@ -50,7 +50,7 @@ func TestCompareReportRetimesSlowEntries(t *testing.T) {
 	const committed = 1000.0
 	rec := &bench.Table{Virtual: 5000, Events: 40, EventsPerSec: committed}
 	path := filepath.Join(t.TempDir(), "feed.json")
-	if err := bench.WriteJSON(path, []bench.JSONResult{bench.NewJSONResult("scale", rec, 0, nil)}); err != nil {
+	if err := bench.UpdateJSON(path, []bench.JSONResult{bench.NewJSONResult("scale", rec, 0, nil)}); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {

@@ -103,35 +103,25 @@ func newJSONMetrics(s *obs.Snapshot) *JSONMetrics {
 	return m
 }
 
-// WriteJSON writes the report to path, indented so the feed diffs
-// cleanly in review.
-func WriteJSON(path string, results []JSONResult) error {
-	cfg := params.Default()
-	data, err := json.MarshalIndent(JSONReport{Benchmark: "litebench", Params: &cfg, Results: results}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// UpdateJSON records results in the report at path: each replaces the
-// entry with its id, or is appended if there is none, and every other
-// entry is kept byte for byte. A missing file is written afresh.
+// UpdateJSON records results in the report at path, indented so the
+// feed diffs cleanly in review: each replaces the entry with its id, or
+// is appended if there is none, and every other entry is kept byte for
+// byte. A missing file counts as an empty report.
 func UpdateJSON(path string, results []JSONResult) error {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return WriteJSON(path, results)
-	}
-	if err != nil {
-		return err
-	}
 	// The outer Results shadows JSONReport's, so old entries stay raw.
 	var rep struct {
 		JSONReport
 		Results []json.RawMessage `json:"results"`
 	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+	data, err := os.ReadFile(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+	case err != nil:
+		return err
+	default:
+		if err := json.Unmarshal(data, &rep); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
 	}
 	at := make(map[string]int, len(rep.Results))
 	for k, raw := range rep.Results {
@@ -163,7 +153,7 @@ func UpdateJSON(path string, results []JSONResult) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadJSON loads a report previously written by WriteJSON.
+// ReadJSON loads a report previously written by UpdateJSON.
 func ReadJSON(path string) (*JSONReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 // TestUpdateJSONKeepsOtherEntries: recording some experiments into an
 // existing feed replaces their entries in place, appends new ids, and
 // leaves every other entry byte for byte, down to a field this build
-// does not know.
+// does not know. A missing feed is written afresh.
 func TestUpdateJSONKeepsOtherEntries(t *testing.T) {
 	entry := func(id, row string) JSONResult {
 		tab := &Table{ID: id, Title: id, Header: []string{"x"}, Rows: [][]string{{row}}, Virtual: 1000, Events: 7, EventsPerSec: 1.0 / 3}
@@ -20,9 +20,10 @@ func TestUpdateJSONKeepsOtherEntries(t *testing.T) {
 	legacy := func(data []byte) []byte {
 		return bytes.Replace(data, []byte(`"id": "c",`), []byte("\"id\": \"c\",\n      \"legacy\": \"kept\","), 1)
 	}
+	// write records results into a feed that does not exist yet.
 	write := func(path string, results ...JSONResult) []byte {
 		t.Helper()
-		if err := WriteJSON(path, results); err != nil {
+		if err := UpdateJSON(path, results); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)
@@ -33,7 +34,12 @@ func TestUpdateJSONKeepsOtherEntries(t *testing.T) {
 	}
 	dir := t.TempDir()
 	feed := filepath.Join(dir, "feed.json")
-	if err := os.WriteFile(feed, write(feed, entry("a", "1"), entry("b", "1"), entry("c", "1")), 0o644); err != nil {
+	first := write(feed, entry("a", "1"), entry("b", "1"), entry("c", "1"))
+	rep, err := ReadJSON(feed)
+	if err != nil || len(rep.Results) != 3 || rep.Results[2].ID != "c" {
+		t.Fatalf("a missing feed is written afresh: %+v, %v", rep, err)
+	}
+	if err := os.WriteFile(feed, first, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := UpdateJSON(feed, []JSONResult{entry("d", "2"), entry("b", "2")}); err != nil {
@@ -46,14 +52,5 @@ func TestUpdateJSONKeepsOtherEntries(t *testing.T) {
 	want := write(filepath.Join(dir, "want.json"), entry("a", "1"), entry("b", "2"), entry("c", "1"), entry("d", "2"))
 	if !bytes.Equal(got, want) {
 		t.Errorf("updated feed:\n%s\nwant:\n%s", got, want)
-	}
-
-	fresh := filepath.Join(dir, "fresh.json")
-	if err := UpdateJSON(fresh, []JSONResult{entry("a", "1")}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadJSON(fresh)
-	if err != nil || len(rep.Results) != 1 || rep.Results[0].ID != "a" {
-		t.Errorf("a missing feed is written afresh: %+v, %v", rep, err)
 	}
 }

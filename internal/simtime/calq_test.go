@@ -334,14 +334,13 @@ func TestSyncAccessors(t *testing.T) {
 		if p.Trace() != "tag" {
 			t.Errorf("Trace() = %v", p.Trace())
 		}
-		acct := &CPUAccount{}
+		node := &CPUAccount{}
+		acct := &CPUAccount{Parent: node}
 		p.SetCPUAccount(acct)
-		if p.CPUAccount() != acct {
-			t.Error("CPUAccount() did not round-trip")
-		}
 		p.Work(time.Microsecond)
-		if acct.Busy() != time.Microsecond {
-			t.Errorf("Busy() = %v, want 1µs", acct.Busy())
+		p.Charge(2 * time.Microsecond)
+		if acct.Busy() != 3*time.Microsecond || node.Busy() != 3*time.Microsecond {
+			t.Errorf("Busy() = %v, parent's %v, want 3µs each", acct.Busy(), node.Busy())
 		}
 		mu.Lock(p)
 		if !mu.Locked() {

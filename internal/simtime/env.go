@@ -430,9 +430,6 @@ func (a *CPUAccount) Charge(d Time) {
 // calls and Charge calls accrue to it.
 func (p *Proc) SetCPUAccount(a *CPUAccount) { p.cpu = a }
 
-// CPUAccount returns the account attached to the process, or nil.
-func (p *Proc) CPUAccount() *CPUAccount { return p.cpu }
-
 // Charge bills d of busy CPU time to the process's account without
 // advancing virtual time: a busy-wait that a wakeup ended charges the
 // time it spun.
