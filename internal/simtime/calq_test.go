@@ -420,6 +420,32 @@ func BenchmarkEnvRun(b *testing.B) {
 	b.ReportMetric(float64(env.Events())/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkHandoff measures the cost of waking a different proc: two
+// procs ping-pong through a Cond, so every event hands the running slot
+// to the other one.
+func BenchmarkHandoff(b *testing.B) {
+	env := NewEnv()
+	var c Cond
+	turn := 0
+	for me := 0; me < 2; me++ {
+		env.Go(fmt.Sprintf("p%d", me), func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				for turn != me {
+					c.Wait(p)
+				}
+				turn = 1 - me
+				c.Signal(p.Env())
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(env.Events()), "ns/handoff")
+}
+
 // BenchmarkWakeStorm measures cross-proc wakeups under fan-out: 1024
 // processes all sleeping to the same instants, so every round is a
 // thundering herd through the same calendar bucket.

@@ -2,11 +2,12 @@
 // kernel with virtual time.
 //
 // A simulation is driven by an Env. Application code runs inside
-// processes (Proc), each backed by a goroutine. The scheduler enforces
-// that exactly one process executes at any instant, which makes the
-// simulation deterministic and lets process code mutate shared state
-// without additional locking: every handoff between processes goes
-// through a channel, establishing the necessary happens-before edges.
+// processes (Proc), each backed by a coroutine (iter.Pull). The
+// scheduler enforces that exactly one process executes at any instant,
+// which makes the simulation deterministic and lets process code mutate
+// shared state without additional locking: every handoff between
+// processes is a coroutine switch, which establishes the necessary
+// happens-before edges.
 //
 // Virtual time only advances when every process is blocked; it then
 // jumps to the earliest pending event. Processes block by sleeping
@@ -26,13 +27,15 @@
 // and scheduler implementation, so a seeded run replays bit-identically
 // anywhere.
 //
-// The event loop itself is continuation-stealing: there is no dedicated
-// scheduler goroutine. Whichever process parks runs the dispatch loop
-// inline (sched). If the next event wakes the parking process itself —
-// the overwhelmingly common case for timer-driven code such as NIC
-// pipeline stages and poller ticks — park returns without touching a
-// channel at all. Waking a different process costs exactly one channel
-// send (the resume handoff).
+// The event loop itself is continuation-stealing: whichever process
+// parks runs the dispatch loop inline (sched). If the next event wakes
+// the parking process itself — the common case for timer-driven code
+// such as NIC pipeline stages and poller ticks — park returns with no
+// switch at all. Waking a different process costs two coroutine
+// switches and no trip through the Go scheduler: the parking coroutine
+// yields the worker to resume to Run's goroutine, which resumes it.
+//
+// A panic inside a process surfaces from Run, in Run's goroutine.
 package simtime
 
 import (
@@ -68,27 +71,33 @@ type Env struct {
 	nextPID int
 	events  int64
 
-	// doneCh carries Run's result from whichever goroutine ends the
-	// run (buffered so the ender never blocks).
-	doneCh chan error
+	// err is the deadlock a run ended in, for Run to return.
+	err error
 
 	live  int // non-daemon procs that have not finished
 	procs map[int]*Proc
 	limit Time // 0 means no limit
 
-	// idle holds the goroutines of finished procs, each blocked on its
-	// resume channel until spawn hands it the next proc; Run closes
-	// them when it returns.
+	// idle holds the workers of finished procs, each suspended until
+	// spawn hands it the next proc; Run stops them when it returns.
 	idle []*worker
 }
 
-// worker is a goroutine that runs procs one after another. Reusing it
-// keeps the stack an earlier proc grew, where a fresh goroutine would
-// start small and copy its stack as the proc's calls deepen.
+// worker is a coroutine that runs procs one after another. Reusing it
+// keeps the stack an earlier proc grew, where a fresh one would start
+// small and copy its stack as the proc's calls deepen.
 type worker struct {
-	resume chan WakeReason
 	p      *Proc
 	fn     func(*Proc)
+	reason WakeReason // why p was last woken
+
+	// next resumes the coroutine from Run's goroutine and returns the
+	// worker it yields: the one to resume next, or nil once the run is
+	// over. yield is the coroutine's side of that handoff; stop ends an
+	// idle coroutine.
+	next  func() (*worker, bool)
+	yield func(*worker) bool
+	stop  func()
 }
 
 // event is a pending wakeup or callback. Events are stored by value
@@ -105,10 +114,7 @@ type event struct {
 
 // NewEnv returns an empty simulation environment at virtual time zero.
 func NewEnv() *Env {
-	return &Env{
-		procs:  make(map[int]*Proc),
-		doneCh: make(chan error, 1),
-	}
+	return &Env{procs: make(map[int]*Proc)}
 }
 
 // Now returns the current virtual time.
@@ -130,7 +136,7 @@ type Proc struct {
 	env    *Env
 	id     int
 	name   string
-	resume chan WakeReason
+	w      *worker
 	gen    uint64
 	parked bool
 	done   bool
@@ -182,15 +188,14 @@ func (e *Env) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 		e.idle[n-1] = nil
 		e.idle = e.idle[:n-1]
 	} else {
-		w = &worker{resume: make(chan WakeReason)}
-		go e.work(w)
+		w = e.newWorker()
 	}
 	e.nextPID++
 	p := &Proc{
 		env:    e,
 		id:     e.nextPID,
 		name:   name,
-		resume: w.resume,
+		w:      w,
 		gen:    1,
 		parked: true,
 		daemon: daemon,
@@ -204,19 +209,19 @@ func (e *Env) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 	return p
 }
 
-// work is the body of w's goroutine. Each proc it is handed starts at
+// work is the body of w's coroutine. Each proc it is handed starts at
 // its first wakeup; once the proc returns, w joins the idle pool and,
-// as the active goroutine, drives the event loop until the next
-// handoff — which may be to a proc spawned onto w meanwhile, which it
-// then runs without a channel operation.
+// still running, drives the event loop until the next wakeup — which
+// may be of a proc spawned onto w meanwhile, which it then runs with no
+// switch. It returns when Run stops w.
 func (e *Env) work(w *worker) {
-	if _, ok := <-w.resume; !ok {
-		return
-	}
 	for {
 		p := w.p
 		w.fn(p)
-		w.p, w.fn = nil, nil
+		// A finished proc can stay reachable (a stale timer, a wait
+		// record); it must not keep w, and so w's coroutine state, alive
+		// once Run has stopped w.
+		w.p, w.fn, p.w = nil, nil, nil
 		p.done = true
 		p.parked = false
 		delete(e.procs, p.id)
@@ -224,10 +229,7 @@ func (e *Env) work(w *worker) {
 			e.live--
 		}
 		e.idle = append(e.idle, w)
-		if _, ok := e.sched(w.resume); ok {
-			continue
-		}
-		if _, ok := <-w.resume; !ok {
+		if next := e.sched(); next != w && !w.yield(next) {
 			return
 		}
 	}
@@ -270,40 +272,34 @@ func (p *Proc) prepareWait() uint64 {
 // generation fires, and returns the reason for the wakeup.
 //
 // The parking process first runs the dispatch loop itself: if the next
-// event is its own wakeup it simply keeps running (zero channel
-// operations); otherwise it hands the scheduler role over with one
-// resume send and blocks on its own resume channel.
+// event is its own wakeup it simply keeps running (no switch);
+// otherwise it yields the worker to resume (or nil, the run is over) to
+// Run's goroutine and stays suspended until Run resumes it.
 func (p *Proc) park() WakeReason {
-	e := p.env
 	p.parked = true
-	if r, ok := e.sched(p.resume); ok {
-		return r
+	if next := p.env.sched(); next != p.w {
+		p.w.yield(next)
 	}
-	return <-p.resume
+	return p.w.reason
 }
 
-// sched drains the event queue on the calling goroutine. self is the
-// calling goroutine's resume channel (nil when called from Run). It
-// returns (reason, true) when the next wakeup is for a proc running on
-// that goroutine — the one that just parked, or one spawned onto an
-// idle worker that is itself driving the loop. Otherwise it ends by
-// either handing the scheduler role to the woken process (one resume
-// send) or completing the run (doneCh), and returns ok=false.
-func (e *Env) sched(self chan WakeReason) (WakeReason, bool) {
+// sched drains the event queue on the calling goroutine: a parking or
+// finishing proc's coroutine, or Run's. It returns the worker of the
+// proc the next wakeup is for, with the reason stored in it, or nil
+// once the run is over (the deadlock, if that is how, in e.err).
+func (e *Env) sched() *worker {
 	for {
 		if e.live == 0 {
-			e.doneCh <- nil
-			return 0, false
+			return nil
 		}
 		ev, ok := e.q.pop(e.now)
 		if !ok {
-			e.doneCh <- e.deadlock()
-			return 0, false
+			e.err = e.deadlock()
+			return nil
 		}
 		if ev.fn != nil {
 			if e.limit > 0 && ev.t > e.limit {
-				e.doneCh <- nil
-				return 0, false
+				return nil
 			}
 			if ev.t > e.now {
 				e.now = ev.t
@@ -319,19 +315,15 @@ func (e *Env) sched(self chan WakeReason) (WakeReason, bool) {
 			continue
 		}
 		if e.limit > 0 && ev.t > e.limit {
-			e.doneCh <- nil
-			return 0, false
+			return nil
 		}
 		if ev.t > e.now {
 			e.now = ev.t
 		}
 		e.events++
 		p.parked = false
-		if p.resume == self {
-			return ev.reason, true
-		}
-		p.resume <- ev.reason
-		return 0, false
+		p.w.reason = ev.reason
+		return p.w
 	}
 }
 
@@ -372,14 +364,23 @@ func (e *DeadlockError) Error() string {
 // Run executes the simulation until all non-daemon processes finish,
 // the time limit (if set) is reached, or no progress is possible. It
 // returns a *DeadlockError in the latter case and nil otherwise. The
-// idle worker goroutines exit with it.
+// idle workers exit with it; procs still parked stay suspended, and a
+// later Run resumes them.
+//
+// Run's goroutine is the driver: it resumes whichever worker the
+// dispatch loop woke, and that worker runs until the next wakeup is
+// another worker's, which it yields back. A panic in a proc propagates
+// out of the resume, and so out of Run.
 func (e *Env) Run() error {
-	e.sched(nil)
-	err := <-e.doneCh
+	for w := e.sched(); w != nil; {
+		w, _ = w.next()
+	}
 	for _, w := range e.idle {
-		close(w.resume)
+		w.stop()
 	}
 	e.idle = nil
+	err := e.err
+	e.err = nil
 	return err
 }
 

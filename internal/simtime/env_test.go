@@ -236,6 +236,33 @@ func TestForkedProcsReuseGoroutines(t *testing.T) {
 	}
 }
 
+// A panic inside a proc surfaces from Run, in the caller's goroutine,
+// where it can be recovered.
+func TestProcPanicReachesRun(t *testing.T) {
+	e := NewEnv()
+	var c Cond
+	e.Go("waiter", func(p *Proc) {
+		c.Wait(p)
+		p.Sleep(time.Microsecond)
+		panic("boom")
+	})
+	e.Go("signaler", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		c.Signal(p.Env())
+		p.Sleep(time.Hour)
+	})
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want boom", r)
+		}
+		if e.Now() != 2*time.Microsecond {
+			t.Fatalf("panicked at %v, want 2µs", e.Now())
+		}
+	}()
+	e.Run()
+	t.Fatal("Run returned instead of panicking")
+}
+
 // A callback may fork a proc while the goroutine driving the event loop
 // is a finished proc's, already back in the idle pool: the new proc
 // lands on that very goroutine, which must run it itself rather than
