@@ -13,12 +13,19 @@
 //	litebench fig4 fig6 fig10
 //	litebench -all
 //	litebench -metrics -json BENCH_litebench.json trace breakdown
+//	litebench -cpuprofile cpu.pprof -memprofile mem.pprof scale
+//
+// -cpuprofile and -memprofile write pprof profiles of the simulator
+// itself (host CPU and heap allocations over the whole run), for
+// `go tool pprof`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"lite/internal/bench"
@@ -31,16 +38,22 @@ func main() {
 	metrics := flag.Bool("metrics", false, "collect and print observability metrics per experiment")
 	jsonPath := flag.String("json", "", "record the experiments run in this machine-readable report, keeping its other entries")
 	comparePath := flag.String("compare", "", "re-run the experiments in this report and fail on virtual-time drift")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap allocation profile of the run to this file")
 	flag.Parse()
+	if err := startProfiles(*cpuProfile, *memProfile); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *comparePath != "" {
-		os.Exit(compareReport(*comparePath, bench.Run))
+		exit(compareReport(*comparePath, bench.Run))
 	}
 	if *list {
 		for _, e := range bench.All() {
 			fmt.Printf("%-10s %s\n", e.ID, e.Title)
 		}
-		return
+		exit(0)
 	}
 	ids := flag.Args()
 	if *all {
@@ -50,8 +63,8 @@ func main() {
 		}
 	}
 	if len(ids) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: litebench [-list|-all] [-metrics] [-json file] [experiment ids...]")
-		os.Exit(2)
+		fmt.Fprintln(os.Stderr, "usage: litebench [-list|-all] [-metrics] [-json file] [-cpuprofile file] [-memprofile file] [experiment ids...]")
+		exit(2)
 	}
 	if *metrics {
 		bench.SetObsEnabled(true)
@@ -91,8 +104,64 @@ func main() {
 		}
 	}
 	if failed {
-		os.Exit(1)
+		exit(1)
 	}
+	exit(0)
+}
+
+// stopProfiles finishes the profiles startProfiles began.
+var stopProfiles = func() error { return nil }
+
+// startProfiles starts a CPU profile into cpuPath and arranges for a
+// heap allocation profile to be written to memPath when the run ends;
+// an empty path skips that profile.
+func startProfiles(cpuPath, memPath string) error {
+	var cpu *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		cpu = f
+	}
+	stopProfiles = func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // settle the in-use figures; allocation totals are exact anyway
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}
+	return nil
+}
+
+// exit finishes the profiles and ends the process with code (1 if a
+// profile could not be written).
+func exit(code int) {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "writing profile: %v\n", err)
+		if code == 0 {
+			code = 1
+		}
+	}
+	os.Exit(code)
 }
 
 // compareEPSBand is the allowed relative deviation for the recorded

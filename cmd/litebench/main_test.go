@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -81,6 +82,26 @@ func TestCompareReportRetimesSlowEntries(t *testing.T) {
 		}
 		if got := compareReport(path, fake); got != c.want || runs != c.runs {
 			t.Errorf("%s: compareReport = %d after %d runs, want %d after %d", c.name, got, runs, c.want, c.runs)
+		}
+	}
+}
+
+// -cpuprofile and -memprofile leave one pprof file each behind a run.
+func TestProfilesAreWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := startProfiles(cpu, mem); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bench.Run("trace"); err != nil {
+		t.Fatal(err)
+	}
+	if err := stopProfiles(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", path, err)
 		}
 	}
 }

@@ -91,6 +91,9 @@ type clientAdm struct {
 	deficit int64 // unused share carried from the previous round
 }
 
+// busy reports whether the client has admitted work in flight.
+func (c *clientAdm) busy() bool { return c.calls > 0 || c.cost > 0 }
+
 // tenantAdm is one tenant's weighted admission accounting for one
 // function. Unlike clientAdm's round-scoped shares, tenants draw from
 // a credit bank that refills in proportion to their QoS weight, which
@@ -112,6 +115,7 @@ type fnAdm struct {
 	total   int64   // admitted in-flight cost across all clients
 	round   int64   // cost admitted in the current DRR round
 	clients map[int]*clientAdm
+	busy    int // clients with admitted work in flight (clientAdm.busy)
 
 	// Tenant-weighted regime (nonzero tenant IDs only). accrued is a
 	// monotonic clock of admitted tenant cost; each tenant's credit is
@@ -187,20 +191,11 @@ func (a *fnAdm) client(src int) *clientAdm {
 
 // active counts clients with admitted work in flight, always including
 // the arriving client itself (a newcomer deserves a share before it
-// holds anything). Counting over the map is order-independent, so map
-// iteration cannot perturb the result.
+// holds anything). admit and complete keep a.busy current, so this is
+// O(1), not a scan of every client.
 func (a *fnAdm) active(src int) int {
-	n := 0
-	seen := false
-	for id, c := range a.clients {
-		if c.calls > 0 || c.cost > 0 {
-			n++
-			if id == src {
-				seen = true
-			}
-		}
-	}
-	if !seen {
+	n := a.busy
+	if c := a.clients[src]; c == nil || !c.busy() {
 		n++
 	}
 	return n
@@ -294,6 +289,9 @@ func (a *fnAdm) admit(src int, bytes int64, hw, depth int, idle bool) (cost int6
 		}
 	}
 	c := a.client(src)
+	if !c.busy() {
+		a.busy++
+	}
 	c.cost += cost
 	c.calls++
 	c.used += cost
@@ -308,6 +306,7 @@ func (a *fnAdm) complete(src int, cost int64) {
 	if c == nil {
 		return
 	}
+	wasBusy := c.busy()
 	c.cost -= cost
 	if c.cost < 0 {
 		c.cost = 0
@@ -318,6 +317,9 @@ func (a *fnAdm) complete(src int, cost int64) {
 	a.total -= cost
 	if a.total < 0 {
 		a.total = 0
+	}
+	if wasBusy && !c.busy() {
+		a.busy--
 	}
 	if c.calls == 0 && c.cost == 0 && c.deficit == 0 && c.used == 0 {
 		delete(a.clients, src)

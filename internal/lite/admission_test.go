@@ -204,6 +204,7 @@ func TestAdmitDeficitSpendIsIncremental(t *testing.T) {
 	a.client(2).cost, a.client(2).calls = 1000, 1 // keeps active=2, share=2000
 	c := a.client(1)
 	c.cost, c.calls, c.deficit = 2000, 2, 2000
+	a.busy = 2 // clients 1 and 2, put in flight by hand above
 	if _, _, ok := a.admit(1, 0, 4, 0, false); !ok {
 		t.Fatal("first over-share call must spend deficit and admit")
 	}
@@ -517,5 +518,73 @@ func TestAdmitTenantDeterministicReplay(t *testing.T) {
 		if x[k] != y[k] {
 			t.Fatalf("replay diverged at %d: %q vs %q", k, x[k], y[k])
 		}
+	}
+}
+
+// fnAdm.active reads a busy-client count that admit and complete keep
+// current instead of scanning every client. Across a seeded mix of
+// arrivals, completions (some with a stale cost) and round ends, from
+// more clients than fit the budget, the count must equal the scan it
+// replaced at every step, so every admission decision is unchanged.
+func TestActiveCountMatchesScan(t *testing.T) {
+	scan := func(a *fnAdm, src int) int {
+		n, seen := 0, false
+		for id, c := range a.clients {
+			if c.calls > 0 || c.cost > 0 {
+				n++
+				seen = seen || id == src
+			}
+		}
+		if !seen {
+			n++
+		}
+		return n
+	}
+	seed := uint64(0x9e3779b97f4a7c15)
+	next := func(n int) int {
+		seed ^= seed << 13
+		seed ^= seed >> 7
+		seed ^= seed << 17
+		return int(seed % uint64(n))
+	}
+	type held struct {
+		src  int
+		cost int64
+	}
+	a := newFnAdm()
+	var inflight []held
+	admitted, shed := 0, 0
+	for step := 0; step < 50000; step++ {
+		switch op := next(10); {
+		case op < 5:
+			src := next(12)
+			if got, want := a.active(src), scan(a, src); got != want {
+				t.Fatalf("step %d: active(%d) = %d, scan says %d", step, src, got, want)
+			}
+			cost, _, ok := a.admit(src, int64(next(4096)), 8, len(inflight), next(4) == 0)
+			if !ok {
+				shed++
+				continue
+			}
+			admitted++
+			inflight = append(inflight, held{src, cost})
+		case op < 9 && len(inflight) > 0:
+			k := next(len(inflight))
+			h := inflight[k]
+			inflight = append(inflight[:k], inflight[k+1:]...)
+			if next(8) == 0 {
+				h.cost += int64(next(3000)) // a completion releasing more than was charged
+			}
+			a.complete(h.src, h.cost)
+			a.svc.observe(int64(500 + next(3000)))
+		case op == 9:
+			a.endRound(int64(1 + next(4000)))
+		}
+		if got, want := a.busy, scan(a, -1)-1; got != want {
+			t.Fatalf("step %d: busy = %d, scan counts %d", step, got, want)
+		}
+	}
+	if admitted == 0 || shed == 0 {
+		t.Fatalf("the mix never exercised both outcomes: %d admitted, %d shed", admitted, shed)
 	}
 }

@@ -66,15 +66,11 @@ func (i *Instance) crash(p *simtime.Proc) {
 	// dead incarnation will post again to reap their completions.
 	for _, sigs := range i.qpSig {
 		for _, s := range sigs {
-			for _, rel := range s.pending {
-				rel()
-			}
-			s.pending = nil
+			s.free(env, s.pending)
+			s.pending = 0
 			s.count = 0
 			for _, b := range s.inflight {
-				for _, rel := range b.releases {
-					rel()
-				}
+				s.free(env, b.slots)
 			}
 			s.inflight = nil
 			s.cond.Broadcast(env)

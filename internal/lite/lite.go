@@ -271,8 +271,7 @@ type Instance struct {
 
 	// Shared queue pairs: qps[remote][k]; nil for the local node.
 	qps      [][]*rnic.QP
-	qpSlots  [][]*simtime.Semaphore // per-QP outstanding-op budget
-	qpSig    [][]*qpSigState        // per-QP selective-signaling state
+	qpSig    [][]*qpSigState // per-QP send-queue slots and selective signaling
 	nextQP   []int
 	sendCQ   *rnic.CQ
 	sendDisp *verbs.Dispatcher
@@ -472,7 +471,6 @@ func Start(cls *cluster.Cluster, opts Options) (*Deployment, error) {
 			dep:         dep,
 			ctx:         verbs.Open(nd.NIC, nd.KernelAS),
 			qps:         make([][]*rnic.QP, n),
-			qpSlots:     make([][]*simtime.Semaphore, n),
 			qpSig:       make([][]*qpSigState, n),
 			nextQP:      make([]int, n),
 			lhs:         make(map[uint64]*lhEntry),
@@ -530,10 +528,8 @@ func Start(cls *cluster.Cluster, opts Options) (*Deployment, error) {
 				qb.Connect(i, qa.QPN())
 				a.qps[j] = append(a.qps[j], qa)
 				b.qps[i] = append(b.qps[i], qb)
-				a.qpSlots[j] = append(a.qpSlots[j], simtime.NewSemaphore(qpDepth))
-				b.qpSlots[i] = append(b.qpSlots[i], simtime.NewSemaphore(qpDepth))
-				a.qpSig[j] = append(a.qpSig[j], &qpSigState{})
-				b.qpSig[i] = append(b.qpSig[i], &qpSigState{})
+				a.qpSig[j] = append(a.qpSig[j], &qpSigState{slot: simtime.NewSemaphore(qpDepth)})
+				b.qpSig[i] = append(b.qpSig[i], &qpSigState{slot: simtime.NewSemaphore(qpDepth)})
 			}
 		}
 	}
@@ -613,17 +609,19 @@ const systemWorkers = 4
 // response buffers and internal operations.
 const scratchBytes = 64 << 20
 
-// qpSigState is the selective-signaling bookkeeping of one shared QP:
-// how many posts have gone unsignaled since the last signaled one, the
-// send-queue slot releases those posts deferred, and the signaled
-// batches still awaiting their completion. Reclamation is strictly
-// per-QP: posters reap arrived completions on the next post, and a
+// qpSigState is the send-queue bookkeeping of one shared QP: its slot
+// semaphore, how many posts have gone unsignaled since the last
+// signaled one, how many slots those posts hold, and the signaled
+// batches still awaiting their completion. Every deferred slot is one
+// of this QP's, so a count stands for its releases. Reclamation is
+// strictly per-QP: posters reap arrived completions on the next post, and a
 // poster facing a full send queue waits on this QP's own oldest
 // signaled completion — never on another QP's, so a destination that
 // is timing out cannot starve traffic to healthy ones.
 type qpSigState struct {
+	slot     *simtime.Semaphore // the QP's send-queue slots (outstanding-op budget)
 	count    int
-	pending  []func()
+	pending  int // slots held by posts since the last signaled one
 	inflight []reclaimBatch
 	// reaping marks that some poster is blocked waiting for the oldest
 	// in-flight completion; contenders park on cond instead of
@@ -635,8 +633,25 @@ type qpSigState struct {
 // reclaimBatch is one signaled WR's worth of deferred send-queue slot
 // releases, freed when that WR's completion is reaped.
 type reclaimBatch struct {
-	wrid     uint64
-	releases []func()
+	wrid  uint64
+	slots int
+}
+
+// free returns n of the QP's send-queue slots.
+func (s *qpSigState) free(env *simtime.Env, n int) {
+	for ; n > 0; n-- {
+		s.slot.Release(env)
+	}
+}
+
+// popInflight removes and returns the oldest in-flight batch. It shifts
+// the (short) queue down rather than re-slicing its front away, so the
+// backing array is reused by the next append.
+func (s *qpSigState) popInflight() reclaimBatch {
+	b := s.inflight[0]
+	n := copy(s.inflight, s.inflight[1:])
+	s.inflight = s.inflight[:n]
+	return b
 }
 
 // Instance accessors.
@@ -684,14 +699,15 @@ func (i *Instance) wrID() uint64 {
 
 // pickQP selects a shared QP to the destination honoring the QoS mode,
 // acquires one outstanding-op slot on it, and returns the QP, its
-// index within the destination's QP set, and a release func.
-func (i *Instance) pickQP(p *simtime.Proc, dst int, pri Priority) (*rnic.QP, int, func()) {
+// index within the destination's QP set, and the slot semaphore the
+// caller releases the slot to.
+func (i *Instance) pickQP(p *simtime.Proc, dst int, pri Priority) (*rnic.QP, int, *simtime.Semaphore) {
 	// Shares acquireShared's reclaim machinery: slots on a shared QP
 	// may be held by lazily-reclaimed batches whose completions already
 	// arrived, and only reaping frees them — a plain Acquire here could
 	// starve one-sided ops behind stale batch slots.
-	qp, k, _, release := i.acquireShared(p, dst, pri)
-	return qp, k, release
+	qp, k, sig := i.acquireShared(p, dst, pri)
+	return qp, k, sig.slot
 }
 
 // scratchRing is a bump allocator over a contiguous kernel arena used

@@ -120,8 +120,8 @@ func (i *Instance) runParts(p *simtime.Proc, ls *lmrState, parts []part, buf []b
 	start := p.Now()
 
 	type outstanding struct {
-		wrid    uint64
-		release func()
+		wrid uint64
+		slot *simtime.Semaphore
 	}
 	var waits []outstanding
 	for _, pt := range parts {
@@ -143,7 +143,7 @@ func (i *Instance) runParts(p *simtime.Proc, ls *lmrState, parts []part, buf []b
 			}
 			continue
 		}
-		qp, _, release := i.pickQP(p, pt.c.node, pri)
+		qp, _, slot := i.pickQP(p, pt.c.node, pri)
 		wrid := i.wrID()
 		p.Work(i.cfg.NICDoorbell)
 		err := i.node.NIC.PostSend(p.Now(), qp, rnic.WR{
@@ -157,15 +157,15 @@ func (i *Instance) runParts(p *simtime.Proc, ls *lmrState, parts []part, buf []b
 			Trace:     procSpan(p),
 		})
 		if err != nil {
-			release()
+			slot.Release(i.cls.Env)
 			return err
 		}
-		waits = append(waits, outstanding{wrid, release})
+		waits = append(waits, outstanding{wrid, slot})
 	}
 	var firstErr error
 	for _, w := range waits {
 		cqe := i.sendDisp.Wait(p, w.wrid)
-		w.release()
+		w.slot.Release(i.cls.Env)
 		if err := statusErr(cqe.Status); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -275,8 +275,7 @@ func (i *Instance) readVInternal(p *simtime.Proc, segs []ReadSeg, pri Priority, 
 // never left in the dispatcher's stash.
 func (i *Instance) postReadChain(p *simtime.Proc, nodes []int, wrs []rnic.WR, pri Priority) (int, error) {
 	dst := nodes[0]
-	qp, k, release := i.pickQP(p, dst, pri)
-	slot := i.qpSlots[dst][k]
+	qp, _, slot := i.pickQP(p, dst, pri)
 	n := 1
 	for n < len(wrs) && nodes[n] == dst && slot.TryAcquire(p) {
 		n++
@@ -295,8 +294,7 @@ func (i *Instance) postReadChain(p *simtime.Proc, nodes []int, wrs []rnic.WR, pr
 			err = statusErr(last.Status)
 		}
 	}
-	release()
-	for s := 1; s < n; s++ {
+	for s := 0; s < n; s++ {
 		slot.Release(i.cls.Env)
 	}
 	return n, err
@@ -459,8 +457,8 @@ func (i *Instance) rawWrite(p *simtime.Proc, node int, pa hostmem.PAddr, buf []b
 	}
 	i.qos.throttle(p, pri, int64(len(buf)))
 	start := p.Now()
-	qp, _, release := i.pickQP(p, node, pri)
-	defer release()
+	qp, _, slot := i.pickQP(p, node, pri)
+	defer slot.Release(i.cls.Env)
 	wrid := i.wrID()
 	p.Work(i.cfg.NICDoorbell)
 	err := i.node.NIC.PostSend(p.Now(), qp, rnic.WR{
@@ -486,8 +484,8 @@ func (i *Instance) rawRead(p *simtime.Proc, node int, pa hostmem.PAddr, buf []by
 	}
 	i.qos.throttle(p, pri, int64(len(buf)))
 	start := p.Now()
-	qp, _, release := i.pickQP(p, node, pri)
-	defer release()
+	qp, _, slot := i.pickQP(p, node, pri)
+	defer slot.Release(i.cls.Env)
 	wrid := i.wrID()
 	p.Work(i.cfg.NICDoorbell)
 	err := i.node.NIC.PostSend(p.Now(), qp, rnic.WR{

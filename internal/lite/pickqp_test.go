@@ -57,8 +57,8 @@ func TestPickQPHWSepPartition(t *testing.T) {
 			if next()%2 == 0 {
 				pri = PriLow
 			}
-			_, k, release := inst.pickQP(p, 1, pri)
-			release()
+			_, k, slot := inst.pickQP(p, 1, pri)
+			slot.Release(p.Env())
 			if pri == PriHigh && k >= split {
 				t.Fatalf("high-priority pick landed on reserved low QP %d", k)
 			}
@@ -86,9 +86,9 @@ func TestPickQPRoundRobinAcrossConcurrentSenders(t *testing.T) {
 			// interleave instead of running back to back.
 			p.Sleep(simtime.Time(w * 50))
 			for i := 0; i < picks; i++ {
-				_, k, release := inst.pickQP(p, 1, PriHigh)
+				_, k, slot := inst.pickQP(p, 1, PriHigh)
 				counts[k]++
-				release()
+				slot.Release(p.Env())
 				p.Sleep(simtime.Time(100 + w))
 			}
 		})
@@ -133,17 +133,16 @@ func TestPickQPSlotsRecycled(t *testing.T) {
 		}
 	})
 	run(t, cls)
-	for node, slots := range dep.Instance(0).qpSlots {
-		for k, s := range slots {
-			held := qpDepth - s.Available()
+	for node, sigs := range dep.Instance(0).qpSig {
+		for k, sig := range sigs {
+			held := qpDepth - sig.slot.Available()
 			inflight := 0
-			sig := dep.Instance(0).qpSig[node][k]
 			for _, b := range sig.inflight {
-				inflight += len(b.releases)
+				inflight += b.slots
 			}
-			if held != len(sig.pending)+inflight {
+			if held != sig.pending+inflight {
 				t.Errorf("QP %d->%d[%d]: %d slots held, %d accounted (pending %d, inflight %d)",
-					0, node, k, held, len(sig.pending)+inflight, len(sig.pending), inflight)
+					0, node, k, held, sig.pending+inflight, sig.pending, inflight)
 			}
 		}
 	}

@@ -41,12 +41,11 @@ func doorbells(cls *cluster.Cluster) (n int64) {
 // heldSlots returns the send-queue slots currently taken on inst's QPs
 // to dst, and how many of them lazy signaling accounts for.
 func heldSlots(inst *Instance, dst int) (held, lazy int) {
-	for k, s := range inst.qpSlots[dst] {
-		held += qpDepth - s.Available()
-		sig := inst.qpSig[dst][k]
-		lazy += len(sig.pending)
+	for _, sig := range inst.qpSig[dst] {
+		held += qpDepth - sig.slot.Available()
+		lazy += sig.pending
 		for _, b := range sig.inflight {
-			lazy += len(b.releases)
+			lazy += b.slots
 		}
 	}
 	return held, lazy

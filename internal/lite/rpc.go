@@ -649,14 +649,10 @@ func (i *Instance) wantInline(n int64) bool {
 // blocking. Stops at the first batch still outstanding.
 func (i *Instance) reapQP(p *simtime.Proc, sig *qpSigState) {
 	for len(sig.inflight) > 0 {
-		b := sig.inflight[0]
-		if _, ok := i.sendDisp.TryClaim(p, b.wrid); !ok {
+		if _, ok := i.sendDisp.TryClaim(p, sig.inflight[0].wrid); !ok {
 			return
 		}
-		sig.inflight = sig.inflight[1:]
-		for _, rel := range b.releases {
-			rel()
-		}
+		sig.free(i.cls.Env, sig.popInflight().slots)
 	}
 }
 
@@ -667,18 +663,17 @@ func (i *Instance) reapQP(p *simtime.Proc, sig *qpSigState) {
 // so a destination that is timing out cannot starve posts to healthy
 // ones. Exactly one waiter reaps at a time; contenders park on the
 // QP's cond.
-func (i *Instance) acquireShared(p *simtime.Proc, dst int, pri Priority) (*rnic.QP, int, *qpSigState, func()) {
+func (i *Instance) acquireShared(p *simtime.Proc, dst int, pri Priority) (*rnic.QP, int, *qpSigState) {
 	lo, hi := i.qos.qpRange(pri, len(i.qps[dst]))
 	k := lo + i.nextQP[dst]%(hi-lo)
 	i.nextQP[dst]++
 	qp := i.qps[dst][k]
-	slot := i.qpSlots[dst][k]
 	sig := i.qpSig[dst][k]
-	env := i.cls.Env
+	slot := sig.slot
 	for {
 		i.reapQP(p, sig)
 		if slot.TryAcquire(p) {
-			return qp, k, sig, func() { slot.Release(env) }
+			return qp, k, sig
 		}
 		if sig.reaping {
 			sig.cond.Wait(p)
@@ -689,7 +684,7 @@ func (i *Instance) acquireShared(p *simtime.Proc, dst int, pri Priority) (*rnic.
 			// holders file or release them when their PostSendList
 			// returns); just wait for a permit.
 			slot.Acquire(p)
-			return qp, k, sig, func() { slot.Release(env) }
+			return qp, k, sig
 		}
 		i.reapOldest(p, sig)
 	}
@@ -700,12 +695,9 @@ func (i *Instance) acquireShared(p *simtime.Proc, dst int, pri Priority) (*rnic.
 // and that nobody else is reaping.
 func (i *Instance) reapOldest(p *simtime.Proc, sig *qpSigState) {
 	sig.reaping = true
-	b := sig.inflight[0]
-	sig.inflight = sig.inflight[1:]
+	b := sig.popInflight()
 	i.sendDisp.WaitQuiet(p, b.wrid)
-	for _, rel := range b.releases {
-		rel()
-	}
+	sig.free(i.cls.Env, b.slots)
 	sig.reaping = false
 	sig.cond.Broadcast(i.cls.Env)
 }
@@ -719,7 +711,7 @@ func (i *Instance) reapOldest(p *simtime.Proc, sig *qpSigState) {
 // qpDepth: a sender is never more than one signaled completion away
 // from free slots.
 func (i *Instance) postShared(p *simtime.Proc, dst int, pri Priority, wrs []rnic.WR) error {
-	qp, k, sig, release := i.acquireShared(p, dst, pri)
+	qp, _, sig := i.acquireShared(p, dst, pri)
 	// The signaling decision must be made AND published in sig.count
 	// before PostSendList parks to pay the posting cost. Concurrent
 	// posters on the same QP would otherwise all read the
@@ -739,24 +731,24 @@ func (i *Instance) postShared(p *simtime.Proc, dst int, pri Priority, wrs []rnic
 	}
 	err := i.ctx.PostSendList(p, qp, wrs)
 	if err != nil {
-		release()
+		sig.slot.Release(i.cls.Env)
 		return err
 	}
-	sig.pending = append(sig.pending, release)
+	sig.pending++
 	if signaled {
-		// The batch takes every release currently deferred on this QP.
-		// Releases of posts that raced in after this WR was decided may
-		// ride along and free their slot on this completion — a slightly
-		// early reclaim of the simulated slot budget, never a leak.
-		sig.inflight = append(sig.inflight, reclaimBatch{wrid: wrs[len(wrs)-1].WRID, releases: sig.pending})
-		sig.pending = nil
+		// The batch takes every slot currently deferred on this QP.
+		// Slots of posts that raced in after this WR was decided may
+		// ride along and be freed on this completion — a slightly early
+		// reclaim of the simulated slot budget, never a leak.
+		sig.inflight = append(sig.inflight, reclaimBatch{wrid: wrs[len(wrs)-1].WRID, slots: sig.pending})
+		sig.pending = 0
 	}
 	// Lazy reclaim counts on a later poster to reap. Senders that found
 	// the queue full while its holders were still posting are parked on
 	// the slot semaphore, not in the reap loop, so when a burst is not
 	// followed by another post nobody would ever free their slots: a
 	// poster that leaves the queue exhausted reaps before it goes.
-	for slot := i.qpSlots[dst][k]; slot.Available() == 0 && len(sig.inflight) > 0 && !sig.reaping; {
+	for sig.slot.Available() == 0 && len(sig.inflight) > 0 && !sig.reaping {
 		i.reapOldest(p, sig)
 	}
 	return nil

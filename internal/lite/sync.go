@@ -27,8 +27,8 @@ func (i *Instance) rawAtomic(p *simtime.Proc, node int, pa hostmem.PAddr, wr rni
 		binary.LittleEndian.PutUint64(b[:], wr.AtomicNext(old))
 		return old, i.node.Mem.Write(pa, b[:])
 	}
-	qp, _, release := i.pickQP(p, node, pri)
-	defer release()
+	qp, _, slot := i.pickQP(p, node, pri)
+	defer slot.Release(i.cls.Env)
 	var result uint64
 	var buf [8]byte
 	wr.WRID = i.wrID()

@@ -3,14 +3,15 @@ package rnic
 import (
 	"testing"
 
+	"lite/internal/allocbudget"
 	"lite/internal/simtime"
 )
 
 // benchmarkPostSend measures the host-side (wall-clock) allocation
-// cost of posting one signaled write and reaping its CQE. Inline posts
-// copy the payload into the WQE snapshot at post time; the point of
-// the benchmark is that neither path allocates per-operation beyond
-// that snapshot. Run with:
+// cost of posting one signaled write and reaping its CQE. The payload
+// snapshot comes from the registry's pool and every deferred step is a
+// pooled record, so neither path allocates per operation
+// (TestPostSendAllocBudget pins that). Run with:
 //
 //	go test -bench=PostSend -benchmem ./internal/rnic/
 func benchmarkPostSend(b *testing.B, inline bool) {
@@ -43,3 +44,37 @@ func benchmarkPostSend(b *testing.B, inline bool) {
 
 func BenchmarkPostSendInline(b *testing.B) { benchmarkPostSend(b, true) }
 func BenchmarkPostSendDMA(b *testing.B)    { benchmarkPostSend(b, false) }
+
+// TestPostSendAllocBudget pins the steady state of benchmarkPostSend:
+// posting a signaled 64 B write and reaping its completion allocates
+// nothing, inline or not.
+func TestPostSendAllocBudget(t *testing.T) {
+	allocbudget.SkipUnderRace(t)
+	for _, inline := range []bool{true, false} {
+		c := newCluster(t, 2)
+		src := c.physMR(t, 0, 4096, allPerm)
+		dst := c.physMR(t, 1, 4096, allPerm)
+		qa, _ := c.rcPair(0, 1)
+		c.env.Go("poster", func(p *simtime.Proc) {
+			wr := WR{
+				Kind: OpWrite, Signaled: true, Inline: inline,
+				LocalMR: src, Len: 64, RemoteKey: dst.Key(),
+			}
+			post := func() {
+				wr.WRID++
+				if err := c.nic[0].PostSend(p.Now(), qa, wr); err != nil {
+					t.Fatal(err)
+				}
+				qa.SendCQ().Poll(p)
+			}
+			// Warm the caches, the pools and one lap of the event wheel.
+			for i := 0; i < 2000; i++ {
+				post()
+			}
+			if allocs := testing.AllocsPerRun(2000, post); allocs > 0 {
+				t.Errorf("inline=%v: %.0f allocations per post, want 0", inline, allocs)
+			}
+		})
+		c.run(t)
+	}
+}

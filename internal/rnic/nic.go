@@ -18,6 +18,9 @@ type Registry struct {
 	cfg  *params.Config
 	fab  *fabric.Fabric
 	nics map[int]*NIC
+
+	// bufs recycles the payload buffers of in-flight operations (pool.go).
+	bufs bufPool
 }
 
 // NewRegistry returns an empty NIC registry over the given fabric.
@@ -101,6 +104,12 @@ type NIC struct {
 	// obs, when non-nil, receives the NIC's counters (cache hits and
 	// misses, RC timeouts, RNR exhaustion) and pipeline spans.
 	obs *obs.Registry
+
+	// Free lists of the event records this NIC's requests schedule.
+	pushes  freeList[cqPush]
+	commits freeList[commit]
+	imms    freeList[immDelivery]
+	reads   freeList[readOp]
 }
 
 // Node returns the node id this NIC is installed at.

@@ -17,7 +17,7 @@ func (n *NIC) PostSend(at simtime.Time, qp *QP, wr WR) error {
 		return err
 	}
 	n.Doorbells++
-	n.dispatch(at, qp, wr)
+	n.dispatch(at, qp, &wr)
 	return nil
 }
 
@@ -42,14 +42,16 @@ func (n *NIC) PostSendList(at simtime.Time, qp *QP, wrs []WR) error {
 	n.Doorbells++
 	qp.chain.begin()
 	for k := range wrs {
-		n.dispatch(at, qp, wrs[k])
+		n.dispatch(at, qp, &wrs[k])
 	}
 	qp.chain.on = false
 	return nil
 }
 
 // dispatch routes one validated work request into the NIC pipelines.
-func (n *NIC) dispatch(at simtime.Time, qp *QP, wr WR) {
+// Nothing downstream keeps wr: every deferred step is a record holding
+// only the fields it reads.
+func (n *NIC) dispatch(at simtime.Time, qp *QP, wr *WR) {
 	n.OpsPosted++
 	if wr.Inline {
 		n.obs.Add("rnic.inline_wqes", 1)
@@ -123,7 +125,7 @@ func (n *NIC) validate(qp *QP, wr *WR) error {
 // and for inline WQEs (the payload arrived with the doorbell, so the
 // NIC never touches the host buffer), key+PTE costs for registered
 // regions.
-func (n *NIC) localCost(wr WR) simtime.Time {
+func (n *NIC) localCost(wr *WR) simtime.Time {
 	if wr.Inline || wr.LocalBuf != nil || wr.LocalMR == nil || wr.Len == 0 {
 		return 0
 	}
@@ -135,7 +137,7 @@ func (n *NIC) localCost(wr WR) simtime.Time {
 // Inline WQEs process faster (no WQE fetch from the host send queue)
 // and skip the DMA stage entirely, so t1 == t2 and no tx_dma span is
 // ever recorded for them.
-func (n *NIC) txSchedule(at simtime.Time, qp *QP, wr WR) (t1, t2 simtime.Time) {
+func (n *NIC) txSchedule(at simtime.Time, qp *QP, wr *WR) (t1, t2 simtime.Time) {
 	cfg := n.cfg()
 	proc := cfg.NICProcess
 	if wr.Inline {
@@ -149,8 +151,8 @@ func (n *NIC) txSchedule(at simtime.Time, qp *QP, wr WR) (t1, t2 simtime.Time) {
 }
 
 // writeLocal scatters result bytes into a request's local buffer. It
-// takes the three local fields, not the WR, so a completion callback
-// captures those and the ~200-byte request stays off the heap.
+// takes the three local fields, not the WR, so a deferred step holds
+// those and the ~200-byte request stays off the heap.
 func writeLocal(buf []byte, mr *MR, off int64, data []byte) {
 	if buf != nil {
 		copy(buf, data)
@@ -166,8 +168,40 @@ func (n *NIC) cfg() *params.Config      { return n.reg.cfg }
 func (n *NIC) peer(node int) *NIC       { return n.reg.nics[node] }
 func (n *NIC) ackProcess() simtime.Time { return n.cfg().NICProcess / 2 }
 
+// wrRef is what a work request's send completion reports, and so all
+// a deferred completion needs of it.
+type wrRef struct {
+	id       uint64
+	kind     OpKind
+	len      int64
+	signaled bool
+}
+
+func refOf(wr *WR) wrRef { return wrRef{wr.WRID, wr.Kind, wr.Len, wr.Signaled} }
+
+// cqPush is the deferred push of one completion (a send completion or
+// a nack's error).
+type cqPush struct {
+	n   *NIC
+	cq  *CQ
+	cqe CQE
+}
+
+func (r *cqPush) Fire(e *simtime.Env) {
+	cq, cqe := r.cq, r.cqe
+	r.n.pushes.put(r)
+	cq.Push(e, cqe)
+}
+
+// pushAt pushes cqe onto cq at time t.
+func (n *NIC) pushAt(t simtime.Time, cq *CQ, cqe CQE) {
+	r := n.pushes.get()
+	*r = cqPush{n: n, cq: cq, cqe: cqe}
+	n.env().Schedule(t, r)
+}
+
 // completeSend pushes a send-side completion at time t if requested.
-func (n *NIC) completeSend(t simtime.Time, qp *QP, wr WR, st Status) {
+func (n *NIC) completeSend(t simtime.Time, qp *QP, ref wrRef, st Status) {
 	// Failure accounting happens regardless of signaling, so chaos
 	// runs can report losses that produced no visible completion.
 	switch st {
@@ -176,72 +210,89 @@ func (n *NIC) completeSend(t simtime.Time, qp *QP, wr WR, st Status) {
 	case StatusRNRExceeded:
 		n.obs.Add("rnic.rnr_exhausted", 1)
 	}
-	if !wr.Signaled {
+	if !ref.signaled {
 		return
 	}
-	cqe := CQE{WRID: wr.WRID, QPN: qp.qpn, Kind: wr.Kind, Status: st, Len: wr.Len}
-	n.env().At(t, func(e *simtime.Env) { qp.sendCQ.Push(e, cqe) })
+	n.pushAt(t, qp.sendCQ, CQE{WRID: ref.id, QPN: qp.qpn, Kind: ref.kind, Status: st, Len: ref.len})
 }
 
 // failAfterTimeout completes the request in error after the RC
 // transport timeout. Used when the destination is unreachable.
-func (n *NIC) failAfterTimeout(at simtime.Time, qp *QP, wr WR) {
+func (n *NIC) failAfterTimeout(at simtime.Time, qp *QP, ref wrRef) {
 	t := at + n.cfg().RCTimeout
 	if qp.chain.on {
-		t, _ = qp.chain.complete(t, wr.Signaled, StatusTimeout)
+		t, _ = qp.chain.complete(t, ref.signaled, StatusTimeout)
 	}
-	n.completeSend(t, qp, wr, StatusTimeout)
+	n.completeSend(t, qp, ref, StatusTimeout)
 }
 
-// snapshot reads the gather buffer at post time (the host buffer must
-// stay stable until completion, as with real RDMA).
-func snapshot(wr WR) []byte {
-	if wr.Len == 0 {
+// snapshot copies the gather buffer into a pooled payload buffer at
+// post time (the host buffer must stay stable until completion, as with
+// real RDMA). It returns nil for a zero-length request, one with no
+// gather buffer, or one whose buffer cannot be read.
+func (r *Registry) snapshot(wr *WR) []byte {
+	if wr.Len == 0 || wr.LocalBuf == nil && wr.LocalMR == nil {
 		return nil
 	}
-	buf := make([]byte, wr.Len)
+	buf := r.bufs.get(wr.Len)
 	if wr.LocalBuf != nil {
 		copy(buf, wr.LocalBuf[:wr.Len])
 		return buf
 	}
-	if wr.LocalMR == nil {
-		return nil
-	}
 	if err := wr.LocalMR.ReadAt(wr.LocalOff, buf); err != nil {
+		r.bufs.put(buf)
 		return nil
 	}
 	return buf
 }
 
+// commit is a write's remote commit: the responder's DMA stores the
+// payload.
+type commit struct {
+	n       *NIC
+	rn      *NIC
+	rmr     *MR
+	off     int64
+	payload []byte
+}
+
+func (c *commit) Fire(*simtime.Env) {
+	c.rn.OpsDeliverd++
+	_ = c.rmr.WriteAt(c.off, c.payload)
+	n := c.n
+	n.reg.bufs.put(c.payload)
+	n.commits.put(c)
+}
+
 // postWrite implements one-sided RDMA write and write-with-immediate.
-func (n *NIC) postWrite(at simtime.Time, qp *QP, wr WR) {
+func (n *NIC) postWrite(at simtime.Time, qp *QP, wr *WR) {
 	cfg := n.cfg()
+	ref := refOf(wr)
 	t1, t2 := n.txSchedule(at, qp, wr)
-	payload := snapshot(wr)
 
 	dst := qp.remoteNode
 	t3, ok := n.reg.fab.ReservePath(t2, n.node, dst, wr.Len+int64(cfg.WireHeader))
 	rn := n.peer(dst)
 	if !ok || rn == nil {
-		n.failAfterTimeout(at, qp, wr)
+		n.failAfterTimeout(at, qp, ref)
 		return
 	}
 	rqp := rn.qps[qp.remoteQPN]
 	if rqp == nil {
-		n.failAfterTimeout(at, qp, wr)
+		n.failAfterTimeout(at, qp, ref)
 		return
 	}
 	rmr, found := rn.mrs[wr.RemoteKey]
 	if !found {
-		n.nack(t3, rn, qp, wr, StatusBadKey)
+		n.nack(t3, rn, qp, ref, StatusBadKey)
 		return
 	}
 	if rmr.perm&PermWrite == 0 {
-		n.nack(t3, rn, qp, wr, StatusAccessError)
+		n.nack(t3, rn, qp, ref, StatusAccessError)
 		return
 	}
 	if rmr.checkRange(wr.RemoteOff, wr.Len) != nil {
-		n.nack(t3, rn, qp, wr, StatusLengthError)
+		n.nack(t3, rn, qp, ref, StatusLengthError)
 		return
 	}
 	t4 := rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN)+rn.mrAccessCost(rmr, wr.RemoteOff, wr.Len))
@@ -261,59 +312,77 @@ func (n *NIC) postWrite(at simtime.Time, qp *QP, wr WR) {
 		rn.obs.AddSpan(t4, t5, "rnic.rx_dma", wr.Trace)
 	}
 
+	// The gather buffer is read at post time; taking the snapshot only
+	// once the request is known to reach the responder reads the same
+	// bytes, since nothing runs in between.
+	payload := n.reg.snapshot(wr)
 	if wr.Kind == OpWriteImm {
 		// The immediate consumes a posted receive at the target; retry
 		// on receiver-not-ready, failing after RNRRetryMax attempts.
-		n.deliverImm(t5, rn, rqp, qp, wr, payload, rmr, 0)
+		d := n.imms.get()
+		*d = immDelivery{n: n, rn: rn, rqp: rqp, qp: qp, rmr: rmr, ref: ref, off: wr.RemoteOff, imm: wr.Imm, payload: payload}
+		n.env().Schedule(t5, d)
 		return
 	}
-	n.env().At(t5, func(*simtime.Env) {
-		rn.OpsDeliverd++
-		_ = rmr.WriteAt(wr.RemoteOff, payload)
-	})
-	n.ackBack(t5, dst, qp, wr, StatusOK)
+	c := n.commits.get()
+	*c = commit{n: n, rn: rn, rmr: rmr, off: wr.RemoteOff, payload: payload}
+	n.env().Schedule(t5, c)
+	n.ackBack(t5, dst, qp, ref, StatusOK)
 }
 
-// deliverImm commits a write-imm at the target: writes the payload,
+// immDelivery commits a write-imm at the target: it writes the payload,
 // consumes one posted receive for the immediate, and pushes a receive
-// completion. On receiver-not-ready it retries.
-func (n *NIC) deliverImm(t simtime.Time, rn *NIC, rqp *QP, qp *QP, wr WR, payload []byte, rmr *MR, attempt int) {
-	cfg := n.cfg()
-	n.env().At(t, func(e *simtime.Env) {
-		if _, ok := rqp.popRecv(); !ok {
-			if attempt >= cfg.RNRRetryMax {
-				n.completeSend(e.Now(), qp, wr, StatusRNRExceeded)
-				return
-			}
-			n.deliverImm(e.Now()+cfg.RNRRetryDelay, rn, rqp, qp, wr, payload, rmr, attempt+1)
+// completion. On receiver-not-ready it reschedules itself, and reports
+// RNR exhaustion after RNRRetryMax retries.
+type immDelivery struct {
+	n, rn   *NIC
+	rqp, qp *QP
+	rmr     *MR
+	ref     wrRef
+	off     int64
+	imm     uint32
+	payload []byte
+	attempt int
+}
+
+func (d *immDelivery) Fire(e *simtime.Env) {
+	n, cfg := d.n, d.n.cfg()
+	if _, ok := d.rqp.popRecv(); !ok {
+		if d.attempt < cfg.RNRRetryMax {
+			d.attempt++
+			e.Schedule(e.Now()+cfg.RNRRetryDelay, d)
 			return
 		}
-		rn.OpsDeliverd++
-		if len(payload) > 0 {
-			_ = rmr.WriteAt(wr.RemoteOff, payload)
+		n.completeSend(e.Now(), d.qp, d.ref, StatusRNRExceeded)
+	} else {
+		d.rn.OpsDeliverd++
+		if len(d.payload) > 0 {
+			_ = d.rmr.WriteAt(d.off, d.payload)
 		}
-		rqp.recvCQ.Push(e, CQE{
-			QPN:     rqp.qpn,
+		d.rqp.recvCQ.Push(e, CQE{
+			QPN:     d.rqp.qpn,
 			Kind:    OpWriteImm,
 			Status:  StatusOK,
-			Imm:     wr.Imm,
+			Imm:     d.imm,
 			HasImm:  true,
-			Len:     wr.Len,
+			Len:     d.ref.len,
 			SrcNode: n.node,
-			SrcQPN:  qp.qpn,
+			SrcQPN:  d.qp.qpn,
 		})
-		n.ackBack(e.Now(), rn.node, qp, wr, StatusOK)
-	})
+		n.ackBack(e.Now(), d.rn.node, d.qp, d.ref, StatusOK)
+	}
+	n.reg.bufs.put(d.payload)
+	n.imms.put(d)
 }
 
 // nack completes the request in error after a negative ack round trip.
-func (n *NIC) nack(t simtime.Time, rn *NIC, qp *QP, wr WR, st Status) {
+func (n *NIC) nack(t simtime.Time, rn *NIC, qp *QP, ref wrRef, st Status) {
 	// Error detected at remote rx pipeline; small processing then nack.
 	cfg := n.cfg()
 	t4 := rn.rxPipe.Reserve(t, cfg.NICProcess)
 	back, ok := n.reg.fab.ReservePath(t4, rn.node, n.node, int64(cfg.AckBytes))
 	if !ok {
-		n.failAfterTimeout(t, qp, wr)
+		n.failAfterTimeout(t, qp, ref)
 		return
 	}
 	t6 := n.rxPipe.Reserve(back, n.ackProcess())
@@ -321,45 +390,89 @@ func (n *NIC) nack(t simtime.Time, rn *NIC, qp *QP, wr WR, st Status) {
 		t6 = notBefore(&qp.chain.done, t6)
 	}
 	// Errors are always reported, signaled or not.
-	cqe := CQE{WRID: wr.WRID, QPN: qp.qpn, Kind: wr.Kind, Status: st, Len: wr.Len}
-	n.env().At(t6, func(e *simtime.Env) { qp.sendCQ.Push(e, cqe) })
+	n.pushAt(t6, qp.sendCQ, CQE{WRID: ref.id, QPN: qp.qpn, Kind: ref.kind, Status: st, Len: ref.len})
 }
 
 // ackBack schedules the RC acknowledgment and the sender completion.
-func (n *NIC) ackBack(t simtime.Time, dst int, qp *QP, wr WR, st Status) {
+func (n *NIC) ackBack(t simtime.Time, dst int, qp *QP, ref wrRef, st Status) {
 	cfg := n.cfg()
 	back, ok := n.reg.fab.ReservePath(t, dst, n.node, int64(cfg.AckBytes))
 	if !ok {
-		n.failAfterTimeout(t, qp, wr)
+		n.failAfterTimeout(t, qp, ref)
 		return
 	}
 	t6 := n.rxPipe.Reserve(back, n.ackProcess())
-	n.completeSend(t6, qp, wr, st)
+	n.completeSend(t6, qp, ref, st)
+}
+
+// readOp is an RDMA read's two deferred steps. It first fires at the
+// responder's DMA instant and snapshots the remote bytes into a pooled
+// buffer; it fires again at the requester's DMA instant and scatters
+// them into the local buffer, which returns the payload buffer.
+type readOp struct {
+	n, rn *NIC
+	rmr   *MR
+	roff  int64
+	len   int64
+	data  []byte
+
+	// The scatter target. lost marks a read whose response never comes
+	// back, so the snapshot step is its last.
+	buf     []byte
+	mr      *MR
+	off     int64
+	lost    bool
+	snapped bool
+}
+
+func (r *readOp) Fire(*simtime.Env) {
+	n := r.n
+	if !r.snapped {
+		r.snapped = true
+		r.rn.OpsDeliverd++
+		if r.lost {
+			n.reads.put(r)
+			return
+		}
+		if r.len > 0 {
+			r.data = n.reg.bufs.get(r.len)
+			if r.rmr.ReadAt(r.roff, r.data) != nil {
+				// The DMA delivers zeros, never a pooled buffer's
+				// leftovers.
+				clear(r.data)
+			}
+		}
+		return
+	}
+	writeLocal(r.buf, r.mr, r.off, r.data)
+	n.reg.bufs.put(r.data)
+	n.reads.put(r)
 }
 
 // postRead implements one-sided RDMA read.
-func (n *NIC) postRead(at simtime.Time, qp *QP, wr WR) {
+func (n *NIC) postRead(at simtime.Time, qp *QP, wr *WR) {
 	cfg := n.cfg()
+	ref := refOf(wr)
 	t1 := n.txPipe.Reserve(at, cfg.NICProcess+n.qpCost(qp.qpn)+n.localCost(wr))
 
 	dst := qp.remoteNode
 	t3, ok := n.reg.fab.ReservePath(t1, n.node, dst, int64(cfg.WireHeader))
 	rn := n.peer(dst)
 	if !ok || rn == nil || rn.qps[qp.remoteQPN] == nil {
-		n.failAfterTimeout(at, qp, wr)
+		n.failAfterTimeout(at, qp, ref)
 		return
 	}
 	rmr, found := rn.mrs[wr.RemoteKey]
 	if !found {
-		n.nack(t3, rn, qp, wr, StatusBadKey)
+		n.nack(t3, rn, qp, ref, StatusBadKey)
 		return
 	}
 	if rmr.perm&PermRead == 0 {
-		n.nack(t3, rn, qp, wr, StatusAccessError)
+		n.nack(t3, rn, qp, ref, StatusAccessError)
 		return
 	}
 	if rmr.checkRange(wr.RemoteOff, wr.Len) != nil {
-		n.nack(t3, rn, qp, wr, StatusLengthError)
+		n.nack(t3, rn, qp, ref, StatusLengthError)
 		return
 	}
 	t4 := rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN)+rn.mrAccessCost(rmr, wr.RemoteOff, wr.Len))
@@ -369,16 +482,14 @@ func (n *NIC) postRead(at simtime.Time, qp *QP, wr WR) {
 	}
 
 	// Snapshot the remote bytes at the instant the remote DMA reads them.
-	data := make([]byte, wr.Len)
-	remoteOff := wr.RemoteOff
-	n.env().At(t5, func(*simtime.Env) {
-		rn.OpsDeliverd++
-		_ = rmr.ReadAt(remoteOff, data)
-	})
+	r := n.reads.get()
+	*r = readOp{n: n, rn: rn, rmr: rmr, roff: wr.RemoteOff, len: wr.Len}
+	n.env().Schedule(t5, r)
 
 	back, ok := n.reg.fab.ReservePath(t5, dst, n.node, wr.Len+int64(cfg.WireHeader))
 	if !ok {
-		n.failAfterTimeout(t5, qp, wr)
+		r.lost = true
+		n.failAfterTimeout(t5, qp, ref)
 		return
 	}
 	t7 := n.rxPipe.Reserve(back, cfg.NICProcess)
@@ -392,88 +503,90 @@ func (n *NIC) postRead(at simtime.Time, qp *QP, wr WR) {
 		n.obs.AddSpan(back, t7, "rnic.rx", wr.Trace)
 		n.obs.AddSpan(t7, t8, "rnic.rx_dma", wr.Trace)
 	}
-	buf, mr, off := wr.LocalBuf, wr.LocalMR, wr.LocalOff
-	n.env().At(t8, func(*simtime.Env) { writeLocal(buf, mr, off, data) })
+	r.buf, r.mr, r.off = wr.LocalBuf, wr.LocalMR, wr.LocalOff
+	n.env().Schedule(t8, r)
 	st := StatusOK
 	if qp.chain.on {
 		t8, st = qp.chain.complete(t8, wr.Signaled, st)
 	}
-	n.completeSend(t8, qp, wr, st)
+	n.completeSend(t8, qp, ref, st)
 }
 
 // postSendRC implements two-sided send on a reliable connection.
-func (n *NIC) postSendRC(at simtime.Time, qp *QP, wr WR) {
+func (n *NIC) postSendRC(at simtime.Time, qp *QP, wr *WR) {
 	cfg := n.cfg()
+	ref := refOf(wr)
 	_, t2 := n.txSchedule(at, qp, wr)
-	payload := snapshot(wr)
 
 	dst := qp.remoteNode
 	t3, ok := n.reg.fab.ReservePath(t2, n.node, dst, wr.Len+int64(cfg.WireHeader))
 	rn := n.peer(dst)
 	if !ok || rn == nil {
-		n.failAfterTimeout(at, qp, wr)
+		n.failAfterTimeout(at, qp, ref)
 		return
 	}
 	rqp := rn.qps[qp.remoteQPN]
 	if rqp == nil {
-		n.failAfterTimeout(at, qp, wr)
+		n.failAfterTimeout(at, qp, ref)
 		return
 	}
 	t4 := rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN))
-	n.deliverSend(t4, rn, rqp, qp, wr, payload, 0)
+	n.deliverSend(t4, rn, rqp, qp, ref, n.reg.snapshot(wr), 0)
 }
 
 // deliverSend commits a two-sided send into a posted receive buffer,
 // retrying on receiver-not-ready.
-func (n *NIC) deliverSend(t simtime.Time, rn *NIC, rqp *QP, qp *QP, wr WR, payload []byte, attempt int) {
+func (n *NIC) deliverSend(t simtime.Time, rn *NIC, rqp *QP, qp *QP, ref wrRef, payload []byte, attempt int) {
 	cfg := n.cfg()
 	n.env().At(t, func(e *simtime.Env) {
 		recv, ok := rqp.popRecv()
 		if !ok {
 			if attempt >= cfg.RNRRetryMax {
-				n.completeSend(e.Now(), qp, wr, StatusRNRExceeded)
+				n.reg.bufs.put(payload)
+				n.completeSend(e.Now(), qp, ref, StatusRNRExceeded)
 				return
 			}
-			n.deliverSend(e.Now()+cfg.RNRRetryDelay, rn, rqp, qp, wr, payload, attempt+1)
+			n.deliverSend(e.Now()+cfg.RNRRetryDelay, rn, rqp, qp, ref, payload, attempt+1)
 			return
 		}
-		if recv.Len < wr.Len {
+		if recv.Len < ref.len {
 			// Message does not fit the posted buffer.
+			n.reg.bufs.put(payload)
 			rqp.recvCQ.Push(e, CQE{QPN: rqp.qpn, Kind: OpRecv, Status: StatusLengthError,
 				SrcNode: n.node, SrcQPN: qp.qpn, RecvWRID: recv.WRID})
-			n.ackBack(e.Now(), rn.node, qp, wr, StatusLengthError)
+			n.ackBack(e.Now(), rn.node, qp, ref, StatusLengthError)
 			return
 		}
 		// Receive-side DMA and translation of the receive buffer.
-		cost := rn.mrAccessCost(recv.MR, recv.Off, wr.Len)
+		cost := rn.mrAccessCost(recv.MR, recv.Off, ref.len)
 		t5 := rn.rxPipe.Reserve(e.Now(), cost)
-		t6 := rn.dma.Reserve(t5, params.TransferTime(wr.Len, cfg.DMABandwidth))
+		t6 := rn.dma.Reserve(t5, params.TransferTime(ref.len, cfg.DMABandwidth))
 		e.At(t6, func(e2 *simtime.Env) {
 			rn.OpsDeliverd++
 			_ = recv.MR.WriteAt(recv.Off, payload)
+			n.reg.bufs.put(payload)
 			rqp.recvCQ.Push(e2, CQE{
 				QPN:      rqp.qpn,
 				Kind:     OpRecv,
 				Status:   StatusOK,
-				Len:      wr.Len,
+				Len:      ref.len,
 				SrcNode:  n.node,
 				SrcQPN:   qp.qpn,
 				RecvWRID: recv.WRID,
 			})
 		})
-		n.ackBack(t6, rn.node, qp, wr, StatusOK)
+		n.ackBack(t6, rn.node, qp, ref, StatusOK)
 	})
 }
 
 // postSendUD implements unreliable datagram send: fire and forget,
 // dropped silently if the destination has no posted receive.
-func (n *NIC) postSendUD(at simtime.Time, qp *QP, wr WR) {
+func (n *NIC) postSendUD(at simtime.Time, qp *QP, wr *WR) {
 	cfg := n.cfg()
 	_, t2 := n.txSchedule(at, qp, wr)
-	payload := snapshot(wr)
 
 	// UD completes locally as soon as the datagram leaves the NIC.
-	n.completeSend(t2, qp, wr, StatusOK)
+	n.completeSend(t2, qp, refOf(wr), StatusOK)
 
 	t3, ok := n.reg.fab.ReservePath(t2, n.node, wr.DestNode, wr.Len+int64(cfg.UDHeader))
 	rn := n.peer(wr.DestNode)
@@ -485,23 +598,26 @@ func (n *NIC) postSendUD(at simtime.Time, qp *QP, wr WR) {
 		return
 	}
 	t4 := rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(wr.DestQPN))
-	srcNode, srcQPN := n.node, qp.qpn
+	srcNode, srcQPN, length := n.node, qp.qpn, wr.Len
+	payload := n.reg.snapshot(wr)
 	n.env().At(t4, func(e *simtime.Env) {
 		recv, ok := rqp.popRecv()
-		if !ok || recv.Len < wr.Len {
+		if !ok || recv.Len < length {
 			rqp.drops++
+			n.reg.bufs.put(payload)
 			return
 		}
-		t5 := rn.rxPipe.Reserve(e.Now(), rn.mrAccessCost(recv.MR, recv.Off, wr.Len))
-		t6 := rn.dma.Reserve(t5, params.TransferTime(wr.Len, cfg.DMABandwidth))
+		t5 := rn.rxPipe.Reserve(e.Now(), rn.mrAccessCost(recv.MR, recv.Off, length))
+		t6 := rn.dma.Reserve(t5, params.TransferTime(length, cfg.DMABandwidth))
 		e.At(t6, func(e2 *simtime.Env) {
 			rn.OpsDeliverd++
 			_ = recv.MR.WriteAt(recv.Off, payload)
+			n.reg.bufs.put(payload)
 			rqp.recvCQ.Push(e2, CQE{
 				QPN:      rqp.qpn,
 				Kind:     OpRecv,
 				Status:   StatusOK,
-				Len:      wr.Len,
+				Len:      length,
 				SrcNode:  srcNode,
 				SrcQPN:   srcQPN,
 				RecvWRID: recv.WRID,
@@ -581,8 +697,9 @@ func (n *NIC) atomicObs(kind OpKind) {
 
 // postAtomic implements 8-byte masked atomics (fetch-add, cmp-swap and
 // their masked variants) executed at the remote NIC in arrival order.
-func (n *NIC) postAtomic(at simtime.Time, qp *QP, wr WR) {
+func (n *NIC) postAtomic(at simtime.Time, qp *QP, wr *WR) {
 	cfg := n.cfg()
+	ref := refOf(wr)
 	n.atomicObs(wr.Kind)
 	t1 := n.txPipe.Reserve(at, cfg.NICProcess+n.qpCost(qp.qpn)+n.localCost(wr))
 
@@ -590,20 +707,20 @@ func (n *NIC) postAtomic(at simtime.Time, qp *QP, wr WR) {
 	t3, ok := n.reg.fab.ReservePath(t1, n.node, dst, int64(cfg.WireHeader)+16)
 	rn := n.peer(dst)
 	if !ok || rn == nil || rn.qps[qp.remoteQPN] == nil {
-		n.failAfterTimeout(at, qp, wr)
+		n.failAfterTimeout(at, qp, ref)
 		return
 	}
 	rmr, found := rn.mrs[wr.RemoteKey]
 	if !found {
-		n.nack(t3, rn, qp, wr, StatusBadKey)
+		n.nack(t3, rn, qp, ref, StatusBadKey)
 		return
 	}
 	if rmr.perm&PermAtomic == 0 {
-		n.nack(t3, rn, qp, wr, StatusAccessError)
+		n.nack(t3, rn, qp, ref, StatusAccessError)
 		return
 	}
 	if rmr.checkRange(wr.RemoteOff, 8) != nil {
-		n.nack(t3, rn, qp, wr, StatusLengthError)
+		n.nack(t3, rn, qp, ref, StatusLengthError)
 		return
 	}
 	// The remote rx pipeline is the atomicity serialization point: two
@@ -613,19 +730,20 @@ func (n *NIC) postAtomic(at simtime.Time, qp *QP, wr WR) {
 	t4 := rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN)+rn.mrAccessCost(rmr, wr.RemoteOff, 8)+cfg.AtomicProcess)
 
 	var old uint64
+	op := *wr // the callback's copy; wr itself must not escape
 	n.env().At(t4, func(*simtime.Env) {
 		rn.OpsDeliverd++
 		rn.obs.Add("rnic.atomic.executed", 1)
 		var b [8]byte
-		_ = rmr.ReadAt(wr.RemoteOff, b[:])
+		_ = rmr.ReadAt(op.RemoteOff, b[:])
 		old = binary.LittleEndian.Uint64(b[:])
-		binary.LittleEndian.PutUint64(b[:], wr.AtomicNext(old))
-		_ = rmr.WriteAt(wr.RemoteOff, b[:])
+		binary.LittleEndian.PutUint64(b[:], op.AtomicNext(old))
+		_ = rmr.WriteAt(op.RemoteOff, b[:])
 	})
 
 	back, ok := n.reg.fab.ReservePath(t4, dst, n.node, int64(cfg.WireHeader)+8)
 	if !ok {
-		n.failAfterTimeout(t4, qp, wr)
+		n.failAfterTimeout(t4, qp, ref)
 		return
 	}
 	t6 := n.rxPipe.Reserve(back, n.ackProcess())
@@ -638,5 +756,5 @@ func (n *NIC) postAtomic(at simtime.Time, qp *QP, wr WR) {
 			*res = old
 		}
 	})
-	n.completeSend(t6, qp, wr, StatusOK)
+	n.completeSend(t6, qp, ref, StatusOK)
 }

@@ -10,6 +10,11 @@
 // DMA engine, all modeled as simtime resource servers. Memory regions
 // registered with physical addresses (the kernel-only path LITE
 // exploits) bypass the PTE cache entirely.
+//
+// On the host clock the datapath allocates nothing per operation once
+// warm: a payload lives in a pooled buffer for exactly as long as it is
+// in flight, and each deferred pipeline step is a pooled event record
+// holding only the fields it reads (pool.go states the lifetime rule).
 package rnic
 
 import (

@@ -39,7 +39,7 @@ import "math/bits"
 //     this, an overflow event could sort after a later-tick event
 //     subsequently inserted into L1.
 //
-// Events are stored by value (48 bytes + closure pointer); buckets,
+// Events are stored by value (56 bytes, the Action included); buckets,
 // the ring, and the heap all retain capacity across laps, so the
 // steady state allocates nothing per event.
 

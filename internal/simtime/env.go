@@ -35,6 +35,16 @@
 // switches and no trip through the Go scheduler: the parking coroutine
 // yields the worker to resume to Run's goroutine, which resumes it.
 //
+// # Callbacks
+//
+// Everything that is not a process wakeup is an Action: a value whose
+// Fire method runs in scheduler context at its instant. Schedule queues
+// one; At queues a plain func as an Action, a conversion that does not
+// allocate. Hot hardware paths (the NIC's commit, scatter and
+// completion steps) schedule pooled typed records instead of closures,
+// so a record holds only the fields its step reads and the steady state
+// allocates nothing per event. Both kinds share one dispatch path.
+//
 // A panic inside a process surfaces from Run, in Run's goroutine.
 package simtime
 
@@ -109,8 +119,23 @@ type event struct {
 	p      *Proc
 	gen    uint64
 	reason WakeReason
-	fn     func(*Env) // callback event: runs in scheduler context
+	act    Action // callback event: runs in scheduler context
 }
+
+// Action is a callback event: Fire runs at the scheduled instant, in
+// scheduler context while every process is parked. It may mutate shared
+// state and wake processes (for example via Cond.Signal), and schedule
+// further actions, including itself; it must not block.
+type Action interface {
+	Fire(*Env)
+}
+
+// funcAction adapts a plain func to Action. A func value fits the
+// interface word as it is, so the conversion allocates nothing.
+type funcAction func(*Env)
+
+// Fire calls f.
+func (f funcAction) Fire(e *Env) { f(e) }
 
 // NewEnv returns an empty simulation environment at virtual time zero.
 func NewEnv() *Env {
@@ -245,18 +270,20 @@ func (e *Env) wakeAt(t Time, p *Proc, gen uint64, reason WakeReason) {
 	e.q.push(e.now, event{t: t, seq: e.seq, p: p, gen: gen, reason: reason})
 }
 
-// At schedules fn to run at virtual time t (or now, if t is in the
-// past). The callback executes in scheduler context while every
-// process is parked: it may mutate shared state and wake processes
-// (for example via Cond.Signal), but it must not block. Callbacks are
-// used to model asynchronous hardware activity such as NIC delivery.
-func (e *Env) At(t Time, fn func(*Env)) {
+// Schedule queues a to fire at virtual time t (or now, if t is in the
+// past). Callbacks model asynchronous hardware activity such as NIC
+// delivery; see Action for what one may do.
+func (e *Env) Schedule(t Time, a Action) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	e.q.push(e.now, event{t: t, seq: e.seq, fn: fn})
+	e.q.push(e.now, event{t: t, seq: e.seq, act: a})
 }
+
+// At schedules fn to run at virtual time t (or now, if t is in the
+// past); it is Schedule with fn adapted to an Action.
+func (e *Env) At(t Time, fn func(*Env)) { e.Schedule(t, funcAction(fn)) }
 
 // After schedules fn to run d from now; see At.
 func (e *Env) After(d Time, fn func(*Env)) { e.At(e.now+d, fn) }
@@ -297,7 +324,7 @@ func (e *Env) sched() *worker {
 			e.err = e.deadlock()
 			return nil
 		}
-		if ev.fn != nil {
+		if ev.act != nil {
 			if e.limit > 0 && ev.t > e.limit {
 				return nil
 			}
@@ -305,7 +332,7 @@ func (e *Env) sched() *worker {
 				e.now = ev.t
 			}
 			e.events++
-			ev.fn(e)
+			ev.act.Fire(e)
 			continue
 		}
 		p := ev.p

@@ -8,11 +8,76 @@ type waiter struct {
 	gen uint64
 }
 
+// waitq is a FIFO of wait records. Popping advances head instead of
+// re-slicing the front away, and push compacts in place when the tail
+// is full, so a queue that keeps filling and draining reuses one
+// backing array instead of reallocating on the first append after
+// every pop.
+type waitq struct {
+	q    []waiter
+	head int
+}
+
+func (w *waitq) len() int { return len(w.q) - w.head }
+
+func (w *waitq) push(r waiter) {
+	if w.head > 0 && len(w.q) == cap(w.q) {
+		n := copy(w.q, w.q[w.head:])
+		clear(w.q[n:])
+		w.q = w.q[:n]
+		w.head = 0
+	}
+	w.q = append(w.q, r)
+}
+
+// popValid removes records oldest first (newest first if newest) until
+// one is still current, and returns it; ok is false once the queue is
+// empty. Stale records, whose process was woken by another source or
+// has finished, are dropped on the way.
+func (w *waitq) popValid(newest bool) (r waiter, ok bool) {
+	for w.len() > 0 {
+		if newest {
+			n := len(w.q) - 1
+			r = w.q[n]
+			w.q[n] = waiter{}
+			w.q = w.q[:n]
+		} else {
+			r = w.q[w.head]
+			w.q[w.head] = waiter{}
+			w.head++
+		}
+		if w.head == len(w.q) {
+			w.q = w.q[:0]
+			w.head = 0
+		}
+		if r.gen == r.p.gen && !r.p.done {
+			return r, true
+		}
+	}
+	return waiter{}, false
+}
+
+// remove drops the record r, if still queued.
+func (w *waitq) remove(r waiter) {
+	for k := w.head; k < len(w.q); k++ {
+		if w.q[k] == r {
+			n := copy(w.q[k:], w.q[k+1:])
+			w.q[k+n] = waiter{}
+			w.q = w.q[:k+n]
+			if w.head == len(w.q) {
+				w.q = w.q[:0]
+				w.head = 0
+			}
+			return
+		}
+	}
+}
+
 // Mutex is a virtual-time mutual-exclusion lock with FIFO handoff.
 // The zero value is an unlocked mutex.
 type Mutex struct {
 	owner *Proc
-	q     []waiter
+	q     waitq
 }
 
 // Lock acquires the mutex, blocking the process in FIFO order if it is
@@ -26,7 +91,7 @@ func (m *Mutex) Lock(p *Proc) {
 		panic("simtime: recursive Mutex.Lock by " + p.name)
 	}
 	gen := p.prepareWait()
-	m.q = append(m.q, waiter{p, gen})
+	m.q.push(waiter{p, gen})
 	p.park()
 	// Ownership was handed to us by Unlock before the wake event fired.
 }
@@ -46,15 +111,9 @@ func (m *Mutex) Unlock(p *Proc) {
 		panic("simtime: Mutex.Unlock by non-owner " + p.name)
 	}
 	m.owner = nil
-	for len(m.q) > 0 {
-		w := m.q[0]
-		m.q = m.q[1:]
-		if w.gen != w.p.gen || w.p.done {
-			continue
-		}
+	if w, ok := m.q.popValid(false); ok {
 		m.owner = w.p
 		p.env.wakeAt(p.env.now, w.p, w.gen, WakeSignal)
-		return
 	}
 }
 
@@ -65,13 +124,13 @@ func (m *Mutex) Locked() bool { return m.owner != nil }
 // not require an associated mutex: because only one process runs at a
 // time, checking the predicate and calling Wait is already atomic.
 type Cond struct {
-	q []waiter
+	q waitq
 }
 
 // Wait parks the process until Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
 	gen := p.prepareWait()
-	c.q = append(c.q, waiter{p, gen})
+	c.q.push(waiter{p, gen})
 	p.park()
 }
 
@@ -83,19 +142,12 @@ func (c *Cond) Wait(p *Proc) {
 func (c *Cond) WaitTimeout(p *Proc, d Time) bool {
 	gen := p.prepareWait()
 	me := waiter{p, gen}
-	c.q = append(c.q, me)
+	c.q.push(me)
 	p.env.wakeAt(p.env.now+d, p, gen, WakeTimer)
 	if p.park() == WakeSignal {
 		return true
 	}
-	for k, w := range c.q {
-		if w == me {
-			n := copy(c.q[k:], c.q[k+1:])
-			c.q[k+n] = waiter{}
-			c.q = c.q[:k+n]
-			break
-		}
-	}
+	c.q.remove(me)
 	return false
 }
 
@@ -103,32 +155,21 @@ func (c *Cond) WaitTimeout(p *Proc, d Time) bool {
 // process was woken. It may be called from any running process or
 // from a scheduler callback (Env.At).
 func (c *Cond) Signal(e *Env) bool {
-	for len(c.q) > 0 {
-		w := c.q[0]
-		c.q = c.q[1:]
-		if w.gen != w.p.gen || w.p.done {
-			continue
-		}
-		e.wakeAt(e.now, w.p, w.gen, WakeSignal)
-		return true
-	}
-	return false
+	return c.wake(e, false)
 }
 
 // SignalNewest is Signal in LIFO order: it wakes the most recently
 // queued valid waiter, the one whose wait began last.
 func (c *Cond) SignalNewest(e *Env) bool {
-	for n := len(c.q); n > 0; n = len(c.q) {
-		w := c.q[n-1]
-		c.q[n-1] = waiter{}
-		c.q = c.q[:n-1]
-		if w.gen != w.p.gen || w.p.done {
-			continue
-		}
+	return c.wake(e, true)
+}
+
+func (c *Cond) wake(e *Env, newest bool) bool {
+	w, ok := c.q.popValid(newest)
+	if ok {
 		e.wakeAt(e.now, w.p, w.gen, WakeSignal)
-		return true
 	}
-	return false
+	return ok
 }
 
 // Broadcast wakes every valid waiter and returns how many were woken.
@@ -143,7 +184,7 @@ func (c *Cond) Broadcast(e *Env) int {
 // Waiters returns the number of queued wait records: the processes
 // parked on c that no signal has yet claimed. It is intended for
 // diagnostics.
-func (c *Cond) Waiters() int { return len(c.q) }
+func (c *Cond) Waiters() int { return c.q.len() }
 
 // Semaphore is a counting semaphore in virtual time with FIFO wakeup.
 type Semaphore struct {

@@ -3,6 +3,8 @@ package simtime
 import (
 	"testing"
 	"time"
+
+	"lite/internal/allocbudget"
 )
 
 func TestMutexMutualExclusion(t *testing.T) {
@@ -366,5 +368,98 @@ func TestMultiServerParallelism(t *testing.T) {
 	}
 	if last != 10*time.Microsecond {
 		t.Fatalf("last = %v, want 10µs (4 jobs on 2 servers)", last)
+	}
+}
+
+// waitq is driven against a plain slice with seeded pushes, FIFO and
+// LIFO pops and removals; stale records (a superseded generation, a
+// finished proc) must be skipped by both ends exactly as the model
+// skips them.
+func TestWaitqMatchesSliceModel(t *testing.T) {
+	procs := make([]*Proc, 6)
+	for k := range procs {
+		procs[k] = &Proc{id: k, gen: 1}
+	}
+	valid := func(r waiter) bool { return r.gen == r.p.gen && !r.p.done }
+	rng := calqRand(7)
+	var q waitq
+	var model []waiter
+	for step := 0; step < 20000; step++ {
+		switch rng.next() % 6 {
+		case 0, 1:
+			p := procs[rng.next()%uint64(len(procs))]
+			r := waiter{p, p.gen}
+			q.push(r)
+			model = append(model, r)
+		case 2, 3:
+			newest := rng.next()%2 == 0
+			got, ok := q.popValid(newest)
+			var want waiter
+			found := false
+			for len(model) > 0 && !found {
+				if newest {
+					want, model = model[len(model)-1], model[:len(model)-1]
+				} else {
+					want, model = model[0], model[1:]
+				}
+				found = valid(want)
+			}
+			if ok != found || got != want && found {
+				t.Fatalf("step %d: popValid(newest=%v) = %v %v, want %v %v", step, newest, got, ok, want, found)
+			}
+		case 4:
+			if len(model) > 0 {
+				r := model[rng.next()%uint64(len(model))]
+				q.remove(r)
+				for k := range model {
+					if model[k] == r {
+						model = append(model[:k], model[k+1:]...)
+						break
+					}
+				}
+			}
+		case 5: // a proc moves on: its queued records go stale
+			p := procs[rng.next()%uint64(len(procs))]
+			p.gen++
+		}
+		if q.len() != len(model) {
+			t.Fatalf("step %d: %d records queued, model has %d", step, q.len(), len(model))
+		}
+	}
+}
+
+// A cond that keeps filling and draining reuses its backing array: a
+// steady ping-pong between two procs allocates nothing per round.
+func TestCondPingPongDoesNotAllocate(t *testing.T) {
+	allocbudget.SkipUnderRace(t)
+	e := NewEnv()
+	var ping, pong Cond
+	turn := 0
+	e.GoDaemon("ponger", func(p *Proc) {
+		for {
+			for turn != 1 {
+				pong.Wait(p)
+			}
+			turn = 0
+			ping.Signal(p.Env())
+		}
+	})
+	e.Go("pinger", func(p *Proc) {
+		round := func() {
+			turn = 1
+			pong.Signal(p.Env())
+			for turn != 0 {
+				ping.Wait(p)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			round()
+		}
+		if n := testing.AllocsPerRun(1000, round); n != 0 {
+			t.Errorf("%.0f allocations per ping-pong round, want 0", n)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
