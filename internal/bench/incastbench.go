@@ -64,7 +64,6 @@ func runIncastOnce() (*incastOutcome, error) {
 	opts.QPsPerPair = 1
 	opts.MeshPeers = func(a, b int) bool { return a <= incastVictim || b <= incastVictim }
 	opts.AdmissionHighWater = 64
-	opts.FairAdmission = true
 	cls, dep, err := newLITECfg(&cfg, incastNodes, opts)
 	if err != nil {
 		return nil, err

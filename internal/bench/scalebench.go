@@ -116,7 +116,6 @@ func scaleWorkload() (*scaleOutcome, error) {
 	// manager and the kvstore servers only.
 	opts.MeshPeers = func(a, b int) bool { return a <= scaleServers || b <= scaleServers }
 	opts.AdmissionHighWater = 64
-	opts.FairAdmission = true
 	dep, err := lite.Start(cls, opts)
 	if err != nil {
 		return nil, err

@@ -74,7 +74,6 @@ func tenants() (*Table, error) {
 		return nil, err
 	}
 	opts := tailOpts(32)
-	opts.FairAdmission = true
 	cls, dep, err := newLITEOpts(tenantsClients+2, opts)
 	if err != nil {
 		return nil, err

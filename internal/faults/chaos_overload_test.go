@@ -44,7 +44,6 @@ func runChaosOverload(t *testing.T, seed uint64) overloadOutcome {
 	opts.RPCTimeout = 200 * time.Microsecond
 	opts.RetryBackoff = 20 * time.Microsecond
 	opts.AdmissionHighWater = 8
-	opts.FairAdmission = true
 	dep, err := lite.Start(cls, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -5,34 +5,37 @@ import (
 	"lite/internal/simtime"
 )
 
-// Cost-aware, per-client-fair admission control.
+// Cost-aware, weighted-fair admission control.
 //
-// The depth-only policy (Options.AdmissionHighWater alone) treats every
-// queued call as equal, so one greedy client can occupy the whole
-// pending-call budget and starve everyone else — exactly the
-// multi-tenant sharing problem LITE's shared kernel-level RPC service
-// (§5, §6) exists to arbitrate. The fair policy keeps, per function, a
-// cost model and per-client in-flight accounting:
+// A queue-depth cap alone treats every queued call as equal, so one
+// greedy client can occupy the whole pending-call budget and starve
+// everyone else — exactly the multi-tenant sharing problem LITE's
+// shared kernel-level RPC service (§5, §6) exists to arbitrate. With
+// Options.AdmissionHighWater set, each function keeps a cost model and
+// one weighted credit bank per caller:
 //
 //   - cost of one call = input bytes + the EWMA of the handler's
-//     observed service time (one cost unit per byte and per nanosecond;
-//     both are "how long this call will occupy the server" proxies:
+//     observed service time (one cost unit per byte and per nanosecond:
 //     bytes for the data motion, the EWMA for the CPU);
-//   - budget = AdmissionHighWater × the average per-call cost, i.e. the
-//     depth knob re-expressed in cost units, so operators keep one
-//     tuning parameter;
-//   - each client may hold budget/activeClients of in-flight cost (its
-//     fair share), plus a deficit-round-robin carryover: a round ends
-//     when one budget's worth of cost has been admitted, and a client
-//     that under-used its share while holding less than a share in
-//     flight banks the unused part (capped at two shares) as deficit;
-//   - a call past the share line is admitted only if the marginal cost
-//     is covered 1:1 by banked deficit, and otherwise shed with a
-//     Retry-After hint sized to when a slot for it should free up;
-//   - shares and banks bind only under contention: a call that a parked
-//     server thread can take at once (the caller's idle predicate) is
-//     admitted while the budget has room, whatever its client's share
-//     or its tenant's bank says — refusing it would idle the server.
+//   - budget = AdmissionHighWater × the average call cost, the depth
+//     knob in cost units; a call that would overrun it is shed, unless
+//     nothing is in flight;
+//   - a caller is a tenant (Call.Tenant, its registered QoS weight) or
+//     an untenanted client node (weight 1). Every admitted call of cost
+//     C pays C × w/sumW into each bank, a call is admitted only if its
+//     bank covers it, and a bank holds at most its weighted share of
+//     the budget; so with every caller backlogged, admitted cost splits
+//     in proportion to weight;
+//   - a shed carries a Retry-After hint sized to when the caller's bank
+//     should cover one more call;
+//   - banks bind only under contention: a call that a parked server
+//     thread can take at once is admitted while the budget has room —
+//     refusing it would idle the server.
+//
+// A lone bank is paid back every unit it spends and may hold the whole
+// budget, so with one caller only the budget decides: a depth cap is
+// the one-bank case, and cold start (no service-time sample yet) is a
+// plain depth cap.
 //
 // All state is integers, mutated only from the node's poller and server
 // threads inside the deterministic simulation, so runs replay bit for
@@ -49,20 +52,20 @@ const (
 	// claim) cannot overflow the int64 accounting that sums them.
 	maxAdmCost = int64(1) << 40
 
-	// maxTenantWeight clamps a tenant's QoS weight so weight x accrual
+	// maxTenantWeight clamps a bank's QoS weight so weight x accrual
 	// products stay far from int64 overflow.
 	maxTenantWeight = int64(1) << 10
 
-	// admAccrueRebase is the accrual-clock value at which tenant
-	// accounting rebases (the monotonic admitted-cost counter and every
-	// tenant's snapshot shift down together) so the clock can never
-	// overflow int64 on a long run.
+	// admAccrueRebase is the accrual-clock value at which accounting
+	// rebases (the monotonic admitted-cost counter and every bank's
+	// snapshot shift down together) so the clock can never overflow
+	// int64 on a long run.
 	admAccrueRebase = int64(1) << 48
 )
 
 // ewmaInt is an integer exponentially-weighted moving average. The
 // first observation primes it; until then value() is zero and primed
-// reports false, which admit() uses to fall back to depth-only.
+// reports false, which admit() uses to fall back to a depth cap.
 type ewmaInt struct {
 	v      int64
 	primed bool
@@ -83,23 +86,20 @@ func (e *ewmaInt) observe(s int64) {
 	e.v += (s - e.v) >> admEwmaShift
 }
 
-// clientAdm is one client's admission accounting for one function.
-type clientAdm struct {
-	cost    int64 // admitted cost still in flight
-	calls   int   // admitted calls still in flight
-	used    int64 // cost admitted during the current DRR round
-	deficit int64 // unused share carried from the previous round
+// admKey names a caller's bank: a tenant ID (1..65535) for tenant
+// calls, -1-node for an untenanted client node.
+type admKey int
+
+// keyOf is the bank that call c draws on.
+func keyOf(c *Call) admKey {
+	if c.Tenant != 0 {
+		return admKey(c.Tenant)
+	}
+	return admKey(-1 - c.Src)
 }
 
-// busy reports whether the client has admitted work in flight.
-func (c *clientAdm) busy() bool { return c.calls > 0 || c.cost > 0 }
-
-// tenantAdm is one tenant's weighted admission accounting for one
-// function. Unlike clientAdm's round-scoped shares, tenants draw from
-// a credit bank that refills in proportion to their QoS weight, which
-// stays meaningful even when thousands of sporadic tenants each hold a
-// per-round share smaller than a single call's cost.
-type tenantAdm struct {
+// bank is one caller's weighted admission account for one function.
+type bank struct {
 	w      int64 // QoS weight (shares of the admission budget)
 	credit int64 // banked admission credit, in cost units
 	lastA  int64 // fnAdm.accrued snapshot at the last credit refresh
@@ -108,47 +108,42 @@ type tenantAdm struct {
 	calls  int   // admitted calls still in flight
 }
 
-// fnAdm is the per-function fair-admission state.
+// fnAdm is the per-function admission state. accrued is a monotonic
+// clock of admitted cost; each bank's credit is lazily topped up from
+// it in proportion to weight. The map is bounded by the number of
+// callers (client nodes plus registered tenants) and never GC'd: a
+// bank is its caller's QoS state.
 type fnAdm struct {
+	hw      int     // Options.AdmissionHighWater
 	svc     ewmaInt // observed handler service time, nanoseconds
 	in      ewmaInt // observed input size, bytes
-	total   int64   // admitted in-flight cost across all clients
-	round   int64   // cost admitted in the current DRR round
-	clients map[int]*clientAdm
-	busy    int // clients with admitted work in flight (clientAdm.busy)
+	total   int64   // admitted in-flight cost across all banks
+	banks   map[admKey]*bank
+	sumW    int64 // sum of weights of the banks seen by this function
+	accrued int64 // admitted cost, monotonic (rebased, see admit)
 
-	// Tenant-weighted regime (nonzero tenant IDs only). accrued is a
-	// monotonic clock of admitted tenant cost; each tenant's credit is
-	// lazily topped up from it in proportion to weight. The map is
-	// bounded by the number of registered tenants and never GC'd: a
-	// tenant's bank is its QoS state, not per-round scratch.
-	tenants map[uint16]*tenantAdm
-	tsumW   int64 // sum of weights of tenants seen by this function
-	accrued int64 // admitted tenant cost, monotonic (rebased, see below)
-
-	// idleAdmits counts calls past their client's share or their
-	// tenant's bank that were admitted because a worker was parked
-	// (lite.adm.idle_admit).
+	// idleAdmits counts calls past their bank that were admitted
+	// because a worker was parked (lite.adm.idle_admit).
 	idleAdmits int64
 
 	// Caps from params.Config (admFor overwrites the packaged
 	// defaults with the deployment's config).
 	hintCap    simtime.Time // Retry-After ceiling (AdmissionHintCap)
-	bankShares int64        // deficit/credit cap in shares (AdmissionBankShares)
+	bankShares int64        // credit cap floor in average calls (AdmissionBankShares)
 }
 
-func newFnAdm() *fnAdm {
+func newFnAdm(hw int) *fnAdm {
 	def := params.Default()
 	return &fnAdm{
-		clients:    make(map[int]*clientAdm),
-		tenants:    make(map[uint16]*tenantAdm),
+		hw:         hw,
+		banks:      make(map[admKey]*bank),
 		hintCap:    simtime.Time(def.AdmissionHintCap),
 		bankShares: int64(def.AdmissionBankShares),
 	}
 }
 
-// unit is the average per-call cost — the denomination the budget,
-// shares, and tenant credit caps are all expressed in.
+// unit is the average per-call cost — the denomination the budget and
+// the bank caps are expressed in.
 func (a *fnAdm) unit() int64 {
 	u := a.svc.v + a.in.v
 	if u < 1 {
@@ -172,188 +167,44 @@ func (a *fnAdm) callCost(bytes int64) int64 {
 
 // budget is the total in-flight cost the function accepts: the depth
 // high-water mark expressed in cost units via the average call cost.
-func (a *fnAdm) budget(hw int) int64 {
-	b := int64(hw) * a.unit()
+func (a *fnAdm) budget() int64 {
+	b := int64(a.hw) * a.unit()
 	if b < 1 {
 		b = 1
 	}
 	return b
 }
 
-func (a *fnAdm) client(src int) *clientAdm {
-	c := a.clients[src]
-	if c == nil {
-		c = &clientAdm{}
-		a.clients[src] = c
-	}
-	return c
-}
-
-// active counts clients with admitted work in flight, always including
-// the arriving client itself (a newcomer deserves a share before it
-// holds anything). admit and complete keep a.busy current, so this is
-// O(1), not a scan of every client.
-func (a *fnAdm) active(src int) int {
-	n := a.busy
-	if c := a.clients[src]; c == nil || !c.busy() {
-		n++
-	}
-	return n
-}
-
-// endRound closes a DRR round: a client that under-used its share
-// banks the unused part as deficit, capped at two shares so an idle
-// client cannot hoard unbounded credit; a client at or over its share
-// starts the next round with none. Clients with nothing in flight and
-// no deficit are garbage-collected. Every per-client update is
-// independent, so map iteration order does not affect the outcome.
-func (a *fnAdm) endRound(share int64) {
-	for id, c := range a.clients {
-		// Deficit is for clients that genuinely could not use their
-		// share — under-admitted this round AND holding less than a
-		// share in flight when it closed. A persistently over-share
-		// client whose round usage merely dipped must not earn credit
-		// it would immediately spend to stay over share.
-		if spare := share - c.used; spare > 0 && c.cost < share {
-			c.deficit += spare
-			if lim := a.bankShares * share; c.deficit > lim {
-				c.deficit = lim
-			}
-		} else {
-			c.deficit = 0
-		}
-		c.used = 0
-		if c.calls == 0 && c.cost == 0 && c.deficit == 0 {
-			delete(a.clients, id)
-		}
-	}
-	a.round = 0
-}
-
-// admit decides one arrival from src with the given input size, at the
-// configured high-water mark and current queue depth. On admission it
-// returns the charged cost, to be released via complete() when the
-// reply posts. On a shed it returns a Retry-After hint: the estimated
-// time until the client's in-flight work drains enough to admit one
-// more call. idle reports a parked server thread no queued call has
-// claimed: the share test is for dividing busy workers, so while the
-// budget has room an idle arrival skips it (and spends no deficit).
-func (a *fnAdm) admit(src int, bytes int64, hw, depth int, idle bool) (cost int64, hint simtime.Time, ok bool) {
-	a.in.observe(bytes)
-	cost = a.callCost(bytes)
-	if !a.svc.primed {
-		// Cold start: no service-time estimate means no cost model;
-		// behave exactly like the depth-only policy until the first
-		// completion primes the EWMA. The accounting below still runs
-		// so in-flight state is consistent once the model wakes up.
-		if depth >= hw {
-			return 0, 0, false
-		}
-	} else {
-		bud := a.budget(hw)
-		share := bud / int64(a.active(src))
-		if share < 1 {
-			share = 1
-		}
-		if a.round >= bud {
-			a.endRound(share)
-		}
-		c := a.client(src)
-		if over := c.cost + cost - share; over > 0 {
-			// Over share: the part of this call past the share line
-			// must be covered 1:1 by deficit banked in under-used
-			// earlier rounds. Admitting on spare total budget instead
-			// was tried and rejected: spare slots open in proportion
-			// to arrival rate, so a work-conservation rule hands
-			// nearly all of them to the most aggressive client and
-			// quietly re-creates the depth-only policy's proportional
-			// allocation. A spare worker is different from a spare
-			// queue slot: the idle arm gives away nothing a
-			// better-behaved client is waiting for.
-			spend := cost
-			if over < cost {
-				spend = over
-			}
-			switch {
-			case idle && a.total+cost <= bud:
-				a.idleAdmits++
-			case spend > c.deficit:
-				h := simtime.Time(a.svc.v) * simtime.Time(c.calls+1)
-				if h > a.hintCap {
-					h = a.hintCap
-				}
-				return 0, h, false
-			default:
-				c.deficit -= spend
-			}
-		}
-	}
-	c := a.client(src)
-	if !c.busy() {
-		a.busy++
-	}
-	c.cost += cost
-	c.calls++
-	c.used += cost
-	a.total += cost
-	a.round += cost
-	return cost, 0, true
-}
-
-// complete releases an admitted call's cost when its reply posts.
-func (a *fnAdm) complete(src int, cost int64) {
-	c := a.clients[src]
-	if c == nil {
-		return
-	}
-	wasBusy := c.busy()
-	c.cost -= cost
-	if c.cost < 0 {
-		c.cost = 0
-	}
-	if c.calls > 0 {
-		c.calls--
-	}
-	a.total -= cost
-	if a.total < 0 {
-		a.total = 0
-	}
-	if wasBusy && !c.busy() {
-		a.busy--
-	}
-	if c.calls == 0 && c.cost == 0 && c.deficit == 0 && c.used == 0 {
-		delete(a.clients, src)
-	}
-}
-
-// tenant returns (lazily creating) tenant t's accounting, keeping the
-// registered weight and the weight sum current. A newcomer's bank is
-// seeded full so a fresh tenant is never cold-shed while others hold
-// banked credit.
-func (a *fnAdm) tenant(t uint16, w int64) *tenantAdm {
+// bankFor returns (lazily creating) k's bank, keeping its weight and the
+// weight sum current. A newcomer's bank is seeded full so a fresh
+// caller is never cold-shed while others hold banked credit.
+func (a *fnAdm) bankFor(k admKey, w int64) *bank {
 	if w < 1 {
 		w = 1
 	}
 	if w > maxTenantWeight {
 		w = maxTenantWeight
 	}
-	c := a.tenants[t]
-	if c == nil {
-		c = &tenantAdm{w: w, lastA: a.accrued, credit: a.creditCap(w)}
-		a.tenants[t] = c
-		a.tsumW += w
-	} else if c.w != w {
-		a.tsumW += w - c.w
-		c.w = w
+	b := a.banks[k]
+	if b == nil {
+		a.sumW += w
+		b = &bank{w: w, lastA: a.accrued, credit: a.creditCap(w)}
+		a.banks[k] = b
+	} else if b.w != w {
+		a.sumW += w - b.w
+		b.w = w
 	}
-	return c
+	return b
 }
 
-// creditCap bounds a tenant's banked credit at AdmissionBankShares
-// average calls' worth per weight share, so an idle tenant's burst
-// allowance is a couple of calls (scaled by weight), never a hoard.
+// creditCap bounds a bank at its weighted share of the budget, but at
+// no less than AdmissionBankShares average calls per unit of weight: a
+// caller may burst to its share, never hoard past it.
 func (a *fnAdm) creditCap(w int64) int64 {
-	lim := a.bankShares * a.unit() * w
+	lim := a.budget() / a.sumW * w
+	if floor := a.bankShares * a.unit() * w; lim < floor {
+		lim = floor
+	}
 	if lim < 1 {
 		lim = 1
 	}
@@ -363,34 +214,33 @@ func (a *fnAdm) creditCap(w int64) int64 {
 	return lim
 }
 
-// refreshTenant lazily pays out the credit tenant c earned since its
-// last arrival: every admitted tenant call of cost C pays C x w/sumW
-// to each registered tenant, tracked exactly with a division
-// remainder. Total payout equals total admitted cost, so with every
-// tenant backlogged, admitted throughput splits in proportion to
-// weight.
-func (a *fnAdm) refreshTenant(c *tenantAdm) {
-	d := a.accrued - c.lastA
-	c.lastA = a.accrued
-	if d <= 0 || a.tsumW <= 0 {
+// refresh lazily pays out the credit bank b earned since its caller's
+// last arrival: every admitted call of cost C pays C x w/sumW to each
+// bank, tracked exactly with a division remainder. Total payout equals
+// total admitted cost, so with every caller backlogged, admitted
+// throughput splits in proportion to weight.
+func (a *fnAdm) refresh(b *bank) {
+	d := a.accrued - b.lastA
+	b.lastA = a.accrued
+	if d <= 0 || a.sumW <= 0 {
 		return
 	}
-	num := d*c.w + c.rem
-	c.credit += num / a.tsumW
-	c.rem = num % a.tsumW
-	if lim := a.creditCap(c.w); c.credit > lim {
-		c.credit = lim
-		c.rem = 0
+	num := d*b.w + b.rem
+	b.credit += num / a.sumW
+	b.rem = num % a.sumW
+	if lim := a.creditCap(b.w); b.credit > lim {
+		b.credit = lim
+		b.rem = 0
 	}
 }
 
-// tenantHint estimates when tenant c's bank will cover one call of
-// the given cost: the aggregate admitted cost needed to accrue the
-// shortfall, expressed in average calls, times the service estimate.
-func (a *fnAdm) tenantHint(c *tenantAdm, cost int64) simtime.Time {
-	calls := int64(c.calls) + 1
-	if short := cost - c.credit; short > 0 && a.tsumW > 0 {
-		calls += short * a.tsumW / (c.w * a.unit())
+// hint estimates when bank b will cover one call of the given cost:
+// the aggregate admitted cost needed to accrue the shortfall, expressed
+// in average calls, times the service estimate.
+func (a *fnAdm) hint(b *bank, cost int64) simtime.Time {
+	calls := int64(b.calls) + 1
+	if short := cost - b.credit; short > 0 && a.sumW > 0 {
+		calls += short * a.sumW / (b.w * a.unit())
 	}
 	sv := a.svc.v
 	if sv < 1 {
@@ -402,84 +252,82 @@ func (a *fnAdm) tenantHint(c *tenantAdm, cost int64) simtime.Time {
 	return simtime.Time(sv * calls)
 }
 
-// admitTenant decides one arrival from tenant t carrying QoS weight w.
-// Tenants are admitted from a weighted credit bank rather than the
-// per-client DRR shares: with ~1000 sporadic tenants a per-round share
-// is smaller than one call's cost, so round-scoped shares would shed
-// everything (or, with work conservation, hand slots out by arrival
-// rate — the failure mode the per-client policy's comment documents).
-// Instead every admitted tenant call accrues credit to all registered
-// tenants in proportion to weight; an arrival is admitted when the
-// global budget has room AND the tenant's bank covers the call's cost,
-// charged 1:1. A tenant offering at or below its weighted share of
-// capacity refills faster than it drains and is never shed; a greedy
-// tenant's excess arrivals bounce off its empty bank without consuming
-// budget, so it cannot move a well-behaved tenant's tail. The bank cap
-// (creditCap) bounds idle hoarding; banking and the Retry-After hint
-// are tenant-scoped. The bank binds only while every worker is busy:
-// idle (see admit) admits on budget alone.
-func (a *fnAdm) admitTenant(t uint16, w, bytes int64, hw, depth int, idle bool) (cost int64, hint simtime.Time, ok bool) {
+// admit decides one arrival for bank k (QoS weight w) with the given
+// input size, at the current queue depth. On admission it returns the
+// charged cost, to be released via complete() when the reply posts; on
+// a shed, a Retry-After hint. idle reports a parked server thread no
+// queued call has claimed.
+//
+// A caller offering at or below its weighted share of capacity refills
+// faster than it drains and is never shed; a greedy caller's excess
+// arrivals bounce off its empty bank without consuming budget, so it
+// cannot move a well-behaved caller's tail. Credit is banked across
+// arrivals rather than granted per round because, with ~1000 sporadic
+// tenants, a round's share is smaller than one call.
+func (a *fnAdm) admit(k admKey, w, bytes int64, depth int, idle bool) (cost int64, hint simtime.Time, ok bool) {
 	a.in.observe(bytes)
 	cost = a.callCost(bytes)
-	c := a.tenant(t, w)
+	b := a.bankFor(k, w)
 	if !a.svc.primed {
-		// Cold start: depth-only, like the per-client path. Accounting
-		// below still runs so state is consistent once the model wakes.
-		if depth >= hw {
+		// Cold start: no service-time estimate means no cost model;
+		// behave exactly like a depth cap until the first completion
+		// primes the EWMA. The accounting below still runs so in-flight
+		// state is consistent once the model wakes up.
+		if depth >= a.hw {
 			return 0, 0, false
 		}
 	} else {
-		a.refreshTenant(c)
+		a.refresh(b)
 		switch {
-		case a.total+cost > a.budget(hw):
-			return 0, a.tenantHint(c, cost), false
-		case c.credit >= cost:
-			c.credit -= cost
+		case a.total > 0 && a.total+cost > a.budget():
+			// Over budget. An idle function takes any one call, however
+			// far above the average it is.
+			return 0, a.hint(b, cost), false
+		case b.credit >= cost:
+			b.credit -= cost
 		case idle:
 			// Work-conservation floor: a worker is free, so holding this
-			// tenant to its bank would shed work the server could run at
-			// once — and, since credit accrues only from admitted tenant
-			// cost, an all-banks-empty pool would otherwise starve
-			// forever. Admit, spending whatever credit is there (never
-			// going negative). With every worker busy the floor vanishes,
-			// so a greedy tenant cannot ride it while victims queue.
-			c.credit, c.rem = 0, 0
+			// caller to its bank would shed work the server could run at
+			// once — and, since credit accrues only from admitted cost,
+			// an all-banks-empty pool would otherwise starve forever.
+			// Admit, spending whatever credit is there (never going
+			// negative). With every worker busy the floor vanishes, so a
+			// greedy caller cannot ride it while victims queue.
+			b.credit, b.rem = 0, 0
 			a.idleAdmits++
 		default:
-			return 0, a.tenantHint(c, cost), false
+			return 0, a.hint(b, cost), false
 		}
 	}
-	c.cost += cost
-	c.calls++
+	b.cost += cost
+	b.calls++
 	a.total += cost
 	a.accrued += cost
 	if a.accrued >= admAccrueRebase {
 		// Rebase the monotonic accrual clock so it cannot overflow on
 		// a long run: every snapshot shifts down with it, preserving
-		// all pending diffs. Per-tenant updates are independent, so
-		// map order cannot perturb the outcome.
-		for _, tc := range a.tenants {
-			tc.lastA -= a.accrued
+		// all pending diffs. Per-bank updates are independent, so map
+		// order cannot perturb the outcome.
+		for _, o := range a.banks {
+			o.lastA -= a.accrued
 		}
 		a.accrued = 0
 	}
 	return cost, 0, true
 }
 
-// completeTenant releases an admitted tenant call's cost when its
-// reply posts. Tenant entries are not GC'd: the bank is durable QoS
-// state, bounded by the number of registered tenants.
-func (a *fnAdm) completeTenant(t uint16, cost int64) {
-	c := a.tenants[t]
-	if c == nil {
+// complete releases an admitted call's cost when its reply posts.
+func (a *fnAdm) complete(k admKey, cost int64) {
+	b := a.banks[k]
+	if b == nil {
 		return
 	}
-	c.cost -= cost
-	if c.cost < 0 {
-		c.cost = 0
+	b.cost -= cost
+	if b.cost < 0 {
+		b.cost = 0
 	}
-	if c.calls > 0 {
-		c.calls--
+	if b.calls > 0 {
+		b.calls--
 	}
 	a.total -= cost
 	if a.total < 0 {
@@ -487,14 +335,14 @@ func (a *fnAdm) completeTenant(t uint16, cost int64) {
 	}
 }
 
-// admFor returns (lazily creating) the fair-admission state for fn.
+// admFor returns (lazily creating) the admission state for fn.
 func (i *Instance) admFor(fn int) *fnAdm {
 	if i.adm == nil {
 		i.adm = make(map[int]*fnAdm)
 	}
 	a := i.adm[fn]
 	if a == nil {
-		a = newFnAdm()
+		a = newFnAdm(i.opts.AdmissionHighWater)
 		a.hintCap = simtime.Time(i.cfg.AdmissionHintCap)
 		a.bankShares = int64(i.cfg.AdmissionBankShares)
 		i.adm[fn] = a
@@ -505,8 +353,8 @@ func (i *Instance) admFor(fn int) *fnAdm {
 // admServiceObserve feeds one observed handler service time (dequeue
 // to reply, the same interval the lite.rpc.server span covers) into
 // the function's estimator. Cheap integer bookkeeping: it never
-// advances virtual time, so observing with the fair policy off cannot
-// perturb a depth-only timeline.
+// advances virtual time, so observing without admission control cannot
+// perturb an unadmitted timeline.
 func (i *Instance) admServiceObserve(fn int, d simtime.Time) {
 	if fn < FirstUserFunc {
 		return
@@ -521,11 +369,7 @@ func (i *Instance) admRelease(c *Call) {
 		return
 	}
 	if a := i.adm[c.Func]; a != nil {
-		if c.Tenant != 0 {
-			a.completeTenant(c.Tenant, c.admCost)
-		} else {
-			a.complete(c.Src, c.admCost)
-		}
+		a.complete(keyOf(c), c.admCost)
 	}
 	c.admCost = 0
 }

@@ -57,14 +57,17 @@ func TestEwmaInt(t *testing.T) {
 	})
 }
 
+// cli is the bank key of untenanted client node n.
+func cli(n int) admKey { return keyOf(&Call{Src: n}) }
+
 func TestAdmitColdStartFallsBackToDepth(t *testing.T) {
-	a := newFnAdm()
-	// No service-time estimate yet: the policy must behave exactly like
-	// the depth-only shed.
-	if _, hint, ok := a.admit(1, 64, 4, 4, false); ok || hint != 0 {
+	a := newFnAdm(4)
+	// No service-time estimate yet: admission must behave exactly like
+	// a depth cap.
+	if _, hint, ok := a.admit(cli(1), 1, 64, 4, false); ok || hint != 0 {
 		t.Fatalf("depth at high water: ok=%v hint=%v, want shed with no hint", ok, hint)
 	}
-	cost, _, ok := a.admit(1, 64, 4, 3, false)
+	cost, _, ok := a.admit(cli(1), 1, 64, 3, false)
 	if !ok {
 		t.Fatal("depth under high water must admit during cold start")
 	}
@@ -76,11 +79,11 @@ func TestAdmitColdStartFallsBackToDepth(t *testing.T) {
 func TestAdmitOneClientDegenerate(t *testing.T) {
 	// A single client gets the whole budget: fairness with nobody to be
 	// fair to must not shed below the depth-equivalent capacity.
-	a := newFnAdm()
+	a := newFnAdm(4)
 	a.svc.observe(1000)
 	costs := make([]int64, 0, 4)
 	for k := 0; k < 4; k++ {
-		cost, hint, ok := a.admit(1, 100, 4, k, false)
+		cost, hint, ok := a.admit(cli(1), 1, 100, k, false)
 		if !ok || hint != 0 {
 			t.Fatalf("admit %d: ok=%v hint=%v", k, ok, hint)
 		}
@@ -92,9 +95,9 @@ func TestAdmitOneClientDegenerate(t *testing.T) {
 			t.Fatalf("cost[%d] = %d, want 1100", k, c)
 		}
 	}
-	// The 5th call finds the budget full and the deficit empty: shed,
-	// with a hint sized to draining the client's in-flight work.
-	_, hint, ok := a.admit(1, 100, 4, 4, false)
+	// The 5th call finds the budget full: shed, with a hint sized to
+	// draining the client's in-flight work.
+	_, hint, ok := a.admit(cli(1), 1, 100, 4, false)
 	if ok {
 		t.Fatal("5th call admitted past a full budget")
 	}
@@ -102,16 +105,57 @@ func TestAdmitOneClientDegenerate(t *testing.T) {
 		t.Fatalf("hint = %v, want svc x (calls+1) = %v", hint, want)
 	}
 	// One completion frees a slot.
-	a.complete(1, 1100)
-	if _, _, ok := a.admit(1, 100, 4, 3, false); !ok {
+	a.complete(cli(1), 1100)
+	if _, _, ok := a.admit(cli(1), 1, 100, 3, false); !ok {
 		t.Fatal("admit after completion failed")
 	}
 }
 
+// TestOneBankIsADepthCap: a lone bank is paid back every unit it
+// spends, so whatever the arrival, size and completion mix, its credit
+// never refuses a call — every decision is the budget's. That is what
+// makes a queue-depth cap the one-caller case of the bank.
+func TestOneBankIsADepthCap(t *testing.T) {
+	seed := uint64(0x2545f4914f6cdd1d)
+	next := func(n int) int {
+		seed ^= seed << 13
+		seed ^= seed >> 7
+		seed ^= seed << 17
+		return int(seed % uint64(n))
+	}
+	a := newFnAdm(8)
+	a.svc.observe(2000)
+	var inflight []int64
+	admitted, shed := 0, 0
+	for step := 0; step < 20000; step++ {
+		if next(2) == 0 && len(inflight) > 0 {
+			a.complete(cli(0), inflight[0])
+			inflight = inflight[1:]
+			a.svc.observe(int64(1800 + next(400)))
+			continue
+		}
+		bytes := int64(16 + next(48))
+		before := a.total
+		cost, _, ok := a.admit(cli(0), 1, bytes, len(inflight), false)
+		if fits := before == 0 || before+a.callCost(bytes) <= a.budget(); ok != fits {
+			t.Fatalf("step %d: ok=%v but the budget says %v (in flight %d)", step, ok, fits, before)
+		}
+		if !ok {
+			shed++
+			continue
+		}
+		admitted++
+		inflight = append(inflight, cost)
+	}
+	if admitted == 0 || shed == 0 {
+		t.Fatalf("the mix never exercised both outcomes: %d admitted, %d shed", admitted, shed)
+	}
+}
+
 func TestAdmitCostOverflowClamp(t *testing.T) {
-	a := newFnAdm()
+	a := newFnAdm(2)
 	a.svc.observe(1)
-	cost, _, ok := a.admit(1, int64(1)<<60, 2, 0, false)
+	cost, _, ok := a.admit(cli(1), 1, int64(1)<<60, 0, false)
 	if !ok {
 		t.Fatal("first oversized call must be admitted")
 	}
@@ -121,10 +165,10 @@ func TestAdmitCostOverflowClamp(t *testing.T) {
 	// A second clamped call still fits the budget (2 x avg unit); the
 	// third must shed — and the arithmetic stays well clear of int64
 	// overflow throughout.
-	if _, _, ok := a.admit(1, int64(1)<<60, 2, 1, false); !ok {
+	if _, _, ok := a.admit(cli(1), 1, int64(1)<<60, 1, false); !ok {
 		t.Fatal("second oversized call must be admitted")
 	}
-	_, hint, ok := a.admit(1, int64(1)<<60, 2, 2, false)
+	_, hint, ok := a.admit(cli(1), 1, int64(1)<<60, 2, false)
 	if ok {
 		t.Fatal("third oversized call admitted past the budget")
 	}
@@ -137,14 +181,14 @@ func TestAdmitCostOverflowClamp(t *testing.T) {
 }
 
 func TestAdmitHintClamp(t *testing.T) {
-	a := newFnAdm()
+	a := newFnAdm(1)
 	// An enormous (clamped) service estimate times queued calls must
 	// never exceed the hint cap.
 	a.svc.observe(1 << 62)
-	if _, _, ok := a.admit(1, 0, 1, 0, false); !ok {
+	if _, _, ok := a.admit(cli(1), 1, 0, 0, false); !ok {
 		t.Fatal("first call must be admitted")
 	}
-	_, hint, ok := a.admit(1, 0, 1, 1, false)
+	_, hint, ok := a.admit(cli(1), 1, 0, 1, false)
 	if ok {
 		t.Fatal("second call admitted past a budget of one")
 	}
@@ -153,113 +197,20 @@ func TestAdmitHintClamp(t *testing.T) {
 	}
 }
 
-func TestAdmitDeficitRoundRobin(t *testing.T) {
-	// Two clients, fixed cost 1000/call (zero-byte inputs, svc=1000ns),
-	// hw=4 so budget=4000 and the two-client share is 2000. The
-	// scripted sequence exercises every admit rule: within-share, the
-	// over-share shed, deficit grant at a round boundary, and spend.
-	a := newFnAdm()
-	a.svc.observe(1000)
-	const admit, complete = 0, 1
-	steps := []struct {
-		op       int
-		src      int
-		wantOK   bool
-		wantHint simtime.Time
-	}{
-		{op: admit, src: 1, wantOK: true}, // r1: only active client, share 4000
-		{op: admit, src: 2, wantOK: true}, // r1: within share 2000
-		{op: admit, src: 2, wantOK: true}, // r1: at share
-		{op: complete, src: 2},            // one of c2's calls drains
-		{op: admit, src: 2, wantOK: true}, // r1: back within share; round reaches budget
-		// Round boundary on the next admit: c1 used 1000 < share while
-		// holding 1000 < share in flight, so it banks 1000 deficit;
-		// c2 used 3000 and banks nothing.
-		{op: admit, src: 1, wantOK: true},                  // r2: at share, no deficit needed
-		{op: admit, src: 1, wantOK: true},                  // r2: 1000 over share, covered by the banked deficit
-		{op: admit, src: 1, wantOK: false, wantHint: 4000}, // deficit spent -> shed, hint = 1000 x (3+1)
-		{op: admit, src: 2, wantOK: false, wantHint: 3000}, // c2 banked nothing -> shed, hint = 1000 x (2+1)
-	}
-	for k, st := range steps {
-		if st.op == complete {
-			a.complete(st.src, 1000)
-			continue
-		}
-		_, hint, ok := a.admit(st.src, 0, 4, k, false)
-		if ok != st.wantOK {
-			t.Fatalf("step %d (src %d): ok=%v, want %v", k, st.src, ok, st.wantOK)
-		}
-		if !ok && hint != st.wantHint {
-			t.Fatalf("step %d (src %d): hint=%v, want %v", k, st.src, hint, st.wantHint)
-		}
-	}
-}
-
-func TestAdmitDeficitSpendIsIncremental(t *testing.T) {
-	// Banked deficit covers the marginal cost of each over-share call
-	// 1:1 (true DRR), not the cumulative overage: a client with two
-	// calls' worth of deficit gets exactly two calls past its share.
-	a := newFnAdm()
-	a.svc.observe(1000)
-	a.client(2).cost, a.client(2).calls = 1000, 1 // keeps active=2, share=2000
-	c := a.client(1)
-	c.cost, c.calls, c.deficit = 2000, 2, 2000
-	a.busy = 2 // clients 1 and 2, put in flight by hand above
-	if _, _, ok := a.admit(1, 0, 4, 0, false); !ok {
-		t.Fatal("first over-share call must spend deficit and admit")
-	}
-	if c.deficit != 1000 {
-		t.Fatalf("deficit after first spend = %d, want 1000", c.deficit)
-	}
-	if _, _, ok := a.admit(1, 0, 4, 0, false); !ok {
-		t.Fatal("second over-share call must spend the remaining deficit")
-	}
-	if c.deficit != 0 {
-		t.Fatalf("deficit after second spend = %d, want 0", c.deficit)
-	}
-	if _, hint, ok := a.admit(1, 0, 4, 0, false); ok || hint == 0 {
-		t.Fatalf("third over-share call: ok=%v hint=%v, want shed with hint", ok, hint)
-	}
-}
-
-func TestEndRoundDeficitCapAndGC(t *testing.T) {
-	a := newFnAdm()
-	busy := a.client(7)
-	busy.cost, busy.calls = 1, 1
-	// Client 8 used more than its share and has nothing left in flight:
-	// it earns no deficit and must be garbage-collected.
-	a.client(8).used = 2500
-	a.endRound(2000)
-	if busy.deficit != 2000 {
-		t.Fatalf("first round deficit = %d, want the full share 2000", busy.deficit)
-	}
-	a.endRound(2000)
-	a.endRound(2000)
-	if busy.deficit != 4000 {
-		t.Fatalf("deficit after three idle rounds = %d, want cap at two shares", busy.deficit)
-	}
-	if a.clients[8] != nil {
-		t.Fatal("departed over-share client must be garbage-collected")
-	}
-	if a.clients[7] == nil {
-		t.Fatal("client with in-flight work must survive the round")
-	}
-}
-
 func TestAdmitDeterministicReplay(t *testing.T) {
 	// The same interleaved multi-client arrival sequence must produce
 	// identical decisions on every run: the accounting may live in maps
 	// but no decision may depend on iteration order.
 	run := func() []string {
-		a := newFnAdm()
+		a := newFnAdm(6)
 		a.svc.observe(1500)
 		var out []string
 		srcs := []int{3, 1, 2, 1, 1, 3, 2, 1, 3, 2, 1, 1, 2, 3, 1, 2}
 		for k, src := range srcs {
-			cost, hint, ok := a.admit(src, int64(16*(k%3)), 6, k%6, false)
+			cost, hint, ok := a.admit(cli(src), 1, int64(16*(k%3)), k%6, false)
 			out = append(out, fmt.Sprintf("%d:%v/%d/%v", src, ok, cost, hint))
 			if k%5 == 4 && ok {
-				a.complete(src, cost)
+				a.complete(cli(src), cost)
 			}
 		}
 		return out
@@ -273,11 +224,11 @@ func TestAdmitDeterministicReplay(t *testing.T) {
 }
 
 func TestAdmitTenantColdStartFallsBackToDepth(t *testing.T) {
-	a := newFnAdm()
-	if _, hint, ok := a.admitTenant(1, 1, 64, 4, 4, false); ok || hint != 0 {
+	a := newFnAdm(4)
+	if _, hint, ok := a.admit(admKey(1), 1, 64, 4, false); ok || hint != 0 {
 		t.Fatalf("depth at high water: ok=%v hint=%v, want shed with no hint", ok, hint)
 	}
-	cost, _, ok := a.admitTenant(1, 1, 64, 4, 3, false)
+	cost, _, ok := a.admit(admKey(1), 1, 64, 3, false)
 	if !ok {
 		t.Fatal("depth under high water must admit during cold start")
 	}
@@ -287,20 +238,20 @@ func TestAdmitTenantColdStartFallsBackToDepth(t *testing.T) {
 }
 
 func TestTenantWeightClampAndSum(t *testing.T) {
-	a := newFnAdm()
-	if a.tenant(1, 0).w != 1 {
+	a := newFnAdm(4)
+	if a.bankFor(1, 0).w != 1 {
 		t.Fatal("weight 0 must clamp to 1")
 	}
-	if a.tenant(2, 1<<20).w != maxTenantWeight {
+	if a.bankFor(2, 1<<20).w != maxTenantWeight {
 		t.Fatalf("oversized weight must clamp to %d", maxTenantWeight)
 	}
-	if want := 1 + maxTenantWeight; a.tsumW != want {
-		t.Fatalf("tsumW = %d, want %d", a.tsumW, want)
+	if want := 1 + maxTenantWeight; a.sumW != want {
+		t.Fatalf("tsumW = %d, want %d", a.sumW, want)
 	}
 	// A weight change moves the sum by the delta, not a re-add.
-	a.tenant(1, 5)
-	if want := 5 + maxTenantWeight; a.tsumW != want {
-		t.Fatalf("tsumW after reweight = %d, want %d", a.tsumW, want)
+	a.bankFor(1, 5)
+	if want := 5 + maxTenantWeight; a.sumW != want {
+		t.Fatalf("tsumW after reweight = %d, want %d", a.sumW, want)
 	}
 }
 
@@ -308,31 +259,44 @@ func TestAdmitTenantNewcomerSeededAtCap(t *testing.T) {
 	// A tenant's first-ever arrival must be admitted: the bank is seeded
 	// at the cap, so newcomers are not cold-shed while others hold
 	// banked credit.
-	a := newFnAdm()
+	a := newFnAdm(4)
 	a.svc.observe(1000)
-	cost, _, ok := a.admitTenant(1, 1, 0, 4, 0, false)
+	cost, _, ok := a.admit(admKey(1), 1, 0, 0, false)
 	if !ok || cost != 1000 {
 		t.Fatalf("newcomer: ok=%v cost=%d, want admit at cost 1000", ok, cost)
 	}
-	c := a.tenants[1]
-	// cap = bankShares x unit x w = 2 x 1000 x 1, minus the call just
-	// admitted.
-	if c.credit != 1000 {
-		t.Fatalf("credit after first admit = %d, want 1000", c.credit)
+	// A lone tenant's cap is its share of the whole budget, 4 x 1000,
+	// minus the call just admitted.
+	if c := a.banks[1]; c.credit != 3000 {
+		t.Fatalf("credit after first admit = %d, want 3000", c.credit)
+	}
+	// The second of two weight-1 tenants is seeded at half the budget.
+	if _, _, ok := a.admit(admKey(2), 1, 0, 0, false); !ok {
+		t.Fatal("second newcomer shed")
+	}
+	if c := a.banks[2]; c.credit != 1000 {
+		t.Fatalf("second newcomer's credit = %d, want 2000 - 1000", c.credit)
+	}
+	// Past hw/bankShares banks the floor takes over: bankShares x unit.
+	for k := admKey(3); k < 9; k++ {
+		a.bankFor(k, 1)
+	}
+	if lim := a.creditCap(1); lim != 2000 {
+		t.Fatalf("cap among 8 banks = %d, want the floor 2 x 1000", lim)
 	}
 }
 
 func TestAdmitTenantEmptyBankShedsWithoutConsumingBudget(t *testing.T) {
-	a := newFnAdm()
+	a := newFnAdm(8)
 	a.svc.observe(1000)
 	// Another tenant holds work in flight, so the idle floor is off.
-	if _, _, ok := a.admitTenant(1, 1, 0, 8, 0, false); !ok {
+	if _, _, ok := a.admit(admKey(1), 1, 0, 0, false); !ok {
 		t.Fatal("setup admit failed")
 	}
-	g := a.tenant(7, 1)
+	g := a.bankFor(7, 1)
 	g.credit, g.rem, g.lastA = 0, 0, a.accrued
 	before := a.total
-	_, hint, ok := a.admitTenant(7, 1, 0, 8, 0, false)
+	_, hint, ok := a.admit(admKey(7), 1, 0, 0, false)
 	if ok {
 		t.Fatal("empty bank must shed while the server is busy")
 	}
@@ -348,34 +312,34 @@ func TestAdmitTenantIdleFloorNeverStarves(t *testing.T) {
 	// Credit accrues only from admitted tenant cost, so an empty bank
 	// with a parked server thread must admit (work conservation), never
 	// deadlock waiting for accrual that can only come from itself.
-	a := newFnAdm()
+	a := newFnAdm(8)
 	a.svc.observe(1000)
-	g := a.tenant(7, 1)
+	g := a.bankFor(7, 1)
 	g.credit, g.rem = 0, 0
 	for k := 0; k < 3; k++ {
-		cost, _, ok := a.admitTenant(7, 1, 0, 8, 0, true)
+		cost, _, ok := a.admit(admKey(7), 1, 0, 0, true)
 		if !ok {
 			t.Fatalf("serial call %d shed on an idle server", k)
 		}
 		if g.credit < 0 {
 			t.Fatalf("credit went negative: %d", g.credit)
 		}
-		a.completeTenant(7, cost)
+		a.complete(admKey(7), cost)
 	}
 }
 
 func TestAdmitTenantFullBudgetShedsDespiteCredit(t *testing.T) {
-	a := newFnAdm()
+	a := newFnAdm(2)
 	a.svc.observe(1000)
 	// hw=2 -> budget 2000. Two admitted calls fill it; the third tenant
 	// holds a full bank but must still shed on the global budget.
-	if _, _, ok := a.admitTenant(1, 1, 0, 2, 0, false); !ok {
+	if _, _, ok := a.admit(admKey(1), 1, 0, 0, false); !ok {
 		t.Fatal("first call must be admitted")
 	}
-	if _, _, ok := a.admitTenant(2, 1, 0, 2, 0, false); !ok {
+	if _, _, ok := a.admit(admKey(2), 1, 0, 0, false); !ok {
 		t.Fatal("second call must be admitted")
 	}
-	_, hint, ok := a.admitTenant(3, 1, 0, 2, 0, false)
+	_, hint, ok := a.admit(admKey(3), 1, 0, 0, false)
 	if ok {
 		t.Fatal("third call admitted past a full budget")
 	}
@@ -383,20 +347,20 @@ func TestAdmitTenantFullBudgetShedsDespiteCredit(t *testing.T) {
 		t.Fatalf("hint = %v outside (0, %v]", hint, a.hintCap)
 	}
 	// A completion frees the budget again.
-	cost := a.tenants[1].cost
-	a.completeTenant(1, cost)
-	if _, _, ok := a.admitTenant(3, 1, 0, 2, 0, false); !ok {
+	cost := a.banks[1].cost
+	a.complete(admKey(1), cost)
+	if _, _, ok := a.admit(admKey(3), 1, 0, 0, false); !ok {
 		t.Fatal("admit after completion failed")
 	}
 }
 
 func TestAdmitTenantHintClamp(t *testing.T) {
-	a := newFnAdm()
+	a := newFnAdm(1)
 	a.svc.observe(1 << 62) // clamps to maxAdmCost
-	if _, _, ok := a.admitTenant(1, 1, 0, 1, 0, false); !ok {
+	if _, _, ok := a.admit(admKey(1), 1, 0, 0, false); !ok {
 		t.Fatal("first call must be admitted")
 	}
-	_, hint, ok := a.admitTenant(1, 1, 0, 1, 1, false)
+	_, hint, ok := a.admit(admKey(1), 1, 0, 1, false)
 	if ok {
 		t.Fatal("second call admitted past a budget of one")
 	}
@@ -410,7 +374,7 @@ func TestAdmitTenantWeightedGoodputSplit(t *testing.T) {
 	// round with completions keeping the global budget free: admission
 	// is limited purely by weighted credit refill, so the admitted
 	// throughput must converge to the 3:1 weight ratio.
-	a := newFnAdm()
+	a := newFnAdm(16)
 	a.svc.observe(1000)
 	admits := map[uint16]int{}
 	type flight struct {
@@ -425,7 +389,7 @@ func TestAdmitTenantWeightedGoodputSplit(t *testing.T) {
 			if tn == 1 {
 				w = 3
 			}
-			cost, _, ok := a.admitTenant(tn, w, 0, 16, 0, false)
+			cost, _, ok := a.admit(admKey(tn), w, 0, 0, false)
 			if ok {
 				admits[tn]++
 				inflight = append(inflight, flight{tn, cost})
@@ -435,7 +399,7 @@ func TestAdmitTenantWeightedGoodputSplit(t *testing.T) {
 		// two calls per round, so the server stays busy and the idle
 		// floor never fires — admission is governed by weighted credit.
 		if len(inflight) > 0 {
-			a.completeTenant(inflight[0].ten, inflight[0].cost)
+			a.complete(admKey(inflight[0].ten), inflight[0].cost)
 			inflight = inflight[1:]
 		}
 	}
@@ -446,32 +410,32 @@ func TestAdmitTenantWeightedGoodputSplit(t *testing.T) {
 }
 
 func TestAdmitTenantAccrualRebasePreservesDiffs(t *testing.T) {
-	a := newFnAdm()
+	a := newFnAdm(4)
 	a.svc.observe(1000)
-	t1 := a.tenant(1, 1) // snapshot at accrued=0
+	t1 := a.bankFor(1, 1) // snapshot at accrued=0
 	// Pretend a long run: push the accrual clock to the rebase edge.
 	a.accrued = admAccrueRebase - 500
-	cost, _, ok := a.admitTenant(2, 1, 0, 4, 0, false)
+	cost, _, ok := a.admit(admKey(2), 1, 0, 0, false)
 	if !ok || cost != 1000 {
 		t.Fatalf("edge admit: ok=%v cost=%d", ok, cost)
 	}
 	if a.accrued != 0 {
 		t.Fatalf("accrued = %d after rebase, want 0", a.accrued)
 	}
-	t2 := a.tenants[2]
+	t2 := a.banks[2]
 	// t2 snapped at rebase-500, then 1000 was admitted: its pending
 	// diff must still be exactly 1000 after the rebase.
 	if d := a.accrued - t2.lastA; d != 1000 {
 		t.Fatalf("t2 pending diff = %d, want 1000", d)
 	}
-	a.refreshTenant(t2)
+	a.refresh(t2)
 	// t2 spent 1000 from its seeded 2000 bank, then earns back its
 	// weighted half of the 1000 accrual.
 	if t2.credit != 1500 {
 		t.Fatalf("t2 credit = %d, want 1500", t2.credit)
 	}
 	// t1's diff covers the whole simulated history and caps out.
-	a.refreshTenant(t1)
+	a.refresh(t1)
 	if want := a.creditCap(1); t1.credit != want {
 		t.Fatalf("t1 credit = %d, want cap %d", t1.credit, want)
 	}
@@ -481,7 +445,7 @@ func TestAdmitTenantDeterministicReplay(t *testing.T) {
 	// Interleaved tenant and per-client arrivals must replay bit for
 	// bit: no decision may depend on map iteration order.
 	run := func() []string {
-		a := newFnAdm()
+		a := newFnAdm(5)
 		a.svc.observe(1500)
 		var out []string
 		seq := []struct {
@@ -494,21 +458,11 @@ func TestAdmitTenantDeterministicReplay(t *testing.T) {
 			{ten: 3, w: 2}, {src: 9}, {ten: 2, w: 1}, {ten: 1, w: 3},
 		}
 		for k, st := range seq {
-			var cost int64
-			var hint simtime.Time
-			var ok bool
-			if st.ten != 0 {
-				cost, hint, ok = a.admitTenant(st.ten, st.w, int64(16*(k%3)), 5, k%5, false)
-			} else {
-				cost, hint, ok = a.admit(st.src, int64(16*(k%3)), 5, k%5, false)
-			}
+			key := keyOf(&Call{Tenant: st.ten, Src: st.src})
+			cost, hint, ok := a.admit(key, max(st.w, 1), int64(16*(k%3)), k%5, false)
 			out = append(out, fmt.Sprintf("%d/%d:%v/%d/%v", st.ten, st.src, ok, cost, hint))
 			if k%4 == 3 && ok {
-				if st.ten != 0 {
-					a.completeTenant(st.ten, cost)
-				} else {
-					a.complete(st.src, cost)
-				}
+				a.complete(key, cost)
 			}
 		}
 		return out
@@ -521,25 +475,12 @@ func TestAdmitTenantDeterministicReplay(t *testing.T) {
 	}
 }
 
-// fnAdm.active reads a busy-client count that admit and complete keep
-// current instead of scanning every client. Across a seeded mix of
-// arrivals, completions (some with a stale cost) and round ends, from
-// more clients than fit the budget, the count must equal the scan it
-// replaced at every step, so every admission decision is unchanged.
-func TestActiveCountMatchesScan(t *testing.T) {
-	scan := func(a *fnAdm, src int) int {
-		n, seen := 0, false
-		for id, c := range a.clients {
-			if c.calls > 0 || c.cost > 0 {
-				n++
-				seen = seen || id == src
-			}
-		}
-		if !seen {
-			n++
-		}
-		return n
-	}
+// The admission ledger is conserved: across a seeded mix of client and
+// tenant arrivals (some on an idle server), completions and service
+// samples, the in-flight total equals the sum of every bank's in-flight
+// cost, the weight sum equals the sum of bank weights, and no bank's
+// credit goes negative or past the largest cap.
+func TestAdmissionLedgerMatchesScan(t *testing.T) {
 	seed := uint64(0x9e3779b97f4a7c15)
 	next := func(n int) int {
 		seed ^= seed << 13
@@ -548,43 +489,67 @@ func TestActiveCountMatchesScan(t *testing.T) {
 		return int(seed % uint64(n))
 	}
 	type held struct {
-		src  int
+		key  admKey
 		cost int64
 	}
-	a := newFnAdm()
+	a := newFnAdm(8)
 	var inflight []held
 	admitted, shed := 0, 0
 	for step := 0; step < 50000; step++ {
 		switch op := next(10); {
 		case op < 5:
-			src := next(12)
-			if got, want := a.active(src), scan(a, src); got != want {
-				t.Fatalf("step %d: active(%d) = %d, scan says %d", step, src, got, want)
+			// Client nodes 0..11 and tenants 1..4 of weight 1..4.
+			key, w := cli(next(12)), int64(1)
+			if next(3) == 0 {
+				ten := 1 + next(4)
+				key, w = admKey(ten), int64(ten)
 			}
-			cost, _, ok := a.admit(src, int64(next(4096)), 8, len(inflight), next(4) == 0)
+			cost, _, ok := a.admit(key, w, int64(next(4096)), len(inflight), next(4) == 0)
 			if !ok {
 				shed++
 				continue
 			}
 			admitted++
-			inflight = append(inflight, held{src, cost})
-		case op < 9 && len(inflight) > 0:
+			inflight = append(inflight, held{key, cost})
+		case len(inflight) > 0:
 			k := next(len(inflight))
 			h := inflight[k]
 			inflight = append(inflight[:k], inflight[k+1:]...)
-			if next(8) == 0 {
-				h.cost += int64(next(3000)) // a completion releasing more than was charged
-			}
-			a.complete(h.src, h.cost)
+			a.complete(h.key, h.cost)
 			a.svc.observe(int64(500 + next(3000)))
-		case op == 9:
-			a.endRound(int64(1 + next(4000)))
 		}
-		if got, want := a.busy, scan(a, -1)-1; got != want {
-			t.Fatalf("step %d: busy = %d, scan counts %d", step, got, want)
+		var total, sumW int64
+		for k, b := range a.banks {
+			total += b.cost
+			sumW += b.w
+			if b.credit < 0 || b.credit > maxAdmCost {
+				t.Fatalf("step %d: bank %d credit %d outside [0, %d]", step, k, b.credit, maxAdmCost)
+			}
+		}
+		if total != a.total || sumW != a.sumW {
+			t.Fatalf("step %d: total %d sumW %d, banks sum to %d and %d", step, a.total, a.sumW, total, sumW)
 		}
 	}
 	if admitted == 0 || shed == 0 {
 		t.Fatalf("the mix never exercised both outcomes: %d admitted, %d shed", admitted, shed)
+	}
+}
+
+// An idle function takes any one call, however far above the average
+// cost: with a budget of one average call, a larger call would
+// otherwise be shed forever, even with nothing in flight.
+func TestAdmitEmptyFunctionTakesAnyCall(t *testing.T) {
+	a := newFnAdm(1)
+	a.svc.observe(1000)
+	big, _, ok := a.admit(cli(1), 1, 5000, 0, false)
+	if !ok {
+		t.Fatal("a call above the budget was shed with nothing in flight")
+	}
+	if _, _, ok := a.admit(cli(1), 1, 0, 1, false); ok {
+		t.Fatal("a second call admitted past a full budget")
+	}
+	a.complete(cli(1), big)
+	if _, _, ok := a.admit(cli(1), 1, 5000, 0, false); !ok {
+		t.Fatal("the large call was shed again once the function drained")
 	}
 }

@@ -129,7 +129,6 @@ func runShedBurst(t *testing.T, retry bool) (errs []error, hintWaits int64) {
 	opts.RPCTimeout = 400 * time.Microsecond
 	opts.RetryBackoff = time.Microsecond
 	opts.AdmissionHighWater = 4
-	opts.FairAdmission = true
 	cls, dep := testDepOpts(t, 3, opts)
 	cls.EnableObs()
 	if err := dep.Instance(2).ServeRPC(echoFn, 1, func(p *simtime.Proc, c *Call) []byte {

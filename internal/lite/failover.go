@@ -49,8 +49,8 @@ func (i *Instance) crash(p *simtime.Proc) {
 	i.scratch.quar = nil
 	i.scratch.quarBytes = 0
 	i.scratch.evicted = nil
-	// The calls the fair-admission policy was accounting for die with
-	// the incarnation; its state dies too. Likewise migration soft
+	// The calls admission was accounting for die with the
+	// incarnation; its state dies too. Likewise migration soft
 	// state: an in-flight Drain is abandoned (the manager's handoff
 	// record is purged at rejoin or death), and the committed-moves
 	// view is relearned from the manager's next broadcast.

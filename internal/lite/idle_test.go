@@ -16,7 +16,6 @@ import (
 func fairOptions(hw int) Options {
 	opts := DefaultOptions()
 	opts.AdmissionHighWater = hw
-	opts.FairAdmission = true
 	return opts
 }
 
@@ -83,8 +82,8 @@ func TestUnderloadedTenantsAreNeverShed(t *testing.T) {
 		}
 	}
 	snap := dom.Snapshot()
-	if n := snap.Counters["lite.rpc.shed_fair"]; n != 0 {
-		t.Errorf("lite.rpc.shed_fair = %d at 40%% load, want 0", n)
+	if n := snap.Counters["lite.rpc.shed"]; n != 0 {
+		t.Errorf("lite.rpc.shed = %d at 40%% load, want 0", n)
 	}
 	if n := snap.Counters["lite.adm.idle_admit"]; n == 0 {
 		t.Error("lite.adm.idle_admit = 0: no bank ever ran dry, the test exercises nothing")
@@ -108,9 +107,9 @@ func holdServer(t *testing.T, dep *Deployment, node, workers int, release *simti
 }
 
 // TestIdleFloorVanishesUnderContention: the floor is for parked
-// workers only. With every worker held busy, a tenant with an empty
-// bank and a client past its share are shed as if the floor did not
-// exist; with one worker parked, the very same arrivals are admitted.
+// workers only. With every worker held busy, a tenant or a client node
+// with an empty bank is shed as if the floor did not exist; with one
+// worker parked, the very same arrivals are admitted.
 func TestIdleFloorVanishesUnderContention(t *testing.T) {
 	const srvNode = 2
 	const held = 3 // calls pinned in handlers: two from node 0, one from node 1
@@ -166,16 +165,15 @@ func TestIdleFloorVanishesUnderContention(t *testing.T) {
 				if f.executing != held || f.waiting != tc.workers-held {
 					t.Errorf("before probe: executing %d waiting %d, want %d and %d", f.executing, f.waiting, held, tc.workers-held)
 				}
+				// The probe's bank (tenant 1, or client node 0) is spent.
+				key := cli(0)
 				if tc.tenant {
-					// Tenant 1 has spent its bank.
-					c := a.tenant(1, 1)
-					a.refreshTenant(c)
-					c.credit, c.rem = 0, 0
+					key = admKey(1)
 				}
+				b := a.bankFor(key, 1)
+				a.refresh(b)
+				b.credit, b.rem = 0, 0
 				floorBefore = a.idleAdmits
-				// Per-client: node 0 holds two of the three calls in
-				// flight against a share of budget/2 = two calls, with no
-				// deficit banked — its third is over share.
 				_, probeErr = client(0, 1).RPC(p, srvNode, echoFn, []byte("p"), 64)
 				released = true
 				release.Broadcast(p.Env())
@@ -191,8 +189,8 @@ func TestIdleFloorVanishesUnderContention(t *testing.T) {
 				if !errors.Is(probeErr, ErrOverloaded) {
 					t.Errorf("probe with every worker busy: err = %v, want ErrOverloaded", probeErr)
 				}
-				if n := snap.Counters["lite.rpc.shed_fair"]; n != 1 {
-					t.Errorf("lite.rpc.shed_fair = %d, want 1", n)
+				if n := snap.Counters["lite.rpc.shed"]; n != 1 {
+					t.Errorf("lite.rpc.shed = %d, want 1", n)
 				}
 				if floor != 0 {
 					t.Errorf("idle floor admitted %d calls with no worker parked", floor)

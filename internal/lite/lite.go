@@ -51,11 +51,11 @@ var (
 	ErrNoSuchRPC    = errors.New("lite: no RPC function with that ID")
 	ErrRemoteFailed = errors.New("lite: remote operation failed")
 	// ErrOverloaded reports that the destination shed the call at
-	// admission: its pending-call queue for the function was past the
-	// configured high-water mark. Unlike ErrTimeout it is a definitive
-	// statement that the call did NOT execute, so retrying it (with
-	// backoff) is always safe — and unlike a timeout it arrives in one
-	// round trip instead of a full timeout wait.
+	// admission: the function's budget (Options.AdmissionHighWater) or
+	// the caller's credit bank could not cover it. Unlike ErrTimeout it
+	// is a definitive statement that the call did NOT execute, so
+	// retrying it (with backoff) is always safe — and unlike a timeout
+	// it arrives in one round trip instead of a full timeout wait.
 	ErrOverloaded = errors.New("lite: server overloaded, call shed")
 	// ErrMaybeExecuted reports that a retry of a timed-out call reached
 	// a server that has restarted since the call's first attempt: the
@@ -90,9 +90,8 @@ var (
 )
 
 // OverloadError is the rich form of ErrOverloaded a shed notification
-// may carry when the fair admission policy is active: RetryAfter is
-// the server's estimate of when the client's in-flight work will have
-// drained enough to admit one more call — a Retry-After hint, not a
+// carries: RetryAfter is the server's estimate of when the caller's
+// admission bank will cover one more call — a Retry-After hint, not a
 // lease. It unwraps to ErrOverloaded, so errors.Is(err, ErrOverloaded)
 // matches either form and existing callers need no change; the retry
 // layer additionally extracts the hint with errors.As and stretches
@@ -193,21 +192,18 @@ type Options struct {
 	RetryBackoff simtime.Time
 
 	// AdmissionHighWater, when positive, enables server-side admission
-	// control on application RPC functions: a request arriving while
-	// the function's pending-call queue already holds this many calls
-	// is shed immediately with a fast ErrOverloaded notification back
-	// to the caller, instead of being queued until the caller's wait
-	// degenerates into a timeout. Zero (the default) disables shedding.
+	// control on application RPC functions (admission.go): a call is
+	// charged input-bytes + service-time-EWMA cost against a budget of
+	// AdmissionHighWater average calls, and against its caller's
+	// weighted credit bank (tenants by their QoS weight, untenanted
+	// client nodes weight 1). A call that neither covers is shed with a
+	// fast ErrOverloaded notice carrying a Retry-After hint, instead of
+	// being queued until the caller's wait degenerates into a timeout.
+	// Zero (the default) disables shedding.
 	AdmissionHighWater int
 
-	// FairAdmission upgrades admission control (it requires a positive
-	// AdmissionHighWater) from the depth-only shed to the cost-aware,
-	// per-client-fair policy in admission.go: calls are charged
-	// input-bytes + service-time-EWMA cost, each client is entitled to
-	// a deficit-round-robin fair share of AdmissionHighWater×avg-cost,
-	// and only the over-share client is shed — with a Retry-After hint
-	// in the notification — when the server is past budget. Off (the
-	// default) keeps the PR 4 depth-only behaviour.
+	// Deprecated: FairAdmission is ignored; weighted-fair admission is
+	// the only policy under AdmissionHighWater.
 	FairAdmission bool
 
 	// QPLeasePool, when positive, keeps that many pre-established spare
@@ -298,7 +294,7 @@ type Instance struct {
 	// collide with sequence numbers its previous incarnation left in a
 	// server's dedup window.
 	nextSeq uint64
-	// adm is the per-function fair-admission state (admission.go),
+	// adm is the per-function admission state (admission.go),
 	// created lazily and wiped wholesale on crash/restart (the queued
 	// calls it accounted for die with the incarnation).
 	adm map[int]*fnAdm

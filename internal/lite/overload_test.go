@@ -232,8 +232,9 @@ func TestRetryOverloadBacksOff(t *testing.T) {
 // four clients share one 2-worker x 2us server (capacity 1 req/us) at
 // 2x aggregate overload, with client 3 offering 5x the load of each
 // well-behaved client. Requests go out raw (no retry wrapper) so each
-// client's OK count is the goodput the admission policy granted it.
-func runFairnessWorkload(t *testing.T, seed uint64, fair bool) []*load.Result {
+// client's OK count is the goodput admission granted it. With shared
+// set, the four issue as one tenant and so draw on one bank.
+func runFairnessWorkload(t *testing.T, seed uint64, shared bool) []*load.Result {
 	t.Helper()
 	const (
 		clients = 4
@@ -249,7 +250,6 @@ func runFairnessWorkload(t *testing.T, seed uint64, fair bool) []*load.Result {
 	opts.RPCTimeout = 200 * time.Microsecond
 	opts.RetryBackoff = 20 * time.Microsecond
 	opts.AdmissionHighWater = 48
-	opts.FairAdmission = fair
 	dep, err := Start(cls, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -260,12 +260,17 @@ func runFairnessWorkload(t *testing.T, seed uint64, fair bool) []*load.Result {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Warm every binding (and prime the fair policy's service-time EWMA)
-	// before the schedule opens.
-	for n := 0; n < clients; n++ {
-		n := n
+	issuers := make([]*Client, clients)
+	for n := range issuers {
+		issuers[n] = dep.Instance(n).KernelClient()
+		if shared {
+			issuers[n] = dep.Instance(n).TenantClient(1)
+		}
+	}
+	// Warm every binding (and prime the service-time EWMA) before the
+	// schedule opens.
+	for n, c := range issuers {
 		cls.GoOn(n, "warmup", func(p *simtime.Proc) {
-			c := dep.Instance(n).KernelClient()
 			if _, err := c.RPCRetry(p, srvNode, echoFn, make([]byte, 16), 64); err != nil {
 				t.Errorf("warmup %d: %v", n, err)
 			}
@@ -274,10 +279,8 @@ func runFairnessWorkload(t *testing.T, seed uint64, fair bool) []*load.Result {
 	scheds := load.SplitPoissonWeighted(seed, rate, reqs, simtime.Time(50*time.Microsecond),
 		[]float64{0.25, 0.25, 0.25, 1.25})
 	nodes := make([]int, clients)
-	issuers := make([]*Client, clients)
 	for n := range nodes {
 		nodes[n] = n
-		issuers[n] = dep.Instance(n).KernelClient()
 	}
 	res := load.RunMulti(cls, nodes, scheds, func(p *simtime.Proc, issuer, k int) load.Status {
 		_, err := issuers[issuer].RPC(p, srvNode, echoFn, make([]byte, 16), 64)
@@ -324,46 +327,47 @@ func fingerprintResults(res []*load.Result) []string {
 }
 
 // TestFairAdmissionEqualizesGoodput is the fairness property test: at
-// 2x overload with one greedy client, the cost-aware DRR policy must
-// hold per-client goodput within 1.5x across clients, while the
-// depth-only ablation — identical arrival instants, only the admission
-// decision differs — leaves at least a 4x spread. Both policies must
-// replay bit for bit under the same seed.
+// 2x overload with one greedy client, a weight-1 bank per client must
+// hold per-client goodput within 1.5x across clients, while one bank
+// shared by all four — identical arrival instants, only the banks
+// differ — degenerates to the depth budget and leaves at least a 4x
+// spread. Both must replay bit for bit under the same seed.
 func TestFairAdmissionEqualizesGoodput(t *testing.T) {
 	const seed = 42
-	fair := runFairnessWorkload(t, seed, true)
+	fair := runFairnessWorkload(t, seed, false)
 	fairRatio := goodputRatio(fair)
 	if fairRatio > 1.5 {
-		t.Fatalf("fair admission goodput max/min = %.2f, want <= 1.5 (per-client OK: %v)",
+		t.Fatalf("bank-per-client goodput max/min = %.2f, want <= 1.5 (per-client OK: %v)",
 			fairRatio, fingerprintResults(fair))
 	}
-	depth := runFairnessWorkload(t, seed, false)
+	depth := runFairnessWorkload(t, seed, true)
 	depthRatio := goodputRatio(depth)
 	if depthRatio < 4.0 {
-		t.Fatalf("depth-only goodput max/min = %.2f, want >= 4 (per-client OK: %v)",
+		t.Fatalf("shared-bank goodput max/min = %.2f, want >= 4 (per-client OK: %v)",
 			depthRatio, fingerprintResults(depth))
 	}
-	// Every client keeps a useful share under the fair policy: nobody is
+	// Every client keeps a useful share with its own bank: nobody is
 	// starved outright even while the aggregate stays 2x over capacity.
 	for n, r := range fair {
 		if r.OK == 0 {
 			t.Fatalf("fair admission starved client %d: %+v", n, r)
 		}
 	}
-	// Determinism: a same-seed rerun of each policy must reproduce every
-	// per-client tally, tail quantile, and completion instant exactly.
+	// Determinism: a same-seed rerun of each configuration must reproduce
+	// every per-client tally, tail quantile, and completion instant
+	// exactly.
 	for _, tc := range []struct {
-		name string
-		fair bool
-		want []string
+		name   string
+		shared bool
+		want   []string
 	}{
-		{"fair", true, fingerprintResults(fair)},
-		{"depth-only", false, fingerprintResults(depth)},
+		{"bank per client", false, fingerprintResults(fair)},
+		{"shared bank", true, fingerprintResults(depth)},
 	} {
-		got := fingerprintResults(runFairnessWorkload(t, seed, tc.fair))
+		got := fingerprintResults(runFairnessWorkload(t, seed, tc.shared))
 		for n := range tc.want {
 			if got[n] != tc.want[n] {
-				t.Fatalf("%s policy replay diverged for client %d:\n  first:  %s\n  second: %s",
+				t.Fatalf("%s replay diverged for client %d:\n  first:  %s\n  second: %s",
 					tc.name, n, tc.want[n], got[n])
 			}
 		}

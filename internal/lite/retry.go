@@ -39,7 +39,7 @@ const retryAttempts = 4
 // the terminal ErrMaybeExecuted instead of re-executing. An overload
 // shed is a definitive "did NOT execute": the retry backs off and
 // tries again — stretching the backoff to any Retry-After hint the
-// fair admission policy shipped — but never rebinds (the binding is
+// shed shipped — but never rebinds (the binding is
 // healthy; the server is just full) and never counts toward the
 // rebind-forcing timeout streak.
 func (i *Instance) rpcRetry(p *simtime.Proc, c *rpcCall) ([]byte, error) {

@@ -330,7 +330,7 @@ type rpcFunc struct {
 	// len(queue) == 0 && executing == 0.
 	executing int
 	// waiting counts the server threads parked in LT_recvRPC on this
-	// function. Fair admission reads it: a parked thread that no queued
+	// function. Admission reads it: a parked thread that no queued
 	// call has already claimed means the call can run at once, so
 	// shedding it would only idle the server (see handleRPCReq).
 	waiting int
@@ -357,10 +357,10 @@ type Call struct {
 	// only); the reply is cached there for duplicate replay.
 	ded *dedupEntry
 
-	// admCost is the cost the fair-admission policy charged for this
-	// call, released when the reply posts; recvAt stamps when a server
-	// thread dequeued it, so the reply can feed the observed service
-	// time back into the policy's EWMA.
+	// admCost is the cost admission charged this call's bank, released
+	// when the reply posts; recvAt stamps when a server thread dequeued
+	// it, so the reply can feed the observed service time back into the
+	// admission cost EWMA.
 	admCost int64
 	recvAt  simtime.Time
 
@@ -956,7 +956,7 @@ func (i *Instance) recvRPCInternal(p *simtime.Proc, fn int) (*Call, error) {
 	}
 	i.memcpyCost(p, int64(len(call.Input)))
 	// Stamp the dequeue instant: reply time minus this is the observed
-	// handler service time the fair-admission EWMA learns from.
+	// handler service time the admission cost EWMA learns from.
 	call.recvAt = p.Now()
 	// Count the serve on the responder node: this is the "server CPU
 	// got involved" signal one-sided data paths are measured against.
@@ -1018,8 +1018,8 @@ func (i *Instance) replyRPCInternal(p *simtime.Proc, c *Call, output []byte, pri
 	}
 	// Feed the observed service time back into the admission cost
 	// model and release the call's admitted cost. Pure integer
-	// bookkeeping — no virtual time moves, so a depth-only or
-	// admission-free timeline is unperturbed.
+	// bookkeeping — no virtual time moves, so an admission-free
+	// timeline is unperturbed.
 	if c.recvAt > 0 {
 		i.admServiceObserve(c.Func, p.Now()-c.recvAt)
 		c.recvAt = 0
@@ -1454,54 +1454,36 @@ func (r *srvRing) remember(seq uint64, call *Call) {
 
 // admitReq is handleRPCReq's admission seam. With admission control on
 // (Options.AdmissionHighWater), a call to an application function is
-// admitted — the fair policy records the cost it charged on the call —
-// or shed: its frame is credited at once and the client told fast, by
-// a notice that under the fair policy carries a Retry-After hint. It
-// reports whether the call may run.
+// admitted — recording on the call the cost its bank was charged — or
+// shed: its frame is credited at once and the client told fast, by a
+// notice that carries a Retry-After hint. It reports whether the call
+// may run.
 func (i *Instance) admitReq(p *simtime.Proc, f *rpcFunc, call *Call, h *reqHdr) bool {
 	if call.Func < FirstUserFunc {
 		return true
 	}
 	reg := i.obsReg()
 	reg.Observe("lite.rpc.queue_depth", simtime.Time(len(f.queue)))
-	hw := i.opts.AdmissionHighWater
-	if hw <= 0 {
+	if i.opts.AdmissionHighWater <= 0 {
 		return true
 	}
 	p.Work(i.cfg.AdmissionCheck)
-	shed := headUpdate{tag: tagRPCShed, client: call.Src, token: h.token}
-	if !i.opts.FairAdmission {
-		if len(f.queue) < hw {
-			return true
-		}
-		// Depth-only shed: a zero-length notice, instead of letting the
-		// client burn a full RPC timeout against a queue that cannot
-		// drain.
-		reg.Add("lite.rpc.shed", 1)
-		i.queueHeadUpdate(p, call.Src, call.Func, call.headDelta)
-		i.queueNotify(p, shed)
-		return false
-	}
-	p.Work(i.cfg.FairAdmissionCheck)
 	// Work conservation: a server thread is parked that no queued call
-	// has already claimed, so this call would run at once. Shares and
-	// banks arbitrate between tenants only when every worker is busy;
-	// either policy admits on idle as long as the budget has room.
+	// has already claimed, so this call would run at once. Banks
+	// arbitrate between callers only when every worker is busy.
 	idle := len(f.queue) < f.waiting
 	a := i.admFor(call.Func)
 	floored := a.idleAdmits
-	inLen := int64(len(call.Input))
-	var cost int64
-	var hint simtime.Time
-	var ok bool
+	w := int64(1)
 	if call.Tenant != 0 {
-		// A tenant-tagged request: weighted-tenant admission, with the
-		// extra credential/credit bookkeeping charged.
+		// A tenant-tagged request draws on its tenant's weighted bank,
+		// with the extra credential lookup charged.
 		p.Work(i.cfg.TenantCheck)
-		cost, hint, ok = a.admitTenant(call.Tenant, i.dep.tenantWeight(call.Tenant), inLen, hw, len(f.queue), idle)
+		w = i.dep.tenantWeight(call.Tenant)
+	}
+	cost, hint, ok := a.admit(keyOf(call), w, int64(len(call.Input)), len(f.queue), idle)
+	if call.Tenant != 0 {
 		i.tenantCount(call.Tenant, tenObsAdmit, ok)
-	} else {
-		cost, hint, ok = a.admit(call.Src, inLen, hw, len(f.queue), idle)
 	}
 	if a.idleAdmits != floored {
 		reg.Add("lite.adm.idle_admit", 1)
@@ -1510,12 +1492,13 @@ func (i *Instance) admitReq(p *simtime.Proc, f *rpcFunc, call *Call, h *reqHdr) 
 		call.admCost = cost
 		return true
 	}
-	// Shed the over-share client, shipping the Retry-After estimate in
-	// the call's reply buffer (every reply buffer owns at least a cache
-	// line, so the 8-byte hint always has a landing zone).
+	// Shed: a notice instead of letting the client burn a full RPC
+	// timeout, shipping the Retry-After estimate (if any) in the call's
+	// reply buffer (every reply buffer owns at least a cache line, so
+	// the 8-byte hint always has a landing zone).
 	reg.Add("lite.rpc.shed", 1)
-	reg.Add("lite.rpc.shed_fair", 1)
 	i.queueHeadUpdate(p, call.Src, call.Func, call.headDelta)
+	shed := headUpdate{tag: tagRPCShed, client: call.Src, token: h.token}
 	if hint > 0 {
 		shed.reply = encodeWord(uint64(hint))
 		shed.replyPA = h.replyPA

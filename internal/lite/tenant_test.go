@@ -180,7 +180,6 @@ func TestTenantAdmittedCounter(t *testing.T) {
 	cls := cluster.MustNew(&cfg, 2, 1<<30)
 	opts := DefaultOptions()
 	opts.AdmissionHighWater = 64
-	opts.FairAdmission = true
 	dep, err := Start(cls, opts)
 	if err != nil {
 		t.Fatal(err)

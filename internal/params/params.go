@@ -140,28 +140,20 @@ type Config struct {
 	// metadata handling; mapping+protection is the dominant part).
 	LITECheck time.Duration
 	// AdmissionCheck is the per-request cost of the server-side
-	// admission-control gate (queue-depth load, high-water compare),
-	// charged only when a high-water mark is configured.
+	// admission gate (bank lookup, cost EWMA update, budget and credit
+	// accounting), charged only when a high-water mark is configured.
 	AdmissionCheck time.Duration
-	// FairAdmissionCheck is the extra per-request cost of the
-	// cost-aware fair admission policy (per-client cost lookup, EWMA
-	// update, deficit-round-robin accounting), charged on top of
-	// AdmissionCheck when Options.FairAdmission is enabled.
-	FairAdmissionCheck time.Duration
 	// TenantCheck is the extra per-request cost of resolving a tenant
-	// tag: credential/namespace lookup plus the weighted-credit
-	// accounting, charged on top of FairAdmissionCheck for requests
-	// carrying a nonzero tenant ID.
+	// tag (credential/namespace and weight lookup), charged on top of
+	// AdmissionCheck for requests carrying a nonzero tenant ID.
 	TenantCheck time.Duration
 	// AdmissionHintCap caps the Retry-After hint carried in a shed
 	// notification; a hint is advice about queue drain, not a lease,
 	// and must never park a client for longer than a timeout would.
 	AdmissionHintCap time.Duration
-	// AdmissionBankShares caps how much unused fair share an idle
-	// client (or tenant) may bank as deficit-round-robin credit,
-	// expressed in shares: a client's carried deficit never exceeds
-	// AdmissionBankShares x its per-round share, so an idle client
-	// cannot hoard unbounded admission credit.
+	// AdmissionBankShares caps a caller's admission credit bank at
+	// AdmissionBankShares average calls per unit of QoS weight, so an
+	// idle client (or tenant) cannot hoard unbounded admission credit.
 	AdmissionBankShares int
 	// AdaptivePollWindow is how long the LITE user library busy-checks
 	// the shared completion page before sleeping (5.2's adaptive
@@ -226,8 +218,7 @@ func Default() Config {
 		SyscallCrossing:     85 * time.Nanosecond,
 		KernelDispatch:      60 * time.Nanosecond,
 		LITECheck:           120 * time.Nanosecond,
-		AdmissionCheck:      20 * time.Nanosecond,
-		FairAdmissionCheck:  60 * time.Nanosecond,
+		AdmissionCheck:      80 * time.Nanosecond,
 		TenantCheck:         15 * time.Nanosecond,
 		AdmissionHintCap:    2 * time.Millisecond,
 		AdmissionBankShares: 2,

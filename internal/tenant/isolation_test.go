@@ -49,7 +49,6 @@ func runIsolationAll(t *testing.T, greedyFactor float64) []*load.Result {
 	// it the victim's tail is set by the budget, not by how hard the
 	// greedy tenant pushes.
 	opts.AdmissionHighWater = 16
-	opts.FairAdmission = true
 	dep, err := lite.Start(cls, opts)
 	if err != nil {
 		t.Fatal(err)
