@@ -66,6 +66,8 @@ cover:
 	$(call check_cover,./internal/simtime/,$(COVER_FLOOR))
 	$(call check_cover,./internal/fabric/,$(COVER_FLOOR))
 	$(call check_cover,./internal/apps/kvstore/,$(COVER_FLOOR))
+	$(call check_cover,./internal/verbs/,$(COVER_FLOOR))
+	$(call check_cover,./internal/rnic/,$(COVER_FLOOR))
 	$(call check_cover,./internal/faults/,$(COVER_FLOOR_HARNESS))
 	$(call check_cover,./internal/load/,$(COVER_FLOOR_HARNESS))
 

@@ -202,6 +202,8 @@ type server struct {
 	// allocated in that tenant's namespace (another tenant cannot map
 	// or read them, even knowing the LMR name).
 	tcs map[uint16]*lite.Client
+	// prefixes caches each calling tenant's key prefix (tenantPrefix).
+	prefixes map[uint16]string
 	// idx is the published one-sided index (LMRs allocated lazily, and
 	// only when the store is one-sided).
 	idx *idxState
@@ -212,6 +214,19 @@ type server struct {
 // tenant label, so a tenant cannot route into another tenant's keys by
 // forging request bodies.
 func tenantPrefix(ten uint16) string { return fmt.Sprintf("t%d/", ten) }
+
+// tenantPrefix returns tenantPrefix(ten), formatted once per tenant.
+func (srv *server) tenantPrefix(ten uint16) string {
+	pre, ok := srv.prefixes[ten]
+	if !ok {
+		if srv.prefixes == nil {
+			srv.prefixes = make(map[uint16]string)
+		}
+		pre = tenantPrefix(ten)
+		srv.prefixes[ten] = pre
+	}
+	return pre
+}
 
 // allocClient returns the client value LMRs are allocated with: the
 // calling tenant's client, so the LMR lands in its namespace. Kernel
@@ -249,7 +264,7 @@ func (srv *server) handle(p *simtime.Proc, c *lite.Client, call *lite.Call) []by
 		// Tenant calls only reach their own key namespace: the required
 		// prefix comes from the transport's tenant label, not the
 		// request body, so it cannot be forged.
-		if ten := call.Tenant; ten != 0 && !strings.HasPrefix(req.Key, tenantPrefix(ten)) {
+		if ten := call.Tenant; ten != 0 && !strings.HasPrefix(req.Key, srv.tenantPrefix(ten)) {
 			req.Op = "denied"
 		}
 		switch req.Op {

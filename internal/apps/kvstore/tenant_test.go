@@ -95,3 +95,17 @@ func TestTenantNamespaces(t *testing.T) {
 		t.Fatalf("lite.tenant.denied = %d, want >= 1", got)
 	}
 }
+
+// A server formats each tenant's key prefix once and hands back the
+// same bytes tenantPrefix does.
+func TestServerTenantPrefixIsCached(t *testing.T) {
+	srv := &server{}
+	for _, ten := range []uint16{1, 42, 65535, 42} {
+		if got, want := srv.tenantPrefix(ten), tenantPrefix(ten); got != want {
+			t.Errorf("tenant %d: prefix %q, want %q", ten, got, want)
+		}
+	}
+	if len(srv.prefixes) != 3 {
+		t.Errorf("%d prefixes cached for 3 tenants", len(srv.prefixes))
+	}
+}

@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"lite/internal/fabric"
@@ -32,6 +33,27 @@ type Node struct {
 
 	// kinds holds CPU's sub-accounts, one per thread kind (see procKind).
 	kinds map[string]*simtime.CPUAccount
+	// spawns caches, per proc name spawned on the node, the proc's
+	// node-qualified name and its kind's account, so a spawn formats
+	// nothing.
+	spawns map[string]spawnName
+}
+
+// spawnName is what GoOn needs of a proc name: the name the proc is
+// given ("n<node>/<name>") and the account its CPU accrues to.
+type spawnName struct {
+	full string
+	acct *simtime.CPUAccount
+}
+
+// spawnAs returns the cached spawnName for procs named name.
+func (nd *Node) spawnAs(name string) spawnName {
+	s, ok := nd.spawns[name]
+	if !ok {
+		s = spawnName{full: "n" + strconv.Itoa(nd.ID) + "/" + name, acct: nd.kindCPU(name)}
+		nd.spawns[name] = s
+	}
+	return s
 }
 
 // procKind is what a proc's CPU is attributed to: its name without a
@@ -118,6 +140,7 @@ func New(cfg *params.Config, n int, memPerNode int64) (*Cluster, error) {
 			KernelAS: hostmem.NewAddressSpace(mem),
 			CPU:      &simtime.CPUAccount{},
 			kinds:    make(map[string]*simtime.CPUAccount),
+			spawns:   make(map[string]spawnName),
 		})
 	}
 	return c, nil
@@ -159,18 +182,18 @@ func MustNew(cfg *params.Config, n int, memPerNode int64) *Cluster {
 // GoOn spawns a process logically running on the given node: its CPU
 // time accrues to that node's account, attributed to the proc's kind.
 func (c *Cluster) GoOn(node int, name string, fn func(*simtime.Proc)) *simtime.Proc {
-	acct := c.Nodes[node].kindCPU(name)
-	return c.Env.Go(fmt.Sprintf("n%d/%s", node, name), func(p *simtime.Proc) {
-		p.SetCPUAccount(acct)
+	s := c.Nodes[node].spawnAs(name)
+	return c.Env.Go(s.full, func(p *simtime.Proc) {
+		p.SetCPUAccount(s.acct)
 		fn(p)
 	})
 }
 
 // GoDaemonOn is GoOn for daemon processes (background pollers).
 func (c *Cluster) GoDaemonOn(node int, name string, fn func(*simtime.Proc)) *simtime.Proc {
-	acct := c.Nodes[node].kindCPU(name)
-	return c.Env.GoDaemon(fmt.Sprintf("n%d/%s", node, name), func(p *simtime.Proc) {
-		p.SetCPUAccount(acct)
+	s := c.Nodes[node].spawnAs(name)
+	return c.Env.GoDaemon(s.full, func(p *simtime.Proc) {
+		p.SetCPUAccount(s.acct)
 		fn(p)
 	})
 }

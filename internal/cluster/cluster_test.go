@@ -108,6 +108,31 @@ func TestCPUByKind(t *testing.T) {
 	}
 }
 
+// A proc is named "n<node>/<name>" however often its name is spawned,
+// on whichever node, as a daemon or not; procs of one kind share one
+// account.
+func TestSpawnNamesAreNodeQualified(t *testing.T) {
+	cfg := params.Default()
+	c := MustNew(&cfg, 12, 1<<30)
+	var names []string
+	for k := 0; k < 2; k++ {
+		for _, node := range []int{0, 11} {
+			for _, name := range []string{"op", "lite-serve-7"} {
+				names = append(names, c.GoOn(node, name, func(*simtime.Proc) {}).Name())
+			}
+		}
+		names = append(names, c.GoDaemonOn(11, "op", func(*simtime.Proc) {}).Name())
+	}
+	want := "n0/op n0/lite-serve-7 n11/op n11/lite-serve-7 n11/op"
+	if got := strings.Join(names, " "); got != want+" "+want {
+		t.Errorf("proc names %q, want %q twice", got, want)
+	}
+	nd := c.Nodes[11]
+	if nd.spawnAs("lite-serve-7").acct != nd.spawnAs("lite-serve-8").acct || nd.spawnAs("op").acct == nd.spawnAs("lite-serve-7").acct {
+		t.Error("procs of one kind do not share one account, or two kinds share one")
+	}
+}
+
 func TestGoDaemonOnDoesNotBlockRun(t *testing.T) {
 	cfg := params.Default()
 	c := MustNew(&cfg, 1, 1<<30)

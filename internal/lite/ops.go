@@ -286,7 +286,7 @@ func (i *Instance) postReadChain(p *simtime.Proc, nodes []int, wrs []rnic.WR, pr
 	if err == nil {
 		last := i.sendDisp.Wait(p, chain[n-1].WRID)
 		for _, wr := range chain[:n-1] {
-			if cqe, ok := i.sendDisp.TryClaim(p, wr.WRID); ok && err == nil {
+			if cqe, ok := i.sendDisp.TryClaim(wr.WRID); ok && err == nil {
 				err = statusErr(cqe.Status)
 			}
 		}

@@ -663,7 +663,7 @@ func (i *Instance) wantInline(n int64) bool {
 // blocking. Stops at the first batch still outstanding.
 func (i *Instance) reapQP(p *simtime.Proc, sig *qpSigState) {
 	for len(sig.inflight) > 0 {
-		if _, ok := i.sendDisp.TryClaim(p, sig.inflight[0].wrid); !ok {
+		if _, ok := i.sendDisp.TryClaim(sig.inflight[0].wrid); !ok {
 			return
 		}
 		sig.free(i.cls.Env, sig.popInflight().slots)

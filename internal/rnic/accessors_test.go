@@ -123,6 +123,37 @@ func TestCQPollTimeout(t *testing.T) {
 	c.run(t)
 }
 
+// A completion the delivery hook takes is neither queued nor wakes a
+// poller; one it declines is queued and wakes one as usual.
+func TestCQDeliverHook(t *testing.T) {
+	c := newCluster(t, 1)
+	cq := c.nic[0].CreateCQ()
+	var taken []uint64
+	cq.SetDeliver(func(_ *simtime.Env, cqe CQE) bool {
+		if cqe.WRID%2 == 0 {
+			taken = append(taken, cqe.WRID)
+			return true
+		}
+		return false
+	})
+	c.env.Go("poller", func(p *simtime.Proc) {
+		if cqe := cq.Poll(p); cqe.WRID != 3 {
+			t.Errorf("poller got %+v, want the declined completion 3", cqe)
+		}
+	})
+	c.env.After(time.Microsecond, func(e *simtime.Env) {
+		cq.Push(e, CQE{WRID: 2})
+		if cq.Len() != 0 {
+			t.Error("a taken completion was queued")
+		}
+		cq.Push(e, CQE{WRID: 3})
+	})
+	c.run(t)
+	if len(taken) != 1 || taken[0] != 2 || cq.Len() != 0 {
+		t.Fatalf("taken %v, %d left queued", taken, cq.Len())
+	}
+}
+
 func TestCQWaitAndBroadcast(t *testing.T) {
 	c := newCluster(t, 1)
 	cq := c.nic[0].CreateCQ()

@@ -225,7 +225,16 @@ type CQ struct {
 	q    []CQE
 	head int
 	cond simtime.Cond
+	// deliver, when set, is offered each completion before it is
+	// queued; see SetDeliver.
+	deliver func(*simtime.Env, CQE) bool
 }
+
+// SetDeliver installs fn as the CQ's direct-delivery hook: Push offers
+// every completion to fn first, and queues it (waking a poller) only
+// if fn reports that it did not take it. A dispatcher installs one to
+// hand a completion straight to the thread that waits for it.
+func (c *CQ) SetDeliver(fn func(*simtime.Env, CQE) bool) { c.deliver = fn }
 
 // CQN returns the completion queue number.
 func (c *CQ) CQN() int { return c.cqn }
@@ -233,9 +242,13 @@ func (c *CQ) CQN() int { return c.cqn }
 // Len returns the number of pending completions.
 func (c *CQ) Len() int { return len(c.q) - c.head }
 
-// Push appends a completion and wakes one poller. It may be called
-// from scheduler callbacks.
+// Push appends a completion and wakes one poller, unless the
+// direct-delivery hook takes it. It may be called from scheduler
+// callbacks.
 func (c *CQ) Push(e *simtime.Env, cqe CQE) {
+	if c.deliver != nil && c.deliver(e, cqe) {
+		return
+	}
 	if c.head > 0 && len(c.q) == cap(c.q) {
 		n := copy(c.q, c.q[c.head:])
 		clear(c.q[n:])

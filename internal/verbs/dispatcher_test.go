@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"lite/internal/allocbudget"
 	"lite/internal/rnic"
 	"lite/internal/simtime"
 )
@@ -45,6 +46,182 @@ func TestPostRecvChargesDoorbell(t *testing.T) {
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Eight busy-polling waiters share one CQ and their completions arrive
+// in reverse work-request order, either all at one instant or one at a
+// time. Each waiter must get its own completion, resume exactly once —
+// when it arrives — and be charged the whole wait; no completion may
+// wake a thread it does not belong to.
+func TestCompletionWakesOnlyItsOwner(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		name   string
+		spread simtime.Time // gap between consecutive pushes
+		pushes int64        // callback events the pushes take
+	}{
+		{"one instant", 0, 1},
+		{"spread", time.Microsecond, n},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, _, a, _ := newPair(t)
+			cq := a.CreateCQ()
+			disp := NewDispatcher(cq)
+			start := 10 * time.Microsecond
+			pushedAt := func(id uint64) simtime.Time { return start + simtime.Time(n-id)*tc.spread }
+			var accts [n + 1]simtime.CPUAccount
+			got := make(map[uint64]rnic.CQE)
+			for id := uint64(1); id <= n; id++ {
+				id := id
+				env.Go("waiter", func(p *simtime.Proc) {
+					p.SetCPUAccount(&accts[id])
+					cqe := disp.Wait(p, id)
+					if p.Now() != pushedAt(id) {
+						t.Errorf("waiter %d resumed at %v, its completion arrived at %v", id, p.Now(), pushedAt(id))
+					}
+					got[id] = cqe
+				})
+			}
+			var mark int64
+			env.At(start-1, func(e *simtime.Env) {
+				mark = e.Events()
+				if b := disp.Blocked(); b != n {
+					t.Errorf("%d waiters blocked before the pushes, want %d", b, n)
+				}
+			})
+			if tc.spread == 0 {
+				env.At(start, func(e *simtime.Env) {
+					for id := uint64(n); id >= 1; id-- {
+						cq.Push(e, rnic.CQE{WRID: id, Len: int64(id)})
+					}
+				})
+			} else {
+				for id := uint64(n); id >= 1; id-- {
+					id := id
+					env.At(pushedAt(id), func(e *simtime.Env) { cq.Push(e, rnic.CQE{WRID: id, Len: int64(id)}) })
+				}
+			}
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for id := uint64(1); id <= n; id++ {
+				if cqe := got[id]; cqe.WRID != id || cqe.Len != int64(id) {
+					t.Errorf("waiter %d got %+v", id, cqe)
+				}
+				if busy := accts[id].Busy(); busy != pushedAt(id) {
+					t.Errorf("waiter %d charged %v, want its whole %v wait", id, busy, pushedAt(id))
+				}
+			}
+			if events, want := env.Events()-mark, tc.pushes+n; events != want {
+				t.Errorf("%d events after the mark, want %d: %d push callbacks and one wakeup per waiter", events, want, tc.pushes)
+			}
+			if disp.Blocked() != 0 || len(disp.Unclaimed()) != 0 || cq.Len() != 0 {
+				t.Errorf("left behind: %d blocked, unclaimed %v, %d queued", disp.Blocked(), disp.Unclaimed(), cq.Len())
+			}
+		})
+	}
+}
+
+// A completion that arrives before its waiter asks for it is claimed
+// on the spot: no park, no wakeup, no CPU charged.
+func TestEarlyCompletionIsClaimedWithoutWake(t *testing.T) {
+	env, _, a, _ := newPair(t)
+	cq := a.CreateCQ()
+	disp := NewDispatcher(cq)
+	acct := &simtime.CPUAccount{}
+	env.Go("waiter", func(p *simtime.Proc) {
+		p.SetCPUAccount(acct)
+		cq.Push(p.Env(), rnic.CQE{WRID: 3})
+		cq.Push(p.Env(), rnic.CQE{WRID: 5})
+		p.Sleep(time.Microsecond)
+		t0, events := p.Now(), p.Env().Events()
+		if cqe := disp.Wait(p, 5); cqe.WRID != 5 {
+			t.Errorf("cqe = %+v", cqe)
+		}
+		if cqe := disp.WaitQuiet(p, 3); cqe.WRID != 3 {
+			t.Errorf("cqe = %+v", cqe)
+		}
+		if p.Now() != t0 || p.Env().Events() != events {
+			t.Errorf("claiming arrived completions took %v and %d events", p.Now()-t0, p.Env().Events()-events)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if acct.Busy() != 0 {
+		t.Fatalf("claiming arrived completions charged %v", acct.Busy())
+	}
+}
+
+// A completion nobody waits for wakes nobody: it stays queued until
+// TryClaim takes it, exactly once, while a waiter on the same CQ still
+// gets its own.
+func TestUnregisteredCompletionIsClaimable(t *testing.T) {
+	env, _, a, _ := newPair(t)
+	cq := a.CreateCQ()
+	disp := NewDispatcher(cq)
+	env.Go("waiter", func(p *simtime.Proc) {
+		if cqe := disp.WaitQuiet(p, 1); cqe.WRID != 1 {
+			t.Errorf("waiter got %+v", cqe)
+		}
+	})
+	env.Go("reaper", func(p *simtime.Proc) {
+		if _, ok := disp.TryClaim(9); ok {
+			t.Error("claimed a completion that has not arrived")
+		}
+		p.Sleep(2 * time.Microsecond)
+		if cqe, ok := disp.TryClaim(9); !ok || cqe.Status != rnic.StatusAccessError {
+			t.Errorf("TryClaim(9) = %+v, %v", cqe, ok)
+		}
+		if _, ok := disp.TryClaim(9); ok {
+			t.Error("a completion was claimed twice")
+		}
+	})
+	var events int64
+	env.After(time.Microsecond, func(e *simtime.Env) {
+		events = e.Events()
+		cq.Push(e, rnic.CQE{WRID: 9, Status: rnic.StatusAccessError})
+		if e.Events() != events || cq.Len() != 1 || disp.Blocked() != 1 {
+			t.Errorf("an unregistered completion woke someone or was not queued (%d queued, %d blocked)", cq.Len(), disp.Blocked())
+		}
+		cq.Push(e, rnic.CQE{WRID: 1})
+		if cq.Len() != 1 || disp.Blocked() != 0 {
+			t.Errorf("a registered completion was queued (%d queued, %d blocked)", cq.Len(), disp.Blocked())
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Waiter records are pooled: a steady stream of blocking waits on one
+// dispatcher allocates nothing.
+func TestBlockingWaitDoesNotAllocate(t *testing.T) {
+	allocbudget.SkipUnderRace(t)
+	env, _, a, _ := newPair(t)
+	cq := a.CreateCQ()
+	disp := NewDispatcher(cq)
+	var wrid uint64
+	push := func(e *simtime.Env) { cq.Push(e, rnic.CQE{WRID: wrid}) }
+	var allocs float64
+	env.Go("waiter", func(p *simtime.Proc) {
+		wait := func() {
+			wrid++
+			// The completion lands later at the same instant, so the
+			// event queue's buckets (which a moving clock fills afresh
+			// until it has lapped the wheel once) stay warm.
+			p.Env().After(0, push)
+			disp.Wait(p, wrid)
+		}
+		wait() // warm the pool, the map and the queues
+		allocs = testing.AllocsPerRun(100, wait)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a blocking wait allocates %.1f times", allocs)
 	}
 }
 

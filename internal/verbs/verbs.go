@@ -11,6 +11,8 @@
 package verbs
 
 import (
+	"sort"
+
 	"lite/internal/hostmem"
 	"lite/internal/params"
 	"lite/internal/rnic"
@@ -163,50 +165,94 @@ func (c *Context) LeaseQP(p *simtime.Proc, qp *rnic.QP) *rnic.QP {
 
 // Dispatcher demultiplexes completions of one CQ by work-request id,
 // so several processes can issue blocking operations over a shared CQ.
+// A blocked caller registers under its work-request id, and the CQ
+// hands the matching completion straight to it with one wakeup; a
+// completion nobody waits for is queued on the CQ and claimed later
+// with TryClaim.
 type Dispatcher struct {
-	cq    *rnic.CQ
+	cq *rnic.CQ
+	// stash holds completions drained from the CQ but not yet claimed.
 	stash map[uint64]rnic.CQE
+	// waiting maps the work-request id of each blocked caller to its
+	// record; free pools the records.
+	waiting map[uint64]*waiter
+	free    []*waiter
 }
 
-// NewDispatcher returns a dispatcher over cq.
+// waiter is one caller blocked on its completion.
+type waiter struct {
+	cond simtime.Cond
+	cqe  rnic.CQE
+	done bool
+}
+
+// NewDispatcher returns a dispatcher over cq and installs it as cq's
+// direct-delivery hook; a CQ has at most one dispatcher.
 func NewDispatcher(cq *rnic.CQ) *Dispatcher {
-	return &Dispatcher{cq: cq, stash: make(map[uint64]rnic.CQE)}
+	d := &Dispatcher{cq: cq, stash: make(map[uint64]rnic.CQE), waiting: make(map[uint64]*waiter)}
+	cq.SetDeliver(d.deliver)
+	return d
+}
+
+// deliver hands cqe to the caller blocked on its work-request id, if
+// there is one, and reports whether it did.
+func (d *Dispatcher) deliver(e *simtime.Env, cqe rnic.CQE) bool {
+	w, ok := d.waiting[cqe.WRID]
+	if !ok {
+		return false
+	}
+	delete(d.waiting, cqe.WRID)
+	w.cqe, w.done = cqe, true
+	w.cond.Signal(e)
+	return true
 }
 
 // Wait blocks (busy-polling; CPU charged) until the completion with
 // the given work-request id arrives and returns it.
 func (d *Dispatcher) Wait(p *simtime.Proc, wrid uint64) rnic.CQE {
-	for {
-		if cqe, ok := d.stash[wrid]; ok {
-			delete(d.stash, wrid)
-			return cqe
-		}
-		if cqe, ok := d.cq.TryPoll(); ok {
-			if cqe.WRID == wrid {
-				return cqe
-			}
-			d.stash[cqe.WRID] = cqe
-			d.cq.Broadcast(p.Env())
-			continue
-		}
-		t0 := p.Now()
-		d.cq.Wait(p)
-		p.Charge(p.Now() - t0)
+	if cqe, ok := d.TryClaim(wrid); ok {
+		return cqe
 	}
+	t0 := p.Now()
+	cqe := d.block(p, wrid)
+	p.Charge(p.Now() - t0)
+	return cqe
+}
+
+// WaitQuiet is Wait without CPU charging, for callers modeling
+// sleep-based waiting.
+func (d *Dispatcher) WaitQuiet(p *simtime.Proc, wrid uint64) rnic.CQE {
+	if cqe, ok := d.TryClaim(wrid); ok {
+		return cqe
+	}
+	return d.block(p, wrid)
+}
+
+// block registers p under wrid and parks it until deliver hands it the
+// completion.
+func (d *Dispatcher) block(p *simtime.Proc, wrid uint64) rnic.CQE {
+	var w *waiter
+	if n := len(d.free); n > 0 {
+		w = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		w = new(waiter)
+	}
+	d.waiting[wrid] = w
+	for !w.done {
+		w.cond.Wait(p)
+	}
+	cqe := w.cqe
+	w.cqe, w.done = rnic.CQE{}, false
+	d.free = append(d.free, w)
+	return cqe
 }
 
 // TryClaim drains any ready completions into the stash without
 // blocking and claims the one with the given work-request id if it
 // has arrived.
-func (d *Dispatcher) TryClaim(p *simtime.Proc, wrid uint64) (rnic.CQE, bool) {
-	for {
-		cqe, ok := d.cq.TryPoll()
-		if !ok {
-			break
-		}
-		d.stash[cqe.WRID] = cqe
-		d.cq.Broadcast(p.Env())
-	}
+func (d *Dispatcher) TryClaim(wrid uint64) (rnic.CQE, bool) {
+	d.drain()
 	if cqe, ok := d.stash[wrid]; ok {
 		delete(d.stash, wrid)
 		return cqe, true
@@ -214,22 +260,30 @@ func (d *Dispatcher) TryClaim(p *simtime.Proc, wrid uint64) (rnic.CQE, bool) {
 	return rnic.CQE{}, false
 }
 
-// WaitQuiet is Wait without CPU charging, for callers modeling
-// sleep-based waiting.
-func (d *Dispatcher) WaitQuiet(p *simtime.Proc, wrid uint64) rnic.CQE {
+// drain moves every queued completion into the stash.
+func (d *Dispatcher) drain() {
 	for {
-		if cqe, ok := d.stash[wrid]; ok {
-			delete(d.stash, wrid)
-			return cqe
+		cqe, ok := d.cq.TryPoll()
+		if !ok {
+			return
 		}
-		if cqe, ok := d.cq.TryPoll(); ok {
-			if cqe.WRID == wrid {
-				return cqe
-			}
-			d.stash[cqe.WRID] = cqe
-			d.cq.Broadcast(p.Env())
-			continue
-		}
-		d.cq.Wait(p)
+		d.stash[cqe.WRID] = cqe
 	}
+}
+
+// Blocked returns how many callers are parked waiting for their
+// completion. It is intended for diagnostics.
+func (d *Dispatcher) Blocked() int { return len(d.waiting) }
+
+// Unclaimed drains the CQ into the stash and returns the work-request
+// ids of the completions that have arrived and that nobody has claimed
+// yet, in ascending order. It is intended for diagnostics.
+func (d *Dispatcher) Unclaimed() []uint64 {
+	d.drain()
+	ids := make([]uint64, 0, len(d.stash))
+	for id := range d.stash {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	return ids
 }
