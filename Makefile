@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build benchmark-build benchmark-smoke test race lint cover bench bench-smoke bench-guard smoke obs-guard migrate-chaos determinism-guard determinism-record
+.PHONY: ci fmt vet build benchmark-build benchmark-smoke test race fuzz-smoke lint cover bench bench-smoke bench-guard smoke obs-guard migrate-chaos determinism-guard determinism-record
 
-ci: fmt vet lint build benchmark-build benchmark-smoke race cover migrate-chaos smoke obs-guard determinism-guard bench-guard
+ci: fmt vet lint build benchmark-build benchmark-smoke race fuzz-smoke cover migrate-chaos smoke obs-guard determinism-guard bench-guard
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -41,6 +41,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke: fuzz each kvstore wire-frame decoder for a few seconds
+# beyond its seed corpus (which plain go test already runs): a decode
+# must fail or round-trip, never panic. go test fuzzes one target at a
+# time.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 5s ./internal/apps/kvstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReply$$' -fuzztime 5s ./internal/apps/kvstore/
 
 # cover: the core LITE layer carries the dedup/admission/failover state
 # machines; its statement coverage must not silently erode. The floor

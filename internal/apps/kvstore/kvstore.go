@@ -15,13 +15,23 @@
 // to scale: one memory region per value overwhelms NIC SRAM. Under
 // LITE, per-value LMRs are free because the NIC holds one global
 // physical registration.
+//
+// The metadata path speaks one little-endian frame per direction
+// (frame.go): a request is [op 1][key length 2][key], then a "get"'s
+// reply budget [4] or any other op's value; a reply is 0 if not OK,
+// else [1][LMR length 8][version 8][name length 2][LMR name], then a
+// "get"'s value or an "attach"'s [generation 8][buckets 8][heap name]
+// (its LMR name is the index's). LT_RPC clips an over-long reply only
+// at the client, after the NIC wrote it all past the caller's buffer,
+// so no reply exceeds the caller's budget: a value that would comes
+// back as a bare OK header whose length says what to ask for.
 package kvstore
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"lite/internal/cluster"
@@ -38,37 +48,6 @@ var ErrNotFound = errors.New("kvstore: key not found")
 // valueHdr prefixes every value LMR: [8B version]. A get reads header
 // and payload in one LT_read and validates the version.
 const valueHdr = 8
-
-type request struct {
-	Op    string // "put", "lookup", "get", "attach", "delete"
-	Key   string
-	Value []byte `json:",omitempty"`
-	// Budget is a "get"'s reply budget in bytes when it is not
-	// getReplyBudget: a retry sized by a previous reply's Need.
-	Budget int64 `json:",omitempty"`
-}
-
-// getReplyBudget is the reply budget a "get" asks with first. The value
-// travels base64-encoded in a JSON reply, so this fits values up to
-// about 6 KB; a reply that would not fit states its size in Need instead.
-const getReplyBudget = 8192
-
-type response struct {
-	OK      bool
-	Name    string
-	Len     int64
-	Version uint64
-	// One-sided read-path fields ("get" and "attach" replies only;
-	// omitempty keeps every pre-existing reply byte-identical).
-	Value     []byte `json:",omitempty"`
-	IndexName string `json:",omitempty"`
-	HeapName  string `json:",omitempty"`
-	Gen       uint64 `json:",omitempty"`
-	NBuckets  int64  `json:",omitempty"`
-	// Need is the reply budget a "get" reply would have taken, sent
-	// instead of the value when it exceeds the request's budget.
-	Need int64 `json:",omitempty"`
-}
 
 // Store is a deployed key-value store.
 type Store struct {
@@ -257,69 +236,57 @@ func (srv *server) loop(p *simtime.Proc) {
 
 func (srv *server) handle(p *simtime.Proc, c *lite.Client, call *lite.Call) []byte {
 	srv.served++
-	var req request
-	var resp response
-	var budget int64 // a "get" reply's byte budget
-	if json.Unmarshal(call.Input, &req) == nil {
-		// Tenant calls only reach their own key namespace: the required
-		// prefix comes from the transport's tenant label, not the
-		// request body, so it cannot be forged.
-		if ten := call.Tenant; ten != 0 && !strings.HasPrefix(req.Key, srv.tenantPrefix(ten)) {
-			req.Op = "denied"
+	req, ok := decodeRequest(call.Input)
+	// Tenant calls only reach their own key namespace: the required
+	// prefix comes from the transport's tenant label, not the request
+	// body, so it cannot be forged.
+	if ten := call.Tenant; !ok || (ten != 0 && !strings.HasPrefix(req.key, srv.tenantPrefix(ten))) {
+		req.op = 0
+	}
+	var resp reply
+	switch req.op {
+	case opPut:
+		resp = srv.put(p, srv.allocClient(c, call.Tenant), req.key, req.value)
+		// Tenant keys are never published to the kernel-public
+		// one-sided index (see onesided.go).
+		if resp.ok && srv.store.onesided && call.Tenant == 0 {
+			srv.idxPut(p, c, req.key, req.value)
 		}
-		switch req.Op {
-		case "put":
-			resp = srv.put(p, srv.allocClient(c, call.Tenant), req.Key, req.Value)
-			// Tenant keys are never published to the kernel-public
-			// one-sided index (see onesided.go).
-			if resp.OK && srv.store.onesided && call.Tenant == 0 {
-				srv.idxPut(p, c, req.Key, req.Value)
-			}
-		case "lookup":
-			if e, ok := srv.index[req.Key]; ok {
-				resp = response{OK: true, Name: e.name, Len: e.size, Version: e.version}
-			}
-		case "get":
-			// RPC-path value fetch: the server reads the value itself and
-			// ships it in the reply — the baseline GetDirect competes with.
-			budget = getReplyBudget
-			if req.Budget > 0 {
-				budget = req.Budget
-			}
-			if e, ok := srv.index[req.Key]; ok {
+	case opLookup:
+		if e, ok := srv.index[req.key]; ok {
+			resp = reply{ok: true, name: e.name, size: e.size, version: e.version}
+		}
+	case opGet:
+		// RPC-path value fetch, the baseline GetDirect competes with. A
+		// value past the caller's budget stays home (see package doc).
+		if e, ok := srv.index[req.key]; ok {
+			resp = reply{ok: true, size: e.size, version: e.version}
+			if getReplyLen(e.size) <= req.budget {
 				buf := make([]byte, e.size)
-				if c.Read(p, e.lh, 0, buf) == nil {
-					resp = response{OK: true, Len: e.size, Version: e.version, Value: buf[valueHdr:]}
-				}
+				resp.ok = c.Read(p, e.lh, 0, buf) == nil
+				resp.value = buf[valueHdr:]
 			}
-		case "attach":
-			if srv.store.onesided {
-				srv.idx.lock(p)
-				err := srv.idxEnsure(p, c)
-				ix := srv.idx
-				if err == nil {
-					resp = response{OK: true, IndexName: ix.idxName, HeapName: ix.heapName, Gen: ix.seq, NBuckets: ix.nb}
-				}
-				srv.idx.unlock(p)
+		}
+	case opAttach:
+		if srv.store.onesided {
+			srv.idx.lock(p)
+			ix := srv.idx
+			if srv.idxEnsure(p, c) == nil {
+				resp = reply{ok: true, name: ix.idxName, heapName: ix.heapName, gen: ix.seq, nb: ix.nb}
 			}
-		case "delete":
-			if e, ok := srv.index[req.Key]; ok {
-				delete(srv.index, req.Key)
-				srv.free(p, c, e.lh)
-				resp.OK = true
-				if srv.store.onesided && call.Tenant == 0 {
-					srv.idxDelete(p, c, req.Key)
-				}
+			srv.idx.unlock(p)
+		}
+	case opDelete:
+		if e, ok := srv.index[req.key]; ok {
+			delete(srv.index, req.key)
+			srv.free(p, c, e.lh)
+			resp.ok = true
+			if srv.store.onesided && call.Tenant == 0 {
+				srv.idxDelete(p, c, req.key)
 			}
 		}
 	}
-	out, _ := json.Marshal(resp)
-	if budget > 0 && int64(len(out)) > budget {
-		// The caller would get a truncated, undecodable reply: tell it
-		// the budget to ask again with.
-		out, _ = json.Marshal(response{Need: int64(len(out))})
-	}
-	return out
+	return encodeReply(req.op, resp)
 }
 
 // put stores a value. Same-size overwrites update in place and bump
@@ -330,7 +297,7 @@ func (srv *server) handle(p *simtime.Proc, c *lite.Client, call *lite.Call) []by
 // never find a still-zero value behind the key. What a fresh LMR
 // replaces is read when it is published, not before the yields, so
 // two racing resizes each free exactly the entry they displaced.
-func (srv *server) put(p *simtime.Proc, c *lite.Client, key string, value []byte) response {
+func (srv *server) put(p *simtime.Proc, c *lite.Client, key string, value []byte) reply {
 	total := valueHdr + int64(len(value))
 	for {
 		e, ok := srv.index[key]
@@ -340,7 +307,7 @@ func (srv *server) put(p *simtime.Proc, c *lite.Client, key string, value []byte
 			name := fmt.Sprintf("kv%d-%d-g%d-%d", srv.store.id, srv.node, srv.gen, srv.seq)
 			lh, err := c.Malloc(p, total, name, lite.PermRead)
 			if err != nil {
-				return response{}
+				return reply{}
 			}
 			e = &entry{name: name, lh: lh, size: total}
 		}
@@ -356,7 +323,7 @@ func (srv *server) put(p *simtime.Proc, c *lite.Client, key string, value []byte
 				// write was aimed at: write against the current one.
 				continue
 			}
-			return response{}
+			return reply{}
 		}
 		if fresh {
 			old := srv.index[key]
@@ -366,7 +333,7 @@ func (srv *server) put(p *simtime.Proc, c *lite.Client, key string, value []byte
 				srv.free(p, c, old.lh)
 			}
 		}
-		return response{OK: true, Name: e.name, Len: e.size, Version: e.version}
+		return reply{ok: true, name: e.name, size: e.size, version: e.version}
 	}
 }
 
@@ -404,8 +371,6 @@ type Client struct {
 	// of that key pays.
 	HandlesKept    int64
 	HandlesDropped int64
-	Overloads      int64
-	Resubmits      int64
 	// Client-traversed path stats.
 	DirectGets      int64 // GETs resolved without any server CPU
 	DirectRetries   int64 // torn reads / stale attachments retried
@@ -445,8 +410,7 @@ func (s *Store) NewTenantClient(node int, ten uint16) *Client {
 // home mapping is kept, so the error surfaces as ErrNodeDead rather
 // than a panic.
 func (k *Client) serverFor(key string) int {
-	h := hashKey(key)
-	home := k.store.servers[int(h)%len(k.store.servers)]
+	home := k.store.serverFor(key)
 	if !k.c.NodeDead(home) {
 		return home
 	}
@@ -459,64 +423,70 @@ func (k *Client) serverFor(key string) int {
 	if len(live) == 0 {
 		return home
 	}
-	return live[int(h)%len(live)]
+	return live[int(hashKey(key))%len(live)]
 }
 
-// metaRPC sends one metadata-path request through the bounded retry
-// layer, so a flapping link is retried and a dead server fails fast.
-// An overloaded server is visible to callers as lite.ErrOverloaded —
-// a definitive "not executed" the application may back off on and
-// resubmit, unlike a timeout whose call may still be in flight.
-//
-// A retry that crossed a server restart comes back ErrMaybeExecuted:
-// the call may or may not have run, and the transport cannot say
-// which. Every kvstore metadata op (put, get-meta, delete) is
-// idempotent — re-running one lands the store in the same state — so
-// the ambiguity is safe to resolve by resubmitting once against the
-// restarted server. A second ambiguous answer is surfaced: something
-// is wrong beyond a single unlucky restart.
-func (k *Client) metaRPC(p *simtime.Proc, dst int, req []byte) ([]byte, error) {
-	return k.metaRPCN(p, dst, req, 512)
-}
-
-// metaRPCN is metaRPC with a caller-chosen reply budget (the "get" op
-// ships whole values back, which don't fit the 512-byte metadata cap).
-func (k *Client) metaRPCN(p *simtime.Proc, dst int, req []byte, maxReply int64) ([]byte, error) {
-	out, err := k.c.RPCRetry(p, dst, k.store.fn, req, maxReply)
-	if errors.Is(err, lite.ErrMaybeExecuted) {
-		k.Resubmits++
-		out, err = k.c.RPCRetry(p, dst, k.store.fn, req, maxReply)
+// roundTrip runs one metadata request: encode, call dst, decode; a
+// reply that is not OK (or not a reply) is ErrNotFound. With once it is
+// one unretried RPC (PutOnce, LookupOnce). Otherwise the bounded retry
+// layer retries a flapping link and fails fast on a dead server; an
+// overload is lite.ErrOverloaded, a definitive "not executed" to back
+// off on. A retry that crossed a server restart (ErrMaybeExecuted: the
+// call may or may not have run) is resubmitted once, as every metadata
+// op is idempotent; a second ambiguous answer is surfaced, as
+// something is wrong beyond one unlucky restart.
+func (k *Client) roundTrip(p *simtime.Proc, dst int, req request, once bool) (reply, error) {
+	if len(req.key) > math.MaxUint16 {
+		return reply{}, fmt.Errorf("kvstore: %d-byte key is too long", len(req.key))
 	}
-	if errors.Is(err, lite.ErrOverloaded) {
-		k.Overloads++
+	in, maxReply := encodeRequest(req), int64(metaReplyBudget)
+	if req.op == opGet {
+		maxReply = req.budget
 	}
-	return out, err
+	var out []byte
+	var err error
+	if once {
+		out, err = k.c.RPC(p, dst, k.store.fn, in, maxReply)
+	} else if out, err = k.c.RPCRetry(p, dst, k.store.fn, in, maxReply); errors.Is(err, lite.ErrMaybeExecuted) {
+		out, err = k.c.RPCRetry(p, dst, k.store.fn, in, maxReply)
+	}
+	if err != nil {
+		return reply{}, err
+	}
+	if r, ok := decodeReply(req.op, out); ok && r.ok {
+		return r, nil
+	}
+	return reply{}, ErrNotFound
 }
 
 // Put stores value under key via the metadata path.
 func (k *Client) Put(p *simtime.Proc, key string, value []byte) error {
-	key = k.prefix + key
-	req, _ := json.Marshal(request{Op: "put", Key: key, Value: value})
-	out, err := k.metaRPC(p, k.serverFor(key), req)
-	if err != nil {
-		return err
-	}
-	return k.putDone(key, out)
+	return k.put(p, key, value, false)
 }
 
-// putDone decodes a put reply and keeps the client's cached handle
-// coherent with it. A same-size PUT overwrote the value in place under
-// the same LMR, so the handle still maps the live value: keep it and
-// raise its version floor to the one just written, so the next Get
-// re-reads rather than return anything older than our own write. Only
-// a size-changing PUT (fresh LMR, the old one freed) invalidates it.
-func (k *Client) putDone(key string, out []byte) error {
-	var resp response
-	if err := json.Unmarshal(out, &resp); err != nil || !resp.OK {
+// PutOnce stores value under key with a single unretried RPC. Open-loop
+// load harnesses use it so overload sheds and timeouts surface to the
+// caller (errors.Is lite.ErrOverloaded / lite.ErrTimeout) instead of
+// dissolving into retries.
+func (k *Client) PutOnce(p *simtime.Proc, key string, value []byte) error {
+	return k.put(p, key, value, true)
+}
+
+// put stores value and keeps the cached handle coherent with the reply.
+// A same-size PUT overwrote the value in place under the same LMR, so
+// the handle still maps the live value: keep it, raising its version
+// floor to the one just written so the next Get never returns anything
+// older. Only a size-changing PUT (fresh LMR, old one freed) drops it.
+func (k *Client) put(p *simtime.Proc, key string, value []byte, once bool) error {
+	key = k.prefix + key
+	r, err := k.roundTrip(p, k.serverFor(key), request{op: opPut, key: key, value: value}, once)
+	if errors.Is(err, ErrNotFound) {
 		return fmt.Errorf("kvstore: put %q failed", key)
+	} else if err != nil {
+		return err
 	}
-	if ch, ok := k.cache[key]; ok && ch.name == resp.Name && ch.size == resp.Len {
-		ch.version = resp.Version
+	if ch, ok := k.cache[key]; ok && ch.name == r.name && ch.size == r.size {
+		ch.version = r.version
 		k.HandlesKept++
 	} else {
 		k.dropHandle(key)
@@ -533,35 +503,13 @@ func (k *Client) dropHandle(key string) {
 	}
 }
 
-// PutOnce stores value under key with a single unretried RPC. Open-loop
-// load harnesses use it so overload sheds and timeouts surface to the
-// caller (errors.Is lite.ErrOverloaded / lite.ErrTimeout) instead of
-// dissolving into retries.
-func (k *Client) PutOnce(p *simtime.Proc, key string, value []byte) error {
-	key = k.prefix + key
-	req, _ := json.Marshal(request{Op: "put", Key: key, Value: value})
-	out, err := k.c.RPC(p, k.serverFor(key), k.store.fn, req, 512)
-	if err != nil {
-		return err
-	}
-	return k.putDone(key, out)
-}
-
 // LookupOnce resolves key's metadata with a single unretried RPC and
 // reports whether it exists, without mapping the value. The raw
 // metadata-path counterpart of PutOnce for load harnesses.
 func (k *Client) LookupOnce(p *simtime.Proc, key string) error {
 	key = k.prefix + key
-	req, _ := json.Marshal(request{Op: "lookup", Key: key})
-	out, err := k.c.RPC(p, k.serverFor(key), k.store.fn, req, 512)
-	if err != nil {
-		return err
-	}
-	var resp response
-	if err := json.Unmarshal(out, &resp); err != nil || !resp.OK {
-		return ErrNotFound
-	}
-	return nil
+	_, err := k.roundTrip(p, k.serverFor(key), request{op: opLookup, key: key}, true)
+	return err
 }
 
 // ResolveName returns the LMR name currently backing key, without
@@ -570,16 +518,8 @@ func (k *Client) LookupOnce(p *simtime.Proc, key string) error {
 // another tenant is denied.
 func (k *Client) ResolveName(p *simtime.Proc, key string) (string, error) {
 	key = k.prefix + key
-	req, _ := json.Marshal(request{Op: "lookup", Key: key})
-	out, err := k.metaRPC(p, k.serverFor(key), req)
-	if err != nil {
-		return "", err
-	}
-	var resp response
-	if err := json.Unmarshal(out, &resp); err != nil || !resp.OK {
-		return "", ErrNotFound
-	}
-	return resp.Name, nil
+	r, err := k.roundTrip(p, k.serverFor(key), request{op: opLookup, key: key}, false)
+	return r.name, err
 }
 
 // Get fetches the value for key. The hot path is one one-sided
@@ -622,20 +562,15 @@ func (k *Client) Get(p *simtime.Proc, key string) ([]byte, error) {
 // resolve performs the metadata path: an RPC lookup plus LT_map.
 func (k *Client) resolve(p *simtime.Proc, key string) (*cachedHandle, error) {
 	k.MetaLookups++
-	req, _ := json.Marshal(request{Op: "lookup", Key: key})
-	out, err := k.metaRPC(p, k.serverFor(key), req)
+	r, err := k.roundTrip(p, k.serverFor(key), request{op: opLookup, key: key}, false)
 	if err != nil {
 		return nil, err
 	}
-	var resp response
-	if err := json.Unmarshal(out, &resp); err != nil || !resp.OK {
-		return nil, ErrNotFound
-	}
-	lh, err := k.c.Map(p, resp.Name)
+	lh, err := k.c.Map(p, r.name)
 	if err != nil {
 		return nil, ErrNotFound
 	}
-	ch := &cachedHandle{name: resp.Name, lh: lh, size: resp.Len, version: resp.Version}
+	ch := &cachedHandle{name: r.name, lh: lh, size: r.size, version: r.version}
 	k.cache[key] = ch
 	return ch, nil
 }
@@ -643,14 +578,8 @@ func (k *Client) resolve(p *simtime.Proc, key string) (*cachedHandle, error) {
 // Delete removes a key.
 func (k *Client) Delete(p *simtime.Proc, key string) error {
 	key = k.prefix + key
-	req, _ := json.Marshal(request{Op: "delete", Key: key})
-	out, err := k.metaRPC(p, k.serverFor(key), req)
-	if err != nil {
+	if _, err := k.roundTrip(p, k.serverFor(key), request{op: opDelete, key: key}, false); err != nil {
 		return err
-	}
-	var resp response
-	if err := json.Unmarshal(out, &resp); err != nil || !resp.OK {
-		return ErrNotFound
 	}
 	k.dropHandle(key)
 	return nil

@@ -38,7 +38,6 @@ package kvstore
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -60,7 +59,6 @@ const (
 var (
 	errTorn  = errors.New("kvstore: torn one-sided read")    // retry, same attachment
 	errStale = errors.New("kvstore: stale index attachment") // re-attach, then retry
-	errNoIdx = errors.New("kvstore: server publishes no index")
 )
 
 // hashKey64 is FNV-1a (64-bit), the one-sided index hash. The low and
@@ -78,7 +76,6 @@ func hashKey64(key string) uint64 {
 // idxEntry locates one live key in the index.
 type idxEntry struct {
 	slot int64 // global slot number: bucket*slotsPerBucket + i
-	tag  uint64
 	pos  int64 // heap offset of the record
 	rlen int64 // record length
 }
@@ -122,6 +119,13 @@ func (ix *idxState) fence() uint64 { return ix.seq << 1 }
 
 func slotOff(slot int64) int64 { return idxHdr + slot*slotBytes }
 
+// writeWord writes one 8-byte index word: a fence or a slot version.
+func writeWord(p *simtime.Proc, c *lite.Client, lh lite.LH, off int64, v uint64) error {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return c.Write(p, lh, off, b[:])
+}
+
 // buckets returns the two candidate buckets of a hash (equal when the
 // two halves collide).
 func buckets(h uint64, nb int64) (int64, int64) {
@@ -164,6 +168,7 @@ func (srv *server) idxBuild(p *simtime.Proc, c *lite.Client, recs []liveRec, min
 placement:
 	for {
 		occ := make([]string, nb*slotsPerBucket)
+		vers := make([]uint64, nb*slotsPerBucket)
 		slots := make(map[string]*idxEntry, len(recs))
 		idxImg := make([]byte, idxHdr+nb*bucketBytes)
 		heapImg := make([]byte, 0, minHeap)
@@ -175,24 +180,16 @@ placement:
 				continue placement
 			}
 			pos := int64(len(heapImg))
-			rlen := int64(2 + len(r.key) + len(r.val))
-			var kl [2]byte
-			binary.LittleEndian.PutUint16(kl[:], uint16(len(r.key)))
-			heapImg = append(heapImg, kl[:]...)
-			heapImg = append(heapImg, r.key...)
-			heapImg = append(heapImg, r.val...)
-			occ[slot] = r.key
-			slots[r.key] = &idxEntry{slot: slot, tag: h, pos: pos, rlen: rlen}
+			heapImg = append(appendStr(heapImg, r.key), r.val...)
+			rlen := int64(len(heapImg)) - pos
+			occ[slot], vers[slot] = r.key, 2
+			slots[r.key] = &idxEntry{slot: slot, pos: pos, rlen: rlen}
 			so := slotOff(slot) - idxHdr
 			img := idxImg[idxHdr+so:]
 			binary.LittleEndian.PutUint64(img[0:], 2) // first committed version
 			binary.LittleEndian.PutUint64(img[8:], h)
 			binary.LittleEndian.PutUint64(img[16:], uint64(pos))
 			binary.LittleEndian.PutUint64(img[24:], uint64(rlen))
-		}
-		heapCap := minHeap
-		if int64(len(heapImg)) > heapCap {
-			heapCap = int64(len(heapImg))
 		}
 		ix.seq++
 		idxName := fmt.Sprintf("kvidx%d-%d-g%d-%d", srv.store.id, srv.node, srv.gen, ix.seq)
@@ -206,7 +203,7 @@ placement:
 			ix.seq--
 			return err
 		}
-		heapLH, err := c.Malloc(p, heapCap, heapName, lite.PermRead)
+		heapLH, err := c.Malloc(p, minHeap, heapName, lite.PermRead)
 		if err == nil {
 			if err = c.Write(p, lh, 0, idxImg); err == nil && len(heapImg) > 0 {
 				err = c.Write(p, heapLH, 0, heapImg)
@@ -220,14 +217,10 @@ placement:
 			ix.seq--
 			return err
 		}
-		vers := make([]uint64, nb*slotsPerBucket)
-		for _, e := range slots {
-			vers[e.slot] = 2
-		}
 		ix.inited = true
 		ix.lh, ix.heapLH = lh, heapLH
 		ix.idxName, ix.heapName = idxName, heapName
-		ix.nb, ix.heapCap, ix.heapOff = nb, heapCap, int64(len(heapImg))
+		ix.nb, ix.heapCap, ix.heapOff = nb, minHeap, int64(len(heapImg))
 		ix.slots, ix.occ, ix.vers = slots, occ, vers
 		return nil
 	}
@@ -239,9 +232,7 @@ placement:
 // server quiesced).
 func (srv *server) idxPoison(p *simtime.Proc, c *lite.Client) {
 	ix := srv.idx
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], ix.fence()|1)
-	_ = c.Write(p, ix.lh, 0, b[:])
+	_ = writeWord(p, c, ix.lh, 0, ix.fence()|1)
 	_ = c.Memset(p, ix.lh, idxHdr, 0xff, ix.nb*bucketBytes)
 	_ = c.Free(p, ix.lh)
 	_ = c.Free(p, ix.heapLH)
@@ -256,9 +247,7 @@ func (srv *server) idxResize(p *simtime.Proc, c *lite.Client, minNB, minHeap int
 	ix := srv.idx
 	// Fence first: readers racing the rebuild fail validation from the
 	// first instant state becomes inconsistent.
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], ix.fence()|1)
-	if err := c.Write(p, ix.lh, 0, b[:]); err != nil {
+	if err := writeWord(p, c, ix.lh, 0, ix.fence()|1); err != nil {
 		return err
 	}
 	srv.store.cls.Announce(p, "kvstore.resize.fence")
@@ -328,16 +317,11 @@ func (srv *server) idxPut(p *simtime.Proc, c *lite.Client, key string, value []b
 			return
 		}
 	}
-	var b [8]byte
 	vOdd := ix.vers[slot] + 1
-	binary.LittleEndian.PutUint64(b[:], vOdd)
-	if c.Write(p, ix.lh, slotOff(slot), b[:]) != nil {
+	if writeWord(p, c, ix.lh, slotOff(slot), vOdd) != nil {
 		return
 	}
-	rec := make([]byte, rlen)
-	binary.LittleEndian.PutUint16(rec, uint16(len(key)))
-	copy(rec[2:], key)
-	copy(rec[2+len(key):], value)
+	rec := append(appendStr(make([]byte, 0, rlen), key), value...)
 	pos := ix.heapOff
 	if c.Write(p, ix.heapLH, pos, rec) != nil {
 		return
@@ -353,7 +337,7 @@ func (srv *server) idxPut(p *simtime.Proc, c *lite.Client, key string, value []b
 	}
 	ix.vers[slot] = vOdd + 1
 	ix.occ[slot] = key
-	ix.slots[key] = &idxEntry{slot: slot, tag: h, pos: pos, rlen: rlen}
+	ix.slots[key] = &idxEntry{slot: slot, pos: pos, rlen: rlen}
 }
 
 // idxDelete unpublishes key (record length zero marks a free slot; the
@@ -369,10 +353,8 @@ func (srv *server) idxDelete(p *simtime.Proc, c *lite.Client, key string) {
 	if e == nil {
 		return
 	}
-	var b [8]byte
 	vOdd := ix.vers[e.slot] + 1
-	binary.LittleEndian.PutUint64(b[:], vOdd)
-	if c.Write(p, ix.lh, slotOff(e.slot), b[:]) != nil {
+	if writeWord(p, c, ix.lh, slotOff(e.slot), vOdd) != nil {
 		return
 	}
 	var img [slotBytes]byte
@@ -413,7 +395,6 @@ func (srv *server) idxAdopt(p *simtime.Proc, c *lite.Client) error {
 type attachInfo struct {
 	idx   lite.LH
 	heap  lite.LH
-	gen   uint64
 	nb    int64
 	fence uint64
 }
@@ -424,25 +405,20 @@ func (k *Client) attachTo(p *simtime.Proc, node int) (*attachInfo, error) {
 	if a := k.att[node]; a != nil {
 		return a, nil
 	}
-	req, _ := json.Marshal(request{Op: "attach"})
-	out, err := k.metaRPC(p, node, req)
+	r, err := k.roundTrip(p, node, request{op: opAttach}, false)
 	if err != nil {
 		return nil, err
 	}
-	var resp response
-	if json.Unmarshal(out, &resp) != nil || !resp.OK || resp.IndexName == "" {
-		return nil, errNoIdx
-	}
-	idx, err := k.c.Map(p, resp.IndexName)
+	idx, err := k.c.Map(p, r.name)
 	if err != nil {
 		return nil, errStale
 	}
-	heap, err := k.c.Map(p, resp.HeapName)
+	heap, err := k.c.Map(p, r.heapName)
 	if err != nil {
 		_ = k.c.Unmap(p, idx)
 		return nil, errStale
 	}
-	a := &attachInfo{idx: idx, heap: heap, gen: resp.Gen, nb: resp.NBuckets, fence: resp.Gen << 1}
+	a := &attachInfo{idx: idx, heap: heap, nb: r.nb, fence: r.gen << 1}
 	if k.att == nil {
 		k.att = make(map[int]*attachInfo)
 	}
@@ -535,74 +511,48 @@ func (k *Client) tryDirect(p *simtime.Proc, a *attachInfo, key string) ([]byte, 
 // persistent conflict, a resize/migration fence, or a server that
 // publishes no index falls back to the RPC path.
 func (k *Client) GetDirect(p *simtime.Proc, key string) ([]byte, error) {
-	full := k.prefix + key
 	if k.prefix != "" {
 		// Tenant keys are not indexed (the index is kernel-public).
-		return k.getValRPC(p, full)
+		return k.GetRPC(p, key)
 	}
 	k.refreshEpoch()
 	const maxTries = 6
 	for i := 0; i < maxTries; i++ {
-		node := k.serverFor(full)
+		node := k.serverFor(key)
 		a, err := k.attachTo(p, node)
 		if err != nil {
 			break
 		}
-		v, err := k.tryDirect(p, a, full)
-		switch {
-		case err == nil:
+		v, err := k.tryDirect(p, a, key)
+		if err == nil || err == ErrNotFound {
 			k.DirectGets++
-			return v, nil
-		case errors.Is(err, ErrNotFound):
-			k.DirectGets++
-			return nil, ErrNotFound
-		case errors.Is(err, errTorn):
-			k.DirectRetries++
-		case errors.Is(err, errStale):
-			k.DirectRetries++
+			return v, err
+		}
+		k.DirectRetries++
+		if err == errStale {
 			k.detach(p, node)
-		default:
-			i = maxTries
 		}
 	}
 	k.DirectFallbacks++
-	return k.getValRPC(p, full)
+	return k.GetRPC(p, key)
 }
 
 // GetRPC fetches key's value entirely over the metadata RPC path (the
 // server reads the value and ships it in the reply) — the baseline the
-// crossover experiment compares GetDirect against.
+// crossover experiment compares GetDirect against. A value past the
+// first budget comes back as a bare header that sets the budget of one
+// more ask; a value that outgrew even that is an error, not a miss.
 func (k *Client) GetRPC(p *simtime.Proc, key string) ([]byte, error) {
-	return k.getValRPC(p, k.prefix+key)
-}
-
-// getValRPC asks with getReplyBudget first. A value too large for it
-// comes back as the budget it needs, and the client asks once more with
-// that; a value that outgrew even the second budget in between is an
-// error, not a miss.
-func (k *Client) getValRPC(p *simtime.Proc, full string) ([]byte, error) {
-	req := request{Op: "get", Key: full}
-	budget := int64(getReplyBudget)
-	for try := 0; try < 2; try++ {
-		in, _ := json.Marshal(req)
-		out, err := k.metaRPCN(p, k.serverFor(full), in, budget)
-		if err != nil {
-			return nil, err
+	key = k.prefix + key
+	req := request{op: opGet, key: key, budget: getReplyBudget}
+	r, err := k.roundTrip(p, k.serverFor(key), req, false)
+	if err == nil && getReplyLen(r.size) > req.budget {
+		req.budget = getReplyLen(r.size)
+		if r, err = k.roundTrip(p, k.serverFor(key), req, false); err == nil && getReplyLen(r.size) > req.budget {
+			return nil, fmt.Errorf("kvstore: get %q: value outgrew its reply budget", key)
 		}
-		var resp response
-		if json.Unmarshal(out, &resp) != nil {
-			return nil, ErrNotFound
-		}
-		if resp.Need > 0 {
-			req.Budget, budget = resp.Need, resp.Need
-			continue
-		}
-		if !resp.OK {
-			return nil, ErrNotFound
-		}
-		return resp.Value, nil
 	}
-	return nil, fmt.Errorf("kvstore: get %q: value outgrew its reply budget", full)
+	return r.value, err
 }
 
 // refreshEpoch drops per-epoch caches (value handles and index

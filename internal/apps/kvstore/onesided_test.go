@@ -277,13 +277,14 @@ func TestGetDirectFallsBackWithoutIndex(t *testing.T) {
 	}
 }
 
-// TestGetRPCShipsLargeValues: the RPC-path GET ships the value
-// base64-encoded in a JSON reply, so values past ~6 KB outgrow the
-// first reply budget. The server answers with the budget it needs and
-// the client asks once more, for GetRPC and for GetDirect's fallback
-// alike, instead of reporting a stored value as missing.
+// TestGetRPCShipsLargeValues: a value past the first reply budget
+// comes back as a bare header stating its length, and the client asks
+// once more with that budget, for GetRPC and for GetDirect's fallback
+// alike, instead of reporting a stored value as missing. No reply is
+// ever longer than the caller asked for.
 func TestGetRPCShipsLargeValues(t *testing.T) {
 	cls, dep := testEnv(t, 2)
+	dom := cls.EnableObs()
 	s, err := Start(cls, dep, []int{0}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +294,7 @@ func TestGetRPCShipsLargeValues(t *testing.T) {
 		for _, tc := range []struct {
 			size int
 			rpcs int64 // metadata requests one GET costs
-		}{{6000, 1}, {6200, 2}, {8192, 2}, {64 << 10, 2}} {
+		}{{6000, 1}, {6200, 1}, {8192, 2}, {64 << 10, 2}} {
 			key := fmt.Sprintf("v%d", tc.size)
 			val := bytes.Repeat([]byte{byte(tc.size)}, tc.size)
 			val[0] = 'x'
@@ -318,5 +319,8 @@ func TestGetRPCShipsLargeValues(t *testing.T) {
 	})
 	if err := cls.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if n := dom.Total("lite.rpc.reply_truncated"); n != 0 {
+		t.Errorf("%d replies outgrew their caller's budget", n)
 	}
 }

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"encoding/json"
 	"errors"
 	"testing"
 
@@ -67,10 +66,10 @@ func TestTenantNamespaces(t *testing.T) {
 		}
 		// Forging another tenant's key prefix in the request body fails:
 		// the server checks the prefix against the transport's tenant.
-		req, _ := json.Marshal(request{Op: "lookup", Key: "t1/secret"})
+		req := encodeRequest(request{op: opLookup, key: "t1/secret"})
 		out, err := dep.Instance(0).TenantClient(2).RPC(p, 1, kvFn, req, 512)
-		var resp response
-		if err != nil || json.Unmarshal(out, &resp) != nil || resp.OK {
+		resp, ok := decodeReply(opLookup, out)
+		if err != nil || !ok || resp.ok {
 			t.Errorf("forged-prefix lookup = %+v, %v; want OK=false", resp, err)
 		}
 		// Kernel clients are root: they can read any tenant's values.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"time"
 
@@ -93,16 +92,7 @@ func runFairness(seed uint64, shared bool) ([]*load.Result, error) {
 		in := make([]byte, 16)
 		binary.LittleEndian.PutUint64(in, keys[issuer][k])
 		_, err := clients[issuer].RPC(p, srvNode, tailFn, in, 64)
-		switch {
-		case err == nil:
-			return load.StatusOK
-		case errors.Is(err, lite.ErrOverloaded):
-			return load.StatusShed
-		case errors.Is(err, lite.ErrTimeout):
-			return load.StatusTimeout
-		default:
-			return load.StatusError
-		}
+		return statusOf(err)
 	})
 	if err := cls.Run(); err != nil {
 		return nil, err

@@ -68,16 +68,7 @@ func runOpenLoop(seed uint64, ratePerUs float64, n, highWater int) (*load.Result
 	sched := load.Poisson(seed, ratePerUs, n, 50*time.Microsecond)
 	res := load.Run(cls, 0, sched, func(p *simtime.Proc, k int) load.Status {
 		_, err := client.RPC(p, 1, tailFn, make([]byte, 16), 64)
-		switch {
-		case err == nil:
-			return load.StatusOK
-		case errors.Is(err, lite.ErrOverloaded):
-			return load.StatusShed
-		case errors.Is(err, lite.ErrTimeout):
-			return load.StatusTimeout
-		default:
-			return load.StatusError
-		}
+		return statusOf(err)
 	})
 	if err := cls.Run(); err != nil {
 		return nil, err
@@ -174,4 +165,20 @@ func saturate() (*Table, error) {
 	}
 	t.Note("knee bisected to [%.3f, %.3f] req/us offered (first shed or >5%% goodput gap)", lo, hi)
 	return t, nil
+}
+
+// statusOf classifies one raw (unretried) request's outcome for the
+// load harness: a shed and a timeout are outcomes of their own, any
+// other error is a failure.
+func statusOf(err error) load.Status {
+	switch {
+	case err == nil:
+		return load.StatusOK
+	case errors.Is(err, lite.ErrOverloaded):
+		return load.StatusShed
+	case errors.Is(err, lite.ErrTimeout):
+		return load.StatusTimeout
+	default:
+		return load.StatusError
+	}
 }

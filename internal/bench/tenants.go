@@ -141,16 +141,7 @@ func tenants() (*Table, error) {
 			// A miss is a served lookup: only the victim ever put "seed".
 			err = nil
 		}
-		switch {
-		case err == nil:
-			return load.StatusOK
-		case errors.Is(err, lite.ErrOverloaded):
-			return load.StatusShed
-		case errors.Is(err, lite.ErrTimeout):
-			return load.StatusTimeout
-		default:
-			return load.StatusError
-		}
+		return statusOf(err)
 	})
 	if err := cls.Run(); err != nil {
 		return nil, err

@@ -262,6 +262,12 @@ func (c *Client) RegisterRPC(id int) error { return c.inst.RegisterRPC(id) }
 // RPC implements LT_RPC: call function fn at node dst with input and
 // return the reply (at most maxReply bytes). On the user level only
 // the kernel-entry crossing sits on the critical path (§5.2).
+//
+// maxReply sizes the buffer the server's reply is written into. A
+// longer reply is written past that buffer, over whatever this node's
+// scratch ring holds next, and only the copy returned is clipped
+// (counted in lite.rpc.reply_truncated): servers must keep their
+// replies within the caller's budget.
 func (c *Client) RPC(p *simtime.Proc, dst, fn int, input []byte, maxReply int64) ([]byte, error) {
 	reg := c.inst.obsReg()
 	t0 := p.Now()
@@ -286,7 +292,9 @@ func (c *Client) RecvRPC(p *simtime.Proc, fn int) (*Call, error) {
 }
 
 // ReplyRPC implements LT_replyRPC: send the function result back to
-// the caller. It may be invoked from any thread, once per call.
+// the caller. It may be invoked from any thread, once per call. An
+// output longer than the caller's maxReply is written past the
+// caller's reply buffer (see RPC).
 func (c *Client) ReplyRPC(p *simtime.Proc, call *Call, output []byte) error {
 	end := c.inst.rootSpan(p, "lite.rpc.server")
 	c.enter(p)

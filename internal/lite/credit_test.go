@@ -616,7 +616,7 @@ func TestKernelCallerPollsTheCQ(t *testing.T) {
 				return
 			}
 			p.Sleep(200 * time.Microsecond)
-			cpu0, poll0, polled0 := cls.Nodes[0].CPU.Busy(), inst.PollerCPU, dom.Total("lite.poller.caller_polled")
+			cpu0, poll0, polled0 := cls.Nodes[0].CPU.Busy(), pollerCPU(dom, 0), dom.Total("lite.poller.caller_polled")
 			t0 := p.Now()
 			if _, err := c.RPC(p, 1, echoFn, in, 64); err != nil {
 				t.Error(err)
@@ -625,7 +625,7 @@ func TestKernelCallerPollsTheCQ(t *testing.T) {
 			o.lat = p.Now() - t0
 			p.Sleep(200 * time.Microsecond) // any busy window the reply started has run out
 			o.nodeCPU = cls.Nodes[0].CPU.Busy() - cpu0
-			o.pollerCPU = inst.PollerCPU - poll0
+			o.pollerCPU = pollerCPU(dom, 0) - poll0
 			o.polled = dom.Total("lite.poller.caller_polled") - polled0
 		})
 		run(t, cls)

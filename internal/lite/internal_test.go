@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"lite/internal/obs"
 	"lite/internal/simtime"
 )
 
@@ -222,8 +223,15 @@ func TestAtomicTimesOutOnPartition(t *testing.T) {
 	run(t, cls)
 }
 
+// pollerCPU is the virtual CPU node's shared poller has been charged
+// since observability was enabled.
+func pollerCPU(dom *obs.Domain, node int) simtime.Time {
+	return simtime.Time(dom.Node(node).Counter("cpu.lite-poller").Value())
+}
+
 func TestPollerCPUAccounted(t *testing.T) {
 	cls, dep := testDep(t, 2)
+	dom := cls.EnableObs()
 	startEchoServerN(cls, dep, 1)
 	cls.GoOn(0, "client", func(p *simtime.Proc) {
 		c := dep.Instance(0).KernelClient()
@@ -234,7 +242,7 @@ func TestPollerCPUAccounted(t *testing.T) {
 		}
 	})
 	run(t, cls)
-	if dep.Instance(1).PollerCPU == 0 {
+	if pollerCPU(dom, 1) == 0 {
 		t.Fatal("server poller CPU unaccounted")
 	}
 }

@@ -60,7 +60,6 @@ func TestKeepaliveWithTrafficKeepsBusyWindow(t *testing.T) {
 			cls, dep := testDepOpts(t, 3, DefaultOptions())
 			dom := cls.EnableObs()
 			startEchoServer(cls, dep, 2, 1)
-			srv := dep.Instance(2)
 			var cpu simtime.Time
 			var coalesced int64
 			cls.GoOn(0, "driver", func(p *simtime.Proc) {
@@ -71,7 +70,7 @@ func TestKeepaliveWithTrafficKeepsBusyWindow(t *testing.T) {
 				}
 				// Let every thread on node 2 fall asleep.
 				p.Sleep(100 * time.Microsecond)
-				cpu0, co0 := srv.PollerCPU, dom.Node(2).Snapshot().Counters["lite.poller.coalesced"]
+				cpu0, co0 := pollerCPU(dom, 2), dom.Node(2).Snapshot().Counters["lite.poller.coalesced"]
 				if tc.request {
 					cls.GoOn(0, "request", func(q *simtime.Proc) {
 						if _, err := c.RPC(q, 2, echoFn, []byte("req"), 32); err != nil {
@@ -84,7 +83,7 @@ func TestKeepaliveWithTrafficKeepsBusyWindow(t *testing.T) {
 					return
 				}
 				p.Sleep(50 * time.Microsecond)
-				cpu = srv.PollerCPU - cpu0
+				cpu = pollerCPU(dom, 2) - cpu0
 				coalesced = dom.Node(2).Snapshot().Counters["lite.poller.coalesced"] - co0
 			})
 			run(t, cls)

@@ -362,9 +362,6 @@ type Instance struct {
 	// LT_RPC reply wait (awaitReply). While it is nonzero and the shared
 	// poller is asleep, one of them polls the receive CQ itself.
 	spinners int
-
-	// Diagnostics.
-	PollerCPU simtime.Time
 }
 
 // Deployment is a LITE cluster: one Instance per node plus the global

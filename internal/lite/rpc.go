@@ -872,6 +872,9 @@ func (i *Instance) rpc(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 		return nil, pc.err
 	}
 	if pc.respLen > c.maxReply {
+		// The NIC has already written the whole reply, past the
+		// caller's maxReply bytes of scratch; only the copy is clipped.
+		reg.Add("lite.rpc.reply_truncated", 1)
 		pc.respLen = c.maxReply
 	}
 	// The NIC wrote the reply directly into this buffer (zero copy at
@@ -1117,7 +1120,6 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 	for !i.stopped {
 		if cqe, ok := i.recvCQ.TryPoll(); ok {
 			p.Work(pollerHandleCost)
-			i.PollerCPU += pollerHandleCost
 			pings := i.handleRecvCQE(p, cqe)
 			for !i.stopped {
 				cqe, ok := i.recvCQ.TryPoll()
@@ -1125,7 +1127,6 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 					break
 				}
 				p.Work(pollerBatchCost)
-				i.PollerCPU += pollerBatchCost
 				i.obsReg().Add("lite.poller.coalesced", 1)
 				pings = i.handleRecvCQE(p, cqe) && pings
 			}
@@ -1140,14 +1141,10 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 		// Busy window.
 		t0 := p.Now()
 		if i.recvCQ.WaitTimeout(p, i.cfg.AdaptivePollWindow) {
-			d := p.Now() - t0
-			p.Charge(d)
-			i.PollerCPU += d
+			p.Charge(p.Now() - t0)
 			continue
 		}
-		d := p.Now() - t0
-		p.Charge(d)
-		i.PollerCPU += d
+		p.Charge(p.Now() - t0)
 		i.pollerSleep(p)
 		woke = true
 	}
@@ -1163,7 +1160,6 @@ func (i *Instance) pollerSleep(p *simtime.Proc) {
 		}
 	}
 	p.Work(i.cfg.WakeupLatency)
-	i.PollerCPU += i.cfg.WakeupLatency
 }
 
 // pollForCaller runs when a completion arrives with the shared poller

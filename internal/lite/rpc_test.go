@@ -52,6 +52,25 @@ func TestRPCEcho(t *testing.T) {
 	run(t, cls)
 }
 
+// A reply longer than the caller's maxReply comes back clipped, and
+// the clip is counted: the NIC wrote the whole reply past the caller's
+// buffer before the client could clip it.
+func TestRPCReplyTruncationCounted(t *testing.T) {
+	cls, dep := testDep(t, 2)
+	dom := cls.EnableObs()
+	startEchoServer(cls, dep, 1, 1)
+	cls.GoOn(0, "client", func(p *simtime.Proc) {
+		out, err := dep.Instance(0).KernelClient().RPC(p, 1, echoFn, make([]byte, 256), 16)
+		if err != nil || len(out) != 16 {
+			t.Errorf("256 B reply to a 16 B budget = %d bytes, %v; want 16", len(out), err)
+		}
+	})
+	run(t, cls)
+	if got := dom.Total("lite.rpc.reply_truncated"); got != 1 {
+		t.Errorf("lite.rpc.reply_truncated = %d, want 1", got)
+	}
+}
+
 func TestRPCLatency8BTo4KB(t *testing.T) {
 	cls, dep := testDep(t, 2)
 	startEchoServer(cls, dep, 1, 2)
