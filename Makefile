@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build benchmark-build benchmark-smoke test race fuzz-smoke lint cover bench bench-smoke bench-guard smoke obs-guard migrate-chaos determinism-guard determinism-record
+.PHONY: ci fmt vet build benchmark-build benchmark-smoke test race fuzz-smoke lint cover bench bench-smoke bench-guard smoke obs-guard chaos determinism-guard determinism-record
 
-ci: fmt vet lint build benchmark-build benchmark-smoke race fuzz-smoke cover migrate-chaos smoke obs-guard determinism-guard bench-guard
+ci: fmt vet lint build benchmark-build benchmark-smoke race fuzz-smoke cover chaos smoke obs-guard determinism-guard bench-guard
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -104,12 +104,13 @@ bench-smoke:
 bench-guard:
 	$(GO) run ./cmd/litebench -compare BENCH_litebench.json
 
-# migrate-chaos: the chaos-during-migration suite under the race
-# detector — faults pinned to every migration phase, replayed under
-# three distinct seeds (see migChaosSeeds), each run twice and compared
-# bit for bit.
-migrate-chaos:
-	$(GO) test -race -count=1 -run TestMigrationChaos ./internal/faults/
+# chaos: the fault-injection suites under the race detector, each run
+# replayed twice per seed and compared bit for bit — faults pinned to
+# every migration phase under three seeds (see migChaosSeeds), and the
+# overload workload through a crash/flap/loss plan swept over seeds
+# 21–40 (TestChaosUnderOverload).
+chaos:
+	$(GO) test -race -count=1 -run 'TestMigrationChaos|TestChaosUnderOverload' ./internal/faults/
 
 # determinism-guard replays the seeded chaos experiment and the
 # 500-node churn storm and diffs their tables against the committed

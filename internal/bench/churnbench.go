@@ -94,7 +94,6 @@ func runChurnOnce() (*churnOutcome, error) {
 	opts.HeartbeatInterval = simtime.Time(churnHeartbeat)
 	opts.ProbeStagger = true
 	opts.QPLeasePool = churnLeasePool
-	opts.ReconnectOnRestart = true
 	vLo, vHi := churnVictims()
 	// Hub mesh plus the victim-leaf shard host: QPs exist only on pairs
 	// touching the manager, a kvstore server, or the throwaway store's

@@ -233,7 +233,7 @@ func runMigrationChaos(t *testing.T, seed uint64, fc migFault) migChaosOutcome {
 	}
 }
 
-// migChaosSeeds are the three seeds CI replays (make migrate-chaos).
+// migChaosSeeds are the three seeds CI replays (make chaos).
 var migChaosSeeds = []uint64{0xA11CE, 0x0DDBA11, 0xF00D5EED}
 
 // TestMigrationChaos runs every phase-pinned fault under every seed,

@@ -131,6 +131,9 @@ func runChaosOverload(t *testing.T, seed uint64) overloadOutcome {
 	if err := cls.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if err := dep.CheckSendQueues(); err != nil {
+		t.Errorf("seed %d: send queues unsettled after the run: %v", seed, err)
+	}
 	return overloadOutcome{counts: counts, finals: finals, execs: execs,
 		doubles: doubles, end: end, restarts: restarts}
 }
@@ -139,30 +142,36 @@ func runChaosOverload(t *testing.T, seed uint64) overloadOutcome {
 // through a crash/flap/loss plan and checks the safety and liveness
 // contracts hold at once: no request id ever executes twice (retries
 // that cross the restart surface ErrMaybeExecuted instead), no client
-// is permanently starved after the faults clear, and the whole run —
-// faults, sheds, retries and all — replays bit for bit per seed.
+// is permanently starved after the faults clear, every send-queue slot
+// is accounted for once the run is over, and the whole run — faults,
+// sheds, retries and all — replays bit for bit per seed. It sweeps
+// seeds 21–40: the seed moves the loss pattern, and a single-worker
+// server replying into a lossy client is exactly what used to park
+// that worker on a full send queue for an RC timeout.
 func TestChaosUnderOverload(t *testing.T) {
-	a := runChaosOverload(t, 21)
-	if a.doubles != 0 {
-		t.Fatalf("%d request ids executed more than once (counts %v)", a.doubles, a.counts)
-	}
-	if a.restarts != 1 {
-		t.Fatalf("server restarted %d times, want 1", a.restarts)
-	}
-	if a.execs == 0 {
-		t.Fatal("no handler executions at all: workload never reached the server")
-	}
-	for _, node := range []int{0, 2, 3} {
-		ok := a.counts[fmt.Sprintf("c%d/ok", node)]
-		if ok == 0 {
-			t.Fatalf("client %d finished no request at all (counts %v)", node, a.counts)
+	for seed := uint64(21); seed <= 40; seed++ {
+		a := runChaosOverload(t, seed)
+		if a.doubles != 0 {
+			t.Fatalf("seed %d: %d request ids executed more than once (counts %v)", seed, a.doubles, a.counts)
 		}
-		if !a.finals[node] {
-			t.Fatalf("client %d still cannot complete a call after the fault plan: starved", node)
+		if a.restarts != 1 {
+			t.Fatalf("seed %d: server restarted %d times, want 1", seed, a.restarts)
 		}
-	}
-	b := runChaosOverload(t, 21)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same-seed chaos runs diverged:\n%+v\n%+v", a, b)
+		if a.execs == 0 {
+			t.Fatalf("seed %d: no handler executions at all: workload never reached the server", seed)
+		}
+		for _, node := range []int{0, 2, 3} {
+			ok := a.counts[fmt.Sprintf("c%d/ok", node)]
+			if ok == 0 {
+				t.Fatalf("seed %d: client %d finished no request at all (counts %v)", seed, node, a.counts)
+			}
+			if !a.finals[node] {
+				t.Fatalf("seed %d: client %d still cannot complete a call after the fault plan: starved", seed, node)
+			}
+		}
+		b := runChaosOverload(t, seed)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("seed %d: same-seed chaos runs diverged:\n%+v\n%+v", seed, a, b)
+		}
 	}
 }

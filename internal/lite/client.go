@@ -2,6 +2,7 @@ package lite
 
 import (
 	"lite/internal/hostmem"
+	"lite/internal/rnic"
 	"lite/internal/simtime"
 )
 
@@ -161,7 +162,7 @@ func (c *Client) Move(p *simtime.Proc, h LH, node int) error {
 // data is present (no separate completion polling; §4.2).
 func (c *Client) Read(p *simtime.Proc, h LH, off int64, buf []byte) error {
 	var err error
-	c.syscall(p, func() { err = c.inst.readInternal(p, h, off, buf, c.pri, c.tenant) })
+	c.syscall(p, func() { err = c.inst.runParts(p, h, off, buf, rnic.OpRead, c.pri, c.tenant) })
 	return err
 }
 
@@ -182,7 +183,7 @@ func (c *Client) ReadV(p *simtime.Proc, segs []ReadSeg) error {
 // Write implements LT_write symmetrically to Read.
 func (c *Client) Write(p *simtime.Proc, h LH, off int64, data []byte) error {
 	var err error
-	c.syscall(p, func() { err = c.inst.writeInternal(p, h, off, data, c.pri, c.tenant) })
+	c.syscall(p, func() { err = c.inst.runParts(p, h, off, data, rnic.OpWrite, c.pri, c.tenant) })
 	return err
 }
 
@@ -213,7 +214,8 @@ func (c *Client) Memmove(p *simtime.Proc, dst LH, dstOff int64, src LH, srcOff, 
 func (c *Client) FetchAdd(p *simtime.Proc, h LH, off int64, delta uint64) (uint64, error) {
 	var v uint64
 	var err error
-	c.syscall(p, func() { v, err = c.inst.fetchAddInternal(p, h, off, delta, c.pri, c.tenant) })
+	wr := rnic.WR{Kind: rnic.OpFetchAdd, Add: delta}
+	c.syscall(p, func() { v, err = c.inst.atomicInternal(p, h, off, wr, c.pri, c.tenant) })
 	return v, err
 }
 
@@ -222,7 +224,8 @@ func (c *Client) FetchAdd(p *simtime.Proc, h LH, off int64, delta uint64) (uint6
 func (c *Client) TestSet(p *simtime.Proc, h LH, off int64, val uint64) (uint64, error) {
 	var v uint64
 	var err error
-	c.syscall(p, func() { v, err = c.inst.testSetInternal(p, h, off, val, c.pri, c.tenant) })
+	wr := rnic.WR{Kind: rnic.OpCmpSwap, Swap: val}
+	c.syscall(p, func() { v, err = c.inst.atomicInternal(p, h, off, wr, c.pri, c.tenant) })
 	return v, err
 }
 

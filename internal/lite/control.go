@@ -20,7 +20,7 @@ const (
 	copInvalidate
 	copMemset
 	copMemcpy
-	copPing       // keepalive probe, answered by the poller (answerPing); reply carries the node's epoch
+	copPing       // keepalive probe, answered by the poller (handleRPCReq); reply carries the node's epoch
 	copMembership // manager -> node membership (epoch, dead set, moves) push
 	copJoin       // restarted node -> manager rejoin announcement
 	copMigPrepare // source -> manager: record the handoff {src, fn} -> target
@@ -364,14 +364,7 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 			reply(errToCst(err), nil)
 			return
 		}
-		var err error
-		if dstNode == i.node.ID {
-			i.memcpyCost(p, n)
-			err = i.node.Mem.Write(dstPA, buf)
-		} else {
-			err = i.rawWrite(p, dstNode, dstPA, buf, PriHigh)
-		}
-		reply(errToCst(err), nil)
+		reply(errToCst(i.rawWrite(p, dstNode, dstPA, buf, PriHigh)), nil)
 
 	case copMembership:
 		if len(in) < 11 {

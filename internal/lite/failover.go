@@ -62,18 +62,17 @@ func (i *Instance) crash(p *simtime.Proc) {
 	// Stop daemons: the header-update thread exits on channel close;
 	// the poller and system workers observe stopped after a wakeup.
 	// Deferred send-queue slots are returned here — nothing of the
-	// dead incarnation will post again to reap their completions.
-	for _, sigs := range i.qpSig {
+	// dead incarnation will post again to reap their completions — and
+	// every outbox is failed.
+	for dst, sigs := range i.qpSig {
 		for _, s := range sigs {
-			s.free(env, s.pending)
-			s.pending = 0
-			s.count = 0
+			s.free += s.pending
 			for _, b := range s.inflight {
-				s.free(env, b.slots)
+				s.free += b.slots
 			}
-			s.inflight = nil
-			s.cond.Broadcast(env)
+			s.pending, s.count, s.inflight = 0, 0, nil
 		}
+		i.failOutbox(dst)
 	}
 	i.headUpd.Close(p)
 	i.recvCQ.Broadcast(env)
@@ -101,12 +100,7 @@ func (i *Instance) crash(p *simtime.Proc) {
 	// (they are the bootstrap channel and are pointer-reset on
 	// restart); everything else is renegotiated after recovery.
 	for _, key := range i.sortedBindKeys() {
-		b := i.bindings[key]
-		b.dead = true
-		b.space.Broadcast(env)
-		if key.fn != funcControl {
-			delete(i.bindings, key)
-		}
+		i.killBinding(key)
 	}
 	for key := range i.srvRings {
 		if key.fn != funcControl {
@@ -120,14 +114,8 @@ func (i *Instance) crash(p *simtime.Proc) {
 			continue
 		}
 		for _, key := range peer.sortedBindKeys() {
-			if key.node != i.node.ID {
-				continue
-			}
-			b := peer.bindings[key]
-			b.dead = true
-			b.space.Broadcast(env)
-			if key.fn != funcControl {
-				delete(peer.bindings, key)
+			if key.node == i.node.ID {
+				peer.killBinding(key)
 			}
 		}
 		for key := range peer.srvRings {
@@ -210,12 +198,10 @@ func (i *Instance) restart(p *simtime.Proc) {
 		return
 	}
 	i.cls.GoOn(node, "lite-rejoin", func(q *simtime.Proc) {
-		// With leasing enabled, re-establish shared-QP connectivity
-		// from the pool before announcing — this is the restart path
+		// Re-establish shared-QP connectivity (from the pool, with
+		// leasing enabled) before announcing — this is the restart path
 		// the lease experiment measures.
-		if i.opts.ReconnectOnRestart {
-			i.reconnectPeers(q)
-		}
+		i.reconnectPeers(q)
 		// Announce to the manager with bounded retries; if the manager
 		// is itself down, its own restart broadcast revives us.
 		for a := 0; a < retryAttempts; a++ {
@@ -247,14 +233,24 @@ func (i *Instance) resetBinding(dst, fn int) {
 		return
 	}
 	if fn != funcControl {
-		b.dead = true
-		b.space.Broadcast(i.cls.Env)
-		delete(i.bindings, key)
+		i.killBinding(key)
 		return
 	}
 	b.reset()
 	b.space.Broadcast(i.cls.Env)
 	if ring, ok := i.dep.Instances[dst].srvRings[bindKey{i.node.ID, fn}]; ok {
 		ring.reset()
+	}
+}
+
+// killBinding marks the binding dead and wakes its ring-space waiters.
+// A control binding survives, to be pointer-reset (it is the channel
+// renegotiation itself runs over); any other is forgotten.
+func (i *Instance) killBinding(key bindKey) {
+	b := i.bindings[key]
+	b.dead = true
+	b.space.Broadcast(i.cls.Env)
+	if key.fn != funcControl {
+		delete(i.bindings, key)
 	}
 }

@@ -105,34 +105,41 @@ func TestKeepaliveWithTrafficKeepsBusyWindow(t *testing.T) {
 }
 
 // TestStalledNotifierCausesNoFalseDeath: keepalive replies go out
-// through the header-update thread, which serves every peer in turn and
-// can park in a send-queue reap (reapOldest → WaitQuiet) toward a
-// crashed peer until that peer's RC timeout, 4 ms — over three
-// 100 µs/300 µs heartbeat periods. The probed node must keep answering
-// while its notifier is stuck: only the crashed node is declared dead.
+// through the header-update thread, which serves every peer in turn.
+// Once it has filled both send queues toward a crashed peer, its next
+// chains toward that peer wait in the QPs' outbox for completions that
+// only the RC timeout will produce, 4 ms — over three 100 µs/300 µs
+// heartbeat periods. The thread itself must not wait with them: the
+// probed node keeps answering, and only the crashed node is declared
+// dead.
 func TestStalledNotifierCausesNoFalseDeath(t *testing.T) {
 	opts := heartbeatOptions()
 	cls, dep := testDepOpts(t, 3, opts)
 	dom := cls.EnableObs()
 	srv := dep.Instance(1)
-	stalled := false
+	queued, idle := false, false
 	cls.GoOn(1, "stall", func(p *simtime.Proc) {
 		p.Sleep(500 * time.Microsecond)
 		cls.CrashNode(p, 2)
 		// One notification per post toward the dead node, until both of
-		// its QPs' send queues are exhausted and the next poster parks
-		// on a completion that only the RC timeout will produce.
+		// its QPs' send queues are exhausted and the next chains queue.
 		for k := 0; k < 2*qpDepth+4; k++ {
 			srv.queueNotify(p, headUpdate{tag: tagHeadUpd, client: 2, fn: funcControl, delta: ringAlign})
 			p.Sleep(time.Microsecond)
 		}
-		p.Sleep(time.Millisecond)
-		stalled = srv.notifying
-		p.Sleep(5 * time.Millisecond)
+		p.Sleep(50 * time.Microsecond)
+		for _, sig := range srv.qpSig[2] {
+			queued = queued || len(sig.outbox) > 0
+		}
+		idle = srv.headUpd.Len() == 0
+		p.Sleep(6 * time.Millisecond)
 	})
 	run(t, cls)
-	if !stalled {
-		t.Fatal("the header-update thread never stalled toward the crashed node; the test exercises nothing")
+	if !queued {
+		t.Fatal("no chain toward the crashed node ever waited in an outbox; the test exercises nothing")
+	}
+	if !idle {
+		t.Fatal("the header-update thread still had notifications to send: it waited with its queued chains")
 	}
 	m := &dep.memb
 	if !m.dead[2] || m.dead[1] {

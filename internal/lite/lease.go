@@ -81,13 +81,13 @@ func (i *Instance) LeaseTarget() int { return i.lease.want }
 // background, off this caller's critical path.
 func (i *Instance) ConnectPeer(p *simtime.Proc, dst int) (leased, cold int) {
 	reg := i.obsReg()
-	for _, qp := range i.qps[dst] {
+	for _, s := range i.qpSig[dst] {
 		if i.lease.want > 0 && i.lease.spares[dst] > 0 {
 			i.lease.spares[dst]--
-			i.ctx.LeaseQP(p, qp)
+			i.ctx.LeaseQP(p, s.qp)
 			leased++
 		} else {
-			i.ctx.ConnectQP(p, qp, qp.RemoteNode(), qp.RemoteQPN())
+			i.ctx.ConnectQP(p, s.qp, s.qp.RemoteNode(), s.qp.RemoteQPN())
 			cold++
 		}
 	}
@@ -100,7 +100,7 @@ func (i *Instance) ConnectPeer(p *simtime.Proc, dst int) (leased, cold int) {
 }
 
 // reconnectPeers re-establishes connectivity to every peer, as a
-// restarting node does before rejoining when ReconnectOnRestart is set.
+// restarting node does before it rejoins.
 // Peers this node's membership view has declared dead are skipped: a
 // whole-leaf failure would otherwise make every restarting sibling
 // burn a pool slot (and a lease grant) per dead neighbor, connections
@@ -108,8 +108,8 @@ func (i *Instance) ConnectPeer(p *simtime.Proc, dst int) (leased, cold int) {
 // exposed. Connectivity toward a skipped peer is rebuilt by the
 // replenisher when the membership view revives it.
 func (i *Instance) reconnectPeers(p *simtime.Proc) {
-	for dst := range i.qps {
-		if dst == i.node.ID || len(i.qps[dst]) == 0 || i.deadView[dst] {
+	for dst := range i.qpSig {
+		if dst == i.node.ID || len(i.qpSig[dst]) == 0 || i.deadView[dst] {
 			continue
 		}
 		i.ConnectPeer(p, dst)
@@ -148,7 +148,7 @@ func (i *Instance) spawnReplenisherAfter(delay simtime.Time) {
 				// the rebuilder would hot-spin cold connects against every
 				// corpse in a failed leaf, starving the live destinations
 				// behind them in the scan order.
-				if d != i.node.ID && len(i.qps[d]) > 0 && !i.deadView[d] && i.lease.spares[d] < i.lease.want {
+				if d != i.node.ID && len(i.qpSig[d]) > 0 && !i.deadView[d] && i.lease.spares[d] < i.lease.want {
 					dst = d
 					break
 				}
@@ -181,11 +181,11 @@ func (i *Instance) reconcileLeases(oldDead map[int]bool, epoch uint64) {
 			// Only pairs with QPs ever lease or replenish; spares toward
 			// non-mesh peers are inert, so revoking them would just
 			// inflate the counter.
-			if len(i.qps[d]) > 0 {
+			if len(i.qpSig[d]) > 0 {
 				revoked += i.lease.revoke(d)
 			}
 		case !i.deadView[d] && oldDead[d]:
-			if len(i.qps[d]) > 0 && i.lease.spares[d] < i.lease.want {
+			if len(i.qpSig[d]) > 0 && i.lease.spares[d] < i.lease.want {
 				rearm = true
 			}
 		}

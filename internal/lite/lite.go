@@ -212,21 +212,11 @@ type Options struct {
 	// Params.QPLeaseGrant instead of paying the full rdma_cm exchange
 	// at Params.QPConnectTime, and a background replenisher rebuilds
 	// the pool off the critical path. Zero (the default) disables the
-	// pool; reconnects then cold-connect. The pool, like the manager's
+	// pool; reconnects (a restarting node's first step) then
+	// cold-connect. The pool, like the manager's
 	// membership table, is modeled as surviving node restarts (it lives
 	// in the kernel connection service on the paper's HA pair).
 	QPLeasePool int
-	// ReconnectOnRestart makes a restarting node re-establish its
-	// shared QP mesh (leasing from the pool when QPLeasePool is set,
-	// cold-connecting otherwise) before it rejoins the cluster; off,
-	// QPs are modeled as surviving the restart. The `churn` experiment
-	// and the restart-storm tests run with it on; the `chaos` and
-	// `drain` experiments and the fault tests run with it off. Forced
-	// on, it moves reply timing enough that TestChaosUnderOverload's
-	// client 3 starves: a reply to a lossy client can park a
-	// single-worker function for a full RCTimeout in postShared's
-	// exhausted-queue reap, a hazard that exists with it off too.
-	ReconnectOnRestart bool
 }
 
 // DefaultOptions returns the standard deployment configuration.
@@ -255,9 +245,9 @@ type Instance struct {
 	ctx      *verbs.Context
 	globalMR *rnic.MR
 
-	// Shared queue pairs: qps[remote][k]; nil for the local node.
-	qps      [][]*rnic.QP
-	qpSig    [][]*qpSigState // per-QP send-queue slots and selective signaling
+	// Shared queue pairs with their send-queue state: qpSig[remote][k];
+	// nil for the local node.
+	qpSig    [][]*qpSigState
 	nextQP   []int
 	sendCQ   *rnic.CQ
 	sendDisp *verbs.Dispatcher
@@ -307,9 +297,6 @@ type Instance struct {
 	// (ErrMaybeExecuted) instead of silently re-executing.
 	boots   uint64
 	headUpd *simtime.Chan[headUpdate]
-	// notifying is set while the header-update thread works through a
-	// batch (answerPing does not queue a keepalive reply behind it).
-	notifying bool
 
 	msgQueue []Message
 	msgCond  simtime.Cond
@@ -449,7 +436,6 @@ func Start(cls *cluster.Cluster, opts Options) (*Deployment, error) {
 			cfg:         cls.Cfg,
 			dep:         dep,
 			ctx:         verbs.Open(nd.NIC, nd.KernelAS),
-			qps:         make([][]*rnic.QP, n),
 			qpSig:       make([][]*qpSigState, n),
 			nextQP:      make([]int, n),
 			lhs:         make(map[uint64]*lhEntry),
@@ -504,10 +490,8 @@ func Start(cls *cluster.Cluster, opts Options) (*Deployment, error) {
 				qb.SetRecvLowWater(opts.RecvBatch/2, b.noteLowRecv)
 				qa.Connect(j, qb.QPN())
 				qb.Connect(i, qa.QPN())
-				a.qps[j] = append(a.qps[j], qa)
-				b.qps[i] = append(b.qps[i], qb)
-				a.qpSig[j] = append(a.qpSig[j], &qpSigState{slot: simtime.NewSemaphore(qpDepth)})
-				b.qpSig[i] = append(b.qpSig[i], &qpSigState{slot: simtime.NewSemaphore(qpDepth)})
+				a.qpSig[j] = append(a.qpSig[j], &qpSigState{qp: qa, free: qpDepth})
+				b.qpSig[i] = append(b.qpSig[i], &qpSigState{qp: qb, free: qpDepth})
 			}
 		}
 	}
@@ -571,8 +555,9 @@ const qpDepth = 16
 // signalEvery is the selective-signaling period: one signaled send per
 // this many posts on a shared QP (its completion lazily reclaims the
 // accumulated send-queue slots; the posts in between produce no CQE).
-// It must stay below qpDepth so a full send queue always has a
-// signaled completion in flight to unblock it.
+// It must stay below qpDepth: the unsignaled posts since the last
+// signaled one then never fill a queue on their own, so a full queue
+// always has a completion coming that frees slots for its outbox.
 const signalEvery = 4
 
 // The array length is negative, and the build fails, unless
@@ -587,25 +572,26 @@ const systemWorkers = 4
 // response buffers and internal operations.
 const scratchBytes = 64 << 20
 
-// qpSigState is the send-queue bookkeeping of one shared QP: its slot
-// semaphore, how many posts have gone unsignaled since the last
-// signaled one, how many slots those posts hold, and the signaled
-// batches still awaiting their completion. Every deferred slot is one
-// of this QP's, so a count stands for its releases. Reclamation is
-// strictly per-QP: posters reap arrived completions on the next post, and a
-// poster facing a full send queue waits on this QP's own oldest
-// signaled completion — never on another QP's, so a destination that
-// is timing out cannot starve traffic to healthy ones.
+// qpSigState is one shared QP and its send-queue bookkeeping. Each of
+// its qpDepth slots is free, pending (held by a post since the last
+// signaled one), filed under an in-flight signaled batch until that
+// batch's completion is reaped, or held by a one-sided chain until its
+// caller's completion arrives.
+//
+// No thread parks on a send queue. A post that finds no free slot, or
+// a non-empty outbox, is appended to the outbox and its caller returns.
+// Whoever frees slots posts from the outbox head, in order: the next
+// poster's lazy reap, a one-sided caller whose completion arrived, or
+// the QP's one-shot drainer, which waits on the oldest in-flight batch.
+// A peer declared dead has its outbox failed at once.
 type qpSigState struct {
-	slot     *simtime.Semaphore // the QP's send-queue slots (outstanding-op budget)
-	count    int
+	qp       *rnic.QP
+	free     int // slots nobody holds
+	count    int // WRs posted since the last signaled one
 	pending  int // slots held by posts since the last signaled one
 	inflight []reclaimBatch
-	// reaping marks that some poster is blocked waiting for the oldest
-	// in-flight completion; contenders park on cond instead of
-	// double-waiting on the same work-request id.
-	reaping bool
-	cond    simtime.Cond
+	outbox   []outboxed
+	draining bool // a drainer is waiting on inflight[0] for the outbox
 }
 
 // reclaimBatch is one signaled WR's worth of deferred send-queue slot
@@ -615,21 +601,32 @@ type reclaimBatch struct {
 	slots int
 }
 
-// free returns n of the QP's send-queue slots.
-func (s *qpSigState) free(env *simtime.Env, n int) {
-	for ; n > 0; n-- {
-		s.slot.Release(env)
-	}
+// outboxed is one WR chain queued for a full send queue: a two-sided
+// chain (its own copy, payloads too), posted into one slot under the
+// signaling rule, or a one-sided caller's single signaled WR.
+type outboxed struct {
+	wrs     []rnic.WR
+	oneSide bool
 }
 
-// popInflight removes and returns the oldest in-flight batch. It shifts
-// the (short) queue down rather than re-slicing its front away, so the
-// backing array is reused by the next append.
-func (s *qpSigState) popInflight() reclaimBatch {
-	b := s.inflight[0]
-	n := copy(s.inflight, s.inflight[1:])
-	s.inflight = s.inflight[:n]
-	return b
+// CheckSendQueues reports a shared QP whose slots are not all free,
+// pending or in an in-flight batch, or whose outbox holds chains: a
+// check for quiescence, when no one-sided op is in flight.
+func (d *Deployment) CheckSendQueues() error {
+	for _, inst := range d.Instances {
+		for dst, sigs := range inst.qpSig {
+			for k, s := range sigs {
+				held := s.pending
+				for _, b := range s.inflight {
+					held += b.slots
+				}
+				if s.free+held != qpDepth || len(s.outbox) > 0 {
+					return fmt.Errorf("lite: QP %d->%d[%d]: %d free + %d held != %d, %d chains queued", inst.node.ID, dst, k, s.free, held, qpDepth, len(s.outbox))
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Instance accessors.
@@ -644,7 +641,7 @@ func (i *Instance) Deployment() *Deployment { return i.dep }
 // (the paper's K×N; §6.1).
 func (i *Instance) QPCount() int {
 	c := 0
-	for _, qs := range i.qps {
+	for _, qs := range i.qpSig {
 		c += len(qs)
 	}
 	return c
@@ -673,19 +670,6 @@ func (d *Deployment) NextAppSeq() uint64 {
 func (i *Instance) wrID() uint64 {
 	i.nextWR++
 	return i.nextWR
-}
-
-// pickQP selects a shared QP to the destination honoring the QoS mode,
-// acquires one outstanding-op slot on it, and returns the QP, its
-// index within the destination's QP set, and the slot semaphore the
-// caller releases the slot to.
-func (i *Instance) pickQP(p *simtime.Proc, dst int, pri Priority) (*rnic.QP, int, *simtime.Semaphore) {
-	// Shares acquireShared's reclaim machinery: slots on a shared QP
-	// may be held by lazily-reclaimed batches whose completions already
-	// arrived, and only reaping frees them — a plain Acquire here could
-	// starve one-sided ops behind stale batch slots.
-	qp, k, sig := i.acquireShared(p, dst, pri)
-	return qp, k, sig.slot
 }
 
 // scratchRing is a bump allocator over a contiguous kernel arena used

@@ -228,7 +228,8 @@ func (i *Instance) sendMembership(p *simtime.Proc, target int) {
 }
 
 // applyMembership installs a membership view on this instance. Stale
-// epochs are ignored. Outstanding RPCs to now-dead nodes fail with
+// epochs are ignored. Chains queued in the send-queue outboxes toward
+// dead nodes fail at once, outstanding RPCs to them fail with
 // ErrNodeDead, ring-space waiters toward them are woken so they can
 // abort, and quarantined reply buffers from before the new epoch are
 // released (any straggler reply from that era was sent by a peer now
@@ -242,6 +243,7 @@ func (i *Instance) applyMembership(epoch uint64, dead []int, moves []moveRec) {
 	i.deadView = make(map[int]bool, len(dead))
 	for _, n := range dead {
 		i.deadView[n] = true
+		i.failOutbox(n)
 	}
 	// Connection-pool reconciliation: revoke spares toward the newly
 	// dead, re-arm the replenisher (jittered) for the newly revived.

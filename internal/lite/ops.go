@@ -57,59 +57,40 @@ func statusErr(s rnic.Status) error {
 		return ErrTimeout
 	case rnic.StatusAccessError, rnic.StatusBadKey:
 		return ErrPermission
+	case statusDropped:
+		return ErrNodeDead
 	case rnic.StatusLengthError:
 		return ErrBounds
 	}
 	return ErrRemoteFailed
 }
 
-// readInternal implements LT_read: a one-sided RDMA read of LMR space
-// into buf. Local chunks are served by memcpy; remote chunks by native
-// one-sided reads against the target node's global physical MR — no
-// remote CPU, kernel, or LITE involvement (§4).
-func (i *Instance) readInternal(p *simtime.Proc, h LH, off int64, buf []byte, pri Priority, ten uint16) error {
-	e, err := i.lookupLH(h, ten)
-	if err != nil {
-		return err
-	}
-	if e.perm&PermRead == 0 {
-		return ErrPermission
-	}
-	p.Work(i.cfg.LITECheck)
-	parts, err := split(e.ls, off, int64(len(buf)))
-	if err != nil {
-		return err
-	}
-	return i.runParts(p, e.ls, parts, buf, rnic.OpRead, pri)
-}
-
-// writeInternal implements LT_write symmetrically to readInternal.
-func (i *Instance) writeInternal(p *simtime.Proc, h LH, off int64, data []byte, pri Priority, ten uint16) error {
-	e, err := i.lookupLH(h, ten)
-	if err != nil {
-		return err
-	}
-	if e.perm&PermWrite == 0 {
-		return ErrPermission
-	}
-	p.Work(i.cfg.LITECheck)
-	parts, err := split(e.ls, off, int64(len(data)))
-	if err != nil {
-		return err
-	}
-	return i.runParts(p, e.ls, parts, data, rnic.OpWrite, pri)
-}
-
-// runParts executes the per-chunk pieces of a read or write of ls:
-// local pieces via host memcpy, remote pieces as parallel one-sided
-// verbs, then waits for all completions.
+// runParts implements LT_read (kind OpRead: into buf) and LT_write
+// (OpWrite: from buf) of LMR space at off, per chunk: local pieces via
+// memcpy, remote pieces as parallel native one-sided verbs against the
+// target node's global physical MR — no remote CPU, kernel, or LITE
+// involvement (§4). It waits for all completions, also after a piece
+// fails, so every posted piece's send-queue slots come back.
 //
-// The caller resolved the handle before it yielded (LITECheck, the QoS
+// The handle is resolved before this thread yields (LITECheck, the QoS
 // throttle, and each memcpy's own duration below), and an LT_free on
 // another thread releases local chunks the moment it runs; every local
 // arm therefore re-checks ls.freed after its last yield and before it
 // touches memory that may already belong to someone else.
-func (i *Instance) runParts(p *simtime.Proc, ls *lmrState, parts []part, buf []byte, kind rnic.OpKind, pri Priority) error {
+func (i *Instance) runParts(p *simtime.Proc, h LH, off int64, buf []byte, kind rnic.OpKind, pri Priority, ten uint16) error {
+	e, err := i.lookupLH(h, ten)
+	if err != nil {
+		return err
+	}
+	if kind == rnic.OpRead && e.perm&PermRead == 0 || kind == rnic.OpWrite && e.perm&PermWrite == 0 {
+		return ErrPermission
+	}
+	p.Work(i.cfg.LITECheck)
+	ls := e.ls
+	parts, err := split(ls, off, int64(len(buf)))
+	if err != nil {
+		return err
+	}
 	var total int64
 	for _, pt := range parts {
 		if pt.c.node != i.node.ID {
@@ -119,61 +100,100 @@ func (i *Instance) runParts(p *simtime.Proc, ls *lmrState, parts []part, buf []b
 	i.qos.throttle(p, pri, total)
 	start := p.Now()
 
-	type outstanding struct {
-		wrid uint64
-		slot *simtime.Semaphore
-	}
-	var waits []outstanding
+	var posted []oneSided
 	for _, pt := range parts {
 		seg := buf[pt.bufOff : pt.bufOff+pt.n]
-		if pt.c.node == i.node.ID {
-			// Local piece: direct physical access, one copy.
-			i.memcpyCost(p, pt.n)
-			if ls.freed {
-				return ErrFreed
+		if pt.c.node != i.node.ID {
+			var c oneSided
+			c, err = i.postOneSided(p, pt.c.node, pri, []rnic.WR{{
+				Kind:      kind,
+				WRID:      i.wrID(),
+				LocalBuf:  seg,
+				Len:       pt.n,
+				RemoteKey: i.dep.Instances[pt.c.node].globalMR.Key(),
+				RemoteOff: int64(pt.c.pa) + pt.cOff,
+				Trace:     procSpan(p),
+			}})
+			if err != nil {
+				break
 			}
-			if kind == rnic.OpRead {
-				if err := i.node.Mem.Read(pt.c.pa+hostmem.PAddr(pt.cOff), seg); err != nil {
-					return err
-				}
-			} else {
-				if err := i.node.Mem.Write(pt.c.pa+hostmem.PAddr(pt.cOff), seg); err != nil {
-					return err
-				}
-			}
+			posted = append(posted, c)
 			continue
 		}
-		qp, _, slot := i.pickQP(p, pt.c.node, pri)
-		wrid := i.wrID()
-		p.Work(i.cfg.NICDoorbell)
-		err := i.node.NIC.PostSend(p.Now(), qp, rnic.WR{
-			Kind:      kind,
-			WRID:      wrid,
-			Signaled:  true,
-			LocalBuf:  seg,
-			Len:       pt.n,
-			RemoteKey: i.dep.Instances[pt.c.node].globalMR.Key(),
-			RemoteOff: int64(pt.c.pa) + pt.cOff,
-			Trace:     procSpan(p),
-		})
-		if err != nil {
-			slot.Release(i.cls.Env)
-			return err
+		// Local piece: direct physical access, one copy.
+		i.memcpyCost(p, pt.n)
+		if ls.freed {
+			err = ErrFreed
+			break
 		}
-		waits = append(waits, outstanding{wrid, slot})
+		if kind == rnic.OpRead {
+			err = i.node.Mem.Read(pt.c.pa+hostmem.PAddr(pt.cOff), seg)
+		} else {
+			err = i.node.Mem.Write(pt.c.pa+hostmem.PAddr(pt.cOff), seg)
+		}
+		if err != nil {
+			break
+		}
 	}
-	var firstErr error
-	for _, w := range waits {
-		cqe := i.sendDisp.Wait(p, w.wrid)
-		w.slot.Release(i.cls.Env)
-		if err := statusErr(cqe.Status); err != nil && firstErr == nil {
-			firstErr = err
+	for _, c := range posted {
+		if cerr := statusErr(i.awaitOneSided(p, c).Status); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
 	if total > 0 {
 		i.qos.record(p, pri, total, p.Now()-start)
 	}
-	return firstErr
+	return err
+}
+
+// oneSided is a one-sided chain posted or queued for its caller: its
+// QP, its last (signaled) WR's WRID, and the slots it holds once posted.
+type oneSided struct {
+	sig   *qpSigState
+	wrid  uint64
+	slots int
+}
+
+// postOneSided posts wrs, all to dst and each with its WRID, under the
+// outbox rule: the longest prefix that fits the picked QP's free slots,
+// one slot per WR, behind one doorbell with only its last WR signaled;
+// or, when the queue is full or the outbox holds chains, wrs[0] alone
+// into the outbox. It returns the chain, for awaitOneSided; its slots
+// say how many of wrs it covers.
+func (i *Instance) postOneSided(p *simtime.Proc, dst int, pri Priority, wrs []rnic.WR) (oneSided, error) {
+	sig := i.sharedQP(p, dst, pri)
+	if len(sig.outbox) > 0 || sig.free == 0 {
+		c := outboxed{wrs: []rnic.WR{wrs[0]}, oneSide: true}
+		c.wrs[0].Signaled = true
+		i.enqueue(sig, c)
+		return oneSided{sig, wrs[0].WRID, 1}, nil
+	}
+	n := min(len(wrs), sig.free)
+	wrs[n-1].Signaled = true
+	return oneSided{sig, wrs[n-1].WRID, n}, i.post(p, sig, outboxed{wrs: wrs[:n], oneSide: true})
+}
+
+// awaitOneSided waits for c's completion, then returns its slots to
+// the QP and serves the QP's outbox with them.
+func (i *Instance) awaitOneSided(p *simtime.Proc, c oneSided) rnic.CQE {
+	cqe := i.sendDisp.Wait(p, c.wrid)
+	if cqe.Status != statusDropped {
+		c.sig.free += c.slots
+		i.serveOutbox(p, c.sig)
+	}
+	return cqe
+}
+
+// postAndWait is the one-sided round trip of rawAccess and rawAtomic:
+// wr, with its WRID and remote key filled in, posted and waited for.
+func (i *Instance) postAndWait(p *simtime.Proc, node int, pri Priority, wr rnic.WR) error {
+	wr.WRID = i.wrID()
+	wr.RemoteKey = i.dep.Instances[node].globalMR.Key()
+	c, err := i.postOneSided(p, node, pri, []rnic.WR{wr})
+	if err != nil {
+		return err
+	}
+	return statusErr(i.awaitOneSided(p, c).Status)
 }
 
 // ReadSeg is one segment of a vectored LT_read: len(Buf) bytes of the
@@ -185,7 +205,7 @@ type ReadSeg struct {
 }
 
 // readVInternal implements vectored LT_read. Every segment passes the
-// same handle, permission and bounds checks as readInternal before any
+// same handle, permission and bounds checks as runParts before any
 // byte moves, so a vector with a bad segment reads nothing. Local
 // pieces are then served by memcpy, and remote pieces go out as WR
 // chains in vector order: consecutive pieces on one node share a QP and
@@ -265,39 +285,33 @@ func (i *Instance) readVInternal(p *simtime.Proc, segs []ReadSeg, pri Priority, 
 }
 
 // postReadChain posts the longest prefix of wrs that targets one node
-// and fits the picked QP's send queue — one slot per WR, the first
-// waited for, the rest taken only while free, so two chains can never
-// deadlock holding half a queue each — behind one doorbell with only
-// the last WR signaled, and waits for it. It returns the prefix length
-// and the first error in chain order. RC completes in order, so once
-// the last completion is in, an earlier member's error completion (they
-// are delivered signaled or not) has arrived too: each is claimed here,
-// never left in the dispatcher's stash.
+// and fits the picked QP's free send-queue slots (postOneSided) behind
+// one doorbell with only the last WR signaled, and waits for it. It
+// returns the prefix length and the first error in chain order. RC
+// completes in order, so once the last completion is in, an earlier
+// member's error completion (they are delivered signaled or not) has
+// arrived too: each is claimed here, never left in the dispatcher's
+// stash.
 func (i *Instance) postReadChain(p *simtime.Proc, nodes []int, wrs []rnic.WR, pri Priority) (int, error) {
 	dst := nodes[0]
-	qp, _, slot := i.pickQP(p, dst, pri)
-	n := 1
-	for n < len(wrs) && nodes[n] == dst && slot.TryAcquire(p) {
-		n++
+	run := 1
+	for run < len(wrs) && nodes[run] == dst {
+		run++
 	}
-	chain := wrs[:n]
-	chain[n-1].Signaled = true
-	err := i.ctx.PostSendList(p, qp, chain)
+	c, err := i.postOneSided(p, dst, pri, wrs[:run])
+	if err != nil {
+		return c.slots, err
+	}
+	last := i.awaitOneSided(p, c)
+	for _, wr := range wrs[:c.slots-1] {
+		if cqe, ok := i.sendDisp.TryClaim(wr.WRID); ok && err == nil {
+			err = statusErr(cqe.Status)
+		}
+	}
 	if err == nil {
-		last := i.sendDisp.Wait(p, chain[n-1].WRID)
-		for _, wr := range chain[:n-1] {
-			if cqe, ok := i.sendDisp.TryClaim(wr.WRID); ok && err == nil {
-				err = statusErr(cqe.Status)
-			}
-		}
-		if err == nil {
-			err = statusErr(last.Status)
-		}
+		err = statusErr(last.Status)
 	}
-	for s := 0; s < n; s++ {
-		slot.Release(i.cls.Env)
-	}
-	return n, err
+	return c.slots, err
 }
 
 // memsetInternal implements LT_memset by sending the command to the
@@ -449,87 +463,49 @@ func (i *Instance) copySegment(p *simtime.Proc, src, dst *lmrState, sp, dp part,
 }
 
 // rawWrite performs a one-sided write of buf to a physical address on
-// a remote node through the shared QPs.
+// a node through the shared QPs.
 func (i *Instance) rawWrite(p *simtime.Proc, node int, pa hostmem.PAddr, buf []byte, pri Priority) error {
-	if node == i.node.ID {
-		i.memcpyCost(p, int64(len(buf)))
-		return i.node.Mem.Write(pa, buf)
-	}
-	i.qos.throttle(p, pri, int64(len(buf)))
-	start := p.Now()
-	qp, _, slot := i.pickQP(p, node, pri)
-	defer slot.Release(i.cls.Env)
-	wrid := i.wrID()
-	p.Work(i.cfg.NICDoorbell)
-	err := i.node.NIC.PostSend(p.Now(), qp, rnic.WR{
-		Kind: rnic.OpWrite, WRID: wrid, Signaled: true,
-		LocalBuf: buf, Len: int64(len(buf)),
-		RemoteKey: i.dep.Instances[node].globalMR.Key(),
-		RemoteOff: int64(pa),
-	})
-	if err != nil {
-		return err
-	}
-	cqe := i.sendDisp.Wait(p, wrid)
-	i.qos.record(p, pri, int64(len(buf)), p.Now()-start)
-	return statusErr(cqe.Status)
+	return i.rawAccess(p, rnic.OpWrite, node, pa, buf, pri)
 }
 
-// rawRead performs a one-sided read from a physical address on a
-// remote node into buf.
+// rawRead performs a one-sided read from a physical address on a node
+// into buf.
 func (i *Instance) rawRead(p *simtime.Proc, node int, pa hostmem.PAddr, buf []byte, pri Priority) error {
+	return i.rawAccess(p, rnic.OpRead, node, pa, buf, pri)
+}
+
+// rawAccess is rawRead (kind OpRead) and rawWrite (OpWrite): a memcpy
+// on the local node, else one signaled WR through postAndWait.
+func (i *Instance) rawAccess(p *simtime.Proc, kind rnic.OpKind, node int, pa hostmem.PAddr, buf []byte, pri Priority) error {
+	n := int64(len(buf))
 	if node == i.node.ID {
-		i.memcpyCost(p, int64(len(buf)))
-		return i.node.Mem.Read(pa, buf)
+		i.memcpyCost(p, n)
+		if kind == rnic.OpRead {
+			return i.node.Mem.Read(pa, buf)
+		}
+		return i.node.Mem.Write(pa, buf)
 	}
-	i.qos.throttle(p, pri, int64(len(buf)))
+	i.qos.throttle(p, pri, n)
 	start := p.Now()
-	qp, _, slot := i.pickQP(p, node, pri)
-	defer slot.Release(i.cls.Env)
-	wrid := i.wrID()
-	p.Work(i.cfg.NICDoorbell)
-	err := i.node.NIC.PostSend(p.Now(), qp, rnic.WR{
-		Kind: rnic.OpRead, WRID: wrid, Signaled: true,
-		LocalBuf: buf, Len: int64(len(buf)),
-		RemoteKey: i.dep.Instances[node].globalMR.Key(),
-		RemoteOff: int64(pa),
-	})
-	if err != nil {
-		return err
-	}
-	cqe := i.sendDisp.Wait(p, wrid)
-	i.qos.record(p, pri, int64(len(buf)), p.Now()-start)
-	return statusErr(cqe.Status)
+	err := i.postAndWait(p, node, pri, rnic.WR{Kind: kind, LocalBuf: buf, Len: n, RemoteOff: int64(pa)})
+	i.qos.record(p, pri, n, p.Now()-start)
+	return err
 }
 
 // copyChunk copies the contents of chunk c into dsts (which together
 // cover c.size), used by LMR migration.
 func (i *Instance) copyChunk(p *simtime.Proc, c chunk, dsts []chunk, scratch []byte, pri Priority) error {
-	var buf []byte
+	buf := scratch
 	if int64(cap(scratch)) < c.size {
 		buf = make([]byte, c.size)
-	} else {
-		buf = scratch[:c.size]
 	}
-	if c.node == i.node.ID {
-		i.memcpyCost(p, c.size)
-		if err := i.node.Mem.Read(c.pa, buf); err != nil {
-			return err
-		}
-	} else {
-		if err := i.rawRead(p, c.node, c.pa, buf, pri); err != nil {
-			return err
-		}
+	buf = buf[:c.size]
+	if err := i.rawRead(p, c.node, c.pa, buf, pri); err != nil {
+		return err
 	}
 	var off int64
 	for _, d := range dsts {
-		seg := buf[off : off+d.size]
-		if d.node == i.node.ID {
-			i.memcpyCost(p, d.size)
-			if err := i.node.Mem.Write(d.pa, seg); err != nil {
-				return err
-			}
-		} else if err := i.rawWrite(p, d.node, d.pa, seg, pri); err != nil {
+		if err := i.rawWrite(p, d.node, d.pa, buf[off:off+d.size], pri); err != nil {
 			return err
 		}
 		off += d.size

@@ -23,7 +23,19 @@ func testDepQPs(t *testing.T, n, k int) (*cluster.Cluster, *Deployment) {
 	return cls, dep
 }
 
-// Under QoSHWSep, pickQP must keep the two priority classes on
+// pickIndex picks a shared QP to dst the way every post does and
+// returns its index within dst's QP set.
+func pickIndex(p *simtime.Proc, inst *Instance, dst int, pri Priority) int {
+	sig := inst.sharedQP(p, dst, pri)
+	for k, s := range inst.qpSig[dst] {
+		if s == sig {
+			return k
+		}
+	}
+	return -1
+}
+
+// Under QoSHWSep, the shared-QP pick must keep the two priority classes on
 // disjoint QP ranges: high priority on [0, split), low priority on
 // [split, n). The priority sequence is drawn from a seeded PRNG so the
 // interleaving is arbitrary but reproducible.
@@ -31,7 +43,7 @@ func TestPickQPHWSepPartition(t *testing.T) {
 	cls, dep := testDepQPs(t, 2, 4)
 	dep.SetQoSMode(QoSHWSep)
 	inst := dep.Instance(0)
-	n := len(inst.qps[1])
+	n := len(inst.qpSig[1])
 	if n != 4 {
 		t.Fatalf("QPs to node 1 = %d, want 4", n)
 	}
@@ -57,8 +69,7 @@ func TestPickQPHWSepPartition(t *testing.T) {
 			if next()%2 == 0 {
 				pri = PriLow
 			}
-			_, k, slot := inst.pickQP(p, 1, pri)
-			slot.Release(p.Env())
+			k := pickIndex(p, inst, 1, pri)
 			if pri == PriHigh && k >= split {
 				t.Fatalf("high-priority pick landed on reserved low QP %d", k)
 			}
@@ -70,13 +81,13 @@ func TestPickQPHWSepPartition(t *testing.T) {
 	run(t, cls)
 }
 
-// pickQP round-robins over the permitted range even when several
+// The shared-QP pick round-robins over the permitted range even when several
 // processes pick concurrently: the shared cursor hands out every index
 // equally often.
 func TestPickQPRoundRobinAcrossConcurrentSenders(t *testing.T) {
 	cls, dep := testDepQPs(t, 2, 4)
 	inst := dep.Instance(0)
-	n := len(inst.qps[1])
+	n := len(inst.qpSig[1])
 	counts := make([]int, n)
 	const procs, picks = 4, 100
 	for w := 0; w < procs; w++ {
@@ -86,9 +97,7 @@ func TestPickQPRoundRobinAcrossConcurrentSenders(t *testing.T) {
 			// interleave instead of running back to back.
 			p.Sleep(simtime.Time(w * 50))
 			for i := 0; i < picks; i++ {
-				_, k, slot := inst.pickQP(p, 1, PriHigh)
-				counts[k]++
-				slot.Release(p.Env())
+				counts[pickIndex(p, inst, 1, PriHigh)]++
 				p.Sleep(simtime.Time(100 + w))
 			}
 		})
@@ -102,11 +111,11 @@ func TestPickQPRoundRobinAcrossConcurrentSenders(t *testing.T) {
 	}
 }
 
-// Every QP slot taken by pickQP during normal RPC traffic must come
-// back: after a burst of calls completes, the outstanding-op
-// semaphores are all back to full capacity once in-flight signaled
-// batches are reaped.
-func TestPickQPSlotsRecycled(t *testing.T) {
+// Every send-queue slot taken during normal RPC traffic must come
+// back: after a burst of calls completes, each QP's slots are free,
+// pending, or filed under an in-flight signaled batch, summing to its
+// depth, and no outbox holds a chain.
+func TestSendQueueSlotsConserved(t *testing.T) {
 	cls, dep := testDep(t, 2)
 	inst := dep.Instance(1)
 	_ = inst.RegisterRPC(FirstUserFunc)
@@ -133,18 +142,8 @@ func TestPickQPSlotsRecycled(t *testing.T) {
 		}
 	})
 	run(t, cls)
-	for node, sigs := range dep.Instance(0).qpSig {
-		for k, sig := range sigs {
-			held := qpDepth - sig.slot.Available()
-			inflight := 0
-			for _, b := range sig.inflight {
-				inflight += b.slots
-			}
-			if held != sig.pending+inflight {
-				t.Errorf("QP %d->%d[%d]: %d slots held, %d accounted (pending %d, inflight %d)",
-					0, node, k, held, sig.pending+inflight, sig.pending, inflight)
-			}
-		}
+	if err := dep.CheckSendQueues(); err != nil {
+		t.Error(err)
 	}
 }
 

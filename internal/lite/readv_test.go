@@ -42,7 +42,7 @@ func doorbells(cls *cluster.Cluster) (n int64) {
 // to dst, and how many of them lazy signaling accounts for.
 func heldSlots(inst *Instance, dst int) (held, lazy int) {
 	for _, sig := range inst.qpSig[dst] {
-		held += qpDepth - sig.slot.Available()
+		held += qpDepth - sig.free
 		lazy += sig.pending
 		for _, b := range sig.inflight {
 			lazy += b.slots

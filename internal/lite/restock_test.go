@@ -56,9 +56,9 @@ func TestRestockNeverStrandsAQP(t *testing.T) {
 	for _, inst := range dep.Instances {
 		node := inst.node.ID
 		var qps, posted int64
-		for peer, qs := range inst.qps {
-			for k, qp := range qs {
-				n := qp.RecvPosted()
+		for peer, sigs := range inst.qpSig {
+			for k, sig := range sigs {
+				n := sig.qp.RecvPosted()
 				if n < low || n > opts.RecvBatch {
 					t.Errorf("node %d QP %d to peer %d holds %d receives, want %d..%d", node, k, peer, n, low, opts.RecvBatch)
 				}

@@ -1,6 +1,7 @@
 package lite
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -658,114 +659,155 @@ func (i *Instance) wantInline(n int64) bool {
 	return n <= int64(i.cfg.MaxInline)
 }
 
-// reapQP frees the send-queue slots of every in-flight signaled batch
-// whose completion has already arrived, oldest first, without
-// blocking. Stops at the first batch still outstanding.
-func (i *Instance) reapQP(p *simtime.Proc, sig *qpSigState) {
-	for len(sig.inflight) > 0 {
-		if _, ok := i.sendDisp.TryClaim(sig.inflight[0].wrid); !ok {
-			return
-		}
-		sig.free(i.cls.Env, sig.popInflight().slots)
-	}
-}
+// statusDropped completes a chain that never reached the NIC (no slot).
+const statusDropped rnic.Status = -1
 
-// acquireShared selects a shared QP to dst (round-robin within the
-// QoS range) and takes one send-queue slot on it, reaping this QP's
-// arrived completions first. When the queue is full the caller waits
-// on this QP's own oldest signaled completion — never another QP's —
-// so a destination that is timing out cannot starve posts to healthy
-// ones. Exactly one waiter reaps at a time; contenders park on the
-// QP's cond.
-func (i *Instance) acquireShared(p *simtime.Proc, dst int, pri Priority) (*rnic.QP, int, *qpSigState) {
-	lo, hi := i.qos.qpRange(pri, len(i.qps[dst]))
-	k := lo + i.nextQP[dst]%(hi-lo)
+// sharedQP picks a shared QP to dst (round-robin within the QoS range),
+// reaps it and serves its outbox with the slots that frees.
+func (i *Instance) sharedQP(p *simtime.Proc, dst int, pri Priority) *qpSigState {
+	lo, hi := i.qos.qpRange(pri, len(i.qpSig[dst]))
+	sig := i.qpSig[dst][lo+i.nextQP[dst]%(hi-lo)]
 	i.nextQP[dst]++
-	qp := i.qps[dst][k]
-	sig := i.qpSig[dst][k]
-	slot := sig.slot
-	for {
-		i.reapQP(p, sig)
-		if slot.TryAcquire(p) {
-			return qp, k, sig
-		}
-		if sig.reaping {
-			sig.cond.Wait(p)
-			continue
-		}
-		if len(sig.inflight) == 0 {
-			// The held slots belong to posts still in flight (their
-			// holders file or release them when their PostSendList
-			// returns); just wait for a permit.
-			slot.Acquire(p)
-			return qp, k, sig
-		}
-		i.reapOldest(p, sig)
-	}
+	i.reap(sig, 0)
+	i.serveOutbox(p, sig)
+	return sig
 }
 
-// reapOldest waits for the QP's oldest in-flight signaled batch and
-// frees its send-queue slots. The caller has checked that there is one
-// and that nobody else is reaping.
-func (i *Instance) reapOldest(p *simtime.Proc, sig *qpSigState) {
-	sig.reaping = true
-	b := sig.popInflight()
-	i.sendDisp.WaitQuiet(p, b.wrid)
-	sig.free(i.cls.Env, b.slots)
-	sig.reaping = false
-	sig.cond.Broadcast(i.cls.Env)
+// reap frees the slots of every in-flight batch whose completion has
+// arrived (or was claimed by the caller: claimed), without blocking. It
+// reaps in any order: a WR lost toward a lossy peer completes only at
+// its RC timeout, and the batches completed behind it must not wait.
+func (i *Instance) reap(sig *qpSigState, claimed uint64) {
+	kept := sig.inflight[:0]
+	for _, b := range sig.inflight {
+		if _, ok := i.sendDisp.TryClaim(b.wrid); ok || b.wrid == claimed {
+			sig.free += b.slots
+		} else {
+			kept = append(kept, b)
+		}
+	}
+	sig.inflight = kept
 }
 
 // postShared posts a chain of work requests to dst over one shared QP
-// behind a single doorbell, applying selective completion signaling:
-// posts are normally unsignaled (no CQE), their send-queue slots held
-// until every signalEvery-th post, whose last WR is signaled; the
-// accumulated slot releases are then filed under that completion and
-// freed when a later poster reaps it — lazy WQE reclaim, bounded by
-// qpDepth: a sender is never more than one signaled completion away
-// from free slots.
+// behind a single doorbell (post), or queues a copy of it in the
+// QP's outbox if the queue is full or the outbox holds chains already.
+// Either way it returns at once.
 func (i *Instance) postShared(p *simtime.Proc, dst int, pri Priority, wrs []rnic.WR) error {
-	qp, _, sig := i.acquireShared(p, dst, pri)
-	// The signaling decision must be made AND published in sig.count
-	// before PostSendList parks to pay the posting cost. Concurrent
-	// posters on the same QP would otherwise all read the
-	// pre-increment count, each decide "not my turn to signal", and
-	// fill the entire send queue with unsignaled WQEs — leaving no
-	// completion to ever reclaim the slots and deadlocking every
-	// sender to this destination. (Closed-loop clients never hit this;
-	// an open-loop burst does.)
-	signaled := sig.count+len(wrs) >= signalEvery
-	if signaled {
-		last := &wrs[len(wrs)-1]
-		last.Signaled = true
-		last.WRID = i.wrID()
+	sig := i.sharedQP(p, dst, pri)
+	if len(sig.outbox) == 0 && sig.free > 0 {
+		return i.post(p, sig, outboxed{wrs: wrs})
+	}
+	own := append([]rnic.WR(nil), wrs...)
+	for k := range own {
+		own[k].LocalBuf = bytes.Clone(own[k].LocalBuf) // the caller reuses its buffers
+	}
+	i.enqueue(sig, outboxed{wrs: own})
+	return nil
+}
+
+// post posts c behind one doorbell into the QP's free slots. A
+// one-sided chain takes a slot per WR, until its caller's completion.
+// A two-sided chain takes one under selective completion signaling: the
+// post that brings the QP's WR count to signalEvery signals its last
+// WR, and the slots pending since the last such post are filed under
+// that completion — lazy WQE reclaim. The bookkeeping is done before
+// the doorbell is paid: concurrent posters would otherwise all read the
+// old count, none signal, and fill the queue with WQEs no completion
+// reclaims.
+func (i *Instance) post(p *simtime.Proc, sig *qpSigState, c outboxed) error {
+	wrs := c.wrs
+	if c.oneSide {
+		sig.free -= len(wrs)
+		err := i.ctx.PostSendList(p, sig.qp, wrs)
+		if err != nil {
+			sig.free += len(wrs)
+		}
+		return err
+	}
+	sig.free--
+	sig.pending++
+	var wrid uint64
+	if sig.count+len(wrs) >= signalEvery {
+		wrid = i.wrID()
+		wrs[len(wrs)-1].Signaled = true
+		wrs[len(wrs)-1].WRID = wrid
 		sig.count = 0
+		sig.inflight = append(sig.inflight, reclaimBatch{wrid: wrid, slots: sig.pending})
+		sig.pending = 0
 	} else {
 		sig.count += len(wrs)
 	}
-	err := i.ctx.PostSendList(p, qp, wrs)
-	if err != nil {
-		sig.slot.Release(i.cls.Env)
-		return err
+	err := i.ctx.PostSendList(p, sig.qp, wrs)
+	if err != nil && wrid != 0 {
+		i.sendCQ.Push(i.cls.Env, rnic.CQE{WRID: wrid, Status: statusDropped})
 	}
-	sig.pending++
-	if signaled {
-		// The batch takes every slot currently deferred on this QP.
-		// Slots of posts that raced in after this WR was decided may
-		// ride along and be freed on this completion — a slightly early
-		// reclaim of the simulated slot budget, never a leak.
-		sig.inflight = append(sig.inflight, reclaimBatch{wrid: wrs[len(wrs)-1].WRID, slots: sig.pending})
-		sig.pending = 0
+	return err
+}
+
+// enqueue appends c to the QP's outbox, or fails it at once if the
+// peer is declared dead.
+func (i *Instance) enqueue(sig *qpSigState, c outboxed) {
+	if i.deadView[sig.qp.RemoteNode()] {
+		i.dropChain(c)
+		return
 	}
-	// Lazy reclaim counts on a later poster to reap. Senders that found
-	// the queue full while its holders were still posting are parked on
-	// the slot semaphore, not in the reap loop, so when a burst is not
-	// followed by another post nobody would ever free their slots: a
-	// poster that leaves the queue exhausted reaps before it goes.
-	for sig.slot.Available() == 0 && len(sig.inflight) > 0 && !sig.reaping {
-		i.reapOldest(p, sig)
+	i.obsReg().Add("lite.sq.outboxed", int64(len(c.wrs)))
+	sig.outbox = append(sig.outbox, c)
+	i.drainLater(sig)
+}
+
+// serveOutbox posts from the QP's outbox head, in order, while the QP
+// has free slots.
+func (i *Instance) serveOutbox(p *simtime.Proc, sig *qpSigState) {
+	for len(sig.outbox) > 0 && sig.free > 0 {
+		c := sig.outbox[0]
+		sig.outbox[0] = outboxed{}
+		sig.outbox = sig.outbox[1:]
+		if i.post(p, sig, c) != nil && c.oneSide {
+			i.dropChain(c)
+		}
 	}
-	return nil
+	i.drainLater(sig)
+}
+
+// drainLater starts the QP's one-shot drainer if chains wait in its
+// outbox and a batch is in flight. The drainer waits on the oldest
+// batch and serves the outbox until it is empty or no batch is left
+// (one-sided callers hold the slots then, and serve it themselves).
+func (i *Instance) drainLater(sig *qpSigState) {
+	if sig.draining || len(sig.outbox) == 0 || len(sig.inflight) == 0 {
+		return
+	}
+	sig.draining = true
+	i.cls.GoDaemonOn(i.node.ID, "lite-sq-drain", func(p *simtime.Proc) {
+		for len(sig.outbox) > 0 && len(sig.inflight) > 0 {
+			wrid := sig.inflight[0].wrid
+			i.sendDisp.WaitQuiet(p, wrid)
+			i.reap(sig, wrid)
+			i.serveOutbox(p, sig)
+		}
+		sig.draining = false
+	})
+}
+
+// dropChain fails one outboxed chain: a one-sided chain's caller gets a
+// statusDropped completion; a two-sided one is dropped like a lost WR.
+func (i *Instance) dropChain(c outboxed) {
+	i.obsReg().Add("lite.sq.outbox_failed", int64(len(c.wrs)))
+	if c.oneSide {
+		i.sendCQ.Push(i.cls.Env, rnic.CQE{WRID: c.wrs[0].WRID, Status: statusDropped})
+	}
+}
+
+// failOutbox fails every chain queued toward dst at once.
+func (i *Instance) failOutbox(dst int) {
+	for _, sig := range i.qpSig[dst] {
+		for _, c := range sig.outbox {
+			i.dropChain(c)
+		}
+		sig.outbox = nil
+	}
 }
 
 // postToRing writes a framed message into the binding's ring at the
@@ -1339,12 +1381,18 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) (ping b
 	ring.headLocal += delta
 
 	if fn == funcControl && len(input) == 1 && input[0] == copPing {
-		// A keepalive is answered here, by the poller: no system worker
-		// wakes to build nine bytes, and pollerLoop opens no busy window
-		// after it.
+		// A keepalive is answered here, by the poller, with [cstOK]
+		// [membership epoch]: no system worker wakes to build nine
+		// bytes, and pollerLoop opens no busy window after it. The reply
+		// goes out through the header-update thread, which never parks
+		// on a send queue, so a notification stuck toward a crashed peer
+		// cannot hold it.
 		i.obsReg().Add("lite.heartbeat.answered", 1)
 		i.queueHeadUpdate(p, src, fn, delta)
-		i.answerPing(p, src, h.token, h.replyPA)
+		reply := make([]byte, 9)
+		reply[0] = cstOK
+		binary.LittleEndian.PutUint64(reply[1:], i.epoch)
+		i.queueNotify(p, headUpdate{tag: tagRPCRep, client: src, token: h.token, replyPA: h.replyPA, reply: reply})
 		return true
 	}
 	if fn == funcMsg {
@@ -1552,28 +1600,6 @@ func (i *Instance) queueNotify(p *simtime.Proc, u headUpdate) {
 	}
 }
 
-// answerPing replies to a keepalive with [cstOK][membership epoch],
-// through the header-update thread like a replayed cached reply. That
-// thread serves every peer in turn and can sit in a send-queue reap
-// toward a crashed one for a whole RCTimeout, far longer than a prober
-// waits; so while it is busy the reply gets a one-shot poster of its
-// own instead of queueing behind other peers' notifications.
-func (i *Instance) answerPing(p *simtime.Proc, src int, token uint32, replyPA hostmem.PAddr) {
-	reply := make([]byte, 9)
-	reply[0] = cstOK
-	binary.LittleEndian.PutUint64(reply[1:], i.epoch)
-	u := headUpdate{tag: tagRPCRep, client: src, token: token, replyPA: replyPA, reply: reply}
-	if !i.notifying {
-		i.queueNotify(p, u)
-		return
-	}
-	i.cls.GoDaemonOn(i.node.ID, "lite-ping-reply", func(q *simtime.Proc) {
-		if !i.stopped {
-			_ = i.postShared(q, src, PriHigh, []rnic.WR{i.notifyWR(u)})
-		}
-	})
-}
-
 // headUpdBatchMax bounds how many queued head updates the background
 // thread drains into one doorbell-batched burst.
 const headUpdBatchMax = 16
@@ -1625,7 +1651,6 @@ func (i *Instance) headUpdateLoop(p *simtime.Proc) {
 		if !ok {
 			return
 		}
-		i.notifying = true
 		batch := []headUpdate{u}
 		for len(batch) < headUpdBatchMax {
 			v, ok := i.headUpd.TryRecv(p)
@@ -1650,7 +1675,6 @@ func (i *Instance) headUpdateLoop(p *simtime.Proc) {
 			batch = rest
 			_ = i.postShared(p, client, PriHigh, wrs)
 		}
-		i.notifying = false
 	}
 }
 

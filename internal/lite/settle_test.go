@@ -12,7 +12,8 @@ import (
 // stranded and no waiter record leaks: every send dispatcher has nobody
 // blocked, and the only completions it holds unclaimed are those of
 // signaled batches some QP still lists as in flight — lazy reclaim's,
-// reaped by the next post on that QP.
+// reaped by the next post on that QP. Every send-queue slot is
+// accounted for, and no outbox holds a chain.
 func TestSendCompletionsSettleAfterDrain(t *testing.T) {
 	cls, dep := testDep(t, 3)
 	startEchoServer(cls, dep, 1, 2)
@@ -123,5 +124,8 @@ func TestSendCompletionsSettleAfterDrain(t *testing.T) {
 				t.Errorf("node %d: completion %d is stranded: no waiter claimed it and no in-flight batch lists it", n, id)
 			}
 		}
+	}
+	if err := dep.CheckSendQueues(); err != nil {
+		t.Error(err)
 	}
 }

@@ -82,7 +82,6 @@ func runLeaseStorm(t *testing.T) leaseStormOutcome {
 	opts.HeartbeatInterval = 100 * time.Microsecond
 	opts.HeartbeatTimeout = 300 * time.Microsecond
 	opts.QPLeasePool = 2
-	opts.ReconnectOnRestart = true
 	dep, err := Start(cls, opts)
 	if err != nil {
 		t.Fatal(err)

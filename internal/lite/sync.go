@@ -27,23 +27,13 @@ func (i *Instance) rawAtomic(p *simtime.Proc, node int, pa hostmem.PAddr, wr rni
 		binary.LittleEndian.PutUint64(b[:], wr.AtomicNext(old))
 		return old, i.node.Mem.Write(pa, b[:])
 	}
-	qp, _, slot := i.pickQP(p, node, pri)
-	defer slot.Release(i.cls.Env)
 	var result uint64
 	var buf [8]byte
-	wr.WRID = i.wrID()
-	wr.Signaled = true
 	wr.LocalBuf = buf[:]
 	wr.Len = 8
-	wr.RemoteKey = i.dep.Instances[node].globalMR.Key()
 	wr.RemoteOff = int64(pa)
 	wr.AtomicResult = &result
-	p.Work(i.cfg.NICDoorbell)
-	if err := i.node.NIC.PostSend(p.Now(), qp, wr); err != nil {
-		return 0, err
-	}
-	cqe := i.sendDisp.Wait(p, wr.WRID)
-	if err := statusErr(cqe.Status); err != nil {
+	if err := i.postAndWait(p, node, pri, wr); err != nil {
 		return 0, err
 	}
 	return result, nil
@@ -74,25 +64,16 @@ func (i *Instance) resolveWord(h LH, off int64, need Perm, ten uint16) (int, hos
 	return pt.c.node, pa, nil
 }
 
-// fetchAddInternal implements LT_fetch-add on LMR space.
-func (i *Instance) fetchAddInternal(p *simtime.Proc, h LH, off int64, delta uint64, pri Priority, ten uint16) (uint64, error) {
+// atomicInternal implements LT_fetch-add (wr an OpFetchAdd) and
+// LT_test-set (an OpCmpSwap: set the word to wr.Swap if it was zero) on
+// LMR space, returning the word's previous value.
+func (i *Instance) atomicInternal(p *simtime.Proc, h LH, off int64, wr rnic.WR, pri Priority, ten uint16) (uint64, error) {
 	p.Work(i.cfg.LITECheck)
 	node, pa, err := i.resolveWord(h, off, PermWrite, ten)
 	if err != nil {
 		return 0, err
 	}
-	return i.rawAtomic(p, node, pa, rnic.WR{Kind: rnic.OpFetchAdd, Add: delta}, pri)
-}
-
-// testSetInternal implements LT_test-set on LMR space: it atomically
-// sets the word to val if it was zero and returns the previous value.
-func (i *Instance) testSetInternal(p *simtime.Proc, h LH, off int64, val uint64, pri Priority, ten uint16) (uint64, error) {
-	p.Work(i.cfg.LITECheck)
-	node, pa, err := i.resolveWord(h, off, PermWrite, ten)
-	if err != nil {
-		return 0, err
-	}
-	return i.rawAtomic(p, node, pa, rnic.WR{Kind: rnic.OpCmpSwap, Swap: val}, pri)
+	return i.rawAtomic(p, node, pa, wr, pri)
 }
 
 // ---- distributed locks (§7.2) ----
