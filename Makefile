@@ -76,6 +76,7 @@ cover:
 	$(call check_cover,./internal/apps/kvstore/,$(COVER_FLOOR))
 	$(call check_cover,./internal/verbs/,$(COVER_FLOOR))
 	$(call check_cover,./internal/rnic/,$(COVER_FLOOR))
+	$(call check_cover,./internal/hostmem/,$(COVER_FLOOR))
 	$(call check_cover,./internal/faults/,$(COVER_FLOOR_HARNESS))
 	$(call check_cover,./internal/load/,$(COVER_FLOOR_HARNESS))
 

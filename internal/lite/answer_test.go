@@ -44,7 +44,7 @@ func pendAnswer(t *testing.T, inst *Instance, word []byte) (uint32, *pendingCall
 	}
 	token := inst.token()
 	pc := &pendingCall{respPA: pa}
-	inst.pending[token] = pc
+	inst.pending.put(token, pc)
 	return token, pc
 }
 
@@ -82,7 +82,7 @@ func TestHandleAnswerCompletesEveryKind(t *testing.T) {
 		if !pc.done {
 			t.Errorf("%s: pending call not completed", c.name)
 		}
-		if _, ok := inst.pending[token]; ok {
+		if inst.pending.get(token) != nil {
 			t.Errorf("%s: pending entry left behind", c.name)
 		}
 		if !c.want(pc.err) {
@@ -114,8 +114,8 @@ func TestLateAnswerOfEveryKindFreesQuarantine(t *testing.T) {
 		if inst.scratch.quarBytes != 0 {
 			t.Errorf("tag %d: %d bytes still quarantined after the late answer", tag, inst.scratch.quarBytes)
 		}
-		if _, ok := inst.pending[token]; ok || pc.done {
-			t.Errorf("tag %d: abandoned call must be dropped, not completed (pending %v, done %v)", tag, ok, pc.done)
+		if left := inst.pending.get(token) != nil; left || pc.done {
+			t.Errorf("tag %d: abandoned call must be dropped, not completed (pending %v, done %v)", tag, left, pc.done)
 		}
 	}
 }

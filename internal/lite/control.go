@@ -217,8 +217,8 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 	case copBind:
 		fn := int(binary.LittleEndian.Uint32(in[1:]))
 		key := bindKey{c.Src, fn}
-		ring, ok := i.srvRings[key]
-		if !ok {
+		ring := i.ringFrom(c.Src, fn)
+		if ring == nil {
 			if validateRingBytes(i.opts.RingBytes) != nil {
 				// A ring the IMM offset encoding cannot address must
 				// never go live; the client surfaces a setup error.
@@ -240,10 +240,9 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 				// and the boot lineage it vouches for.
 				ring.adoptedBoots = w.boots
 				ring.dedup = w.dedup
-				ring.dedupFIFO = w.dedupFIFO
 				delete(i.adopted, key)
 			}
-			i.srvRings[key] = ring
+			i.rings.slot(c.Src, fn).ring = ring
 		} else {
 			// Re-bind after a failure: the client restarts its tail at
 			// zero, so reset the consume pointer to match. Frames the
@@ -340,8 +339,8 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 		id := binary.LittleEndian.Uint64(in[1:])
 		// Drop any local lhs pointing at the freed LMR.
 		for h, e := range i.lhs {
-			if e.ls.id == id {
-				delete(i.lhs, h)
+			if e != nil && e.ls.id == id {
+				i.lhs[h] = nil
 			}
 		}
 		reply(cstOK, nil)

@@ -33,16 +33,29 @@ func (l ringLedger) String() string {
 		l.client, l.server, l.fn, l.tail, l.head, l.arrived, l.unconsumed, l.owed)
 }
 
+// bindKeys returns the keys of inst's bindings in (node, fn) order.
+func bindKeys(inst *Instance) []bindKey {
+	var keys []bindKey
+	for node, row := range inst.rings {
+		for _, s := range row {
+			if s.bind != nil {
+				keys = append(keys, bindKey{node, s.fn})
+			}
+		}
+	}
+	return keys
+}
+
 // ringLedgers reads the account of every binding whose server ring is
 // alive.
 func ringLedgers(dep *Deployment) []ringLedger {
 	var out []ringLedger
 	for _, ci := range dep.Instances {
-		for _, key := range ci.sortedBindKeys() {
-			b := ci.bindings[key]
+		for _, key := range bindKeys(ci) {
+			b := ci.bindingTo(key.node, key.fn)
 			si := dep.Instances[key.node]
-			ring, ok := si.srvRings[bindKey{ci.node.ID, key.fn}]
-			if !ok {
+			ring := si.ringFrom(ci.node.ID, key.fn)
+			if ring == nil {
 				continue
 			}
 			l := ringLedger{
@@ -228,7 +241,7 @@ func creditBinding(t *testing.T, p *simtime.Proc, dep *Deployment) (*binding, *s
 		t.Errorf("bind: %v", err)
 		return nil, nil
 	}
-	return b, dep.Instance(1).srvRings[bindKey{0, echoFn}]
+	return b, dep.Instance(1).ringFrom(0, echoFn)
 }
 
 // TestRingCreditOnePullPerEpisode parks three senders on a full ring
@@ -466,7 +479,7 @@ func TestRingCreditGenuinelyFullRing(t *testing.T) {
 		if n := dom.Total("lite.ring.credit_pull"); n != 1 {
 			t.Errorf("%d pulls while two senders sat on a full ring, want 1", n)
 		}
-		if ring := dep.Instance(1).srvRings[bindKey{0, echoFn}]; !ring.eager() {
+		if ring := dep.Instance(1).ringFrom(0, echoFn); !ring.eager() {
 			t.Error("server not eager while the client is blocked")
 		}
 		c := dep.Instance(1).KernelClient()
@@ -517,8 +530,8 @@ func TestRingCreditResetAcrossRebind(t *testing.T) {
 			if l.client != 0 {
 				continue
 			}
-			dep.Instance(0).bindings[bindKey{1, l.fn}].asked = true
-			ring := dep.Instance(1).srvRings[bindKey{0, l.fn}]
+			dep.Instance(0).bindingTo(1, l.fn).asked = true
+			ring := dep.Instance(1).ringFrom(0, l.fn)
 			ring.eagerTo = ring.headLocal + 1
 			if ring.owed == 0 {
 				t.Errorf("%s: ring fn %d owes nothing; the reset would be vacuous", what, l.fn)
@@ -548,7 +561,7 @@ func TestRingCreditResetAcrossRebind(t *testing.T) {
 		dirty("before rebind")
 		dep.Instance(0).resetBinding(1, funcControl)
 		dep.Instance(0).resetBinding(1, echoFn)
-		if _, ok := dep.Instance(0).bindings[bindKey{1, echoFn}]; ok {
+		if dep.Instance(0).bindingTo(1, echoFn) != nil {
 			t.Error("echoFn binding survived resetBinding")
 		}
 		for _, l := range ringLedgers(dep) {

@@ -37,15 +37,15 @@ func (i *Instance) crash(p *simtime.Proc) {
 	env := i.cls.Env
 
 	// Fail this node's own outstanding RPCs.
-	for _, token := range i.sortedPendingTokens() {
-		pc := i.pending[token]
+	for _, token := range i.pending.sorted() {
+		pc := i.pending.get(token)
 		if !pc.done {
 			pc.err = ErrNodeDead
 			pc.done = true
 			pc.cond.Broadcast(env)
 		}
 	}
-	i.pending = make(map[uint32]*pendingCall)
+	i.pending = pendingTable{}
 	i.scratch.quar = nil
 	i.scratch.quarBytes = 0
 	i.scratch.evicted = nil
@@ -99,13 +99,8 @@ func (i *Instance) crash(p *simtime.Proc) {
 	// Tear down this node's client bindings. Control bindings survive
 	// (they are the bootstrap channel and are pointer-reset on
 	// restart); everything else is renegotiated after recovery.
-	for _, key := range i.sortedBindKeys() {
-		i.killBinding(key)
-	}
-	for key := range i.srvRings {
-		if key.fn != funcControl {
-			delete(i.srvRings, key)
-		}
+	for node := range i.rings {
+		i.dropPeerRPC(node)
 	}
 
 	// Tear down peers' bindings toward this node symmetrically.
@@ -113,16 +108,7 @@ func (i *Instance) crash(p *simtime.Proc) {
 		if peer == i || peer.stopped {
 			continue
 		}
-		for _, key := range peer.sortedBindKeys() {
-			if key.node == i.node.ID {
-				peer.killBinding(key)
-			}
-		}
-		for key := range peer.srvRings {
-			if key.node == i.node.ID && key.fn != funcControl {
-				delete(peer.srvRings, key)
-			}
-		}
+		peer.dropPeerRPC(i.node.ID)
 	}
 
 	// The manager's soft state dies with it (§3.3); survivors
@@ -147,7 +133,7 @@ func (i *Instance) restart(p *simtime.Proc) {
 	// posted to the previous incarnation are detectably ambiguous.
 	i.boots++
 	i.adm = nil
-	i.pending = make(map[uint32]*pendingCall)
+	i.pending = pendingTable{}
 	i.headUpd = simtime.NewChan[headUpdate](4096)
 	i.msgQueue = nil
 	i.sysQueue = nil
@@ -160,24 +146,29 @@ func (i *Instance) restart(p *simtime.Proc) {
 	// pointers; any bytes the old incarnation left in the rings are
 	// dead (offsets ride in the IMM, so the accounting restarts
 	// consistently from zero on both sides).
-	for _, key := range i.sortedBindKeys() {
-		b := i.bindings[key]
-		b.dead = false
-		b.reset()
-		if ring, ok := i.dep.Instances[key.node].srvRings[bindKey{i.node.ID, key.fn}]; ok {
-			ring.reset()
+	for node, row := range i.rings {
+		for _, s := range row {
+			b := s.bind
+			if b == nil {
+				continue
+			}
+			b.dead = false
+			b.reset()
+			if ring := i.dep.Instances[node].ringFrom(i.node.ID, s.fn); ring != nil {
+				ring.reset()
+			}
 		}
 	}
 	for _, peer := range i.dep.Instances {
 		if peer == i {
 			continue
 		}
-		if b, ok := peer.bindings[bindKey{i.node.ID, funcControl}]; ok {
+		if b := peer.bindingTo(i.node.ID, funcControl); b != nil {
 			b.dead = false
 			b.reset()
 			b.space.Broadcast(env)
 		}
-		if ring, ok := i.srvRings[bindKey{peer.node.ID, funcControl}]; ok {
+		if ring := i.ringFrom(peer.node.ID, funcControl); ring != nil {
 			ring.reset()
 		}
 	}
@@ -227,30 +218,50 @@ func (i *Instance) sortedFuncIDs() []int {
 // control binding cannot be deleted (it is the channel renegotiation
 // itself runs over), so it is pointer-reset on both sides instead.
 func (i *Instance) resetBinding(dst, fn int) {
-	key := bindKey{dst, fn}
-	b, ok := i.bindings[key]
-	if !ok {
+	b := i.bindingTo(dst, fn)
+	if b == nil {
 		return
 	}
 	if fn != funcControl {
-		i.killBinding(key)
+		i.killBinding(dst, fn)
 		return
 	}
 	b.reset()
 	b.space.Broadcast(i.cls.Env)
-	if ring, ok := i.dep.Instances[dst].srvRings[bindKey{i.node.ID, fn}]; ok {
+	if ring := i.dep.Instances[dst].ringFrom(i.node.ID, fn); ring != nil {
 		ring.reset()
 	}
 }
 
-// killBinding marks the binding dead and wakes its ring-space waiters.
-// A control binding survives, to be pointer-reset (it is the channel
-// renegotiation itself runs over); any other is forgotten.
-func (i *Instance) killBinding(key bindKey) {
-	b := i.bindings[key]
-	b.dead = true
-	b.space.Broadcast(i.cls.Env)
-	if key.fn != funcControl {
-		delete(i.bindings, key)
+// killBinding marks the binding to (dst, fn) dead and wakes its
+// ring-space waiters. A control binding survives, to be pointer-reset
+// (it is the channel renegotiation itself runs over); any other is
+// forgotten.
+func (i *Instance) killBinding(dst, fn int) {
+	s := i.rings.at(dst, fn)
+	s.bind.dead = true
+	s.bind.space.Broadcast(i.cls.Env)
+	if fn != funcControl {
+		s.bind = nil
+	}
+}
+
+// dropPeerRPC tears down this node's RPC state toward node, in
+// function order: every binding to it is killed (killBinding) and
+// every server ring of its bindings here is forgotten. The control
+// ring stays, to be pointer-reset on restart.
+func (i *Instance) dropPeerRPC(node int) {
+	if node >= len(i.rings) {
+		return
+	}
+	row := i.rings[node]
+	for k := range row {
+		s := &row[k]
+		if s.bind != nil {
+			i.killBinding(node, s.fn)
+		}
+		if s.fn != funcControl {
+			s.ring = nil
+		}
 	}
 }

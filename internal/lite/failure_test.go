@@ -154,8 +154,8 @@ func TestLateReplyDoesNotCorruptLaterCalls(t *testing.T) {
 		if inst.scratch.Evictions != 0 {
 			t.Fatalf("safety valve fired (%d) in a healthy run", inst.scratch.Evictions)
 		}
-		for tok, pc := range inst.pending {
-			if pc.abandoned {
+		for _, tok := range inst.pending.sorted() {
+			if inst.pending.get(tok).abandoned {
 				t.Fatalf("abandoned pending entry %d not cleaned up", tok)
 			}
 		}

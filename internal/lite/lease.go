@@ -109,7 +109,7 @@ func (i *Instance) ConnectPeer(p *simtime.Proc, dst int) (leased, cold int) {
 // replenisher when the membership view revives it.
 func (i *Instance) reconnectPeers(p *simtime.Proc) {
 	for dst := range i.qpSig {
-		if dst == i.node.ID || len(i.qpSig[dst]) == 0 || i.deadView[dst] {
+		if dst == i.node.ID || len(i.qpSig[dst]) == 0 || i.NodeDead(dst) {
 			continue
 		}
 		i.ConnectPeer(p, dst)
@@ -148,7 +148,7 @@ func (i *Instance) spawnReplenisherAfter(delay simtime.Time) {
 				// the rebuilder would hot-spin cold connects against every
 				// corpse in a failed leaf, starving the live destinations
 				// behind them in the scan order.
-				if d != i.node.ID && len(i.qpSig[d]) > 0 && !i.deadView[d] && i.lease.spares[d] < i.lease.want {
+				if d != i.node.ID && len(i.qpSig[d]) > 0 && !i.NodeDead(d) && i.lease.spares[d] < i.lease.want {
 					dst = d
 					break
 				}
@@ -169,7 +169,7 @@ func (i *Instance) spawnReplenisherAfter(delay simtime.Time) {
 // Without the re-arm, a pool drained by revocation stayed empty until
 // this node's next ConnectPeer — which then paid the cold-connect cost
 // on the critical path, exactly what the pool exists to avoid.
-func (i *Instance) reconcileLeases(oldDead map[int]bool, epoch uint64) {
+func (i *Instance) reconcileLeases(oldDead []bool, epoch uint64) {
 	if i.lease.want <= 0 {
 		return
 	}

@@ -267,16 +267,15 @@ type Instance struct {
 	framePool [][]byte // recycled ring-frame buffers (postToRing)
 
 	// LMR state (lmr.go).
-	lhs      map[uint64]*lhEntry
-	nextLH   uint64
+	// lhs is indexed by lh: handles count up from 1, so lhs[0] is
+	// nil, and an unmapped or freed handle's entry is nil.
+	lhs      []*lhEntry
 	localLMR map[uint64]*lmrState // LMRs homed (at least partly) here
 
 	// RPC state (rpc.go).
 	funcs     map[int]*rpcFunc
-	bindings  map[bindKey]*binding
-	bindSetup map[bindKey]*bindSetup
-	srvRings  map[bindKey]*srvRing
-	pending   map[uint32]*pendingCall
+	rings     fnTable // bindings and server rings by peer, then function
+	pending   pendingTable
 	nextToken uint32
 	// nextSeq numbers retried RPCs for server-side duplicate
 	// suppression. It is monotonic for the life of the instance and
@@ -340,10 +339,10 @@ type Instance struct {
 
 	// Failure state (membership.go, failover.go). stopped is set while
 	// the node is crashed; epoch/deadView are this instance's view of
-	// the manager's membership broadcasts.
+	// the manager's membership broadcasts, deadView indexed by node id.
 	stopped  bool
 	epoch    uint64
-	deadView map[int]bool
+	deadView []bool
 
 	// spinners counts kernel-level threads inside the busy window of an
 	// LT_RPC reply wait (awaitReply). While it is nonzero and the shared
@@ -438,16 +437,12 @@ func Start(cls *cluster.Cluster, opts Options) (*Deployment, error) {
 			ctx:         verbs.Open(nd.NIC, nd.KernelAS),
 			qpSig:       make([][]*qpSigState, n),
 			nextQP:      make([]int, n),
-			lhs:         make(map[uint64]*lhEntry),
-			nextLH:      1,
+			lhs:         []*lhEntry{nil},
 			localLMR:    make(map[uint64]*lmrState),
 			funcs:       make(map[int]*rpcFunc),
-			bindings:    make(map[bindKey]*binding),
-			srvRings:    make(map[bindKey]*srvRing),
-			pending:     make(map[uint32]*pendingCall),
 			headUpd:     simtime.NewChan[headUpdate](4096),
 			locks:       make(map[uint64]*lockState),
-			deadView:    make(map[int]bool),
+			deadView:    make([]bool, n),
 			migrating:   make(map[int]*migState),
 			moved:       make(map[migKey]int),
 			adopted:     make(map[bindKey]*adoptedWindow),
@@ -822,7 +817,7 @@ func (i *Instance) scratchAlloc(n int64) hostmem.PAddr {
 	pa := i.scratch.alloc(n)
 	if len(i.scratch.evicted) > 0 {
 		for _, tok := range i.scratch.evicted {
-			delete(i.pending, tok)
+			i.pending.del(tok)
 		}
 		i.scratch.evicted = i.scratch.evicted[:0]
 	}

@@ -68,10 +68,16 @@ func (d *Deployment) newLMRID() uint64 {
 }
 
 func (i *Instance) newLH(ls *lmrState, perm Perm, ten uint16) LH {
-	h := i.nextLH
-	i.nextLH++
-	i.lhs[h] = &lhEntry{ls: ls, perm: perm, master: perm&PermMaster != 0, tenant: ten}
-	return LH(h)
+	i.lhs = append(i.lhs, &lhEntry{ls: ls, perm: perm, master: perm&PermMaster != 0, tenant: ten})
+	return LH(len(i.lhs) - 1)
+}
+
+// lhEntryOf returns the entry behind h, or nil if h names none.
+func (i *Instance) lhEntryOf(h LH) *lhEntry {
+	if uint64(h) >= uint64(len(i.lhs)) {
+		return nil
+	}
+	return i.lhs[h]
 }
 
 // lookupLH resolves a handle on behalf of tenant ten. This is the
@@ -82,8 +88,8 @@ func (i *Instance) newLH(ls *lmrState, perm Perm, ten uint16) LH {
 // table — is refused with the typed denial before any permission or
 // bounds logic runs. The kernel (ten == 0) bypasses the check.
 func (i *Instance) lookupLH(h LH, ten uint16) (*lhEntry, error) {
-	e, ok := i.lhs[uint64(h)]
-	if !ok {
+	e := i.lhEntryOf(h)
+	if e == nil {
 		return nil, ErrBadHandle
 	}
 	if ten != 0 && e.tenant != ten {
@@ -296,7 +302,7 @@ func anyMaster(ls *lmrState) int {
 func (i *Instance) liveMaster(ls *lmrState) int {
 	best := -1
 	for n := range ls.masters {
-		if i.deadView[n] {
+		if i.NodeDead(n) {
 			continue
 		}
 		if best < 0 || n < best {
@@ -312,8 +318,8 @@ func (i *Instance) liveMaster(ls *lmrState) int {
 // unmapInternal implements LT_unmap: drop the lh and its metadata and
 // inform the master.
 func (i *Instance) unmapInternal(p *simtime.Proc, h LH, pri Priority, ten uint16) error {
-	e, ok := i.lhs[uint64(h)]
-	if !ok {
+	e := i.lhEntryOf(h)
+	if e == nil {
 		return ErrBadHandle
 	}
 	if ten != 0 && e.tenant != ten {
@@ -321,7 +327,7 @@ func (i *Instance) unmapInternal(p *simtime.Proc, h LH, pri Priority, ten uint16
 		return &TenantDeniedError{Tenant: ten, Owner: e.tenant}
 	}
 	p.Work(i.cfg.LITECheck)
-	delete(i.lhs, uint64(h))
+	i.lhs[h] = nil
 	if !e.ls.masters[i.node.ID] && !e.ls.freed {
 		_ = i.ctlUnmapNotify(p, i.liveMaster(e.ls), e.ls.id, pri)
 	}
@@ -361,7 +367,7 @@ func (i *Instance) freeInternal(p *simtime.Proc, h LH, pri Priority, ten uint16)
 	p.Work(i.cfg.LITECheck)
 	ls := e.ls
 	ls.freed = true
-	delete(i.lhs, uint64(h))
+	i.lhs[h] = nil
 	// Notify nodes that have the LMR mapped (the paper's master keeps
 	// this list exactly for free/move notifications).
 	for n := range ls.mappedBy {

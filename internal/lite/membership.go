@@ -95,7 +95,9 @@ func (m *membState) deadList() []int {
 
 // NodeDead reports whether this instance's membership view has
 // declared the node dead.
-func (i *Instance) NodeDead(node int) bool { return i.deadView[node] }
+func (i *Instance) NodeDead(node int) bool {
+	return node >= 0 && node < len(i.deadView) && i.deadView[node]
+}
 
 // MembershipEpoch returns the membership epoch this instance has seen.
 func (i *Instance) MembershipEpoch() uint64 { return i.epoch }
@@ -240,9 +242,11 @@ func (i *Instance) applyMembership(epoch uint64, dead []int, moves []moveRec) {
 	}
 	i.epoch = epoch
 	oldDead := i.deadView
-	i.deadView = make(map[int]bool, len(dead))
+	i.deadView = make([]bool, len(oldDead))
 	for _, n := range dead {
-		i.deadView[n] = true
+		if n >= 0 && n < len(i.deadView) {
+			i.deadView[n] = true
+		}
 		i.failOutbox(n)
 	}
 	// Connection-pool reconciliation: revoke spares toward the newly
@@ -263,9 +267,9 @@ func (i *Instance) applyMembership(epoch uint64, dead []int, moves []moveRec) {
 	}
 	i.moved = moved
 	env := i.cls.Env
-	for _, token := range i.sortedPendingTokens() {
-		pc := i.pending[token]
-		if pc.done || pc.abandoned || pc.probe || !i.deadView[pc.dst] {
+	for _, token := range i.pending.sorted() {
+		pc := i.pending.get(token)
+		if pc.done || pc.abandoned || pc.probe || !i.NodeDead(pc.dst) {
 			continue
 		}
 		pc.err = ErrNodeDead
@@ -273,40 +277,18 @@ func (i *Instance) applyMembership(epoch uint64, dead []int, moves []moveRec) {
 		pc.cond.Broadcast(env)
 	}
 	for _, token := range i.scratch.releaseBefore(epoch) {
-		delete(i.pending, token)
+		i.pending.del(token)
 	}
-	for _, key := range i.sortedBindKeys() {
-		if i.deadView[key.node] {
-			i.bindings[key].space.Broadcast(env)
+	for node, row := range i.rings {
+		if !i.NodeDead(node) {
+			continue
+		}
+		for _, s := range row {
+			if s.bind != nil {
+				s.bind.space.Broadcast(env)
+			}
 		}
 	}
-}
-
-// sortedPendingTokens returns the pending-call tokens in a stable
-// order; broadcasting wakeups in map-iteration order would make the
-// simulation timeline depend on Go's map randomization.
-func (i *Instance) sortedPendingTokens() []uint32 {
-	toks := make([]uint32, 0, len(i.pending))
-	for t := range i.pending {
-		toks = append(toks, t)
-	}
-	sort.Slice(toks, func(a, b int) bool { return toks[a] < toks[b] })
-	return toks
-}
-
-// sortedBindKeys returns the binding keys in a stable order.
-func (i *Instance) sortedBindKeys() []bindKey {
-	keys := make([]bindKey, 0, len(i.bindings))
-	for k := range i.bindings {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].node != keys[b].node {
-			return keys[a].node < keys[b].node
-		}
-		return keys[a].fn < keys[b].fn
-	})
-	return keys
 }
 
 // ---- control-plane wire helpers ----

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"lite/internal/simtime"
 )
@@ -90,9 +89,8 @@ type migState struct {
 // adoptedWindow is a dedup window shipped ahead of a client's binding:
 // installed into the srvRing when the client binds to the target.
 type adoptedWindow struct {
-	boots     []uint64
-	dedup     map[uint64]*dedupEntry
-	dedupFIFO []uint64
+	boots []uint64
+	dedup dedupLog
 }
 
 // drainPoll is how often the drain phase re-checks quiescence.
@@ -124,7 +122,7 @@ func (i *Instance) Drain(p *simtime.Proc, fn, target int, appState func(q *simti
 	if target == i.node.ID || target < 0 || target >= len(i.dep.Instances) {
 		return fmt.Errorf("lite: Drain: bad target node %d", target)
 	}
-	if i.deadView[target] {
+	if i.NodeDead(target) {
 		return ErrNodeDead
 	}
 	if i.migrating[fn] != nil {
@@ -300,21 +298,6 @@ func (i *Instance) learnMove(from, fn, to int) {
 	delete(i.moved, migKey{to, fn})
 }
 
-// sortedSrvRingKeys returns the server-ring keys in a stable order.
-func (i *Instance) sortedSrvRingKeys() []bindKey {
-	keys := make([]bindKey, 0, len(i.srvRings))
-	for k := range i.srvRings {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].node != keys[b].node {
-			return keys[a].node < keys[b].node
-		}
-		return keys[a].fn < keys[b].fn
-	})
-	return keys
-}
-
 // encodeMigState serializes fn's transferable serving state: for every
 // client ring, the boot lineage and the completed entries of the dedup
 // window (sequence number plus cached reply), followed by the opaque
@@ -336,14 +319,14 @@ func (i *Instance) encodeMigState(fn int, app []byte) []byte {
 	out := make([]byte, 8)
 	binary.LittleEndian.PutUint32(out[0:], uint32(fn))
 	nrings := 0
-	for _, key := range i.sortedSrvRingKeys() {
-		if key.fn != fn {
+	for node := range i.rings {
+		ring := i.ringFrom(node, fn)
+		if ring == nil {
 			continue
 		}
 		nrings++
-		ring := i.srvRings[key]
 		var b [8]byte
-		binary.LittleEndian.PutUint32(b[:4], uint32(key.node))
+		binary.LittleEndian.PutUint32(b[:4], uint32(node))
 		out = append(out, b[:4]...)
 		boots := append([]uint64{ring.boot}, ring.adoptedBoots...)
 		binary.LittleEndian.PutUint16(b[:2], uint16(len(boots)))
@@ -355,9 +338,9 @@ func (i *Instance) encodeMigState(fn int, app []byte) []byte {
 		ndOff := len(out)
 		out = append(out, 0, 0, 0, 0)
 		n := 0
-		for _, seq := range ring.dedupFIFO {
-			e := ring.dedup[seq]
-			if e == nil || !e.done {
+		for k := range ring.dedup.n {
+			e := ring.dedup.at(k)
+			if !e.done {
 				continue
 			}
 			n++
@@ -447,7 +430,7 @@ func (i *Instance) adoptMigState(p *simtime.Proc, src int, data []byte) error {
 	i.memcpyCost(p, int64(len(data)))
 	for _, ar := range rings {
 		key := bindKey{ar.client, fn}
-		if ring, ok := i.srvRings[key]; ok {
+		if ring := i.ringFrom(ar.client, fn); ring != nil {
 			// The client is already bound here (this node was already
 			// serving fn for other shards): merge the lineage and the
 			// completed entries directly into the live window.
@@ -470,14 +453,9 @@ func (i *Instance) adoptMigState(p *simtime.Proc, src int, data []byte) error {
 			w.boots = append(w.boots, ar.w.boots...)
 		}
 		for _, e := range ar.entries {
-			if w.dedup == nil {
-				w.dedup = make(map[uint64]*dedupEntry)
+			if w.dedup.find(e.seq) == nil {
+				w.dedup.add(e)
 			}
-			if _, dup := w.dedup[e.seq]; dup {
-				continue
-			}
-			w.dedup[e.seq] = e
-			w.dedupFIFO = append(w.dedupFIFO, e.seq)
 		}
 	}
 	// Source-scoped hooks win over the per-function hook and are

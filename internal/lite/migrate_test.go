@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -333,6 +334,15 @@ func TestDrainAbortRestoresService(t *testing.T) {
 	}
 }
 
+// logSeqs returns the seqs in l, oldest first.
+func logSeqs(l *dedupLog) []uint64 {
+	var seqs []uint64
+	for k := range l.n {
+		seqs = append(seqs, l.at(k).seq)
+	}
+	return seqs
+}
+
 // TestMigStateRoundTrip checks the dedup-window serialization: encode
 // on one node, adopt on another, and the parked windows must carry the
 // boot lineage and exactly the completed entries in FIFO order.
@@ -347,11 +357,11 @@ func TestMigStateRoundTrip(t *testing.T) {
 		ring.dedupInsert(&dedupEntry{seq: 11, done: true, reply: []byte("r11")})
 		ring.dedupInsert(&dedupEntry{seq: 12, call: &Call{}}) // in flight
 		ring.dedupInsert(&dedupEntry{seq: 13, done: true})
-		a.srvRings[bindKey{5, fn}] = ring
+		a.rings.slot(5, fn).ring = ring
 		ring2 := &srvRing{client: 6, fn: fn, boot: 0}
 		ring2.dedupInsert(&dedupEntry{seq: 3, done: true, reply: []byte("x")})
-		a.srvRings[bindKey{6, fn}] = ring2
-		a.srvRings[bindKey{5, fn + 1}] = &srvRing{client: 5, fn: fn + 1, boot: 9}
+		a.rings.slot(6, fn).ring = ring2
+		a.rings.slot(5, fn+1).ring = &srvRing{client: 5, fn: fn + 1, boot: 9}
 
 		blob := a.encodeMigState(fn, []byte("app-payload"))
 		if again := a.encodeMigState(fn, []byte("app-payload")); !bytes.Equal(blob, again) {
@@ -383,17 +393,17 @@ func TestMigStateRoundTrip(t *testing.T) {
 		if want := []uint64{2, 0, 1}; len(w.boots) != 3 || w.boots[0] != want[0] || w.boots[1] != want[1] || w.boots[2] != want[2] {
 			t.Fatalf("boots = %v, want %v", w.boots, want)
 		}
-		if len(w.dedupFIFO) != 2 || w.dedupFIFO[0] != 11 || w.dedupFIFO[1] != 13 {
-			t.Fatalf("FIFO = %v, want [11 13] (in-flight seq 12 must not ship)", w.dedupFIFO)
+		if got := logSeqs(&w.dedup); !slices.Equal(got, []uint64{11, 13}) {
+			t.Fatalf("FIFO = %v, want [11 13] (in-flight seq 12 must not ship)", got)
 		}
-		if e := w.dedup[11]; e == nil || !e.done || string(e.reply) != "r11" {
+		if e := w.dedup.find(11); e == nil || !e.done || string(e.reply) != "r11" {
 			t.Fatalf("entry 11 = %+v", e)
 		}
-		if e := w.dedup[13]; e == nil || !e.done || len(e.reply) != 0 {
+		if e := w.dedup.find(13); e == nil || !e.done || len(e.reply) != 0 {
 			t.Fatalf("entry 13 = %+v", e)
 		}
 		w2 := b.adopted[bindKey{6, fn}]
-		if w2 == nil || len(w2.boots) != 1 || w2.boots[0] != 0 || len(w2.dedupFIFO) != 1 || w2.dedupFIFO[0] != 3 {
+		if w2 == nil || len(w2.boots) != 1 || w2.boots[0] != 0 || !slices.Equal(logSeqs(&w2.dedup), []uint64{3}) {
 			t.Fatalf("client 6 window = %+v", w2)
 		}
 		if _, leak := b.adopted[bindKey{5, fn + 1}]; leak {
@@ -404,7 +414,7 @@ func TestMigStateRoundTrip(t *testing.T) {
 		// shipped window into the live ring.
 		live := &srvRing{client: 5, fn: fn, boot: 7}
 		live.dedupInsert(&dedupEntry{seq: 20, done: true})
-		c.srvRings[bindKey{5, fn}] = live
+		c.rings.slot(5, fn).ring = live
 		c.OnAdopt(fn, func(q *simtime.Proc, src int, app []byte) error { return nil })
 		if err := c.adoptMigState(p, 0, blob); err != nil {
 			t.Fatalf("merge adopt: %v", err)

@@ -72,7 +72,7 @@ func TestRestockNeverStrandsAQP(t *testing.T) {
 		// Every op the burst delivers to a NIC is a write-imm, and each
 		// consumes exactly one posted receive.
 		restocked := cls.Nodes[node].Obs.Counter("lite.recv_restock.posted").Value()
-		consumed := inst.node.NIC.OpsDeliverd
+		consumed := inst.node.NIC.OpsDelivered
 		if restocked-consumed != posted {
 			t.Errorf("node %d: posted %d receives, NIC consumed %d, QPs hold %d (want posted - consumed)", node, restocked, consumed, posted)
 		}

@@ -54,7 +54,7 @@ func (i *Instance) rpcRetry(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 		if i.stopped {
 			return nil, ErrNodeDead
 		}
-		if c.dst != i.node.ID && i.deadView[c.dst] {
+		if c.dst != i.node.ID && i.NodeDead(c.dst) {
 			return nil, ErrNodeDead
 		}
 		epochBefore := i.epoch

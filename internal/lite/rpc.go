@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"lite/internal/hostmem"
@@ -124,6 +125,75 @@ type bindKey struct {
 	fn   int
 }
 
+// fnState is one (peer node, function) pair's RPC state on this node:
+// the client side of this node's binding to the peer's function fn,
+// its negotiation while in flight, and the server side of the peer's
+// binding to this node's fn.
+type fnState struct {
+	fn    int
+	bind  *binding
+	setup *bindSetup
+	ring  *srvRing
+}
+
+// fnTable holds the fnStates of this node's peers: row node lists the
+// functions in use with that peer, in id order, so walking the table
+// visits the (node, fn) pairs in key order. A row holds a handful of
+// functions (the control binding, the applications it serves or
+// calls) and is scanned; one indexed by function id would spend ~700
+// bytes on each kvstore peer to reach its id.
+type fnTable [][]fnState
+
+// at returns the state of (node, fn), or nil if it has never been set.
+// The pointer is good until the row next grows.
+func (t fnTable) at(node, fn int) *fnState {
+	if node < 0 || node >= len(t) {
+		return nil
+	}
+	row := t[node]
+	for k := range row {
+		if row[k].fn == fn {
+			return &row[k]
+		}
+	}
+	return nil
+}
+
+// slot returns the state of (node, fn) for writing, adding it if it is
+// new. The pointer is good until the row next grows.
+func (t *fnTable) slot(node, fn int) *fnState {
+	if s := t.at(node, fn); s != nil {
+		return s
+	}
+	for len(*t) <= node {
+		*t = append(*t, nil)
+	}
+	row := (*t)[node]
+	k := 0
+	for k < len(row) && row[k].fn < fn {
+		k++
+	}
+	row = slices.Insert(row, k, fnState{fn: fn})
+	(*t)[node] = row
+	return &row[k]
+}
+
+// bindingTo returns this node's binding to dst's fn, or nil.
+func (i *Instance) bindingTo(dst, fn int) *binding {
+	if s := i.rings.at(dst, fn); s != nil {
+		return s.bind
+	}
+	return nil
+}
+
+// ringFrom returns the server ring of client's binding to fn, or nil.
+func (i *Instance) ringFrom(client, fn int) *srvRing {
+	if s := i.rings.at(client, fn); s != nil {
+		return s.ring
+	}
+	return nil
+}
+
 // binding is the client-side state of an RPC binding: a ring buffer
 // LMR at the server written with write-imm. The client manages the
 // tail; the server sends back head updates from a background thread
@@ -186,8 +256,7 @@ type srvRing struct {
 	// in-flight call redirect its eventual reply to the newest
 	// attempt's token and buffer. The window dies with the ring on
 	// crash teardown.
-	dedup     map[uint64]*dedupEntry
-	dedupFIFO []uint64
+	dedup dedupLog
 
 	// adoptedBoots lists earlier incarnations whose dedup history this
 	// ring inherited through a live migration: the boot stamps of the
@@ -255,26 +324,66 @@ type dedupEntry struct {
 	reply []byte // cached output once replied
 }
 
-// dedupLookup returns the window entry for seq, if present.
-func (r *srvRing) dedupLookup(seq uint64) *dedupEntry {
-	if r.dedup == nil {
-		return nil
-	}
-	return r.dedup[seq]
+// dedupLog holds dedup entries in the order they were added, in a
+// circular buffer whose size is a power of two. A log can outgrow
+// dedupWindow: a migration ships a client's completed entries whole,
+// and a window merged from two drains can hold up to twice the cap.
+type dedupLog struct {
+	buf  []*dedupEntry
+	head int // buf index of the oldest entry
+	n    int
+	// maxSeq is the largest seq ever added: a call numbered above it,
+	// as every first attempt is, misses without a scan.
+	maxSeq uint64
 }
 
+// at returns the k-th oldest entry.
+func (l *dedupLog) at(k int) *dedupEntry { return l.buf[(l.head+k)&(len(l.buf)-1)] }
+
+// add appends e as the newest entry.
+func (l *dedupLog) add(e *dedupEntry) {
+	if l.n == len(l.buf) {
+		buf := make([]*dedupEntry, max(8, 2*len(l.buf)))
+		for k := range l.n {
+			buf[k] = l.at(k)
+		}
+		l.buf, l.head = buf, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = e
+	l.n++
+	l.maxSeq = max(l.maxSeq, e.seq)
+}
+
+// dropOldest removes the oldest entry.
+func (l *dedupLog) dropOldest() {
+	l.buf[l.head] = nil
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+}
+
+// find returns the newest entry for seq, or nil.
+func (l *dedupLog) find(seq uint64) *dedupEntry {
+	if seq > l.maxSeq {
+		return nil
+	}
+	for k := l.n - 1; k >= 0; k-- {
+		if e := l.at(k); e.seq == seq {
+			return e
+		}
+	}
+	return nil
+}
+
+// dedupLookup returns the window entry for seq, if present.
+func (r *srvRing) dedupLookup(seq uint64) *dedupEntry { return r.dedup.find(seq) }
+
 // dedupInsert records a freshly admitted call, evicting the oldest
-// entry past the window cap.
+// entry once the window is at its cap.
 func (r *srvRing) dedupInsert(e *dedupEntry) {
-	if r.dedup == nil {
-		r.dedup = make(map[uint64]*dedupEntry)
+	if r.dedup.n >= dedupWindow {
+		r.dedup.dropOldest()
 	}
-	r.dedup[e.seq] = e
-	r.dedupFIFO = append(r.dedupFIFO, e.seq)
-	if len(r.dedupFIFO) > dedupWindow {
-		delete(r.dedup, r.dedupFIFO[0])
-		r.dedupFIFO = r.dedupFIFO[1:]
-	}
+	r.dedup.add(e)
 }
 
 // retryStamp identifies one logical retried call across its attempts:
@@ -396,6 +505,83 @@ type pendingCall struct {
 	probe bool
 }
 
+// pendingTable holds the outstanding calls by token: a power-of-two
+// array of slots indexed by token & (len-1). Tokens count up, so the
+// live ones mostly sit in consecutive slots; token() passes over a
+// token whose slot an older call still holds (a call abandoned to its
+// timeout stays until its answer or the next membership epoch), and
+// the table doubles whenever half of it is live.
+type pendingTable struct {
+	slots []pendingSlot
+	live  int
+}
+
+type pendingSlot struct {
+	token uint32
+	pc    *pendingCall
+}
+
+// pendingMinSlots is a fresh table's size.
+const pendingMinSlots = 64
+
+// slot returns the slot token maps to.
+func (t *pendingTable) slot(token uint32) *pendingSlot {
+	return &t.slots[token&uint32(len(t.slots)-1)]
+}
+
+// get returns the call pending under token, or nil.
+func (t *pendingTable) get(token uint32) *pendingCall {
+	if len(t.slots) == 0 {
+		return nil
+	}
+	if s := t.slot(token); s.pc != nil && s.token == token {
+		return s.pc
+	}
+	return nil
+}
+
+// reserve makes room for one more call: the table doubles once half
+// of it is live, so a free slot is never far.
+func (t *pendingTable) reserve() {
+	if 2*t.live < len(t.slots) {
+		return
+	}
+	old := t.slots
+	t.slots = make([]pendingSlot, max(pendingMinSlots, 2*len(old)))
+	for _, s := range old {
+		if s.pc != nil {
+			*t.slot(s.token) = s
+		}
+	}
+}
+
+// put files pc under token, whose slot must be free.
+func (t *pendingTable) put(token uint32, pc *pendingCall) {
+	*t.slot(token) = pendingSlot{token, pc}
+	t.live++
+}
+
+// del drops the call pending under token, if any.
+func (t *pendingTable) del(token uint32) {
+	if t.get(token) != nil {
+		*t.slot(token) = pendingSlot{}
+		t.live--
+	}
+}
+
+// sorted returns the pending tokens in ascending order: failing calls
+// in slot order would make the timeline depend on the table's size.
+func (t *pendingTable) sorted() []uint32 {
+	toks := make([]uint32, 0, t.live)
+	for _, s := range t.slots {
+		if s.pc != nil {
+			toks = append(toks, s.token)
+		}
+	}
+	slices.Sort(toks)
+	return toks
+}
+
 // headUpdate is one notification queued to the background
 // header-update thread: a ring credit (tag tagHeadUpd) or an answer to
 // a call attempt that no handler thread posts — a shed, a
@@ -454,8 +640,7 @@ func (i *Instance) registerSystemFuncs() {
 // control binding is built directly at bootstrap by the cluster
 // manager; all other bindings are negotiated over the control binding.
 func (i *Instance) setupBinding(dst, fn int) error {
-	key := bindKey{dst, fn}
-	if _, ok := i.bindings[key]; ok {
+	if i.bindingTo(dst, fn) != nil {
 		return nil
 	}
 	if fn != funcControl {
@@ -469,8 +654,8 @@ func (i *Instance) setupBinding(dst, fn int) error {
 	if err != nil {
 		return err
 	}
-	i.bindings[key] = &binding{dst: dst, fn: fn, ringPA: pa, ringSize: i.opts.RingBytes}
-	remote.srvRings[bindKey{i.node.ID, fn}] = &srvRing{client: i.node.ID, fn: fn, pa: pa, size: i.opts.RingBytes}
+	i.rings.slot(dst, fn).bind = &binding{dst: dst, fn: fn, ringPA: pa, ringSize: i.opts.RingBytes}
+	remote.rings.slot(i.node.ID, fn).ring = &srvRing{client: i.node.ID, fn: fn, pa: pa, size: i.opts.RingBytes}
 	return nil
 }
 
@@ -480,36 +665,38 @@ func (i *Instance) setupBinding(dst, fn int) error {
 // share the tail pointer, so two independent bindings to one ring
 // would clobber each other's frames).
 func (i *Instance) getBinding(p *simtime.Proc, dst, fn int, pri Priority) (*binding, error) {
-	key := bindKey{dst, fn}
-	if b, ok := i.bindings[key]; ok {
-		return b, nil
+	if dst < 0 || dst >= len(i.dep.Instances) {
+		return nil, fmt.Errorf("lite: no node %d", dst)
 	}
-	if st, ok := i.bindSetup[key]; ok {
-		for !st.done {
-			st.cond.Wait(p)
+	if s := i.rings.at(dst, fn); s != nil {
+		if s.bind != nil {
+			return s.bind, nil
 		}
-		if st.err != nil {
-			return nil, st.err
+		if st := s.setup; st != nil {
+			for !st.done {
+				st.cond.Wait(p)
+			}
+			if st.err != nil {
+				return nil, st.err
+			}
+			return i.bindingTo(dst, fn), nil
 		}
-		return i.bindings[key], nil
 	}
 	st := &bindSetup{}
-	if i.bindSetup == nil {
-		i.bindSetup = make(map[bindKey]*bindSetup)
-	}
-	i.bindSetup[key] = st
+	i.rings.slot(dst, fn).setup = st
 	pa, size, boot, err := i.ctlBind(p, dst, fn, pri)
+	s := i.rings.slot(dst, fn)
 	if err == nil {
-		i.bindings[key] = &binding{dst: dst, fn: fn, ringPA: pa, ringSize: size, srvBoot: boot}
+		s.bind = &binding{dst: dst, fn: fn, ringPA: pa, ringSize: size, srvBoot: boot}
 	}
 	st.err = err
 	st.done = true
 	st.cond.Broadcast(p.Env())
-	delete(i.bindSetup, key)
+	s.setup = nil
 	if err != nil {
 		return nil, err
 	}
-	return i.bindings[key], nil
+	return s.bind, nil
 }
 
 // bindSetup tracks an in-flight binding negotiation.
@@ -519,12 +706,16 @@ type bindSetup struct {
 	cond simtime.Cond
 }
 
+// token mints the token of a new pending call: the next nonzero
+// value of the 28-bit counter whose pending slot is free.
 func (i *Instance) token() uint32 {
-	i.nextToken = (i.nextToken + 1) & tokenMask
-	if i.nextToken == 0 {
-		i.nextToken = 1
+	i.pending.reserve()
+	for {
+		i.nextToken = (i.nextToken + 1) & tokenMask
+		if i.nextToken != 0 && i.pending.slot(i.nextToken).pc == nil {
+			return i.nextToken
+		}
 	}
-	return i.nextToken
 }
 
 // seqID allocates a client sequence number for one logical retried
@@ -559,7 +750,7 @@ func (i *Instance) reserveRing(p *simtime.Proc, b *binding, need int64, probe bo
 		deadline = p.Now() + i.opts.RPCTimeout
 	}
 	for {
-		if i.stopped || b.dead || (!probe && i.deadView[b.dst]) {
+		if i.stopped || b.dead || (!probe && i.NodeDead(b.dst)) {
 			return 0, 0, ErrNodeDead
 		}
 		// Pad to the ring start if the message would wrap.
@@ -748,7 +939,7 @@ func (i *Instance) post(p *simtime.Proc, sig *qpSigState, c outboxed) error {
 // enqueue appends c to the QP's outbox, or fails it at once if the
 // peer is declared dead.
 func (i *Instance) enqueue(sig *qpSigState, c outboxed) {
-	if i.deadView[sig.qp.RemoteNode()] {
+	if i.NodeDead(sig.qp.RemoteNode()) {
 		i.dropChain(c)
 		return
 	}
@@ -884,13 +1075,13 @@ func (i *Instance) rpc(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 	token := i.token()
 	respPA := i.scratchAlloc(c.maxReply)
 	pc := &pendingCall{respPA: respPA, dst: c.dst, probe: c.probe}
-	i.pending[token] = pc
+	i.pending.put(token, pc)
 
 	post := reg.StartSpan(p.Now(), "lite.rpc.post", parent)
 	err = i.postToRing(p, b, c, token, respPA)
 	post.Done(p.Now())
 	if err != nil {
-		delete(i.pending, token)
+		i.pending.del(token)
 		return nil, err
 	}
 	var deadline simtime.Time
@@ -1246,12 +1437,12 @@ func (i *Instance) handleRecvCQE(p *simtime.Proc, cqe rnic.CQE) (ping bool) {
 	case tagRPCRep, tagRPCShed, tagRPCMaybe, tagRPCMoved:
 		i.handleAnswer(tag, cqe)
 	case tagHeadUpd:
-		if b, ok := i.bindings[bindKey{cqe.SrcNode, fn}]; ok {
+		if b := i.bindingTo(cqe.SrcNode, fn); b != nil {
 			b.head += v
 			b.space.Broadcast(i.cls.Env)
 		}
 	case tagCreditReq:
-		if ring, ok := i.srvRings[bindKey{cqe.SrcNode, fn}]; ok {
+		if ring := i.ringFrom(cqe.SrcNode, fn); ring != nil {
 			ring.pulled(v / ringAlign)
 			i.shipCredit(p, ring)
 		}
@@ -1267,11 +1458,11 @@ func (i *Instance) handleRecvCQE(p *simtime.Proc, cqe rnic.CQE) (ping bool) {
 // MovedError) so the retry layer can honor it.
 func (i *Instance) handleAnswer(tag int, cqe rnic.CQE) {
 	token := cqe.Imm & tokenMask
-	pc, ok := i.pending[token]
-	if !ok {
+	pc := i.pending.get(token)
+	if pc == nil {
 		return
 	}
-	delete(i.pending, token)
+	i.pending.del(token)
 	if pc.abandoned {
 		// The answer raced with the waiter's timeout. A reply has now
 		// landed and a notice means none ever will, so either way the
@@ -1365,8 +1556,8 @@ func (i *Instance) readReq(ring *srvRing, off int64) (h reqHdr, input []byte, ok
 // exactly once: at once for a frame not dispatched, when a server
 // thread dequeues the call otherwise. ping reports a keepalive.
 func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) (ping bool) {
-	ring, ok := i.srvRings[bindKey{src, fn}]
-	if !ok {
+	ring := i.ringFrom(src, fn)
+	if ring == nil {
 		return
 	}
 	h, input, ok := i.readReq(ring, off)
@@ -1565,8 +1756,8 @@ const creditShare = 4
 // known to be blocked (srvRing.eager). No timer flushes the remainder;
 // a sender that needs it asks (reserveRing's pull).
 func (i *Instance) queueHeadUpdate(p *simtime.Proc, client, fn int, delta int64) {
-	ring, ok := i.srvRings[bindKey{client, fn}]
-	if !ok {
+	ring := i.ringFrom(client, fn)
+	if ring == nil {
 		return // torn down with its client; nobody is left to credit
 	}
 	ring.owed += delta

@@ -78,3 +78,48 @@ func TestPostSendAllocBudget(t *testing.T) {
 		c.run(t)
 	}
 }
+
+// TestQPCacheMissAllocBudget posts round-robin over more QPs than the
+// NIC's QP-context cache holds, so every post misses that cache at
+// both ends and evicts an entry. A miss reuses the evicted entry's
+// slot, so it allocates nothing either.
+func TestQPCacheMissAllocBudget(t *testing.T) {
+	allocbudget.SkipUnderRace(t)
+	c := newCluster(t, 2)
+	src := c.physMR(t, 0, 4096, allPerm)
+	dst := c.physMR(t, 1, 4096, allPerm)
+	qps := make([]*QP, c.cfg.QPCacheEntries+1)
+	for k := range qps {
+		qps[k], _ = c.rcPair(0, 1)
+	}
+	c.env.Go("poster", func(p *simtime.Proc) {
+		wr := WR{
+			Kind: OpWrite, Signaled: true, Inline: true,
+			LocalMR: src, Len: 64, RemoteKey: dst.Key(),
+		}
+		next := 0
+		post := func() {
+			qp := qps[next]
+			next = (next + 1) % len(qps)
+			wr.WRID++
+			if err := c.nic[0].PostSend(p.Now(), qp, wr); err != nil {
+				t.Fatal(err)
+			}
+			qp.SendCQ().Poll(p)
+		}
+		// Warm the pools, every QP's queues and one lap of the event
+		// wheel.
+		for i := 0; i < max(2000, 4*len(qps)); i++ {
+			post()
+		}
+		_, before := c.nic[0].qpCache.Stats()
+		const runs = 2000
+		if allocs := testing.AllocsPerRun(runs, post); allocs > 0 {
+			t.Errorf("%.0f allocations per post, want 0", allocs)
+		}
+		if _, after := c.nic[0].qpCache.Stats(); after-before < runs {
+			t.Errorf("%d QP-cache misses over %d posts: the loop must miss on every post", after-before, runs)
+		}
+	})
+	c.run(t)
+}

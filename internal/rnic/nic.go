@@ -17,7 +17,7 @@ type Registry struct {
 	env  *simtime.Env
 	cfg  *params.Config
 	fab  *fabric.Fabric
-	nics map[int]*NIC
+	nics []*NIC // indexed by node id; nil where no NIC is installed
 
 	// bufs recycles the payload buffers of in-flight operations (pool.go).
 	bufs bufPool
@@ -25,7 +25,7 @@ type Registry struct {
 
 // NewRegistry returns an empty NIC registry over the given fabric.
 func NewRegistry(env *simtime.Env, cfg *params.Config, fab *fabric.Fabric) *Registry {
-	return &Registry{env: env, cfg: cfg, fab: fab, nics: make(map[int]*NIC)}
+	return &Registry{env: env, cfg: cfg, fab: fab}
 }
 
 // Env returns the simulation environment.
@@ -38,12 +38,24 @@ func (r *Registry) Config() *params.Config { return r.cfg }
 func (r *Registry) Fabric() *fabric.Fabric { return r.fab }
 
 // NIC returns the NIC installed at the given node, or nil.
-func (r *Registry) NIC(node int) *NIC { return r.nics[node] }
+func (r *Registry) NIC(node int) *NIC {
+	if node < 0 || node >= len(r.nics) {
+		return nil
+	}
+	return r.nics[node]
+}
+
+// maxNode bounds the node ids a NIC can be installed at: the registry
+// indexes its NICs by node id.
+const maxNode = 1 << 16
 
 // NewNIC installs a NIC at node, backed by that node's physical
 // memory, and adds a fabric port for it.
 func (r *Registry) NewNIC(node int, mem *hostmem.Memory) (*NIC, error) {
-	if _, ok := r.nics[node]; ok {
+	if node < 0 || node >= maxNode {
+		return nil, fmt.Errorf("rnic: node id %d outside [0, %d)", node, maxNode)
+	}
+	if r.NIC(node) != nil {
 		return nil, fmt.Errorf("rnic: node %d already has a NIC", node)
 	}
 	if err := r.fab.AddPort(node); err != nil {
@@ -53,13 +65,11 @@ func (r *Registry) NewNIC(node int, mem *hostmem.Memory) (*NIC, error) {
 		reg:      r,
 		node:     node,
 		mem:      mem,
-		mrs:      make(map[uint32]*MR),
-		qps:      make(map[int]*QP),
-		keyCache: newLRU[uint32](r.cfg.MRKeyCacheEntries),
+		mrs:      []*MR{nil},
+		qps:      []*QP{nil},
+		keyCache: newDenseLRU[uint32](r.cfg.MRKeyCacheEntries),
 		pteCache: newLRU[pteKey](int(r.cfg.PTECacheBytes / r.cfg.PageSize)),
-		qpCache:  newLRU[int](r.cfg.QPCacheEntries),
-		nextKey:  1,
-		nextQPN:  1,
+		qpCache:  newDenseLRU[int](r.cfg.QPCacheEntries),
 		nextCQN:  1,
 	}
 	// On the registry's clock the pipelines keep only the busy intervals
@@ -67,6 +77,9 @@ func (r *Registry) NewNIC(node int, mem *hostmem.Memory) (*NIC, error) {
 	n.txPipe.SetClock(r.env)
 	n.rxPipe.SetClock(r.env)
 	n.dma.SetClock(r.env)
+	for len(r.nics) <= node {
+		r.nics = append(r.nics, nil)
+	}
 	r.nics[node] = n
 	return n, nil
 }
@@ -86,20 +99,23 @@ type NIC struct {
 	rxPipe simtime.Server
 	dma    simtime.Server
 
-	mrs      map[uint32]*MR
-	qps      map[int]*QP
+	// mrs is indexed by protection key and qps by QPN. Both count up
+	// from 1, so index 0 is always nil; a deregistered key holds nil
+	// and liveMRs counts the registered regions. QPs are never
+	// destroyed.
+	mrs      []*MR
+	liveMRs  int
+	qps      []*QP
 	keyCache *lru[uint32]
 	pteCache *lru[pteKey]
 	qpCache  *lru[int]
 
-	nextKey uint32
-	nextQPN int
 	nextCQN int
 
 	// Counters for diagnostics and experiments.
-	OpsPosted   int64
-	OpsDeliverd int64
-	Doorbells   int64 // PostSend/PostSendList calls: one doorbell ring each
+	OpsPosted    int64
+	OpsDelivered int64
+	Doorbells    int64 // PostSend/PostSendList calls: one doorbell ring each
 
 	// obs, when non-nil, receives the NIC's counters (cache hits and
 	// misses, RC timeouts, RNR exhaustion) and pipeline spans.
@@ -122,7 +138,7 @@ func (n *NIC) Mem() *hostmem.Memory { return n.mem }
 func (n *NIC) Registry() *Registry { return n.reg }
 
 // MRCount returns the number of registered memory regions.
-func (n *NIC) MRCount() int { return len(n.mrs) }
+func (n *NIC) MRCount() int { return n.liveMRs }
 
 // SetObs directs the NIC's counters and pipeline spans into the given
 // registry (normally the owning node's). A nil registry disables
@@ -166,10 +182,7 @@ func (n *NIC) RegisterMR(as *hostmem.AddressSpace, va hostmem.VAddr, size int64,
 		}
 		pinned = append(pinned, page)
 	}
-	mr := &MR{key: n.nextKey, node: n.node, size: size, perm: perm, as: as, va: va}
-	n.nextKey++
-	n.mrs[mr.key] = mr
-	return mr, nil
+	return n.addMR(&MR{node: n.node, size: size, perm: perm, as: as, va: va}), nil
 }
 
 // RegisterPhysMR registers a physically addressed memory region (the
@@ -179,19 +192,25 @@ func (n *NIC) RegisterPhysMR(mem *hostmem.AddressSpace, pa hostmem.PAddr, size i
 	if size <= 0 {
 		return nil, hostmem.ErrBadSize
 	}
-	mr := &MR{key: n.nextKey, node: n.node, size: size, perm: perm, phys: true, pa: pa, as: mem}
-	n.nextKey++
-	n.mrs[mr.key] = mr
-	return mr, nil
+	return n.addMR(&MR{node: n.node, size: size, perm: perm, phys: true, pa: pa, as: mem}), nil
+}
+
+// addMR gives mr the next protection key and registers it.
+func (n *NIC) addMR(mr *MR) *MR {
+	mr.key = uint32(len(n.mrs))
+	n.mrs = append(n.mrs, mr)
+	n.liveMRs++
+	return mr
 }
 
 // DeregisterMR removes the region and unpins its pages (for virtual
 // regions). The caller charges the unpinning time.
 func (n *NIC) DeregisterMR(mr *MR) error {
-	if _, ok := n.mrs[mr.key]; !ok {
+	if _, ok := n.LookupMR(mr.key); !ok {
 		return ErrBadMR
 	}
-	delete(n.mrs, mr.key)
+	n.mrs[mr.key] = nil
+	n.liveMRs--
 	n.keyCache.Invalidate(mr.key)
 	if !mr.phys {
 		ps := n.mem.PageSize()
@@ -211,8 +230,11 @@ func (n *NIC) DeregisterMR(mr *MR) error {
 
 // LookupMR resolves a protection key on this NIC.
 func (n *NIC) LookupMR(key uint32) (*MR, bool) {
-	mr, ok := n.mrs[key]
-	return mr, ok
+	if uint64(key) >= uint64(len(n.mrs)) {
+		return nil, false
+	}
+	mr := n.mrs[key]
+	return mr, mr != nil
 }
 
 // CreateCQ returns a new completion queue.
@@ -224,20 +246,27 @@ func (n *NIC) CreateCQ() *CQ {
 
 // CreateQP returns a new queue pair using the given completion queues.
 func (n *NIC) CreateQP(typ QPType, sendCQ, recvCQ *CQ) *QP {
-	qp := &QP{qpn: n.nextQPN, nic: n, typ: typ, sendCQ: sendCQ, recvCQ: recvCQ}
-	n.nextQPN++
-	n.qps[qp.qpn] = qp
+	qp := &QP{qpn: len(n.qps), nic: n, typ: typ, sendCQ: sendCQ, recvCQ: recvCQ}
+	n.qps = append(n.qps, qp)
 	return qp
 }
 
+// lookupQP returns the QP numbered qpn, or nil.
+func (n *NIC) lookupQP(qpn int) *QP {
+	if qpn < 0 || qpn >= len(n.qps) {
+		return nil
+	}
+	return n.qps[qpn]
+}
+
 // QPCount returns the number of live QPs on this NIC.
-func (n *NIC) QPCount() int { return len(n.qps) }
+func (n *NIC) QPCount() int { return len(n.qps) - 1 }
 
 // QPCountByOwner returns the number of live QPs tagged with the given
 // owner label (see QP.SetOwner).
 func (n *NIC) QPCountByOwner(owner string) int {
 	c := 0
-	for _, qp := range n.qps {
+	for _, qp := range n.qps[1:] {
 		if qp.owner == owner {
 			c++
 		}
@@ -255,7 +284,7 @@ func (n *NIC) keyCost(k uint32) simtime.Time {
 	}
 	n.obs.Add("rnic.mrkey.misses", 1)
 	c := n.reg.cfg.MRKeyMissBase
-	if extra := len(n.mrs); extra > n.reg.cfg.MRKeyCacheEntries {
+	if extra := n.liveMRs; extra > n.reg.cfg.MRKeyCacheEntries {
 		depth := math.Log2(float64(extra) / float64(n.reg.cfg.MRKeyCacheEntries))
 		c += simtime.Time(depth * float64(n.reg.cfg.MRKeyMissPerLog2))
 	}

@@ -165,7 +165,7 @@ func writeLocal(buf []byte, mr *MR, off int64, data []byte) {
 
 func (n *NIC) env() *simtime.Env        { return n.reg.env }
 func (n *NIC) cfg() *params.Config      { return n.reg.cfg }
-func (n *NIC) peer(node int) *NIC       { return n.reg.nics[node] }
+func (n *NIC) peer(node int) *NIC       { return n.reg.NIC(node) }
 func (n *NIC) ackProcess() simtime.Time { return n.cfg().NICProcess / 2 }
 
 // wrRef is what a work request's send completion reports, and so all
@@ -257,7 +257,7 @@ type commit struct {
 }
 
 func (c *commit) Fire(*simtime.Env) {
-	c.rn.OpsDeliverd++
+	c.rn.OpsDelivered++
 	_ = c.rmr.WriteAt(c.off, c.payload)
 	n := c.n
 	n.reg.bufs.put(c.payload)
@@ -277,12 +277,12 @@ func (n *NIC) postWrite(at simtime.Time, qp *QP, wr *WR) {
 		n.failAfterTimeout(at, qp, ref)
 		return
 	}
-	rqp := rn.qps[qp.remoteQPN]
+	rqp := rn.lookupQP(qp.remoteQPN)
 	if rqp == nil {
 		n.failAfterTimeout(at, qp, ref)
 		return
 	}
-	rmr, found := rn.mrs[wr.RemoteKey]
+	rmr, found := rn.LookupMR(wr.RemoteKey)
 	if !found {
 		n.nack(t3, rn, qp, ref, StatusBadKey)
 		return
@@ -355,7 +355,7 @@ func (d *immDelivery) Fire(e *simtime.Env) {
 		}
 		n.completeSend(e.Now(), d.qp, d.ref, StatusRNRExceeded)
 	} else {
-		d.rn.OpsDeliverd++
+		d.rn.OpsDelivered++
 		if len(d.payload) > 0 {
 			_ = d.rmr.WriteAt(d.off, d.payload)
 		}
@@ -429,7 +429,7 @@ func (r *readOp) Fire(*simtime.Env) {
 	n := r.n
 	if !r.snapped {
 		r.snapped = true
-		r.rn.OpsDeliverd++
+		r.rn.OpsDelivered++
 		if r.lost {
 			n.reads.put(r)
 			return
@@ -458,11 +458,11 @@ func (n *NIC) postRead(at simtime.Time, qp *QP, wr *WR) {
 	dst := qp.remoteNode
 	t3, ok := n.reg.fab.ReservePath(t1, n.node, dst, int64(cfg.WireHeader))
 	rn := n.peer(dst)
-	if !ok || rn == nil || rn.qps[qp.remoteQPN] == nil {
+	if !ok || rn == nil || rn.lookupQP(qp.remoteQPN) == nil {
 		n.failAfterTimeout(at, qp, ref)
 		return
 	}
-	rmr, found := rn.mrs[wr.RemoteKey]
+	rmr, found := rn.LookupMR(wr.RemoteKey)
 	if !found {
 		n.nack(t3, rn, qp, ref, StatusBadKey)
 		return
@@ -525,7 +525,7 @@ func (n *NIC) postSendRC(at simtime.Time, qp *QP, wr *WR) {
 		n.failAfterTimeout(at, qp, ref)
 		return
 	}
-	rqp := rn.qps[qp.remoteQPN]
+	rqp := rn.lookupQP(qp.remoteQPN)
 	if rqp == nil {
 		n.failAfterTimeout(at, qp, ref)
 		return
@@ -562,7 +562,7 @@ func (n *NIC) deliverSend(t simtime.Time, rn *NIC, rqp *QP, qp *QP, ref wrRef, p
 		t5 := rn.rxPipe.Reserve(e.Now(), cost)
 		t6 := rn.dma.Reserve(t5, params.TransferTime(ref.len, cfg.DMABandwidth))
 		e.At(t6, func(e2 *simtime.Env) {
-			rn.OpsDeliverd++
+			rn.OpsDelivered++
 			_ = recv.MR.WriteAt(recv.Off, payload)
 			n.reg.bufs.put(payload)
 			rqp.recvCQ.Push(e2, CQE{
@@ -593,7 +593,7 @@ func (n *NIC) postSendUD(at simtime.Time, qp *QP, wr *WR) {
 	if !ok || rn == nil {
 		return // lost on the wire; UD gives no feedback
 	}
-	rqp := rn.qps[wr.DestQPN]
+	rqp := rn.lookupQP(wr.DestQPN)
 	if rqp == nil || rqp.typ != UD {
 		return
 	}
@@ -610,7 +610,7 @@ func (n *NIC) postSendUD(at simtime.Time, qp *QP, wr *WR) {
 		t5 := rn.rxPipe.Reserve(e.Now(), rn.mrAccessCost(recv.MR, recv.Off, length))
 		t6 := rn.dma.Reserve(t5, params.TransferTime(length, cfg.DMABandwidth))
 		e.At(t6, func(e2 *simtime.Env) {
-			rn.OpsDeliverd++
+			rn.OpsDelivered++
 			_ = recv.MR.WriteAt(recv.Off, payload)
 			n.reg.bufs.put(payload)
 			rqp.recvCQ.Push(e2, CQE{
@@ -706,11 +706,11 @@ func (n *NIC) postAtomic(at simtime.Time, qp *QP, wr *WR) {
 	dst := qp.remoteNode
 	t3, ok := n.reg.fab.ReservePath(t1, n.node, dst, int64(cfg.WireHeader)+16)
 	rn := n.peer(dst)
-	if !ok || rn == nil || rn.qps[qp.remoteQPN] == nil {
+	if !ok || rn == nil || rn.lookupQP(qp.remoteQPN) == nil {
 		n.failAfterTimeout(at, qp, ref)
 		return
 	}
-	rmr, found := rn.mrs[wr.RemoteKey]
+	rmr, found := rn.LookupMR(wr.RemoteKey)
 	if !found {
 		n.nack(t3, rn, qp, ref, StatusBadKey)
 		return
@@ -732,7 +732,7 @@ func (n *NIC) postAtomic(at simtime.Time, qp *QP, wr *WR) {
 	var old uint64
 	op := *wr // the callback's copy; wr itself must not escape
 	n.env().At(t4, func(*simtime.Env) {
-		rn.OpsDeliverd++
+		rn.OpsDelivered++
 		rn.obs.Add("rnic.atomic.executed", 1)
 		var b [8]byte
 		_ = rmr.ReadAt(op.RemoteOff, b[:])

@@ -15,8 +15,13 @@ import "math/bits"
 //   - L0 wheel: 4096 buckets of 256 ns. One lap covers ~1.05 ms —
 //     NIC pipeline stages, link serialization, syscall costs, and
 //     almost every RPC-scale timer land here. Buckets are kept
-//     sorted (binary-insert; in practice appends, since per-bucket
-//     arrival order mostly follows seq order), so popping is O(1).
+//     sorted (binary-insert), so popping is O(1). An insert that
+//     sorts after the bucket's tail is a plain append, but about
+//     half or more are not: an event scheduled later often fires
+//     earlier than one already in its bucket. At seed 1 (6 s runs)
+//     the binary-search + memmove path takes 67 % of rpc-small's L0
+//     inserts (2.96 M of 4.42 M), 46 % of kv-direct's and 68 % of
+//     fleet's.
 //   - L1 wheel: 4096 buckets of ~1.05 ms, covering ~4.3 s. Buckets
 //     are unsorted; when the clock reaches a bucket it cascades into
 //     L0, which sorts on insert. RC timeouts, lease expiries, and
@@ -156,9 +161,9 @@ func (w *wheel) next(from int) int {
 	return -1
 }
 
-// insertSorted places ev into bucket idx keeping (t, seq) order.
-// Arrivals are usually in seq order with correlated times, so the
-// common case is a plain append; out-of-order times binary-search.
+// insertSorted places ev into bucket idx keeping (t, seq) order: an
+// event that sorts after the tail is appended, any other is placed by
+// binary search (the more common case; see the file header).
 func (w *wheel) insertSorted(idx int, ev event) {
 	b := &w.buckets[idx]
 	if b.head == len(b.ev) {

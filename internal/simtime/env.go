@@ -75,18 +75,21 @@ const (
 // Env is a discrete-event simulation environment. Create one with
 // NewEnv, spawn processes with Go/GoDaemon, then call Run.
 type Env struct {
-	now     Time
-	seq     int64
-	q       calq
-	nextPID int
-	events  int64
+	now    Time
+	seq    int64
+	q      calq
+	events int64
 
 	// err is the deadlock a run ended in, for Run to return.
 	err error
 
-	live  int // non-daemon procs that have not finished
-	procs map[int]*Proc
+	live  int  // non-daemon procs that have not finished
 	limit Time // 0 means no limit
+
+	// procs holds the procs that have not finished, in no particular
+	// order: each knows its slot, and a finished one's slot takes the
+	// last proc.
+	procs []*Proc
 
 	// idle holds the workers of finished procs, each suspended until
 	// spawn hands it the next proc; Run stops them when it returns.
@@ -139,7 +142,7 @@ func (f funcAction) Fire(e *Env) { f(e) }
 
 // NewEnv returns an empty simulation environment at virtual time zero.
 func NewEnv() *Env {
-	return &Env{procs: make(map[int]*Proc)}
+	return &Env{}
 }
 
 // Now returns the current virtual time.
@@ -159,7 +162,7 @@ func (e *Env) SetLimit(t Time) { e.limit = t }
 // Proc is a simulated process (thread of execution) inside an Env.
 type Proc struct {
 	env    *Env
-	id     int
+	slot   int // index in env.procs while not finished
 	name   string
 	w      *worker
 	gen    uint64
@@ -215,10 +218,9 @@ func (e *Env) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 	} else {
 		w = e.newWorker()
 	}
-	e.nextPID++
 	p := &Proc{
 		env:    e,
-		id:     e.nextPID,
+		slot:   len(e.procs),
 		name:   name,
 		w:      w,
 		gen:    1,
@@ -226,7 +228,7 @@ func (e *Env) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 		daemon: daemon,
 	}
 	w.p, w.fn = p, fn
-	e.procs[p.id] = p
+	e.procs = append(e.procs, p)
 	if !daemon {
 		e.live++
 	}
@@ -249,7 +251,7 @@ func (e *Env) work(w *worker) {
 		w.p, w.fn, p.w = nil, nil, nil
 		p.done = true
 		p.parked = false
-		delete(e.procs, p.id)
+		e.dropProc(p)
 		if !p.daemon {
 			e.live--
 		}
@@ -258,6 +260,18 @@ func (e *Env) work(w *worker) {
 			return
 		}
 	}
+}
+
+// dropProc removes a finished proc from e.procs.
+func (e *Env) dropProc(p *Proc) {
+	last := len(e.procs) - 1
+	if p.slot != last {
+		q := e.procs[last]
+		e.procs[p.slot] = q
+		q.slot = p.slot
+	}
+	e.procs[last] = nil
+	e.procs = e.procs[:last]
 }
 
 // wakeAt schedules a wakeup for p at time t, provided p is still in

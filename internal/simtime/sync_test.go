@@ -378,7 +378,7 @@ func TestMultiServerParallelism(t *testing.T) {
 func TestWaitqMatchesSliceModel(t *testing.T) {
 	procs := make([]*Proc, 6)
 	for k := range procs {
-		procs[k] = &Proc{id: k, gen: 1}
+		procs[k] = &Proc{gen: 1}
 	}
 	valid := func(r waiter) bool { return r.gen == r.p.gen && !r.p.done }
 	rng := calqRand(7)
