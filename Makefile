@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build benchmark-build benchmark-smoke test race fuzz-smoke lint cover bench bench-smoke bench-guard smoke obs-guard chaos determinism-guard determinism-record
+.PHONY: ci fmt vet build bench-compile benchmark-build benchmark-smoke test race fuzz-smoke lint cover bench bench-smoke bench-guard smoke obs-guard chaos determinism-guard determinism-record
 
-ci: fmt vet lint build benchmark-build benchmark-smoke race fuzz-smoke cover chaos smoke obs-guard determinism-guard bench-guard
+ci: fmt vet lint build bench-compile benchmark-build benchmark-smoke race fuzz-smoke cover chaos smoke obs-guard determinism-guard bench-guard
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -15,6 +15,14 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# bench-compile: run every Benchmark* function under internal/ once
+# (no tests), so the host microbenchmarks — BenchmarkHandoff,
+# BenchmarkEnvRun, BenchmarkRPCRoundTrip, BenchmarkGetDirect and the
+# rest — cannot rot unnoticed: each must still build, set up and
+# complete an iteration.
+bench-compile:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # benchmark-build: benchmark/ is a nested module (replace lite => ../)
 # that `go build ./...` does not see; compile and vet it so an exported

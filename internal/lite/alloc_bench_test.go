@@ -69,10 +69,11 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 }
 
 // rpcRoundTripAllocs bounds the steady-state allocations of one round
-// trip. The caller's pending-call record, its wait record and the reply
-// it gets back, and the server's Call, input copy and queue slot are
-// per call; the NIC datapath below them allocates nothing.
-const rpcRoundTripAllocs = 8
+// trip: the caller's pending-call record, its wait record and the reply
+// it gets back, and the server's Call and its input copy. The server's
+// call queue reuses its backing array, and the NIC datapath below
+// allocates nothing.
+const rpcRoundTripAllocs = 5
 
 func TestRPCRoundTripAllocBudget(t *testing.T) {
 	allocbudget.SkipUnderRace(t)

@@ -64,7 +64,7 @@ func ringLedgers(dep *Deployment) []ringLedger {
 				clientAsked: b.asked, serverIsEager: ring.eager(),
 			}
 			if f := si.funcs[key.fn]; f != nil {
-				for _, c := range f.queue {
+				for _, c := range f.queue.all() {
 					if !c.local && c.Src == ci.node.ID {
 						l.unconsumed += c.headDelta
 					}

@@ -76,22 +76,22 @@ func (i *Instance) crash(p *simtime.Proc) {
 	}
 	i.headUpd.Close(p)
 	i.recvCQ.Broadcast(env)
-	i.sysQueue = nil
+	i.sysQueue = fifo[*rpcFunc]{}
 	i.sysCond.Broadcast(env)
-	i.msgQueue = nil
+	i.msgQueue = fifo[Message]{}
 	i.msgCond.Broadcast(env)
 	for _, fn := range i.sortedFuncIDs() {
 		f := i.funcs[fn]
 		// Queued node-local calls have waiters parked on their own
 		// pendingCall; fail them before dropping the queue.
-		for _, call := range f.queue {
+		for _, call := range f.queue.all() {
 			if call.local && call.pend != nil && !call.pend.done {
 				call.pend.err = ErrNodeDead
 				call.pend.done = true
 				call.pend.cond.Broadcast(env)
 			}
 		}
-		f.queue = nil
+		f.queue = fifo[*Call]{}
 		f.spin.Broadcast(env)
 		f.sleep.Broadcast(env)
 	}
@@ -135,11 +135,11 @@ func (i *Instance) restart(p *simtime.Proc) {
 	i.adm = nil
 	i.pending = pendingTable{}
 	i.headUpd = simtime.NewChan[headUpdate](4096)
-	i.msgQueue = nil
-	i.sysQueue = nil
+	i.msgQueue = fifo[Message]{}
+	i.sysQueue = fifo[*rpcFunc]{}
 	i.scratch.next = 0
 	for _, fn := range i.sortedFuncIDs() {
-		i.funcs[fn].queue = nil
+		i.funcs[fn].queue = fifo[*Call]{}
 	}
 
 	// Revive the control bindings in both directions with reset ring

@@ -25,7 +25,7 @@ func TestQuickSplitCovers(t *testing.T) {
 		}
 		off := int64(rawOff) % ls.size
 		n := int64(rawN) % (ls.size - off + 1)
-		parts, err := split(ls, off, n)
+		parts, err := split(nil, ls, off, n)
 		if err != nil {
 			return false
 		}
@@ -70,7 +70,7 @@ func TestQuickSplitCovers(t *testing.T) {
 func TestSplitRejectsOutOfBounds(t *testing.T) {
 	ls := &lmrState{size: 100, chunks: []chunk{{size: 100}}}
 	for _, c := range []struct{ off, n int64 }{{-1, 10}, {0, 101}, {90, 20}, {0, -1}} {
-		if _, err := split(ls, c.off, c.n); err != ErrBounds {
+		if _, err := split(nil, ls, c.off, c.n); err != ErrBounds {
 			t.Errorf("split(%d, %d) err = %v, want ErrBounds", c.off, c.n, err)
 		}
 	}

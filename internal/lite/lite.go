@@ -297,9 +297,9 @@ type Instance struct {
 	boots   uint64
 	headUpd *simtime.Chan[headUpdate]
 
-	msgQueue []Message
+	msgQueue fifo[Message]
 	msgCond  simtime.Cond
-	sysQueue []*rpcFunc
+	sysQueue fifo[*rpcFunc]
 	sysCond  simtime.Cond
 
 	// Migration state (migrate.go). migrating tracks this node's

@@ -14,12 +14,13 @@ type part struct {
 	n      int64
 }
 
-// split decomposes an access [off, off+n) into per-chunk parts.
-func split(ls *lmrState, off, n int64) ([]part, error) {
+// split decomposes an access [off, off+n) into per-chunk parts,
+// appended to out: callers pass a small stack buffer (out[:0] of a
+// [4]part), which holds the parts of any access that spans few chunks.
+func split(out []part, ls *lmrState, off, n int64) ([]part, error) {
 	if off < 0 || n < 0 || off+n > ls.size {
 		return nil, ErrBounds
 	}
-	var out []part
 	var base, bufOff int64
 	remain := n
 	for _, c := range ls.chunks {
@@ -87,7 +88,8 @@ func (i *Instance) runParts(p *simtime.Proc, h LH, off int64, buf []byte, kind r
 	}
 	p.Work(i.cfg.LITECheck)
 	ls := e.ls
-	parts, err := split(ls, off, int64(len(buf)))
+	var partBuf [4]part
+	parts, err := split(partBuf[:0], ls, off, int64(len(buf)))
 	if err != nil {
 		return err
 	}
@@ -226,6 +228,7 @@ func (i *Instance) readVInternal(p *simtime.Proc, segs []ReadSeg, pri Priority, 
 	var wrBuf [4]rnic.WR
 	var nodeBuf [4]int
 	wrs, nodes := wrBuf[:0], nodeBuf[:0] // nodes[k] is the target of wrs[k]
+	var partBuf [4]part
 	var total int64
 	trace := procSpan(p)
 	for _, s := range segs {
@@ -237,7 +240,7 @@ func (i *Instance) readVInternal(p *simtime.Proc, segs []ReadSeg, pri Priority, 
 			return ErrPermission
 		}
 		p.Work(i.cfg.LITECheck)
-		parts, err := split(e.ls, s.Off, int64(len(s.Buf)))
+		parts, err := split(partBuf[:0], e.ls, s.Off, int64(len(s.Buf)))
 		if err != nil {
 			return err
 		}
@@ -326,7 +329,8 @@ func (i *Instance) memsetInternal(p *simtime.Proc, h LH, off int64, val byte, n 
 		return ErrPermission
 	}
 	p.Work(i.cfg.LITECheck)
-	parts, err := split(e.ls, off, n)
+	var partBuf [4]part
+	parts, err := split(partBuf[:0], e.ls, off, n)
 	if err != nil {
 		return err
 	}
@@ -375,11 +379,12 @@ func (i *Instance) memcpyInternal(p *simtime.Proc, dst LH, dstOff int64, src LH,
 		return ErrPermission
 	}
 	p.Work(i.cfg.LITECheck)
-	sparts, err := split(se.ls, srcOff, n)
+	var sBuf, dBuf [4]part
+	sparts, err := split(sBuf[:0], se.ls, srcOff, n)
 	if err != nil {
 		return err
 	}
-	dparts, err := split(de.ls, dstOff, n)
+	dparts, err := split(dBuf[:0], de.ls, dstOff, n)
 	if err != nil {
 		return err
 	}

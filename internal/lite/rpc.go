@@ -428,7 +428,7 @@ type rpcCall struct {
 // the kernel worker pool.
 type rpcFunc struct {
 	id    int
-	queue []*Call
+	queue fifo[*Call]
 	// spin parks the server threads inside their busy window, sleep
 	// those past it. A call goes to the newest spinner, so the threads
 	// the load does not need let their windows lapse; only when none
@@ -437,7 +437,7 @@ type rpcFunc struct {
 	handler     func(p *simtime.Proc, c *Call)
 	// executing counts remote calls dequeued by a server thread whose
 	// reply has not yet posted. Drain's quiescence condition is
-	// len(queue) == 0 && executing == 0.
+	// queue.len() == 0 && executing == 0.
 	executing int
 	// waiting counts the server threads parked in LT_recvRPC on this
 	// function. Admission reads it: a parked thread that no queued
@@ -1164,9 +1164,9 @@ func (i *Instance) rpcLocal(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 }
 
 func (i *Instance) dispatchCall(f *rpcFunc, call *Call) {
-	f.queue = append(f.queue, call)
+	f.queue.push(call)
 	if f.handler != nil {
-		i.sysQueue = append(i.sysQueue, f)
+		i.sysQueue.push(f)
 		i.sysCond.Signal(i.cls.Env)
 	} else if !f.spin.SignalNewest(i.cls.Env) {
 		f.sleep.Signal(i.cls.Env)
@@ -1214,19 +1214,17 @@ func (i *Instance) recvRPCInternal(p *simtime.Proc, fn int) (*Call, error) {
 // f and dequeues it: the adaptive wait, spinning on f.spin and then
 // sleeping on f.sleep.
 func (i *Instance) awaitCall(p *simtime.Proc, f *rpcFunc) (*Call, error) {
-	ready := func() bool { return i.stopped || len(f.queue) > 0 }
+	ready := func() bool { return i.stopped || f.queue.len() > 0 }
 	for {
 		i.spinWait(p, &f.spin, ready, 0)
 		i.sleepWait(p, &f.sleep, ready, 0)
 		if i.stopped {
 			return nil, ErrNodeDead
 		}
-		if len(f.queue) == 0 {
+		if f.queue.len() == 0 {
 			continue // another server thread took it during our wakeup
 		}
-		call := f.queue[0]
-		f.queue = f.queue[1:]
-		return call, nil
+		return f.queue.pop(), nil
 	}
 }
 
@@ -1280,7 +1278,7 @@ func (i *Instance) sendInternal(p *simtime.Proc, dst int, data []byte, pri Prior
 	p.Work(i.cfg.LITECheck)
 	if dst == i.node.ID {
 		i.memcpyCost(p, int64(len(data)))
-		i.msgQueue = append(i.msgQueue, Message{Src: i.node.ID, Data: append([]byte(nil), data...)})
+		i.msgQueue.push(Message{Src: i.node.ID, Data: append([]byte(nil), data...)})
 		i.msgCond.Signal(i.cls.Env)
 		return nil
 	}
@@ -1294,17 +1292,16 @@ func (i *Instance) sendInternal(p *simtime.Proc, dst int, data []byte, pri Prior
 // recvInternal implements the receive side of LT_send.
 func (i *Instance) recvInternal(p *simtime.Proc) (Message, error) {
 	for {
-		if !i.adaptiveWait(p, &i.msgCond, func() bool { return i.stopped || len(i.msgQueue) > 0 }, 0) {
+		if !i.adaptiveWait(p, &i.msgCond, func() bool { return i.stopped || i.msgQueue.len() > 0 }, 0) {
 			return Message{}, ErrTimeout
 		}
 		if i.stopped {
 			return Message{}, ErrNodeDead
 		}
-		if len(i.msgQueue) == 0 {
+		if i.msgQueue.len() == 0 {
 			continue // another receiver took it during our wakeup
 		}
-		m := i.msgQueue[0]
-		i.msgQueue = i.msgQueue[1:]
+		m := i.msgQueue.pop()
 		i.memcpyCost(p, int64(len(m.Data)))
 		return m, nil
 	}
@@ -1312,11 +1309,10 @@ func (i *Instance) recvInternal(p *simtime.Proc) (Message, error) {
 
 // tryRecvInternal returns a queued message without blocking.
 func (i *Instance) tryRecvInternal(p *simtime.Proc) (Message, bool) {
-	if len(i.msgQueue) == 0 {
+	if i.msgQueue.len() == 0 {
 		return Message{}, false
 	}
-	m := i.msgQueue[0]
-	i.msgQueue = i.msgQueue[1:]
+	m := i.msgQueue.pop()
 	i.memcpyCost(p, int64(len(m.Data)))
 	return m, true
 }
@@ -1587,7 +1583,7 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) (ping b
 		return true
 	}
 	if fn == funcMsg {
-		i.msgQueue = append(i.msgQueue, Message{Src: src, Data: input})
+		i.msgQueue.push(Message{Src: src, Data: input})
 		i.msgCond.Signal(i.cls.Env)
 		// Messages are consumed immediately; credit the ring now.
 		i.queueHeadUpdate(p, src, fn, delta)
@@ -1698,7 +1694,7 @@ func (i *Instance) admitReq(p *simtime.Proc, f *rpcFunc, call *Call, h *reqHdr) 
 		return true
 	}
 	reg := i.obsReg()
-	reg.Observe("lite.rpc.queue_depth", simtime.Time(len(f.queue)))
+	reg.Observe("lite.rpc.queue_depth", simtime.Time(f.queue.len()))
 	if i.opts.AdmissionHighWater <= 0 {
 		return true
 	}
@@ -1706,7 +1702,7 @@ func (i *Instance) admitReq(p *simtime.Proc, f *rpcFunc, call *Call, h *reqHdr) 
 	// Work conservation: a server thread is parked that no queued call
 	// has already claimed, so this call would run at once. Banks
 	// arbitrate between callers only when every worker is busy.
-	idle := len(f.queue) < f.waiting
+	idle := f.queue.len() < f.waiting
 	a := i.admFor(call.Func)
 	floored := a.idleAdmits
 	w := int64(1)
@@ -1716,7 +1712,7 @@ func (i *Instance) admitReq(p *simtime.Proc, f *rpcFunc, call *Call, h *reqHdr) 
 		p.Work(i.cfg.TenantCheck)
 		w = i.dep.tenantWeight(call.Tenant)
 	}
-	cost, hint, ok := a.admit(keyOf(call), w, int64(len(call.Input)), len(f.queue), idle)
+	cost, hint, ok := a.admit(keyOf(call), w, int64(len(call.Input)), f.queue.len(), idle)
 	if call.Tenant != 0 {
 		i.tenantCount(call.Tenant, tenObsAdmit, ok)
 	}
@@ -1931,24 +1927,22 @@ func (i *Instance) noteLowRecv(qp *rnic.QP) {
 // memory operations, locks, barriers) from the system queue.
 func (i *Instance) systemWorkerLoop(p *simtime.Proc) {
 	for !i.stopped {
-		if !i.adaptiveWait(p, &i.sysCond, func() bool { return i.stopped || len(i.sysQueue) > 0 }, 0) {
+		if !i.adaptiveWait(p, &i.sysCond, func() bool { return i.stopped || i.sysQueue.len() > 0 }, 0) {
 			return
 		}
 		if i.stopped {
 			return
 		}
-		if len(i.sysQueue) == 0 {
+		if i.sysQueue.len() == 0 {
 			// Another worker drained the queue while this one was
 			// paying its wakeup latency.
 			continue
 		}
-		f := i.sysQueue[0]
-		i.sysQueue = i.sysQueue[1:]
-		if len(f.queue) == 0 {
+		f := i.sysQueue.pop()
+		if f.queue.len() == 0 {
 			continue
 		}
-		call := f.queue[0]
-		f.queue = f.queue[1:]
+		call := f.queue.pop()
 		if !call.local {
 			i.queueHeadUpdate(p, call.Src, call.Func, call.headDelta)
 		}

@@ -49,7 +49,8 @@ func (i *Instance) resolveWord(h LH, off int64, need Perm, ten uint16) (int, hos
 	if e.perm&need == 0 {
 		return 0, 0, ErrPermission
 	}
-	parts, err := split(e.ls, off, 8)
+	var partBuf [4]part
+	parts, err := split(partBuf[:0], e.ls, off, 8)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -5,7 +5,7 @@ package simtime
 import "iter"
 
 // newWorker returns a worker whose coroutine runs e.work. Nothing runs
-// until Run first resumes it.
+// until the worker is first resumed.
 func (e *Env) newWorker() *worker {
 	w := &worker{}
 	w.next, w.stop = iter.Pull(func(yield func(*worker) bool) {

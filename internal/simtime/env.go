@@ -31,9 +31,20 @@
 // parks runs the dispatch loop inline (sched). If the next event wakes
 // the parking process itself — the common case for timer-driven code
 // such as NIC pipeline stages and poller ticks — park returns with no
-// switch at all. Waking a different process costs two coroutine
-// switches and no trip through the Go scheduler: the parking coroutine
-// yields the worker to resume to Run's goroutine, which resumes it.
+// switch at all. Waking a different process is one coroutine switch
+// and no trip through the Go scheduler: the parking coroutine resumes
+// the woken one itself, which then sits one link further down a resume
+// chain that starts at Run's goroutine. A wakeup for a process up that
+// chain (one suspended inside a resume it made) is yielded upward to
+// it instead, a switch per link; on a ping-pong between two processes
+// that is one switch a handoff.
+//
+// A timed wait (Cond.WaitTimeout) queues its timeout lazily: only if
+// its process has no earlier timeout event queued. That event, popping
+// while a later deadline is live, re-queues the deadline under the
+// deadline's own (time, sequence). A wait that a signal ends early thus
+// rarely leaves an event of its own behind, and every timeout still
+// fires at the position an eagerly queued one would.
 //
 // # Callbacks
 //
@@ -104,10 +115,15 @@ type worker struct {
 	fn     func(*Proc)
 	reason WakeReason // why p was last woken
 
-	// next resumes the coroutine from Run's goroutine and returns the
-	// worker it yields: the one to resume next, or nil once the run is
-	// over. yield is the coroutine's side of that handoff; stop ends an
-	// idle coroutine.
+	// resumed is set while the coroutine runs or waits inside a resume
+	// it made itself: it is on the resume chain, so a worker below it
+	// reaches it by yielding upward, never by resuming it.
+	resumed bool
+
+	// next resumes the coroutine and returns the worker it yields: a
+	// worker up the chain to hand on to, or nil once the run is over.
+	// yield is the coroutine's side of that handoff; stop ends an idle
+	// coroutine.
 	next  func() (*worker, bool)
 	yield func(*worker) bool
 	stop  func()
@@ -117,13 +133,21 @@ type worker struct {
 // inside the calendar queue's buckets, so scheduling allocates nothing
 // in steady state.
 type event struct {
-	t      Time
-	seq    int64
-	p      *Proc
-	gen    uint64
-	reason WakeReason
-	act    Action // callback event: runs in scheduler context
+	t   Time
+	seq int64
+	// act is the callback to fire, or the proc to wake as a *wakeup.
+	act Action
+	// gen is a wakeup's wait generation<<1 | its WakeReason, or 0 for a
+	// timeout event, which is checked against the proc's deadline.
+	gen uint64
 }
+
+// wakeup is a Proc in an event's act: the event wakes the proc rather
+// than firing a callback.
+type wakeup Proc
+
+// Fire is never called: sched resumes a wakeup's proc instead.
+func (*wakeup) Fire(*Env) { panic("simtime: wakeup fired as a callback") }
 
 // Action is a callback event: Fire runs at the scheduled instant, in
 // scheduler context while every process is parked. It may mutate shared
@@ -157,6 +181,8 @@ func (e *Env) Events() int64 { return e.events }
 
 // SetLimit makes Run stop once virtual time reaches t, even if
 // non-daemon processes are still live. A zero limit means no limit.
+// Events past the limit stay queued, so a later Run under a raised
+// limit carries on from where this one stopped.
 func (e *Env) SetLimit(t Time) { e.limit = t }
 
 // Proc is a simulated process (thread of execution) inside an Env.
@@ -170,6 +196,13 @@ type Proc struct {
 	done   bool
 	daemon bool
 
+	// dl is the deadline of the timed wait in progress (dl.seq 0:
+	// none). tt and tseq key the proc's earliest queued timeout event
+	// (tseq 0: none); see Cond.WaitTimeout.
+	dl   deadline
+	tt   Time
+	tseq int64
+
 	cpu *CPUAccount
 
 	// trace is an opaque slot for observability context (the active
@@ -178,6 +211,13 @@ type Proc struct {
 	// in a shared registry means two processes interleaving at a
 	// blocking point cannot clobber each other's context.
 	trace any
+}
+
+// deadline is a timed wait's expiry: its instant and the sequence
+// number it took when armed.
+type deadline struct {
+	t   Time
+	seq int64
 }
 
 // Env returns the environment this process belongs to.
@@ -256,10 +296,35 @@ func (e *Env) work(w *worker) {
 			e.live--
 		}
 		e.idle = append(e.idle, w)
-		if next := e.sched(); next != w && !w.yield(next) {
+		if !w.handoff(e.sched()) {
 			return
 		}
 	}
+}
+
+// handoff passes control from w's coroutine to the worker to, and on
+// to whichever it passes to, until w is the one to run. A suspended
+// target is resumed from here, one link further down the chain; a
+// target up the chain (or nil, the end of the run) is yielded upward.
+// It reports false once Run has stopped w.
+func (w *worker) handoff(to *worker) bool {
+	for to != w {
+		if to == nil || to.resumed {
+			w.resumed = false
+			// Whoever resumes w does so because w is the target.
+			return w.yield(to)
+		}
+		to = to.resume()
+	}
+	return true
+}
+
+// resume runs w's coroutine until it yields, and returns what it
+// yields: a worker further up the chain, or nil.
+func (w *worker) resume() *worker {
+	w.resumed = true
+	up, _ := w.next()
+	return up
 }
 
 // dropProc removes a finished proc from e.procs.
@@ -281,7 +346,24 @@ func (e *Env) wakeAt(t Time, p *Proc, gen uint64, reason WakeReason) {
 		t = e.now
 	}
 	e.seq++
-	e.q.push(e.now, event{t: t, seq: e.seq, p: p, gen: gen, reason: reason})
+	e.q.push(e.now, event{t: t, seq: e.seq, act: (*wakeup)(p), gen: gen<<1 | uint64(reason)})
+}
+
+// timeoutAt arms the timeout of p's timed wait at time t. It takes a
+// sequence number as wakeAt would, but queues an event only if p has no
+// earlier timeout event queued: that one re-queues the deadline when it
+// pops (see sched). The wait must clear p.dl when it ends.
+func (e *Env) timeoutAt(t Time, p *Proc) {
+	if t < e.now {
+		t = e.now
+	}
+	e.seq++
+	p.dl = deadline{t, e.seq}
+	if p.tseq != 0 && p.tt <= t {
+		return
+	}
+	p.tt, p.tseq = t, e.seq
+	e.q.push(e.now, event{t: t, seq: e.seq, act: (*wakeup)(p)})
 }
 
 // Schedule queues a to fire at virtual time t (or now, if t is in the
@@ -314,14 +396,13 @@ func (p *Proc) prepareWait() uint64 {
 //
 // The parking process first runs the dispatch loop itself: if the next
 // event is its own wakeup it simply keeps running (no switch);
-// otherwise it yields the worker to resume (or nil, the run is over) to
-// Run's goroutine and stays suspended until Run resumes it.
+// otherwise it hands off along the resume chain (see handoff) and stays
+// suspended until its own wakeup resumes it.
 func (p *Proc) park() WakeReason {
 	p.parked = true
-	if next := p.env.sched(); next != p.w {
-		p.w.yield(next)
-	}
-	return p.w.reason
+	w := p.w
+	w.handoff(p.env.sched())
+	return w.reason
 }
 
 // sched drains the event queue on the calling goroutine: a parking or
@@ -338,8 +419,10 @@ func (e *Env) sched() *worker {
 			e.err = e.deadlock()
 			return nil
 		}
-		if ev.act != nil {
+		wk, wake := ev.act.(*wakeup)
+		if !wake {
 			if e.limit > 0 && ev.t > e.limit {
+				e.q.requeue(ev) // for a later Run
 				return nil
 			}
 			if ev.t > e.now {
@@ -349,13 +432,34 @@ func (e *Env) sched() *worker {
 			ev.act.Fire(e)
 			continue
 		}
-		p := ev.p
-		if ev.gen != p.gen || !p.parked || p.done {
-			// Stale wakeup, superseded by a later prepareWait: skipped
-			// without advancing the clock.
+		// A wakeup that is stale, superseded by a later prepareWait, is
+		// skipped without advancing the clock; so is a timeout event
+		// that is not the proc's earliest or whose wait is over. The
+		// earliest, popping while a later deadline is live, re-queues
+		// that deadline under its own (t, seq).
+		p := (*Proc)(wk)
+		reason := WakeReason(ev.gen & 1)
+		if ev.gen == 0 {
+			if ev.seq != p.tseq {
+				continue
+			}
+			p.tseq = 0
+			if p.dl.seq == 0 {
+				continue
+			}
+			if p.dl.seq != ev.seq {
+				p.tt, p.tseq = p.dl.t, p.dl.seq
+				e.q.requeue(event{t: p.dl.t, seq: p.dl.seq, act: ev.act})
+				continue
+			}
+		} else if ev.gen>>1 != p.gen || !p.parked {
 			continue
 		}
 		if e.limit > 0 && ev.t > e.limit {
+			if ev.gen == 0 {
+				p.tseq = ev.seq
+			}
+			e.q.requeue(ev)
 			return nil
 		}
 		if ev.t > e.now {
@@ -363,7 +467,7 @@ func (e *Env) sched() *worker {
 		}
 		e.events++
 		p.parked = false
-		p.w.reason = ev.reason
+		p.w.reason = reason
 		return p.w
 	}
 }
@@ -408,13 +512,13 @@ func (e *DeadlockError) Error() string {
 // idle workers exit with it; procs still parked stay suspended, and a
 // later Run resumes them.
 //
-// Run's goroutine is the driver: it resumes whichever worker the
-// dispatch loop woke, and that worker runs until the next wakeup is
-// another worker's, which it yields back. A panic in a proc propagates
-// out of the resume, and so out of Run.
+// Run's goroutine heads the resume chain: it resumes whichever worker
+// the dispatch loop woke, and the chain below hands control on (see
+// handoff) until the run is over and nil comes back up. A panic in a
+// proc propagates out of each resume up the chain, and so out of Run.
 func (e *Env) Run() error {
 	for w := e.sched(); w != nil; {
-		w, _ = w.next()
+		w = w.resume()
 	}
 	for _, w := range e.idle {
 		w.stop()

@@ -205,11 +205,14 @@ func TestYieldLetsPeersRun(t *testing.T) {
 // A forked proc runs on the goroutine of one that already finished:
 // 50 000 short procs forked one after another, a few alive at a time,
 // keep the goroutine count within their peak concurrency plus a
-// constant, and the idle goroutines exit when Run returns.
+// constant, and the idle goroutines exit when Run returns — also after
+// a relay that builds a resume chain eight workers deep.
 func TestForkedProcsReuseGoroutines(t *testing.T) {
+	const relayProcs = 8
 	base := runtime.NumGoroutine()
 	e := NewEnv()
 	live, peakLive, peakG := 0, 0, 0
+	var passes, deepest int
 	e.Go("forker", func(p *Proc) {
 		for i := 0; i < 50000; i++ {
 			live++
@@ -221,12 +224,16 @@ func TestForkedProcsReuseGoroutines(t *testing.T) {
 			peakG = max(peakG, runtime.NumGoroutine())
 			p.Sleep(1)
 		}
+		relay(e, relayProcs, 3, 0, &passes, func(_, depth int) { deepest = max(deepest, depth) })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if peakG > base+1+peakLive+2 {
 		t.Errorf("%d goroutines at peak for %d procs alive at once (baseline %d)", peakG, peakLive+1, base)
+	}
+	if passes != 3*relayProcs || deepest < relayProcs {
+		t.Errorf("relay made %d passes at most %d workers deep, want %d passes %d deep", passes, deepest, 3*relayProcs, relayProcs)
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
 		if time.Now().After(deadline) {

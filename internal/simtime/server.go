@@ -59,14 +59,19 @@ func (s *Server) Reserve(at Time, d Time) Time {
 		// without occupying the facility.
 		return s.nextFree(at)
 	}
-	i := s.after(at)
 	start := at
-	for ; i < len(s.busy); i++ {
-		if start+d <= s.busy[i].start {
-			break // fits in the gap before interval i
-		}
-		if s.busy[i].end > start {
-			start = s.busy[i].end
+	i := len(s.busy)
+	if i > 0 && s.busy[i-1].end > at {
+		// Arriving before the last busy interval ends: take the first
+		// gap after at that fits. (Most requests arrive after it and
+		// append.)
+		for i = s.after(at); i < len(s.busy); i++ {
+			if start+d <= s.busy[i].start {
+				break // fits in the gap before interval i
+			}
+			if s.busy[i].end > start {
+				start = s.busy[i].end
+			}
 		}
 	}
 	s.insert(interval{start, start + d}, i)

@@ -139,16 +139,24 @@ func (c *Cond) Wait(p *Proc) {
 // timeout (false). A timed-out waiter takes its record with it, so the
 // queue never holds more records than parked waiters, whichever end
 // signals pop from.
+//
+// The deadline is recorded on the process, and a timeout event is
+// queued only if the process has no earlier one queued; that event,
+// popping while a later deadline is live, re-queues the deadline under
+// its own (time, sequence). A wait that a signal ends early thus rarely
+// leaves an event of its own behind, and the timeout fires exactly
+// where an event queued at arm time would.
 func (c *Cond) WaitTimeout(p *Proc, d Time) bool {
 	gen := p.prepareWait()
 	me := waiter{p, gen}
 	c.q.push(me)
-	p.env.wakeAt(p.env.now+d, p, gen, WakeTimer)
-	if p.park() == WakeSignal {
-		return true
+	p.env.timeoutAt(p.env.now+d, p)
+	signaled := p.park() == WakeSignal
+	p.dl = deadline{}
+	if !signaled {
+		c.q.remove(me)
 	}
-	c.q.remove(me)
-	return false
+	return signaled
 }
 
 // Signal wakes the oldest valid waiter, if any, and reports whether a
