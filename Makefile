@@ -52,11 +52,13 @@ race:
 
 # fuzz-smoke: fuzz each kvstore wire-frame decoder for a few seconds
 # beyond its seed corpus (which plain go test already runs): a decode
-# must fail or round-trip, never panic. go test fuzzes one target at a
-# time.
+# must fail or round-trip, never panic. FuzzMemory drives hostmem's
+# two-grain page store against a flat byte model: every read must match
+# it. go test fuzzes one target at a time.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 5s ./internal/apps/kvstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReply$$' -fuzztime 5s ./internal/apps/kvstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 5s ./internal/hostmem/
 
 # cover: the core LITE layer carries the dedup/admission/failover state
 # machines; its statement coverage must not silently erode. The floor

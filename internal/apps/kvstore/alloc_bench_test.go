@@ -57,12 +57,12 @@ func BenchmarkGetDirect(b *testing.B) {
 	})
 }
 
-// getDirectAllocs bounds the steady-state allocations of one GetDirect:
-// the record read (which backs the value returned) and the two read
-// buffers that escape into the vectored LT_read, the bucket pair and
-// the version word. lite splits each segment on the stack, and the
-// NIC's reads allocate nothing.
-const getDirectAllocs = 3
+// getDirectAllocs bounds the steady-state allocations of one GetDirect
+// to the record read, which backs the value returned. The bucket pair
+// and the version word come from the Client's free list (tryDirect),
+// lite splits each segment on the stack, and the NIC's reads allocate
+// nothing.
+const getDirectAllocs = 1
 
 func TestGetDirectAllocBudget(t *testing.T) {
 	allocbudget.SkipUnderRace(t)

@@ -362,6 +362,8 @@ type Client struct {
 	// att caches per-server index attachments for the client-traversed
 	// GetDirect path; like cache it is valid for one membership epoch.
 	att map[int]*attachInfo
+	// scratch is GetDirect's free list of read buffers (tryDirect).
+	scratch []*directScratch
 	// Stats.
 	OneSidedGets int64
 	MetaLookups  int64

@@ -436,16 +436,44 @@ func (k *Client) detach(p *simtime.Proc, node int) {
 	}
 }
 
+// directScratch holds one GetDirect round's read buffers, the bucket
+// pair and the version word. Both escape into the vectored LT_read, so
+// each Client keeps a free list of them rather than allocating two per
+// GET; it is a list, not one buffer, because concurrent procs share a
+// Client.
+type directScratch struct {
+	bb   [2 * bucketBytes]byte
+	word [8]byte
+}
+
 // tryDirect runs one round of the client-traversed GET protocol
 // against an attachment: two WR chains, one doorbell and one round trip
 // each. It returns the value, ErrNotFound (linearized at the bucket
 // read, validated through the fence), errTorn (retry) or errStale
 // (re-attach).
 func (k *Client) tryDirect(p *simtime.Proc, a *attachInfo, key string) ([]byte, error) {
+	var ds *directScratch
+	if n := len(k.scratch); n > 0 {
+		ds, k.scratch = k.scratch[n-1], k.scratch[:n-1]
+	} else {
+		ds = new(directScratch)
+	}
+	v, err := k.traverse(p, a, key, ds)
+	// errStale follows a failed read, and a READ of a failed chain may
+	// still land in ds: only a round whose reads all completed gives its
+	// buffers back.
+	if err != errStale {
+		k.scratch = append(k.scratch, ds)
+	}
+	return v, err
+}
+
+// traverse is tryDirect's protocol, reading into ds.
+func (k *Client) traverse(p *simtime.Proc, a *attachInfo, key string, ds *directScratch) ([]byte, error) {
 	h := hashKey64(key)
 	b1, b2 := buckets(h, a.nb)
 	bs := [2]int64{b1, b2}
-	var bb [2 * bucketBytes]byte
+	bb, word := ds.bb[:], ds.word[:]
 	segs := []lite.ReadSeg{
 		{LH: a.idx, Off: idxHdr + b1*bucketBytes, Buf: bb[:bucketBytes]},
 		{LH: a.idx, Off: idxHdr + b2*bucketBytes, Buf: bb[bucketBytes:]},
@@ -457,7 +485,6 @@ func (k *Client) tryDirect(p *simtime.Proc, a *attachInfo, key string) ([]byte, 
 	if k.c.ReadV(p, segs) != nil {
 		return nil, errStale
 	}
-	var word [8]byte
 	sawOdd := false
 	for s := int64(0); s < int64(len(segs))*slotsPerBucket; s++ {
 		w := bb[s*slotBytes:]
@@ -481,11 +508,11 @@ func (k *Client) tryDirect(p *simtime.Proc, a *attachInfo, key string) ([]byte, 
 		slot := bs[s/slotsPerBucket]*slotsPerBucket + s%slotsPerBucket
 		if k.c.ReadV(p, []lite.ReadSeg{
 			{LH: a.heap, Off: pos, Buf: rec},
-			{LH: a.idx, Off: slotOff(slot), Buf: word[:]},
+			{LH: a.idx, Off: slotOff(slot), Buf: word},
 		}) != nil {
 			return nil, errStale
 		}
-		if binary.LittleEndian.Uint64(word[:]) != ver {
+		if binary.LittleEndian.Uint64(word) != ver {
 			return nil, errTorn
 		}
 		klen := int(binary.LittleEndian.Uint16(rec))
@@ -499,7 +526,7 @@ func (k *Client) tryDirect(p *simtime.Proc, a *attachInfo, key string) ([]byte, 
 	}
 	// Miss: the fence, read after the buckets, proves "not found" comes
 	// from a generation that was live and stable at the bucket read.
-	if k.c.Read(p, a.idx, 0, word[:]) != nil || binary.LittleEndian.Uint64(word[:]) != a.fence {
+	if k.c.Read(p, a.idx, 0, word) != nil || binary.LittleEndian.Uint64(word) != a.fence {
 		return nil, errStale
 	}
 	return nil, ErrNotFound

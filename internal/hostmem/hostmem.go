@@ -3,14 +3,24 @@
 // counts (RDMA registration pins pages), lazily materialized page
 // contents, and per-process virtual address spaces with page tables.
 //
-// Physical frames are materialized lazily, so a simulated node can
-// expose a large physical memory (the paper's testbed has 128 GB per
-// node) while the simulation only pays for pages actually touched.
+// Contents are materialized by writes only, at two grains, so a
+// simulated node can expose a large physical memory (the paper's
+// testbed has 128 GB per node) while the simulation pays for little
+// more than the bytes actually written. A page starts as nothing and
+// reads as zeros. A write materializes the 256-byte lines it touches,
+// and the page keeps only those lines (a sparse page) until it is
+// promoted to a whole page buffer (a dense page): when one write
+// covers the whole page, when a write materializes a line next to one
+// already written (a sequential writer such as an RPC ring), or when
+// the page would hold more than 8 lines. A dense page is never
+// demoted; Free drops either form. Reads never materialize anything.
 package hostmem
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -31,6 +41,28 @@ var (
 	ErrBadSize      = errors.New("hostmem: size must be positive")
 )
 
+// lineSize is the grain of a sparse page, and a sparse page holds at
+// most maxSparseLines lines (half a 4 KB page): a write that would give
+// it more promotes it to a dense page.
+const (
+	lineSize       = 256
+	maxSparseLines = 8
+)
+
+// sparsePage holds the written lines of one page: line l is present
+// when bit l of mask is set, and present lines sit in lines in line
+// order, each in its own buffer: adding a line neither copies the
+// others nor leaves them behind as garbage.
+type sparsePage struct {
+	mask  uint64
+	lines []*[lineSize]byte
+}
+
+// line returns present line l.
+func (sp *sparsePage) line(l int64) *[lineSize]byte {
+	return sp.lines[bits.OnesCount64(sp.mask&(1<<l-1))]
+}
+
 type frameRange struct {
 	start int64 // first frame
 	n     int64 // number of frames
@@ -40,8 +72,11 @@ type frameRange struct {
 type Memory struct {
 	pageSize   int64
 	totalPages int64
-	free       []frameRange // sorted by start, coalesced
-	frames     map[int64][]byte
+	free       []frameRange     // sorted by start, coalesced
+	frames     map[int64][]byte // dense pages
+	sparse     map[int64]sparsePage
+	sparseOK   bool  // the geometry lets a page be sparse
+	sparseN    int64 // lines held by sparse pages
 	pins       map[int64]int
 	allocated  int64 // frames currently allocated
 
@@ -98,13 +133,19 @@ func New(totalBytes, pageSize int64) *Memory {
 	if pageSize <= 0 || totalBytes < pageSize {
 		panic("hostmem: invalid geometry")
 	}
-	return &Memory{
+	m := &Memory{
 		pageSize:   pageSize,
 		totalPages: totalBytes / pageSize,
 		free:       []frameRange{{0, totalBytes / pageSize}},
 		frames:     make(map[int64][]byte),
+		sparse:     make(map[int64]sparsePage),
 		pins:       make(map[int64]int),
 	}
+	// A page of 2 to 64 whole lines can be sparse; any other geometry
+	// keeps every written page dense.
+	l := pageSize / lineSize
+	m.sparseOK = pageSize%lineSize == 0 && l > 1 && l <= 64
+	return m
 }
 
 // PageSize returns the page size in bytes.
@@ -115,6 +156,13 @@ func (m *Memory) TotalBytes() int64 { return m.totalPages * m.pageSize }
 
 // AllocatedBytes returns the bytes currently allocated.
 func (m *Memory) AllocatedBytes() int64 { return m.allocated * m.pageSize }
+
+// ResidentBytes returns the bytes of page contents the memory holds:
+// a page size per dense page plus 256 bytes per line of a sparse page.
+// Allocated memory that was never written holds nothing.
+func (m *Memory) ResidentBytes() int64 {
+	return int64(len(m.frames))*m.pageSize + m.sparseN*lineSize
+}
 
 // FreeBytes returns the bytes currently free.
 func (m *Memory) FreeBytes() int64 { return (m.totalPages - m.allocated) * m.pageSize }
@@ -200,6 +248,10 @@ func (m *Memory) Free(pa PAddr, n int64) error {
 	}
 	for f := start; f < start+count; f++ {
 		delete(m.frames, f)
+		if sp, ok := m.sparse[f]; ok {
+			m.sparseN -= int64(bits.OnesCount64(sp.mask))
+			delete(m.sparse, f)
+		}
 	}
 	m.insertFree(frameRange{start, count})
 	m.allocated -= count
@@ -287,15 +339,6 @@ func (m *Memory) pageSpan(pa PAddr, n int64) (start, count int64, err error) {
 	return start, end - start, nil
 }
 
-func (m *Memory) frame(f int64) []byte {
-	b := m.frames[f]
-	if b == nil {
-		b = make([]byte, m.pageSize)
-		m.frames[f] = b
-	}
-	return b
-}
-
 // Write copies data into physical memory at pa, which may span pages.
 func (m *Memory) Write(pa PAddr, data []byte) error {
 	if _, _, err := m.pageSpan(pa, int64(len(data))); err != nil {
@@ -309,15 +352,64 @@ func (m *Memory) Write(pa PAddr, data []byte) error {
 	for len(data) > 0 {
 		f := addr / m.pageSize
 		off := addr % m.pageSize
-		n := copy(m.frame(f)[off:], data)
+		n := min(int64(len(data)), m.pageSize-off)
+		if b := m.frames[f]; b != nil {
+			copy(b[off:], data[:n])
+		} else {
+			m.writeSparse(f, off, data[:n])
+		}
 		data = data[n:]
-		addr += int64(n)
+		addr += n
 	}
 	m.notifyWatches(pa, total)
 	return nil
 }
 
+// writeSparse writes data at off into page f, which has no dense
+// buffer: it adds the lines data touches to the page's sparse form, or
+// promotes the page to dense (see the package doc).
+func (m *Memory) writeSparse(f, off int64, data []byte) {
+	sp := m.sparse[f]
+	end := off + int64(len(data))
+	mask := sp.mask
+	promote := !m.sparseOK || int64(len(data)) == m.pageSize
+	for l := off / lineSize; !promote && l*lineSize < end; l++ {
+		if bit := uint64(1) << l; mask&bit == 0 {
+			promote = sp.mask&(bit<<1|bit>>1) != 0
+			mask |= bit
+		}
+	}
+	if promote || bits.OnesCount64(mask) > maxSparseLines {
+		b := make([]byte, m.pageSize)
+		for rest := sp.mask; rest != 0; rest &= rest - 1 {
+			l := int64(bits.TrailingZeros64(rest))
+			copy(b[l*lineSize:], sp.line(l)[:])
+		}
+		copy(b[off:], data)
+		m.frames[f] = b
+		m.sparseN -= int64(bits.OnesCount64(sp.mask))
+		delete(m.sparse, f)
+		return
+	}
+	if add := mask &^ sp.mask; add != 0 {
+		m.sparseN += int64(bits.OnesCount64(add))
+		for ; add != 0; add &= add - 1 {
+			l := int64(bits.TrailingZeros64(add))
+			sp.mask |= 1 << l
+			sp.lines = slices.Insert(sp.lines, bits.OnesCount64(sp.mask&(1<<l-1)), new([lineSize]byte))
+		}
+		m.sparse[f] = sp
+	}
+	for off < end {
+		l := off / lineSize
+		n := copy(sp.line(l)[off-l*lineSize:], data)
+		data = data[n:]
+		off += int64(n)
+	}
+}
+
 // Read copies len(buf) bytes of physical memory at pa into buf.
+// Never-written bytes read as zeros.
 func (m *Memory) Read(pa PAddr, buf []byte) error {
 	if _, _, err := m.pageSpan(pa, int64(len(buf))); err != nil {
 		if len(buf) == 0 {
@@ -329,11 +421,39 @@ func (m *Memory) Read(pa PAddr, buf []byte) error {
 	for len(buf) > 0 {
 		f := addr / m.pageSize
 		off := addr % m.pageSize
-		n := copy(buf, m.frame(f)[off:])
+		n := min(int64(len(buf)), m.pageSize-off)
+		if b := m.frames[f]; b != nil {
+			copy(buf, b[off:off+n])
+		} else {
+			m.readSparse(f, off, buf[:n])
+		}
 		buf = buf[n:]
-		addr += int64(n)
+		addr += n
 	}
 	return nil
+}
+
+// readSparse reads page f at off into buf from its sparse form: lines
+// the page does not hold read as zeros.
+func (m *Memory) readSparse(f, off int64, buf []byte) {
+	sp, ok := m.sparse[f]
+	if !ok {
+		clear(buf)
+		return
+	}
+	for len(buf) > 0 {
+		l := off / lineSize
+		lo := off - l*lineSize
+		var n int
+		if sp.mask&(1<<l) != 0 {
+			n = copy(buf, sp.line(l)[lo:])
+		} else {
+			n = int(min(int64(len(buf)), lineSize-lo))
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		off += int64(n)
+	}
 }
 
 // AddressSpace is a per-process virtual address space backed by a page

@@ -256,11 +256,8 @@ type Instance struct {
 	// lowRecv lists shared QPs whose posted-receive count dropped below
 	// the restock low-water mark (fed by rnic.SetRecvLowWater), so
 	// topUpRecvs visits exactly the QPs that need a refill instead of
-	// scanning all peers on every completion. recvTmpl is a read-only
-	// RecvBatch-long refill list (every entry is the same zero-byte IMM
-	// buffer), so restocks are alloc-free at steady state.
-	lowRecv  []*rnic.QP
-	recvTmpl []rnic.PostedRecv
+	// scanning all peers on every completion.
+	lowRecv []*rnic.QP
 
 	scratch   scratchRing
 	nextWR    uint64

@@ -1869,8 +1869,8 @@ func (i *Instance) headUpdateLoop(p *simtime.Proc) {
 // the shared QPs stocked ("LITE periodically posts IMM buffers in the
 // receive queue in the background", §5.1). Each QP is tracked
 // individually against a low-water mark of half the batch: one hot QP
-// must never run dry behind a global count. A restock posts the whole
-// refill list behind one doorbell (charged to p when the caller runs
+// must never run dry behind a global count. A restock posts the refill
+// as one run behind one doorbell (charged to p when the caller runs
 // in process context; the boot-time call passes nil) and is counted in
 // the lite.recv_restock counters so restock storms show up in
 // -metrics output.
@@ -1899,18 +1899,13 @@ func (i *Instance) restockQP(p *simtime.Proc, qp *rnic.QP) {
 	if qp.RecvPosted() >= low {
 		return // already stocked (duplicate notification)
 	}
-	if len(i.recvTmpl) < i.opts.RecvBatch {
-		i.recvTmpl = make([]rnic.PostedRecv, i.opts.RecvBatch)
-		for k := range i.recvTmpl {
-			i.recvTmpl[k] = rnic.PostedRecv{MR: i.globalMR, Off: 0, Len: 0}
-		}
-	}
+	// Every IMM receive is the same zero-byte buffer: post them as one run.
 	n := i.opts.RecvBatch - qp.RecvPosted()
-	rs := i.recvTmpl[:n]
+	imm := rnic.PostedRecv{MR: i.globalMR}
 	if p == nil {
-		_ = qp.PostRecvList(rs)
+		_ = qp.PostRecvN(imm, n)
 	} else {
-		_ = i.ctx.PostRecvList(p, qp, rs)
+		_ = i.ctx.PostRecvN(p, qp, imm, n)
 	}
 	reg := i.obsReg()
 	reg.Add("lite.recv_restock", 1)

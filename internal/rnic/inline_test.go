@@ -203,3 +203,57 @@ func TestPostRecvList(t *testing.T) {
 		t.Errorf("RecvPosted = %d, want 5", qb.RecvPosted())
 	}
 }
+
+// PostRecvN is PostRecvList of n equal entries: it rejects what the
+// list form rejects, and a post leaves the same count and the same run.
+func TestPostRecvN(t *testing.T) {
+	c := newCluster(t, 2)
+	mrA := c.physMR(t, 0, 4096, allPerm)
+	mrB := c.physMR(t, 1, 4096, allPerm)
+	_, qb := c.rcPair(0, 1)
+
+	for _, n := range []int{0, -1} {
+		if err := qb.PostRecvN(PostedRecv{MR: mrB}, n); err != ErrEmptyList {
+			t.Errorf("n = %d: err = %v, want ErrEmptyList", n, err)
+		}
+	}
+	if err := qb.PostRecvN(PostedRecv{MR: mrA}, 3); err != ErrBadMR {
+		t.Errorf("foreign MR: err = %v, want ErrBadMR", err)
+	}
+	if err := qb.PostRecvN(PostedRecv{MR: mrB, Off: 4000, Len: 200}, 3); err == nil {
+		t.Error("range past the MR's end accepted")
+	}
+	if qb.RecvPosted() != 0 {
+		t.Errorf("rejected posts left %d receives posted", qb.RecvPosted())
+	}
+
+	// The same posts, once per form: an IMM run, one extending it, then
+	// a different buffer.
+	imm, buf := PostedRecv{MR: mrB}, PostedRecv{MR: mrB, Off: 64, Len: 64, WRID: 7}
+	list := func(r PostedRecv, n int) []PostedRecv {
+		rs := make([]PostedRecv, n)
+		for k := range rs {
+			rs[k] = r
+		}
+		return rs
+	}
+	_, listQP := c.rcPair(0, 1)
+	for _, post := range []struct {
+		r PostedRecv
+		n int
+	}{{imm, 300}, {imm, 212}, {buf, 4}} {
+		if err := qb.PostRecvN(post.r, post.n); err != nil {
+			t.Fatal(err)
+		}
+		if err := listQP.PostRecvList(list(post.r, post.n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if qb.RecvPosted() != 516 || listQP.RecvPosted() != 516 {
+		t.Errorf("RecvPosted = %d (N) and %d (list), want 516", qb.RecvPosted(), listQP.RecvPosted())
+	}
+	got, want := qb.rq[qb.rqHead:], listQP.rq[listQP.rqHead:]
+	if len(got) != 2 || len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("runs = %+v (N), %+v (list); want the same two runs", got, want)
+	}
+}

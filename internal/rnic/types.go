@@ -474,37 +474,27 @@ func (q *QP) rearmRecvLow() {
 	}
 }
 
-// pushRecv appends r to the receive queue, extending the tail run when
-// r repeats its descriptor. A new run reuses the consumed slots at the
-// front before growing the backing array.
-func (q *QP) pushRecv(r PostedRecv) {
-	q.posted++
-	if n := len(q.rq); n > q.rqHead && q.rq[n-1].r == r {
-		q.rq[n-1].n++
+// pushRecv appends n copies of r to the receive queue, extending the
+// tail run when r repeats its descriptor. A new run reuses the consumed
+// slots at the front before growing the backing array.
+func (q *QP) pushRecv(r PostedRecv, n int) {
+	q.posted += n
+	if k := len(q.rq); k > q.rqHead && q.rq[k-1].r == r {
+		q.rq[k-1].n += n
 		return
 	}
 	if q.rqHead > 0 && len(q.rq) == cap(q.rq) {
-		n := copy(q.rq, q.rq[q.rqHead:])
-		clear(q.rq[n:])
-		q.rq = q.rq[:n]
+		k := copy(q.rq, q.rq[q.rqHead:])
+		clear(q.rq[k:])
+		q.rq = q.rq[:k]
 		q.rqHead = 0
 	}
-	q.rq = append(q.rq, recvRun{r, 1})
+	q.rq = append(q.rq, recvRun{r, n})
 }
 
 // PostRecv posts a receive buffer. The buffer's MR must belong to the
 // same node as the QP.
-func (q *QP) PostRecv(r PostedRecv) error {
-	if r.MR == nil || r.MR.node != q.nic.node {
-		return ErrBadMR
-	}
-	if err := r.MR.checkRange(r.Off, r.Len); err != nil {
-		return err
-	}
-	q.pushRecv(r)
-	q.rearmRecvLow()
-	return nil
-}
+func (q *QP) PostRecv(r PostedRecv) error { return q.PostRecvN(r, 1) }
 
 // PostRecvList posts a batch of receive buffers behind one doorbell.
 // The whole list is validated before any buffer is enqueued, so a bad
@@ -523,8 +513,26 @@ func (q *QP) PostRecvList(rs []PostedRecv) error {
 		}
 	}
 	for _, r := range rs {
-		q.pushRecv(r)
+		q.pushRecv(r, 1)
 	}
+	q.rearmRecvLow()
+	return nil
+}
+
+// PostRecvN posts n copies of one receive buffer behind one doorbell:
+// PostRecvList of a list whose n entries are all r, as the single run
+// the receive queue stores it as.
+func (q *QP) PostRecvN(r PostedRecv, n int) error {
+	if n <= 0 {
+		return ErrEmptyList
+	}
+	if r.MR == nil || r.MR.node != q.nic.node {
+		return ErrBadMR
+	}
+	if err := r.MR.checkRange(r.Off, r.Len); err != nil {
+		return err
+	}
+	q.pushRecv(r, n)
 	q.rearmRecvLow()
 	return nil
 }

@@ -43,6 +43,16 @@ func TestPostRecvChargesDoorbell(t *testing.T) {
 		if qp.RecvPosted() != 1 {
 			t.Errorf("posted = %d", qp.RecvPosted())
 		}
+		start = p.Now()
+		if err := a.PostRecvN(p, qp, rnic.PostedRecv{MR: mr}, 64); err != nil {
+			t.Fatal(err)
+		}
+		if p.Now()-start != cfg.NICDoorbell {
+			t.Errorf("post of 64 receives cost %v, want one doorbell (%v)", p.Now()-start, cfg.NICDoorbell)
+		}
+		if qp.RecvPosted() != 65 {
+			t.Errorf("posted = %d, want 65", qp.RecvPosted())
+		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

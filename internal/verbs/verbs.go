@@ -110,11 +110,11 @@ func (c *Context) PostRecv(p *simtime.Proc, qp *rnic.QP, r rnic.PostedRecv) erro
 	return qp.PostRecv(r)
 }
 
-// PostRecvList charges a single doorbell and posts a batch of receive
-// buffers.
-func (c *Context) PostRecvList(p *simtime.Proc, qp *rnic.QP, rs []rnic.PostedRecv) error {
+// PostRecvN charges a single doorbell and posts n copies of one receive
+// buffer.
+func (c *Context) PostRecvN(p *simtime.Proc, qp *rnic.QP, r rnic.PostedRecv, n int) error {
 	p.Work(c.cfg.NICDoorbell)
-	return qp.PostRecvList(rs)
+	return qp.PostRecvN(r, n)
 }
 
 // PollCQ busy-polls the CQ until a completion arrives, charging the
