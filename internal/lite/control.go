@@ -136,19 +136,19 @@ func (i *Instance) ctlRegName(p *simtime.Proc, ls *lmrState, pri Priority) error
 	req[0] = copRegName
 	binary.LittleEndian.PutUint64(req[1:], ls.id)
 	copy(req[9:], ls.name)
-	_, err := i.ctl(p, i.opts.ManagerNode, req, 0, pri)
+	_, err := i.ctl(p, managerNode, req, 0, pri)
 	return err
 }
 
 func (i *Instance) ctlUnregName(p *simtime.Proc, name string, pri Priority) error {
 	req := append([]byte{copUnregName}, name...)
-	_, err := i.ctl(p, i.opts.ManagerNode, req, 0, pri)
+	_, err := i.ctl(p, managerNode, req, 0, pri)
 	return err
 }
 
 func (i *Instance) ctlLookupName(p *simtime.Proc, name string, pri Priority) (uint64, error) {
 	req := append([]byte{copLookupName}, name...)
-	out, err := i.ctl(p, i.opts.ManagerNode, req, 8, pri)
+	out, err := i.ctl(p, managerNode, req, 8, pri)
 	if err != nil {
 		return 0, err
 	}
@@ -278,7 +278,7 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 	case copRegName:
 		id := binary.LittleEndian.Uint64(in[1:])
 		name := string(in[9:])
-		if i.node.ID != i.opts.ManagerNode {
+		if i.node.ID != managerNode {
 			reply(cstBadArg, nil)
 			return
 		}
@@ -400,7 +400,7 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 		reply(cstOK, nil)
 
 	case copJoin:
-		if i.node.ID != i.opts.ManagerNode {
+		if i.node.ID != managerNode {
 			reply(cstBadArg, nil)
 			return
 		}
@@ -408,7 +408,7 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 		reply(cstOK, nil)
 
 	case copMigPrepare:
-		if i.node.ID != i.opts.ManagerNode || len(in) < 9 {
+		if i.node.ID != managerNode || len(in) < 9 {
 			reply(cstBadArg, nil)
 			return
 		}
@@ -450,7 +450,7 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 		reply(cstOK, nil)
 
 	case copMigCommit:
-		if i.node.ID != i.opts.ManagerNode || len(in) < 9 {
+		if i.node.ID != managerNode || len(in) < 9 {
 			reply(cstBadArg, nil)
 			return
 		}
@@ -489,7 +489,7 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 		})
 
 	case copMigAbort:
-		if i.node.ID != i.opts.ManagerNode || len(in) < 5 {
+		if i.node.ID != managerNode || len(in) < 5 {
 			reply(cstBadArg, nil)
 			return
 		}

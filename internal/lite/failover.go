@@ -113,7 +113,7 @@ func (i *Instance) crash(p *simtime.Proc) {
 
 	// The manager's soft state dies with it (§3.3); survivors
 	// reconstruct it after the restart via RecoverManagerDirectory.
-	if i.node.ID == i.opts.ManagerNode {
+	if i.node.ID == managerNode {
 		i.dep.CrashManagerDirectory()
 	}
 }
@@ -177,7 +177,7 @@ func (i *Instance) restart(p *simtime.Proc) {
 	i.spawnDaemons()
 
 	node := i.node.ID
-	if node == i.opts.ManagerNode {
+	if node == managerNode {
 		i.cls.GoOn(node, "lite-mgr-recover", func(q *simtime.Proc) {
 			// Fresh epoch: survivors drop stale quarantines and relearn
 			// the view (the membership table itself survives on the HA

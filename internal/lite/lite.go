@@ -132,6 +132,10 @@ func (e *TenantDeniedError) Error() string { return ErrTenantDenied.Error() }
 // Unwrap makes errors.Is(err, ErrTenantDenied) hold.
 func (e *TenantDeniedError) Unwrap() error { return ErrTenantDenied }
 
+// managerNode is the node that hosts the cluster name directory (§3.3)
+// and runs the cluster manager: membership, heartbeats and failover.
+const managerNode = 0
+
 // Options configures a LITE deployment.
 type Options struct {
 	// QPsPerPair is K in the paper's K×N queue-pair budget (§6.1).
@@ -141,8 +145,6 @@ type Options struct {
 	RingBytes int64
 	// RPCTimeout bounds LT_RPC waiting for a reply.
 	RPCTimeout simtime.Time
-	// ManagerNode hosts the cluster name directory (§3.3).
-	ManagerNode int
 	// RecvBatch is how many zero-byte IMM receive buffers the
 	// background reposter keeps posted per node.
 	RecvBatch int
@@ -225,7 +227,6 @@ func DefaultOptions() Options {
 		QPsPerPair:       2,
 		RingBytes:        1 << 20,
 		RPCTimeout:       10 * 1000 * 1000, // 10ms
-		ManagerNode:      0,
 		RecvBatch:        512,
 		MaxChunkBytes:    4 << 20,
 		HeartbeatTimeout: 500 * 1000, // 500us per keepalive round trip
@@ -516,7 +517,7 @@ func Start(cls *cluster.Cluster, opts Options) (*Deployment, error) {
 	dep.memb.init()
 	dep.attachFailover()
 	if opts.HeartbeatInterval > 0 {
-		mgr := dep.Instances[opts.ManagerNode]
+		mgr := dep.Instances[managerNode]
 		for _, inst := range dep.Instances {
 			if inst == mgr {
 				continue

@@ -194,7 +194,7 @@ func (i *Instance) mallocInternal(p *simtime.Proc, homeNodes []int, size int64, 
 // registerName publishes the LMR in the manager-node directory; remote
 // callers pay an RPC round trip.
 func (i *Instance) registerName(p *simtime.Proc, ls *lmrState, pri Priority) error {
-	if i.node.ID == i.opts.ManagerNode {
+	if i.node.ID == managerNode {
 		if _, taken := i.dep.directory[ls.name]; taken {
 			return ErrNameTaken
 		}
@@ -234,7 +234,7 @@ func (i *Instance) registerLMRInternal(p *simtime.Proc, pa hostmem.PAddr, size i
 func (i *Instance) mapInternal(p *simtime.Proc, name string, pri Priority, ten uint16) (LH, error) {
 	p.Work(i.cfg.LITECheck)
 	var ls *lmrState
-	if i.node.ID == i.opts.ManagerNode {
+	if i.node.ID == managerNode {
 		ls = i.dep.directory[name]
 	} else {
 		id, err := i.ctlLookupName(p, name, pri)
@@ -389,7 +389,7 @@ func (i *Instance) freeInternal(p *simtime.Proc, h LH, pri Priority, ten uint16)
 	}
 	// Drop the directory entry.
 	if ls.name != "" {
-		if i.node.ID == i.opts.ManagerNode {
+		if i.node.ID == managerNode {
 			delete(i.dep.directory, ls.name)
 		} else {
 			_ = i.ctlUnregName(p, ls.name, pri)

@@ -331,7 +331,7 @@ func (i *Instance) ctlMembership(p *simtime.Proc, dst int, epoch uint64, dead []
 
 // ctlJoin announces this node to the manager after a restart.
 func (i *Instance) ctlJoin(p *simtime.Proc) error {
-	_, err := i.rpc(p, &rpcCall{dst: i.opts.ManagerNode, fn: funcControl, input: []byte{copJoin}, maxReply: 1, pri: PriHigh, timeout: i.opts.RPCTimeout})
+	_, err := i.rpc(p, &rpcCall{dst: managerNode, fn: funcControl, input: []byte{copJoin}, maxReply: 1, pri: PriHigh, timeout: i.opts.RPCTimeout})
 	return err
 }
 

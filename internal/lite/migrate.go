@@ -484,7 +484,7 @@ func (i *Instance) ctlMigPrepare(p *simtime.Proc, fn, target int) error {
 	req[0] = copMigPrepare
 	binary.LittleEndian.PutUint32(req[1:], uint32(fn))
 	binary.LittleEndian.PutUint32(req[5:], uint32(target))
-	_, err := i.ctl(p, i.opts.ManagerNode, req, 0, PriHigh)
+	_, err := i.ctl(p, managerNode, req, 0, PriHigh)
 	return err
 }
 
@@ -499,7 +499,7 @@ func (i *Instance) ctlMigCommit(p *simtime.Proc, fn, target int) error {
 	req[0] = copMigCommit
 	binary.LittleEndian.PutUint32(req[1:], uint32(fn))
 	binary.LittleEndian.PutUint32(req[5:], uint32(target))
-	_, err := i.ctl(p, i.opts.ManagerNode, req, 0, PriHigh)
+	_, err := i.ctl(p, managerNode, req, 0, PriHigh)
 	return err
 }
 
@@ -507,6 +507,6 @@ func (i *Instance) ctlMigAbort(p *simtime.Proc, fn int) error {
 	req := make([]byte, 5)
 	req[0] = copMigAbort
 	binary.LittleEndian.PutUint32(req[1:], uint32(fn))
-	_, err := i.ctl(p, i.opts.ManagerNode, req, 0, PriHigh)
+	_, err := i.ctl(p, managerNode, req, 0, PriHigh)
 	return err
 }

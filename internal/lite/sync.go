@@ -236,7 +236,7 @@ func (i *Instance) barrierInternal(p *simtime.Proc, id uint64, n int, pri Priori
 	req := make([]byte, 13)
 	binary.LittleEndian.PutUint64(req[0:], id)
 	binary.LittleEndian.PutUint32(req[8:], uint32(n))
-	out, err := i.rpc(p, &rpcCall{dst: i.opts.ManagerNode, fn: funcBarrier, input: req, maxReply: 1, pri: pri})
+	out, err := i.rpc(p, &rpcCall{dst: managerNode, fn: funcBarrier, input: req, maxReply: 1, pri: pri})
 	if err != nil {
 		return err
 	}

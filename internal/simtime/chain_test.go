@@ -114,31 +114,43 @@ func TestResumeChainGoexitEndsRunsGoroutine(t *testing.T) {
 	}
 }
 
-// A run that SetLimit stops while the resume chain is several workers
-// deep unwinds it to Run; a second Run with the limit lifted resumes
-// the procs where they stopped and completes.
-func TestResumeChainSurvivesLimitedRun(t *testing.T) {
-	const n, laps = 6, 3
-	const step = time.Microsecond
+// When the last non-daemon proc finishes at the bottom of a resume
+// chain several workers deep, with a daemon still parked, the chain
+// unwinds to Run and Run returns; a second Run after a new Go resumes
+// the daemon and completes.
+func TestResumeChainUnwindsPastParkedDaemon(t *testing.T) {
+	const n = 6
 	e := NewEnv()
+	var idle Cond
+	woken := 0
+	e.GoDaemon("idler", func(p *Proc) {
+		for {
+			idle.Wait(p)
+			woken++
+		}
+	})
 	var passes, depth int
-	relay(e, n, laps, step, &passes, func(_, d int) { depth = d })
-	// The limit falls between the fourth and fifth proc's first passes.
-	e.SetLimit(4*step + step/2)
+	relay(e, n, 1, 0, &passes, func(_, d int) { depth = d })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if passes != 4 || depth != 4 {
-		t.Fatalf("limited run made %d passes, the last at chain depth %d; want 4 at depth 4", passes, depth)
+	// The idler parked first, resuming relay0 from its own coroutine:
+	// it is the chain's first link.
+	if passes != n || depth != n+1 {
+		t.Fatalf("run made %d passes, the last at chain depth %d; want %d at depth %d", passes, depth, n, n+1)
 	}
 	if d := chainDepth(e); d != 0 {
 		t.Fatalf("%d workers still on the chain after Run", d)
 	}
-	e.SetLimit(0)
+	e.Go("again", func(p *Proc) {
+		idle.Signal(e)
+		p.Sleep(time.Microsecond)
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if passes != n*laps || e.Now() != n*laps*step {
-		t.Fatalf("second run ended after %d passes at %v, want %d at %v", passes, e.Now(), n*laps, n*laps*step)
+	if woken != 1 || e.Now() != time.Microsecond || chainDepth(e) != 0 {
+		t.Fatalf("second run woke the daemon %d times and ended at %v with %d workers on the chain; want 1, 1µs, 0",
+			woken, e.Now(), chainDepth(e))
 	}
 }

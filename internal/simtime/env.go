@@ -20,12 +20,13 @@
 //
 // # Scheduling
 //
-// Events live in a calendar queue (see calq.go) and are dispatched in
-// strictly nondecreasing (time, sequence) order; two events at the same
-// instant run in the order they were scheduled. That total order is the
-// determinism contract: it is independent of host speed, GOMAXPROCS,
-// and scheduler implementation, so a seeded run replays bit-identically
-// anywhere.
+// Events at exactly the current instant wait in a FIFO run queue and
+// all others in one min-heap on (time, sequence) (see queue.go); they
+// are dispatched in strictly nondecreasing (time, sequence) order, so
+// two events at the same instant run in the order they were scheduled.
+// That total order is the determinism contract: it is independent of
+// host speed, GOMAXPROCS, and scheduler implementation, so a seeded run
+// replays bit-identically anywhere.
 //
 // The event loop itself is continuation-stealing: whichever process
 // parks runs the dispatch loop inline (sched). If the next event wakes
@@ -88,14 +89,13 @@ const (
 type Env struct {
 	now    Time
 	seq    int64
-	q      calq
+	q      eventQueue
 	events int64
 
 	// err is the deadlock a run ended in, for Run to return.
 	err error
 
-	live  int  // non-daemon procs that have not finished
-	limit Time // 0 means no limit
+	live int // non-daemon procs that have not finished
 
 	// procs holds the procs that have not finished, in no particular
 	// order: each knows its slot, and a finished one's slot takes the
@@ -129,8 +129,8 @@ type worker struct {
 	stop  func()
 }
 
-// event is a pending wakeup or callback. Events are stored by value
-// inside the calendar queue's buckets, so scheduling allocates nothing
+// event is a pending wakeup or callback. Events are stored by value in
+// the event queue's run queue and heap, so scheduling allocates nothing
 // in steady state.
 type event struct {
 	t   Time
@@ -178,12 +178,6 @@ func (e *Env) Now() Time { return e.now }
 // makes it the denominator for the events-per-second figure the `scale`
 // benchmark reports.
 func (e *Env) Events() int64 { return e.events }
-
-// SetLimit makes Run stop once virtual time reaches t, even if
-// non-daemon processes are still live. A zero limit means no limit.
-// Events past the limit stay queued, so a later Run under a raised
-// limit carries on from where this one stopped.
-func (e *Env) SetLimit(t Time) { e.limit = t }
 
 // Proc is a simulated process (thread of execution) inside an Env.
 type Proc struct {
@@ -421,10 +415,6 @@ func (e *Env) sched() *worker {
 		}
 		wk, wake := ev.act.(*wakeup)
 		if !wake {
-			if e.limit > 0 && ev.t > e.limit {
-				e.q.requeue(ev) // for a later Run
-				return nil
-			}
 			if ev.t > e.now {
 				e.now = ev.t
 			}
@@ -454,13 +444,6 @@ func (e *Env) sched() *worker {
 			}
 		} else if ev.gen>>1 != p.gen || !p.parked {
 			continue
-		}
-		if e.limit > 0 && ev.t > e.limit {
-			if ev.gen == 0 {
-				p.tseq = ev.seq
-			}
-			e.q.requeue(ev)
-			return nil
 		}
 		if ev.t > e.now {
 			e.now = ev.t
@@ -506,11 +489,10 @@ func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("simtime: deadlock with %d parked process(es): %v", len(e.Parked), e.Parked)
 }
 
-// Run executes the simulation until all non-daemon processes finish,
-// the time limit (if set) is reached, or no progress is possible. It
-// returns a *DeadlockError in the latter case and nil otherwise. The
-// idle workers exit with it; procs still parked stay suspended, and a
-// later Run resumes them.
+// Run executes the simulation until all non-daemon processes finish or
+// no progress is possible. It returns a *DeadlockError in the latter
+// case and nil otherwise. The idle workers exit with it; procs still
+// parked stay suspended, and a later Run resumes them.
 //
 // Run's goroutine heads the resume chain: it resumes whichever worker
 // the dispatch loop woke, and the chain below hands control on (see

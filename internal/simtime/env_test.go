@@ -142,24 +142,6 @@ func TestSpawnFromWithinProcess(t *testing.T) {
 	}
 }
 
-func TestSetLimitStopsRun(t *testing.T) {
-	e := NewEnv()
-	e.SetLimit(5 * time.Microsecond)
-	progress := 0
-	e.Go("long", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(time.Microsecond)
-			progress++
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if progress < 4 || progress > 5 {
-		t.Fatalf("progress = %d, want ~5", progress)
-	}
-}
-
 func TestWorkChargesCPU(t *testing.T) {
 	e := NewEnv()
 	acct := &CPUAccount{}

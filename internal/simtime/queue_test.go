@@ -8,47 +8,48 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"lite/internal/allocbudget"
 )
 
-// calqRand is a tiny deterministic PRNG so the randomized workloads
+// testRand is a tiny deterministic PRNG so the randomized workloads
 // replay identically run to run.
-type calqRand uint64
+type testRand uint64
 
-func (x *calqRand) next() uint64 {
+func (x *testRand) next() uint64 {
 	v := uint64(*x)
 	v ^= v << 13
 	v ^= v >> 7
 	v ^= v << 17
-	*x = calqRand(v)
+	*x = testRand(v)
 	return v
 }
 
-// mixedWorkload drives env with a delay mix chosen to land events in
-// every calendar tier — the same-instant run queue (yields), L0 (ns-
-// and µs-scale sleeps), L1 (ms-scale sleeps that cascade on bucket
-// rollover), and the overflow heap (multi-second timers beyond the
-// ~4.3 s L1 horizon) — plus cross-proc signals and scheduler
-// callbacks. It returns the full dispatch trace.
+// mixedWorkload drives env with a delay mix from zero to seconds —
+// yields at the current instant, ns-, µs- and ms-scale sleeps, and
+// multi-second timers that nearer events overtake — plus cross-proc
+// signals, timed waits and scheduler callbacks. It returns the full
+// dispatch trace.
 func mixedWorkload(env *Env, procs, steps int) ([]string, error) {
 	var trace []string
 	var wake Cond
 	for pi := 0; pi < procs; pi++ {
 		pi := pi
 		env.Go(fmt.Sprintf("w%d", pi), func(p *Proc) {
-			rng := calqRand(pi*2654435761 + 1)
+			rng := testRand(pi*2654435761 + 1)
 			for k := 0; k < steps; k++ {
 				trace = append(trace, fmt.Sprintf("%d p%d.%d", p.Now(), pi, k))
 				switch rng.next() % 8 {
 				case 0:
 					p.Yield()
 				case 1:
-					p.Sleep(Time(rng.next() % 300)) // same L0 bucket or next
+					p.Sleep(Time(rng.next() % 300)) // under 300 ns
 				case 2:
-					p.Sleep(Time(rng.next() % 100_000)) // within the L0 lap
+					p.Sleep(Time(rng.next() % 100_000)) // up to 100 µs
 				case 3:
-					p.Sleep(Time(2_000_000 + rng.next()%20_000_000)) // L1, cascades
+					p.Sleep(Time(2_000_000 + rng.next()%20_000_000)) // 2-22 ms
 				case 4:
-					p.Sleep(Time(4_500_000_000 + rng.next()%3_000_000_000)) // overflow
+					p.Sleep(Time(4_500_000_000 + rng.next()%3_000_000_000)) // seconds
 				case 5:
 					t := p.Now() + Time(rng.next()%5_000)
 					p.Env().At(t, func(e *Env) {
@@ -93,87 +94,118 @@ func TestMixedWorkloadTracePinned(t *testing.T) {
 	}
 }
 
-// TestCalqMatchesSortedModel drives the calendar queue directly with
-// seeded random push/pop interleavings and requires the popped order to
-// equal a stable sort of everything pushed on (t, seq). Pushes obey the
-// scheduler's contract (t >= now, seq increasing, now = the last popped
-// t), under which the global pop order is exactly that sort. Each seed
-// must exercise the run queue, both wheels, a coarse-to-fine cascade and
-// the spillover heap.
-func TestCalqMatchesSortedModel(t *testing.T) {
+// TestEventQueueMatchesSortedModel drives the event queue directly
+// with seeded random push/requeue/pop interleavings and requires the
+// popped order to equal a stable sort of everything queued on (t, seq).
+// Pushes obey the scheduler's contract (t >= now, seq increasing, now =
+// the last popped t), and so do re-queues, which reuse a seq reserved
+// earlier for a deadline as a lazy timeout does; under that contract
+// the global pop order is exactly that sort. Each seed must exercise
+// the run queue, the heap, a run-queue/heap tie at now, and a re-queue
+// at now ahead of queued run-queue events.
+func TestEventQueueMatchesSortedModel(t *testing.T) {
 	type key struct {
 		t   Time
 		seq int64
 	}
 	for seed := 1; seed <= 8; seed++ {
-		rng := calqRand(seed * 2654435761)
-		var q calq
+		rng := testRand(seed * 2654435761)
+		var q eventQueue
 		var now Time
 		var seq int64
-		var pushed, popped []key
-		var sawRunq, sawL0, sawL1, sawOverflow, sawRunqTie bool
-		cascades := 0
+		var pushed, popped, reserved []key
+		var last key // the last popped key
+		var sawRunq, sawHeap, sawTie, sawRequeueTie bool
 
 		push := func(at Time) {
 			seq++
 			pushed = append(pushed, key{at, seq})
 			q.push(now, event{t: at, seq: seq})
 		}
-		pop := func() {
-			base1, wheelTie := q.base1, false
-			if idx := int((int64(now) >> l0Shift) & l0Mask); q.runq.n > 0 && q.l0.occupied(idx) {
-				b := &q.l0.buckets[idx]
-				wheelTie = b.ev[b.head].t == now
+		// reserve takes a seq for a deadline at at without queueing it.
+		reserve := func(at Time) {
+			seq++
+			reserved = append(reserved, key{at, seq})
+		}
+		// requeue queues a reserved deadline still after the last pop,
+		// one at now if there is one; the deadlines before the last pop
+		// ended without an event and are dropped.
+		requeue := func() {
+			live := reserved[:0]
+			for _, k := range reserved {
+				if k.t > last.t || k.t == last.t && k.seq > last.seq {
+					live = append(live, k)
+				}
 			}
+			reserved = live
+			if len(reserved) == 0 {
+				return
+			}
+			i := 0
+			for j, k := range reserved {
+				if k.t == now {
+					i = j
+					break
+				}
+			}
+			k := reserved[i]
+			reserved = append(reserved[:i], reserved[i+1:]...)
+			if q.runq.n > 0 && k.t == now && k.seq < q.runq.peek().seq {
+				sawRequeueTie = true
+			}
+			pushed = append(pushed, k)
+			q.requeue(event{t: k.t, seq: k.seq})
+		}
+		pop := func() {
+			tie := q.runq.n > 0 && len(q.heap) > 0 && q.heap[0].t == now
 			ev, ok := q.pop(now)
 			if !ok {
 				t.Fatalf("seed %d: pop on a queue of %d events returned empty", seed, len(pushed)-len(popped))
 			}
-			sawRunqTie = sawRunqTie || wheelTie
-			if q.base1 != base1 && q.l0.size > 0 {
-				cascades++
-			}
+			sawTie = sawTie || tie
 			now = ev.t
-			popped = append(popped, key{ev.t, ev.seq})
+			last = key{ev.t, ev.seq}
+			popped = append(popped, last)
 		}
 		for step := 0; step < 6000; step++ {
 			if pending := len(pushed) - len(popped); pending > 0 && rng.next()%5 < 2 {
 				pop()
 				continue
 			}
-			switch rng.next() % 8 {
+			switch rng.next() % 9 {
 			case 0, 1: // same instant: run queue
 				push(now)
-			case 2: // a burst sharing one future instant, later tied by run-queue pushes
+			case 2: // a burst and a deadline sharing one future instant, later tied by run-queue pushes
 				at := now + Time(1+rng.next()%2000)
 				for i := 0; i < 3; i++ {
 					push(at)
 				}
-			case 3: // same or neighbouring fine bucket
+				reserve(at)
+			case 3: // a few ns ahead
 				push(now + Time(rng.next()%600))
-			case 4: // within the fine wheel's lap
+			case 4: // up to ~1 ms ahead
 				push(now + Time(rng.next()%900_000))
-			case 5: // coarse wheel: cascades into the fine wheel on rollover
+			case 5: // milliseconds ahead
 				push(now + Time(1_100_000+rng.next()%40_000_000))
-			case 6: // anywhere in the coarse wheel, up to its ~4.29 s horizon
+			case 6: // up to seconds ahead
 				push(now + Time(1_100_000+rng.next()%4_290_000_000))
-			case 7: // around and beyond the horizon: spillover heap, drained as the window advances
+			case 7: // seconds ahead, overtaken by nearer pushes
 				push(now + Time(4_290_000_000+rng.next()%2_000_000_000))
+			case 8: // a lazy timeout re-queues a deadline under its old seq
+				requeue()
 			}
 			sawRunq = sawRunq || q.runq.n > 0
-			sawL0 = sawL0 || q.l0.size > 0
-			sawL1 = sawL1 || q.l1.size > 0
-			sawOverflow = sawOverflow || len(q.overflow) > 0
+			sawHeap = sawHeap || len(q.heap) > 0
 		}
 		for len(popped) < len(pushed) {
 			pop()
 		}
-		if _, ok := q.pop(now); ok || q.len() != 0 {
-			t.Fatalf("seed %d: queue not empty after popping everything pushed (len %d)", seed, q.len())
+		if _, ok := q.pop(now); ok {
+			t.Fatalf("seed %d: queue not empty after popping everything pushed", seed)
 		}
-		if !sawRunq || !sawL0 || !sawL1 || !sawOverflow || !sawRunqTie || cascades == 0 {
-			t.Fatalf("seed %d: workload missed a tier: runq=%v l0=%v l1=%v overflow=%v runq/wheel tie=%v cascades=%d",
-				seed, sawRunq, sawL0, sawL1, sawOverflow, sawRunqTie, cascades)
+		if !sawRunq || !sawHeap || !sawTie || !sawRequeueTie {
+			t.Fatalf("seed %d: workload missed a case: runq=%v heap=%v runq/heap tie=%v requeue ahead of runq=%v",
+				seed, sawRunq, sawHeap, sawTie, sawRequeueTie)
 		}
 		want := append([]key(nil), pushed...)
 		sort.SliceStable(want, func(i, j int) bool {
@@ -190,9 +222,70 @@ func TestCalqMatchesSortedModel(t *testing.T) {
 	}
 }
 
+// The queue's capacity follows the most events ever pending at once,
+// not the span of virtual time they cover: n procs sleeping random
+// delays from nanoseconds to a second, for several seconds, have at
+// most n wakeups pending and leave room for about 2n events.
+func TestEventQueueCapacityFollowsPending(t *testing.T) {
+	const n = 256
+	env := NewEnv()
+	for pi := 0; pi < n; pi++ {
+		env.Go(fmt.Sprintf("t%d", pi), func(p *Proc) {
+			rng := testRand(pi*2654435761 + 1)
+			for p.Now() < 5*time.Second {
+				switch rng.next() % 4 {
+				case 0:
+					p.Sleep(Time(rng.next() % 1_000))
+				case 1:
+					p.Sleep(Time(rng.next() % 1_000_000))
+				case 2:
+					p.Sleep(Time(rng.next() % 100_000_000))
+				case 3:
+					p.Sleep(Time(rng.next() % 1_000_000_000))
+				}
+			}
+		})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// ~2n: each store grows by doubling, and append rounds the heap's
+	// growth up to an allocation size class.
+	if c, want := cap(env.q.heap)+len(env.q.runq.ev), 2*n+n/2; c > want {
+		t.Fatalf("queue holds room for %d events after a run with at most %d pending, want at most %d", c, n, want)
+	}
+}
+
+// A warm storm of wakeups, 1024 procs sleeping to the same instants,
+// allocates nothing per round: the queue reuses its capacity.
+func TestWakeStormDoesNotAllocate(t *testing.T) {
+	allocbudget.SkipUnderRace(t)
+	const procs = 1024
+	env := NewEnv()
+	for pi := 0; pi < procs; pi++ {
+		env.GoDaemon(fmt.Sprintf("w%d", pi), func(p *Proc) {
+			for {
+				p.SleepUntil(p.Now() + time.Microsecond)
+			}
+		})
+	}
+	env.Go("driver", func(p *Proc) {
+		round := func() { p.Sleep(time.Microsecond) }
+		for i := 0; i < 10; i++ {
+			round()
+		}
+		if n := testing.AllocsPerRun(100, round); n != 0 {
+			t.Errorf("%.1f allocations per storm round, want 0", n)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSameInstantSeqOrder pins the tie-break rule: events scheduled for
 // the same instant dispatch in scheduling (seq) order, whether they
-// sit in the run queue or in the L0 bucket the clock is entering.
+// were scheduled at that instant or before the clock reached it.
 func TestSameInstantSeqOrder(t *testing.T) {
 	env := NewEnv()
 	var got []int
@@ -201,8 +294,8 @@ func TestSameInstantSeqOrder(t *testing.T) {
 		i := i
 		env.At(at, func(*Env) { got = append(got, i) })
 	}
-	// A second instant reached via a timer wake, mixing run-queue
-	// entries (scheduled at now) with wheel entries (scheduled before).
+	// A second instant reached via a timer wake, mixing events scheduled
+	// at now with events scheduled before.
 	const at2 = at + 500
 	env.At(at2, func(e *Env) { got = append(got, 100) })
 	env.At(at, func(e *Env) {
@@ -227,10 +320,9 @@ func TestSameInstantSeqOrder(t *testing.T) {
 	}
 }
 
-// TestFarFutureOverflow exercises the overflow heap: timers far beyond
-// the ~4.3 s L1 horizon must still fire in (t, seq) order, including
-// when nearer timers are inserted after them (the drain-on-advance
-// invariant).
+// TestFarFutureOverflow checks timers tens of seconds ahead: they fire
+// in (t, seq) order, including when nearer timers are scheduled after
+// them.
 func TestFarFutureOverflow(t *testing.T) {
 	env := NewEnv()
 	var got []Time
@@ -245,8 +337,8 @@ func TestFarFutureOverflow(t *testing.T) {
 		at := at
 		env.At(at, func(e *Env) {
 			got = append(got, e.Now())
-			// Schedule a nearer event from inside a drained overflow
-			// event; it must still sort correctly.
+			// Schedule a nearer event from inside a far one; it must
+			// still sort before the next far one.
 			e.After(time.Millisecond, func(e *Env) { got = append(got, e.Now()) })
 		})
 	}
@@ -270,14 +362,12 @@ func TestFarFutureOverflow(t *testing.T) {
 	}
 }
 
-// TestBucketRollover exercises L1 cascade: a sleep past the ~1.05 ms
-// L0 lap lands in L1 and must cascade into L0 (sorted) when the clock
-// reaches its bucket, interleaving correctly with L0-native timers.
+// TestBucketRollover checks a long run of evenly spaced timers
+// scheduled up front: they fire in time order, each exactly once.
 func TestBucketRollover(t *testing.T) {
 	env := NewEnv()
 	var got []Time
-	// One event per 100 µs across 40 ms: every L1 bucket boundary in
-	// range is crossed, and each cascade must preserve order.
+	// One event per 100 µs across 40 ms.
 	for i := 1; i <= 400; i++ {
 		env.At(Time(i)*100*time.Microsecond, func(e *Env) { got = append(got, e.Now()) })
 	}
@@ -383,18 +473,13 @@ func TestSyncAccessors(t *testing.T) {
 func TestServerAccessors(t *testing.T) {
 	env := NewEnv()
 	var srv Server
-	ms := NewMultiServer(2)
 	env.Go("main", func(p *Proc) {
-		srv.Process(p, 10*time.Microsecond)
+		p.SleepUntil(srv.Reserve(p.Now(), 10*time.Microsecond))
 		if srv.FreeAt() != 10*time.Microsecond {
 			t.Errorf("FreeAt() = %v, want 10µs", srv.FreeAt())
 		}
 		if srv.BusyTotal() != 10*time.Microsecond {
 			t.Errorf("BusyTotal() = %v, want 10µs", srv.BusyTotal())
-		}
-		ms.Process(p, 4*time.Microsecond)
-		if ms.BusyTotal() != 4*time.Microsecond {
-			t.Errorf("MultiServer.BusyTotal() = %v, want 4µs", ms.BusyTotal())
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -448,7 +533,7 @@ func BenchmarkHandoff(b *testing.B) {
 
 // BenchmarkWakeStorm measures cross-proc wakeups under fan-out: 1024
 // processes all sleeping to the same instants, so every round is a
-// thundering herd through the same calendar bucket.
+// thundering herd of wakeups tied at one instant.
 func BenchmarkWakeStorm(b *testing.B) {
 	const procs = 1024
 	env := NewEnv()

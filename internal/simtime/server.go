@@ -146,14 +146,6 @@ func (s *Server) insert(iv interval, i int) {
 	}
 }
 
-// Process enqueues a request with service time d, blocks the caller
-// until it completes, and returns the completion time.
-func (s *Server) Process(p *Proc, d Time) Time {
-	t := s.Reserve(p.Now(), d)
-	p.SleepUntil(t)
-	return t
-}
-
 // FreeAt returns the instant the facility next becomes idle after all
 // current reservations.
 func (s *Server) FreeAt() Time {
@@ -165,49 +157,3 @@ func (s *Server) FreeAt() Time {
 
 // BusyTotal returns the total busy time accumulated by the facility.
 func (s *Server) BusyTotal() Time { return s.acc }
-
-// MultiServer models a facility with k parallel servers, such as a
-// multi-engine NIC or a pool of DMA channels. Each request goes to the
-// server that can complete it earliest.
-type MultiServer struct {
-	servers []Server
-}
-
-// NewMultiServer returns a facility with k parallel servers.
-func NewMultiServer(k int) *MultiServer {
-	if k < 1 {
-		k = 1
-	}
-	return &MultiServer{servers: make([]Server, k)}
-}
-
-// Process enqueues a request with service time d, blocks the caller
-// until it completes, and returns the completion time.
-func (m *MultiServer) Process(p *Proc, d Time) Time {
-	t := m.Reserve(p.Now(), d)
-	p.SleepUntil(t)
-	return t
-}
-
-// Reserve books a request with service time d arriving at time at on
-// the server that finishes it earliest and returns that instant.
-func (m *MultiServer) Reserve(at Time, d Time) Time {
-	best := 0
-	var bestDone Time = -1
-	for i := range m.servers {
-		done := m.servers[i].nextFree(at) + d
-		if bestDone < 0 || done < bestDone {
-			best, bestDone = i, done
-		}
-	}
-	return m.servers[best].Reserve(at, d)
-}
-
-// BusyTotal returns the total busy time accumulated across servers.
-func (m *MultiServer) BusyTotal() Time {
-	var t Time
-	for i := range m.servers {
-		t += m.servers[i].BusyTotal()
-	}
-	return t
-}

@@ -130,19 +130,6 @@ func TestIntervalListBounded(t *testing.T) {
 	}
 }
 
-func TestMultiServerUsesIdleServer(t *testing.T) {
-	m := NewMultiServer(2)
-	a := m.Reserve(0, 10*time.Microsecond)
-	b := m.Reserve(0, 10*time.Microsecond)
-	if a != 10*time.Microsecond || b != 10*time.Microsecond {
-		t.Fatalf("a=%v b=%v, want both to run in parallel", a, b)
-	}
-	c := m.Reserve(0, 10*time.Microsecond)
-	if c != 20*time.Microsecond {
-		t.Fatalf("c = %v, want queued", c)
-	}
-}
-
 // A server on a clock retires the intervals that ended at or before
 // now. Under the contract that every reservation arrives at or after
 // now, it must complete every request at exactly the instant a server
@@ -150,7 +137,7 @@ func TestMultiServerUsesIdleServer(t *testing.T) {
 // the reservations still ahead of the clock.
 func TestClockedServerMatchesFullHistory(t *testing.T) {
 	for seed := 1; seed <= 8; seed++ {
-		rng := calqRand(seed * 2654435761)
+		rng := testRand(seed * 2654435761)
 		e := NewEnv()
 		var clocked, full Server
 		clocked.SetClock(e)

@@ -317,7 +317,7 @@ func TestServerFIFOQueueing(t *testing.T) {
 	var done []Time
 	for i := 0; i < 3; i++ {
 		e.Go("job", func(p *Proc) {
-			s.Process(p, 4*time.Microsecond)
+			p.SleepUntil(s.Reserve(p.Now(), 4*time.Microsecond))
 			done = append(done, p.Now())
 		})
 	}
@@ -339,35 +339,17 @@ func TestServerIdleGap(t *testing.T) {
 	e := NewEnv()
 	var s Server
 	e.Go("a", func(p *Proc) {
-		s.Process(p, 2*time.Microsecond)
+		p.SleepUntil(s.Reserve(p.Now(), 2*time.Microsecond))
 	})
 	e.Go("b", func(p *Proc) {
 		p.Sleep(10 * time.Microsecond)
-		s.Process(p, 2*time.Microsecond)
+		p.SleepUntil(s.Reserve(p.Now(), 2*time.Microsecond))
 		if p.Now() != 12*time.Microsecond {
 			t.Errorf("now = %v, want 12µs (no queueing after idle gap)", p.Now())
 		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMultiServerParallelism(t *testing.T) {
-	e := NewEnv()
-	m := NewMultiServer(2)
-	var last Time
-	for i := 0; i < 4; i++ {
-		e.Go("job", func(p *Proc) {
-			m.Process(p, 5*time.Microsecond)
-			last = p.Now()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if last != 10*time.Microsecond {
-		t.Fatalf("last = %v, want 10µs (4 jobs on 2 servers)", last)
 	}
 }
 
@@ -381,7 +363,7 @@ func TestWaitqMatchesSliceModel(t *testing.T) {
 		procs[k] = &Proc{gen: 1}
 	}
 	valid := func(r waiter) bool { return r.gen == r.p.gen && !r.p.done }
-	rng := calqRand(7)
+	rng := testRand(7)
 	var q waitq
 	var model []waiter
 	for step := 0; step < 20000; step++ {

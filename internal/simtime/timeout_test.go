@@ -78,8 +78,8 @@ type wake struct {
 
 // randomScripts returns procs scripts of steps ops each over conds
 // conds. Durations come from a short list, so many waits share
-// instants, and reach into the coarse wheel and past its horizon.
-func randomScripts(rng *calqRand, procs, steps, conds int) [][]timedOp {
+// instants, and reach from zero to seconds ahead.
+func randomScripts(rng *testRand, procs, steps, conds int) [][]timedOp {
 	durs := []Time{0, 0, 100, 100, 256, 300, 1000, 1000, 5000, 40_000, 2_000_000, 5_000_000_000}
 	// Timed waits, the subject, and signals, which end them early, are
 	// weighted up.
@@ -303,7 +303,7 @@ func TestWaitTimeoutMatchesEagerModel(t *testing.T) {
 	const conds, seeds = 3, 60
 	total := 0
 	for seed := 1; seed <= seeds; seed++ {
-		rng := calqRand(seed * 2654435761)
+		rng := testRand(seed * 2654435761)
 		procs := 2 + int(rng.next()%6)
 		scripts := randomScripts(&rng, procs, 100, conds)
 		got, gotEvents, gotNow, requeued, err := runScripts(scripts, conds)
