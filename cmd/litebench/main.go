@@ -26,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"lite/internal/bench"
@@ -178,10 +179,12 @@ const compareEPSRetimes = 2
 
 // compareReport re-runs every experiment recorded in the committed
 // report (with run, bench.Run outside tests) and compares the virtual
-// durations and event counts — the bench guard that catches accidental
-// performance regressions (or unrecorded improvements) in the simulated
-// timeline. The simulation is deterministic, so both must match the
-// committed figures exactly. Returns a process exit code.
+// duration, the event count, the header, every row cell and every note
+// — the bench guard that catches accidental changes (or unrecorded
+// improvements) in the simulated timeline and in what the tables say.
+// The simulation is deterministic, so all must match the committed
+// entry exactly; only the columns an experiment declares host-dependent
+// (Table.HostColumns) are skipped. Returns a process exit code.
 func compareReport(path string, run func(id string) (*bench.Table, error)) int {
 	rep, err := bench.ReadJSON(path)
 	if err != nil {
@@ -205,14 +208,15 @@ func compareReport(path string, run func(id string) (*bench.Table, error)) int {
 			code = 1
 			continue
 		}
-		if r.Events == 0 {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s: committed entry records no event count (re-record it: %s)\n", r.ID, rerecord(path, r.ID))
-			code = 1
-			continue
-		}
 		if tab.Events != r.Events {
 			fmt.Fprintf(os.Stderr, "bench-guard: %s: event count changed: committed %d, fresh run %d (if the change is intentional, re-record it: %s)\n",
 				r.ID, r.Events, tab.Events, rerecord(path, r.ID))
+			code = 1
+			continue
+		}
+		if diff := diffTable(&r, tab); diff != "" {
+			fmt.Fprintf(os.Stderr, "bench-guard: %s: %s (if the change is intentional, re-record it: %s)\n",
+				r.ID, diff, rerecord(path, r.ID))
 			code = 1
 			continue
 		}
@@ -252,6 +256,43 @@ func compareReport(path string, run func(id string) (*bench.Table, error)) int {
 		fmt.Printf("bench-guard: %-10s ok (%dns, %d events)\n", r.ID, r.VirtualNs, r.Events)
 	}
 	return code
+}
+
+// diffTable describes the first difference between a committed entry
+// and a fresh run's table — header, row count, a cell outside the
+// table's host columns, or a note — or returns "" if there is none.
+func diffTable(r *bench.JSONResult, tab *bench.Table) string {
+	if !slices.Equal(r.Header, tab.Header) {
+		return fmt.Sprintf("header changed: committed %q, fresh run %q", r.Header, tab.Header)
+	}
+	if len(r.Rows) != len(tab.Rows) {
+		return fmt.Sprintf("row count changed: committed %d, fresh run %d", len(r.Rows), len(tab.Rows))
+	}
+	for i, row := range r.Rows {
+		fresh := tab.Rows[i]
+		if len(row) != len(fresh) {
+			return fmt.Sprintf("row %d changed: committed %q, fresh run %q", i, row, fresh)
+		}
+		for j, cell := range row {
+			if cell == fresh[j] || j < len(tab.Header) && slices.Contains(tab.HostColumns, tab.Header[j]) {
+				continue
+			}
+			col := fmt.Sprint(j)
+			if j < len(tab.Header) {
+				col = fmt.Sprintf("%q", tab.Header[j])
+			}
+			return fmt.Sprintf("row %d column %s changed: committed %q, fresh run %q", i, col, cell, fresh[j])
+		}
+	}
+	if len(r.Notes) != len(tab.Notes) {
+		return fmt.Sprintf("note count changed: committed %d, fresh run %d", len(r.Notes), len(tab.Notes))
+	}
+	for i, note := range r.Notes {
+		if note != tab.Notes[i] {
+			return fmt.Sprintf("note %d changed: committed %q, fresh run %q", i, note, tab.Notes[i])
+		}
+	}
+	return ""
 }
 
 // rerecord is the command that re-records one entry of the report at

@@ -10,9 +10,9 @@ import (
 )
 
 // TestCompareReportIsExact pins the bench guard's contract: a committed
-// entry passes only when the fresh run reproduces its virtual duration
-// and event count to the unit, and an entry that records no event count
-// fails instead of skipping the check.
+// entry passes only when the fresh run reproduces its virtual duration,
+// event count, every row cell and every note to the unit; only a column
+// the experiment declares host-dependent may differ.
 func TestCompareReportIsExact(t *testing.T) {
 	tab, err := bench.Run("trace")
 	if err != nil {
@@ -21,17 +21,63 @@ func TestCompareReportIsExact(t *testing.T) {
 	good := bench.NewJSONResult("trace", tab, 0, nil)
 	for _, c := range []struct {
 		name   string
+		host   []string // columns the fresh run declares host-dependent
 		mutate func(*bench.JSONResult)
 		want   int
 	}{
-		{"as recorded", func(*bench.JSONResult) {}, 0},
-		{"virtual time off by 1 ns", func(r *bench.JSONResult) { r.VirtualNs++ }, 1},
-		{"event count off by one", func(r *bench.JSONResult) { r.Events-- }, 1},
-		{"no event count recorded", func(r *bench.JSONResult) { r.Events = 0 }, 1},
-		{"no virtual time recorded", func(r *bench.JSONResult) { r.VirtualNs = 0 }, 1},
+		{"as recorded", nil, func(*bench.JSONResult) {}, 0},
+		{"virtual time off by 1 ns", nil, func(r *bench.JSONResult) { r.VirtualNs++ }, 1},
+		{"event count off by one", nil, func(r *bench.JSONResult) { r.Events-- }, 1},
+		{"no event count recorded", nil, func(r *bench.JSONResult) { r.Events = 0 }, 1},
+		{"no virtual time recorded", nil, func(r *bench.JSONResult) { r.VirtualNs = 0 }, 1},
+		{"a changed cell", nil, func(r *bench.JSONResult) { r.Rows[1][3] += "0" }, 1},
+		{"a missing row", nil, func(r *bench.JSONResult) { r.Rows = r.Rows[1:] }, 1},
+		{"a changed note", nil, func(r *bench.JSONResult) { r.Notes[1] += "." }, 1},
+		{"a changed host column", []string{"Dur (us)"}, func(r *bench.JSONResult) { r.Rows[1][3] += "0" }, 0},
 	} {
 		r := good
+		r.Rows = make([][]string, len(good.Rows))
+		for i, row := range good.Rows {
+			r.Rows[i] = append([]string(nil), row...)
+		}
+		r.Notes = append([]string(nil), good.Notes...)
 		c.mutate(&r)
+		path := filepath.Join(t.TempDir(), "feed.json")
+		if err := bench.UpdateJSON(path, []bench.JSONResult{r}); err != nil {
+			t.Fatal(err)
+		}
+		run := func(id string) (*bench.Table, error) {
+			tab, err := bench.Run(id)
+			if tab != nil {
+				tab.HostColumns = c.host
+			}
+			return tab, err
+		}
+		if got := compareReport(path, run); got != c.want {
+			t.Errorf("%s: compareReport = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// An entry whose experiment builds no cluster (fig12 computes its table
+// from a size distribution) records no virtual time and no events; the
+// guard judges it on its rows and notes alone.
+func TestCompareReportJudgesClusterlessEntriesOnRows(t *testing.T) {
+	tab, err := bench.Run("fig12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Events != 0 || tab.Virtual != 0 {
+		t.Fatalf("fig12: %d events over %v, want a clusterless experiment", tab.Events, tab.Virtual)
+	}
+	good := bench.NewJSONResult("fig12", tab, 0, nil)
+	for _, c := range []struct {
+		name string
+		cell string
+		want int
+	}{{"as recorded", good.Rows[0][1], 0}, {"a changed cell", "0%", 1}} {
+		r := good
+		r.Rows = append([][]string{{good.Rows[0][0], c.cell, good.Rows[0][2]}}, good.Rows[1:]...)
 		path := filepath.Join(t.TempDir(), "feed.json")
 		if err := bench.UpdateJSON(path, []bench.JSONResult{r}); err != nil {
 			t.Fatal(err)

@@ -43,6 +43,10 @@ type Table struct {
 	// every other figure it is host-dependent, so the bench guard
 	// compares it with a tolerance band rather than exactly.
 	EventsPerSec float64
+	// HostColumns names the columns of Header whose cells are measured
+	// on the host clock (wall or CPU time of the simulator itself). The
+	// bench guard compares every other cell exactly and skips these.
+	HostColumns []string
 }
 
 // AddRow appends a formatted row.

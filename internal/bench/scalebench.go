@@ -216,9 +216,10 @@ func runScale() (*Table, error) {
 		return nil, fmt.Errorf("scale: run 2: %w", err)
 	}
 	tab := &Table{
-		ID:     "scale",
-		Title:  scaleTitle,
-		Header: []string{"run", "events", "virtual_ms", "ops", "errs", "boot_ms", "run_ms", "cpu_ms", "events_per_sec"},
+		ID:          "scale",
+		Title:       scaleTitle,
+		Header:      []string{"run", "events", "virtual_ms", "ops", "errs", "boot_ms", "run_ms", "cpu_ms", "events_per_sec"},
+		HostColumns: []string{"boot_ms", "run_ms", "cpu_ms", "events_per_sec"},
 	}
 	for i, o := range []*scaleOutcome{first, second} {
 		tab.AddRow(fmt.Sprintf("run-%d", i+1),
