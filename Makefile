@@ -98,22 +98,23 @@ lint:
 bench:
 	$(GO) run ./cmd/litebench -all
 
-# bench-smoke regenerates the machine-readable perf feed: every paper
-# figure, table and ablation (about 6 s together), then the post-paper
-# experiments (sub-second each, except scale and the three 500-node
-# stressors churn/incast/rebalance, which run twice each for their
-# built-in replay check). The feed is deleted first, so an id dropped
-# from this list or from the registry leaves it too; to re-record only
-# some entries, run litebench -metrics -json BENCH_litebench.json ids...
+# bench-smoke regenerates the machine-readable perf feed from every
+# registered experiment but chaos (which determinism-guard replays
+# against its golden instead; internal/bench's TestEveryExperimentIsGuarded
+# holds the registry and the feed to this). The paper's figures, tables
+# and ablations take about 6 s together; scale and the three 500-node
+# stressors churn/incast/rebalance run twice each for their built-in
+# replay check. The feed is deleted first, so an id dropped from the
+# registry leaves it too; to re-record only some entries, run
+# litebench -metrics -json BENCH_litebench.json ids...
 bench-smoke:
 	rm -f BENCH_litebench.json
-	$(GO) run ./cmd/litebench -metrics -json BENCH_litebench.json trace breakdown tput tail saturate fairness lease drain tenants scale churn incast rebalance crossover \
-		fig4 fig5 fig6 fig7 fig8 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 \
-		tab-cpu log-tput dsm-micro kv-tput abl-qp abl-window abl-chunk abl-ring
+	$(GO) run ./cmd/litebench -metrics -json BENCH_litebench.json $$($(GO) run ./cmd/litebench -list | awk '$$1 != "chaos" { print $$1 }')
 
 # bench-guard re-runs the experiments recorded in the committed feed
-# and fails if any virtual-time figure or event count differs from the
-# committed one at all: performance changes must be deliberate (and
+# and fails if any virtual-time figure, event count, row cell or note
+# differs from the committed one at all (only columns an experiment
+# declares host-dependent are skipped): changes must be deliberate (and
 # re-recorded with bench-smoke), never accidental.
 bench-guard:
 	$(GO) run ./cmd/litebench -compare BENCH_litebench.json

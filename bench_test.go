@@ -1,7 +1,7 @@
 // Package repro's top-level benchmarks regenerate every table and
-// figure of the paper's evaluation; each benchmark runs the
-// corresponding experiment once per iteration and prints its table
-// under -v. Run them all with:
+// figure of the paper's evaluation, and every experiment since; each
+// sub-benchmark runs one experiment once per iteration and prints its
+// table under -v. Run them all with:
 //
 //	go test -bench=. -benchtime=1x -benchmem
 //
@@ -27,29 +27,11 @@ func runExperiment(b *testing.B, id string) {
 	}
 }
 
-func BenchmarkFig4MRScalability(b *testing.B)      { runExperiment(b, "fig4") }
-func BenchmarkFig5MRSizeScalability(b *testing.B)  { runExperiment(b, "fig5") }
-func BenchmarkFig6WriteLatency(b *testing.B)       { runExperiment(b, "fig6") }
-func BenchmarkFig7WriteThroughput(b *testing.B)    { runExperiment(b, "fig7") }
-func BenchmarkFig8Registration(b *testing.B)       { runExperiment(b, "fig8") }
-func BenchmarkFig10RPCLatency(b *testing.B)        { runExperiment(b, "fig10") }
-func BenchmarkFig11RPCThroughput(b *testing.B)     { runExperiment(b, "fig11") }
-func BenchmarkFig12MemoryUtilization(b *testing.B) { runExperiment(b, "fig12") }
-func BenchmarkFig13CPUPerRequest(b *testing.B)     { runExperiment(b, "fig13") }
-func BenchmarkFig14Scalability(b *testing.B)       { runExperiment(b, "fig14") }
-func BenchmarkFig15QoSApplications(b *testing.B)   { runExperiment(b, "fig15") }
-func BenchmarkFig16QoSTimeline(b *testing.B)       { runExperiment(b, "fig16") }
-func BenchmarkFig17MemoryOps(b *testing.B)         { runExperiment(b, "fig17") }
-func BenchmarkFig18MapReduce(b *testing.B)         { runExperiment(b, "fig18") }
-func BenchmarkFig19PageRank(b *testing.B)          { runExperiment(b, "fig19") }
-func BenchmarkTableCPUFixedRate(b *testing.B)      { runExperiment(b, "tab-cpu") }
-func BenchmarkRPCLatencyBreakdown(b *testing.B)    { runExperiment(b, "breakdown") }
-func BenchmarkTputFastPath(b *testing.B)           { runExperiment(b, "tput") }
-func BenchmarkLogCommitThroughput(b *testing.B)    { runExperiment(b, "log-tput") }
-
-func BenchmarkKVStoreThroughput(b *testing.B)  { runExperiment(b, "kv-tput") }
-func BenchmarkDSMMicro(b *testing.B)           { runExperiment(b, "dsm-micro") }
-func BenchmarkAblationQPs(b *testing.B)        { runExperiment(b, "abl-qp") }
-func BenchmarkAblationPollWindow(b *testing.B) { runExperiment(b, "abl-window") }
-func BenchmarkAblationChunkSize(b *testing.B)  { runExperiment(b, "abl-chunk") }
-func BenchmarkAblationRingSize(b *testing.B)   { runExperiment(b, "abl-ring") }
+// BenchmarkExperiments runs every registered experiment as a
+// sub-benchmark named by its id; select some with, for example,
+// -bench 'Experiments/fig1'.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.All() {
+		b.Run(e.ID, func(b *testing.B) { runExperiment(b, e.ID) })
+	}
+}

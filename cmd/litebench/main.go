@@ -202,6 +202,12 @@ func compareReport(path string, run func(id string) (*bench.Table, error)) int {
 			code = 1
 			continue
 		}
+		if diff := diffTable(&r, tab); diff != "" {
+			fmt.Fprintf(os.Stderr, "bench-guard: %s: %s (if the change is intentional, re-record it: %s)\n",
+				r.ID, diff, rerecord(path, r.ID))
+			code = 1
+			continue
+		}
 		if got := int64(tab.Virtual); got != r.VirtualNs {
 			fmt.Fprintf(os.Stderr, "bench-guard: %s: virtual time drifted %+dns: committed %dns, fresh run %dns (if the change is intentional, re-record it: %s)\n",
 				r.ID, got-r.VirtualNs, r.VirtualNs, got, rerecord(path, r.ID))
@@ -211,12 +217,6 @@ func compareReport(path string, run func(id string) (*bench.Table, error)) int {
 		if tab.Events != r.Events {
 			fmt.Fprintf(os.Stderr, "bench-guard: %s: event count changed: committed %d, fresh run %d (if the change is intentional, re-record it: %s)\n",
 				r.ID, r.Events, tab.Events, rerecord(path, r.ID))
-			code = 1
-			continue
-		}
-		if diff := diffTable(&r, tab); diff != "" {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s: %s (if the change is intentional, re-record it: %s)\n",
-				r.ID, diff, rerecord(path, r.ID))
 			code = 1
 			continue
 		}

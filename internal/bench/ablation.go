@@ -36,34 +36,27 @@ func ablQP() (*Table, error) {
 		// Oversubscribe the per-QP outstanding-op budget so K is the
 		// binding resource.
 		const threads, ops = 48, 80
-		var done simtime.WaitGroup
-		done.Add(threads)
-		var h lite.LH
-		var last simtime.Time
-		cls.GoOn(0, "setup", func(p *simtime.Proc) {
-			c := dep.Instance(0).KernelClient()
-			h, err = c.MallocAt(p, []int{1}, 1<<20, "", lite.PermRead|lite.PermWrite)
+		w := newWindow(threads, 0, ops, false)
+		err = runProc(cls, 0, "setup", func(p *simtime.Proc) error {
+			h, err := dep.Instance(0).KernelClient().MallocAt(p, []int{1}, 1<<20, "", lite.PermRead|lite.PermWrite)
 			if err != nil {
-				return
+				return err
 			}
 			for th := 0; th < threads; th++ {
 				cls.GoOn(0, "writer", func(q *simtime.Proc) {
-					defer done.Done(q.Env())
 					qc := dep.Instance(0).KernelClient()
 					buf := make([]byte, 64)
-					for i := 0; i < ops; i++ {
-						if err := qc.Write(q, h, 0, buf); err != nil {
-							return
-						}
-					}
-					if q.Now() > last {
-						last = q.Now()
-					}
+					w.run(q, func() error { return qc.Write(q, h, 0, buf) })
 				})
 			}
-			done.Wait(p)
+			w.wait(p)
+			return nil
 		})
-		if err := cls.Run(); err != nil {
+		if err != nil {
+			return nil, err
+		}
+		last, err := w.elapsed()
+		if err != nil {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("%d", k), reqPerUs(int64(threads*ops), last),
@@ -80,78 +73,21 @@ func ablWindow() (*Table, error) {
 		Header: []string{"Window (us)", "RPC latency (us)", "CPU/req at 60us gaps (us)"},
 	}
 	for _, w := range []time.Duration{1 * time.Microsecond, 4 * time.Microsecond, 8 * time.Microsecond, 25 * time.Microsecond, 100 * time.Microsecond} {
-		lat, err := rpcLatencyWithWindow(w)
+		cfg := params.Default()
+		cfg.AdaptivePollWindow = w
+		lat, err := rpcLatency(liteRPC(cfg, lite.DefaultOptions(), 2, false), 50, rpcInput(8, 64), 72)
 		if err != nil {
 			return nil, err
 		}
-		cpu, err := rpcCPUWithWindow(w)
+		const nReq = 400
+		cpu, err := fixedRateCPU(liteRPC(cfg, lite.DefaultOptions(), 2, true), 1, nReq, 60*time.Microsecond, rpcInput(16, 64), 128)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%.0f", float64(w)/1000), us(lat), us(cpu))
+		t.AddRow(fmt.Sprintf("%.0f", float64(w)/1000), us(lat), us(cpu/nReq))
 	}
 	t.Note("small windows add wakeup latency to every RPC; large windows burn CPU at light load — 5.2's tradeoff")
 	return t, nil
-}
-
-func rpcLatencyWithWindow(w time.Duration) (simtime.Time, error) {
-	cfg := params.Default()
-	cfg.AdaptivePollWindow = w
-	return liteRPCLatencyCfg(&cfg, 64)
-}
-
-func rpcCPUWithWindow(w time.Duration) (simtime.Time, error) {
-	cfg := params.Default()
-	cfg.AdaptivePollWindow = w
-	cls, dep, err := newLITECfg(&cfg, 2, lite.DefaultOptions())
-	if err != nil {
-		return 0, err
-	}
-	startLITEEcho(cls, dep, 1, 2)
-	const nReq = 400
-	cls.GoOn(0, "client", func(p *simtime.Proc) {
-		c := dep.Instance(0).UserClient()
-		in := rpcInput(16, 64)
-		for i := 0; i < nReq; i++ {
-			p.Sleep(60 * time.Microsecond)
-			if _, err := c.RPC(p, 1, benchFn, in, 128); err != nil {
-				return
-			}
-		}
-	})
-	if err := cls.Run(); err != nil {
-		return 0, err
-	}
-	return cls.TotalCPU() / nReq, nil
-}
-
-// liteRPCLatencyCfg is liteRPCLatency with a custom cost model.
-func liteRPCLatencyCfg(cfg *params.Config, replySize int) (simtime.Time, error) {
-	cls, dep, err := newLITECfg(cfg, 2, lite.DefaultOptions())
-	if err != nil {
-		return 0, err
-	}
-	startLITEEcho(cls, dep, 1, 2)
-	var lat simtime.Time
-	cls.GoOn(0, "client", func(p *simtime.Proc) {
-		c := dep.Instance(0).KernelClient()
-		in := rpcInput(8, replySize)
-		const iters = 50
-		if _, err := c.RPC(p, 1, benchFn, in, int64(replySize)+8); err != nil {
-			return
-		}
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := c.RPC(p, 1, benchFn, in, int64(replySize)+8); err != nil {
-				return
-			}
-		}
-		lat = (p.Now() - start) / iters
-	})
-	if err := cls.Run(); err != nil {
-		return 0, err
-	}
-	return lat, nil
 }
 
 func ablChunk() (*Table, error) {
@@ -171,23 +107,24 @@ func ablChunk() (*Table, error) {
 			return nil, err
 		}
 		var elapsed simtime.Time
-		cls.GoOn(0, "writer", func(p *simtime.Proc) {
+		err = runProc(cls, 0, "writer", func(p *simtime.Proc) error {
 			c := dep.Instance(0).KernelClient()
 			h, err := c.MallocAt(p, []int{1}, lmrSize, "", lite.PermRead|lite.PermWrite)
 			if err != nil {
-				return
+				return err
 			}
 			buf := make([]byte, writeSize)
 			start := p.Now()
 			for i := 0; i < ops; i++ {
 				off := int64(i) % (lmrSize / writeSize) * writeSize
 				if err := c.Write(p, h, off, buf); err != nil {
-					return
+					return err
 				}
 			}
 			elapsed = p.Now() - start
+			return nil
 		})
-		if err := cls.Run(); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("%d", chunkMB), gbps(ops*writeSize, elapsed),
@@ -206,31 +143,9 @@ func ablRing() (*Table, error) {
 	for _, ringKB := range []int64{8, 32, 128, 1024} {
 		opts := lite.DefaultOptions()
 		opts.RingBytes = ringKB << 10
-		cls, dep, err := newLITEOpts(2, opts)
-		if err != nil {
-			return nil, err
-		}
-		startLITEEcho(cls, dep, 1, 16)
 		const clients, ops, inSize = 16, 120, 4096
-		var done simtime.WaitGroup
-		done.Add(clients)
-		var last simtime.Time
-		for th := 0; th < clients; th++ {
-			cls.GoOn(0, "client", func(p *simtime.Proc) {
-				defer done.Done(p.Env())
-				c := dep.Instance(0).KernelClient()
-				in := rpcInput(inSize, 8)
-				for i := 0; i < ops; i++ {
-					if _, err := c.RPC(p, 1, benchFn, in, 64); err != nil {
-						return
-					}
-				}
-				if p.Now() > last {
-					last = p.Now()
-				}
-			})
-		}
-		if err := cls.Run(); err != nil {
+		last, err := rpcThroughput(liteRPC(params.Default(), opts, clients, false), newWindow(clients, 0, ops, false), rpcInput(inSize, 8), 64)
+		if err != nil {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("%d", ringKB), gbps(int64(clients*ops*inSize), last))

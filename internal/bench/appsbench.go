@@ -5,6 +5,9 @@ import (
 
 	"lite/internal/apps/graph"
 	"lite/internal/apps/mapreduce"
+	"lite/internal/cluster"
+	"lite/internal/lite"
+	"lite/internal/simtime"
 	"lite/internal/workload"
 )
 
@@ -22,54 +25,45 @@ func fig18() (*Table, error) {
 	const totalThreads = 8
 	const reducers = 8
 	input := workload.NewCorpus(42, 30000).Generate(16 << 20)
-	secs := func(d interface{ Seconds() float64 }) string {
-		return fmt.Sprintf("%.3f", d.Seconds())
+	row := func(system string, res *mapreduce.Result) {
+		secs := func(d simtime.Time) string { return fmt.Sprintf("%.3f", d.Seconds()) }
+		t.AddRow(system, secs(res.Map), secs(res.Reduce), secs(res.Merge), secs(res.Total))
 	}
 
 	// Phoenix: single node, all threads.
-	{
-		cls, err := newBare(1)
-		if err != nil {
-			return nil, err
-		}
-		cfg := mapreduce.DefaultConfig(0, []int{0}, totalThreads, reducers)
-		res, err := mapreduce.RunPhoenix(cls, cfg, 0, input)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow("Phoenix (1 node)", secs(res.Map), secs(res.Reduce), secs(res.Merge), secs(res.Total))
+	cls, err := newBare(1)
+	if err != nil {
+		return nil, err
 	}
+	res, err := mapreduce.RunPhoenix(cls, mapreduce.DefaultConfig(0, []int{0}, totalThreads, reducers), 0, input)
+	if err != nil {
+		return nil, err
+	}
+	row("Phoenix (1 node)", res)
 	// LITE-MR and Hadoop at 2, 4, 8 worker nodes.
 	for _, workers := range []int{2, 4, 8} {
 		nodes := make([]int, workers)
 		for i := range nodes {
 			nodes[i] = i + 1
 		}
-		threads := totalThreads / workers
-		if threads < 1 {
-			threads = 1
-		}
+		threads := max(totalThreads/workers, 1)
 		cls, dep, err := newLITE(workers + 1)
 		if err != nil {
 			return nil, err
 		}
-		cfg := mapreduce.DefaultConfig(0, nodes, threads, reducers)
-		res, err := mapreduce.RunLITE(cls, dep, cfg, input)
+		res, err := mapreduce.RunLITE(cls, dep, mapreduce.DefaultConfig(0, nodes, threads, reducers), input)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("LITE-MR (%d nodes)", workers), secs(res.Map), secs(res.Reduce), secs(res.Merge), secs(res.Total))
-
+		row(fmt.Sprintf("LITE-MR (%d nodes)", workers), res)
 		hcls, err := newBare(workers + 1)
 		if err != nil {
 			return nil, err
 		}
-		hcfg := mapreduce.DefaultHadoopConfig(0, nodes, threads, reducers)
-		hres, err := mapreduce.RunHadoop(hcls, hcfg, input)
-		if err != nil {
+		if res, err = mapreduce.RunHadoop(hcls, mapreduce.DefaultHadoopConfig(0, nodes, threads, reducers), input); err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("Hadoop (%d nodes)", workers), secs(hres.Map), secs(hres.Reduce), secs(hres.Merge), secs(hres.Total))
+		row(fmt.Sprintf("Hadoop (%d nodes)", workers), res)
 	}
 	t.Note("paper: LITE-MR beats Hadoop 4.3-5.3x; beats Phoenix in map+reduce, loses the merge phase")
 	return t, nil
@@ -92,41 +86,32 @@ func fig19() (*Table, error) {
 			nodes[i] = i
 		}
 		cfg := graph.DefaultConfig(nodes, 4, iters)
-
-		cls1, dep1, err := newLITE(n)
-		if err != nil {
-			return nil, err
+		// LITE-Graph, Graph-DSM, Grappa, PowerGraph: each on a fresh cluster.
+		var times []simtime.Time
+		for _, run := range []func(*cluster.Cluster, *lite.Deployment, graph.Config, *workload.Graph) (*graph.Result, error){graph.RunLITE, graph.RunDSM} {
+			cls, dep, err := newLITE(n)
+			if err != nil {
+				return nil, err
+			}
+			res, err := run(cls, dep, cfg, g)
+			if err != nil {
+				return nil, err
+			}
+			times = append(times, res.Time)
 		}
-		liteRes, err := graph.RunLITE(cls1, dep1, cfg, g)
-		if err != nil {
-			return nil, err
+		for _, prm := range []graph.MsgEngineParams{graph.GrappaParams(), graph.PowerGraphParams()} {
+			cls, err := newBare(n)
+			if err != nil {
+				return nil, err
+			}
+			res, err := graph.RunMsgEngine(cls, cfg, prm, g)
+			if err != nil {
+				return nil, err
+			}
+			times = append(times, res.Time)
 		}
-		cls2, dep2, err := newLITE(n)
-		if err != nil {
-			return nil, err
-		}
-		dsmRes, err := graph.RunDSM(cls2, dep2, cfg, g)
-		if err != nil {
-			return nil, err
-		}
-		cls3, err := newBare(n)
-		if err != nil {
-			return nil, err
-		}
-		grRes, err := graph.RunMsgEngine(cls3, cfg, graph.GrappaParams(), g)
-		if err != nil {
-			return nil, err
-		}
-		cls4, err := newBare(n)
-		if err != nil {
-			return nil, err
-		}
-		pgRes, err := graph.RunMsgEngine(cls4, cfg, graph.PowerGraphParams(), g)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%d", n), ms(liteRes.Time), ms(dsmRes.Time), ms(grRes.Time), ms(pgRes.Time),
-			fmt.Sprintf("%.1fx", float64(pgRes.Time)/float64(liteRes.Time)))
+		t.AddRow(fmt.Sprintf("%d", n), ms(times[0]), ms(times[1]), ms(times[2]), ms(times[3]),
+			fmt.Sprintf("%.1fx", float64(times[3])/float64(times[0])))
 	}
 	t.Note("paper: LITE-Graph outperforms PowerGraph 3.5-5.6x and beats Grappa; Graph-DSM sits between LITE-Graph and the baselines")
 	return t, nil

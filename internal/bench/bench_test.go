@@ -1,27 +1,63 @@
 package bench
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func TestRegistryComplete(t *testing.T) {
-	// Every table and figure of the paper's evaluation must have a
-	// registered experiment.
-	want := []string{
-		"fig4", "fig5", "fig6", "fig7", "fig8",
-		"fig10", "fig11", "fig12", "fig13",
-		"fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
-		"tab-cpu", "breakdown", "log-tput", "dsm-micro", "kv-tput",
-		"abl-qp", "abl-window", "abl-chunk", "abl-ring",
+// unguarded names the registered experiments the committed feed leaves
+// out, each with the check that guards it instead.
+var unguarded = map[string]string{
+	"chaos": "make determinism-guard replays it byte for byte against GOLDEN_chaos.txt",
+}
+
+// feedIDs returns the ids the committed feed records. The feed is the
+// one list of guarded experiments: make bench-smoke regenerates it from
+// the registry, and bench-guard replays every entry.
+func feedIDs(t *testing.T) map[string]bool {
+	t.Helper()
+	rep, err := ReadJSON(filepath.Join("..", "..", "BENCH_litebench.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range want {
+	ids := make(map[string]bool, len(rep.Results))
+	for _, r := range rep.Results {
+		ids[r.ID] = true
+	}
+	return ids
+}
+
+// TestRegistryComplete: every experiment the committed feed records —
+// every table, figure and ablation of the paper's evaluation, and every
+// experiment since — is registered, so removing one fails here.
+func TestRegistryComplete(t *testing.T) {
+	for id := range feedIDs(t) {
 		if _, ok := Lookup(id); !ok {
-			t.Errorf("experiment %q not registered", id)
+			t.Errorf("feed entry %q names no registered experiment", id)
 		}
 	}
-	if len(All()) < len(want) {
-		t.Errorf("registry has %d experiments, want >= %d", len(All()), len(want))
+}
+
+// TestEveryExperimentIsGuarded: no experiment can land ungated. Each
+// registered experiment is either in the committed feed, which
+// bench-guard compares row for row, or named in unguarded with the check
+// that covers it instead — never both.
+func TestEveryExperimentIsGuarded(t *testing.T) {
+	feed := feedIDs(t)
+	for _, e := range All() {
+		why, excluded := unguarded[e.ID]
+		switch {
+		case excluded && feed[e.ID]:
+			t.Errorf("%s is in the feed but also excluded from it (%s)", e.ID, why)
+		case !excluded && !feed[e.ID]:
+			t.Errorf("%s is not in the committed feed: record it with litebench -metrics -json BENCH_litebench.json %s", e.ID, e.ID)
+		}
+	}
+	for id := range unguarded {
+		if _, ok := Lookup(id); !ok {
+			t.Errorf("unguarded names %q, which is not registered", id)
+		}
 	}
 }
 

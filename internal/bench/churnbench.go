@@ -20,7 +20,6 @@ import (
 	"lite/internal/apps/kvstore"
 	"lite/internal/faults"
 	"lite/internal/lite"
-	"lite/internal/params"
 	"lite/internal/simtime"
 )
 
@@ -85,25 +84,22 @@ type churnAck struct {
 	key, val string
 }
 
-func runChurnOnce() (*churnOutcome, error) {
-	cfg := params.Default()
-	cfg.ClosLeafNodes = churnLeafNodes
-	cfg.ClosSpines = churnSpines
-	opts := lite.DefaultOptions()
-	opts.QPsPerPair = 1
-	opts.HeartbeatInterval = simtime.Time(churnHeartbeat)
-	opts.ProbeStagger = true
-	opts.QPLeasePool = churnLeasePool
+func runChurnOnce() (churnOutcome, error) {
+	cfg := closCfg(churnLeafNodes, churnSpines)
 	vLo, vHi := churnVictims()
 	// Hub mesh plus the victim-leaf shard host: QPs exist only on pairs
 	// touching the manager, a kvstore server, or the throwaway store's
 	// home inside the victim leaf.
+	opts := hubOpts(churnServers)
 	opts.MeshPeers = func(a, b int) bool {
 		return a <= churnServers || b <= churnServers || a == vLo || b == vLo
 	}
+	opts.HeartbeatInterval = simtime.Time(churnHeartbeat)
+	opts.ProbeStagger = true
+	opts.QPLeasePool = churnLeasePool
 	cls, dep, err := newLITECfg(&cfg, churnNodes, opts)
 	if err != nil {
-		return nil, err
+		return churnOutcome{}, err
 	}
 
 	servers := make([]int, churnServers)
@@ -112,34 +108,27 @@ func runChurnOnce() (*churnOutcome, error) {
 	}
 	st, err := kvstore.Start(cls, dep, servers, 4)
 	if err != nil {
-		return nil, err
+		return churnOutcome{}, err
 	}
 	// Throwaway store: one shard homed inside the victim leaf, so the
 	// storm catches a live migration mid-transfer.
 	st2, err := kvstore.StartFn(cls, dep, []int{vLo}, 2, churnMigFn)
 	if err != nil {
-		return nil, err
+		return churnOutcome{}, err
 	}
 
 	// Double-execution ledger: a unique-id increment RPC on server 1.
 	// The dedup windows must hold the line while the storm fails and
 	// retries calls en masse.
-	if err := dep.Instance(1).RegisterRPC(churnCtrFn); err != nil {
-		return nil, err
-	}
 	execSeen := make(map[uint64]int64)
-	for th := 0; th < 4; th++ {
-		cls.GoDaemonOn(1, "churn-ctr-server", func(p *simtime.Proc) {
-			c := dep.Instance(1).KernelClient()
-			call, err := c.RecvRPC(p, churnCtrFn)
-			for err == nil {
-				execSeen[binary.LittleEndian.Uint64(call.Input)]++
-				call, err = c.ReplyRecvRPC(p, call, []byte{1}, churnCtrFn)
-			}
-		})
+	if err := dep.Instance(1).ServeRPC(churnCtrFn, 4, func(_ *simtime.Proc, c *lite.Call) []byte {
+		execSeen[binary.LittleEndian.Uint64(c.Input)]++
+		return []byte{1}
+	}); err != nil {
+		return churnOutcome{}, err
 	}
 
-	out := &churnOutcome{healNs: -1}
+	out := churnOutcome{healNs: -1}
 	var acked []churnAck
 
 	// client runs one node's op loop: alternating acked kvstore puts
@@ -254,7 +243,7 @@ func runChurnOnce() (*churnOutcome, error) {
 	})
 
 	if err := cls.Run(); err != nil {
-		return nil, err
+		return churnOutcome{}, err
 	}
 	for _, n := range execSeen {
 		if n > 1 {
@@ -274,42 +263,34 @@ func runChurnOnce() (*churnOutcome, error) {
 }
 
 func runChurn() (*Table, error) {
-	a, err := runChurnOnce()
+	a, err := replay("churn", runChurnOnce)
 	if err != nil {
-		return nil, fmt.Errorf("churn: %w", err)
-	}
-	b, err := runChurnOnce()
-	if err != nil {
-		return nil, fmt.Errorf("churn: rerun: %w", err)
+		return nil, err
 	}
 	tab := &Table{
 		ID:     "churn",
 		Title:  "Churn storm: a 25-host leaf dies and revives at one instant under 225 clients",
 		Header: []string{"metric", "value"},
 	}
-	row := func(k, v string) { tab.AddRow(k, v) }
-	row("ops_ok", fmt.Sprintf("%d", a.opsOK))
-	row("ops_err", fmt.Sprintf("%d", a.opsErr))
-	row("victim_ops_ok", fmt.Sprintf("%d", a.victimOK))
-	row("victim_ops_err", fmt.Sprintf("%d", a.victimErr))
-	row("acked_writes", fmt.Sprintf("%d", a.acked))
-	row("lost_acked", fmt.Sprintf("%d", a.lost))
-	row("double_execs", fmt.Sprintf("%d", a.doubles))
-	row("leases_revoked", fmt.Sprintf("%d", a.revoked))
-	row("leases_replenished", fmt.Sprintf("%d", a.replenished))
-	row("membership_broadcasts", fmt.Sprintf("%d", a.broadcasts))
-	row("membership_epochs", fmt.Sprintf("%d", a.epochs))
-	row("heal_ms", fmt.Sprintf("%.3f", float64(a.healNs)/1e6))
-	row("drain_in_flight", fmt.Sprintf("%v", a.drainFlight))
-	row("drain_retry_ok", fmt.Sprintf("%v", a.drainRetry))
+	tab.AddRow("ops_ok", fmt.Sprintf("%d", a.opsOK))
+	tab.AddRow("ops_err", fmt.Sprintf("%d", a.opsErr))
+	tab.AddRow("victim_ops_ok", fmt.Sprintf("%d", a.victimOK))
+	tab.AddRow("victim_ops_err", fmt.Sprintf("%d", a.victimErr))
+	tab.AddRow("acked_writes", fmt.Sprintf("%d", a.acked))
+	tab.AddRow("lost_acked", fmt.Sprintf("%d", a.lost))
+	tab.AddRow("double_execs", fmt.Sprintf("%d", a.doubles))
+	tab.AddRow("leases_revoked", fmt.Sprintf("%d", a.revoked))
+	tab.AddRow("leases_replenished", fmt.Sprintf("%d", a.replenished))
+	tab.AddRow("membership_broadcasts", fmt.Sprintf("%d", a.broadcasts))
+	tab.AddRow("membership_epochs", fmt.Sprintf("%d", a.epochs))
+	tab.AddRow("heal_ms", fmt.Sprintf("%.3f", float64(a.healNs)/1e6))
+	tab.AddRow("drain_in_flight", fmt.Sprintf("%v", a.drainFlight))
+	tab.AddRow("drain_retry_ok", fmt.Sprintf("%v", a.drainRetry))
 	tab.Note("topology: %d nodes over %d leaves x %d spines; leaf %d (nodes %d..%d) killed at %v, revived at %v",
 		churnNodes, churnNodes/churnLeafNodes, churnSpines, (churnNodes-1)/churnLeafNodes,
 		churnNodes-churnLeafNodes, churnNodes-1, churnKillAt, churnReviveAt)
 	tab.Note("heal = virtual time from revival until every hub<->victim spare pool is back at target (%d per pair)", churnLeasePool)
 
-	if *a != *b {
-		return tab, fmt.Errorf("churn: runs diverge: %+v vs %+v", a, b)
-	}
 	if a.doubles != 0 {
 		return tab, fmt.Errorf("churn: %d unique requests executed more than once", a.doubles)
 	}

@@ -7,7 +7,6 @@ import (
 	"lite/internal/apps/kvstore"
 	"lite/internal/detrand"
 	"lite/internal/load"
-	"lite/internal/obs"
 	"lite/internal/simtime"
 )
 
@@ -97,13 +96,8 @@ func runCrossover(onesided bool, fanout, hotset int) (crossRes, error) {
 		rpc0 = dom.Total("lite.rpc.served")
 	})
 
-	type rec struct {
-		lat simtime.Time
-		ok  bool
-	}
-	recs := make([][]rec, fanout)
-	for ci := 0; ci < fanout; ci++ {
-		ci := ci
+	results := make([]*load.Result, fanout)
+	for ci := range results {
 		node := 2 + ci
 		sched := load.Poisson(crossSeed+uint64(ci), crossRate, crossReqs, simtime.Time(crossStart))
 		z := detrand.NewZipf(crossSeed+100*uint64(ci), 1.1, uint64(hotset))
@@ -111,55 +105,31 @@ func runCrossover(onesided bool, fanout, hotset int) (crossRes, error) {
 		for i := range ops {
 			ops[i] = z.Next()
 		}
-		cls.GoOn(node, "cross-client", func(p *simtime.Proc) {
-			for !loaded {
-				p.Sleep(50 * time.Microsecond)
-			}
-			k := s.NewClient(node)
+		k := s.NewClient(node)
+		if onesided {
+			cls.GoOn(node, "cross-warm", func(p *simtime.Proc) {
+				for !loaded {
+					p.Sleep(50 * time.Microsecond)
+				}
+				_, _ = k.GetDirect(p, key(0))
+			})
+		}
+		results[ci] = load.Run(cls, node, sched, func(q *simtime.Proc, idx int) load.Status {
+			var err error
 			if onesided {
-				if _, err := k.GetDirect(p, key(0)); err != nil {
-					return
-				}
+				_, err = k.GetDirect(q, key(ops[idx]))
+			} else {
+				_, err = k.GetRPC(q, key(ops[idx]))
 			}
-			var wg simtime.WaitGroup
-			wg.Add(len(sched))
-			out := make([]rec, len(sched))
-			for idx, at := range sched {
-				if at > p.Now() {
-					p.SleepUntil(at)
-				}
-				idx := idx
-				cls.GoOn(node, "cross-req", func(q *simtime.Proc) {
-					defer wg.Done(q.Env())
-					t0 := q.Now()
-					var err error
-					if onesided {
-						_, err = k.GetDirect(q, key(ops[idx]))
-					} else {
-						_, err = k.GetRPC(q, key(ops[idx]))
-					}
-					out[idx] = rec{lat: q.Now() - t0, ok: err == nil}
-				})
-			}
-			wg.Wait(p)
-			recs[ci] = out
+			return statusOf(err)
 		})
 	}
 	if err := cls.Run(); err != nil {
 		return crossRes{}, err
 	}
-	res := crossRes{srvRPCs: dom.Total("lite.rpc.served") - rpc0}
-	h := &obs.Histogram{}
-	for _, rs := range recs {
-		for _, r := range rs {
-			res.issued++
-			if r.ok {
-				res.ok++
-				h.Record(r.lat)
-			}
-		}
-	}
-	res.p50, res.p99 = h.Quantile(0.5), h.Quantile(0.99)
+	m := load.Merge(results)
+	res := crossRes{issued: int(m.Issued), ok: int(m.OK), p50: m.P50(), p99: m.P99(),
+		srvRPCs: dom.Total("lite.rpc.served") - rpc0}
 	if onesided && res.srvRPCs != 0 {
 		return res, fmt.Errorf("crossover: %d server RPCs during a one-sided GET phase (fanout %d, hotset %d), want 0",
 			res.srvRPCs, fanout, hotset)
@@ -173,34 +143,21 @@ func crossoverExp() (*Table, error) {
 		Title:  "Kvstore GET: RPC path vs one-sided client traversal, read fan-out x hot-set sweep",
 		Header: []string{"Mode", "Fanout", "Hotset", "Issued", "OK", "p50 (us)", "p99 (us)", "Server RPCs"},
 	}
-	type cell struct{ rpc, one crossRes }
-	cells := make(map[[2]int]*cell)
-	for _, hotset := range crossHotsets {
-		for _, fanout := range crossFanouts {
-			c := &cell{}
-			var err error
-			if c.rpc, err = runCrossover(false, fanout, hotset); err != nil {
-				return nil, err
-			}
-			if c.one, err = runCrossover(true, fanout, hotset); err != nil {
-				return nil, err
-			}
-			cells[[2]int{hotset, fanout}] = c
-			for _, m := range []struct {
-				name string
-				r    crossRes
-			}{{"rpc", c.rpc}, {"one-sided", c.one}} {
-				t.AddRow(m.name, fmt.Sprintf("%d", fanout), fmt.Sprintf("%d", hotset),
-					fmt.Sprintf("%d", m.r.issued), fmt.Sprintf("%d", m.r.ok),
-					us(m.r.p50), us(m.r.p99), fmt.Sprintf("%d", m.r.srvRPCs))
-			}
-		}
-	}
 	for _, hotset := range crossHotsets {
 		lastWin, rpcBack := -1, -1
 		for _, fanout := range crossFanouts {
-			c := cells[[2]int{hotset, fanout}]
-			if c.one.p99 < c.rpc.p99 {
+			var p99 [2]simtime.Time
+			for k, mode := range []string{"rpc", "one-sided"} {
+				r, err := runCrossover(k == 1, fanout, hotset)
+				if err != nil {
+					return nil, err
+				}
+				p99[k] = r.p99
+				t.AddRow(mode, fmt.Sprintf("%d", fanout), fmt.Sprintf("%d", hotset),
+					fmt.Sprintf("%d", r.issued), fmt.Sprintf("%d", r.ok),
+					us(r.p50), us(r.p99), fmt.Sprintf("%d", r.srvRPCs))
+			}
+			if p99[1] < p99[0] {
 				lastWin = fanout
 			} else if rpcBack < 0 {
 				rpcBack = fanout

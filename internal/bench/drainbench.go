@@ -37,17 +37,29 @@ const (
 	drainWindow  = 1000 * time.Microsecond // "during" window after the event
 )
 
-// drainRec is one issued request's fate.
-type drainRec struct {
-	at  simtime.Time
-	lat simtime.Time
-	ok  bool
+// drainWin is one window of requests around the event, by issue time:
+// steady before it, during the drainWindow after it, and after that.
+type drainWin struct {
+	issued, ok int
+	hist       obs.Histogram // latency of the successful ones
+}
+
+var drainWinNames = [3]string{"steady", "during", "after"}
+
+func drainWinOf(at simtime.Time) int {
+	switch ev := simtime.Time(drainEventAt); {
+	case at < ev:
+		return 0
+	case at < ev+simtime.Time(drainWindow):
+		return 1
+	}
+	return 2
 }
 
 // runDrain drives the workload once. With migrate true the shard at
 // node 1 live-migrates to node 3 at drainEventAt; otherwise node 1
 // crashes there.
-func runDrain(migrate bool) ([]drainRec, error) {
+func runDrain(migrate bool) (*[3]drainWin, error) {
 	opts := lite.DefaultOptions()
 	opts.HeartbeatInterval = 100 * time.Microsecond
 	opts.HeartbeatTimeout = 300 * time.Microsecond
@@ -62,48 +74,40 @@ func runDrain(migrate bool) ([]drainRec, error) {
 	key := func(k uint64) string { return fmt.Sprintf("key-%02d", k) }
 	val := func(k uint64) []byte { return []byte(fmt.Sprintf("value-%02d", k)) }
 
-	clientNodes := []int{0, 4}
-	recs := make([][]drainRec, len(clientNodes))
-	for ci, node := range clientNodes {
-		ci, node := ci, node
+	var wins [3]drainWin
+	for ci, node := range []int{0, 4} {
 		sched := load.Poisson(drainSeed+uint64(ci), drainRate, drainReqs, simtime.Time(drainStart))
 		z := detrand.NewZipf(drainSeed+100*uint64(ci), 1.1, drainKeys)
 		ops := make([]uint64, len(sched))
 		for k := range ops {
 			ops[k] = z.Next()
 		}
-		cls.GoOn(node, "drain-client", func(p *simtime.Proc) {
-			k := s.NewClient(node)
-			// Preload this client's half of the keyspace before the
-			// schedule opens, so steady-state gets never miss.
+		k := s.NewClient(node)
+		// Preload this client's half of the keyspace before the
+		// schedule opens, so steady-state gets never miss.
+		cls.GoOn(node, "drain-preload", func(p *simtime.Proc) {
 			for i := uint64(ci); i < drainKeys; i += 2 {
 				if err := k.Put(p, key(i), val(i)); err != nil {
 					return
 				}
 			}
-			var wg simtime.WaitGroup
-			wg.Add(len(sched))
-			out := make([]drainRec, len(sched))
-			for idx, at := range sched {
-				if at > p.Now() {
-					p.SleepUntil(at)
-				}
-				idx := idx
-				cls.GoOn(node, "drain-req", func(q *simtime.Proc) {
-					defer wg.Done(q.Env())
-					t0 := q.Now()
-					kk := ops[idx]
-					var err error
-					if idx%2 == 0 {
-						err = k.Put(q, key(kk), val(kk))
-					} else {
-						_, err = k.Get(q, key(kk))
-					}
-					out[idx] = drainRec{at: t0, lat: q.Now() - t0, ok: err == nil}
-				})
+		})
+		load.Run(cls, node, sched, func(q *simtime.Proc, idx int) load.Status {
+			t0 := q.Now()
+			kk := ops[idx]
+			var err error
+			if idx%2 == 0 {
+				err = k.Put(q, key(kk), val(kk))
+			} else {
+				_, err = k.Get(q, key(kk))
 			}
-			wg.Wait(p)
-			recs[ci] = out
+			w := &wins[drainWinOf(t0)]
+			w.issued++
+			if err == nil {
+				w.ok++
+				w.hist.Record(q.Now() - t0)
+			}
+			return statusOf(err)
 		})
 	}
 
@@ -121,51 +125,7 @@ func runDrain(migrate bool) ([]drainRec, error) {
 	if err := cls.Run(); err != nil {
 		return nil, err
 	}
-	var all []drainRec
-	for _, r := range recs {
-		all = append(all, r...)
-	}
-	return all, nil
-}
-
-// drainSummary is one window's digest.
-type drainSummary struct {
-	name       string
-	issued, ok int
-	p50, p99   simtime.Time
-}
-
-// drainWindows buckets records into steady / during / after around the
-// event instant and summarizes each bucket.
-func drainWindows(all []drainRec) []drainSummary {
-	type bucket struct {
-		name     string
-		from, to simtime.Time
-	}
-	ev := simtime.Time(drainEventAt)
-	buckets := []bucket{
-		{"steady", 0, ev},
-		{"during", ev, ev + simtime.Time(drainWindow)},
-		{"after", ev + simtime.Time(drainWindow), 1 << 62},
-	}
-	var out []drainSummary
-	for _, b := range buckets {
-		h := &obs.Histogram{}
-		s := drainSummary{name: b.name}
-		for _, r := range all {
-			if r.at < b.from || r.at >= b.to {
-				continue
-			}
-			s.issued++
-			if r.ok {
-				s.ok++
-				h.Record(r.lat)
-			}
-		}
-		s.p50, s.p99 = h.Quantile(0.5), h.Quantile(0.99)
-		out = append(out, s)
-	}
-	return out
+	return &wins, nil
 }
 
 func drainExp() (*Table, error) {
@@ -175,7 +135,7 @@ func drainExp() (*Table, error) {
 		Header: []string{"Mode", "Window", "Issued", "OK", "Failed", "p50 (us)", "p99 (us)"},
 	}
 	for _, migrate := range []bool{true, false} {
-		all, err := runDrain(migrate)
+		wins, err := runDrain(migrate)
 		if err != nil {
 			return nil, err
 		}
@@ -183,20 +143,14 @@ func drainExp() (*Table, error) {
 		if migrate {
 			mode = "live-migration"
 		}
-		var steady, during drainSummary
-		for _, w := range drainWindows(all) {
-			t.AddRow(mode, w.name, fmt.Sprintf("%d", w.issued), fmt.Sprintf("%d", w.ok),
-				fmt.Sprintf("%d", w.issued-w.ok), us(w.p50), us(w.p99))
-			switch w.name {
-			case "steady":
-				steady = w
-			case "during":
-				during = w
-			}
+		for k, w := range wins {
+			t.AddRow(mode, drainWinNames[k], fmt.Sprintf("%d", w.issued), fmt.Sprintf("%d", w.ok),
+				fmt.Sprintf("%d", w.issued-w.ok), us(w.hist.Quantile(0.5)), us(w.hist.Quantile(0.99)))
 		}
+		steady, during := wins[0].hist.Quantile(0.99), &wins[1]
 		ratio := 0.0
-		if steady.p99 > 0 {
-			ratio = float64(during.p99) / float64(steady.p99)
+		if steady > 0 {
+			ratio = float64(during.hist.Quantile(0.99)) / float64(steady)
 		}
 		t.Note("%s: during-window p99 is %.2fx steady, %d of %d calls failed in the window",
 			mode, ratio, during.issued-during.ok, during.issued)

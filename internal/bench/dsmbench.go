@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 
 	"lite/internal/apps/dsm"
@@ -26,59 +27,37 @@ func dsmMicro() (*Table, error) {
 	}
 	const reads = 50
 	var randRead, seqRead, write, acquire, commit simtime.Time
-	cls.GoOn(0, "bench", func(p *simtime.Proc) {
+	err = runProc(cls, 0, "bench", func(p *simtime.Proc) error {
 		sys, err := dsm.Boot(p, cls, dep, []int{0, 1, 2, 3}, 16<<20, dsm.DefaultConfig())
 		if err != nil {
-			return
+			return err
 		}
-		d := sys.Node(0)
-		buf := make([]byte, 4096)
-
-		// Random 4KB reads over uncached pages.
+		d, d2 := sys.Node(0), sys.Node(1)
+		buf, fresh := make([]byte, 4096), bytes.Repeat([]byte{0xC3}, 4096)
 		rng := xorshift(17)
-		start := p.Now()
-		for i := 0; i < reads; i++ {
-			off := int64(rng.next()%(16<<20/4096)) * 4096
-			if err := d.Read(p, off, buf); err != nil {
-				return
+		for _, m := range []struct {
+			lat   *simtime.Time
+			iters int
+			op    func(i int) error
+		}{
+			// Random 4KB reads over uncached pages.
+			{&randRead, reads, func(int) error { return d.Read(p, int64(rng.next()%(16<<20/4096))*4096, buf) }},
+			// Sequential 4KB reads over a fresh region (cold pages, but
+			// consecutive homes round-robin across nodes).
+			{&seqRead, reads, func(i int) error { return d2.Read(p, int64(i)*4096, buf) }},
+			// Writes of fresh data to cached pages (faults already taken).
+			{&write, reads, func(i int) error { return d2.Write(p, int64(i)*4096, fresh) }},
+			// Acquire, then commit 10 dirty pages at release.
+			{&acquire, 1, func(int) error { d2.Acquire(p); return nil }},
+			{&commit, 1, func(int) error { return d2.Release(p) }},
+		} {
+			if *m.lat, err = meanLatency(p, 0, m.iters, m.op); err != nil {
+				return err
 			}
 		}
-		randRead = (p.Now() - start) / reads
-
-		// Sequential 4KB reads over a fresh region (cold pages, but
-		// consecutive homes round-robin across nodes).
-		d2 := sys.Node(1)
-		start = p.Now()
-		for i := 0; i < reads; i++ {
-			if err := d2.Read(p, int64(i)*4096, buf); err != nil {
-				return
-			}
-		}
-		seqRead = (p.Now() - start) / reads
-
-		// Writes of fresh data to cached pages (faults already taken).
-		for i := range buf {
-			buf[i] = 0xC3
-		}
-		start = p.Now()
-		for i := 0; i < reads; i++ {
-			if err := d2.Write(p, int64(i)*4096, buf); err != nil {
-				return
-			}
-		}
-		write = (p.Now() - start) / reads
-
-		// Acquire, then commit 10 dirty pages at release.
-		start = p.Now()
-		d2.Acquire(p)
-		acquire = p.Now() - start
-		start = p.Now()
-		if err := d2.Release(p); err != nil {
-			return
-		}
-		commit = p.Now() - start
+		return nil
 	})
-	if err := cls.Run(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	t.AddRow("random 4KB read (cold)", us(randRead))

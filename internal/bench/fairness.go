@@ -49,11 +49,7 @@ func runFairness(seed uint64, shared bool) ([]*load.Result, error) {
 		return nil, err
 	}
 	const srvNode = fairnessClients
-	srv := dep.Instance(srvNode)
-	if err := srv.ServeRPC(tailFn, tailWorkers, func(p *simtime.Proc, c *lite.Call) []byte {
-		p.Work(tailService)
-		return c.Input[:8]
-	}); err != nil {
+	if err := serveTail(dep.Instance(srvNode)); err != nil {
 		return nil, err
 	}
 	clients := make([]*lite.Client, fairnessClients)
@@ -103,19 +99,14 @@ func runFairness(seed uint64, shared bool) ([]*load.Result, error) {
 // fairnessRatio is the max/min per-client goodput (OK counts over a
 // shared span, so the counts themselves compare).
 func fairnessRatio(res []*load.Result) float64 {
-	min, max := res[0].OK, res[0].OK
+	lo, hi := res[0].OK, res[0].OK
 	for _, r := range res[1:] {
-		if r.OK < min {
-			min = r.OK
-		}
-		if r.OK > max {
-			max = r.OK
-		}
+		lo, hi = min(lo, r.OK), max(hi, r.OK)
 	}
-	if min == 0 {
-		return float64(max)
+	if lo == 0 {
+		return float64(hi)
 	}
-	return float64(max) / float64(min)
+	return float64(hi) / float64(lo)
 }
 
 func fairness() (*Table, error) {

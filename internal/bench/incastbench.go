@@ -9,13 +9,11 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"lite/internal/lite"
 	"lite/internal/obs"
-	"lite/internal/params"
 	"lite/internal/simtime"
 )
 
@@ -52,36 +50,23 @@ type incastOutcome struct {
 	ingressBusy  simtime.Time // the victim NIC's own serialization
 }
 
-func runIncastOnce() (*incastOutcome, error) {
-	cfg := params.Default()
-	cfg.ClosLeafNodes = incastLeafNodes
-	cfg.ClosSpines = incastSpines
+func runIncastOnce() (incastOutcome, error) {
+	cfg := closCfg(incastLeafNodes, incastSpines)
 	// Slow the uplinks to a quarter of the host link rate: the two
 	// downlinks into the victim leaf aggregate to half a NIC, so the
 	// fan-in queues in the fabric, not the NIC.
 	cfg.ClosUplinkBandwidth = cfg.LinkBandwidth / 4
-	opts := lite.DefaultOptions()
-	opts.QPsPerPair = 1
-	opts.MeshPeers = func(a, b int) bool { return a <= incastVictim || b <= incastVictim }
+	opts := hubOpts(incastVictim)
 	opts.AdmissionHighWater = 64
 	cls, dep, err := newLITECfg(&cfg, incastNodes, opts)
 	if err != nil {
-		return nil, err
+		return incastOutcome{}, err
 	}
-	if err := dep.Instance(incastVictim).RegisterRPC(incastFn); err != nil {
-		return nil, err
-	}
-	for th := 0; th < 8; th++ {
-		cls.GoDaemonOn(incastVictim, "incast-server", func(p *simtime.Proc) {
-			c := dep.Instance(incastVictim).KernelClient()
-			call, err := c.RecvRPC(p, incastFn)
-			for err == nil {
-				call, err = c.ReplyRecvRPC(p, call, []byte{1}, incastFn)
-			}
-		})
+	if err := dep.Instance(incastVictim).ServeRPC(incastFn, 8, func(*simtime.Proc, *lite.Call) []byte { return []byte{1} }); err != nil {
+		return incastOutcome{}, err
 	}
 
-	out := &incastOutcome{}
+	var out incastOutcome
 	hist := &obs.Histogram{}
 	req := make([]byte, incastReqBytes)
 	for i := range req {
@@ -96,20 +81,10 @@ func runIncastOnce() (*incastOutcome, error) {
 			for r := 0; r < incastRounds; r++ {
 				p.SleepUntil(simtime.Time(incastPeriod) * simtime.Time(r+1))
 				t0 := p.Now()
-				var err error
-				for attempt := 0; ; attempt++ {
-					_, err = lc.RPCRetry(p, incastVictim, incastFn, req, 8)
-					var ov *lite.OverloadError
-					if !errors.As(err, &ov) || attempt >= 50 {
-						break
-					}
-					out.sheds++
-					wait := ov.RetryAfter
-					if wait <= 0 {
-						wait = simtime.Time(time.Microsecond)
-					}
-					p.Sleep(wait)
-				}
+				err := resubmit(p, &out.sheds, func() error {
+					_, err := lc.RPCRetry(p, incastVictim, incastFn, req, 8)
+					return err
+				})
 				out.ops++
 				if err != nil {
 					out.errs++
@@ -120,7 +95,7 @@ func runIncastOnce() (*incastOutcome, error) {
 		})
 	}
 	if err := cls.Run(); err != nil {
-		return nil, err
+		return incastOutcome{}, err
 	}
 	out.p50, out.p99 = hist.Quantile(0.5), hist.Quantile(0.99)
 	for sp := 0; sp < incastSpines; sp++ {
@@ -133,13 +108,9 @@ func runIncastOnce() (*incastOutcome, error) {
 }
 
 func runIncast() (*Table, error) {
-	a, err := runIncastOnce()
+	a, err := replay("incast", runIncastOnce)
 	if err != nil {
-		return nil, fmt.Errorf("incast: %w", err)
-	}
-	b, err := runIncastOnce()
-	if err != nil {
-		return nil, fmt.Errorf("incast: rerun: %w", err)
+		return nil, err
 	}
 	tab := &Table{
 		ID:     "incast",
@@ -162,9 +133,6 @@ func runIncast() (*Table, error) {
 		incastNodes, incastSpines)
 	tab.Note("%d clients x %d rounds, one %dB request per round fired at the same virtual instant; fair admission absorbs the bursts", incastClients, incastRounds, incastReqBytes)
 
-	if *a != *b {
-		return tab, fmt.Errorf("incast: runs diverge: %+v vs %+v", a, b)
-	}
 	if a.errs != 0 {
 		return tab, fmt.Errorf("incast: %d calls failed", a.errs)
 	}

@@ -36,72 +36,51 @@ func kvTput() (*Table, error) {
 
 	kv := workload.NewFacebookKV(3)
 	keys := make([]string, nKeys)
-	loaded := false
-	var loadedCond simtime.Cond
-	var coldGet, warmGet simtime.Time
+	var loaded simtime.WaitGroup
+	loaded.Add(1)
+	var getLat []simtime.Time
+	// The getters' window opens when the load completes.
+	w := newWindow(clients, 0, getsPerClient, false)
 	cls.GoOn(2, "loader", func(p *simtime.Proc) {
 		k := store.NewClient(2)
 		for i := range keys {
 			keys[i] = fmt.Sprintf("k%05d", i)
-			sz := kv.ValueSize()
-			if sz > 16<<10 {
-				sz = 16 << 10
-			}
-			if err := k.Put(p, keys[i], make([]byte, sz)); err != nil {
+			if err := k.Put(p, keys[i], make([]byte, min(kv.ValueSize(), 16<<10))); err != nil {
 				return
 			}
 		}
 		// Cold and warm single-get latency.
-		start := p.Now()
-		if _, err := k.Get(p, keys[42]); err != nil {
+		get := func() error { _, err := k.Get(p, keys[42]); return err }
+		var err error
+		if getLat, err = timeEach(p, get, get); err != nil {
 			return
 		}
-		coldGet = p.Now() - start
-		start = p.Now()
-		if _, err := k.Get(p, keys[42]); err != nil {
-			return
-		}
-		warmGet = p.Now() - start
-		loaded = true
-		loadedCond.Broadcast(p.Env())
+		w.start = p.Now()
+		loaded.Done(p.Env())
 	})
-
-	var done simtime.WaitGroup
-	done.Add(clients)
-	var measStart, last simtime.Time
-	var totalGets int64
 	for th := 0; th < clients; th++ {
 		node := 2 + th%2
-		th := th
 		cls.GoOn(node, "getter", func(p *simtime.Proc) {
-			defer done.Done(p.Env())
-			for !loaded {
-				loadedCond.Wait(p)
-			}
-			if measStart == 0 {
-				measStart = p.Now()
-			}
+			loaded.Wait(p)
 			k := store.NewClient(node)
 			rng := xorshift(uint64(th)*31337 + 5)
-			for i := 0; i < getsPerClient; i++ {
-				key := keys[rng.next()%nKeys]
-				if _, err := k.Get(p, key); err != nil {
-					return
-				}
-				totalGets++
-			}
-			if p.Now() > last {
-				last = p.Now()
-			}
+			w.run(p, func() error {
+				_, err := k.Get(p, keys[rng.next()%nKeys])
+				return err
+			})
 		})
 	}
 	if err := cls.Run(); err != nil {
 		return nil, err
 	}
+	el, err := w.elapsed()
+	if err != nil {
+		return nil, err
+	}
 	t.AddRow("values stored (one LMR each)", fmt.Sprintf("%d", nKeys))
-	t.AddRow("cold get (RPC + LT_map + LT_read)", us(coldGet)+" us")
-	t.AddRow("warm get (LT_read only)", us(warmGet)+" us")
-	t.AddRow("8-client mixed-get throughput", reqPerUs(totalGets, last-measStart)+" req/us")
+	t.AddRow("cold get (RPC + LT_map + LT_read)", us(getLat[0])+" us")
+	t.AddRow("warm get (LT_read only)", us(getLat[1])+" us")
+	t.AddRow("8-client mixed-get throughput", reqPerUs(clients*getsPerClient, el)+" req/us")
 	t.Note("2000 per-value regions would already thrash a native RNIC's key cache (Figure 4); under LITE they are free")
 	return t, nil
 }

@@ -32,9 +32,8 @@ func runLease(pool int) (perPeer, fanout simtime.Time, leased, cold int, err err
 		return 0, 0, 0, 0, err
 	}
 	inst := dep.Instance(leaseSrc)
-	cls.GoOn(leaseSrc, "lease-bench", func(p *simtime.Proc) {
+	err = runProc(cls, leaseSrc, "lease-bench", func(p *simtime.Proc) error {
 		t0 := p.Now()
-		first := simtime.Time(0)
 		for dst := 0; dst < leaseNodes; dst++ {
 			if dst == leaseSrc {
 				continue
@@ -42,14 +41,14 @@ func runLease(pool int) (perPeer, fanout simtime.Time, leased, cold int, err err
 			l, c := inst.ConnectPeer(p, dst)
 			leased += l
 			cold += c
-			if first == 0 {
-				first = p.Now() - t0
+			if perPeer == 0 {
+				perPeer = p.Now() - t0
 			}
 		}
-		perPeer = first
 		fanout = p.Now() - t0
+		return nil
 	})
-	if err := cls.Run(); err != nil {
+	if err != nil {
 		return 0, 0, 0, 0, err
 	}
 	return perPeer, fanout, leased, cold, nil

@@ -19,56 +19,46 @@ func fig17() (*Table, error) {
 	}
 	sizes := []int64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
 	for _, size := range sizes {
-		size := size
 		cls, dep, err := newLITE(3)
 		if err != nil {
 			return nil, err
 		}
-		var malloc, memset, memcpyT, memcpyLocal, memmove simtime.Time
-		cls.GoOn(0, "bench", func(p *simtime.Proc) {
+		row := []string{fmt.Sprintf("%d", size/1024)}
+		err = runProc(cls, 0, "bench", func(p *simtime.Proc) error {
 			c := dep.Instance(0).KernelClient()
-			start := p.Now()
-			// LT_malloc at a remote node (the common datacenter case).
-			src, err := c.MallocAt(p, []int{1}, size, "", lite.PermRead|lite.PermWrite)
-			if err != nil {
-				return
+			alloc := func(node int) (h lite.LH, err error) {
+				return c.MallocAt(p, []int{node}, size, "", lite.PermRead|lite.PermWrite)
 			}
-			malloc = p.Now() - start
+			// LT_malloc at a remote node (the common datacenter case).
+			var src lite.LH
+			malloc, err := timeEach(p, func() (err error) { src, err = alloc(1); return err })
+			if err != nil {
+				return err
+			}
 			// Destination on a different node for the remote memcpy, and
 			// a sibling on the same node for the local one.
-			dst, err := c.MallocAt(p, []int{2}, size, "", lite.PermRead|lite.PermWrite)
+			dst, err := alloc(2)
 			if err != nil {
-				return
+				return err
 			}
-			sib, err := c.MallocAt(p, []int{1}, size, "", lite.PermRead|lite.PermWrite)
+			sib, err := alloc(1)
 			if err != nil {
-				return
+				return err
 			}
-			start = p.Now()
-			if err := c.Memset(p, src, 0, 0xAB, size); err != nil {
-				return
+			lats, err := timeEach(p,
+				func() error { return c.Memset(p, src, 0, 0xAB, size) },
+				func() error { return c.Memcpy(p, dst, 0, src, 0, size) },
+				func() error { return c.Memcpy(p, sib, 0, src, 0, size) },
+				func() error { return c.Memmove(p, dst, 0, src, 0, size) })
+			for _, d := range append(malloc, lats...) {
+				row = append(row, us(d))
 			}
-			memset = p.Now() - start
-			start = p.Now()
-			if err := c.Memcpy(p, dst, 0, src, 0, size); err != nil {
-				return
-			}
-			memcpyT = p.Now() - start
-			start = p.Now()
-			if err := c.Memcpy(p, sib, 0, src, 0, size); err != nil {
-				return
-			}
-			memcpyLocal = p.Now() - start
-			start = p.Now()
-			if err := c.Memmove(p, dst, 0, src, 0, size); err != nil {
-				return
-			}
-			memmove = p.Now() - start
+			return err
 		})
-		if err := cls.Run(); err != nil {
+		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%d", size/1024), us(malloc), us(memset), us(memcpyT), us(memcpyLocal), us(memmove))
+		t.AddRow(row...)
 	}
 	t.Note("paper: LT_malloc roughly flat; set/copy/move grow with size; the local memcpy variant is cheapest")
 	return t, nil

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"lite/internal/cluster"
 	"lite/internal/hostmem"
 	"lite/internal/lite"
 	"lite/internal/rnic"
@@ -18,95 +19,98 @@ func init() {
 	register("fig8", "(De)registration latency vs size: Verbs pin/unpin vs LT_map/LT_unmap", fig8)
 }
 
+// openVerbs opens a verbs context, each with its own address space, on
+// nodes 0 and 1 of cls.
+func openVerbs(cls *cluster.Cluster) (local, remote *verbs.Context) {
+	open := func(n int) *verbs.Context {
+		return verbs.Open(cls.Nodes[n].NIC, hostmem.NewAddressSpace(cls.Nodes[n].Mem))
+	}
+	return open(0), open(1)
+}
+
+// verbsRegion maps size bytes into ctx's address space and registers
+// them as one MR.
+func verbsRegion(p *simtime.Proc, ctx *verbs.Context, size int64) (*rnic.MR, error) {
+	va, err := ctx.AddressSpace().Map(size)
+	if err != nil {
+		return nil, err
+	}
+	return ctx.RegisterMR(p, va, size, rnic.PermRead|rnic.PermWrite)
+}
+
+// verbsWriter connects a fresh RC QP from local to remote and returns a
+// blocking write over it: post wr as a signaled RDMA write, then wait
+// for its completion.
+func verbsWriter(local, remote *verbs.Context) func(p *simtime.Proc, wr rnic.WR) error {
+	qa, _ := verbs.ConnectRC(local, remote)
+	disp := verbs.NewDispatcher(qa.SendCQ())
+	return func(p *simtime.Proc, wr rnic.WR) error {
+		wr.Kind, wr.Signaled = rnic.OpWrite, true
+		if err := local.PostSend(p, qa, wr); err != nil {
+			return err
+		}
+		disp.Wait(p, wr.WRID)
+		return nil
+	}
+}
+
 // verbsWriteLatency measures the mean blocking write latency against
-// nMRs 4KB virtual regions at the remote node.
+// nMRs 4KB virtual regions at the remote node, after a warm-up quarter.
 func verbsWriteLatency(nMRs, ops int) (simtime.Time, error) {
 	cls, err := newBare(2)
 	if err != nil {
 		return 0, err
 	}
 	var out simtime.Time
-	cls.GoOn(0, "bench", func(p *simtime.Proc) {
-		local := verbs.Open(cls.Nodes[0].NIC, hostmem.NewAddressSpace(cls.Nodes[0].Mem))
-		remote := verbs.Open(cls.Nodes[1].NIC, hostmem.NewAddressSpace(cls.Nodes[1].Mem))
-		srcVA, _ := local.AddressSpace().Map(4096)
-		src, err := local.RegisterMR(p, srcVA, 4096, rnic.PermRead|rnic.PermWrite)
+	err = runProc(cls, 0, "bench", func(p *simtime.Proc) error {
+		local, remote := openVerbs(cls)
+		src, err := verbsRegion(p, local, 4096)
 		if err != nil {
-			return
+			return err
 		}
 		mrs := make([]*rnic.MR, nMRs)
 		for i := range mrs {
-			va, err := remote.AddressSpace().Map(4096)
-			if err != nil {
-				return
-			}
-			mrs[i], err = remote.RegisterMR(p, va, 4096, rnic.PermRead|rnic.PermWrite)
-			if err != nil {
-				return
+			if mrs[i], err = verbsRegion(p, remote, 4096); err != nil {
+				return err
 			}
 		}
-		qa, _ := verbs.ConnectRC(local, remote)
-		disp := verbs.NewDispatcher(qa.SendCQ())
+		write := verbsWriter(local, remote)
 		rng := xorshift(12345)
-		warm := ops / 4
-		var start simtime.Time
-		for i := 0; i < warm+ops; i++ {
-			if i == warm {
-				start = p.Now()
-			}
+		out, err = meanLatency(p, ops/4, ops, func(i int) error {
 			mr := mrs[rng.next()%uint64(nMRs)]
-			wrid := uint64(i + 1)
-			_ = local.PostSend(p, qa, rnic.WR{
-				Kind: rnic.OpWrite, WRID: wrid, Signaled: true,
-				LocalMR: src, Len: 64, RemoteKey: mr.Key(),
-			})
-			disp.Wait(p, wrid)
-		}
-		out = (p.Now() - start) / simtime.Time(ops)
+			return write(p, rnic.WR{WRID: uint64(i + 1), LocalMR: src, Len: 64, RemoteKey: mr.Key()})
+		})
+		return err
 	})
-	if err := cls.Run(); err != nil {
-		return 0, err
-	}
-	return out, nil
+	return out, err
 }
 
 // liteWriteLatency measures mean LT_write latency against nLMRs 4KB
-// LMRs homed at the remote node.
+// LMRs homed at the remote node, after a warm-up quarter.
 func liteWriteLatency(nLMRs, ops int) (simtime.Time, error) {
 	cls, dep, err := newLITE(2)
 	if err != nil {
 		return 0, err
 	}
 	var out simtime.Time
-	cls.GoOn(0, "bench", func(p *simtime.Proc) {
+	err = runProc(cls, 0, "bench", func(p *simtime.Proc) error {
 		c := dep.Instance(0).KernelClient()
 		lhs := make([]lite.LH, nLMRs)
 		for i := range lhs {
 			h, err := c.MallocAt(p, []int{1}, 4096, "", lite.PermRead|lite.PermWrite)
 			if err != nil {
-				return
+				return err
 			}
 			lhs[i] = h
 		}
 		buf := make([]byte, 64)
 		rng := xorshift(777)
-		warm := ops / 4
-		var start simtime.Time
-		for i := 0; i < warm+ops; i++ {
-			if i == warm {
-				start = p.Now()
-			}
-			h := lhs[rng.next()%uint64(nLMRs)]
-			if err := c.Write(p, h, 0, buf); err != nil {
-				return
-			}
-		}
-		out = (p.Now() - start) / simtime.Time(ops)
+		out, err = meanLatency(p, ops/4, ops, func(int) error {
+			return c.Write(p, lhs[rng.next()%uint64(nLMRs)], 0, buf)
+		})
+		return err
 	})
-	if err := cls.Run(); err != nil {
-		return 0, err
-	}
-	return out, nil
+	return out, err
 }
 
 func fig4() (*Table, error) {
@@ -137,113 +141,68 @@ func fig4() (*Table, error) {
 // every thread first runs a warm-up quarter, all threads rendezvous,
 // and only the timed ops count.
 func writeThroughput(liteSide bool, size int64, writeSize int, threads, opsPerThread int) (simtime.Time, error) {
-	warm := opsPerThread / 4
-	var measStart, last simtime.Time
-	var warmWG, done simtime.WaitGroup
-	warmWG.Add(threads)
-	done.Add(threads)
-
-	// writer runs one thread's loop given a write closure.
-	writer := func(q *simtime.Proc, seed uint64, write func(q *simtime.Proc, off int64) error) {
-		defer done.Done(q.Env())
-		rng := xorshift(seed)
-		for i := 0; i < warm; i++ {
-			off := int64(rng.next() % uint64(size-int64(writeSize)))
-			if write(q, off) != nil {
-				return
-			}
-		}
-		warmWG.Done(q.Env())
-		warmWG.Wait(q)
-		if measStart == 0 {
-			measStart = q.Now()
-		}
-		for i := 0; i < opsPerThread; i++ {
-			off := int64(rng.next() % uint64(size-int64(writeSize)))
-			if write(q, off) != nil {
-				return
-			}
-		}
-		if q.Now() > last {
-			last = q.Now()
-		}
-	}
-
+	// writers sets up the region on node 1 (in the setup proc) and
+	// returns each writer thread's random-offset seed and write op.
+	var cls *cluster.Cluster
+	type writeOp = func(q *simtime.Proc, off int64) error
+	var writers func(p *simtime.Proc) (func(th int) (uint64, writeOp), error)
 	if liteSide {
-		cls, dep, err := newLITE(2)
+		lcls, dep, err := newLITE(2)
 		if err != nil {
 			return 0, err
 		}
-		cls.GoOn(0, "setup", func(p *simtime.Proc) {
-			c := dep.Instance(0).KernelClient()
-			h, err := c.MallocAt(p, []int{1}, size, "", lite.PermRead|lite.PermWrite)
-			if err != nil {
-				return
-			}
-			for th := 0; th < threads; th++ {
-				th := th
-				cls.GoOn(0, "writer", func(q *simtime.Proc) {
-					qc := dep.Instance(0).KernelClient()
-					buf := make([]byte, writeSize)
-					writer(q, uint64(th)*7919+13, func(q *simtime.Proc, off int64) error {
-						return qc.Write(q, h, off, buf)
-					})
-				})
-			}
-			done.Wait(p)
-		})
-		if err := cls.Run(); err != nil {
+		cls = lcls
+		writers = func(p *simtime.Proc) (func(int) (uint64, writeOp), error) {
+			h, err := dep.Instance(0).KernelClient().MallocAt(p, []int{1}, size, "", lite.PermRead|lite.PermWrite)
+			return func(th int) (uint64, writeOp) {
+				qc, buf := dep.Instance(0).KernelClient(), make([]byte, writeSize)
+				return uint64(th)*7919 + 13, func(q *simtime.Proc, off int64) error { return qc.Write(q, h, off, buf) }
+			}, err
+		}
+	} else {
+		bcls, err := newBare(2)
+		if err != nil {
 			return 0, err
 		}
-		return last - measStart, nil
+		cls = bcls
+		writers = func(p *simtime.Proc) (func(int) (uint64, writeOp), error) {
+			local, remote := openVerbs(cls)
+			rmr, err := verbsRegion(p, remote, size)
+			if err != nil {
+				return nil, err
+			}
+			src, err := verbsRegion(p, local, int64(writeSize)+4096)
+			return func(th int) (uint64, writeOp) {
+				write := verbsWriter(local, remote)
+				var wrid uint64
+				return uint64(th)*104729 + 7, func(q *simtime.Proc, off int64) error {
+					wrid++
+					return write(q, rnic.WR{WRID: uint64(th+1)<<32 | wrid, LocalMR: src, Len: int64(writeSize),
+						RemoteKey: rmr.Key(), RemoteOff: off})
+				}
+			}, err
+		}
 	}
-	cls, err := newBare(2)
+	w := newWindow(threads, opsPerThread/4, opsPerThread, true)
+	err := runProc(cls, 0, "setup", func(p *simtime.Proc) error {
+		writer, err := writers(p)
+		if err != nil {
+			return err
+		}
+		for th := 0; th < threads; th++ {
+			seed, write := writer(th)
+			cls.GoOn(0, "writer", func(q *simtime.Proc) {
+				rng := xorshift(seed)
+				w.run(q, func() error { return write(q, int64(rng.next()%uint64(size-int64(writeSize)))) })
+			})
+		}
+		w.wait(p)
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	cls.GoOn(0, "setup", func(p *simtime.Proc) {
-		local := verbs.Open(cls.Nodes[0].NIC, hostmem.NewAddressSpace(cls.Nodes[0].Mem))
-		remote := verbs.Open(cls.Nodes[1].NIC, hostmem.NewAddressSpace(cls.Nodes[1].Mem))
-		va, err := remote.AddressSpace().Map(size)
-		if err != nil {
-			return
-		}
-		rmr, err := remote.RegisterMR(p, va, size, rnic.PermRead|rnic.PermWrite)
-		if err != nil {
-			return
-		}
-		srcVA, _ := local.AddressSpace().Map(int64(writeSize) + 4096)
-		src, err := local.RegisterMR(p, srcVA, int64(writeSize)+4096, rnic.PermRead|rnic.PermWrite)
-		if err != nil {
-			return
-		}
-		for th := 0; th < threads; th++ {
-			th := th
-			qa, _ := verbs.ConnectRC(local, remote)
-			disp := verbs.NewDispatcher(qa.SendCQ())
-			cls.GoOn(0, "writer", func(q *simtime.Proc) {
-				var wrid uint64
-				writer(q, uint64(th)*104729+7, func(q *simtime.Proc, off int64) error {
-					wrid++
-					id := uint64(th+1)<<32 | wrid
-					if err := local.PostSend(q, qa, rnic.WR{
-						Kind: rnic.OpWrite, WRID: id, Signaled: true,
-						LocalMR: src, Len: int64(writeSize),
-						RemoteKey: rmr.Key(), RemoteOff: off,
-					}); err != nil {
-						return err
-					}
-					disp.Wait(q, id)
-					return nil
-				})
-			})
-		}
-		done.Wait(p)
-	})
-	if err := cls.Run(); err != nil {
-		return 0, err
-	}
-	return last - measStart, nil
+	return w.elapsed()
 }
 
 func fig5() (*Table, error) {
@@ -267,7 +226,6 @@ func fig5() (*Table, error) {
 			}
 			row = append(row, reqPerUs(int64(threads*ops), v), reqPerUs(int64(threads*ops), l))
 		}
-		// Reorder: 64B pair then 1K pair already in order.
 		t.AddRow(row...)
 	}
 	t.Note("paper: Verbs thrashes the NIC PTE cache above ~4MB; LITE stays flat (physical addressing)")
@@ -282,59 +240,48 @@ func fig6() (*Table, error) {
 	}
 	sizes := []int{8, 64, 512, 4096, 32768}
 
-	// Verbs and LITE on one cluster each.
-	type meas struct{ verbs, kl, user simtime.Time }
-	res := make(map[int]*meas)
-	for _, s := range sizes {
-		res[s] = &meas{}
+	rows := make([][]string, len(sizes))
+	for k, s := range sizes {
+		rows[k] = []string{fmt.Sprintf("%d", s)}
 	}
+	// Verbs and LITE on one cluster.
 	cls, dep, err := newLITE(2)
 	if err != nil {
 		return nil, err
 	}
-	cls.GoOn(0, "bench", func(p *simtime.Proc) {
+	err = runProc(cls, 0, "bench", func(p *simtime.Proc) error {
 		// Native verbs target.
-		local := verbs.Open(cls.Nodes[0].NIC, hostmem.NewAddressSpace(cls.Nodes[0].Mem))
-		remote := verbs.Open(cls.Nodes[1].NIC, hostmem.NewAddressSpace(cls.Nodes[1].Mem))
-		va, _ := remote.AddressSpace().Map(64 << 10)
-		rmr, _ := remote.RegisterMR(p, va, 64<<10, rnic.PermRead|rnic.PermWrite)
-		sva, _ := local.AddressSpace().Map(64 << 10)
-		src, _ := local.RegisterMR(p, sva, 64<<10, rnic.PermRead|rnic.PermWrite)
-		qa, _ := verbs.ConnectRC(local, remote)
-		disp := verbs.NewDispatcher(qa.SendCQ())
+		local, remote := openVerbs(cls)
+		rmr, _ := verbsRegion(p, remote, 64<<10)
+		src, _ := verbsRegion(p, local, 64<<10)
+		write := verbsWriter(local, remote)
 		// LITE target.
 		kc := dep.Instance(0).KernelClient()
 		uc := dep.Instance(0).UserClient()
 		h, _ := kc.MallocAt(p, []int{1}, 64<<10, "", lite.PermRead|lite.PermWrite)
-		const iters = 60
-		for _, s := range sizes {
+		for k, s := range sizes {
 			buf := make([]byte, s)
-			measure := func(op func(i int)) simtime.Time {
-				op(0) // warm
-				start := p.Now()
-				for i := 1; i <= iters; i++ {
-					op(i)
+			for _, op := range []func(i int) error{
+				func(i int) error {
+					return write(p, rnic.WR{WRID: uint64(s*1000 + i + 1), LocalMR: src, Len: int64(s), RemoteKey: rmr.Key()})
+				},
+				func(int) error { return kc.Write(p, h, 0, buf) },
+				func(int) error { return uc.Write(p, h, 0, buf) },
+			} {
+				lat, err := meanLatency(p, 1, 60, op)
+				if err != nil {
+					return err
 				}
-				return (p.Now() - start) / iters
+				rows[k] = append(rows[k], us(lat))
 			}
-			res[s].verbs = measure(func(i int) {
-				wrid := uint64(s*1000 + i + 1)
-				_ = local.PostSend(p, qa, rnic.WR{
-					Kind: rnic.OpWrite, WRID: wrid, Signaled: true,
-					LocalMR: src, Len: int64(s), RemoteKey: rmr.Key(),
-				})
-				disp.Wait(p, wrid)
-			})
-			res[s].kl = measure(func(int) { _ = kc.Write(p, h, 0, buf) })
-			res[s].user = measure(func(int) { _ = uc.Write(p, h, 0, buf) })
 		}
+		return nil
 	})
-	if err := cls.Run(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 
 	// TCP ping-pong on a fresh cluster; report one-way (RTT/2).
-	tcpLat := make(map[int]simtime.Time)
 	tcls, err := newBare(2)
 	if err != nil {
 		return nil, err
@@ -355,32 +302,33 @@ func fig6() (*Table, error) {
 			}
 		}
 	})
-	tcls.GoOn(0, "ping", func(p *simtime.Proc) {
+	err = runProc(tcls, 0, "ping", func(p *simtime.Proc) error {
 		conn, err := tcls.Net.Stack(0).Dial(p, 1, 80)
 		if err != nil {
-			return
+			return err
 		}
-		const iters = 40
-		for _, s := range sizes {
+		for k, s := range sizes {
 			buf := make([]byte, s)
-			_ = conn.Send(p, buf)
-			_, _ = conn.Recv(p)
-			start := p.Now()
-			for i := 0; i < iters; i++ {
-				_ = conn.Send(p, buf)
-				_, _ = conn.Recv(p)
+			rtt, err := meanLatency(p, 1, 40, func(int) error {
+				if err := conn.Send(p, buf); err != nil {
+					return err
+				}
+				_, err := conn.Recv(p)
+				return err
+			})
+			if err != nil {
+				return err
 			}
-			tcpLat[s] = (p.Now() - start) / (2 * iters)
+			rows[k] = append(rows[k], us(rtt/2))
 		}
 		conn.Close(p.Env())
+		return nil
 	})
-	if err := tcls.Run(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 
-	for _, s := range sizes {
-		t.AddRow(fmt.Sprintf("%d", s), us(res[s].verbs), us(res[s].kl), us(res[s].user), us(tcpLat[s]))
-	}
+	t.Rows = rows
 	t.Note("paper: LITE KL ~= Verbs; LITE user slightly above (two crossings); TCP/IP an order of magnitude higher")
 	return t, nil
 }
@@ -395,8 +343,7 @@ func fig7() (*Table, error) {
 	const ops = 300
 	region := int64(2 << 20) // fits every cache: best case for both stacks
 	for _, ws := range sizes {
-		var cells []string
-		cells = append(cells, fmt.Sprintf("%d", ws/1024))
+		cells := []string{fmt.Sprintf("%d", ws/1024)}
 		for _, cfgRun := range []struct {
 			lite    bool
 			threads int
@@ -469,56 +416,44 @@ func fig8() (*Table, error) {
 	sizes := []int64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
 
 	for _, size := range sizes {
-		var reg, dereg, ltmap, ltunmap simtime.Time
 		cls, dep, err := newLITE(2)
 		if err != nil {
 			return nil, err
 		}
-		size := size
-		ready := false
-		var readyCond simtime.Cond
+		var ready simtime.WaitGroup
+		ready.Add(1)
 		cls.GoOn(1, "owner", func(p *simtime.Proc) {
 			// The LMR lives at node 0 ("a local LMR" for the mapper);
 			// its master is node 1.
 			c := dep.Instance(1).KernelClient()
 			_, _ = c.MallocAt(p, []int{0}, size, fmt.Sprintf("reg-%d", size), lite.PermRead|lite.PermWrite)
-			ready = true
-			readyCond.Broadcast(p.Env())
+			ready.Done(p.Env())
 		})
-		cls.GoOn(0, "bench", func(p *simtime.Proc) {
-			for !ready {
-				readyCond.Wait(p)
-			}
+		row := []string{fmt.Sprintf("%d", size/1024)}
+		err = runProc(cls, 0, "bench", func(p *simtime.Proc) error {
+			ready.Wait(p)
 			ctx := verbs.Open(cls.Nodes[0].NIC, hostmem.NewAddressSpace(cls.Nodes[0].Mem))
 			va, err := ctx.AddressSpace().Map(size)
 			if err != nil {
-				return
+				return err
 			}
-			start := p.Now()
-			mr, err := ctx.RegisterMR(p, va, size, rnic.PermRead|rnic.PermWrite)
-			if err != nil {
-				return
-			}
-			reg = p.Now() - start
-			start = p.Now()
-			_ = ctx.DeregisterMR(p, mr)
-			dereg = p.Now() - start
-
 			c := dep.Instance(0).KernelClient()
-			start = p.Now()
-			h, err := c.Map(p, fmt.Sprintf("reg-%d", size))
-			if err != nil {
-				return
+			var mr *rnic.MR
+			var h lite.LH
+			lats, err := timeEach(p,
+				func() (err error) { mr, err = ctx.RegisterMR(p, va, size, rnic.PermRead|rnic.PermWrite); return err },
+				func() error { _ = ctx.DeregisterMR(p, mr); return nil },
+				func() (err error) { h, err = c.Map(p, fmt.Sprintf("reg-%d", size)); return err },
+				func() error { _ = c.Unmap(p, h); return nil })
+			for _, d := range lats {
+				row = append(row, us(d))
 			}
-			ltmap = p.Now() - start
-			start = p.Now()
-			_ = c.Unmap(p, h)
-			ltunmap = p.Now() - start
+			return err
 		})
-		if err := cls.Run(); err != nil {
+		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%d", size/1024), us(reg), us(dereg), us(ltmap), us(ltunmap))
+		t.AddRow(row...)
 	}
 	t.Note("paper: Verbs (de)registration grows with size (page pinning); LT_map/LT_unmap are flat metadata operations")
 	return t, nil

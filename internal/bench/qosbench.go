@@ -36,58 +36,61 @@ func backgroundWriters(cls *cluster.Cluster, dep *lite.Deployment, srcs []int, d
 	}
 }
 
+// qosCluster boots n LITE nodes under QoS mode with four QPs per pair:
+// three for high priority, one for low (6.2). With bg set, nodes 2 and
+// 3 flood node 0 with low-priority writes until *stop.
+func qosCluster(n int, mode lite.QoSMode, bg bool, stop *bool) (*cluster.Cluster, *lite.Deployment, error) {
+	opts := lite.DefaultOptions()
+	opts.QPsPerPair = 4
+	cls, dep, err := newLITEOpts(n, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	dep.SetQoSMode(mode)
+	if bg {
+		backgroundWriters(cls, dep, []int{2, 3}, 0, stop)
+	}
+	return cls, dep, nil
+}
+
 // logRateUnder measures LITE-Log commit throughput at node 1 (log at
 // node 0) under the given QoS mode with background traffic.
 func logRateUnder(mode lite.QoSMode, withBG bool) (float64, error) {
-	opts := lite.DefaultOptions()
-	opts.QPsPerPair = 4 // three QPs for high priority, one for low (6.2)
-	cls, dep, err := newLITEOpts(4, opts)
+	stop := false
+	cls, dep, err := qosCluster(4, mode, withBG, &stop)
 	if err != nil {
 		return 0, err
 	}
-	dep.SetQoSMode(mode)
-	stop := false
-	if withBG {
-		backgroundWriters(cls, dep, []int{2, 3}, 0, &stop)
-	}
 	const ops = 300
 	var rate float64
-	cls.GoOn(1, "committer", func(p *simtime.Proc) {
+	err = runProc(cls, 1, "committer", func(p *simtime.Proc) error {
 		c := dep.Instance(1).KernelClient() // high priority by default
 		lg, err := litelog.Create(p, c, 0, 32<<20, "qos-log")
 		if err != nil {
-			return
+			return err
 		}
 		entry := [][]byte{make([]byte, 16)}
 		p.Sleep(50 * time.Microsecond) // let background traffic ramp
 		start := p.Now()
 		for i := 0; i < ops; i++ {
 			if _, err := lg.Append(p, entry); err != nil {
-				return
+				return err
 			}
 		}
 		rate = float64(ops) / (p.Now() - start).Seconds()
 		stop = true
+		return nil
 	})
-	if err := cls.Run(); err != nil {
-		return 0, err
-	}
-	return rate, nil
+	return rate, err
 }
 
 // graphRateUnder measures LITE-Graph PageRank speed (iterations/s)
 // under the given QoS mode with background traffic.
 func graphRateUnder(mode lite.QoSMode, withBG bool) (float64, error) {
-	opts := lite.DefaultOptions()
-	opts.QPsPerPair = 4
-	cls, dep, err := newLITEOpts(4, opts)
+	stop := false
+	cls, dep, err := qosCluster(4, mode, withBG, &stop)
 	if err != nil {
 		return 0, err
-	}
-	dep.SetQoSMode(mode)
-	stop := false
-	if withBG {
-		backgroundWriters(cls, dep, []int{2, 3}, 0, &stop)
 	}
 	g := workload.NewPowerLawGraph(5, 8000, 80000)
 	cfg := graph.DefaultConfig([]int{0, 1, 2, 3}, 2, 6)
@@ -141,13 +144,10 @@ func fig16() (*Table, error) {
 	const bucketLen = 10 * time.Millisecond
 	type series struct{ total, high [buckets]int64 }
 	runPolicy := func(mode lite.QoSMode) (*series, error) {
-		opts := lite.DefaultOptions()
-		opts.QPsPerPair = 4
-		cls, dep, err := newLITEOpts(3, opts)
+		cls, dep, err := qosCluster(3, mode, false, nil)
 		if err != nil {
 			return nil, err
 		}
-		dep.SetQoSMode(mode)
 		s := &series{}
 		record := func(at simtime.Time, n int64, high bool) {
 			b := int(at / bucketLen)
@@ -158,44 +158,34 @@ func fig16() (*Table, error) {
 				}
 			}
 		}
-		var done simtime.WaitGroup
-		const lowThreads, highThreads = 10, 10
-		const lowOps, highOps = 1200, 800
-		done.Add(lowThreads + highThreads)
-		for th := 0; th < lowThreads; th++ {
-			cls.GoOn(1, "low", func(p *simtime.Proc) {
-				defer done.Done(p.Env())
-				c := dep.Instance(1).KernelClient().SetPriority(lite.PriLow)
-				h, err := c.MallocAt(p, []int{0}, 1<<20, "", lite.PermRead|lite.PermWrite)
-				if err != nil {
-					return
-				}
-				buf := make([]byte, 8<<10)
-				for i := 0; i < lowOps; i++ {
-					if err := c.Write(p, h, 0, buf); err != nil {
+		// Ten low-priority writers on node 1 from t=0, then ten
+		// high-priority ones on node 2 from 20ms, all into node 0.
+		for _, class := range []struct {
+			name      string
+			node, ops int
+			pri       lite.Priority
+			join      time.Duration
+		}{{"low", 1, 1200, lite.PriLow, 0}, {"high", 2, 800, lite.PriHigh, 20 * time.Millisecond}} {
+			high := class.pri == lite.PriHigh
+			for th := 0; th < 10; th++ {
+				cls.GoOn(class.node, class.name, func(p *simtime.Proc) {
+					c := dep.Instance(class.node).KernelClient().SetPriority(class.pri)
+					h, err := c.MallocAt(p, []int{0}, 1<<20, "", lite.PermRead|lite.PermWrite)
+					if err != nil {
 						return
 					}
-					record(p.Now(), int64(len(buf)), false)
-				}
-			})
-		}
-		for th := 0; th < highThreads; th++ {
-			cls.GoOn(2, "high", func(p *simtime.Proc) {
-				defer done.Done(p.Env())
-				c := dep.Instance(2).KernelClient().SetPriority(lite.PriHigh)
-				h, err := c.MallocAt(p, []int{0}, 1<<20, "", lite.PermRead|lite.PermWrite)
-				if err != nil {
-					return
-				}
-				p.Sleep(20 * time.Millisecond)
-				buf := make([]byte, 8<<10)
-				for i := 0; i < highOps; i++ {
-					if err := c.Write(p, h, 0, buf); err != nil {
-						return
+					if class.join > 0 {
+						p.Sleep(class.join)
 					}
-					record(p.Now(), int64(len(buf)), true)
-				}
-			})
+					buf := make([]byte, 8<<10)
+					for i := 0; i < class.ops; i++ {
+						if err := c.Write(p, h, 0, buf); err != nil {
+							return
+						}
+						record(p.Now(), int64(len(buf)), high)
+					}
+				})
+			}
 		}
 		if err := cls.Run(); err != nil {
 			return nil, err

@@ -120,6 +120,29 @@ func rebShardOf(rank uint64) int {
 	return rebShards - 1
 }
 
+// rebSpread totals the per-shard aggregates agg onto the pool nodes
+// the shards call home, and returns each node's load and shard count
+// with the max/min load over the nodes that serve a shard (+Inf if one
+// of them served nothing).
+func rebSpread(home []int, agg []int64) (load []int64, shards []int, spread float64) {
+	load, shards = make([]int64, rebPool+1), make([]int, rebPool+1)
+	for s, h := range home {
+		load[h] += agg[s]
+		shards[h]++
+	}
+	var maxLoad int64
+	var minLoad int64 = math.MaxInt64
+	for n := 1; n <= rebPool; n++ {
+		if shards[n] > 0 {
+			minLoad, maxLoad = min(minLoad, load[n]), max(maxLoad, load[n])
+		}
+	}
+	if minLoad == 0 {
+		return load, shards, math.Inf(1)
+	}
+	return load, shards, float64(maxLoad) / float64(minLoad)
+}
+
 type rebOutcome struct {
 	events      int64
 	virtual     simtime.Time
@@ -131,24 +154,21 @@ type rebOutcome struct {
 	spread      float64 // settled max/min per-serving-node goodput
 }
 
-func runRebalanceOnce() (*rebOutcome, error) {
-	opts := lite.DefaultOptions()
-	opts.QPsPerPair = 1
-	opts.MeshPeers = func(a, b int) bool { return a <= rebPool || b <= rebPool }
-	cls, dep, err := newLITEOpts(rebNodes, opts)
+func runRebalanceOnce() (rebOutcome, error) {
+	cls, dep, err := newLITEOpts(rebNodes, hubOpts(rebPool))
 	if err != nil {
-		return nil, err
+		return rebOutcome{}, err
 	}
 	stores := make([]*kvstore.Store, rebShards)
 	for s := 0; s < rebShards; s++ {
 		st, err := kvstore.StartFn(cls, dep, []int{rebHomeOf(s)}, 4, lite.FirstUserFunc+s)
 		if err != nil {
-			return nil, err
+			return rebOutcome{}, err
 		}
 		stores[s] = st
 	}
 
-	out := &rebOutcome{}
+	var out rebOutcome
 	for ci := 0; ci < rebClients; ci++ {
 		node := rebPool + 1 + ci
 		kcs := make([]*kvstore.Client, rebShards)
@@ -209,39 +229,21 @@ func runRebalanceOnce() (*rebOutcome, error) {
 				aggShard[s] += now - lastServed[s]
 				lastServed[s] = now
 			}
-			load := make([]int64, rebPool+1)
-			shards := make([]int, rebPool+1)
 			var total int64
-			for s := range stores {
-				load[lastHome[s]] += aggShard[s]
-				shards[lastHome[s]]++
-				total += aggShard[s]
+			for _, a := range aggShard {
+				total += a
 			}
 			if total < rebDecideFloor {
 				continue // aggregate too sparse to act on
 			}
-			var maxLoad int64
-			var minLoad int64 = math.MaxInt64
+			load, shards, spread := rebSpread(lastHome, aggShard)
+			// Only a node with shards to spare can shed one; moving a
+			// lone shard just relocates the hotspot.
 			hotNode := -1
 			for n := 1; n <= rebPool; n++ {
-				if shards[n] == 0 {
-					continue
-				}
-				if load[n] < minLoad {
-					minLoad = load[n]
-				}
-				if load[n] > maxLoad {
-					maxLoad = load[n]
-				}
-				// Only a node with shards to spare can shed one; moving a
-				// lone shard just relocates the hotspot.
 				if shards[n] > 1 && (hotNode < 0 || load[n] > load[hotNode]) {
 					hotNode = n
 				}
-			}
-			spread := math.Inf(1)
-			if minLoad > 0 {
-				spread = float64(maxLoad) / float64(minLoad)
 			}
 			if spread <= rebStopSpread || hotNode < 0 ||
 				out.ops >= int64(rebMoveCutoff*float64(totalOps)) {
@@ -288,46 +290,28 @@ func runRebalanceOnce() (*rebOutcome, error) {
 	})
 
 	if err := cls.Run(); err != nil {
-		return nil, err
+		return rebOutcome{}, err
 	}
-	finalLoad := make([]int64, rebPool+1)
-	finalShards := make([]int, rebPool+1)
-	for s := range stores {
-		home := stores[s].ServerNodes()[0]
-		finalLoad[home] += aggShard[s]
-		finalShards[home]++
+	home := make([]int, rebShards)
+	for s, st := range stores {
+		home[s] = st.ServerNodes()[0]
 	}
-	var aggMax int64
-	var aggMin int64 = math.MaxInt64
-	for n := 1; n <= rebPool; n++ {
-		if finalShards[n] == 0 {
-			continue
-		}
-		out.serving++
-		if finalLoad[n] < aggMin {
-			aggMin = finalLoad[n]
-		}
-		if finalLoad[n] > aggMax {
-			aggMax = finalLoad[n]
+	_, shards, spread := rebSpread(home, aggShard)
+	for _, n := range shards {
+		if n > 0 {
+			out.serving++
 		}
 	}
-	out.spread = math.Inf(1)
-	if aggMin > 0 {
-		out.spread = float64(aggMax) / float64(aggMin)
-	}
+	out.spread = spread
 	out.events = cls.Env.Events()
 	out.virtual = cls.Env.Now()
 	return out, nil
 }
 
 func runRebalance() (*Table, error) {
-	a, err := runRebalanceOnce()
+	a, err := replay("rebalance", runRebalanceOnce)
 	if err != nil {
-		return nil, fmt.Errorf("rebalance: %w", err)
-	}
-	b, err := runRebalanceOnce()
-	if err != nil {
-		return nil, fmt.Errorf("rebalance: rerun: %w", err)
+		return nil, err
 	}
 	tab := &Table{
 		ID:     "rebalance",
@@ -343,9 +327,6 @@ func runRebalance() (*Table, error) {
 	tab.Note("%d clients, Zipf(s=%.1f) over %d keys in 12 rank-range shards (hottest ~9.2%% of traffic, coldest ~7.5%%), initial packing 4/3/3/2 shards on 4 nodes", rebClients, rebZipfS, rebKeys)
 	tab.Note("rebalancer samples per-node goodput every %v and drains the hottest shard to the least-loaded pool node until spread <= %.1f", rebWindow, rebStopSpread)
 
-	if *a != *b {
-		return tab, fmt.Errorf("rebalance: runs diverge: %+v vs %+v", a, b)
-	}
 	if a.errs != 0 {
 		return tab, fmt.Errorf("rebalance: %d client calls failed during live moves", a.errs)
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"lite/internal/cluster"
-	"lite/internal/lite"
 	"lite/internal/obs"
 	"lite/internal/rpcbase"
 	"lite/internal/simtime"
@@ -21,179 +19,6 @@ func init() {
 	register("breakdown", "LITE RPC latency breakdown from obs spans (8B -> 4KB, 5.3)", breakdown)
 }
 
-const benchFn = lite.FirstUserFunc
-
-// startLITEEcho runs LITE RPC server threads at node that reply with
-// replySize bytes.
-func startLITEEcho(cls *cluster.Cluster, dep *lite.Deployment, node, workers int) {
-	inst := dep.Instance(node)
-	_ = inst.RegisterRPC(benchFn)
-	for w := 0; w < workers; w++ {
-		cls.GoDaemonOn(node, "lite-echo", func(p *simtime.Proc) {
-			c := inst.KernelClient()
-			call, err := c.RecvRPC(p, benchFn)
-			if err != nil {
-				return
-			}
-			for {
-				// First 4 bytes of input encode the reply size.
-				n := int(call.Input[0]) | int(call.Input[1])<<8 | int(call.Input[2])<<16
-				call, err = c.ReplyRecvRPC(p, call, make([]byte, n), benchFn)
-				if err != nil {
-					return
-				}
-			}
-		})
-	}
-}
-
-func rpcInput(inputSize, replySize int) []byte {
-	in := make([]byte, inputSize)
-	in[0] = byte(replySize)
-	in[1] = byte(replySize >> 8)
-	in[2] = byte(replySize >> 16)
-	return in
-}
-
-// liteRPCLatency measures mean LT_RPC latency for 8B input and the
-// given return size.
-func liteRPCLatency(replySize int, kernel bool) (simtime.Time, error) {
-	cls, dep, err := newLITE(2)
-	if err != nil {
-		return 0, err
-	}
-	startLITEEcho(cls, dep, 1, 2)
-	var lat simtime.Time
-	cls.GoOn(0, "client", func(p *simtime.Proc) {
-		var c *lite.Client
-		if kernel {
-			c = dep.Instance(0).KernelClient()
-		} else {
-			c = dep.Instance(0).UserClient()
-		}
-		in := rpcInput(8, replySize)
-		const iters = 50
-		if _, err := c.RPC(p, 1, benchFn, in, int64(replySize)+8); err != nil {
-			return
-		}
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := c.RPC(p, 1, benchFn, in, int64(replySize)+8); err != nil {
-				return
-			}
-		}
-		lat = (p.Now() - start) / iters
-	})
-	if err := cls.Run(); err != nil {
-		return 0, err
-	}
-	return lat, nil
-}
-
-func farmTwoWriteLatency(replySize int) (simtime.Time, error) {
-	cls, err := newBare(2)
-	if err != nil {
-		return 0, err
-	}
-	pair, err := rpcbase.NewFaRMPair(cls, 0, 1)
-	if err != nil {
-		return 0, err
-	}
-	var lat simtime.Time
-	cls.GoOn(1, "responder", func(p *simtime.Proc) {
-		e := pair.End(1)
-		for i := 0; i < 41; i++ {
-			if _, err := e.Recv(p); err != nil {
-				return
-			}
-			if err := e.Send(p, make([]byte, replySize)); err != nil {
-				return
-			}
-		}
-	})
-	cls.GoOn(0, "pinger", func(p *simtime.Proc) {
-		e := pair.End(0)
-		in := make([]byte, 8)
-		_ = e.Send(p, in)
-		_, _ = e.Recv(p)
-		start := p.Now()
-		for i := 0; i < 40; i++ {
-			_ = e.Send(p, in)
-			if _, err := e.Recv(p); err != nil {
-				return
-			}
-		}
-		lat = (p.Now() - start) / 40
-	})
-	if err := cls.Run(); err != nil {
-		return 0, err
-	}
-	return lat, nil
-}
-
-func herdLatency(replySize int) (simtime.Time, error) {
-	cls, err := newBare(2)
-	if err != nil {
-		return 0, err
-	}
-	srv := rpcbase.StartHERD(cls, 1, 1, func(in []byte) []byte { return make([]byte, replySize) })
-	var lat simtime.Time
-	cls.GoOn(0, "client", func(p *simtime.Proc) {
-		c, err := rpcbase.ConnectHERD(cls, srv, 0)
-		if err != nil {
-			return
-		}
-		in := make([]byte, 8)
-		if _, err := c.Call(p, in); err != nil {
-			return
-		}
-		start := p.Now()
-		for i := 0; i < 50; i++ {
-			if _, err := c.Call(p, in); err != nil {
-				return
-			}
-		}
-		lat = (p.Now() - start) / 50
-	})
-	if err := cls.Run(); err != nil {
-		return 0, err
-	}
-	return lat, nil
-}
-
-func fasstLatency(replySize int) (simtime.Time, error) {
-	cls, err := newBare(2)
-	if err != nil {
-		return 0, err
-	}
-	srv, err := rpcbase.StartFaSST(cls, 1, 1, func(in []byte) []byte { return make([]byte, replySize) })
-	if err != nil {
-		return 0, err
-	}
-	var lat simtime.Time
-	cls.GoOn(0, "client", func(p *simtime.Proc) {
-		c, err := rpcbase.ConnectFaSST(cls, srv, 0)
-		if err != nil {
-			return
-		}
-		in := make([]byte, 8)
-		if _, err := c.Call(p, in); err != nil {
-			return
-		}
-		start := p.Now()
-		for i := 0; i < 50; i++ {
-			if _, err := c.Call(p, in); err != nil {
-				return
-			}
-		}
-		lat = (p.Now() - start) / 50
-	})
-	if err := cls.Run(); err != nil {
-		return 0, err
-	}
-	return lat, nil
-}
-
 func fig10() (*Table, error) {
 	t := &Table{
 		ID:     "fig10",
@@ -201,175 +26,21 @@ func fig10() (*Table, error) {
 		Header: []string{"Return (B)", "LITE_RPC (us)", "LITE_RPC KL (us)", "2 Verbs writes (us)", "HERD (us)", "FaSST (us)"},
 	}
 	for _, r := range []int{8, 64, 512, 4096} {
-		user, err := liteRPCLatency(r, false)
-		if err != nil {
-			return nil, err
+		row := []string{fmt.Sprintf("%d", r)}
+		for _, s := range []struct {
+			scheme rpcScheme
+			iters  int
+		}{{defaultLITE(2, true), 50}, {defaultLITE(2, false), 50}, {farmRPC(41), 40}, {herdRPC(1), 50}, {fasstRPC(), 50}} {
+			lat, err := rpcLatency(s.scheme, s.iters, rpcInput(8, r), int64(r)+8)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, us(lat))
 		}
-		kl, err := liteRPCLatency(r, true)
-		if err != nil {
-			return nil, err
-		}
-		farm, err := farmTwoWriteLatency(r)
-		if err != nil {
-			return nil, err
-		}
-		herd, err := herdLatency(r)
-		if err != nil {
-			return nil, err
-		}
-		fasst, err := fasstLatency(r)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%d", r), us(user), us(kl), us(farm), us(herd), us(fasst))
+		t.AddRow(row...)
 	}
 	t.Note("paper: LITE has a slight overhead over two bare writes; HERD slightly faster small, worse big; FaSST worst at large sizes")
 	return t, nil
-}
-
-// liteRPCThroughput measures aggregate reply throughput with the given
-// number of client threads.
-func liteRPCThroughput(replySize, clients, opsPerClient int) (simtime.Time, error) {
-	cls, dep, err := newLITE(2)
-	if err != nil {
-		return 0, err
-	}
-	startLITEEcho(cls, dep, 1, clients)
-	var done, started simtime.WaitGroup
-	done.Add(clients)
-	started.Add(clients)
-	var measStart, last simtime.Time
-	var firstErr error
-	for th := 0; th < clients; th++ {
-		cls.GoOn(0, "client", func(p *simtime.Proc) {
-			defer done.Done(p.Env())
-			startedDone := false
-			markStarted := func() {
-				if !startedDone {
-					startedDone = true
-					started.Done(p.Env())
-				}
-			}
-			defer markStarted()
-			c := dep.Instance(0).KernelClient()
-			in := rpcInput(8, replySize)
-			if _, err := c.RPC(p, 1, benchFn, in, int64(replySize)+8); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			markStarted()
-			started.Wait(p)
-			if measStart == 0 {
-				measStart = p.Now()
-			}
-			for i := 0; i < opsPerClient; i++ {
-				if _, err := c.RPC(p, 1, benchFn, in, int64(replySize)+8); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-			}
-			if p.Now() > last {
-				last = p.Now()
-			}
-		})
-	}
-	if err := cls.Run(); err != nil {
-		return 0, err
-	}
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return last - measStart, nil
-}
-
-func baseRPCThroughput(scheme string, replySize, clients, opsPerClient int) (simtime.Time, error) {
-	cls, err := newBare(2)
-	if err != nil {
-		return 0, err
-	}
-	handler := func(in []byte) []byte { return make([]byte, replySize) }
-	var herdSrv *rpcbase.HERDServer
-	var fasstSrv *rpcbase.FaSSTServer
-	switch scheme {
-	case "herd":
-		herdSrv = rpcbase.StartHERD(cls, 1, 4, handler)
-	case "fasst":
-		// FaSST's master poller executes handlers inline: one thread.
-		fasstSrv, err = rpcbase.StartFaSST(cls, 1, 1, handler)
-		if err != nil {
-			return 0, err
-		}
-	}
-	var done, started simtime.WaitGroup
-	done.Add(clients)
-	started.Add(clients)
-	var measStart, last simtime.Time
-	var firstErr error
-	for th := 0; th < clients; th++ {
-		cls.GoOn(0, "client", func(p *simtime.Proc) {
-			defer done.Done(p.Env())
-			startedDone := false
-			markStarted := func() {
-				if !startedDone {
-					startedDone = true
-					started.Done(p.Env())
-				}
-			}
-			defer markStarted()
-			fail := func(err error) {
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-			var call func(*simtime.Proc, []byte) ([]byte, error)
-			switch scheme {
-			case "herd":
-				c, err := rpcbase.ConnectHERD(cls, herdSrv, 0)
-				if err != nil {
-					fail(err)
-					return
-				}
-				call = c.Call
-			case "fasst":
-				c, err := rpcbase.ConnectFaSST(cls, fasstSrv, 0)
-				if err != nil {
-					fail(err)
-					return
-				}
-				call = c.Call
-			}
-			in := make([]byte, 8)
-			if _, err := call(p, in); err != nil {
-				fail(err)
-				return
-			}
-			markStarted()
-			started.Wait(p)
-			if measStart == 0 {
-				measStart = p.Now()
-			}
-			for i := 0; i < opsPerClient; i++ {
-				if _, err := call(p, in); err != nil {
-					fail(err)
-					return
-				}
-			}
-			if p.Now() > last {
-				last = p.Now()
-			}
-		})
-	}
-	if err := cls.Run(); err != nil {
-		return 0, err
-	}
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return last - measStart, nil
 }
 
 func fig11() (*Table, error) {
@@ -382,13 +53,8 @@ func fig11() (*Table, error) {
 	for _, r := range []int{64, 512, 1024, 4096} {
 		row := []string{fmt.Sprintf("%d", r)}
 		for _, clients := range []int{1, 16} {
-			el, err := liteRPCThroughput(r, clients, ops)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, gbps(int64(clients*ops*r), el))
-			for _, s := range []string{"herd", "fasst"} {
-				el, err := baseRPCThroughput(s, r, clients, ops)
+			for _, s := range []rpcScheme{defaultLITE(clients, false), herdRPC(4), fasstRPC()} {
+				el, err := rpcThroughput(s, newWindow(clients, 1, ops, true), rpcInput(8, r), int64(r)+8)
 				if err != nil {
 					return nil, err
 				}
@@ -426,128 +92,50 @@ func fig12() (*Table, error) {
 	return t, nil
 }
 
-// cpuPerRequest runs nReq RPCs with the given inter-arrival factor and
-// returns total CPU time across both nodes divided by requests.
-func cpuPerRequest(scheme string, factor int, nReq int) (simtime.Time, error) {
+// cpuPerRequest is the CPU time per call across both nodes of nReq
+// calls with Facebook value sizes (capped at 4KB) from 8 threads at the
+// Facebook inter-arrival gaps stretched by factor. Calls draw on one pool
+// of 8 connections in call order, dialed before the run, or from a setup
+// proc on node 0 that the first calls wait for if setupProc is set.
+func cpuPerRequest(s rpcScheme, setupProc bool, factor int, nReq int) (simtime.Time, error) {
+	const threads = 8
 	gaps := make([]simtime.Time, nReq)
 	kv := workload.NewFacebookKV(7)
 	sizes := make([]int, nReq)
 	for i := range gaps {
 		gaps[i] = kv.InterArrival() * simtime.Time(factor)
-		v := kv.ValueSize()
-		if v > 4096 {
-			v = 4096
-		}
-		sizes[i] = int(v)
+		sizes[i] = int(min(kv.ValueSize(), 4096))
 	}
-	var cls *cluster.Cluster
-	run := func(call func(p *simtime.Proc, replySize int) error) error {
-		var done simtime.WaitGroup
-		const threads = 8
-		done.Add(threads)
-		for th := 0; th < threads; th++ {
-			th := th
-			cls.GoOn(0, "client", func(p *simtime.Proc) {
-				defer done.Done(p.Env())
-				for i := th; i < nReq; i += threads {
-					p.Sleep(gaps[i] * threads)
-					if err := call(p, sizes[i]); err != nil {
-						return
-					}
-				}
-			})
-		}
-		return cls.Run()
+	cls, dial, err := s()
+	if err != nil {
+		return 0, err
 	}
-
-	switch scheme {
-	case "lite":
-		lcls, dep, err := newLITE(2)
-		if err != nil {
-			return 0, err
+	pool := make([]rpcCall, threads)
+	fill := func() {
+		for i := range pool {
+			pool[i] = dial()
 		}
-		cls = lcls
-		startLITEEcho(cls, dep, 1, 8)
-		clients := make([]*lite.Client, 8)
-		for i := range clients {
-			clients[i] = dep.Instance(0).UserClient()
-		}
-		var idx int
-		if err := run(func(p *simtime.Proc, r int) error {
-			c := clients[idx%8]
-			idx++
-			_, err := c.RPC(p, 1, benchFn, rpcInput(16, r), 4104)
-			return err
-		}); err != nil {
-			return 0, err
-		}
-	case "herd":
-		bcls, err := newBare(2)
-		if err != nil {
-			return 0, err
-		}
-		cls = bcls
-		srv := rpcbase.StartHERD(cls, 1, 1, func(in []byte) []byte {
-			n := int(in[0]) | int(in[1])<<8
-			return make([]byte, n)
-		})
-		conns := make([]*rpcbase.HERDClient, 8)
-		var setupDone simtime.WaitGroup
-		setupDone.Add(1)
+	}
+	var ready simtime.WaitGroup
+	if setupProc {
+		ready.Add(1)
 		cls.GoOn(0, "setup", func(p *simtime.Proc) {
-			defer setupDone.Done(p.Env())
-			for i := range conns {
-				conns[i], _ = rpcbase.ConnectHERD(cls, srv, 0)
-			}
+			fill()
+			ready.Done(p.Env())
 		})
-		var idx int
-		if err := run(func(p *simtime.Proc, r int) error {
-			setupDone.Wait(p)
-			c := conns[idx%8]
-			idx++
-			in := make([]byte, 16)
-			in[0], in[1] = byte(r), byte(r>>8)
-			_, err := c.Call(p, in)
-			return err
-		}); err != nil {
-			return 0, err
-		}
-	case "fasst":
-		bcls, err := newBare(2)
-		if err != nil {
-			return 0, err
-		}
-		cls = bcls
-		srv, err := rpcbase.StartFaSST(cls, 1, 1, func(in []byte) []byte {
-			n := int(in[0]) | int(in[1])<<8
-			return make([]byte, n)
-		})
-		if err != nil {
-			return 0, err
-		}
-		conns := make([]*rpcbase.FaSSTClient, 8)
-		var setupDone simtime.WaitGroup
-		setupDone.Add(1)
-		cls.GoOn(0, "setup", func(p *simtime.Proc) {
-			defer setupDone.Done(p.Env())
-			for i := range conns {
-				conns[i], _ = rpcbase.ConnectFaSST(cls, srv, 0)
-			}
-		})
-		var idx int
-		if err := run(func(p *simtime.Proc, r int) error {
-			setupDone.Wait(p)
-			c := conns[idx%8]
-			idx++
-			in := make([]byte, 16)
-			in[0], in[1] = byte(r), byte(r>>8)
-			_, err := c.Call(p, in)
-			return err
-		}); err != nil {
-			return 0, err
-		}
+	} else {
+		fill()
 	}
-	return cls.TotalCPU() / simtime.Time(nReq), nil
+	var idx int
+	cpu, err := gapCPU(cls, threads, gaps, func(p *simtime.Proc) func(int) error {
+		return func(i int) error {
+			ready.Wait(p)
+			call := pool[idx%threads]
+			idx++
+			return call(p, rpcInput(16, sizes[i]), 4104)
+		}
+	})
+	return cpu / simtime.Time(nReq), err
 }
 
 func fig13() (*Table, error) {
@@ -558,19 +146,18 @@ func fig13() (*Table, error) {
 	}
 	const nReq = 2000
 	for _, f := range []int{1, 2, 4, 8} {
-		h, err := cpuPerRequest("herd", f, nReq)
-		if err != nil {
-			return nil, err
+		row := []string{fmt.Sprintf("%dx", f)}
+		for _, s := range []struct {
+			scheme    rpcScheme
+			setupProc bool
+		}{{herdRPC(1), true}, {fasstRPC(), true}, {defaultLITE(8, true), false}} {
+			cpu, err := cpuPerRequest(s.scheme, s.setupProc, f, nReq)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, us(cpu))
 		}
-		fa, err := cpuPerRequest("fasst", f, nReq)
-		if err != nil {
-			return nil, err
-		}
-		l, err := cpuPerRequest("lite", f, nReq)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%dx", f), us(h), us(fa), us(l))
+		t.AddRow(row...)
 	}
 	t.Note("paper: LITE lowest at light load (adaptive sleep); polling designs burn CPU in proportion to idle time")
 	return t, nil
@@ -583,96 +170,18 @@ func tabCPU() (*Table, error) {
 		Header: []string{"Scheme", "CPU time (s)"},
 	}
 	// 1000 requests at fixed 1ms spacing across 8 threads.
-	for _, scheme := range []string{"lite", "herd", "fasst"} {
-		cpu, err := fixedRateCPU(scheme, 1000, time.Millisecond)
+	for _, s := range []struct {
+		name   string
+		scheme rpcScheme
+	}{{"lite", defaultLITE(8, true)}, {"herd", herdRPC(1)}, {"fasst", fasstRPC()}} {
+		cpu, err := fixedRateCPU(s.scheme, 8, 1000, time.Millisecond, rpcInput(16, 64), 128)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(scheme, fmt.Sprintf("%.2f", cpu.Seconds()))
+		t.AddRow(s.name, fmt.Sprintf("%.2f", cpu.Seconds()))
 	}
 	t.Note("paper: LITE 4.3s vs HERD 8.7s and FaSST 8.8s on their testbed; the ordering and rough ratio are the reproducible shape")
 	return t, nil
-}
-
-func fixedRateCPU(scheme string, nReq int, gap simtime.Time) (simtime.Time, error) {
-	// Reuse cpuPerRequest's machinery with constant gaps by shadowing
-	// the Facebook distribution: emulate with factor chosen so mean
-	// gap ~ target. Simpler: run a dedicated loop here.
-	switch scheme {
-	case "lite":
-		cls, dep, err := newLITE(2)
-		if err != nil {
-			return 0, err
-		}
-		startLITEEcho(cls, dep, 1, 8)
-		var done simtime.WaitGroup
-		const threads = 8
-		done.Add(threads)
-		for th := 0; th < threads; th++ {
-			cls.GoOn(0, "client", func(p *simtime.Proc) {
-				defer done.Done(p.Env())
-				c := dep.Instance(0).UserClient()
-				for i := 0; i < nReq/threads; i++ {
-					p.Sleep(gap * threads)
-					if _, err := c.RPC(p, 1, benchFn, rpcInput(16, 64), 128); err != nil {
-						return
-					}
-				}
-			})
-		}
-		if err := cls.Run(); err != nil {
-			return 0, err
-		}
-		return cls.TotalCPU(), nil
-	default:
-		cls, err := newBare(2)
-		if err != nil {
-			return 0, err
-		}
-		handler := func(in []byte) []byte { return make([]byte, 64) }
-		var herdSrv *rpcbase.HERDServer
-		var fasstSrv *rpcbase.FaSSTServer
-		if scheme == "herd" {
-			herdSrv = rpcbase.StartHERD(cls, 1, 1, handler)
-		} else {
-			fasstSrv, err = rpcbase.StartFaSST(cls, 1, 1, handler)
-			if err != nil {
-				return 0, err
-			}
-		}
-		var done simtime.WaitGroup
-		const threads = 8
-		done.Add(threads)
-		for th := 0; th < threads; th++ {
-			cls.GoOn(0, "client", func(p *simtime.Proc) {
-				defer done.Done(p.Env())
-				var call func(*simtime.Proc, []byte) ([]byte, error)
-				if scheme == "herd" {
-					c, err := rpcbase.ConnectHERD(cls, herdSrv, 0)
-					if err != nil {
-						return
-					}
-					call = c.Call
-				} else {
-					c, err := rpcbase.ConnectFaSST(cls, fasstSrv, 0)
-					if err != nil {
-						return
-					}
-					call = c.Call
-				}
-				for i := 0; i < nReq/threads; i++ {
-					p.Sleep(gap * threads)
-					if _, err := call(p, make([]byte, 16)); err != nil {
-						return
-					}
-				}
-			})
-		}
-		if err := cls.Run(); err != nil {
-			return 0, err
-		}
-		return cls.TotalCPU(), nil
-	}
 }
 
 // breakdown derives the §5.3 component table from the spans of one

@@ -14,70 +14,43 @@ func init() {
 }
 
 // clusterWriteRate runs 8 threads per node doing 64B LT_writes to
-// random peers and returns aggregate requests/us.
-func clusterWriteRate(n int) (float64, error) {
+// random peers, after a warm-up quarter and a rendezvous, and returns
+// the timed window.
+func clusterWriteRate(n int) (simtime.Time, error) {
 	cls, dep, err := newLITE(n)
 	if err != nil {
 		return 0, err
 	}
-	const threads = 8
-	const ops = 150
-	var done simtime.WaitGroup
-	done.Add(n * threads)
-	var measStart, last simtime.Time
-	var started simtime.WaitGroup
-	started.Add(n * threads)
+	w := newWindow(n*fig14Threads, fig14WriteOps/4, fig14WriteOps, true)
 	// One 1MB LMR per node, written by everyone else.
-	lhs := make([][]lite.LH, n) // lhs[node][target]
 	for node := 0; node < n; node++ {
-		node := node
 		cls.GoOn(node, "setup", func(p *simtime.Proc) {
 			c := dep.Instance(node).KernelClient()
-			name := fmt.Sprintf("f14-%d", node)
-			if _, err := c.Malloc(p, 1<<20, name, lite.PermRead|lite.PermWrite); err != nil {
+			if _, err := c.Malloc(p, 1<<20, fmt.Sprintf("f14-%d", node), lite.PermRead|lite.PermWrite); err != nil {
 				return
 			}
 			// Wait for all allocations, then map every peer.
 			if err := c.Barrier(p, 0xF14, n); err != nil {
 				return
 			}
-			lhs[node] = make([]lite.LH, n)
-			for t := 0; t < n; t++ {
+			lhs := make([]lite.LH, n)
+			for t := range lhs {
 				h, err := c.Map(p, fmt.Sprintf("f14-%d", t))
 				if err != nil {
 					return
 				}
-				lhs[node][t] = h
+				lhs[t] = h
 			}
-			for th := 0; th < threads; th++ {
-				th := th
+			for th := 0; th < fig14Threads; th++ {
 				cls.GoOn(node, "writer", func(q *simtime.Proc) {
-					defer done.Done(q.Env())
 					qc := dep.Instance(node).KernelClient()
 					buf := make([]byte, 64)
-					rng := xorshift(uint64(node*threads+th)*2654435761 + 11)
-					write := func() {
-						t := int(rng.next() % uint64(n))
-						if t == node {
-							t = (t + 1) % n
-						}
-						off := int64(rng.next() % (1<<20 - 64))
-						_ = qc.Write(q, lhs[node][t], off, buf)
-					}
-					for i := 0; i < ops/4; i++ {
-						write()
-					}
-					started.Done(q.Env())
-					started.Wait(q)
-					if measStart == 0 {
-						measStart = q.Now()
-					}
-					for i := 0; i < ops; i++ {
-						write()
-					}
-					if q.Now() > last {
-						last = q.Now()
-					}
+					rng := xorshift(uint64(node*fig14Threads+th)*2654435761 + 11)
+					w.run(q, func() error {
+						h := lhs[fig14Peer(&rng, node, n)]
+						_ = qc.Write(q, h, int64(rng.next()%(1<<20-64)), buf)
+						return nil
+					})
 				})
 			}
 		})
@@ -85,70 +58,56 @@ func clusterWriteRate(n int) (float64, error) {
 	if err := cls.Run(); err != nil {
 		return 0, err
 	}
-	el := last - measStart
-	if el <= 0 {
-		return 0, fmt.Errorf("fig14: no elapsed time")
-	}
-	return float64(n*threads*ops) / (float64(el) / 1000.0), nil
+	return w.elapsed()
 }
 
 // clusterRPCRate runs 8 client threads per node issuing 64B->8B RPCs
-// to random peers (every node also serves) and returns requests/us.
-func clusterRPCRate(n int) (float64, error) {
+// to random peers (every node also serves), after a warm-up quarter and
+// a rendezvous, and returns the timed window.
+func clusterRPCRate(n int) (simtime.Time, error) {
 	cls, dep, err := newLITE(n)
 	if err != nil {
 		return 0, err
 	}
 	for node := 0; node < n; node++ {
-		startLITEEcho(cls, dep, node, 8)
+		if err := serveEcho(dep, node, fig14Threads); err != nil {
+			return 0, err
+		}
 	}
-	const threads = 8
-	const ops = 120
-	var done, started simtime.WaitGroup
-	done.Add(n * threads)
-	started.Add(n * threads)
-	var measStart, last simtime.Time
+	w := newWindow(n*fig14Threads, fig14RPCOps/4, fig14RPCOps, true)
 	for node := 0; node < n; node++ {
-		node := node
-		for th := 0; th < threads; th++ {
-			th := th
+		for th := 0; th < fig14Threads; th++ {
 			cls.GoOn(node, "client", func(q *simtime.Proc) {
-				defer done.Done(q.Env())
 				c := dep.Instance(node).KernelClient()
-				rng := xorshift(uint64(node*threads+th)*40503 + 3)
+				rng := xorshift(uint64(node*fig14Threads+th)*40503 + 3)
 				in := rpcInput(64, 8)
-				call := func() {
-					t := int(rng.next() % uint64(n))
-					if t == node {
-						t = (t + 1) % n
-					}
-					_, _ = c.RPC(q, t, benchFn, in, 64)
-				}
-				for i := 0; i < ops/4; i++ {
-					call()
-				}
-				started.Done(q.Env())
-				started.Wait(q)
-				if measStart == 0 {
-					measStart = q.Now()
-				}
-				for i := 0; i < ops; i++ {
-					call()
-				}
-				if q.Now() > last {
-					last = q.Now()
-				}
+				w.run(q, func() error {
+					_, _ = c.RPC(q, fig14Peer(&rng, node, n), benchFn, in, 64)
+					return nil
+				})
 			})
 		}
 	}
 	if err := cls.Run(); err != nil {
 		return 0, err
 	}
-	el := last - measStart
-	if el <= 0 {
-		return 0, fmt.Errorf("fig14: no elapsed time")
+	return w.elapsed()
+}
+
+// fig14 load: 8 threads per node; ops per thread.
+const (
+	fig14Threads  = 8
+	fig14WriteOps = 150
+	fig14RPCOps   = 120
+)
+
+// fig14Peer draws a random peer of node other than itself.
+func fig14Peer(rng *xorshift, node, n int) int {
+	t := int(rng.next() % uint64(n))
+	if t == node {
+		t = (t + 1) % n
 	}
-	return float64(n*threads*ops) / (float64(el) / 1000.0), nil
+	return t
 }
 
 func fig14() (*Table, error) {
@@ -166,7 +125,7 @@ func fig14() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.2f", w), fmt.Sprintf("%.2f", r))
+		t.AddRow(fmt.Sprintf("%d", n), reqPerUs(int64(n*fig14Threads*fig14WriteOps), w), reqPerUs(int64(n*fig14Threads*fig14RPCOps), r))
 	}
 	t.Note("paper: both scale near-linearly with node count on K x N shared QPs")
 	return t, nil
@@ -196,57 +155,39 @@ func logCommitRate(writers int) (float64, error) {
 	}
 	const threadsPerNode = 4
 	const ops = 120
-	var done, started simtime.WaitGroup
-	done.Add(writers * threadsPerNode)
-	started.Add(writers * threadsPerNode)
-	var measStart, last simtime.Time
-	ready := false
-	var readyCond simtime.Cond
+	w := newWindow(writers*threadsPerNode, ops/4, ops, true)
+	var ready simtime.WaitGroup
+	ready.Add(1)
 	cls.GoOn(0, "creator", func(p *simtime.Proc) {
 		c := dep.Instance(0).KernelClient()
 		if _, err := litelog.Create(p, c, 0, 64<<20, "bench-log"); err != nil {
 			return
 		}
-		ready = true
-		readyCond.Broadcast(p.Env())
+		ready.Done(p.Env())
 	})
-	for w := 1; w <= writers; w++ {
-		w := w
+	for wn := 1; wn <= writers; wn++ {
 		for th := 0; th < threadsPerNode; th++ {
-			cls.GoOn(w, "committer", func(q *simtime.Proc) {
-				defer done.Done(q.Env())
-				for !ready {
-					readyCond.Wait(q)
-				}
-				c := dep.Instance(w).KernelClient()
-				lg, err := litelog.Open(q, c, "bench-log", 64<<20)
+			cls.GoOn(wn, "committer", func(q *simtime.Proc) {
+				ready.Wait(q)
+				lg, err := litelog.Open(q, dep.Instance(wn).KernelClient(), "bench-log", 64<<20)
 				if err != nil {
+					w.run(q, func() error { return err })
 					return
 				}
 				entry := [][]byte{make([]byte, 16)}
-				for i := 0; i < ops/4; i++ {
+				w.run(q, func() error {
 					_, _ = lg.Append(q, entry)
-				}
-				started.Done(q.Env())
-				started.Wait(q)
-				if measStart == 0 {
-					measStart = q.Now()
-				}
-				for i := 0; i < ops; i++ {
-					_, _ = lg.Append(q, entry)
-				}
-				if q.Now() > last {
-					last = q.Now()
-				}
+					return nil
+				})
 			})
 		}
 	}
 	if err := cls.Run(); err != nil {
 		return 0, err
 	}
-	el := last - measStart
-	if el <= 0 {
-		return 0, fmt.Errorf("log-tput: no elapsed time")
+	el, err := w.elapsed()
+	if err != nil {
+		return 0, err
 	}
 	return float64(writers*threadsPerNode*ops) / el.Seconds(), nil
 }

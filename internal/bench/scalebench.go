@@ -23,7 +23,6 @@ import (
 	"lite/internal/apps/kvstore"
 	"lite/internal/cluster"
 	"lite/internal/lite"
-	"lite/internal/params"
 	"lite/internal/simtime"
 	"lite/internal/tenant"
 )
@@ -49,35 +48,37 @@ const (
 	scaleMinOps   = 20_000
 )
 
-// scaleOutcome is one run of the workload. boot is the host wall time
-// to stand the cluster up (node construction, the QP mesh, control
-// rings, kvstore); run is the host wall time to simulate the workload
-// to completion; cpu is the process CPU time the whole thing consumed.
-// Events per second is end-to-end: bring-up is part of what an
-// experiment costs.
+// scaleOutcome is one run's virtual figures; two runs must agree on
+// every field.
 type scaleOutcome struct {
 	events  int64
 	virtual simtime.Time
-	boot    time.Duration
-	run     time.Duration
-	cpu     time.Duration
 	nodes   int
 	ops     int64
 	sheds   int64
 	errs    int64
 }
 
-// eventsPerSec is throughput against CPU time, not wall time. The
-// simulator is single-threaded, so CPU seconds measure the work an
-// experiment costs; unlike wall time they do not inflate while the
-// process sits descheduled behind a noisy host neighbor, which on
-// shared machines is the difference between a reproducible figure and
-// a coin flip. Wall times are still reported per phase for context.
-func (o *scaleOutcome) eventsPerSec() float64 {
-	if o.cpu <= 0 {
+// scaleHost is what one run cost the host: boot is the wall time to
+// stand the cluster up (node construction, the QP mesh, control rings,
+// kvstore); run is the wall time to simulate the workload to
+// completion; cpu is the process CPU time the whole thing consumed.
+type scaleHost struct {
+	boot, run, cpu time.Duration
+}
+
+// eventsPerSec is end-to-end throughput (bring-up is part of what an
+// experiment costs) against CPU time, not wall time. The simulator is
+// single-threaded, so CPU seconds measure the work an experiment costs;
+// unlike wall time they do not inflate while the process sits
+// descheduled behind a noisy host neighbor, which on shared machines is
+// the difference between a reproducible figure and a coin flip. Wall
+// times are still reported per phase for context.
+func (h scaleHost) eventsPerSec(events int64) float64 {
+	if h.cpu <= 0 {
 		return 0
 	}
-	return float64(o.events) / o.cpu.Seconds()
+	return float64(events) / h.cpu.Seconds()
 }
 
 // cpuTime returns the CPU time (user + system) consumed by the process
@@ -93,9 +94,9 @@ func cpuTime() time.Duration {
 
 // scaleWorkload builds the 500-node cluster and drives the mix to
 // completion. Everything inside is seeded and virtual, so two calls
-// must produce the same events, virtual duration, op count, and error
-// count.
-func scaleWorkload() (*scaleOutcome, error) {
+// must produce the same outcome; what the run cost the host goes to
+// host.
+func scaleWorkload(host *[]scaleHost) (scaleOutcome, error) {
 	// Collect the previous run's garbage now so no run pays another
 	// run's GC debt inside its measured window. (The clusters are
 	// deliberately not track()ed: each becomes collectable as soon as
@@ -103,22 +104,18 @@ func scaleWorkload() (*scaleOutcome, error) {
 	runtime.GC()
 	cpuStart := cpuTime()
 	bootStart := time.Now()
-	cfg := params.Default()
-	cfg.ClosLeafNodes = scaleLeafNodes
-	cfg.ClosSpines = scaleSpines
+	cfg := closCfg(scaleLeafNodes, scaleSpines)
 	cls, err := cluster.New(&cfg, scaleNodes, 4<<30)
 	if err != nil {
-		return nil, err
+		return scaleOutcome{}, err
 	}
-	opts := lite.DefaultOptions()
-	opts.QPsPerPair = 1
 	// Hub mesh: every node brings up QPs and control rings to the
 	// manager and the kvstore servers only.
-	opts.MeshPeers = func(a, b int) bool { return a <= scaleServers || b <= scaleServers }
+	opts := hubOpts(scaleServers)
 	opts.AdmissionHighWater = 64
 	dep, err := lite.Start(cls, opts)
 	if err != nil {
-		return nil, err
+		return scaleOutcome{}, err
 	}
 	reg := tenant.NewRegistry()
 	var classes [3]*tenant.Tenant
@@ -128,7 +125,7 @@ func scaleWorkload() (*scaleOutcome, error) {
 	}{{"gold", 4}, {"silver", 2}, {"bronze", 1}} {
 		t, err := reg.Register(c.name, "secret", c.weight)
 		if err != nil {
-			return nil, err
+			return scaleOutcome{}, err
 		}
 		classes[i] = t
 	}
@@ -139,12 +136,11 @@ func scaleWorkload() (*scaleOutcome, error) {
 	}
 	st, err := kvstore.Start(cls, dep, servers, scaleThreads)
 	if err != nil {
-		return nil, err
+		return scaleOutcome{}, err
 	}
-	out := &scaleOutcome{nodes: len(cls.Nodes)}
+	out := scaleOutcome{nodes: len(cls.Nodes)}
 	val := []byte("0123456789abcdef0123456789abcdef")
 	for node := scaleServers + 1; node < scaleNodes; node++ {
-		node := node
 		// Every third client issues through a tenant service class
 		// (weighted fair admission + namespaced keys); the rest are
 		// plain kvstore clients.
@@ -159,27 +155,15 @@ func scaleWorkload() (*scaleOutcome, error) {
 			for k := 0; k < scaleOps; k++ {
 				key := fmt.Sprintf("k%d", rng.next()%4096)
 				put := rng.next()%3 == 0
-				var err error
-				for attempt := 0; ; attempt++ {
+				err := resubmit(p, &out.sheds, func() error {
 					if put {
-						err = kc.Put(p, key, val)
-					} else if _, err = kc.Get(p, key); errors.Is(err, kvstore.ErrNotFound) {
-						err = nil // a miss is a served lookup
+						return kc.Put(p, key, val)
 					}
-					// An overload shed is a definitive "not executed"
-					// with a Retry-After hint; the well-behaved client
-					// backs off by the hint and resubmits.
-					var ov *lite.OverloadError
-					if !errors.As(err, &ov) || attempt >= 50 {
-						break
+					if _, err := kc.Get(p, key); !errors.Is(err, kvstore.ErrNotFound) {
+						return err
 					}
-					out.sheds++
-					wait := ov.RetryAfter
-					if wait <= 0 {
-						wait = simtime.Time(time.Microsecond)
-					}
-					p.Sleep(wait)
-				}
+					return nil // a miss is a served lookup
+				})
 				out.ops++
 				if err != nil {
 					out.errs++
@@ -187,17 +171,15 @@ func scaleWorkload() (*scaleOutcome, error) {
 			}
 		})
 	}
-	out.boot = time.Since(bootStart)
+	h := scaleHost{boot: time.Since(bootStart)}
 	start := time.Now()
 	runErr := cls.Env.Run()
-	out.run = time.Since(start)
-	out.cpu = cpuTime() - cpuStart
+	h.run = time.Since(start)
+	h.cpu = cpuTime() - cpuStart
+	*host = append(*host, h)
 	out.events = cls.Env.Events()
 	out.virtual = cls.Env.Now()
-	if runErr != nil {
-		return nil, runErr
-	}
-	return out, nil
+	return out, runErr
 }
 
 // runScale executes the workload twice and gates: the two runs must
@@ -207,13 +189,10 @@ func scaleWorkload() (*scaleOutcome, error) {
 // regression; the recorded events per CPU second is the faster run's
 // (wall jitter on a shared host dwarfs a three-second total).
 func runScale() (*Table, error) {
-	first, err := scaleWorkload()
+	var host []scaleHost
+	o, err := replay("scale", func() (scaleOutcome, error) { return scaleWorkload(&host) })
 	if err != nil {
-		return nil, fmt.Errorf("scale: run 1: %w", err)
-	}
-	second, err := scaleWorkload()
-	if err != nil {
-		return nil, fmt.Errorf("scale: run 2: %w", err)
+		return nil, err
 	}
 	tab := &Table{
 		ID:          "scale",
@@ -221,38 +200,32 @@ func runScale() (*Table, error) {
 		Header:      []string{"run", "events", "virtual_ms", "ops", "errs", "boot_ms", "run_ms", "cpu_ms", "events_per_sec"},
 		HostColumns: []string{"boot_ms", "run_ms", "cpu_ms", "events_per_sec"},
 	}
-	for i, o := range []*scaleOutcome{first, second} {
+	for i, h := range host {
 		tab.AddRow(fmt.Sprintf("run-%d", i+1),
 			fmt.Sprintf("%d", o.events),
 			fmt.Sprintf("%.3f", float64(o.virtual)/1e6),
 			fmt.Sprintf("%d", o.ops),
 			fmt.Sprintf("%d", o.errs),
-			fmt.Sprintf("%.0f", float64(o.boot.Nanoseconds())/1e6),
-			fmt.Sprintf("%.0f", float64(o.run.Nanoseconds())/1e6),
-			fmt.Sprintf("%.0f", float64(o.cpu.Nanoseconds())/1e6),
-			fmt.Sprintf("%.0f", o.eventsPerSec()),
+			fmt.Sprintf("%.0f", float64(h.boot.Nanoseconds())/1e6),
+			fmt.Sprintf("%.0f", float64(h.run.Nanoseconds())/1e6),
+			fmt.Sprintf("%.0f", float64(h.cpu.Nanoseconds())/1e6),
+			fmt.Sprintf("%.0f", h.eventsPerSec(o.events)),
 		)
+		tab.EventsPerSec = max(tab.EventsPerSec, h.eventsPerSec(o.events))
 	}
-	tab.Events = first.events
-	tab.Virtual = first.virtual
-	tab.EventsPerSec = max(first.eventsPerSec(), second.eventsPerSec())
-	cfg := params.Default()
-	cfg.ClosLeafNodes = scaleLeafNodes
-	cfg.ClosSpines = scaleSpines
+	tab.Events = o.events
+	tab.Virtual = o.virtual
+	cfg := closCfg(scaleLeafNodes, scaleSpines)
 	tab.Note("topology: %d nodes over %d leaves x %d spines, %.1fx oversubscribed; hub mesh to manager+%d servers",
 		scaleNodes, scaleNodes/scaleLeafNodes, scaleSpines, cfg.ClosOversubscription(), scaleServers)
 	tab.Note("wall and CPU columns are host-dependent; virtual columns must match exactly")
 	// Gate failures return the table too, so the failing numbers are
 	// visible in the report next to the error.
-	if first.events != second.events || first.virtual != second.virtual ||
-		first.ops != second.ops || first.errs != second.errs {
-		return tab, errors.New("scale: the two runs diverge on the virtual columns")
+	if o.errs != 0 {
+		return tab, fmt.Errorf("scale: %d of %d client ops failed", o.errs, o.ops)
 	}
-	if first.errs != 0 {
-		return tab, fmt.Errorf("scale: %d of %d client ops failed", first.errs, first.ops)
-	}
-	if first.nodes < scaleMinNodes || first.ops < scaleMinOps {
-		return tab, fmt.Errorf("scale: %d ops on %d nodes, want >= %d on >= %d", first.ops, first.nodes, scaleMinOps, scaleMinNodes)
+	if o.nodes < scaleMinNodes || o.ops < scaleMinOps {
+		return tab, fmt.Errorf("scale: %d ops on %d nodes, want >= %d on >= %d", o.ops, o.nodes, scaleMinOps, scaleMinNodes)
 	}
 	return tab, nil
 }

@@ -26,6 +26,15 @@ const (
 	tailWorkers = 2
 )
 
+// serveTail starts the serving experiments' bounded handler pool at
+// inst: tailWorkers threads, tailService of work per call.
+func serveTail(inst *lite.Instance) error {
+	return inst.ServeRPC(tailFn, tailWorkers, func(p *simtime.Proc, c *lite.Call) []byte {
+		p.Work(tailService)
+		return c.Input[:8]
+	})
+}
+
 // tailOpts is the deployment configuration for the serving
 // experiments: a short RPC timeout and backoff so the ablation's
 // collapse fits a bounded virtual-time run, with the admission
@@ -47,11 +56,7 @@ func runOpenLoop(seed uint64, ratePerUs float64, n, highWater int) (*load.Result
 	if err != nil {
 		return nil, err
 	}
-	srv := dep.Instance(1)
-	if err := srv.ServeRPC(tailFn, tailWorkers, func(p *simtime.Proc, c *lite.Call) []byte {
-		p.Work(tailService)
-		return c.Input[:8]
-	}); err != nil {
+	if err := serveTail(dep.Instance(1)); err != nil {
 		return nil, err
 	}
 	// Warm the binding before the schedule opens so ring negotiation is

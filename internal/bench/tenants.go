@@ -198,12 +198,7 @@ func tenants() (*Table, error) {
 	// 1.5x (per weight unit, max class over min class).
 	lo, hi := perUnit[order[0]], perUnit[order[0]]
 	for _, name := range order {
-		if perUnit[name] < lo {
-			lo = perUnit[name]
-		}
-		if perUnit[name] > hi {
-			hi = perUnit[name]
-		}
+		lo, hi = min(lo, perUnit[name]), max(hi, perUnit[name])
 	}
 	if lo <= 0 {
 		return nil, fmt.Errorf("tenants: a class got zero goodput: %v", perUnit)

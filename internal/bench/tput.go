@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 
+	"lite/internal/cluster"
+	"lite/internal/obs"
 	"lite/internal/simtime"
 )
 
@@ -19,63 +21,20 @@ func init() {
 // observability domain is switched on; that never moves the virtual
 // timeline).
 func litePathThroughput(inputSize, clients, opsPerClient int) (simtime.Time, float64, error) {
-	const replySize = 8
-	cls, dep, err := newLITE(2)
+	var dom *obs.Domain
+	withObs := func() (*cluster.Cluster, func() rpcCall, error) {
+		cls, dial, err := defaultLITE(clients, false)()
+		if err == nil {
+			dom = cls.EnableObs()
+		}
+		return cls, dial, err
+	}
+	el, err := rpcThroughput(withObs, newWindow(clients, 1, opsPerClient, true), rpcInput(inputSize, 8), 16)
 	if err != nil {
 		return 0, 0, err
 	}
-	dom := cls.EnableObs()
-	startLITEEcho(cls, dep, 1, clients)
-	var done, started simtime.WaitGroup
-	done.Add(clients)
-	started.Add(clients)
-	var measStart, last simtime.Time
-	var firstErr error
-	for th := 0; th < clients; th++ {
-		cls.GoOn(0, "client", func(p *simtime.Proc) {
-			defer done.Done(p.Env())
-			startedDone := false
-			markStarted := func() {
-				if !startedDone {
-					startedDone = true
-					started.Done(p.Env())
-				}
-			}
-			defer markStarted()
-			c := dep.Instance(0).KernelClient()
-			in := rpcInput(inputSize, replySize)
-			if _, err := c.RPC(p, 1, benchFn, in, replySize+8); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			markStarted()
-			started.Wait(p)
-			if measStart == 0 {
-				measStart = p.Now()
-			}
-			for i := 0; i < opsPerClient; i++ {
-				if _, err := c.RPC(p, 1, benchFn, in, replySize+8); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-			}
-			if p.Now() > last {
-				last = p.Now()
-			}
-		})
-	}
-	if err := cls.Run(); err != nil {
-		return 0, 0, err
-	}
-	if firstErr != nil {
-		return 0, 0, firstErr
-	}
 	credits := float64(dom.Total("lite.ring.credit_wr")) / float64(dom.Total("lite.rpc.calls"))
-	return last - measStart, credits, nil
+	return el, credits, nil
 }
 
 // tput is the small-message fast-path experiment: multi-thread LT_RPC

@@ -40,34 +40,26 @@ func traceRPC(traced bool) (simtime.Time, []obs.SpanView, error) {
 		c := inst.UserClient()
 		call, err := c.RecvRPC(p, benchFn)
 		for err == nil {
-			n := int(call.Input[0]) | int(call.Input[1])<<8 | int(call.Input[2])<<16
-			call, err = c.ReplyRecvRPC(p, call, make([]byte, n), benchFn)
+			call, err = c.ReplyRecvRPC(p, call, echoReply(call.Input), benchFn)
 		}
 	})
 	var lat simtime.Time
-	var callErr error
-	cls.GoOn(0, "client", func(p *simtime.Proc) {
+	err = runProc(cls, 0, "client", func(p *simtime.Proc) (err error) {
 		c := dep.Instance(0).UserClient()
 		in := rpcInput(8, 4096)
-		if _, err := c.RPC(p, 1, benchFn, in, 4104); err != nil {
-			callErr = err
-			return
-		}
-		// Warmup done (binding negotiated, NIC caches hot): restrict
-		// the trace to exactly the measured call.
-		dom.ResetSpans()
-		start := p.Now()
-		if _, err := c.RPC(p, 1, benchFn, in, 4104); err != nil {
-			callErr = err
-			return
-		}
-		lat = p.Now() - start
+		lat, err = meanLatency(p, 1, 1, func(i int) error {
+			if i == 1 {
+				// Warmup done (binding negotiated, NIC caches hot):
+				// restrict the trace to exactly the measured call.
+				dom.ResetSpans()
+			}
+			_, err := c.RPC(p, 1, benchFn, in, 4104)
+			return err
+		})
+		return err
 	})
-	if err := cls.Run(); err != nil {
+	if err != nil {
 		return 0, nil, err
-	}
-	if callErr != nil {
-		return 0, nil, callErr
 	}
 	var spans []obs.SpanView
 	if traced {
