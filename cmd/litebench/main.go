@@ -178,9 +178,9 @@ const compareEPSBand = 0.25
 const compareEPSRetimes = 2
 
 // compareReport re-runs every experiment recorded in the committed
-// report (with run, bench.Run outside tests) and compares the virtual
-// duration, the event count, the header, every row cell and every note
-// — the bench guard that catches accidental changes (or unrecorded
+// report (with run, bench.Run outside tests) and compares the header,
+// every row cell and every note, then the virtual duration and the
+// event count — the bench guard that catches accidental changes (or unrecorded
 // improvements) in the simulated timeline and in what the tables say.
 // The simulation is deterministic, so all must match the committed
 // entry exactly; only the columns an experiment declares host-dependent

@@ -15,10 +15,10 @@ import (
 
 // The measurement kit: the loops the experiments time their figures
 // with, written once. An RPC scheme boots a cluster and hands clients a
-// call function; meanLatency, window and gapCPU are the three ways a
-// figure is measured (mean of back-to-back ops, closed-loop span over
-// many threads, CPU at fixed gaps); replay, hubOpts and resubmit are
-// what the 500-node experiments share.
+// call function; meanLatency and timeEach, window and gapCPU are the
+// three ways a figure is measured (latency of back-to-back ops,
+// closed-loop span over many threads, CPU at fixed gaps); replay,
+// closCfg, hubOpts and resubmit are what the 500-node experiments share.
 
 // benchFn is the RPC function the echo servers bind.
 const benchFn = lite.FirstUserFunc

@@ -141,9 +141,9 @@ func fig4() (*Table, error) {
 // every thread first runs a warm-up quarter, all threads rendezvous,
 // and only the timed ops count.
 func writeThroughput(liteSide bool, size int64, writeSize int, threads, opsPerThread int) (simtime.Time, error) {
+	var cls *cluster.Cluster
 	// writers sets up the region on node 1 (in the setup proc) and
 	// returns each writer thread's random-offset seed and write op.
-	var cls *cluster.Cluster
 	type writeOp = func(q *simtime.Proc, off int64) error
 	var writers func(p *simtime.Proc) (func(th int) (uint64, writeOp), error)
 	if liteSide {
