@@ -1,9 +1,7 @@
 // Package hostos models the host operating-system boundary that LITE
 // lives behind: user/kernel crossings with their fixed cost, in-kernel
-// dispatch, and the shared-completion-page optimization of the paper's
-// §5.2 (a system call returns to a user-level library immediately; the
-// library busy-checks a page shared with the kernel for a short window
-// and then sleeps, which is LITE's adaptive thread model).
+// dispatch, and the adaptive wait of the paper's §5.2 (a waiting thread
+// busy-checks for a short window and then sleeps, paying a wakeup).
 package hostos
 
 import (
@@ -48,10 +46,10 @@ func (o *OS) Syscall(p *simtime.Proc, fn func()) {
 	o.reg.AddSpan(t1, p.Now(), "hostos.crossing", parent)
 }
 
-// EnterKernel charges only the entry crossing and dispatch. Pair it
-// with a CompletionPage when the result is delivered through shared
-// memory instead of the syscall return path (LITE's optimized RPC
-// path pays only the entry crossings of LT_RPC and LT_replyRPC).
+// EnterKernel charges only the entry crossing and dispatch, for a call
+// whose result is delivered through memory shared with the caller
+// instead of the syscall return path (LITE's optimized RPC path pays
+// only the entry crossings of LT_RPC and LT_replyRPC).
 func (o *OS) EnterKernel(p *simtime.Proc) {
 	o.reg.Add("hostos.kernel_enters", 1)
 	parent := procSpan(p)
@@ -61,67 +59,58 @@ func (o *OS) EnterKernel(p *simtime.Proc) {
 	o.reg.AddSpan(t0+o.cfg.SyscallCrossing, p.Now(), "hostos.dispatch", parent)
 }
 
-// CompletionPage is a one-shot completion flag on a page shared
-// between the kernel and a user process. The kernel side calls
-// Complete; the user side calls AdaptiveWait.
-type CompletionPage struct {
-	ready bool
-	cond  simtime.Cond
+// AdaptiveWait blocks until ready() holds, using LITE's adaptive
+// thread model (§5.2): SpinWait, then SleepWait. It returns false if
+// the deadline (if nonzero) passed first. cond is what the waker
+// signals.
+func (o *OS) AdaptiveWait(p *simtime.Proc, cond *simtime.Cond, ready func() bool, deadline simtime.Time) bool {
+	o.SpinWait(p, cond, ready, deadline)
+	return o.SleepWait(p, cond, ready, deadline)
 }
 
-// Complete marks the result ready and wakes the waiter. Callable from
-// processes and scheduler callbacks.
-func (c *CompletionPage) Complete(e *simtime.Env) {
-	c.ready = true
-	c.cond.Broadcast(e)
-}
-
-// Ready reports whether Complete has been called.
-func (c *CompletionPage) Ready() bool { return c.ready }
-
-// AdaptiveWait blocks until Complete has been called, using LITE's
-// adaptive thread model: it busy-checks the shared page for the
-// configured poll window (charging CPU), then sleeps (free) and pays
-// one scheduler wakeup on completion. It returns the total time
-// waited.
-func (o *OS) AdaptiveWait(p *simtime.Proc, c *CompletionPage) simtime.Time {
-	start := p.Now()
-	if c.ready {
+// SpinWait is the busy phase: it returns once ready() holds, the poll
+// window closes or the deadline passes, with the whole wait charged as
+// CPU. A wait that ends ready counts as immediate or polled.
+func (o *OS) SpinWait(p *simtime.Proc, cond *simtime.Cond, ready func() bool, deadline simtime.Time) {
+	if ready() {
 		o.reg.Add("hostos.wait.immediate", 1)
-		return 0
+		return
 	}
-	// Busy phase: burn CPU up to the poll window.
-	deadline := start + o.cfg.AdaptivePollWindow
-	for !c.ready && p.Now() < deadline {
+	limit := p.Now() + o.cfg.AdaptivePollWindow
+	if deadline > 0 && deadline < limit {
+		limit = deadline
+	}
+	for p.Now() < limit {
 		t0 := p.Now()
-		c.cond.WaitTimeout(p, deadline-p.Now())
+		cond.WaitTimeout(p, limit-p.Now())
 		p.Charge(p.Now() - t0)
+		if ready() {
+			o.reg.Add("hostos.wait.polled", 1)
+			return
+		}
 	}
-	if c.ready {
-		o.reg.Add("hostos.wait.polled", 1)
-		o.reg.Observe("hostos.adaptive_wait", p.Now()-start)
-		return p.Now() - start
+}
+
+// SleepWait is the sleep phase: a wait that outlasted the busy phase
+// parks for free and pays one wakeup (the hostos.wakeup span) when
+// ready() holds.
+func (o *OS) SleepWait(p *simtime.Proc, cond *simtime.Cond, ready func() bool, deadline simtime.Time) bool {
+	if ready() {
+		return true
 	}
-	// Sleep phase: block without burning CPU, then pay the wakeup.
-	for !c.ready {
-		c.cond.Wait(p)
+	for !ready() {
+		if deadline > 0 {
+			if p.Now() >= deadline {
+				return false
+			}
+			cond.WaitTimeout(p, deadline-p.Now())
+		} else {
+			cond.Wait(p)
+		}
 	}
 	t0 := p.Now()
 	p.Work(o.cfg.WakeupLatency)
 	o.reg.Add("hostos.wait.slept", 1)
 	o.reg.AddSpan(t0, p.Now(), "hostos.wakeup", procSpan(p))
-	o.reg.Observe("hostos.adaptive_wait", p.Now()-start)
-	return p.Now() - start
-}
-
-// BusyWait blocks until Complete has been called, busy-polling the
-// whole time (all of it charged as CPU). It returns the time waited.
-func (o *OS) BusyWait(p *simtime.Proc, c *CompletionPage) simtime.Time {
-	start := p.Now()
-	for !c.ready {
-		t0 := p.Now()
-		c.cond.Wait(p)
-		p.Charge(p.Now() - t0)
-	}
-	return p.Now() - start
+	return true
 }

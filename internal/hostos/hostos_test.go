@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"lite/internal/obs"
 	"lite/internal/params"
 	"lite/internal/simtime"
 )
@@ -33,6 +34,20 @@ func TestSyscallChargesCrossings(t *testing.T) {
 	}
 }
 
+// flag is a completion the waiter's ready() reads: set and signalled
+// at a chosen instant, the way a completion lands in the kernel.
+type flag struct {
+	set  bool
+	cond simtime.Cond
+}
+
+func (f *flag) ready() bool { return f.set }
+
+func (f *flag) complete(e *simtime.Env) {
+	f.set = true
+	f.cond.Broadcast(e)
+}
+
 func TestAdaptiveWaitBusyPhase(t *testing.T) {
 	// Completion arrives inside the poll window: the whole wait is
 	// busy-polled (charged) and no wakeup latency is paid.
@@ -40,14 +55,13 @@ func TestAdaptiveWaitBusyPhase(t *testing.T) {
 	os := New(&cfg)
 	env := simtime.NewEnv()
 	acct := &simtime.CPUAccount{}
-	page := &CompletionPage{}
+	var f flag
 	arrival := cfg.AdaptivePollWindow / 2
-	env.After(arrival, func(e *simtime.Env) { page.Complete(e) })
+	env.After(arrival, f.complete)
 	env.Go("waiter", func(p *simtime.Proc) {
 		p.SetCPUAccount(acct)
-		waited := os.AdaptiveWait(p, page)
-		if waited != arrival {
-			t.Errorf("waited = %v, want %v", waited, arrival)
+		if !os.AdaptiveWait(p, &f.cond, f.ready, 0) {
+			t.Error("wait without a deadline failed")
 		}
 		if p.Now() != arrival {
 			t.Errorf("now = %v, want %v (no wakeup latency in busy phase)", p.Now(), arrival)
@@ -66,14 +80,16 @@ func TestAdaptiveWaitSleepPhase(t *testing.T) {
 	// charged, the sleep is free, and one wakeup latency is paid.
 	cfg := params.Default()
 	os := New(&cfg)
+	reg := obs.NewRegistry(0)
+	os.SetObs(reg)
 	env := simtime.NewEnv()
 	acct := &simtime.CPUAccount{}
-	page := &CompletionPage{}
+	var f flag
 	arrival := 200 * time.Microsecond
-	env.After(arrival, func(e *simtime.Env) { page.Complete(e) })
+	env.After(arrival, f.complete)
 	env.Go("waiter", func(p *simtime.Proc) {
 		p.SetCPUAccount(acct)
-		os.AdaptiveWait(p, page)
+		os.AdaptiveWait(p, &f.cond, f.ready, 0)
 		if p.Now() != arrival+cfg.WakeupLatency {
 			t.Errorf("now = %v, want %v", p.Now(), arrival+cfg.WakeupLatency)
 		}
@@ -85,40 +101,28 @@ func TestAdaptiveWaitSleepPhase(t *testing.T) {
 	if acct.Busy() != want {
 		t.Fatalf("cpu = %v, want %v (only window + wakeup charged)", acct.Busy(), want)
 	}
+	if n := reg.Counter("hostos.wait.slept").Value(); n != 1 {
+		t.Errorf("hostos.wait.slept = %d, want 1", n)
+	}
 }
 
 func TestAdaptiveWaitAlreadyReady(t *testing.T) {
 	cfg := params.Default()
 	os := New(&cfg)
+	reg := obs.NewRegistry(0)
+	os.SetObs(reg)
 	env := simtime.NewEnv()
-	page := &CompletionPage{}
+	var f flag
 	env.Go("p", func(p *simtime.Proc) {
-		page.Complete(p.Env())
-		if d := os.AdaptiveWait(p, page); d != 0 {
-			t.Errorf("waited %v on ready page", d)
+		f.complete(p.Env())
+		if !os.AdaptiveWait(p, &f.cond, f.ready, 0) || p.Now() != 0 {
+			t.Errorf("waited until %v on a ready completion", p.Now())
 		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestBusyWaitChargesEverything(t *testing.T) {
-	cfg := params.Default()
-	os := New(&cfg)
-	env := simtime.NewEnv()
-	acct := &simtime.CPUAccount{}
-	page := &CompletionPage{}
-	arrival := 50 * time.Microsecond
-	env.After(arrival, func(e *simtime.Env) { page.Complete(e) })
-	env.Go("spinner", func(p *simtime.Proc) {
-		p.SetCPUAccount(acct)
-		os.BusyWait(p, page)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if acct.Busy() != arrival {
-		t.Fatalf("cpu = %v, want %v", acct.Busy(), arrival)
+	if n := reg.Counter("hostos.wait.immediate").Value(); n != 1 {
+		t.Errorf("hostos.wait.immediate = %d, want 1", n)
 	}
 }

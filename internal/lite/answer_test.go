@@ -66,12 +66,12 @@ func TestHandleAnswerCompletesEveryKind(t *testing.T) {
 			var oe *OverloadError
 			return err == ErrOverloaded && !errors.As(err, &oe)
 		}},
-		{"shed with hint", tagRPCShed, encodeWord(7000), 8, func(err error) bool {
+		{"shed with hint", tagRPCShed, wire{}.u64(7000), 8, func(err error) bool {
 			var oe *OverloadError
 			return errors.As(err, &oe) && oe.RetryAfter == 7000 && errors.Is(err, ErrOverloaded)
 		}},
 		{"maybe executed", tagRPCMaybe, nil, 0, func(err error) bool { return err == ErrMaybeExecuted }},
-		{"moved", tagRPCMoved, encodeWord(3), 8, func(err error) bool {
+		{"moved", tagRPCMoved, wire{}.u64(3), 8, func(err error) bool {
 			var me *MovedError
 			return errors.As(err, &me) && me.To == 3 && errors.Is(err, ErrMoved)
 		}},

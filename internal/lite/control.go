@@ -77,6 +77,14 @@ func errToCst(err error) byte {
 	return cstError
 }
 
+// wire builds a control message: each method appends one
+// little-endian field.
+type wire []byte
+
+func (w wire) u16(v uint16) wire { return binary.LittleEndian.AppendUint16(w, v) }
+func (w wire) u32(v uint32) wire { return binary.LittleEndian.AppendUint32(w, v) }
+func (w wire) u64(v uint64) wire { return binary.LittleEndian.AppendUint64(w, v) }
+
 // ctl sends a control request and returns the response payload.
 func (i *Instance) ctl(p *simtime.Proc, dst int, req []byte, maxReply int64, pri Priority) ([]byte, error) {
 	out, err := i.rpc(p, &rpcCall{dst: dst, fn: funcControl, input: req, maxReply: maxReply + 1, pri: pri, timeout: i.opts.RPCTimeout})
@@ -97,10 +105,7 @@ func (i *Instance) ctl(p *simtime.Proc, dst int, req []byte, maxReply int64, pri
 // retried calls carry so the server can detect retries that crossed
 // its own restart.
 func (i *Instance) ctlBind(p *simtime.Proc, dst, fn int, pri Priority) (hostmem.PAddr, int64, uint64, error) {
-	req := make([]byte, 5)
-	req[0] = copBind
-	binary.LittleEndian.PutUint32(req[1:], uint32(fn))
-	out, err := i.ctl(p, dst, req, 24, pri)
+	out, err := i.ctl(p, dst, wire{copBind}.u32(uint32(fn)), 24, pri)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -112,10 +117,7 @@ func (i *Instance) ctlBind(p *simtime.Proc, dst, fn int, pri Priority) (hostmem.
 }
 
 func (i *Instance) ctlAllocChunk(p *simtime.Proc, dst int, size int64, pri Priority) (hostmem.PAddr, error) {
-	req := make([]byte, 9)
-	req[0] = copAllocChunk
-	binary.LittleEndian.PutUint64(req[1:], uint64(size))
-	out, err := i.ctl(p, dst, req, 8, pri)
+	out, err := i.ctl(p, dst, wire{copAllocChunk}.u64(uint64(size)), 8, pri)
 	if err != nil {
 		return 0, err
 	}
@@ -123,20 +125,12 @@ func (i *Instance) ctlAllocChunk(p *simtime.Proc, dst int, size int64, pri Prior
 }
 
 func (i *Instance) ctlFreeChunk(p *simtime.Proc, dst int, pa hostmem.PAddr, size int64, pri Priority) error {
-	req := make([]byte, 17)
-	req[0] = copFreeChunk
-	binary.LittleEndian.PutUint64(req[1:], uint64(pa))
-	binary.LittleEndian.PutUint64(req[9:], uint64(size))
-	_, err := i.ctl(p, dst, req, 0, pri)
+	_, err := i.ctl(p, dst, wire{copFreeChunk}.u64(uint64(pa)).u64(uint64(size)), 0, pri)
 	return err
 }
 
 func (i *Instance) ctlRegName(p *simtime.Proc, ls *lmrState, pri Priority) error {
-	req := make([]byte, 9+len(ls.name))
-	req[0] = copRegName
-	binary.LittleEndian.PutUint64(req[1:], ls.id)
-	copy(req[9:], ls.name)
-	_, err := i.ctl(p, managerNode, req, 0, pri)
+	_, err := i.ctl(p, managerNode, append(wire{copRegName}.u64(ls.id), ls.name...), 0, pri)
 	return err
 }
 
@@ -156,10 +150,7 @@ func (i *Instance) ctlLookupName(p *simtime.Proc, name string, pri Priority) (ui
 }
 
 func (i *Instance) ctlMapRequest(p *simtime.Proc, master int, lmrID uint64, pri Priority) (Perm, error) {
-	req := make([]byte, 9)
-	req[0] = copMapReq
-	binary.LittleEndian.PutUint64(req[1:], lmrID)
-	out, err := i.ctl(p, master, req, 1, pri)
+	out, err := i.ctl(p, master, wire{copMapReq}.u64(lmrID), 1, pri)
 	if err != nil {
 		return 0, err
 	}
@@ -167,38 +158,22 @@ func (i *Instance) ctlMapRequest(p *simtime.Proc, master int, lmrID uint64, pri 
 }
 
 func (i *Instance) ctlUnmapNotify(p *simtime.Proc, master int, lmrID uint64, pri Priority) error {
-	req := make([]byte, 9)
-	req[0] = copUnmapNotify
-	binary.LittleEndian.PutUint64(req[1:], lmrID)
-	_, err := i.ctl(p, master, req, 0, pri)
+	_, err := i.ctl(p, master, wire{copUnmapNotify}.u64(lmrID), 0, pri)
 	return err
 }
 
 func (i *Instance) ctlInvalidate(p *simtime.Proc, node int, lmrID uint64, pri Priority) error {
-	req := make([]byte, 9)
-	req[0] = copInvalidate
-	binary.LittleEndian.PutUint64(req[1:], lmrID)
-	_, err := i.ctl(p, node, req, 0, pri)
+	_, err := i.ctl(p, node, wire{copInvalidate}.u64(lmrID), 0, pri)
 	return err
 }
 
 func (i *Instance) ctlMemset(p *simtime.Proc, dst int, pa hostmem.PAddr, val byte, n int64, pri Priority) error {
-	req := make([]byte, 18)
-	req[0] = copMemset
-	binary.LittleEndian.PutUint64(req[1:], uint64(pa))
-	binary.LittleEndian.PutUint64(req[9:], uint64(n))
-	req[17] = val
-	_, err := i.ctl(p, dst, req, 0, pri)
+	_, err := i.ctl(p, dst, append(wire{copMemset}.u64(uint64(pa)).u64(uint64(n)), val), 0, pri)
 	return err
 }
 
 func (i *Instance) ctlMemcpy(p *simtime.Proc, srcNode int, srcPA hostmem.PAddr, dstNode int, dstPA hostmem.PAddr, n int64, pri Priority) error {
-	req := make([]byte, 29)
-	req[0] = copMemcpy
-	binary.LittleEndian.PutUint64(req[1:], uint64(srcPA))
-	binary.LittleEndian.PutUint64(req[9:], uint64(n))
-	binary.LittleEndian.PutUint32(req[17:], uint32(dstNode))
-	binary.LittleEndian.PutUint64(req[21:], uint64(dstPA))
+	req := wire{copMemcpy}.u64(uint64(srcPA)).u64(uint64(n)).u32(uint32(dstNode)).u64(uint64(dstPA))
 	_, err := i.ctl(p, srcNode, req, 0, pri)
 	return err
 }
@@ -233,7 +208,7 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 			// The ring is stamped with this incarnation's boot count:
 			// its dedup window can only vouch for calls first posted to
 			// this incarnation.
-			ring = &srvRing{client: c.Src, fn: fn, pa: pa, size: i.opts.RingBytes, boot: i.boots}
+			ring = &srvRing{client: c.Src, fn: fn, pa: pa, size: i.opts.RingBytes, credit: newRingServer(i.opts.RingBytes), boot: i.boots}
 			if w, ok := i.adopted[key]; ok {
 				// A migration shipped this client's dedup window ahead
 				// of the binding; the fresh ring inherits the history
@@ -250,13 +225,9 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 			// callers have already timed out or failed over). The dedup
 			// window and its boot stamp survive — the server did not
 			// restart, so its duplicate-suppression history is intact.
-			ring.reset()
+			ring.credit.reset()
 		}
-		out := make([]byte, 24)
-		binary.LittleEndian.PutUint64(out[0:], uint64(ring.pa))
-		binary.LittleEndian.PutUint64(out[8:], uint64(ring.size))
-		binary.LittleEndian.PutUint64(out[16:], ring.boot)
-		reply(cstOK, out)
+		reply(cstOK, wire{}.u64(uint64(ring.pa)).u64(uint64(ring.size)).u64(ring.boot))
 
 	case copAllocChunk:
 		size := int64(binary.LittleEndian.Uint64(in[1:]))
@@ -266,9 +237,7 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 			return
 		}
 		p.Work(simtime.Time((size+i.cfg.PageSize-1)/i.cfg.PageSize) * i.cfg.PageAllocPerPage)
-		out := make([]byte, 8)
-		binary.LittleEndian.PutUint64(out, uint64(pa))
-		reply(cstOK, out)
+		reply(cstOK, wire{}.u64(uint64(pa)))
 
 	case copFreeChunk:
 		pa := hostmem.PAddr(binary.LittleEndian.Uint64(in[1:]))
@@ -304,9 +273,7 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 			reply(cstNoSuchName, nil)
 			return
 		}
-		out := make([]byte, 8)
-		binary.LittleEndian.PutUint64(out, ls.id)
-		reply(cstOK, out)
+		reply(cstOK, wire{}.u64(ls.id))
 
 	case copMapReq:
 		id := binary.LittleEndian.Uint64(in[1:])

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"lite/internal/simtime"
@@ -60,8 +61,8 @@ func ringLedgers(dep *Deployment) []ringLedger {
 			}
 			l := ringLedger{
 				client: ci.node.ID, server: key.node, fn: key.fn,
-				tail: b.tail, head: b.head, arrived: ring.headLocal, owed: ring.owed,
-				clientAsked: b.asked, serverIsEager: ring.eager(),
+				tail: b.credit.tail, head: b.credit.head, arrived: ring.credit.arrived, owed: ring.credit.owed,
+				clientAsked: b.credit.asked, serverIsEager: ring.credit.eager(),
 			}
 			if f := si.funcs[key.fn]; f != nil {
 				for _, c := range f.queue.all() {
@@ -279,7 +280,7 @@ func TestRingCreditOnePullPerEpisode(t *testing.T) {
 		}
 		base := pulls() // the control ring may have pulled during setup
 		credit := func(n int64) {
-			b.head += n
+			b.credit.credited(n)
 			b.space.Broadcast(p.Env())
 		}
 		expect := func(when string, want int64) {
@@ -294,7 +295,7 @@ func TestRingCreditOnePullPerEpisode(t *testing.T) {
 		expect("ring filled without blocking", 0)
 		p.SleepUntil(at(150)) // A, B and C parked at 101, 102, 103 us
 		expect("three senders parked in one episode", 1)
-		if !ring.eager() {
+		if !ring.credit.eager() {
 			t.Error("server ring not eager after the pull")
 		}
 		credit(256) // A's frame ends episode 1; B and C open episode 2
@@ -309,7 +310,7 @@ func TestRingCreditOnePullPerEpisode(t *testing.T) {
 		credit(512)
 		p.SleepUntil(at(190))
 		expect("C reserved", 3)
-		if b.asked {
+		if b.credit.asked {
 			t.Error("pull still marked outstanding after the last frame")
 		}
 	})
@@ -358,8 +359,8 @@ func TestRingCreditBigFrameOnIdleBinding(t *testing.T) {
 			p.Sleep(50 * time.Microsecond) // idle: whatever was going to ship has shipped
 			before := dom.Total("lite.ring.credit_pull")
 			b, ring := creditBinding(t, p, dep)
-			if ringBytes == 4096 && (ring.owed == 0 || ring.owed >= ring.size/creditShare) {
-				t.Errorf("setup: server owes %d, want a sub-threshold remainder", ring.owed)
+			if ringBytes == 4096 && (ring.credit.owed == 0 || ring.credit.owed >= ring.size/creditShare) {
+				t.Errorf("setup: server owes %d, want a sub-threshold remainder", ring.credit.owed)
 			}
 			in := creditFrame(0, 0, bigLen)
 			t0 := p.Now()
@@ -373,7 +374,7 @@ func TestRingCreditBigFrameOnIdleBinding(t *testing.T) {
 				t.Error("big frame echoed wrong")
 			}
 			pulls = dom.Total("lite.ring.credit_pull") - before
-			if b.asked {
+			if b.credit.asked {
 				t.Error("pull still marked outstanding after the frame went out")
 			}
 			p.Sleep(50 * time.Microsecond)
@@ -479,7 +480,7 @@ func TestRingCreditGenuinelyFullRing(t *testing.T) {
 		if n := dom.Total("lite.ring.credit_pull"); n != 1 {
 			t.Errorf("%d pulls while two senders sat on a full ring, want 1", n)
 		}
-		if ring := dep.Instance(1).ringFrom(0, echoFn); !ring.eager() {
+		if ring := dep.Instance(1).ringFrom(0, echoFn); !ring.credit.eager() {
 			t.Error("server not eager while the client is blocked")
 		}
 		c := dep.Instance(1).KernelClient()
@@ -530,10 +531,10 @@ func TestRingCreditResetAcrossRebind(t *testing.T) {
 			if l.client != 0 {
 				continue
 			}
-			dep.Instance(0).bindingTo(1, l.fn).asked = true
+			dep.Instance(0).bindingTo(1, l.fn).credit.asked = true
 			ring := dep.Instance(1).ringFrom(0, l.fn)
-			ring.eagerTo = ring.headLocal + 1
-			if ring.owed == 0 {
+			ring.credit.eagerTo = ring.credit.arrived + 1
+			if ring.credit.owed == 0 {
 				t.Errorf("%s: ring fn %d owes nothing; the reset would be vacuous", what, l.fn)
 			}
 		}
@@ -669,5 +670,44 @@ func TestKernelCallerPollsTheCQ(t *testing.T) {
 	// poller to wake, and by nothing else.
 	if want := k.lat + cfgEnter + cfgWakeup; u.lat != want {
 		t.Errorf("user call %v, kernel call %v: want user = kernel + entry %v + wakeup %v = %v", u.lat, k.lat, cfgEnter, cfgWakeup, want)
+	}
+}
+
+// Property: ring reservation never exceeds the window and offsets stay
+// in bounds with correct wrap padding.
+func TestQuickReserveRing(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		size := int64(1) << (8 + rng.Intn(6)) // 256B .. 8KB
+		c := newRingClient(size)
+		for i := 0; i < 200; i++ {
+			need := (int64(rng.Intn(100)) + ringHdr + ringAlign - 1) &^ (ringAlign - 1)
+			if need > size {
+				continue
+			}
+			// Credit the ring as a consumer would, enough to never
+			// block (accounting for the wrap padding the reservation
+			// will insert).
+			pad := int64(0)
+			if off := c.tail % size; off+need > size {
+				pad = size - off
+			}
+			if c.tail+pad+need-c.head > size {
+				c.credited(c.tail + pad + need - size - c.head)
+			}
+			r := c.reserve(need)
+			if !r.ok || r.pad != pad || r.off < 0 || r.off+need > size {
+				t.Logf("reservation %+v of %d outside ring %d (want pad %d)", r, need, size, pad)
+				return false
+			}
+			if c.tail-c.head > size {
+				t.Logf("window overflow: tail %d head %d size %d", c.tail, c.head, size)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }

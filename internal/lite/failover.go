@@ -66,11 +66,7 @@ func (i *Instance) crash(p *simtime.Proc) {
 	// every outbox is failed.
 	for dst, sigs := range i.qpSig {
 		for _, s := range sigs {
-			s.free += s.pending
-			for _, b := range s.inflight {
-				s.free += b.slots
-			}
-			s.pending, s.count, s.inflight = 0, 0, nil
+			s.sq.reset()
 		}
 		i.failOutbox(dst)
 	}
@@ -78,8 +74,6 @@ func (i *Instance) crash(p *simtime.Proc) {
 	i.recvCQ.Broadcast(env)
 	i.sysQueue = fifo[*rpcFunc]{}
 	i.sysCond.Broadcast(env)
-	i.msgQueue = fifo[Message]{}
-	i.msgCond.Broadcast(env)
 	for _, fn := range i.sortedFuncIDs() {
 		f := i.funcs[fn]
 		// Queued node-local calls have waiters parked on their own
@@ -127,7 +121,6 @@ func (i *Instance) restart(p *simtime.Proc) {
 		return
 	}
 	i.stopped = false
-	env := i.cls.Env
 	// A new incarnation: rings negotiated from here stamp their dedup
 	// windows with the new boot count, so retries of calls first
 	// posted to the previous incarnation are detectably ambiguous.
@@ -135,41 +128,26 @@ func (i *Instance) restart(p *simtime.Proc) {
 	i.adm = nil
 	i.pending = pendingTable{}
 	i.headUpd = simtime.NewChan[headUpdate](4096)
-	i.msgQueue = fifo[Message]{}
 	i.sysQueue = fifo[*rpcFunc]{}
 	i.scratch.next = 0
 	for _, fn := range i.sortedFuncIDs() {
 		i.funcs[fn].queue = fifo[*Call]{}
 	}
 
-	// Revive the control bindings in both directions with reset ring
-	// pointers; any bytes the old incarnation left in the rings are
-	// dead (offsets ride in the IMM, so the accounting restarts
-	// consistently from zero on both sides).
-	for node, row := range i.rings {
+	// Revive the control bindings in both directions with rewound
+	// rings.
+	for _, row := range i.rings {
 		for _, s := range row {
-			b := s.bind
-			if b == nil {
-				continue
-			}
-			b.dead = false
-			b.reset()
-			if ring := i.dep.Instances[node].ringFrom(i.node.ID, s.fn); ring != nil {
-				ring.reset()
+			if s.bind != nil {
+				s.bind.dead = false
+				i.rewind(s.bind)
 			}
 		}
 	}
 	for _, peer := range i.dep.Instances {
-		if peer == i {
-			continue
-		}
-		if b := peer.bindingTo(i.node.ID, funcControl); b != nil {
+		if b := peer.bindingTo(i.node.ID, funcControl); peer != i && b != nil {
 			b.dead = false
-			b.reset()
-			b.space.Broadcast(env)
-		}
-		if ring := i.ringFrom(peer.node.ID, funcControl); ring != nil {
-			ring.reset()
+			peer.rewind(b)
 		}
 	}
 
@@ -226,10 +204,18 @@ func (i *Instance) resetBinding(dst, fn int) {
 		i.killBinding(dst, fn)
 		return
 	}
-	b.reset()
+	i.rewind(b)
+}
+
+// rewind restarts both halves of b's ring credit from zero and wakes
+// its parked senders. Any bytes the old epoch left in the ring are
+// dead: offsets ride in the IMM, so the accounting restarts
+// consistently on both sides.
+func (i *Instance) rewind(b *binding) {
+	b.credit.reset()
 	b.space.Broadcast(i.cls.Env)
-	if ring := i.dep.Instances[dst].ringFrom(i.node.ID, fn); ring != nil {
-		ring.reset()
+	if ring := i.dep.Instances[b.dst].ringFrom(i.node.ID, b.fn); ring != nil {
+		ring.credit.reset()
 	}
 }
 

@@ -107,61 +107,6 @@ func TestQuickAlignParts(t *testing.T) {
 	}
 }
 
-// Property: ring reservation never exceeds the window and offsets stay
-// in bounds with correct wrap padding.
-func TestQuickReserveRing(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		size := int64(1) << (8 + rng.Intn(6)) // 256B .. 8KB
-		b := &binding{ringSize: size}
-		for i := 0; i < 200; i++ {
-			need := (int64(rng.Intn(100)) + ringHdr + ringAlign - 1) &^ (ringAlign - 1)
-			if need > size {
-				continue
-			}
-			// Credit the ring as a consumer would, enough to never
-			// block (accounting for the wrap padding the reservation
-			// will insert).
-			pad := int64(0)
-			if off := b.tail % size; off+need > size {
-				pad = size - off
-			}
-			if b.tail+pad+need-b.head > size {
-				b.head = b.tail + pad + need - size
-			}
-			off := b.reserveRingNonblocking(need)
-			if off < 0 || off+need > size {
-				t.Logf("offset %d + %d outside ring %d", off, need, size)
-				return false
-			}
-			if b.tail-b.head > size {
-				t.Logf("window overflow: tail %d head %d size %d", b.tail, b.head, size)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// reserveRingNonblocking mirrors reserveRing's arithmetic without a
-// process context, for property testing.
-func (b *binding) reserveRingNonblocking(need int64) int64 {
-	pad := int64(0)
-	if off := b.tail % b.ringSize; off+need > b.ringSize {
-		pad = b.ringSize - off
-	}
-	if b.tail+pad+need-b.head > b.ringSize {
-		return -1
-	}
-	b.tail += pad
-	off := b.tail % b.ringSize
-	b.tail += need
-	return off
-}
-
 func TestImmEncodingRoundTrip(t *testing.T) {
 	for _, tag := range []int{tagRPCReq, tagRPCRep, tagHeadUpd} {
 		for _, fn := range []int{0, 1, 15, 31} {
@@ -271,7 +216,7 @@ func TestAdaptiveWaitDeadline(t *testing.T) {
 	cls.GoOn(0, "waiter", func(p *simtime.Proc) {
 		var cond simtime.Cond
 		start := p.Now()
-		ok := inst.adaptiveWait(p, &cond, func() bool { return false }, p.Now()+50*time.Microsecond)
+		ok := inst.OS().AdaptiveWait(p, &cond, func() bool { return false }, p.Now()+50*time.Microsecond)
 		if ok {
 			t.Fatal("wait succeeded without the predicate holding")
 		}

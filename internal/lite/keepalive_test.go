@@ -129,7 +129,7 @@ func TestStalledNotifierCausesNoFalseDeath(t *testing.T) {
 		}
 		p.Sleep(50 * time.Microsecond)
 		for _, sig := range srv.qpSig[2] {
-			queued = queued || len(sig.outbox) > 0
+			queued = queued || sig.sq.queued() > 0
 		}
 		idle = srv.headUpd.Len() == 0
 		p.Sleep(6 * time.Millisecond)

@@ -295,8 +295,6 @@ type Instance struct {
 	boots   uint64
 	headUpd *simtime.Chan[headUpdate]
 
-	msgQueue fifo[Message]
-	msgCond  simtime.Cond
 	sysQueue fifo[*rpcFunc]
 	sysCond  simtime.Cond
 
@@ -483,8 +481,8 @@ func Start(cls *cluster.Cluster, opts Options) (*Deployment, error) {
 				qb.SetRecvLowWater(opts.RecvBatch/2, b.noteLowRecv)
 				qa.Connect(j, qb.QPN())
 				qb.Connect(i, qa.QPN())
-				a.qpSig[j] = append(a.qpSig[j], &qpSigState{qp: qa, free: qpDepth})
-				b.qpSig[i] = append(b.qpSig[i], &qpSigState{qp: qb, free: qpDepth})
+				a.qpSig[j] = append(a.qpSig[j], &qpSigState{qp: qa, sq: newSendQueue[outboxed]()})
+				b.qpSig[i] = append(b.qpSig[i], &qpSigState{qp: qb, sq: newSendQueue[outboxed]()})
 			}
 		}
 	}
@@ -541,22 +539,6 @@ func (i *Instance) spawnDaemons() {
 	}
 }
 
-// qpDepth bounds outstanding operations per shared QP; it is what
-// makes HW-Sep QP reservation an actual resource partition.
-const qpDepth = 16
-
-// signalEvery is the selective-signaling period: one signaled send per
-// this many posts on a shared QP (its completion lazily reclaims the
-// accumulated send-queue slots; the posts in between produce no CQE).
-// It must stay below qpDepth: the unsignaled posts since the last
-// signaled one then never fill a queue on their own, so a full queue
-// always has a completion coming that frees slots for its outbox.
-const signalEvery = 4
-
-// The array length is negative, and the build fails, unless
-// signalEvery < qpDepth.
-var _ [qpDepth - 1 - signalEvery]struct{}
-
 // systemWorkers is the number of kernel worker threads per node that
 // execute LITE-internal RPC handlers.
 const systemWorkers = 4
@@ -565,33 +547,10 @@ const systemWorkers = 4
 // response buffers and internal operations.
 const scratchBytes = 64 << 20
 
-// qpSigState is one shared QP and its send-queue bookkeeping. Each of
-// its qpDepth slots is free, pending (held by a post since the last
-// signaled one), filed under an in-flight signaled batch until that
-// batch's completion is reaped, or held by a one-sided chain until its
-// caller's completion arrives.
-//
-// No thread parks on a send queue. A post that finds no free slot, or
-// a non-empty outbox, is appended to the outbox and its caller returns.
-// Whoever frees slots posts from the outbox head, in order: the next
-// poster's lazy reap, a one-sided caller whose completion arrived, or
-// the QP's one-shot drainer, which waits on the oldest in-flight batch.
-// A peer declared dead has its outbox failed at once.
+// qpSigState is one shared QP and its send-queue slots.
 type qpSigState struct {
-	qp       *rnic.QP
-	free     int // slots nobody holds
-	count    int // WRs posted since the last signaled one
-	pending  int // slots held by posts since the last signaled one
-	inflight []reclaimBatch
-	outbox   []outboxed
-	draining bool // a drainer is waiting on inflight[0] for the outbox
-}
-
-// reclaimBatch is one signaled WR's worth of deferred send-queue slot
-// releases, freed when that WR's completion is reaped.
-type reclaimBatch struct {
-	wrid  uint64
-	slots int
+	qp *rnic.QP
+	sq sendQueue[outboxed]
 }
 
 // outboxed is one WR chain queued for a full send queue: a two-sided
@@ -602,19 +561,15 @@ type outboxed struct {
 	oneSide bool
 }
 
-// CheckSendQueues reports a shared QP whose slots are not all free,
-// pending or in an in-flight batch, or whose outbox holds chains: a
-// check for quiescence, when no one-sided op is in flight.
+// CheckSendQueues reports a shared QP whose slot ledger is off, or that
+// a one-sided chain holds or whose outbox holds chains: a check for
+// quiescence (sendQueue.settled).
 func (d *Deployment) CheckSendQueues() error {
 	for _, inst := range d.Instances {
 		for dst, sigs := range inst.qpSig {
 			for k, s := range sigs {
-				held := s.pending
-				for _, b := range s.inflight {
-					held += b.slots
-				}
-				if s.free+held != qpDepth || len(s.outbox) > 0 {
-					return fmt.Errorf("lite: QP %d->%d[%d]: %d free + %d held != %d, %d chains queued", inst.node.ID, dst, k, s.free, held, qpDepth, len(s.outbox))
+				if err := s.sq.settled(); err != nil {
+					return fmt.Errorf("lite: QP %d->%d[%d]: %v", inst.node.ID, dst, k, err)
 				}
 			}
 		}
@@ -820,50 +775,6 @@ func (i *Instance) scratchAlloc(n int64) hostmem.PAddr {
 		i.scratch.evicted = i.scratch.evicted[:0]
 	}
 	return pa
-}
-
-// adaptiveWait blocks until ready() holds, using LITE's adaptive
-// thread model: busy-check (CPU charged) for the configured window,
-// then sleep and pay one wakeup. It returns false if the deadline (if
-// nonzero) passed first.
-func (i *Instance) adaptiveWait(p *simtime.Proc, cond *simtime.Cond, ready func() bool, deadline simtime.Time) bool {
-	i.spinWait(p, cond, ready, deadline)
-	return i.sleepWait(p, cond, ready, deadline)
-}
-
-// spinWait is adaptiveWait's busy phase: it returns once ready() holds,
-// the poll window closes or the deadline passes, with the whole wait
-// charged as CPU.
-func (i *Instance) spinWait(p *simtime.Proc, cond *simtime.Cond, ready func() bool, deadline simtime.Time) {
-	limit := p.Now() + i.cfg.AdaptivePollWindow
-	if deadline > 0 && deadline < limit {
-		limit = deadline
-	}
-	for !ready() && p.Now() < limit {
-		t0 := p.Now()
-		cond.WaitTimeout(p, limit-p.Now())
-		p.Charge(p.Now() - t0)
-	}
-}
-
-// sleepWait is adaptiveWait's sleep phase: a wait that outlasted the
-// busy phase parks for free and pays one wakeup when ready() holds.
-func (i *Instance) sleepWait(p *simtime.Proc, cond *simtime.Cond, ready func() bool, deadline simtime.Time) bool {
-	if ready() {
-		return true
-	}
-	for !ready() {
-		if deadline > 0 {
-			if p.Now() >= deadline {
-				return false
-			}
-			cond.WaitTimeout(p, deadline-p.Now())
-		} else {
-			cond.Wait(p)
-		}
-	}
-	p.Work(i.cfg.WakeupLatency)
-	return true
 }
 
 // memcpyCost charges the calling thread for an n-byte host memory copy.

@@ -308,22 +308,13 @@ func (i *Instance) ctlPing(p *simtime.Proc, dst int) (uint64, error) {
 // ctlMembership pushes an (epoch, dead set, committed moves) view to
 // dst.
 func (i *Instance) ctlMembership(p *simtime.Proc, dst int, epoch uint64, dead []int, moves []moveRec) error {
-	req := make([]byte, 13+4*len(dead)+12*len(moves))
-	req[0] = copMembership
-	binary.LittleEndian.PutUint64(req[1:], epoch)
-	binary.LittleEndian.PutUint16(req[9:], uint16(len(dead)))
-	off := 11
+	req := wire{copMembership}.u64(epoch).u16(uint16(len(dead)))
 	for _, n := range dead {
-		binary.LittleEndian.PutUint32(req[off:], uint32(n))
-		off += 4
+		req = req.u32(uint32(n))
 	}
-	binary.LittleEndian.PutUint16(req[off:], uint16(len(moves)))
-	off += 2
+	req = req.u16(uint16(len(moves)))
 	for _, mv := range moves {
-		binary.LittleEndian.PutUint32(req[off:], uint32(mv.src))
-		binary.LittleEndian.PutUint32(req[off+4:], uint32(mv.fn))
-		binary.LittleEndian.PutUint32(req[off+8:], uint32(mv.dst))
-		off += 12
+		req = req.u32(uint32(mv.src)).u32(uint32(mv.fn)).u32(uint32(mv.dst))
 	}
 	_, err := i.rpc(p, &rpcCall{dst: dst, fn: funcControl, input: req, maxReply: 1, pri: PriHigh, timeout: i.opts.HeartbeatTimeout})
 	return err

@@ -175,7 +175,7 @@ func (i *Instance) Drain(p *simtime.Proc, fn, target int, appState func(q *simti
 	i.moved[migKey{i.node.ID, fn}] = target
 	delete(i.migrating, fn)
 	for _, c := range ms.held {
-		i.queueNotify(p, headUpdate{tag: tagRPCMoved, client: c.Src, token: c.token, replyPA: c.replyPA, reply: encodeWord(uint64(target))})
+		i.queueNotify(p, headUpdate{tag: tagRPCMoved, client: c.Src, token: c.token, replyPA: c.replyPA, reply: wire{}.u64(uint64(target))})
 	}
 	reg.Add("lite.migrate.committed", 1)
 	reg.Add("lite.migrate.held_bounced", int64(len(ms.held)))
@@ -316,8 +316,7 @@ func (i *Instance) learnMove(from, fn, to int) {
 //	    [seq 8][replyLen 4][reply ...]
 //	then [appLen 4][app ...]
 func (i *Instance) encodeMigState(fn int, app []byte) []byte {
-	out := make([]byte, 8)
-	binary.LittleEndian.PutUint32(out[0:], uint32(fn))
+	out := wire{}.u32(uint32(fn)).u32(0)
 	nrings := 0
 	for node := range i.rings {
 		ring := i.ringFrom(node, fn)
@@ -325,39 +324,24 @@ func (i *Instance) encodeMigState(fn int, app []byte) []byte {
 			continue
 		}
 		nrings++
-		var b [8]byte
-		binary.LittleEndian.PutUint32(b[:4], uint32(node))
-		out = append(out, b[:4]...)
 		boots := append([]uint64{ring.boot}, ring.adoptedBoots...)
-		binary.LittleEndian.PutUint16(b[:2], uint16(len(boots)))
-		out = append(out, b[:2]...)
+		out = out.u32(uint32(node)).u16(uint16(len(boots)))
 		for _, bt := range boots {
-			binary.LittleEndian.PutUint64(b[:], bt)
-			out = append(out, b[:]...)
+			out = out.u64(bt)
 		}
 		ndOff := len(out)
-		out = append(out, 0, 0, 0, 0)
+		out = out.u32(0)
 		n := 0
 		for k := range ring.dedup.n {
-			e := ring.dedup.at(k)
-			if !e.done {
-				continue
+			if e := ring.dedup.at(k); e.done {
+				n++
+				out = append(out.u64(e.seq).u32(uint32(len(e.reply))), e.reply...)
 			}
-			n++
-			binary.LittleEndian.PutUint64(b[:], e.seq)
-			out = append(out, b[:]...)
-			binary.LittleEndian.PutUint32(b[:4], uint32(len(e.reply)))
-			out = append(out, b[:4]...)
-			out = append(out, e.reply...)
 		}
 		binary.LittleEndian.PutUint32(out[ndOff:], uint32(n))
 	}
 	binary.LittleEndian.PutUint32(out[4:], uint32(nrings))
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(len(app)))
-	out = append(out, b[:]...)
-	out = append(out, app...)
-	return out
+	return append(out.u32(uint32(len(app))), app...)
 }
 
 // adoptMigState installs a shipped serving state on this node (the
@@ -480,11 +464,7 @@ func (i *Instance) adoptMigState(p *simtime.Proc, src int, data []byte) error {
 // ---- control-plane wire helpers ----
 
 func (i *Instance) ctlMigPrepare(p *simtime.Proc, fn, target int) error {
-	req := make([]byte, 9)
-	req[0] = copMigPrepare
-	binary.LittleEndian.PutUint32(req[1:], uint32(fn))
-	binary.LittleEndian.PutUint32(req[5:], uint32(target))
-	_, err := i.ctl(p, managerNode, req, 0, PriHigh)
+	_, err := i.ctl(p, managerNode, wire{copMigPrepare}.u32(uint32(fn)).u32(uint32(target)), 0, PriHigh)
 	return err
 }
 
@@ -495,18 +475,11 @@ func (i *Instance) ctlMigState(p *simtime.Proc, target int, state []byte) error 
 }
 
 func (i *Instance) ctlMigCommit(p *simtime.Proc, fn, target int) error {
-	req := make([]byte, 9)
-	req[0] = copMigCommit
-	binary.LittleEndian.PutUint32(req[1:], uint32(fn))
-	binary.LittleEndian.PutUint32(req[5:], uint32(target))
-	_, err := i.ctl(p, managerNode, req, 0, PriHigh)
+	_, err := i.ctl(p, managerNode, wire{copMigCommit}.u32(uint32(fn)).u32(uint32(target)), 0, PriHigh)
 	return err
 }
 
 func (i *Instance) ctlMigAbort(p *simtime.Proc, fn int) error {
-	req := make([]byte, 5)
-	req[0] = copMigAbort
-	binary.LittleEndian.PutUint32(req[1:], uint32(fn))
-	_, err := i.ctl(p, managerNode, req, 0, PriHigh)
+	_, err := i.ctl(p, managerNode, wire{copMigAbort}.u32(uint32(fn)), 0, PriHigh)
 	return err
 }

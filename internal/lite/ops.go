@@ -164,13 +164,13 @@ type oneSided struct {
 // say how many of wrs it covers.
 func (i *Instance) postOneSided(p *simtime.Proc, dst int, pri Priority, wrs []rnic.WR) (oneSided, error) {
 	sig := i.sharedQP(p, dst, pri)
-	if len(sig.outbox) > 0 || sig.free == 0 {
+	n := sig.sq.room(len(wrs))
+	if n == 0 {
 		c := outboxed{wrs: []rnic.WR{wrs[0]}, oneSide: true}
 		c.wrs[0].Signaled = true
 		i.enqueue(sig, c)
 		return oneSided{sig, wrs[0].WRID, 1}, nil
 	}
-	n := min(len(wrs), sig.free)
 	wrs[n-1].Signaled = true
 	return oneSided{sig, wrs[n-1].WRID, n}, i.post(p, sig, outboxed{wrs: wrs[:n], oneSide: true})
 }
@@ -180,7 +180,7 @@ func (i *Instance) postOneSided(p *simtime.Proc, dst int, pri Priority, wrs []rn
 func (i *Instance) awaitOneSided(p *simtime.Proc, c oneSided) rnic.CQE {
 	cqe := i.sendDisp.Wait(p, c.wrid)
 	if cqe.Status != statusDropped {
-		c.sig.free += c.slots
+		c.sig.sq.give(c.slots)
 		i.serveOutbox(p, c.sig)
 	}
 	return cqe

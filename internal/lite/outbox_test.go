@@ -56,7 +56,7 @@ func holeRun(t *testing.T, hole bool) (lat []simtime.Time, failed int, queued bo
 	cls.GoOn(1, "sample", func(p *simtime.Proc) {
 		p.SleepUntil(3 * time.Millisecond)
 		for _, sig := range dep.Instance(1).qpSig[3] {
-			queued = queued || len(sig.outbox) > 0
+			queued = queued || sig.sq.queued() > 0
 		}
 	})
 	run(t, cls)
@@ -114,7 +114,7 @@ func TestDeclareDeadFailsOutboxAtOnce(t *testing.T) {
 		})
 		p.Sleep(10 * time.Microsecond)
 		for _, sig := range mgr.qpSig[2] {
-			queued = queued || len(sig.outbox) > 0
+			queued = queued || sig.sq.queued() > 0
 		}
 		declaredAt = p.Now()
 		mgr.declareDead(p, 2)
@@ -124,8 +124,8 @@ func TestDeclareDeadFailsOutboxAtOnce(t *testing.T) {
 			p.Sleep(time.Microsecond)
 		}
 		for _, sig := range mgr.qpSig[2] {
-			if len(sig.outbox) != 0 {
-				t.Errorf("%d chains still queued toward the dead node", len(sig.outbox))
+			if sig.sq.queued() != 0 {
+				t.Errorf("%d chains still queued toward the dead node", sig.sq.queued())
 			}
 		}
 	})

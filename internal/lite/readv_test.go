@@ -42,11 +42,9 @@ func doorbells(cls *cluster.Cluster) (n int64) {
 // to dst, and how many of them lazy signaling accounts for.
 func heldSlots(inst *Instance, dst int) (held, lazy int) {
 	for _, sig := range inst.qpSig[dst] {
-		held += qpDepth - sig.free
-		lazy += sig.pending
-		for _, b := range sig.inflight {
-			lazy += b.slots
-		}
+		h, l := sig.sq.used()
+		held += h
+		lazy += l
 	}
 	return held, lazy
 }

@@ -54,11 +54,6 @@ const (
 // offsets silently and corrupt the ring.
 const MaxRingBytes = int64(0x7fffff+1) * ringAlign // 64 MB
 
-// maxImmDelta is the largest head-update credit one IMM can carry.
-// Deltas include wrap padding and can approach twice the ring size, so
-// oversized credits are split across multiple updates.
-const maxImmDelta = int64(0x7fffff) * ringAlign
-
 // validateRingBytes rejects ring sizes the IMM offset encoding cannot
 // represent. Checked at deployment boot, at boot-time binding setup,
 // and on the serving side of ring negotiation, so a corrupting
@@ -104,13 +99,7 @@ func encodeAnswerImm(tag int, token uint32) uint32 { return uint32(tag)<<28 | to
 // instead of running the handler twice.
 //
 // The padding travels with the frame because frames of one binding do
-// not arrive in ring order: its senders reserve in order but then pay
-// posting costs that depend on frame size, so a small frame reserved
-// later overtakes a large one. What a frame used (padding + aligned
-// length) must therefore be stated by the sender, not inferred from the
-// previous arrival's end — inferring it charges an overtaken frame
-// almost a whole ring of phantom padding, and the credit for that lets
-// the client write over frames nobody has read.
+// not arrive in ring order (see ringServer.arrive).
 //
 // The boot stamp closes that window's restart gap: the window dies
 // with the server's rings on a crash, so a retry that crosses a server
@@ -199,13 +188,11 @@ func (i *Instance) ringFrom(client, fn int) *srvRing {
 // tail; the server sends back head updates from a background thread
 // (§5.1).
 type binding struct {
-	dst      int
-	fn       int
-	ringPA   hostmem.PAddr
-	ringSize int64
-	tail     int64 // monotonic bytes written (incl. wrap padding)
-	head     int64 // monotonic bytes the server reported consumed
-	space    simtime.Cond
+	dst    int
+	fn     int
+	ringPA hostmem.PAddr
+	credit ringClient
+	space  simtime.Cond // parked senders wait here for credit
 	// srvBoot is the server incarnation that negotiated this ring
 	// (returned by copBind; zero for boot-time bindings). First
 	// attempts of retried calls are stamped with it so the server can
@@ -213,35 +200,15 @@ type binding struct {
 	srvBoot uint64
 	// dead marks a binding severed by a node crash; waiters abort.
 	dead bool
-	// asked marks a credit pull already posted for the current blocked
-	// episode: set by the first sender that finds the ring full, cleared
-	// by the next frame reserved (which is also what ends the server's
-	// eagerness), so an episode costs exactly one pull however many
-	// threads are parked in it.
-	asked bool
 }
-
-// reset restarts the ring pointers from zero (rebind, restart); the
-// server side of the ring is reset with srvRing.reset.
-func (b *binding) reset() { b.tail, b.head, b.asked = 0, 0, false }
 
 // srvRing is the server-side state of a binding.
 type srvRing struct {
-	client    int
-	fn        int
-	pa        hostmem.PAddr
-	size      int64
-	headLocal int64 // monotonic bytes arrived (incl. wrap padding)
-	// owed is ring credit the server has generated but not yet shipped:
-	// head updates are lazy (queueHeadUpdate), so at any instant the
-	// client's head trails the truly consumed count by owed plus what is
-	// in flight. eagerTo makes every credit ship at once while
-	// headLocal < eagerTo: a blocked client pulled (tagCreditReq) with
-	// its tail at eagerTo-1, and nothing it reserved after that has
-	// arrived yet. A byte count, not a flag, because the pull and the
-	// frames around it overtake one another on the wire.
-	owed    int64
-	eagerTo int64
+	client int
+	fn     int
+	pa     hostmem.PAddr
+	size   int64
+	credit ringServer
 	// boot is the serving instance's incarnation when the ring (and
 	// with it the dedup window below) was created — the window's
 	// epoch stamp. Non-control rings never survive a restart, so a
@@ -265,125 +232,6 @@ type srvRing struct {
 	// boots is covered by this window, so the restart-ambiguity check
 	// must not fire for it.
 	adoptedBoots []uint64
-}
-
-// reset restarts the ring's accounting from zero, matching a client
-// that restarted its tail (binding.reset). Credit owed for frames of the
-// old epoch is void: the client's fresh head already treats them as free.
-func (r *srvRing) reset() { r.headLocal, r.owed, r.eagerTo = 0, 0, 0 }
-
-// eager reports whether the client is (as far as the server can tell)
-// still blocked behind its last pull.
-func (r *srvRing) eager() bool { return r.headLocal < r.eagerTo }
-
-// pullUnit is the granule in which a credit pull states the sender's
-// tail: 8 bytes up to a 16 MB ring, coarser above, so that the IMM's 23
-// value bits always span four rings — more than the tail can be ahead
-// of or behind the server's arrived count when the pull lands.
-func pullUnit(ringSize int64) int64 { return max(ringAlign, ringSize>>21) }
-
-// pulled records a credit pull that states the sender's tail as units
-// (mod 2^23) of pullUnit: the tail is the value congruent to it nearest
-// the arrived count.
-func (r *srvRing) pulled(units int64) {
-	u := pullUnit(r.size)
-	span := u << 23
-	d := ((units*u-r.headLocal)%span + span) % span
-	if d >= span/2 {
-		d -= span
-	}
-	r.eagerTo = max(r.eagerTo, r.headLocal+d+1)
-}
-
-// bootKnown reports whether the given boot stamp's dedup history is
-// held by this ring: its own incarnation, or one it adopted through
-// migration.
-func (r *srvRing) bootKnown(boot uint64) bool {
-	if boot == r.boot {
-		return true
-	}
-	for _, b := range r.adoptedBoots {
-		if b == boot {
-			return true
-		}
-	}
-	return false
-}
-
-// dedupWindow bounds the per-(client, function) duplicate-suppression
-// window. A client retries one call at a time with bounded attempts,
-// so a handful of entries per binding is ample; the cap only bounds
-// memory against pathological clients.
-const dedupWindow = 64
-
-// dedupEntry is one remembered call in a srvRing's window.
-type dedupEntry struct {
-	seq   uint64
-	call  *Call // in-flight call, so a duplicate can redirect its reply
-	done  bool
-	reply []byte // cached output once replied
-}
-
-// dedupLog holds dedup entries in the order they were added, in a
-// circular buffer whose size is a power of two. A log can outgrow
-// dedupWindow: a migration ships a client's completed entries whole,
-// and a window merged from two drains can hold up to twice the cap.
-type dedupLog struct {
-	buf  []*dedupEntry
-	head int // buf index of the oldest entry
-	n    int
-	// maxSeq is the largest seq ever added: a call numbered above it,
-	// as every first attempt is, misses without a scan.
-	maxSeq uint64
-}
-
-// at returns the k-th oldest entry.
-func (l *dedupLog) at(k int) *dedupEntry { return l.buf[(l.head+k)&(len(l.buf)-1)] }
-
-// add appends e as the newest entry.
-func (l *dedupLog) add(e *dedupEntry) {
-	if l.n == len(l.buf) {
-		buf := make([]*dedupEntry, max(8, 2*len(l.buf)))
-		for k := range l.n {
-			buf[k] = l.at(k)
-		}
-		l.buf, l.head = buf, 0
-	}
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = e
-	l.n++
-	l.maxSeq = max(l.maxSeq, e.seq)
-}
-
-// dropOldest removes the oldest entry.
-func (l *dedupLog) dropOldest() {
-	l.buf[l.head] = nil
-	l.head = (l.head + 1) & (len(l.buf) - 1)
-	l.n--
-}
-
-// find returns the newest entry for seq, or nil.
-func (l *dedupLog) find(seq uint64) *dedupEntry {
-	if seq > l.maxSeq {
-		return nil
-	}
-	for k := l.n - 1; k >= 0; k-- {
-		if e := l.at(k); e.seq == seq {
-			return e
-		}
-	}
-	return nil
-}
-
-// dedupLookup returns the window entry for seq, if present.
-func (r *srvRing) dedupLookup(seq uint64) *dedupEntry { return r.dedup.find(seq) }
-
-// dedupInsert records a freshly admitted call, evicting the oldest
-// entry once the window is at its cap.
-func (r *srvRing) dedupInsert(e *dedupEntry) {
-	if r.dedup.n >= dedupWindow {
-		r.dedup.dropOldest()
-	}
-	r.dedup.add(e)
 }
 
 // retryStamp identifies one logical retried call across its attempts:
@@ -654,8 +502,9 @@ func (i *Instance) setupBinding(dst, fn int) error {
 	if err != nil {
 		return err
 	}
-	i.rings.slot(dst, fn).bind = &binding{dst: dst, fn: fn, ringPA: pa, ringSize: i.opts.RingBytes}
-	remote.rings.slot(i.node.ID, fn).ring = &srvRing{client: i.node.ID, fn: fn, pa: pa, size: i.opts.RingBytes}
+	size := i.opts.RingBytes
+	i.rings.slot(dst, fn).bind = &binding{dst: dst, fn: fn, ringPA: pa, credit: newRingClient(size)}
+	remote.rings.slot(i.node.ID, fn).ring = &srvRing{client: i.node.ID, fn: fn, pa: pa, size: size, credit: newRingServer(size)}
 	return nil
 }
 
@@ -687,7 +536,7 @@ func (i *Instance) getBinding(p *simtime.Proc, dst, fn int, pri Priority) (*bind
 	pa, size, boot, err := i.ctlBind(p, dst, fn, pri)
 	s := i.rings.slot(dst, fn)
 	if err == nil {
-		s.bind = &binding{dst: dst, fn: fn, ringPA: pa, ringSize: size, srvBoot: boot}
+		s.bind = &binding{dst: dst, fn: fn, ringPA: pa, credit: newRingClient(size), srvBoot: boot}
 	}
 	st.err = err
 	st.done = true
@@ -727,23 +576,14 @@ func (i *Instance) seqID() uint64 {
 	return i.nextSeq
 }
 
-// reserveRing claims space for a message of the given aligned size in
-// the ring, waiting for head updates if the ring is full, and returns
-// the ring offset to write at and the wrap padding skipped to get
-// there. It aborts
-// with ErrNodeDead if the binding is severed (crash or membership)
-// and with ErrTimeout if no credit arrives within the RPC timeout —
-// a full ring whose head updates were lost must not block forever;
-// the retry layer heals it by renegotiating the binding.
-//
-// Head updates are lazy (the server holds back up to a quarter ring,
-// see queueHeadUpdate), so a sender that finds the ring full first
-// pulls: one tagCreditReq per blocked episode makes the server ship
-// what it owes and keep shipping until a frame this client reserved
-// after the pull arrives. What a blocked sender can rely on is
-// therefore exactly what it could before — every byte the server
-// consumes reaches it — at the price of one extra round trip per
-// episode.
+// reserveRing claims need aligned bytes in the binding's ring
+// (ringClient.reserve), waiting for credit while the ring is full, and
+// returns the ring offset to write at and the wrap padding skipped to
+// get there. The sender that opens a blocked episode posts its pull
+// first. It aborts with ErrNodeDead if the binding is severed (crash or
+// membership) and with ErrTimeout if no credit arrives within the RPC
+// timeout — a full ring whose head updates were lost must not block
+// forever; the retry layer heals it by renegotiating the binding.
 func (i *Instance) reserveRing(p *simtime.Proc, b *binding, need int64, probe bool) (off, pad int64, err error) {
 	var deadline simtime.Time
 	if i.opts.RPCTimeout > 0 {
@@ -753,31 +593,17 @@ func (i *Instance) reserveRing(p *simtime.Proc, b *binding, need int64, probe bo
 		if i.stopped || b.dead || (!probe && i.NodeDead(b.dst)) {
 			return 0, 0, ErrNodeDead
 		}
-		// Pad to the ring start if the message would wrap.
-		pad = 0
-		if off := b.tail % b.ringSize; off+need > b.ringSize {
-			pad = b.ringSize - off
-		}
-		// An empty ring (every byte posted has been credited back) takes
-		// any frame that fits the ring at all: the wrap padding is then
-		// bookkeeping over bytes nobody will read, and holding it against
-		// the window would block a frame longer than both the run before
-		// and the run after the tail forever, not until the next credit.
-		if b.tail+pad+need-b.head <= b.ringSize || (b.tail == b.head && need <= b.ringSize) {
-			b.tail += pad
-			off = b.tail % b.ringSize
-			b.tail += need
-			if b.asked {
+		r := b.credit.reserve(need)
+		if r.ok {
+			if r.wake {
 				// This frame turns the server lazy again: senders still
 				// parked must re-check and open a new episode.
-				b.asked = false
 				b.space.Broadcast(i.cls.Env)
 			}
-			return off, pad, nil
+			return r.off, r.pad, nil
 		}
-		if !b.asked {
-			b.asked = true
-			i.pullCredit(p, b)
+		if r.pull {
+			i.pullCredit(p, b, r.units)
 			continue // posting yielded; credit may already be here
 		}
 		if deadline > 0 {
@@ -791,23 +617,18 @@ func (i *Instance) reserveRing(p *simtime.Proc, b *binding, need int64, probe bo
 	}
 }
 
-// pullCredit posts the credit pull for b: a zero-length write-imm the
-// server's poller answers by shipping the ring's owed credit. It states
-// the tail (rounded up to the pull granule, which can only make the
-// server eager a few bytes longer) so the server can tell frames
-// reserved before the pull from frames reserved after it, whatever
-// order they arrive in. Like the frames it unblocks it is never polled;
-// a lost pull ends in the sender's reserveRing timeout.
-func (i *Instance) pullCredit(p *simtime.Proc, b *binding) {
+// pullCredit posts the credit pull for b: a zero-length write-imm
+// stating the sender's tail in units, which the server's poller answers
+// by shipping the ring's owed credit. Like the frames it unblocks it is
+// never polled; a lost pull ends in the sender's reserveRing timeout.
+func (i *Instance) pullCredit(p *simtime.Proc, b *binding, units int64) {
 	i.obsReg().Add("lite.ring.credit_pull", 1)
-	u := pullUnit(b.ringSize)
-	units := (b.tail + u - 1) / u
 	_ = i.postShared(p, b.dst, PriHigh, []rnic.WR{{
 		Kind:      rnic.OpWriteImm,
 		WRID:      i.wrID(),
 		Inline:    i.wantInline(0),
 		RemoteKey: i.dep.Instances[b.dst].globalMR.Key(),
-		Imm:       encodeImm(tagCreditReq, b.fn, units%(1<<23)*ringAlign),
+		Imm:       encodeImm(tagCreditReq, b.fn, units*ringAlign),
 	}})
 }
 
@@ -865,19 +686,12 @@ func (i *Instance) sharedQP(p *simtime.Proc, dst int, pri Priority) *qpSigState 
 }
 
 // reap frees the slots of every in-flight batch whose completion has
-// arrived (or was claimed by the caller: claimed), without blocking. It
-// reaps in any order: a WR lost toward a lossy peer completes only at
-// its RC timeout, and the batches completed behind it must not wait.
+// arrived (or was claimed by the caller: claimed), without blocking.
 func (i *Instance) reap(sig *qpSigState, claimed uint64) {
-	kept := sig.inflight[:0]
-	for _, b := range sig.inflight {
-		if _, ok := i.sendDisp.TryClaim(b.wrid); ok || b.wrid == claimed {
-			sig.free += b.slots
-		} else {
-			kept = append(kept, b)
-		}
-	}
-	sig.inflight = kept
+	sig.sq.reap(func(wrid uint64) bool {
+		_, ok := i.sendDisp.TryClaim(wrid)
+		return ok || wrid == claimed
+	})
 }
 
 // postShared posts a chain of work requests to dst over one shared QP
@@ -886,7 +700,7 @@ func (i *Instance) reap(sig *qpSigState, claimed uint64) {
 // Either way it returns at once.
 func (i *Instance) postShared(p *simtime.Proc, dst int, pri Priority, wrs []rnic.WR) error {
 	sig := i.sharedQP(p, dst, pri)
-	if len(sig.outbox) == 0 && sig.free > 0 {
+	if sig.sq.room(1) > 0 {
 		return i.post(p, sig, outboxed{wrs: wrs})
 	}
 	own := append([]rnic.WR(nil), wrs...)
@@ -897,37 +711,24 @@ func (i *Instance) postShared(p *simtime.Proc, dst int, pri Priority, wrs []rnic
 	return nil
 }
 
-// post posts c behind one doorbell into the QP's free slots. A
-// one-sided chain takes a slot per WR, until its caller's completion.
-// A two-sided chain takes one under selective completion signaling: the
-// post that brings the QP's WR count to signalEvery signals its last
-// WR, and the slots pending since the last such post are filed under
-// that completion — lazy WQE reclaim. The bookkeeping is done before
-// the doorbell is paid: concurrent posters would otherwise all read the
-// old count, none signal, and fill the queue with WQEs no completion
-// reclaims.
+// post posts c behind one doorbell into the QP's free slots: a slot per
+// WR of a one-sided chain, held until its caller's completion, or one
+// slot for a two-sided chain under selective signaling
+// (sendQueue.twoSided).
 func (i *Instance) post(p *simtime.Proc, sig *qpSigState, c outboxed) error {
 	wrs := c.wrs
 	if c.oneSide {
-		sig.free -= len(wrs)
+		sig.sq.take(len(wrs))
 		err := i.ctx.PostSendList(p, sig.qp, wrs)
 		if err != nil {
-			sig.free += len(wrs)
+			sig.sq.give(len(wrs))
 		}
 		return err
 	}
-	sig.free--
-	sig.pending++
-	var wrid uint64
-	if sig.count+len(wrs) >= signalEvery {
-		wrid = i.wrID()
+	wrid := sig.sq.twoSided(len(wrs), i.wrID)
+	if wrid != 0 {
 		wrs[len(wrs)-1].Signaled = true
 		wrs[len(wrs)-1].WRID = wrid
-		sig.count = 0
-		sig.inflight = append(sig.inflight, reclaimBatch{wrid: wrid, slots: sig.pending})
-		sig.pending = 0
-	} else {
-		sig.count += len(wrs)
 	}
 	err := i.ctx.PostSendList(p, sig.qp, wrs)
 	if err != nil && wrid != 0 {
@@ -944,41 +745,34 @@ func (i *Instance) enqueue(sig *qpSigState, c outboxed) {
 		return
 	}
 	i.obsReg().Add("lite.sq.outboxed", int64(len(c.wrs)))
-	sig.outbox = append(sig.outbox, c)
-	i.drainLater(sig)
+	if sig.sq.queue(c) {
+		i.startDrainer(sig)
+	}
 }
 
 // serveOutbox posts from the QP's outbox head, in order, while the QP
 // has free slots.
 func (i *Instance) serveOutbox(p *simtime.Proc, sig *qpSigState) {
-	for len(sig.outbox) > 0 && sig.free > 0 {
-		c := sig.outbox[0]
-		sig.outbox[0] = outboxed{}
-		sig.outbox = sig.outbox[1:]
+	for c, ok := sig.sq.next(); ok; c, ok = sig.sq.next() {
 		if i.post(p, sig, c) != nil && c.oneSide {
 			i.dropChain(c)
 		}
 	}
-	i.drainLater(sig)
+	if sig.sq.startDrainer() {
+		i.startDrainer(sig)
+	}
 }
 
-// drainLater starts the QP's one-shot drainer if chains wait in its
-// outbox and a batch is in flight. The drainer waits on the oldest
-// batch and serves the outbox until it is empty or no batch is left
-// (one-sided callers hold the slots then, and serve it themselves).
-func (i *Instance) drainLater(sig *qpSigState) {
-	if sig.draining || len(sig.outbox) == 0 || len(sig.inflight) == 0 {
-		return
-	}
-	sig.draining = true
+// startDrainer starts the QP's one-shot drainer: it waits on the
+// batch sendQueue.drainFor names, reaps and serves the outbox, until
+// drainFor stops it.
+func (i *Instance) startDrainer(sig *qpSigState) {
 	i.cls.GoDaemonOn(i.node.ID, "lite-sq-drain", func(p *simtime.Proc) {
-		for len(sig.outbox) > 0 && len(sig.inflight) > 0 {
-			wrid := sig.inflight[0].wrid
+		for wrid, ok := sig.sq.drainFor(); ok; wrid, ok = sig.sq.drainFor() {
 			i.sendDisp.WaitQuiet(p, wrid)
 			i.reap(sig, wrid)
 			i.serveOutbox(p, sig)
 		}
-		sig.draining = false
 	})
 }
 
@@ -994,10 +788,9 @@ func (i *Instance) dropChain(c outboxed) {
 // failOutbox fails every chain queued toward dst at once.
 func (i *Instance) failOutbox(dst int) {
 	for _, sig := range i.qpSig[dst] {
-		for _, c := range sig.outbox {
+		for _, c := range sig.sq.failAll() {
 			i.dropChain(c)
 		}
-		sig.outbox = nil
 	}
 }
 
@@ -1131,12 +924,12 @@ func (i *Instance) rpc(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 func (i *Instance) awaitReply(p *simtime.Proc, pc *pendingCall, deadline simtime.Time, user bool) bool {
 	ready := func() bool { return pc.done }
 	if user {
-		return i.adaptiveWait(p, &pc.cond, ready, deadline)
+		return i.node.OS.AdaptiveWait(p, &pc.cond, ready, deadline)
 	}
 	i.spinners++
-	i.spinWait(p, &pc.cond, ready, deadline)
+	i.node.OS.SpinWait(p, &pc.cond, ready, deadline)
 	i.spinners--
-	return i.sleepWait(p, &pc.cond, ready, deadline)
+	return i.node.OS.SleepWait(p, &pc.cond, ready, deadline)
 }
 
 // rpcLocal dispatches an RPC whose server is this node without
@@ -1154,7 +947,7 @@ func (i *Instance) rpcLocal(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 	if c.timeout > 0 {
 		deadline = p.Now() + c.timeout
 	}
-	if !i.adaptiveWait(p, &pc.cond, func() bool { return pc.done }, deadline) {
+	if !i.node.OS.AdaptiveWait(p, &pc.cond, func() bool { return pc.done }, deadline) {
 		return nil, ErrTimeout
 	}
 	if pc.err != nil {
@@ -1216,8 +1009,8 @@ func (i *Instance) recvRPCInternal(p *simtime.Proc, fn int) (*Call, error) {
 func (i *Instance) awaitCall(p *simtime.Proc, f *rpcFunc) (*Call, error) {
 	ready := func() bool { return i.stopped || f.queue.len() > 0 }
 	for {
-		i.spinWait(p, &f.spin, ready, 0)
-		i.sleepWait(p, &f.sleep, ready, 0)
+		i.node.OS.SpinWait(p, &f.spin, ready, 0)
+		i.node.OS.SleepWait(p, &f.sleep, ready, 0)
 		if i.stopped {
 			return nil, ErrNodeDead
 		}
@@ -1272,14 +1065,13 @@ func (i *Instance) replyRPCInternal(p *simtime.Proc, c *Call, output []byte, pri
 	return err
 }
 
-// sendInternal implements LT_send: a one-way message into the
-// destination's message queue, delivered through the funcMsg ring.
+// sendInternal implements LT_send: a one-way message queued on the
+// destination's funcMsg, delivered through the funcMsg ring.
 func (i *Instance) sendInternal(p *simtime.Proc, dst int, data []byte, pri Priority) error {
 	p.Work(i.cfg.LITECheck)
 	if dst == i.node.ID {
 		i.memcpyCost(p, int64(len(data)))
-		i.msgQueue.push(Message{Src: i.node.ID, Data: append([]byte(nil), data...)})
-		i.msgCond.Signal(i.cls.Env)
+		i.dispatchCall(i.funcs[funcMsg], &Call{Func: funcMsg, Src: dst, Input: append([]byte(nil), data...)})
 		return nil
 	}
 	b, err := i.getBinding(p, dst, funcMsg, pri)
@@ -1289,32 +1081,26 @@ func (i *Instance) sendInternal(p *simtime.Proc, dst int, data []byte, pri Prior
 	return i.postToRing(p, b, &rpcCall{dst: dst, fn: funcMsg, input: data, pri: pri}, 0, 0)
 }
 
-// recvInternal implements the receive side of LT_send.
+// recvInternal implements the receive side of LT_send: the wait of
+// LT_recvRPC on funcMsg.
 func (i *Instance) recvInternal(p *simtime.Proc) (Message, error) {
-	for {
-		if !i.adaptiveWait(p, &i.msgCond, func() bool { return i.stopped || i.msgQueue.len() > 0 }, 0) {
-			return Message{}, ErrTimeout
-		}
-		if i.stopped {
-			return Message{}, ErrNodeDead
-		}
-		if i.msgQueue.len() == 0 {
-			continue // another receiver took it during our wakeup
-		}
-		m := i.msgQueue.pop()
-		i.memcpyCost(p, int64(len(m.Data)))
-		return m, nil
+	call, err := i.awaitCall(p, i.funcs[funcMsg])
+	if err != nil {
+		return Message{}, err
 	}
+	i.memcpyCost(p, int64(len(call.Input)))
+	return Message{Src: call.Src, Data: call.Input}, nil
 }
 
 // tryRecvInternal returns a queued message without blocking.
 func (i *Instance) tryRecvInternal(p *simtime.Proc) (Message, bool) {
-	if i.msgQueue.len() == 0 {
+	f := i.funcs[funcMsg]
+	if f.queue.len() == 0 {
 		return Message{}, false
 	}
-	m := i.msgQueue.pop()
-	i.memcpyCost(p, int64(len(m.Data)))
-	return m, true
+	call := f.queue.pop()
+	i.memcpyCost(p, int64(len(call.Input)))
+	return Message{Src: call.Src, Data: call.Input}, true
 }
 
 // ---- shared polling thread (§5.1) ----
@@ -1434,13 +1220,12 @@ func (i *Instance) handleRecvCQE(p *simtime.Proc, cqe rnic.CQE) (ping bool) {
 		i.handleAnswer(tag, cqe)
 	case tagHeadUpd:
 		if b := i.bindingTo(cqe.SrcNode, fn); b != nil {
-			b.head += v
+			b.credit.credited(v)
 			b.space.Broadcast(i.cls.Env)
 		}
 	case tagCreditReq:
 		if ring := i.ringFrom(cqe.SrcNode, fn); ring != nil {
-			ring.pulled(v / ringAlign)
-			i.shipCredit(p, ring)
+			i.shipCredit(p, ring, ring.credit.pulled(v/ringAlign))
 		}
 	}
 	return false
@@ -1498,14 +1283,6 @@ func (i *Instance) answerWord(pc *pendingCall, cqe rnic.CQE) (uint64, bool) {
 	return binary.LittleEndian.Uint64(buf[:]), true
 }
 
-// encodeWord builds the 8-byte payload of a notice: a shed's
-// Retry-After hint or a moved notice's new home (see answerWord).
-func encodeWord(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
-}
-
 // reqHdr is a request frame's header as the server reads it out of the
 // ring (layout at ringHdr).
 type reqHdr struct {
@@ -1560,12 +1337,7 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) (ping b
 	if !ok {
 		return
 	}
-	// Ring accounting: the wrap padding the client says it skipped
-	// before this frame, then the frame itself. Frames arrive out of
-	// ring order (see the header layout), so only the sum is meaningful.
-	aligned := (ringHdr + int64(len(input)) + ringAlign - 1) &^ (ringAlign - 1)
-	delta := h.pad + aligned
-	ring.headLocal += delta
+	delta := ring.credit.arrive(h.pad, ringHdr+int64(len(input)))
 
 	if fn == funcControl && len(input) == 1 && input[0] == copPing {
 		// A keepalive is answered here, by the poller, with [cstOK]
@@ -1576,15 +1348,11 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) (ping b
 		// cannot hold it.
 		i.obsReg().Add("lite.heartbeat.answered", 1)
 		i.queueHeadUpdate(p, src, fn, delta)
-		reply := make([]byte, 9)
-		reply[0] = cstOK
-		binary.LittleEndian.PutUint64(reply[1:], i.epoch)
-		i.queueNotify(p, headUpdate{tag: tagRPCRep, client: src, token: h.token, replyPA: h.replyPA, reply: reply})
+		i.queueNotify(p, headUpdate{tag: tagRPCRep, client: src, token: h.token, replyPA: h.replyPA, reply: wire{cstOK}.u64(i.epoch)})
 		return true
 	}
 	if fn == funcMsg {
-		i.msgQueue.push(Message{Src: src, Data: input})
-		i.msgCond.Signal(i.cls.Env)
+		i.dispatchCall(i.funcs[fn], &Call{Func: fn, Src: src, Input: input})
 		// Messages are consumed immediately; credit the ring now.
 		i.queueHeadUpdate(p, src, fn, delta)
 		return
@@ -1598,7 +1366,7 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) (ping b
 		// the migration, so any replay must happen at the new home.
 		i.obsReg().Add("lite.rpc.moved_bounce", 1)
 		i.queueHeadUpdate(p, src, fn, delta)
-		i.queueNotify(p, headUpdate{tag: tagRPCMoved, client: src, token: h.token, replyPA: h.replyPA, reply: encodeWord(uint64(to))})
+		i.queueNotify(p, headUpdate{tag: tagRPCMoved, client: src, token: h.token, replyPA: h.replyPA, reply: wire{}.u64(uint64(to))})
 		return
 	}
 	f, ok := i.funcs[fn]
@@ -1672,17 +1440,6 @@ func (i *Instance) dedupAnswer(p *simtime.Proc, ring *srvRing, h *reqHdr, delta 
 	return false
 }
 
-// remember inserts a sequenced call into the ring's dedup window, so a
-// retry of it is answered from the window instead of run again.
-func (r *srvRing) remember(seq uint64, call *Call) {
-	if seq == 0 {
-		return
-	}
-	e := &dedupEntry{seq: seq, call: call}
-	call.ded = e
-	r.dedupInsert(e)
-}
-
 // admitReq is handleRPCReq's admission seam. With admission control on
 // (Options.AdmissionHighWater), a call to an application function is
 // admitted — recording on the call the cost its bank was charged — or
@@ -1731,46 +1488,27 @@ func (i *Instance) admitReq(p *simtime.Proc, f *rpcFunc, call *Call, h *reqHdr) 
 	i.queueHeadUpdate(p, call.Src, call.Func, call.headDelta)
 	shed := headUpdate{tag: tagRPCShed, client: call.Src, token: h.token}
 	if hint > 0 {
-		shed.reply = encodeWord(uint64(hint))
+		shed.reply = wire{}.u64(uint64(hint))
 		shed.replyPA = h.replyPA
 	}
 	i.queueNotify(p, shed)
 	return false
 }
 
-// creditShare is the fraction of a ring the server may hold back as
-// unshipped credit: a head update goes out once owed reaches
-// size/creditShare, so a client always sees at least three quarters of
-// the truly free ring and a small-frame workload pays one head update
-// per quarter ring instead of one per call.
-const creditShare = 4
-
 // queueHeadUpdate returns delta bytes of consumed ring space to the
-// client — lazily: the credit accumulates in the ring's owed count and
-// ships from the background header-update thread (step f in Figure 9)
-// only once it is worth a work request, or at once while the client is
-// known to be blocked (srvRing.eager). No timer flushes the remainder;
-// a sender that needs it asks (reserveRing's pull).
+// client: the ring's credit half (ringServer.owe) decides what ships
+// now, from the background header-update thread (step f in Figure 9).
 func (i *Instance) queueHeadUpdate(p *simtime.Proc, client, fn int, delta int64) {
-	ring := i.ringFrom(client, fn)
-	if ring == nil {
-		return // torn down with its client; nobody is left to credit
-	}
-	ring.owed += delta
-	if ring.eager() || ring.owed >= ring.size/creditShare {
-		i.shipCredit(p, ring)
+	if ring := i.ringFrom(client, fn); ring != nil { // nil: torn down with its client
+		i.shipCredit(p, ring, ring.credit.owe(delta))
 	}
 }
 
-// shipCredit queues everything the ring owes as head updates. Credits
-// larger than the IMM delta encoding (possible with wrap padding on a
-// near-maximal ring) are split across several updates.
-func (i *Instance) shipCredit(p *simtime.Proc, ring *srvRing) {
-	for ring.owed > 0 {
-		d := min(ring.owed, maxImmDelta)
-		ring.owed -= d
+// shipCredit queues c as head updates, split to what one IMM carries.
+func (i *Instance) shipCredit(p *simtime.Proc, ring *srvRing, c credits) {
+	for c > 0 {
 		i.obsReg().Add("lite.ring.credit_wr", 1)
-		i.queueNotify(p, headUpdate{tag: tagHeadUpd, client: ring.client, fn: ring.fn, delta: d})
+		i.queueNotify(p, headUpdate{tag: tagHeadUpd, client: ring.client, fn: ring.fn, delta: c.next()})
 	}
 }
 
@@ -1922,7 +1660,7 @@ func (i *Instance) noteLowRecv(qp *rnic.QP) {
 // memory operations, locks, barriers) from the system queue.
 func (i *Instance) systemWorkerLoop(p *simtime.Proc) {
 	for !i.stopped {
-		if !i.adaptiveWait(p, &i.sysCond, func() bool { return i.stopped || i.sysQueue.len() > 0 }, 0) {
+		if !i.node.OS.AdaptiveWait(p, &i.sysCond, func() bool { return i.stopped || i.sysQueue.len() > 0 }, 0) {
 			return
 		}
 		if i.stopped {

@@ -114,8 +114,8 @@ func TestSendCompletionsSettleAfterDrain(t *testing.T) {
 		lazy := make(map[uint64]bool)
 		for _, sigs := range inst.qpSig {
 			for _, sig := range sigs {
-				for _, b := range sig.inflight {
-					lazy[b.wrid] = true
+				for _, id := range sig.sq.batchIDs() {
+					lazy[id] = true
 				}
 			}
 		}

@@ -144,12 +144,9 @@ func (i *Instance) lockInternal(p *simtime.Proc, lk Lock, pri Priority) error {
 	if old == 0 {
 		return nil
 	}
-	req := make([]byte, 9)
-	req[0] = lopWait
-	binary.LittleEndian.PutUint64(req[1:], lk.ID)
 	// The reply IS the grant; it arrives when the lock is handed over,
 	// so wait without an RPC timeout.
-	_, err = i.rpc(p, &rpcCall{dst: lk.Owner, fn: funcLock, input: req, maxReply: 1, pri: pri})
+	_, err = i.rpc(p, &rpcCall{dst: lk.Owner, fn: funcLock, input: wire{lopWait}.u64(lk.ID), maxReply: 1, pri: pri})
 	return err
 }
 
@@ -163,10 +160,7 @@ func (i *Instance) unlockInternal(p *simtime.Proc, lk Lock, pri Priority) error 
 	if old <= 1 {
 		return nil // no waiters
 	}
-	req := make([]byte, 9)
-	req[0] = lopRelease
-	binary.LittleEndian.PutUint64(req[1:], lk.ID)
-	_, err = i.rpc(p, &rpcCall{dst: lk.Owner, fn: funcLock, input: req, maxReply: 1, pri: pri, timeout: i.opts.RPCTimeout})
+	_, err = i.rpc(p, &rpcCall{dst: lk.Owner, fn: funcLock, input: wire{lopRelease}.u64(lk.ID), maxReply: 1, pri: pri, timeout: i.opts.RPCTimeout})
 	return err
 }
 
@@ -180,11 +174,7 @@ func (i *Instance) handleLock(p *simtime.Proc, c *Call) {
 	switch in[0] {
 	case lopAlloc:
 		lk := i.allocLockLocal()
-		out := make([]byte, 17)
-		out[0] = cstOK
-		binary.LittleEndian.PutUint64(out[1:], lk.ID)
-		binary.LittleEndian.PutUint64(out[9:], uint64(lk.pa))
-		_ = i.replyRPCInternal(p, c, out, PriHigh)
+		_ = i.replyRPCInternal(p, c, wire{cstOK}.u64(lk.ID).u64(uint64(lk.pa)), PriHigh)
 
 	case lopWait:
 		id := binary.LittleEndian.Uint64(in[1:])
