@@ -165,13 +165,17 @@ smoke:
 # event — the same experiment renders identical tables with and
 # without -metrics (metric dump lines are '%'-prefixed; the bracketed
 # footer carries wall time, so both are stripped before comparing).
+# breakdown is one traced call on every layer; tab-cpu is the sparse
+# user-level RPC path, where the poller sleeps and is prewaked.
 obs-guard:
-	@a=$$($(GO) run ./cmd/litebench breakdown | grep -v '^\['); \
-	b=$$($(GO) run ./cmd/litebench -metrics breakdown | grep -v '^\[' | grep -v '^%'); \
-	if [ "$$a" = "$$b" ]; then \
-		echo "obs-guard: metrics leave the virtual timeline unchanged"; \
-	else \
-		echo "obs-guard: DRIFT between plain and -metrics runs"; \
-		echo "--- plain ---"; echo "$$a"; \
-		echo "--- with -metrics ---"; echo "$$b"; exit 1; \
-	fi
+	@for id in breakdown tab-cpu; do \
+		a=$$($(GO) run ./cmd/litebench $$id | grep -v '^\['); \
+		b=$$($(GO) run ./cmd/litebench -metrics $$id | grep -v '^\[' | grep -v '^%'); \
+		if [ "$$a" = "$$b" ]; then \
+			echo "obs-guard: $$id: metrics leave the virtual timeline unchanged"; \
+		else \
+			echo "obs-guard: $$id: DRIFT between plain and -metrics runs"; \
+			echo "--- plain ---"; echo "$$a"; \
+			echo "--- with -metrics ---"; echo "$$b"; exit 1; \
+		fi; \
+	done

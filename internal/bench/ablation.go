@@ -72,6 +72,7 @@ func ablWindow() (*Table, error) {
 		Title:  "Adaptive poll window vs 8B RPC latency and CPU per light-load request",
 		Header: []string{"Window (us)", "RPC latency (us)", "CPU/req at 60us gaps (us)"},
 	}
+	var rows []windowRow
 	for _, w := range []time.Duration{1 * time.Microsecond, 4 * time.Microsecond, 8 * time.Microsecond, 25 * time.Microsecond, 100 * time.Microsecond} {
 		cfg := params.Default()
 		cfg.AdaptivePollWindow = w
@@ -84,10 +85,11 @@ func ablWindow() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		rows = append(rows, windowRow{window: w, lat: lat, cpu: cpu / nReq})
 		t.AddRow(fmt.Sprintf("%.0f", float64(w)/1000), us(lat), us(cpu/nReq))
 	}
 	t.Note("small windows add wakeup latency to every RPC; large windows burn CPU at light load — 5.2's tradeoff")
-	return t, nil
+	return t, ablWindowShape(rows)
 }
 
 func ablChunk() (*Table, error) {

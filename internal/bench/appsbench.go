@@ -77,9 +77,6 @@ func fig19() (*Table, error) {
 	}
 	g := workload.NewPowerLawGraph(7, 60000, 900000)
 	const iters = 10
-	ms := func(d interface{ Seconds() float64 }) string {
-		return fmt.Sprintf("%.2f", d.Seconds()*1000)
-	}
 	for _, n := range []int{4, 7} {
 		nodes := make([]int, n)
 		for i := range nodes {

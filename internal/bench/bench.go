@@ -218,6 +218,9 @@ func newBare(n int) (*cluster.Cluster, error) {
 // us formats a duration in microseconds.
 func us(d simtime.Time) string { return fmt.Sprintf("%.2f", float64(d)/1000.0) }
 
+// ms formats a duration in milliseconds.
+func ms(d simtime.Time) string { return fmt.Sprintf("%.2f", d.Seconds()*1000) }
+
 // gbps formats bytes over a duration as GB/s.
 func gbps(bytes int64, d simtime.Time) string {
 	if d <= 0 {

@@ -145,8 +145,9 @@ func fig13() (*Table, error) {
 		Header: []string{"Factor", "HERD (us)", "FaSST (us)", "LITE (us)"},
 	}
 	const nReq = 2000
+	var rows []fig13Row
 	for _, f := range []int{1, 2, 4, 8} {
-		row := []string{fmt.Sprintf("%dx", f)}
+		var cpus []simtime.Time
 		for _, s := range []struct {
 			scheme    rpcScheme
 			setupProc bool
@@ -155,21 +156,23 @@ func fig13() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, us(cpu))
+			cpus = append(cpus, cpu)
 		}
-		t.AddRow(row...)
+		rows = append(rows, fig13Row{factor: f, herd: cpus[0], fasst: cpus[1], lite: cpus[2]})
+		t.AddRow(fmt.Sprintf("%dx", f), us(cpus[0]), us(cpus[1]), us(cpus[2]))
 	}
 	t.Note("paper: LITE lowest at light load (adaptive sleep); polling designs burn CPU in proportion to idle time")
-	return t, nil
+	return t, fig13Shape(rows)
 }
 
 func tabCPU() (*Table, error) {
 	t := &Table{
 		ID:     "tab-cpu",
 		Title:  "Total CPU time, 1000 RPC/s across 8 threads for 1s (5.3)",
-		Header: []string{"Scheme", "CPU time (s)"},
+		Header: []string{"Scheme", "CPU time (ms)"},
 	}
 	// 1000 requests at fixed 1ms spacing across 8 threads.
+	var cpus []simtime.Time
 	for _, s := range []struct {
 		name   string
 		scheme rpcScheme
@@ -178,10 +181,11 @@ func tabCPU() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(s.name, fmt.Sprintf("%.2f", cpu.Seconds()))
+		cpus = append(cpus, cpu)
+		t.AddRow(s.name, ms(cpu))
 	}
 	t.Note("paper: LITE 4.3s vs HERD 8.7s and FaSST 8.8s on their testbed; the ordering and rough ratio are the reproducible shape")
-	return t, nil
+	return t, tabCPUShape(cpus[0], cpus[1], cpus[2])
 }
 
 // breakdown derives the §5.3 component table from the spans of one

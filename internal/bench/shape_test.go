@@ -1,0 +1,95 @@
+package bench
+
+import (
+	"strings"
+	"testing"
+	"time"
+)
+
+// The shape predicates pass on the recorded figures and fail, naming
+// the broken clause, when one clause is broken.
+
+func TestFig13Shape(t *testing.T) {
+	rec := func() []fig13Row {
+		return []fig13Row{
+			{1, 22540, 22570, 29600},
+			{2, 42490, 42460, 33090},
+			{4, 82260, 82240, 35090},
+			{8, 162200, 161790, 36410},
+		}
+	}
+	if err := fig13Shape(rec()); err != nil {
+		t.Fatalf("recorded fig13: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		breakIt    func([]fig13Row)
+	}{
+		{"LITE above HERD at 2x", "at 2x LITE", func(r []fig13Row) { r[1].lite = r[1].herd }},
+		{"LITE above FaSST at 8x", "at 8x LITE", func(r []fig13Row) { r[3].lite = r[3].fasst + 1 }},
+		{"HERD flat from 2x to 4x", "from 2x to 4x", func(r []fig13Row) { r[2].herd = r[1].herd }},
+		{"FaSST falls from 4x to 8x", "from 4x to 8x", func(r []fig13Row) { r[3].fasst = r[2].fasst - 1 }},
+	} {
+		rows := rec()
+		tc.breakIt(rows)
+		if err := fig13Shape(rows); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	// LITE above the polling designs at 1x is the paper's heavy-load
+	// tie, not a broken shape.
+	rows := rec()
+	rows[0].lite = 2 * rows[0].herd
+	if err := fig13Shape(rows); err != nil {
+		t.Errorf("LITE above HERD at 1x: %v, want no error", err)
+	}
+}
+
+func TestTabCPUShape(t *testing.T) {
+	const lite, herd, fasst = 18090 * time.Microsecond, 1002520 * time.Microsecond, 1002540 * time.Microsecond
+	if err := tabCPUShape(lite, herd, fasst); err != nil {
+		t.Fatalf("recorded tab-cpu: %v", err)
+	}
+	for _, tc := range []struct {
+		name              string
+		lite, herd, fasst time.Duration
+		want              string
+	}{
+		{"LITE equals HERD", herd, herd, fasst, "not below"},
+		{"LITE above FaSST", lite, herd, lite - 1, "not below"},
+		{"FaSST twice HERD", lite, herd, 2 * herd, "differ by more than 10%"},
+	} {
+		if err := tabCPUShape(tc.lite, tc.herd, tc.fasst); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func TestAblWindowShape(t *testing.T) {
+	rec := func() []windowRow {
+		return []windowRow{
+			{1000, 8110, 13400},
+			{4000, 8110, 26260},
+			{8000, 2110, 37730},
+			{25000, 2110, 89150},
+			{100000, 2110, 191500},
+		}
+	}
+	if err := ablWindowShape(rec()); err != nil {
+		t.Fatalf("recorded abl-window: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		breakIt    func([]windowRow)
+	}{
+		{"latency rises at 25us", "latency rises from 2.11 us at a 8.00 us window", func(r []windowRow) { r[3].lat = r[2].lat + 1 }},
+		{"CPU flat from 1 to 4us", "CPU per request does not rise from 13.40 us at a 1.00 us window", func(r []windowRow) { r[1].cpu = r[0].cpu }},
+		{"CPU falls at 100us", "does not rise from 89.15 us", func(r []windowRow) { r[4].cpu = r[3].cpu - 1 }},
+	} {
+		rows := rec()
+		tc.breakIt(rows)
+		if err := ablWindowShape(rows); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"lite/internal/obs"
 	"lite/internal/simtime"
 )
 
@@ -601,18 +602,22 @@ func TestRingCreditResetAcrossRebind(t *testing.T) {
 // issued from kernel level, has its reply demultiplexed by the spinning
 // caller — at arrival + pollerHandleCost, with no WakeupLatency — and
 // the client's poller stays asleep: no wakeup, no busy window, no CPU.
-// The same call from user level spins in user space, so its reply
-// arrives with nobody polling and pays the poller's full price: one
-// wakeup, one handle, one busy window, to the nanosecond.
+// The same call from user level spins in user space, where it cannot
+// reach the CQ, so it wakes the poller at post time: the wakeup runs
+// during the round trip, the poller spins until the reply, handles it
+// and runs out one busy window, to the nanosecond. The reply lands as
+// early as the kernel caller's, so the two calls differ by the kernel
+// entry alone.
 func TestKernelCallerPollsTheCQ(t *testing.T) {
 	type outcome struct {
-		lat, nodeCPU, pollerCPU simtime.Time
-		polled                  int64
+		lat, wait, nodeCPU, pollerCPU simtime.Time
+		polled, prewakes              int64
 	}
 	var cfgWakeup, cfgWindow, cfgEnter simtime.Time
 	measure := func(user bool) (o outcome) {
 		cls, dep := testDep(t, 2)
 		dom := cls.EnableObs()
+		dom.EnableTracing()
 		cfgWakeup, cfgWindow = cls.Cfg.WakeupLatency, cls.Cfg.AdaptivePollWindow
 		cfgEnter = cls.Cfg.SyscallCrossing + cls.Cfg.KernelDispatch
 		startEchoServer(cls, dep, 1, 1)
@@ -631,6 +636,8 @@ func TestKernelCallerPollsTheCQ(t *testing.T) {
 			}
 			p.Sleep(200 * time.Microsecond)
 			cpu0, poll0, polled0 := cls.Nodes[0].CPU.Busy(), pollerCPU(dom, 0), dom.Total("lite.poller.caller_polled")
+			prewakes0 := dom.Total("lite.poller.prewakes")
+			dom.ResetSpans()
 			t0 := p.Now()
 			if _, err := c.RPC(p, 1, echoFn, in, 64); err != nil {
 				t.Error(err)
@@ -641,6 +648,8 @@ func TestKernelCallerPollsTheCQ(t *testing.T) {
 			o.nodeCPU = cls.Nodes[0].CPU.Busy() - cpu0
 			o.pollerCPU = pollerCPU(dom, 0) - poll0
 			o.polled = dom.Total("lite.poller.caller_polled") - polled0
+			o.prewakes = dom.Total("lite.poller.prewakes") - prewakes0
+			o.wait = obs.SumByName(dom.Spans())["lite.rpc.wait"]
 		})
 		run(t, cls)
 		return o
@@ -660,16 +669,21 @@ func TestKernelCallerPollsTheCQ(t *testing.T) {
 		t.Errorf("kernel caller: node charged %v of CPU for a %v call; want exactly the caller's own time", k.nodeCPU, k.lat)
 	}
 
-	if u.polled != 0 {
-		t.Errorf("user caller: %d completions caller-polled, want 0 (it spins in user space)", u.polled)
+	if u.polled != 0 || u.prewakes != 1 {
+		t.Errorf("user caller: %d completions caller-polled, %d prewakes; want 0 (it spins in user space) and 1", u.polled, u.prewakes)
 	}
-	if want := cfgWakeup + pollerHandleCost + cfgWindow; u.pollerCPU != want {
-		t.Errorf("user caller: poller burned %v, want wakeup + handle + busy window = %v", u.pollerCPU, want)
+	// The reply wait is the same span for both callers: the prewaked
+	// poller's wakeup fits inside the round trip, so it spins until the
+	// reply lands and demultiplexes it at arrival + pollerHandleCost.
+	if u.wait != k.wait || u.wait <= cfgWakeup+pollerHandleCost {
+		t.Errorf("user caller waited %v for its reply, kernel caller %v; want equal and longer than wakeup + handle %v", u.wait, k.wait, cfgWakeup+pollerHandleCost)
 	}
-	// The two calls differ by the kernel entry and by who waits for the
-	// poller to wake, and by nothing else.
-	if want := k.lat + cfgEnter + cfgWakeup; u.lat != want {
-		t.Errorf("user call %v, kernel call %v: want user = kernel + entry %v + wakeup %v = %v", u.lat, k.lat, cfgEnter, cfgWakeup, want)
+	if want := u.wait + cfgWindow; u.pollerCPU != want {
+		t.Errorf("user caller: poller burned %v, want wakeup + spin until the reply + handle (%v) + busy window = %v", u.pollerCPU, u.wait, want)
+	}
+	// The two calls differ by the kernel entry and by nothing else.
+	if want := k.lat + cfgEnter; u.lat != want {
+		t.Errorf("user call %v, kernel call %v: want user = kernel + entry %v = %v", u.lat, k.lat, cfgEnter, want)
 	}
 }
 

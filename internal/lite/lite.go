@@ -340,10 +340,19 @@ type Instance struct {
 	epoch    uint64
 	deadView []bool
 
-	// spinners counts kernel-level threads inside the busy window of an
-	// LT_RPC reply wait (awaitReply). While it is nonzero and the shared
-	// poller is asleep, one of them polls the receive CQ itself.
-	spinners int
+	// spinners counts the callers inside the busy window of an LT_RPC
+	// reply wait (awaitReply); pollerAsleep is set while the shared
+	// poller is parked on the receive CQ (pollerSleep).
+	spinners     replySpinners
+	pollerAsleep bool
+}
+
+// replySpinners counts the callers spinning on an LT_RPC reply, by
+// kind. Kernel spinners poll the receive CQ for the sleeping poller
+// (pollForCaller); user spinners cannot reach the CQ, so they keep the
+// poller awake (pollerMaySleep).
+type replySpinners struct {
+	kernel, user int
 }
 
 // Deployment is a LITE cluster: one Instance per node plus the global

@@ -912,23 +912,28 @@ func (i *Instance) rpc(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 	return out, nil
 }
 
-// awaitReply is LT_RPC's adaptive wait for the reply write-imm. A
-// kernel-level caller spends its busy window on a core inside the
-// kernel with nothing to do but look for its completion, so it is
-// counted in spinners and — while the shared poller sleeps — polls the
+// awaitReply is LT_RPC's adaptive wait for the reply write-imm: a busy
+// window, then sleep. Whoever waits, no reply waits for a poller wakeup
+// while its caller is still spinning. A kernel-level caller spends its
+// busy window on a core inside the kernel with nothing to do but look
+// for its completion, so while the shared poller sleeps it polls the
 // receive CQ itself (pollForCaller): the reply is demultiplexed at
 // arrival + pollerHandleCost without waking the poller. A user-level
 // caller left the kernel at post time and spins on the §5.2 completion
-// page in user space; it cannot touch the CQ and keeps needing the
-// poller.
+// page in user space; it cannot touch the CQ, so it wakes a sleeping
+// poller now, overlapping the wakeup with the round trip, and keeps it
+// awake for its busy window. Once the caller sleeps it stops counting,
+// so the poller spins at most one window past the caller's.
 func (i *Instance) awaitReply(p *simtime.Proc, pc *pendingCall, deadline simtime.Time, user bool) bool {
 	ready := func() bool { return pc.done }
+	count := &i.spinners.kernel
 	if user {
-		return i.node.OS.AdaptiveWait(p, &pc.cond, ready, deadline)
+		count = &i.spinners.user
+		i.prewakePoller()
 	}
-	i.spinners++
+	*count++
 	i.node.OS.SpinWait(p, &pc.cond, ready, deadline)
-	i.spinners--
+	*count--
 	return i.node.OS.SleepWait(p, &pc.cond, ready, deadline)
 }
 
@@ -1118,7 +1123,9 @@ const pollerBatchCost = 40 * time.Nanosecond
 // single shared receive CQ for all RPC clients and functions, parses
 // the IMM metadata, and routes work — one thread per node, shared by
 // every application (§5.1, §6.1). It uses the same adaptive model as
-// user threads so an idle node does not burn a core forever.
+// user threads so an idle node does not burn a core forever, except
+// that it never sleeps while a user-level caller on this node spins on
+// a reply (pollerMaySleep): only the poller can deliver that reply.
 // Completions that accumulated while it worked are drained in one
 // sweep at the amortized batch cost — the consumer half of CQ
 // moderation (the producer half is selective signaling: unsignaled
@@ -1145,7 +1152,7 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 				i.obsReg().Add("lite.poller.coalesced", 1)
 				pings = i.handleRecvCQE(p, cqe) && pings
 			}
-			if woke && pings && !i.stopped {
+			if woke && pings && !i.stopped && i.pollerMaySleep() {
 				i.pollerSleep(p)
 				continue
 			}
@@ -1160,39 +1167,64 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 			continue
 		}
 		p.Charge(p.Now() - t0)
+		if !i.pollerMaySleep() {
+			continue
+		}
 		i.pollerSleep(p)
 		woke = true
 	}
 }
 
+// pollerMaySleep reports whether the shared poller may sleep: not
+// while a user-level caller on this node spins on its reply, which only
+// the poller can deliver.
+func (i *Instance) pollerMaySleep() bool { return i.spinners.user == 0 }
+
 // pollerSleep parks the poller until the next completion nobody else
-// polls for, then charges its wakeup.
+// polls for, or until a user-level caller needs it, then charges its
+// wakeup.
 func (i *Instance) pollerSleep(p *simtime.Proc) {
+	i.obsReg().Add("lite.poller.sleeps", 1)
 	for {
+		i.pollerAsleep = true
 		i.recvCQ.Wait(p)
-		if !i.pollForCaller(p) {
+		i.pollerAsleep = false
+		if !i.pollForCaller(p) || !i.pollerMaySleep() {
 			break
 		}
 	}
 	p.Work(i.cfg.WakeupLatency)
 }
 
-// pollForCaller runs when a completion arrives with the shared poller
-// asleep: if a kernel-level caller is spinning on its reply
-// (spinners > 0) the queued completions are demultiplexed on that
-// caller's behalf — at the poller's per-CQE cost but on the caller's
-// time, which its busy wait is already charging, so this thread neither
-// pays a wakeup nor burns a busy window afterwards. It reports whether
-// the poller may go back to sleep; false means the completion at the
-// head of the CQ (or the wake itself) is the poller's to handle at full
-// price.
+// prewakePoller wakes the shared poller if it sleeps, for a user-level
+// caller that has just posted its request: the wakeup then runs while
+// the request is on the wire instead of after the reply lands. The
+// poller is the receive CQ's only waiter, so the broadcast reaches it
+// and nothing else.
+func (i *Instance) prewakePoller() {
+	if !i.pollerAsleep {
+		return
+	}
+	i.pollerAsleep = false
+	i.obsReg().Add("lite.poller.prewakes", 1)
+	i.recvCQ.Broadcast(i.cls.Env)
+}
+
+// pollForCaller runs when the shared poller is woken from sleep: if a
+// kernel-level caller is spinning on its reply (spinners.kernel > 0)
+// the queued completions are demultiplexed on that caller's behalf —
+// at the poller's per-CQE cost but on the caller's time, which its busy
+// wait is already charging, so this thread neither pays a wakeup nor
+// burns a busy window afterwards. It reports whether the poller may go
+// back to sleep as far as the CQ goes; false means the completion at
+// the head of the CQ (or the wake itself, a completion or a user-level
+// caller's prewake) is the poller's to handle at full price.
 //
-// The body runs on the poller's proc only because CQ.Push signals the
-// oldest waiter, which is always the sleeping poller; nothing here is
-// charged to it.
+// The body runs on the poller's proc only because the poller is the
+// receive CQ's only waiter; nothing here is charged to it.
 func (i *Instance) pollForCaller(p *simtime.Proc) bool {
 	polled, cost := false, pollerHandleCost
-	for i.spinners > 0 && !i.stopped {
+	for i.spinners.kernel > 0 && !i.stopped {
 		cqe, ok := i.recvCQ.TryPoll()
 		if !ok {
 			break
