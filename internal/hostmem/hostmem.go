@@ -13,10 +13,12 @@
 // covers the whole page, when a write materializes a line next to one
 // already written (a sequential writer such as an RPC ring), or when
 // the page would hold more than 8 lines. A dense page is never
-// demoted; Free drops either form. Reads never materialize anything.
+// demoted; Free drops either form, and so does Discard once the page
+// holds only zeros. Reads never materialize anything.
 package hostmem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -406,6 +408,71 @@ func (m *Memory) writeSparse(f, off int64, data []byte) {
 		data = data[n:]
 		off += int64(n)
 	}
+}
+
+// Discard clears [pa, pa+n), for a consumer done with bytes nobody
+// reads again (an RPC ring frame once parsed, a reply once copied out):
+// the range reads as zeros afterwards. A page whose last byte the range
+// covers is dropped if it then holds only zeros, which reads the same,
+// so a sequential consumer gives each page back as it passes it and
+// the memory holds the bytes in flight, not every byte a ring ever
+// carried. Discard is not a write: it materializes nothing and
+// notifies no watch.
+func (m *Memory) Discard(pa PAddr, n int64) error {
+	if _, _, err := m.pageSpan(pa, n); err != nil {
+		return err
+	}
+	addr, end := int64(pa), int64(pa)+n
+	for addr < end {
+		f := addr / m.pageSize
+		off := addr % m.pageSize
+		k := min(end-addr, m.pageSize-off)
+		last := off+k == m.pageSize
+		if b := m.frames[f]; b != nil {
+			clear(b[off : off+k])
+			if last && allZero(b) {
+				delete(m.frames, f)
+			}
+		} else if sp, ok := m.sparse[f]; ok {
+			m.discardSparse(f, sp, off, off+k, last)
+		}
+		addr += k
+	}
+	return nil
+}
+
+// discardSparse clears [off, end) of sparse page f and drops the page
+// if last is set and every line it holds is now zero.
+func (m *Memory) discardSparse(f int64, sp sparsePage, off, end int64, last bool) {
+	for l := off / lineSize; l*lineSize < end; l++ {
+		if sp.mask&(1<<l) != 0 {
+			lo, hi := max(off, l*lineSize), min(end, (l+1)*lineSize)
+			clear(sp.line(l)[lo-l*lineSize : hi-l*lineSize])
+		}
+	}
+	if !last {
+		return
+	}
+	for _, ln := range sp.lines {
+		if !allZero(ln[:]) {
+			return
+		}
+	}
+	m.sparseN -= int64(bits.OnesCount64(sp.mask))
+	delete(m.sparse, f)
+}
+
+// allZero reports whether b holds only zeros, a line at a time.
+func allZero(b []byte) bool {
+	var zero [lineSize]byte
+	for len(b) > 0 {
+		n := min(len(b), lineSize)
+		if !bytes.Equal(b[:n], zero[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
 }
 
 // Read copies len(buf) bytes of physical memory at pa into buf.

@@ -123,7 +123,7 @@ func (mm *memModel) run(data []byte) {
 		if op < 0 {
 			return
 		}
-		switch op % 6 {
+		switch op % 7 {
 		case 0, 1: // physical write or read anywhere, often straddling pages
 			off, n := word(), mm.length(next(), word())
 			if off < 0 || n <= 0 {
@@ -171,6 +171,23 @@ func (mm *memModel) run(data []byte) {
 				mm.write(pa, n, func(b []byte) error { return mm.as.WriteV(va, b) })
 			} else {
 				mm.read(pa, n, func(b []byte) error { return mm.as.ReadV(va, b) })
+			}
+		case 6: // discard anywhere: zeros, and a page whose end the range
+			// reaches is dropped if that leaves it all zeros
+			off, n := word(), mm.length(next(), word())
+			if off < 0 || n <= 0 {
+				return
+			}
+			pa := off % len(mm.flat)
+			n = min(n, len(mm.flat)-pa)
+			if err := mm.m.Discard(PAddr(pa), int64(n)); err != nil {
+				mm.t.Fatalf("Discard [%d, +%d): %v", pa, n, err)
+			}
+			clear(mm.flat[pa : pa+n])
+			for lo := pa / testPage * testPage; lo < pa+n; lo += testPage {
+				if hi := lo + testPage; pa+n >= hi && allZero(mm.flat[lo:hi]) {
+					clear(mm.wrote[lo/lineSize : hi/lineSize])
+				}
 			}
 		}
 		mm.checkResident()
@@ -292,5 +309,78 @@ func TestMemoryAllocBudget(t *testing.T) {
 	small := make([]byte, 100)
 	if allocs := testing.AllocsPerRun(100, func() { _ = m.Write(base+8*testPage+300, small) }); allocs != 0 {
 		t.Errorf("writing into a dense page: %.0f allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = m.Discard(base+8*testPage+300, 100) }); allocs != 0 {
+		t.Errorf("discarding in a dense page: %.0f allocations, want 0", allocs)
+	}
+}
+
+// Discard, step by step: a sequential writer and consumer (an RPC
+// ring) holds only the pages it has not passed, a page that still
+// holds other bytes stays, discarding unwritten memory materializes
+// nothing, and no watch fires.
+func TestDiscard(t *testing.T) {
+	m := New(16*testPage, testPage)
+	base, _ := m.AllocContiguous(8 * testPage)
+	fired, writes := 0, 0
+	m.AddWatch(base, 8*testPage, func() { fired++ })
+	want := func(step string, resident int64) {
+		t.Helper()
+		if got := m.ResidentBytes(); got != resident {
+			t.Fatalf("%s: resident = %d, want %d", step, got, resident)
+		}
+	}
+
+	frame := bytes.Repeat([]byte{0xab}, 100)
+	got := make([]byte, len(frame))
+	var peak int64
+	off := int64(0)
+	for ; off+100 <= 3*testPage; off += 100 {
+		m.Write(base+PAddr(off), frame)
+		writes++
+		if err := m.Read(base+PAddr(off), got); err != nil || !bytes.Equal(got, frame) {
+			t.Fatalf("frame at %d read %v, err %v", off, got[:4], err)
+		}
+		if err := m.Discard(base+PAddr(off), 100); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Read(base+PAddr(off), got); err != nil || !allZero(got) {
+			t.Fatalf("discarded frame at %d read %v, err %v; want zeros", off, got[:4], err)
+		}
+		peak = max(peak, m.ResidentBytes())
+	}
+	if peak > testPage {
+		t.Fatalf("ring consumer peaked at %d B resident, want at most the page it is in", peak)
+	}
+	want("consumer inside its third page", testPage)
+	m.Discard(base+PAddr(off), 3*testPage-off)
+	want("consumer past its third page", 0)
+
+	p := base + 4*testPage
+	m.Write(p+10, []byte{1})
+	m.Write(p+testPage-100, frame)
+	writes += 2
+	m.Discard(p+testPage-100, 100)
+	want("page with another written byte", 2*lineSize)
+	if err := m.Read(p+10, got[:1]); err != nil || got[0] != 1 {
+		t.Fatalf("byte outside the discarded range read %d, err %v; want 1", got[0], err)
+	}
+	m.Write(p+lineSize, make([]byte, lineSize)) // next to line 0: dense
+	writes++
+	m.Discard(p, 16) // zeros only now
+	want("discard that does not reach the page end", testPage)
+	m.Discard(p+testPage-1, 1)
+	want("zeros-only page whose end is discarded", 0)
+
+	m.Discard(base+6*testPage, 2*testPage)
+	want("discarding unwritten pages", 0)
+	if fired != writes {
+		t.Fatalf("watch fired %d times for %d writes", fired, writes)
+	}
+	if err := m.Discard(base, 0); err != ErrBadSize {
+		t.Fatalf("Discard of 0 bytes: %v, want ErrBadSize", err)
+	}
+	if err := m.Discard(base+15*testPage, 2*testPage); err != ErrBadAddress {
+		t.Fatalf("Discard past the end: %v, want ErrBadAddress", err)
 	}
 }

@@ -670,13 +670,7 @@ func (i *Instance) initScratch() error {
 }
 
 func (s *scratchRing) alloc(n int64) hostmem.PAddr {
-	// Reserve at least one cache line even for zero-reply calls: a
-	// shed notification may write an 8-byte Retry-After hint into the
-	// reply buffer, so every response address must own real space.
-	if n < 64 {
-		n = 64
-	}
-	n = (n + 63) &^ 63
+	n = scratchExtent(n)
 	wraps := 0
 	for {
 		if s.next+n > s.size {
@@ -702,6 +696,12 @@ func (s *scratchRing) alloc(n int64) hostmem.PAddr {
 	}
 }
 
+// scratchExtent is the arena space an n-byte buffer owns: whole
+// 64-byte lines, and at least one even for a zero-reply call, since a
+// shed notification may write an 8-byte Retry-After hint into any
+// reply buffer.
+func scratchExtent(n int64) int64 { return (max(n, 64) + 63) &^ 63 }
+
 // overlap returns the quarantined range intersecting [start, end), if
 // any.
 func (s *scratchRing) overlap(start, end int64) (quarRange, bool) {
@@ -718,10 +718,7 @@ func (s *scratchRing) overlap(start, end int64) (quarRange, bool) {
 // zero-reply call's buffer can still receive a late 8-byte shed hint,
 // so the minimum is quarantined too.
 func (s *scratchRing) quarantine(pa hostmem.PAddr, n int64, token uint32, epoch uint64) {
-	if n < 64 {
-		n = 64
-	}
-	n = (n + 63) &^ 63
+	n = scratchExtent(n)
 	start := int64(pa - s.base)
 	s.quar = append(s.quar, quarRange{start: start, end: start + n, token: token, epoch: epoch})
 	s.quarBytes += n
@@ -784,6 +781,14 @@ func (i *Instance) scratchAlloc(n int64) hostmem.PAddr {
 		i.scratch.evicted = i.scratch.evicted[:0]
 	}
 	return pa
+}
+
+// scratchDone gives back the contents of an answered call's n-byte
+// reply buffer at pa once the caller has read it: the arena only
+// reuses the space after a full wrap, and until then the host need not
+// hold the bytes (hostmem.Discard).
+func (i *Instance) scratchDone(pa hostmem.PAddr, n int64) {
+	_ = i.node.Mem.Discard(pa, scratchExtent(n))
 }
 
 // memcpyCost charges the calling thread for an n-byte host memory copy.

@@ -895,6 +895,7 @@ func (i *Instance) rpc(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 		return nil, ErrTimeout
 	}
 	if pc.err != nil {
+		i.scratchDone(respPA, c.maxReply)
 		return nil, pc.err
 	}
 	if pc.respLen > c.maxReply {
@@ -906,7 +907,9 @@ func (i *Instance) rpc(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 	// The NIC wrote the reply directly into this buffer (zero copy at
 	// the client side); materialize it for the caller.
 	out := make([]byte, pc.respLen)
-	if err := i.node.Mem.Read(respPA, out); err != nil {
+	err = i.node.Mem.Read(respPA, out)
+	i.scratchDone(respPA, c.maxReply)
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -1346,6 +1349,9 @@ func (i *Instance) readReq(ring *srvRing, off int64) (h reqHdr, input []byte, ok
 	}
 	input = make([]byte, inLen)
 	_ = i.node.Mem.Read(ring.pa+hostmem.PAddr(off+ringHdr), input)
+	// Nothing reads a parsed frame again: its bytes need not stay
+	// materialized until the client next writes over them.
+	_ = i.node.Mem.Discard(ring.pa+hostmem.PAddr(off), ringHdr+inLen)
 	return h, input, true
 }
 
