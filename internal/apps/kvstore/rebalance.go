@@ -8,7 +8,7 @@
 //     grants the target mastership of the value LMR and LT_moves its
 //     backing pages to the target node, then serializes the index
 //     (sorted — the payload must be byte-identical across runs);
-//   - the OnAdopt hook runs on the target while the source is fenced:
+//   - the OnAdoptFrom hook runs on the target while the source is fenced:
 //     it stands up serving threads (registering kvFn if this node never
 //     served before), LT_maps every shipped LMR name, and installs the
 //     index entries.
@@ -141,7 +141,7 @@ func (s *Store) shardState(from, to int) func(q *simtime.Proc) ([]byte, error) {
 	}
 }
 
-// adoptHook returns the OnAdopt callback for a migration landing on
+// adoptHook returns the OnAdoptFrom callback for a migration landing on
 // node: stand up serving (or reuse the shard server already there) and
 // install the shipped index.
 func (s *Store) adoptHook(node int) lite.AdoptFunc {

@@ -112,15 +112,6 @@ func (pl *Plan) FlapBoth(a, b int, from, to simtime.Time) *Plan {
 	return pl.FlapLink(a, b, from, to).FlapLink(b, a, from, to)
 }
 
-// SlowNodeDuring injects extra one-way latency on every message
-// touching node during [from, to).
-func (pl *Plan) SlowNodeDuring(node int, delay, from, to simtime.Time) *Plan {
-	pl.Events = append(pl.Events,
-		Event{At: from, Kind: SlowNode, Node: node, Delay: delay},
-		Event{At: to, Kind: SlowNode, Node: node, Delay: 0})
-	return pl
-}
-
 // LossDuring drops each message with probability rate during [from, to).
 func (pl *Plan) LossDuring(rate float64, from, to simtime.Time) *Plan {
 	pl.Events = append(pl.Events,

@@ -83,7 +83,6 @@ type Memory struct {
 	allocated  int64 // frames currently allocated
 
 	watches []watch
-	nextWID int
 }
 
 // watch is a write observer over a physical range. It exists for
@@ -92,30 +91,16 @@ type Memory struct {
 // simulation represents as a callback on commit plus CPU charged by
 // the poller for the time it would have spun.
 type watch struct {
-	id    int
 	start PAddr
 	end   PAddr
 	fn    func()
 }
 
 // AddWatch registers fn to run whenever a Write overlaps [pa, pa+n).
-// It returns an id for RemoveWatch. The callback runs in whatever
-// context performed the write (possibly a scheduler callback) and must
-// not block.
-func (m *Memory) AddWatch(pa PAddr, n int64, fn func()) int {
-	m.nextWID++
-	m.watches = append(m.watches, watch{id: m.nextWID, start: pa, end: pa + PAddr(n), fn: fn})
-	return m.nextWID
-}
-
-// RemoveWatch unregisters a watch by id.
-func (m *Memory) RemoveWatch(id int) {
-	for k, w := range m.watches {
-		if w.id == id {
-			m.watches = append(m.watches[:k], m.watches[k+1:]...)
-			return
-		}
-	}
+// The callback runs in whatever context performed the write (possibly
+// a scheduler callback) and must not block.
+func (m *Memory) AddWatch(pa PAddr, n int64, fn func()) {
+	m.watches = append(m.watches, watch{start: pa, end: pa + PAddr(n), fn: fn})
 }
 
 func (m *Memory) notifyWatches(pa PAddr, n int64) {
@@ -165,9 +150,6 @@ func (m *Memory) AllocatedBytes() int64 { return m.allocated * m.pageSize }
 func (m *Memory) ResidentBytes() int64 {
 	return int64(len(m.frames))*m.pageSize + m.sparseN*lineSize
 }
-
-// FreeBytes returns the bytes currently free.
-func (m *Memory) FreeBytes() int64 { return (m.totalPages - m.allocated) * m.pageSize }
 
 func (m *Memory) pagesFor(n int64) int64 {
 	return (n + m.pageSize - 1) / m.pageSize

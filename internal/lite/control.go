@@ -85,6 +85,27 @@ func (w wire) u16(v uint16) wire { return binary.LittleEndian.AppendUint16(w, v)
 func (w wire) u32(v uint32) wire { return binary.LittleEndian.AppendUint32(w, v) }
 func (w wire) u64(v uint64) wire { return binary.LittleEndian.AppendUint64(w, v) }
 
+// wireReader reads a control message's fields in order. A read past
+// the end yields zeros and marks the message short.
+type wireReader struct {
+	b     []byte
+	short bool
+}
+
+func (r *wireReader) next(n int) []byte {
+	if n < 0 || n > len(r.b) {
+		r.short, r.b = true, nil
+		return make([]byte, min(max(n, 0), 8))
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *wireReader) u16() int    { return int(binary.LittleEndian.Uint16(r.next(2))) }
+func (r *wireReader) u32() int    { return int(binary.LittleEndian.Uint32(r.next(4))) }
+func (r *wireReader) u64() uint64 { return binary.LittleEndian.Uint64(r.next(8)) }
+
 // ctl sends a control request and returns the response payload.
 func (i *Instance) ctl(p *simtime.Proc, dst int, req []byte, maxReply int64, pri Priority) ([]byte, error) {
 	out, err := i.rpc(p, &rpcCall{dst: dst, fn: funcControl, input: req, maxReply: maxReply + 1, pri: pri, timeout: i.opts.RPCTimeout})
@@ -333,35 +354,19 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 		reply(errToCst(i.rawWrite(p, dstNode, dstPA, buf, PriHigh)), nil)
 
 	case copMembership:
-		if len(in) < 11 {
+		r := wireReader{b: in[1:]}
+		epoch := r.u64()
+		dead := make([]int, r.u16())
+		for k := range dead {
+			dead[k] = r.u32()
+		}
+		moves := make([]moveRec, r.u16())
+		for k := range moves {
+			moves[k] = moveRec{src: r.u32(), fn: r.u32(), dst: r.u32()}
+		}
+		if r.short {
 			reply(cstBadArg, nil)
 			return
-		}
-		epoch := binary.LittleEndian.Uint64(in[1:])
-		n := int(binary.LittleEndian.Uint16(in[9:]))
-		if len(in) < 13+4*n {
-			reply(cstBadArg, nil)
-			return
-		}
-		dead := make([]int, n)
-		for k := 0; k < n; k++ {
-			dead[k] = int(binary.LittleEndian.Uint32(in[11+4*k:]))
-		}
-		off := 11 + 4*n
-		m := int(binary.LittleEndian.Uint16(in[off:]))
-		off += 2
-		if len(in) < off+12*m {
-			reply(cstBadArg, nil)
-			return
-		}
-		moves := make([]moveRec, m)
-		for k := 0; k < m; k++ {
-			moves[k] = moveRec{
-				src: int(binary.LittleEndian.Uint32(in[off:])),
-				fn:  int(binary.LittleEndian.Uint32(in[off+4:])),
-				dst: int(binary.LittleEndian.Uint32(in[off+8:])),
-			}
-			off += 12
 		}
 		i.applyMembership(epoch, dead, moves)
 		reply(cstOK, nil)
@@ -371,7 +376,7 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 			reply(cstBadArg, nil)
 			return
 		}
-		i.handleJoin(p, c.Src)
+		i.reviveNode(p, c.Src, "lite.membership.joins")
 		reply(cstOK, nil)
 
 	case copMigPrepare:
@@ -386,30 +391,14 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 			reply(cstBadArg, nil)
 			return
 		}
-		// Per-target admission: at most one in-flight handoff of a
-		// given fn may target a node. Two concurrent drains of distinct
-		// shards sharing fn onto one target would interleave their
-		// transfer/commit phases against a single fn-keyed adoption slot
-		// on the target; the loser is bounced with cstBusy and retries
-		// after the winner commits.
-		for k, to := range m.handoff {
-			if k.fn == fn && to == target && k.src != c.Src {
-				reply(cstBusy, nil)
-				return
-			}
+		if !m.own.prepare(c.Src, fn, target) {
+			reply(cstBusy, nil)
+			return
 		}
-		// The handoff record is routing-inert; it exists to gate the
-		// commit, so a crash between here and commit resolves to the
-		// moves table's answer, deterministically.
-		m.handoff[migKey{c.Src, fn}] = target
 		i.obsReg().Add("lite.migrate.prepared", 1)
 		reply(cstOK, nil)
 
 	case copMigState:
-		if len(in) < 1 {
-			reply(cstBadArg, nil)
-			return
-		}
 		if err := i.adoptMigState(p, c.Src, in[1:]); err != nil {
 			reply(errToCst(err), nil)
 			return
@@ -424,32 +413,23 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 		fn := int(binary.LittleEndian.Uint32(in[1:]))
 		target := int(binary.LittleEndian.Uint32(in[5:]))
 		m := &i.dep.memb
-		k := migKey{c.Src, fn}
-		if to, ok := m.moves[k]; ok && to == target {
+		ok, fresh := m.own.commit(c.Src, fn, target)
+		if !ok {
+			reply(cstBadArg, nil)
+			return
+		}
+		if !fresh {
 			// Idempotent re-commit: the first commit's reply was lost.
 			reply(cstOK, nil)
 			return
 		}
-		if to, ok := m.handoff[k]; !ok || to != target {
-			reply(cstBadArg, nil)
-			return
-		}
-		delete(m.handoff, k)
-		m.moves[k] = target
-		// Collapse chains eagerly: if fn had previously moved TO c.Src,
-		// or target was itself a recorded source, rewrite so the table
-		// stays cycle-free and one lookup away from the live owner.
-		delete(m.moves, migKey{target, fn})
 		m.epoch++
 		i.obsReg().Add("lite.membership.epochs", 1)
 		i.obsReg().Add("lite.migrate.commits", 1)
-		// The moves-table update above is the linearization point; ack
-		// the source now and recite the epoch to the cluster in the
-		// background. Fanning it out before the ack would hold the
-		// source fenced, and every client call parked behind the fence,
-		// for an O(cluster) wait (~3.2ms at 500 nodes).
-		// broadcastMembership's coalescing flags make a concurrent
-		// second entry a cheap dirty-mark.
+		// The commit above is the linearization point: ack it now and
+		// broadcast in the background, or the source and every call it
+		// holds would wait out an O(cluster) fan-out (~3.2ms at 500
+		// nodes). A concurrent broadcast just marks the view dirty.
 		reply(cstOK, nil)
 		i.cls.GoDaemonOn(i.node.ID, "lite-memb-broadcast", func(q *simtime.Proc) {
 			i.broadcastMembership(q)
@@ -461,7 +441,7 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 			return
 		}
 		fn := int(binary.LittleEndian.Uint32(in[1:]))
-		delete(i.dep.memb.handoff, migKey{c.Src, fn})
+		i.dep.memb.own.abort(c.Src, fn)
 		i.obsReg().Add("lite.migrate.aborts", 1)
 		reply(cstOK, nil)
 

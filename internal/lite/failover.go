@@ -50,14 +50,11 @@ func (i *Instance) crash(p *simtime.Proc) {
 	i.scratch.quarBytes = 0
 	i.scratch.evicted = nil
 	// The calls admission was accounting for die with the
-	// incarnation; its state dies too. Likewise migration soft
-	// state: an in-flight Drain is abandoned (the manager's handoff
-	// record is purged at rejoin or death), and the committed-moves
-	// view is relearned from the manager's next broadcast.
+	// incarnation; its state dies too, and so does the ownership view
+	// (the next broadcast restores it; owner.go).
 	i.adm = nil
-	i.migrating = make(map[int]*migState)
+	i.own.reset()
 	i.adopted = make(map[bindKey]*adoptedWindow)
-	i.moved = make(map[migKey]int)
 
 	// Stop daemons: the header-update thread exits on channel close;
 	// the poller and system workers observe stopped after a wakeup.
@@ -86,6 +83,7 @@ func (i *Instance) crash(p *simtime.Proc) {
 			}
 		}
 		f.queue = fifo[*Call]{}
+		f.held = nil
 		f.spin.Broadcast(env)
 		f.sleep.Broadcast(env)
 	}
@@ -159,7 +157,9 @@ func (i *Instance) restart(p *simtime.Proc) {
 		i.cls.GoOn(node, "lite-mgr-recover", func(q *simtime.Proc) {
 			// Fresh epoch: survivors drop stale quarantines and relearn
 			// the view (the membership table itself survives on the HA
-			// pair, §3.3).
+			// pair, §3.3). Handoffs to or from this node died with it,
+			// as at any node's rejoin (reviveNode).
+			i.dep.memb.own.purge(node)
 			i.dep.memb.epoch++
 			i.broadcastMembership(q)
 			_ = i.dep.RecoverManagerDirectory(q)

@@ -26,7 +26,6 @@ func heartbeatOptions() Options {
 	opts := DefaultOptions()
 	opts.HeartbeatInterval = 100 * time.Microsecond
 	opts.HeartbeatTimeout = 300 * time.Microsecond
-	opts.HeartbeatMiss = 3
 	return opts
 }
 
@@ -175,12 +174,17 @@ func TestHeartbeatDeclaresDeadAndRevives(t *testing.T) {
 		}
 		epoch0 := dep.ManagerEpoch()
 		cls.Fab.SetNodeDown(2)
+		down := p.Now()
 		deadline := p.Now() + 20*time.Millisecond
 		for !dep.Instance(0).NodeDead(2) {
 			if p.Now() > deadline {
 				t.Fatal("node 2 never declared dead")
 			}
 			p.Sleep(100 * time.Microsecond)
+		}
+		// Each missed beat costs at least a keepalive timeout.
+		if el := p.Now() - down; el < heartbeatMiss*dep.opts.HeartbeatTimeout {
+			t.Fatalf("node 2 declared dead %v after it went down, before %d keepalives could time out", el, heartbeatMiss)
 		}
 		if dep.ManagerEpoch() <= epoch0 {
 			t.Fatalf("epoch not bumped: %d -> %d", epoch0, dep.ManagerEpoch())

@@ -151,7 +151,7 @@ func TestStalledNotifierCausesNoFalseDeath(t *testing.T) {
 	if n := dom.Total("lite.membership.revivals"); n != 0 {
 		t.Errorf("%d revivals: a live node was declared dead and came back", n)
 	}
-	if n := dom.Total("lite.heartbeat.misses"); n != int64(opts.HeartbeatMiss) {
-		t.Errorf("%d keepalives missed, want the crashed node's %d", n, opts.HeartbeatMiss)
+	if n := dom.Total("lite.heartbeat.misses"); n != heartbeatMiss {
+		t.Errorf("%d keepalives missed, want the crashed node's %d", n, heartbeatMiss)
 	}
 }

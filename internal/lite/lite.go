@@ -175,10 +175,6 @@ type Options struct {
 	HeartbeatInterval simtime.Time
 	// HeartbeatTimeout bounds each keepalive round trip.
 	HeartbeatTimeout simtime.Time
-	// HeartbeatMiss is K, the consecutive missed beats after which the
-	// manager declares a node dead and broadcasts a new membership
-	// epoch.
-	HeartbeatMiss int
 	// ProbeStagger spreads the manager's per-target prober phases
 	// deterministically across the heartbeat interval (offset derived
 	// from the target id, not wall-clock). At hundreds of nodes this
@@ -230,7 +226,6 @@ func DefaultOptions() Options {
 		RecvBatch:        512,
 		MaxChunkBytes:    4 << 20,
 		HeartbeatTimeout: 500 * 1000, // 500us per keepalive round trip
-		HeartbeatMiss:    3,
 		RetryBackoff:     100 * 1000, // 100us base, doubled per attempt
 	}
 }
@@ -298,24 +293,11 @@ type Instance struct {
 	sysQueue fifo[*rpcFunc]
 	sysCond  simtime.Cond
 
-	// Migration state (migrate.go). migrating tracks this node's
-	// in-progress outbound migrations by function; moved is this
-	// instance's view of committed moves (installed by membership
-	// broadcasts and learned from MovedError redirects); adopted holds
-	// dedup windows shipped ahead of an adoption, installed into the
-	// ring when the client binds; onAdopt holds per-function
-	// application adoption hooks run on the target during state
-	// transfer.
-	migrating map[int]*migState
-	moved     map[migKey]int
-	adopted   map[bindKey]*adoptedWindow
-	onAdopt   map[int]AdoptFunc
-	// onAdoptFrom holds source-scoped adoption hooks, keyed (src, fn)
-	// and consumed by the first matching adoption. Concurrent drains of
-	// distinct shards that share a function id (every kvstore shard
-	// speaks the same fn) land on the same target; a single fn-keyed
-	// hook would route both transfers through whichever hook was
-	// registered last.
+	// Migration state (migrate.go): the ownership view (owner.go), dedup
+	// windows shipped ahead of a client's binding, and the application's
+	// adoption hooks, keyed (src, fn) and consumed by their adoption.
+	own         ownerView
+	adopted     map[bindKey]*adoptedWindow
 	onAdoptFrom map[migKey]AdoptFunc
 
 	// Lease state (lease.go): the node's view of the kernel connection
@@ -448,10 +430,8 @@ func Start(cls *cluster.Cluster, opts Options) (*Deployment, error) {
 			headUpd:     simtime.NewChan[headUpdate](4096),
 			locks:       make(map[uint64]*lockState),
 			deadView:    make([]bool, n),
-			migrating:   make(map[int]*migState),
-			moved:       make(map[migKey]int),
+			own:         newOwnerView(nd.ID),
 			adopted:     make(map[bindKey]*adoptedWindow),
-			onAdopt:     make(map[int]AdoptFunc),
 			onAdoptFrom: make(map[migKey]AdoptFunc),
 		}
 		inst.lease.init(&opts, n, nd.ID)
@@ -521,7 +501,7 @@ func Start(cls *cluster.Cluster, opts Options) (*Deployment, error) {
 	}
 	// Node-failure plumbing: crash/restart hooks on the cluster, and
 	// the manager's heartbeat probers when failure detection is on.
-	dep.memb.init()
+	dep.memb = membState{dead: make(map[int]bool), miss: make(map[int]int), own: newOwnerTable()}
 	dep.attachFailover()
 	if opts.HeartbeatInterval > 0 {
 		mgr := dep.Instances[managerNode]

@@ -9,7 +9,7 @@ import (
 )
 
 // Failure detection (§3.3 extended): the cluster manager probes every
-// node with periodic keepalive RPCs. After HeartbeatMiss consecutive
+// node with periodic keepalive RPCs. After heartbeatMiss consecutive
 // missed beats it declares the node dead, bumps a monotonically
 // increasing membership epoch, and broadcasts the new view to every
 // live instance. Instances use the view to fail outstanding RPCs to
@@ -23,17 +23,17 @@ import (
 // carrying a stale epoch triggers an anti-entropy re-broadcast so a
 // node that missed a membership message converges on the next beat.
 
-// membState is the manager's authoritative membership bookkeeping.
-// moves is the committed live-migration table ({src, fn} -> new home);
-// handoff holds prepared-but-uncommitted migrations (routing-inert;
-// they only gate commits, see migrate.go). Both are part of the view
-// modeled as surviving manager restarts on the HA pair.
+// heartbeatMiss is K, the consecutive missed beats after which the
+// manager declares a node dead.
+const heartbeatMiss = 3
+
+// membState is the manager's authoritative membership bookkeeping,
+// with the function-ownership table (owner.go).
 type membState struct {
-	epoch   uint64
-	dead    map[int]bool
-	miss    map[int]int
-	moves   map[migKey]int
-	handoff map[migKey]int
+	epoch uint64
+	dead  map[int]bool
+	miss  map[int]int
+	own   ownerTable
 	// broadcasting/dirty coalesce concurrent view changes into one
 	// broadcast stream: while a broadcast is in flight, further epoch
 	// bumps mark the view dirty instead of starting their own
@@ -44,42 +44,6 @@ type membState struct {
 	// with a stale dead list, which receivers then pinned as current.
 	broadcasting bool
 	dirty        bool
-}
-
-func (m *membState) init() {
-	m.dead = make(map[int]bool)
-	m.miss = make(map[int]int)
-	m.moves = make(map[migKey]int)
-	m.handoff = make(map[migKey]int)
-}
-
-// purgeHandoffs drops prepared-but-uncommitted migrations touching the
-// given node (as source or target): the migration can no longer
-// commit, so the record must not gate a future one.
-func (m *membState) purgeHandoffs(node int) {
-	// Deleting while ranging is safe, and dropping entries is
-	// order-independent.
-	for k, t := range m.handoff {
-		if k.src == node || t == node {
-			delete(m.handoff, k)
-		}
-	}
-}
-
-// movesList returns the committed moves as a deterministically ordered
-// slice for broadcast payloads.
-func (m *membState) movesList() []moveRec {
-	out := make([]moveRec, 0, len(m.moves))
-	for k, dst := range m.moves {
-		out = append(out, moveRec{src: k.src, fn: k.fn, dst: dst})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].src != out[b].src {
-			return out[a].src < out[b].src
-		}
-		return out[a].fn < out[b].fn
-	})
-	return out
 }
 
 // deadList returns the dead set as a sorted slice (broadcast payloads
@@ -132,7 +96,7 @@ func (i *Instance) proberLoop(p *simtime.Proc, target int) {
 			}
 			m.miss[target]++
 			i.obsReg().Add("lite.heartbeat.misses", 1)
-			if m.miss[target] >= i.opts.HeartbeatMiss {
+			if m.miss[target] >= heartbeatMiss {
 				i.declareDead(p, target)
 			}
 			continue
@@ -141,12 +105,12 @@ func (i *Instance) proberLoop(p *simtime.Proc, target int) {
 		if m.dead[target] {
 			// False suspicion (or a restart whose join we missed):
 			// bring the node back with a fresh epoch.
-			i.reviveNode(p, target)
+			i.reviveNode(p, target, "lite.membership.revivals")
 			continue
 		}
 		if peerEpoch < m.epoch {
 			// Anti-entropy: the peer missed a membership broadcast.
-			i.sendMembership(p, target)
+			_ = i.ctlMembership(p, target, m.epoch, m.deadList(), m.own.list())
 		}
 	}
 }
@@ -161,21 +125,26 @@ func (i *Instance) declareDead(p *simtime.Proc, target int) {
 		return
 	}
 	m.dead[target] = true
-	m.purgeHandoffs(target)
+	m.own.purge(target)
 	m.epoch++
 	i.obsReg().Add("lite.membership.epochs", 1)
 	i.obsReg().Add("lite.membership.deaths", 1)
 	i.broadcastMembership(p)
 }
 
-// reviveNode clears the target's dead mark with a new epoch.
-func (i *Instance) reviveNode(p *simtime.Proc, target int) {
+// reviveNode clears node's dead mark under a fresh epoch, so every
+// instance drops it and releases pre-restart quarantines: when a
+// restarted node joins (counted as a join), or a node declared dead
+// answers a probe (a revival). Any migration the node had in flight
+// died with it; its handoff records must not gate a fresh attempt.
+func (i *Instance) reviveNode(p *simtime.Proc, node int, counter string) {
 	m := &i.dep.memb
-	delete(m.dead, target)
-	m.miss[target] = 0
+	delete(m.dead, node)
+	m.miss[node] = 0
+	m.own.purge(node)
 	m.epoch++
 	i.obsReg().Add("lite.membership.epochs", 1)
-	i.obsReg().Add("lite.membership.revivals", 1)
+	i.obsReg().Add(counter, 1)
 	i.broadcastMembership(p)
 }
 
@@ -197,7 +166,7 @@ func (i *Instance) broadcastMembership(p *simtime.Proc) {
 		// Apply locally right away (the manager's own view must fail
 		// pending RPCs to the newly dead promptly); only the remote
 		// fan-out is deferred to the in-flight broadcaster.
-		i.applyMembership(m.epoch, m.deadList(), m.movesList())
+		i.applyMembership(m.epoch, m.deadList(), m.own.list())
 		m.dirty = true
 		return
 	}
@@ -207,7 +176,7 @@ func (i *Instance) broadcastMembership(p *simtime.Proc) {
 		m.dirty = false
 		epoch := m.epoch
 		dead := m.deadList()
-		moves := m.movesList()
+		moves := m.own.list()
 		i.applyMembership(epoch, dead, moves)
 		for _, peer := range i.dep.Instances {
 			pid := peer.node.ID
@@ -221,12 +190,6 @@ func (i *Instance) broadcastMembership(p *simtime.Proc) {
 			return
 		}
 	}
-}
-
-// sendMembership ships the current view to one node.
-func (i *Instance) sendMembership(p *simtime.Proc, target int) {
-	m := &i.dep.memb
-	_ = i.ctlMembership(p, target, m.epoch, m.deadList(), m.movesList())
 }
 
 // applyMembership installs a membership view on this instance. Stale
@@ -252,20 +215,7 @@ func (i *Instance) applyMembership(epoch uint64, dead []int, moves []moveRec) {
 	// Connection-pool reconciliation: revoke spares toward the newly
 	// dead, re-arm the replenisher (jittered) for the newly revived.
 	i.reconcileLeases(oldDead, epoch)
-	// Install the committed-moves view. Entries sourced at this node
-	// are preserved even if the broadcast predates their commit: the
-	// node itself completed the handoff, and forgetting that would let
-	// it execute calls on state it no longer owns.
-	moved := make(map[migKey]int, len(moves))
-	for _, mv := range moves {
-		moved[migKey{mv.src, mv.fn}] = mv.dst
-	}
-	for k, v := range i.moved {
-		if k.src == i.node.ID {
-			moved[k] = v
-		}
-	}
-	i.moved = moved
+	i.own.install(moves)
 	env := i.cls.Env
 	for _, token := range i.pending.sorted() {
 		pc := i.pending.get(token)
@@ -324,20 +274,4 @@ func (i *Instance) ctlMembership(p *simtime.Proc, dst int, epoch uint64, dead []
 func (i *Instance) ctlJoin(p *simtime.Proc) error {
 	_, err := i.rpc(p, &rpcCall{dst: managerNode, fn: funcControl, input: []byte{copJoin}, maxReply: 1, pri: PriHigh, timeout: i.opts.RPCTimeout})
 	return err
-}
-
-// handleJoin runs on the manager when a restarted node announces
-// itself: revive it under a fresh epoch so every instance drops its
-// dead mark and releases pre-restart quarantines.
-func (i *Instance) handleJoin(p *simtime.Proc, src int) {
-	m := &i.dep.memb
-	m.miss[src] = 0
-	delete(m.dead, src)
-	// Any migration the node had in flight died with it; its prepared
-	// records must not gate a fresh attempt.
-	m.purgeHandoffs(src)
-	m.epoch++
-	i.obsReg().Add("lite.membership.epochs", 1)
-	i.obsReg().Add("lite.membership.joins", 1)
-	i.broadcastMembership(p)
 }

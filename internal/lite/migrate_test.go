@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"lite/internal/cluster"
 	"lite/internal/load"
 	"lite/internal/simtime"
 )
@@ -47,7 +48,7 @@ func TestDrainLiveMigration(t *testing.T) {
 	serveMig(src, 4, counts)
 
 	tgt := dep.Instance(3)
-	tgt.OnAdopt(migFn, func(p *simtime.Proc, from int, app []byte) error {
+	tgt.OnAdoptFrom(migFn, 1, func(p *simtime.Proc, from int, app []byte) error {
 		if err := tgt.RegisterRPC(migFn); err != nil {
 			return err
 		}
@@ -161,7 +162,7 @@ func TestDrainLiveMigration(t *testing.T) {
 	checkRingsSettled(t, dep)
 
 	// Routing converged: the clients' views carry the committed move.
-	if to, ok := dep.Instance(0).moved[migKey{1, migFn}]; !ok || to != 3 {
+	if to, ok := dep.Instance(0).own.moved[migKey{1, migFn}]; !ok || to != 3 {
 		t.Fatalf("client view moved[{1,fn}] = (%d, %v), want (3, true)", to, ok)
 	}
 }
@@ -177,7 +178,7 @@ func drainPhaseTimes(t *testing.T, n int) (rtt, commit simtime.Time) {
 	if err := src.RegisterRPC(migFn); err != nil {
 		t.Fatal(err)
 	}
-	tgt.OnAdopt(migFn, func(p *simtime.Proc, from int, app []byte) error {
+	tgt.OnAdoptFrom(migFn, 1, func(p *simtime.Proc, from int, app []byte) error {
 		return tgt.RegisterRPC(migFn)
 	})
 	at := make(map[string]simtime.Time)
@@ -223,7 +224,7 @@ func TestMovedBounceStaleClient(t *testing.T) {
 	}
 	serveMig(src, 2, counts)
 	tgt := dep.Instance(3)
-	tgt.OnAdopt(migFn, func(p *simtime.Proc, from int, app []byte) error {
+	tgt.OnAdoptFrom(migFn, 1, func(p *simtime.Proc, from int, app []byte) error {
 		if err := tgt.RegisterRPC(migFn); err != nil {
 			return err
 		}
@@ -241,7 +242,7 @@ func TestMovedBounceStaleClient(t *testing.T) {
 		inst := dep.Instance(2)
 		// Forget the broadcast: this models a client that missed the
 		// membership message and still routes to the old home.
-		delete(inst.moved, migKey{1, migFn})
+		inst.own.forget(1, migFn)
 		in := make([]byte, 8)
 		binary.LittleEndian.PutUint64(in, 99)
 		out, err := inst.KernelClient().RPCRetry(p, 1, migFn, in, 64)
@@ -251,7 +252,7 @@ func TestMovedBounceStaleClient(t *testing.T) {
 			t.Errorf("stale-route echo = %q", out)
 		}
 		// The bounce taught the client the new home.
-		if to, ok := inst.moved[migKey{1, migFn}]; !ok || to != 3 {
+		if to, ok := inst.own.moved[migKey{1, migFn}]; !ok || to != 3 {
 			t.Errorf("learned move = (%d, %v), want (3, true)", to, ok)
 		}
 	})
@@ -326,11 +327,110 @@ func TestDrainAbortRestoresService(t *testing.T) {
 	if got := cls.Obs.Total("lite.migrate.committed"); got != 0 {
 		t.Fatalf("lite.migrate.committed = %d, want 0", got)
 	}
-	if src.migrating[migFn] != nil {
+	if src.own.holds(migFn) {
 		t.Fatal("migration state leaked after abort")
 	}
-	if _, gone := src.moved[migKey{1, migFn}]; gone {
+	if _, gone := src.own.moved[migKey{1, migFn}]; gone {
 		t.Fatal("aborted migration left a moved record")
+	}
+}
+
+// migrateBack drains migFn from node 1 to node 3 and then back, with
+// fail (when set) making the way back abort before its transfer, and
+// returns the deployment once node 1 has the migrate-back broadcast.
+// counts ledgers executions at both nodes.
+func migrateBack(t *testing.T, counts map[uint64]int, fail bool) (*cluster.Cluster, *Deployment) {
+	t.Helper()
+	cls, dep := testDep(t, 4)
+	cls.EnableObs()
+	home, away := dep.Instance(1), dep.Instance(3)
+	if err := home.RegisterRPC(migFn); err != nil {
+		t.Fatal(err)
+	}
+	serveMig(home, 2, counts)
+	away.OnAdoptFrom(migFn, 1, func(p *simtime.Proc, from int, app []byte) error {
+		if err := away.RegisterRPC(migFn); err != nil {
+			return err
+		}
+		serveMig(away, 2, counts)
+		return nil
+	})
+	// The home kept its registration and server threads when the
+	// function left; coming back needs nothing more of the application.
+	home.OnAdoptFrom(migFn, 3, func(p *simtime.Proc, from int, app []byte) error { return nil })
+	var appState func(q *simtime.Proc) ([]byte, error)
+	if fail {
+		appState = func(q *simtime.Proc) ([]byte, error) { return nil, fmt.Errorf("shard refused to serialize") }
+	}
+	cls.GoOn(1, "drain-out", func(p *simtime.Proc) {
+		if err := home.Drain(p, migFn, 3, nil); err != nil {
+			t.Errorf("Drain 1->3: %v", err)
+		}
+	})
+	cls.GoOn(3, "drain-back", func(p *simtime.Proc) {
+		p.SleepUntil(200 * time.Microsecond)
+		err := away.Drain(p, migFn, 1, appState)
+		if (err != nil) != fail {
+			t.Errorf("Drain 3->1: %v", err)
+		}
+	})
+	return cls, dep
+}
+
+// TestMigrateBack drains a function away and back home, then calls the
+// home: the call must execute there once, with no bounce. The home's
+// record of its first move must end with the move back, or home and
+// target bounce the call to each other until the retry layer gives up.
+func TestMigrateBack(t *testing.T) {
+	counts := make(map[uint64]int)
+	cls, dep := migrateBack(t, counts, false)
+	cls.GoOn(2, "client", func(p *simtime.Proc) {
+		p.SleepUntil(500 * time.Microsecond)
+		bounces := cls.Obs.Total("lite.rpc.moved_bounce")
+		in := binary.LittleEndian.AppendUint64(nil, 7)
+		out, err := dep.Instance(2).KernelClient().RPCRetry(p, 1, migFn, in, 64)
+		if err != nil || !bytes.Equal(out, in) {
+			t.Fatalf("call to the home after the move back: %q, %v", out, err)
+		}
+		if n := cls.Obs.Total("lite.rpc.moved_bounce") - bounces; n != 0 {
+			t.Errorf("%d bounces, want 0", n)
+		}
+	})
+	run(t, cls)
+	if counts[7] != 1 {
+		t.Fatalf("call executed %d times, want 1", counts[7])
+	}
+	if got := cls.Obs.Total("lite.migrate.committed"); got != 2 {
+		t.Fatalf("lite.migrate.committed = %d, want 2", got)
+	}
+}
+
+// TestMigrateBackAborted aborts the way back: node 3 keeps the
+// function, the home keeps bouncing, and a client whose view predates
+// the first move still reaches node 3 through the home.
+func TestMigrateBackAborted(t *testing.T) {
+	counts := make(map[uint64]int)
+	cls, dep := migrateBack(t, counts, true)
+	cls.GoOn(2, "stale-client", func(p *simtime.Proc) {
+		p.SleepUntil(500 * time.Microsecond)
+		inst := dep.Instance(2)
+		inst.own.forget(1, migFn)
+		bounces := cls.Obs.Total("lite.rpc.moved_bounce")
+		in := binary.LittleEndian.AppendUint64(nil, 8)
+		out, err := inst.KernelClient().RPCRetry(p, 1, migFn, in, 64)
+		if err != nil || !bytes.Equal(out, in) {
+			t.Fatalf("stale call after the aborted move back: %q, %v", out, err)
+		}
+		if n := cls.Obs.Total("lite.rpc.moved_bounce") - bounces; n != 1 {
+			t.Errorf("%d bounces, want the home's 1", n)
+		}
+	})
+	run(t, cls)
+	if counts[8] != 1 {
+		t.Fatalf("call executed %d times, want 1", counts[8])
+	}
+	if to, ok := dep.Instance(1).MovedTo(1, migFn); !ok || to != 3 {
+		t.Fatalf("home's view of its move = (%d, %v), want (3, true)", to, ok)
 	}
 }
 
@@ -370,12 +470,12 @@ func TestMigStateRoundTrip(t *testing.T) {
 
 		// Application payload without a hook must be refused.
 		if err := c.adoptMigState(p, 0, blob); err == nil {
-			t.Fatal("adopt without OnAdopt hook accepted an application payload")
+			t.Fatal("adopt without OnAdoptFrom hook accepted an application payload")
 		}
 
 		var gotSrc int
 		var gotApp []byte
-		b.OnAdopt(fn, func(q *simtime.Proc, src int, app []byte) error {
+		b.OnAdoptFrom(fn, 0, func(q *simtime.Proc, src int, app []byte) error {
 			gotSrc, gotApp = src, append([]byte(nil), app...)
 			return nil
 		})
@@ -415,7 +515,7 @@ func TestMigStateRoundTrip(t *testing.T) {
 		live := &srvRing{client: 5, fn: fn, boot: 7}
 		live.dedupInsert(&dedupEntry{seq: 20, done: true})
 		c.rings.slot(5, fn).ring = live
-		c.OnAdopt(fn, func(q *simtime.Proc, src int, app []byte) error { return nil })
+		c.OnAdoptFrom(fn, 0, func(q *simtime.Proc, src int, app []byte) error { return nil })
 		if err := c.adoptMigState(p, 0, blob); err != nil {
 			t.Fatalf("merge adopt: %v", err)
 		}

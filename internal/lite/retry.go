@@ -46,7 +46,7 @@ func (i *Instance) rpcRetry(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 	if c.fn >= FirstUserFunc && c.dst != i.node.ID {
 		c.seq = i.seqID()
 	}
-	c.dst = i.resolveMoved(c.dst, c.fn)
+	c.dst = i.own.resolve(c.dst, c.fn)
 	var lastErr error
 	timeouts := 0
 	movedHops := 0
@@ -68,13 +68,13 @@ func (i *Instance) rpcRetry(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 			// there. A redirect is not a failure, so it does not consume
 			// a retry attempt; the hop bound catches a routing loop from
 			// wildly stale views.
-			i.learnMove(c.dst, c.fn, me.To)
+			i.own.learn(c.dst, c.fn, me.To)
 			movedHops++
 			if movedHops > len(i.dep.Instances)+1 {
 				return nil, err
 			}
 			i.obsReg().Add("lite.retry.moved", 1)
-			c.dst = i.resolveMoved(me.To, c.fn)
+			c.dst = i.own.resolve(me.To, c.fn)
 			a--
 			continue
 		}

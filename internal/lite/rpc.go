@@ -292,6 +292,9 @@ type rpcFunc struct {
 	// call has already claimed means the call can run at once, so
 	// shedding it would only idle the server (see handleRPCReq).
 	waiting int
+	// held are the calls a migration fence holds (handleRPCReq), to be
+	// bounced on commit or dispatched on abort.
+	held []*Call
 }
 
 // Call is a received RPC call. The server thread must reply exactly
@@ -1395,7 +1398,7 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) (ping b
 		i.queueHeadUpdate(p, src, fn, delta)
 		return
 	}
-	if to, ok := i.moved[migKey{i.node.ID, fn}]; ok {
+	if to, ok := i.own.bounce(fn); ok {
 		// This function migrated away from this node. The ring stays
 		// alive exactly for this moment: stale clients (and retries of
 		// calls whose replies were lost) are answered with the typed
@@ -1417,20 +1420,16 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) (ping b
 		return
 	}
 	call := &Call{Func: fn, Src: src, Tenant: h.tenant, Input: input, token: h.token, replyPA: h.replyPA, headDelta: delta}
-	if ms := i.migrating[fn]; ms != nil && ms.fenced {
-		// The function is mid-migration and fenced: hold the call
-		// instead of executing it. On commit every held call is answered
-		// with the moved notice (the client re-routes, zero failures);
-		// on abort they dispatch normally. The dedup entry is inserted
-		// NOW so a retry arriving while the call is held redirects into
-		// it rather than being held (and later dispatched) a second
-		// time. The ring credit is paid here, so the delta is zeroed to
-		// keep LT_recvRPC from crediting it again on abort.
+	if i.own.holds(fn) {
+		// Fenced mid-migration: hold the call, to bounce it on commit or
+		// dispatch it on abort. Its dedup entry goes in now, so a retry
+		// redirects into it instead of being held a second time; the
+		// ring is credited now, so an abort must not credit it again.
 		i.obsReg().Add("lite.migrate.held", 1)
 		i.queueHeadUpdate(p, src, fn, delta)
 		call.headDelta = 0
 		ring.remember(h.seq, call)
-		ms.held = append(ms.held, call)
+		f.held = append(f.held, call)
 		return
 	}
 	if !i.admitReq(p, f, call, &h) {

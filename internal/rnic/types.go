@@ -69,15 +69,6 @@ func (k OpKind) String() string {
 	return "UNKNOWN"
 }
 
-// IsAtomic reports whether the kind is one of the atomic verbs.
-func (k OpKind) IsAtomic() bool {
-	switch k {
-	case OpFetchAdd, OpCmpSwap, OpMaskCmpSwap, OpMaskFetchAdd:
-		return true
-	}
-	return false
-}
-
 // Status is a completion status.
 type Status int
 

@@ -18,11 +18,7 @@
 // implementations.
 package rpcbase
 
-import (
-	"encoding/binary"
-
-	"lite/internal/simtime"
-)
+import "encoding/binary"
 
 // Handler executes one RPC request and returns the response payload.
 type Handler func(input []byte) []byte
@@ -45,14 +41,4 @@ func parseFrame(src []byte) (seq uint64, payload []byte) {
 		return seq, nil
 	}
 	return seq, src[frameHdr : frameHdr+n]
-}
-
-// busyWait parks p on cond until ready() holds, charging the entire
-// wait to p's CPU account — the defining cost of polling designs.
-func busyWait(p *simtime.Proc, cond *simtime.Cond, ready func() bool) {
-	for !ready() {
-		t0 := p.Now()
-		cond.Wait(p)
-		p.Charge(p.Now() - t0)
-	}
 }
