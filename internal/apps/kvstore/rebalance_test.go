@@ -1,9 +1,11 @@
 package kvstore
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"lite/internal/lite"
 	"lite/internal/simtime"
 )
 
@@ -116,6 +118,58 @@ func TestDrainShardMergeIntoPeer(t *testing.T) {
 			}
 			if err := k.Put(p, fmt.Sprintf("m%d", i), []byte("updated")); err != nil {
 				t.Fatalf("put after merge: %v", err)
+			}
+		}
+	})
+	if err := cls.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDrainShardIntoVacatedHomeRefused drains shard 1 to node 3 and
+// then shard 2 into node 1. Both shards share the store's function id,
+// so node 1 still bounces that id's stale callers to node 3; the second
+// move would hand them to node 2's shard. The manager refuses it at
+// prepare with ErrMoved, before anything is fenced or handed over, and
+// both shards keep serving where they are.
+func TestDrainShardIntoVacatedHomeRefused(t *testing.T) {
+	cls, dep := testEnv(t, 5)
+	cls.EnableObs()
+	s, err := Start(cls, dep, []int{1, 2}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nkeys = 30
+	key := func(k int) string { return fmt.Sprintf("vac-%03d", k) }
+	cls.GoOn(4, "client", func(p *simtime.Proc) {
+		k := s.NewClient(4)
+		for i := 0; i < nkeys; i++ {
+			if err := k.Put(p, key(i), []byte("before")); err != nil {
+				t.Fatalf("put %d: %v", i, err)
+			}
+		}
+		if err := s.DrainShard(p, 1, 3); err != nil {
+			t.Fatalf("DrainShard 1->3: %v", err)
+		}
+		prepared := cls.Obs.Total("lite.migrate.prepared")
+		if prepared != 1 {
+			t.Fatalf("lite.migrate.prepared = %d after one drain, want 1", prepared)
+		}
+		if err := s.DrainShard(p, 2, 1); !errors.Is(err, lite.ErrMoved) {
+			t.Fatalf("DrainShard 2->1 = %v, want ErrMoved", err)
+		}
+		if n := cls.Obs.Total("lite.migrate.prepared") - prepared; n != 0 {
+			t.Errorf("the refused drain prepared %d handoffs", n)
+		}
+		if got := fmt.Sprint(s.ServerNodes()); got != "[2 3]" {
+			t.Errorf("servers after the refused drain = %s, want [2 3]", got)
+		}
+		for i := 0; i < nkeys; i++ {
+			if err := k.Put(p, key(i), []byte("after")); err != nil {
+				t.Fatalf("put %d after the refused drain: %v", i, err)
+			}
+			if got, err := k.Get(p, key(i)); err != nil || string(got) != "after" {
+				t.Fatalf("get %d after the refused drain = %q, %v", i, got, err)
 			}
 		}
 	})

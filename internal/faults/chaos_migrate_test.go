@@ -25,7 +25,12 @@ import (
 //
 //   - no client call fails and none executes twice (the dedup windows
 //     travel with the function, so a retry that crosses the migration
-//     redirects into the cached reply instead of re-running);
+//     redirects into the cached reply instead of re-running). A crash
+//     of the source is a crash of the server the calls reach, so the
+//     RPC contract fails a call in flight to it at the crash, or sent
+//     while it is down or declared dead in the caller's view, with
+//     ErrNodeDead; such a call executes nowhere, and every other call
+//     executes exactly once;
 //   - ownership resolves to exactly one node, and every live
 //     instance's view agrees (the manager's epoch-bumped handoff
 //     record gates the commit, so a crash anywhere leaves either the
@@ -34,6 +39,9 @@ import (
 
 const migChaosFn = lite.FirstUserFunc + 9
 
+// migChaosSrc is the node the function migrates from.
+const migChaosSrc = 1
+
 // migFault pins one crash to one migration phase.
 type migFault struct {
 	name         string
@@ -41,10 +49,6 @@ type migFault struct {
 	victim       int
 	restartAfter simtime.Time
 	commits      bool // whether the migration is expected to commit
-	// serving marks a crash of the node serving the function: as any
-	// server crash does, it fails the calls it holds and those that
-	// reach it before it is back, with ErrNodeDead.
-	serving bool
 }
 
 // migFaults covers every phase of the protocol. Crashes at drain and
@@ -62,7 +66,7 @@ var migFaults = []migFault{
 	{name: "target-at-drain", event: "lite.migrate.drain", victim: 2, restartAfter: 3 * time.Millisecond, commits: false},
 	{name: "target-at-transfer", event: "lite.migrate.transfer", victim: 2, commits: false},
 	{name: "bystander-at-commit", event: "lite.migrate.commit", victim: 5, commits: true},
-	{name: "source-at-commit", event: "lite.migrate.commit", victim: 1, restartAfter: 500 * time.Microsecond, commits: false, serving: true},
+	{name: "source-at-commit", event: "lite.migrate.commit", victim: 1, restartAfter: 500 * time.Microsecond, commits: false},
 	{name: "manager-at-commit", event: "lite.migrate.commit", victim: 0, restartAfter: 500 * time.Microsecond, commits: true},
 }
 
@@ -121,9 +125,16 @@ func runMigrationChaos(t *testing.T, seed uint64, fc migFault) migChaosOutcome {
 		t.Fatal(err)
 	}
 	serve(src, 1, 2)
+	srcDown, srcCrashed := false, false
+	cls.OnNodeDown(func(p *simtime.Proc, node int) {
+		if node == migChaosSrc {
+			srcDown, srcCrashed = true, true
+		}
+	})
 	cls.OnNodeUp(func(p *simtime.Proc, node int) {
-		if node == 1 {
+		if node == migChaosSrc {
 			// The source's server threads died with it.
+			srcDown = false
 			serve(src, 1, 2)
 		}
 	})
@@ -136,16 +147,9 @@ func runMigrationChaos(t *testing.T, seed uint64, fc migFault) migChaosOutcome {
 		return nil
 	})
 
-	var crashAt simtime.Time
-	cls.OnEvent(func(p *simtime.Proc, name string) {
-		if name == fc.event && crashAt == 0 {
-			crashAt = p.Now()
-		}
-	})
-
 	// Client load across the whole migration window, every call logged.
 	logs := make([][]string, 2)
-	failed := 0
+	failed := make(map[uint64]bool)
 	for ci, node := range []int{3, 4} {
 		ci, node := ci, node
 		cls.GoOn(node, "mig-chaos-client", func(p *simtime.Proc) {
@@ -155,13 +159,16 @@ func runMigrationChaos(t *testing.T, seed uint64, fc migFault) migChaosOutcome {
 				var req [8]byte
 				binary.LittleEndian.PutUint64(req[:], id)
 				t0 := p.Now()
+				// Sent while the source was down or declared dead here, or
+				// in flight when it crashed.
+				srcLost := srcDown || c.NodeDead(migChaosSrc) || !srcCrashed
 				out, err := c.RPCRetry(p, 1, migChaosFn, req[:], 64)
 				if err != nil {
-					if !fc.serving || !errors.Is(err, lite.ErrNodeDead) || crashAt == 0 || t0 > crashAt+fc.restartAfter+100*time.Microsecond {
+					if !srcCrashed || !srcLost || !errors.Is(err, lite.ErrNodeDead) {
 						t.Errorf("%s: client %d call %d failed: %v", fc.name, node, k, err)
 						return
 					}
-					failed++
+					failed[id] = true
 					logs[ci] = append(logs[ci], fmt.Sprintf("c%d #%d at=%v failed", node, k, t0))
 					p.Sleep(20 * time.Microsecond)
 					continue
@@ -230,13 +237,19 @@ func runMigrationChaos(t *testing.T, seed uint64, fc migFault) migChaosOutcome {
 			}
 		}
 	}
-	for id, n := range counts {
-		if n != 1 {
-			t.Errorf("%s: request %#x executed %d times", fc.name, id, n)
+	for node := uint64(3); node <= 4; node++ {
+		for k := uint64(0); k < 110; k++ {
+			id, want := node<<32|k, 1
+			if failed[id] {
+				want = 0
+			}
+			if counts[id] != want {
+				t.Errorf("%s: request %#x executed %d times, want %d", fc.name, id, counts[id], want)
+			}
 		}
 	}
-	if len(counts) != 220-failed {
-		t.Errorf("%s: %d distinct requests executed, want the %d that succeeded", fc.name, len(counts), 220-failed)
+	if len(counts) != 220-len(failed) {
+		t.Errorf("%s: %d distinct requests executed, want %d", fc.name, len(counts), 220-len(failed))
 	}
 	if inj.Crashes != 1 {
 		t.Errorf("%s: injector fired %d crashes, want 1", fc.name, inj.Crashes)

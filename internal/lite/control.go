@@ -38,41 +38,42 @@ const (
 	cstPermission
 	cstNoMemory
 	cstBadArg
-	cstBusy // migration admission: target already receiving this fn
+	cstBusy  // migration admission: target already receiving this fn
+	cstMoved // migration route: fn left the target for another node
 )
 
+// cstErrs is the error each status code stands for. cstOK is success;
+// cstError, cstBadArg and unknown codes read as ErrRemoteFailed.
+var cstErrs = [...]error{
+	cstNameTaken:  ErrNameTaken,
+	cstNoSuchName: ErrNoSuchName,
+	cstPermission: ErrPermission,
+	cstNoMemory:   hostmem.ErrOutOfMemory,
+	cstBusy:       ErrMigrating,
+	cstMoved:      ErrMoved,
+}
+
 func cstToErr(b byte) error {
-	switch b {
-	case cstOK:
+	if b == cstOK {
 		return nil
-	case cstNameTaken:
-		return ErrNameTaken
-	case cstNoSuchName:
-		return ErrNoSuchName
-	case cstPermission:
-		return ErrPermission
-	case cstNoMemory:
-		return hostmem.ErrOutOfMemory
-	case cstBusy:
-		return ErrMigrating
+	}
+	if int(b) < len(cstErrs) && cstErrs[b] != nil {
+		return cstErrs[b]
 	}
 	return ErrRemoteFailed
 }
 
 func errToCst(err error) byte {
-	switch err {
-	case nil:
+	if err == nil {
 		return cstOK
-	case ErrNameTaken:
-		return cstNameTaken
-	case ErrNoSuchName:
-		return cstNoSuchName
-	case ErrPermission:
-		return cstPermission
-	case hostmem.ErrOutOfMemory, hostmem.ErrNoContiguous:
-		return cstNoMemory
-	case ErrMigrating:
-		return cstBusy
+	}
+	if err == hostmem.ErrNoContiguous {
+		err = hostmem.ErrOutOfMemory
+	}
+	for b, e := range cstErrs {
+		if e == err {
+			return byte(b)
+		}
 	}
 	return cstError
 }
@@ -376,7 +377,9 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 			reply(cstBadArg, nil)
 			return
 		}
-		i.reviveNode(p, c.Src, "lite.membership.joins")
+		i.dep.memb.own.purge(c.Src) // its migrations died with it
+		i.obsReg().Add("lite.membership.joins", 1)
+		i.reviveNode(p, c.Src)
 		reply(cstOK, nil)
 
 	case copMigPrepare:
@@ -391,19 +394,14 @@ func (i *Instance) handleControl(p *simtime.Proc, c *Call) {
 			reply(cstBadArg, nil)
 			return
 		}
-		if !m.own.prepare(c.Src, fn, target) {
-			reply(cstBusy, nil)
-			return
+		err := m.own.prepare(c.Src, fn, target)
+		if err == nil {
+			i.obsReg().Add("lite.migrate.prepared", 1)
 		}
-		i.obsReg().Add("lite.migrate.prepared", 1)
-		reply(cstOK, nil)
+		reply(errToCst(err), nil)
 
 	case copMigState:
-		if err := i.adoptMigState(p, c.Src, in[1:]); err != nil {
-			reply(errToCst(err), nil)
-			return
-		}
-		reply(cstOK, nil)
+		reply(errToCst(i.adoptMigState(p, c.Src, in[1:])), nil)
 
 	case copMigCommit:
 		if i.node.ID != managerNode || len(in) < 9 {

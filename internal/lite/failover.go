@@ -158,7 +158,7 @@ func (i *Instance) restart(p *simtime.Proc) {
 			// Fresh epoch: survivors drop stale quarantines and relearn
 			// the view (the membership table itself survives on the HA
 			// pair, §3.3). Handoffs to or from this node died with it,
-			// as at any node's rejoin (reviveNode).
+			// as at any node's join (copJoin).
 			i.dep.memb.own.purge(node)
 			i.dep.memb.epoch++
 			i.broadcastMembership(q)

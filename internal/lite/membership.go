@@ -105,7 +105,8 @@ func (i *Instance) proberLoop(p *simtime.Proc, target int) {
 		if m.dead[target] {
 			// False suspicion (or a restart whose join we missed):
 			// bring the node back with a fresh epoch.
-			i.reviveNode(p, target, "lite.membership.revivals")
+			i.obsReg().Add("lite.membership.revivals", 1)
+			i.reviveNode(p, target)
 			continue
 		}
 		if peerEpoch < m.epoch {
@@ -134,17 +135,13 @@ func (i *Instance) declareDead(p *simtime.Proc, target int) {
 
 // reviveNode clears node's dead mark under a fresh epoch, so every
 // instance drops it and releases pre-restart quarantines: when a
-// restarted node joins (counted as a join), or a node declared dead
-// answers a probe (a revival). Any migration the node had in flight
-// died with it; its handoff records must not gate a fresh attempt.
-func (i *Instance) reviveNode(p *simtime.Proc, node int, counter string) {
+// restarted node joins, or a node declared dead answers a probe.
+func (i *Instance) reviveNode(p *simtime.Proc, node int) {
 	m := &i.dep.memb
 	delete(m.dead, node)
 	m.miss[node] = 0
-	m.own.purge(node)
 	m.epoch++
 	i.obsReg().Add("lite.membership.epochs", 1)
-	i.obsReg().Add(counter, 1)
 	i.broadcastMembership(p)
 }
 

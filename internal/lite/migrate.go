@@ -72,7 +72,10 @@ const commitBackoffSteps = 8
 // application typically serializes its shard and hands over its LMRs
 // inside this callback). On success the function's new home is target
 // and this node bounces stale traffic there; on error the migration
-// aborted and this node still owns fn.
+// aborted and this node still owns fn (ErrMoved: fn moved away from
+// here, or once left target for another node). Once fn is handed over,
+// Drain waits for the manager to answer the commit, holding fn's calls
+// meanwhile, and for ever if the manager never comes back.
 func (i *Instance) Drain(p *simtime.Proc, fn, target int, appState func(q *simtime.Proc) ([]byte, error)) error {
 	if i.stopped {
 		return ErrNodeDead
@@ -196,7 +199,7 @@ func (i *Instance) abortMigration(p *simtime.Proc, fn int, cause error) error {
 		return cause
 	}
 	i.own.abort(fn)
-	_ = i.ctlMig(p, copMigAbort, fn, 0)
+	_, _ = i.ctl(p, managerNode, wire{copMigAbort}.u32(uint32(fn)), 0, PriHigh)
 	f := i.funcs[fn]
 	for _, c := range f.held {
 		i.dispatchCall(f, c)
@@ -310,11 +313,9 @@ func (i *Instance) adoptMigState(p *simtime.Proc, src int, data []byte) error {
 		}
 		w := i.adopted[key]
 		if w == nil {
-			// First parked window for this (client, fn). A second
-			// transfer for the same pair (concurrent drains of two
-			// shards sharing fn) merges below instead of overwriting —
-			// the overwrite dropped the first shard's dedup entries, so
-			// an ambiguous retry against it could re-execute.
+			// First parked window for this (client, fn); a second
+			// transfer for the pair (two shards sharing fn) merges below,
+			// or an ambiguous retry against the first could re-execute.
 			w = ar.w
 			i.adopted[key] = w
 		} else {
@@ -338,13 +339,9 @@ func (i *Instance) adoptMigState(p *simtime.Proc, src int, data []byte) error {
 	return nil
 }
 
-// ctlMig sends the manager migration message op about fn: prepare and
-// commit name the target, abort does not.
+// ctlMig asks the manager to prepare or commit (op) the move of this
+// node's fn to target.
 func (i *Instance) ctlMig(p *simtime.Proc, op byte, fn, target int) error {
-	req := wire{op}.u32(uint32(fn))
-	if op != copMigAbort {
-		req = req.u32(uint32(target))
-	}
-	_, err := i.ctl(p, managerNode, req, 0, PriHigh)
+	_, err := i.ctl(p, managerNode, wire{op}.u32(uint32(fn)).u32(uint32(target)), 0, PriHigh)
 	return err
 }

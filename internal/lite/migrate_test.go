@@ -3,6 +3,7 @@ package lite
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -431,6 +432,56 @@ func TestMigrateBackAborted(t *testing.T) {
 	}
 	if to, ok := dep.Instance(1).MovedTo(1, migFn); !ok || to != 3 {
 		t.Fatalf("home's view of its move = (%d, %v), want (3, true)", to, ok)
+	}
+}
+
+// TestDrainWaitsForLostManager crashes the manager for good as the
+// source asks it to commit. The commit may have landed, so the source
+// neither serves the function nor gives it up: Drain does not return,
+// the function stays fenced, and a call to it is held, never executed,
+// until its client times out.
+func TestDrainWaitsForLostManager(t *testing.T) {
+	counts := make(map[uint64]int)
+	cls, dep := testDep(t, 4)
+	src, tgt := dep.Instance(1), dep.Instance(3)
+	if err := src.RegisterRPC(migFn); err != nil {
+		t.Fatal(err)
+	}
+	serveMig(src, 2, counts)
+	tgt.OnAdoptFrom(migFn, 1, func(p *simtime.Proc, from int, app []byte) error {
+		if err := tgt.RegisterRPC(migFn); err != nil {
+			return err
+		}
+		serveMig(tgt, 2, counts)
+		return nil
+	})
+	cls.OnEvent(func(p *simtime.Proc, name string) {
+		if name == "lite.migrate.commit" {
+			cls.CrashNode(p, managerNode)
+		}
+	})
+	returned := false
+	// A daemon: the run ends with the client, and the drain with it.
+	cls.GoDaemonOn(1, "drain", func(p *simtime.Proc) {
+		_ = src.Drain(p, migFn, 3, nil)
+		returned = true
+	})
+	cls.GoOn(2, "client", func(p *simtime.Proc) {
+		p.SleepUntil(200 * time.Microsecond)
+		in := binary.LittleEndian.AppendUint64(nil, 9)
+		if out, err := dep.Instance(2).KernelClient().RPCRetry(p, 1, migFn, in, 64); !errors.Is(err, ErrTimeout) {
+			t.Errorf("call while the commit is in doubt = %q, %v; want ErrTimeout", out, err)
+		}
+	})
+	run(t, cls)
+	if returned {
+		t.Error("Drain returned without the manager's answer")
+	}
+	if !src.MigratingFn(migFn) {
+		t.Error("the source lifted its fence with the commit in doubt")
+	}
+	if counts[9] != 0 {
+		t.Errorf("the held call executed %d times, want 0", counts[9])
 	}
 }
 

@@ -67,36 +67,45 @@ func follow(moves map[migKey]int, dst, fn int) int {
 	return dst
 }
 
-// prepare records the handoff of src's fn to target, and reports false
-// while another source's handoff of fn to target is in flight: the
-// loser retries once the winner commits.
-func (t *ownerTable) prepare(src, fn, target int) bool {
+// routes reports whether a move of src's fn into target keeps every
+// route: target never let fn go, or src is where it went. The move
+// retires the target's edge (link), which from anyone but the owner at
+// the end of the target's route would send the target's stale callers
+// to a node without their state.
+func (t *ownerTable) routes(src, fn, target int) bool {
+	_, left := t.moves[migKey{target, fn}]
+	return !left || follow(t.moves, target, fn) == src
+}
+
+// prepare records the handoff of src's fn to target. It refuses with
+// ErrMoved a move that would not keep every route, and with
+// ErrMigrating while another source's handoff of fn to target is in
+// flight: the loser retries once the winner commits.
+func (t *ownerTable) prepare(src, fn, target int) error {
+	if !t.routes(src, fn, target) {
+		return ErrMoved
+	}
 	for k, to := range t.handoff {
 		if k.fn == fn && to == target && k.src != src {
-			return false
+			return ErrMigrating
 		}
 	}
 	t.handoff[migKey{src, fn}] = target
-	return true
+	return nil
 }
 
 // commit installs the prepared move of src's fn to target. ok reports
 // that the move is committed; fresh, that this call committed it (a
 // re-commit whose first reply was lost is ok but not fresh). It
-// refuses a move with no matching handoff record, and a move into a
-// node fn once left unless src is where fn went: the move retires the
-// target's edge (link), which from anyone but the owner at the end of
-// the target's route would send the target's stale callers to a node
-// without their state.
+// refuses a move with no matching handoff record, and one that no
+// longer keeps every route: a commit into target may have landed since
+// the prepare.
 func (t *ownerTable) commit(src, fn, target int) (ok, fresh bool) {
 	k := migKey{src, fn}
 	if to, done := t.moves[k]; done && to == target {
 		return true, false
 	}
-	if to, prepared := t.handoff[k]; !prepared || to != target {
-		return false, false
-	}
-	if _, left := t.moves[migKey{target, fn}]; left && follow(t.moves, target, fn) != src {
+	if to, prepared := t.handoff[k]; !prepared || to != target || !t.routes(src, fn, target) {
 		return false, false
 	}
 	delete(t.handoff, k)

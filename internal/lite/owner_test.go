@@ -349,8 +349,8 @@ func (m *ownModel) explore() (int, error) {
 					for lost := 0; lost < 2; lost++ {
 						err := step(lost, s, fn<<4|t, func(st *ownState) (bool, error) {
 							st.drains++
-							if !st.tab().prepare(s, fn, t) {
-								return false, nil // busy: nothing changed
+							if st.tab().prepare(s, fn, t) != nil {
+								return false, nil // refused: nothing changed
 							}
 							if lost == 0 {
 								nd := st.node(s)
