@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build bench-compile benchmark-build benchmark-smoke test race fuzz-smoke lint cover bench bench-smoke bench-guard smoke obs-guard chaos determinism-guard determinism-record
+.PHONY: ci fmt vet build examples bench-compile benchmark-build benchmark-smoke test race fuzz-smoke lint cover bench bench-smoke bench-guard smoke obs-guard chaos determinism-guard determinism-record
 
-ci: fmt vet lint build bench-compile benchmark-build benchmark-smoke race fuzz-smoke cover chaos smoke obs-guard determinism-guard bench-guard
+ci: fmt vet lint build examples bench-compile benchmark-build benchmark-smoke race fuzz-smoke cover chaos smoke obs-guard determinism-guard bench-guard
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -15,6 +15,15 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# examples: run every program under examples/ — each checks its own
+# results and exits nonzero on a mismatch — so the paper calls only an
+# example makes (cmd/simlint/allowlist.txt) run in CI.
+examples:
+	@for d in examples/*/; do \
+		$(GO) run ./$$d > /dev/null || { echo "examples: $$d FAILED"; exit 1; }; \
+		echo "examples: $$d ok"; \
+	done
 
 # bench-compile: run every Benchmark* function under internal/ once
 # (no tests), so the host microbenchmarks — BenchmarkHandoff,
@@ -91,7 +100,9 @@ cover:
 	$(call check_cover,./internal/load/,$(COVER_FLOOR_HARNESS))
 
 # lint: simulation code must not read the host clock or the global
-# math/rand stream — either breaks bit-for-bit reproducibility.
+# math/rand stream — either breaks bit-for-bit reproducibility — and
+# every export under internal/ must have a non-test user (or an entry
+# in cmd/simlint/allowlist.txt).
 lint:
 	$(GO) run ./cmd/simlint internal
 

@@ -110,6 +110,12 @@ func main() {
 		}
 		findings = append(findings, fs...)
 	}
+	exportFindings, err := lintExports(root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
+		os.Exit(2)
+	}
+	findings = append(findings, exportFindings...)
 	for _, f := range findings {
 		fmt.Printf("%s: %s\n", f.pos, f.msg)
 	}

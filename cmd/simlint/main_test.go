@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -137,5 +139,86 @@ func TestCleanOnOwnSource(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%s: %s", f.pos, f.msg)
+	}
+}
+
+// TestExportFixtures runs the exported-surface rule over a fixture
+// module (with a nested module standing in for benchmark/) and checks
+// it flags exactly the BAD-marked declarations: a dead export, exports
+// only its own package's or another package's tests use, one only a
+// test-support package uses, a self-reference, an unused field and
+// method, a type only its own methods name, a paper entry no example
+// calls, and a stale inspector entry. A generic-constraint method, the
+// error methods, a benchmark-only use, allowlisted names and the
+// test-support package's own exports stay clean.
+func TestExportFixtures(t *testing.T) {
+	dir := filepath.Join("testdata", "exports")
+	text, err := os.ReadFile(filepath.Join(dir, "allowlist.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allow, err := parseAllowlist(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := checkExports(abs, allow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{} // "file:line" of each BAD marker
+	err = filepath.WalkDir(abs, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		src, err := readLines(path)
+		for i, line := range src {
+			if strings.Contains(line, "// BAD") {
+				want[fmt.Sprintf("%s:%d", path, i+1)] = true
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("fixture has no BAD markers; the test is vacuous")
+	}
+	got := map[string]bool{}
+	for _, f := range findings {
+		key := fmt.Sprintf("%s:%d", f.pos.Filename, f.pos.Line)
+		if !want[key] || got[key] {
+			t.Errorf("unexpected finding: %s: %s", f.pos, f.msg)
+		}
+		got[key] = true
+	}
+	for key := range want {
+		if !got[key] {
+			t.Errorf("BAD marker at %s produced no finding", key)
+		}
+	}
+}
+
+// TestNoUnreferencedExports holds the repository to the rule, so
+// go test ./... enforces it as make lint does.
+func TestNoUnreferencedExports(t *testing.T) {
+	findings, err := lintExports(filepath.Join("..", "..", "internal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("%s: %s", f.pos, f.msg)
+	}
+}
+
+func TestParseAllowlistRejectsMalformedLines(t *testing.T) {
+	for _, line := range []string{"paper lite/x.Y", "other lite/x.Y why", "lite/x.Y LT_y"} {
+		if _, err := parseAllowlist(line); err == nil {
+			t.Errorf("parseAllowlist(%q) accepted it", line)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Quickstart: boot a three-node LITE cluster and exercise the core of
-// Table 1 — LT_malloc / LT_map / LT_write / LT_read, LT_RPC, a
-// distributed lock, and a barrier.
+// Table 1 — LT_malloc / LT_map / LT_write / LT_read, LT_send / LT_recv,
+// LT_RPC, LT_test-set, a distributed lock, and a barrier.
 package main
 
 import (
@@ -39,9 +39,6 @@ func main() {
 		}
 	})
 
-	ready := false
-	var cond simtime.Cond
-
 	// Node 0: create a named LMR and write into it.
 	cls.GoOn(0, "producer", func(p *simtime.Proc) {
 		c := dep.Instance(0).KernelClient()
@@ -53,21 +50,24 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("[%8v] node0: wrote greeting into LMR %q\n", p.Now(), "greeting")
-		ready = true
-		cond.Broadcast(p.Env())
+		if err := c.Send(p, 1, []byte("greeting")); err != nil {
+			log.Fatal(err)
+		}
 		if err := c.Barrier(p, 1, 2); err != nil {
 			log.Fatal(err)
 		}
 	})
 
-	// Node 1: map the LMR by name, read it, call the RPC server, and
-	// use a lock.
+	// Node 1: wait for node 0's message naming the LMR, map it, read
+	// it, call the RPC server, and synchronize.
 	cls.GoOn(1, "consumer", func(p *simtime.Proc) {
-		for !ready {
-			cond.Wait(p)
-		}
 		c := dep.Instance(1).KernelClient()
-		h, err := c.Map(p, "greeting")
+		msg, err := c.Recv(p)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("[%8v] node1: LT_recv %q from node %d\n", p.Now(), msg.Data, msg.Src)
+		h, err := c.Map(p, string(msg.Data))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -84,6 +84,21 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("[%8v] node1: LT_RPC reply %q in %v\n", p.Now(), out, p.Now()-start)
+
+		// LT_test-set on a word of the shared LMR: the first set wins,
+		// a second one sees the word taken.
+		first, err := c.TestSet(p, h, 64, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		again, err := c.TestSet(p, h, 64, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if first != 0 || again != 1 {
+			log.Fatalf("LT_test-set returned %d then %d, want 0 then 1", first, again)
+		}
+		fmt.Printf("[%8v] node1: LT_test-set took the word (it held %d, then %d)\n", p.Now(), first, again)
 
 		lk, err := c.AllocLock(p, 0)
 		if err != nil {

@@ -110,9 +110,6 @@ func Boot(p *simtime.Proc, cls *cluster.Cluster, dep *lite.Deployment, nodes []i
 // Node returns the endpoint for one participating node.
 func (s *System) Node(node int) *NodeDSM { return s.ends[node] }
 
-// Size returns the shared region's size in bytes.
-func (s *System) Size() int64 { return s.size }
-
 // homeOf maps a page to (home index, offset inside the home LMR).
 func (s *System) homeOf(page int64) (int, int64) {
 	idx := int(page % int64(len(s.nodes)))

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/lite"
 	"lite/internal/params"
 	"lite/internal/workload"
@@ -16,7 +17,7 @@ func testGraph() *workload.Graph {
 func newLITECluster(t *testing.T, n int) (*cluster.Cluster, *lite.Deployment) {
 	t.Helper()
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, n, 1<<30)
+	cls := clustertest.MustNew(&cfg, n, 1<<30)
 	dep, err := lite.Start(cls, lite.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func TestMsgEngineMatchesReference(t *testing.T) {
 	g := testGraph()
 	want := RefPageRank(g, 4, 0.85)
 	pcfg := params.Default()
-	cls := cluster.MustNew(&pcfg, 4, 1<<30)
+	cls := clustertest.MustNew(&pcfg, 4, 1<<30)
 	cfg := DefaultConfig([]int{0, 1, 2, 3}, 2, 4)
 	res, err := RunMsgEngine(cls, cfg, PowerGraphParams(), g)
 	if err != nil {
@@ -105,14 +106,14 @@ func TestEngineOrdering(t *testing.T) {
 	}
 
 	pcfg := params.Default()
-	cls3 := cluster.MustNew(&pcfg, 4, 1<<30)
+	cls3 := clustertest.MustNew(&pcfg, 4, 1<<30)
 	pgRes, err := RunMsgEngine(cls3, DefaultConfig([]int{0, 1, 2, 3}, 4, iters), PowerGraphParams(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	pcfg2 := params.Default()
-	cls4 := cluster.MustNew(&pcfg2, 4, 1<<30)
+	cls4 := clustertest.MustNew(&pcfg2, 4, 1<<30)
 	grRes, err := RunMsgEngine(cls4, DefaultConfig([]int{0, 1, 2, 3}, 4, iters), GrappaParams(), g)
 	if err != nil {
 		t.Fatal(err)

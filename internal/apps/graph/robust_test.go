@@ -3,7 +3,7 @@ package graph
 import (
 	"testing"
 
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/params"
 	"lite/internal/workload"
 )
@@ -22,7 +22,7 @@ func TestSingleNodeEngines(t *testing.T) {
 	}
 
 	pcfg := params.Default()
-	cls2 := cluster.MustNew(&pcfg, 1, 1<<30)
+	cls2 := clustertest.MustNew(&pcfg, 1, 1<<30)
 	res2, err := RunMsgEngine(cls2, DefaultConfig([]int{0}, 2, 3), PowerGraphParams(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -86,11 +86,19 @@ func TestPartitionHealsBeforeRun(t *testing.T) {
 	g := workload.NewPowerLawGraph(5, 200, 1500)
 	want := RefPageRank(g, 3, 0.85)
 	cls, dep := newLITECluster(t, 4)
-	cls.Fab.Partition([]int{0, 1}, []int{2, 3})
+	cut := func(set func(src, dst int)) {
+		for x := 0; x < 2; x++ {
+			for y := 2; y < 4; y++ {
+				set(x, y)
+				set(y, x)
+			}
+		}
+	}
+	cut(cls.Fab.SetLinkDown)
 	if cls.Fab.Reachable(0, 2) || cls.Fab.Reachable(3, 1) {
 		t.Fatal("partition not in effect")
 	}
-	cls.Fab.HealPartition([]int{0, 1}, []int{2, 3})
+	cut(cls.Fab.SetLinkUp)
 	res, err := RunLITE(cls, dep, DefaultConfig([]int{0, 1, 2, 3}, 2, 3), g)
 	if err != nil {
 		t.Fatal(err)

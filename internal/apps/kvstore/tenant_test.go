@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/lite"
 	"lite/internal/params"
 	"lite/internal/simtime"
@@ -17,7 +17,7 @@ import (
 // tenant label, and kernel clients retain root-like reach.
 func TestTenantNamespaces(t *testing.T) {
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 2, 1<<30)
+	cls := clustertest.MustNew(&cfg, 2, 1<<30)
 	cls.EnableObs()
 	dep, err := lite.Start(cls, lite.DefaultOptions())
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/lite"
 	"lite/internal/params"
 	"lite/internal/simtime"
@@ -13,7 +14,7 @@ import (
 func testEnv(t *testing.T, n int) (*cluster.Cluster, *lite.Deployment) {
 	t.Helper()
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, n, 1<<30)
+	cls := clustertest.MustNew(&cfg, n, 1<<30)
 	dep, err := lite.Start(cls, lite.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

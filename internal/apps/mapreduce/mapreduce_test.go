@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/lite"
 	"lite/internal/params"
 	"lite/internal/workload"
@@ -38,7 +39,7 @@ func testInput(n int) []byte {
 func newLITECluster(t *testing.T, n int) (*cluster.Cluster, *lite.Deployment) {
 	t.Helper()
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, n, 1<<30)
+	cls := clustertest.MustNew(&cfg, n, 1<<30)
 	dep, err := lite.Start(cls, lite.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +91,7 @@ func TestLITEMRCorrectness(t *testing.T) {
 func TestPhoenixCorrectness(t *testing.T) {
 	input := testInput(150000)
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 1, 1<<30)
+	cls := clustertest.MustNew(&cfg, 1, 1<<30)
 	mrCfg := DefaultConfig(0, []int{0}, 4, 4)
 	mrCfg.ChunkSize = 16384
 	res, err := RunPhoenix(cls, mrCfg, 0, input)
@@ -103,7 +104,7 @@ func TestPhoenixCorrectness(t *testing.T) {
 func TestHadoopCorrectness(t *testing.T) {
 	input := testInput(150000)
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 3, 1<<30)
+	cls := clustertest.MustNew(&cfg, 3, 1<<30)
 	hCfg := DefaultHadoopConfig(0, []int{1, 2}, 2, 4)
 	hCfg.ChunkSize = 16384
 	res, err := RunHadoop(cls, hCfg, input)
@@ -125,7 +126,7 @@ func TestLITEMRBeatsHadoop(t *testing.T) {
 	}
 
 	cfg := params.Default()
-	cls2 := cluster.MustNew(&cfg, 3, 1<<30)
+	cls2 := clustertest.MustNew(&cfg, 3, 1<<30)
 	hCfg := DefaultHadoopConfig(0, []int{1, 2}, 4, 4)
 	hCfg.ChunkSize = 32768
 	hadoopRes, err := RunHadoop(cls2, hCfg, input)
@@ -154,7 +155,7 @@ func TestLITEMRMapReduceFasterThanPhoenix(t *testing.T) {
 	}
 
 	cfg := params.Default()
-	cls2 := cluster.MustNew(&cfg, 1, 1<<30)
+	cls2 := clustertest.MustNew(&cfg, 1, 1<<30)
 	phxCfg := DefaultConfig(0, []int{1, 2}, 4, 8) // 2 workers x 4 threads = 8 threads
 	phxCfg.ChunkSize = 32768
 	phxRes, err := RunPhoenix(cls2, phxCfg, 0, input)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/lite"
 	"lite/internal/params"
 	"lite/internal/simtime"
@@ -62,7 +63,7 @@ func TestMoreReducersThanWords(t *testing.T) {
 func TestPhoenixSingleThread(t *testing.T) {
 	input := testInput(30000)
 	pcfg := params.Default()
-	cls := cluster.MustNew(&pcfg, 1, 1<<30)
+	cls := clustertest.MustNew(&pcfg, 1, 1<<30)
 	cfg := DefaultConfig(0, []int{0}, 1, 2)
 	cfg.ChunkSize = 8192
 	res, err := RunPhoenix(cls, cfg, 0, input)
@@ -77,7 +78,7 @@ func TestPhoenixSingleThread(t *testing.T) {
 func newFaultyLITECluster(t *testing.T, n int) (*cluster.Cluster, *lite.Deployment) {
 	t.Helper()
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, n, 1<<30)
+	cls := clustertest.MustNew(&cfg, n, 1<<30)
 	opts := lite.DefaultOptions()
 	opts.HeartbeatInterval = 100 * time.Microsecond
 	opts.HeartbeatTimeout = 300 * time.Microsecond
@@ -119,9 +120,15 @@ func TestLITEMRRidesOutPartitionFlap(t *testing.T) {
 	cfg.TaskTimeout = 5 * time.Millisecond
 	cls.GoDaemonOn(0, "flap", func(p *simtime.Proc) {
 		p.Sleep(100 * time.Microsecond)
-		cls.Fab.Partition([]int{0, 1, 2}, []int{3})
+		for x := 0; x < 3; x++ {
+			cls.Fab.SetLinkDown(x, 3)
+			cls.Fab.SetLinkDown(3, x)
+		}
 		p.Sleep(4 * time.Millisecond)
-		cls.Fab.HealPartition([]int{0, 1, 2}, []int{3})
+		for x := 0; x < 3; x++ {
+			cls.Fab.SetLinkUp(x, 3)
+			cls.Fab.SetLinkUp(3, x)
+		}
 	})
 	res, err := RunLITE(cls, dep, cfg, input)
 	if err != nil {

@@ -170,15 +170,6 @@ func (c *Cluster) EnableObs() *obs.Domain {
 	return c.Obs
 }
 
-// MustNew is New for tests and examples; it panics on error.
-func MustNew(cfg *params.Config, n int, memPerNode int64) *Cluster {
-	c, err := New(cfg, n, memPerNode)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // GoOn spawns a process logically running on the given node: its CPU
 // time accrues to that node's account, attributed to the proc's kind.
 func (c *Cluster) GoOn(node int, name string, fn func(*simtime.Proc)) *simtime.Proc {
@@ -231,9 +222,6 @@ func (c *Cluster) Announce(p *simtime.Proc, name string) {
 		fn(p, name)
 	}
 }
-
-// NodeDown reports whether the node is currently crashed.
-func (c *Cluster) NodeDown(node int) bool { return c.down[node] }
 
 // CrashNode fails a machine: its fabric port goes dark (in-flight and
 // future messages to or from it are lost, so remote QPs targeting it

@@ -26,8 +26,10 @@ func TestNewBuildsAllComponents(t *testing.T) {
 			t.Fatalf("node %d memory = %d", i, nd.Mem.TotalBytes())
 		}
 	}
-	if c.Fab.Ports() != 4 {
-		t.Fatalf("fabric ports = %d", c.Fab.Ports())
+	for i := range c.Nodes {
+		if !c.Fab.Reachable(0, i) {
+			t.Fatalf("node %d has no fabric port", i)
+		}
 	}
 }
 
@@ -40,7 +42,7 @@ func TestNewRejectsZeroNodes(t *testing.T) {
 
 func TestGoOnAccountsCPUPerNode(t *testing.T) {
 	cfg := params.Default()
-	c := MustNew(&cfg, 2, 1<<30)
+	c := mustNew(t, &cfg, 2, 1<<30)
 	c.GoOn(0, "worker", func(p *simtime.Proc) {
 		p.Work(5 * time.Microsecond)
 	})
@@ -68,7 +70,7 @@ func TestGoOnAccountsCPUPerNode(t *testing.T) {
 // it, and the kinds sum exactly to TotalCPU's delta.
 func TestCPUByKind(t *testing.T) {
 	cfg := params.Default()
-	c := MustNew(&cfg, 2, 1<<30)
+	c := mustNew(t, &cfg, 2, 1<<30)
 	c.GoDaemonOn(0, "serve-1", func(p *simtime.Proc) {
 		p.Work(2 * time.Microsecond) // before EnableObs: node CPU only
 		p.Sleep(10 * time.Microsecond)
@@ -113,15 +115,17 @@ func TestCPUByKind(t *testing.T) {
 // account.
 func TestSpawnNamesAreNodeQualified(t *testing.T) {
 	cfg := params.Default()
-	c := MustNew(&cfg, 12, 1<<30)
+	c := mustNew(t, &cfg, 12, 1<<30)
 	var names []string
 	for k := 0; k < 2; k++ {
 		for _, node := range []int{0, 11} {
 			for _, name := range []string{"op", "lite-serve-7"} {
-				names = append(names, c.GoOn(node, name, func(*simtime.Proc) {}).Name())
+				c.GoOn(node, name, func(*simtime.Proc) {})
+				names = append(names, c.Nodes[node].spawnAs(name).full)
 			}
 		}
-		names = append(names, c.GoDaemonOn(11, "op", func(*simtime.Proc) {}).Name())
+		c.GoDaemonOn(11, "op", func(*simtime.Proc) {})
+		names = append(names, c.Nodes[11].spawnAs("op").full)
 	}
 	want := "n0/op n0/lite-serve-7 n11/op n11/lite-serve-7 n11/op"
 	if got := strings.Join(names, " "); got != want+" "+want {
@@ -135,7 +139,7 @@ func TestSpawnNamesAreNodeQualified(t *testing.T) {
 
 func TestGoDaemonOnDoesNotBlockRun(t *testing.T) {
 	cfg := params.Default()
-	c := MustNew(&cfg, 1, 1<<30)
+	c := mustNew(t, &cfg, 1, 1<<30)
 	c.GoDaemonOn(0, "poller", func(p *simtime.Proc) {
 		for {
 			p.Sleep(time.Microsecond)
@@ -148,4 +152,13 @@ func TestGoDaemonOnDoesNotBlockRun(t *testing.T) {
 	if c.Env.Now() != 5*time.Microsecond {
 		t.Fatalf("now = %v", c.Env.Now())
 	}
+}
+
+func mustNew(t *testing.T, cfg *params.Config, n int, memPerNode int64) *Cluster {
+	t.Helper()
+	c, err := New(cfg, n, memPerNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -72,30 +72,6 @@ func TestECMPDeterminism(t *testing.T) {
 	}
 }
 
-func TestECMPSeedChangesPaths(t *testing.T) {
-	f, _ := newClos(t)
-	base := map[[2]int]int{}
-	for src := 0; src < 4; src++ {
-		for dst := 4; dst < 12; dst++ {
-			base[[2]int{src, dst}] = f.SpineFor(src, dst)
-		}
-	}
-	changed := false
-	f.SetECMPSeed(0x9e3779b97f4a7c15)
-	for k, want := range base {
-		got := f.SpineFor(k[0], k[1])
-		if got < 0 || got >= 2 {
-			t.Fatalf("seeded SpineFor(%v) = %d, out of range", k, got)
-		}
-		if got != want {
-			changed = true
-		}
-	}
-	if !changed {
-		t.Fatal("reseeding ECMP left every flow on the same spine")
-	}
-}
-
 // TestClosCrossLeafCost checks the two-tier path formula: a cross-leaf
 // message pays three switch hops and serializes onto the uplink and
 // downlink at the (slower) uplink bandwidth.

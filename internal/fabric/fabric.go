@@ -17,7 +17,7 @@
 // same-leaf traffic switches at the leaf exactly like the single-switch
 // model, and cross-leaf traffic additionally crosses one of ClosSpines
 // uplink/downlink pairs chosen by deterministic flow-keyed ECMP
-// (detrand hash of src, dst, and the ECMP seed). The single-switch
+// (detrand hash of src and dst). The single-switch
 // model is the degenerate config: with ClosLeafNodes == 0 every path
 // takes exactly the original code path and formula.
 package fabric
@@ -31,10 +31,8 @@ import (
 	"lite/internal/simtime"
 )
 
-// denseLimit bounds the node-id range backed by dense slices; ids at
-// or above it (or negative) fall back to map storage. Cluster node ids
-// are contiguous from zero, so the per-message hot path never touches
-// a map.
+// denseLimit bounds port ids: every per-node table is a slice indexed
+// by node id, and cluster node ids are contiguous from zero.
 const denseLimit = 1 << 16
 
 // Fabric is a simulated network connecting numbered ports.
@@ -45,28 +43,23 @@ const denseLimit = 1 << 16
 type Fabric struct {
 	cfg *params.Config
 
-	// Hot-path state is indexed by node id in dense slices for ids in
-	// [0, denseLimit); the maps only ever hold sparse ids.
-	ports  []*port
-	portsM map[int]*port
+	// Per-node state is indexed by node id, in [0, denseLimit).
+	ports []*port
 
 	// down records unreachable directed pairs for failure injection:
 	// lazily allocated per-source rows, plus a count so the reachable
 	// fast path skips the lookup entirely when no cut is installed.
 	down      [][]bool
-	downM     map[[2]int]bool
 	downCount int
 
 	// nodeDown records whole nodes cut from the fabric (both
 	// directions of every pair), as when a machine loses power.
 	nodeDown      []bool
-	nodeDownM     map[int]bool
 	nodeDownCount int
 
 	// nodeDelay is extra one-way latency added to any message that
 	// touches the node, modeling a degraded ("slow") machine.
 	nodeDelay      []simtime.Time
-	nodeDelayM     map[int]simtime.Time
 	nodeDelayCount int
 
 	// dropHook, when set, is consulted for every otherwise-reachable
@@ -81,13 +74,10 @@ type Fabric struct {
 	leafNodes int
 	spines    int
 	uplinkBW  float64
-	ecmpSeed  uint64
 	// uplinks[leaf][spine] and downlinks[spine][leaf] are allocated
 	// lazily as leaves appear.
 	uplinks   [][]*simtime.Server
 	downlinks [][]*simtime.Server
-
-	nports int
 
 	env *simtime.Env // the links' clock; see SetClock
 }
@@ -114,33 +104,32 @@ func New(cfg *params.Config) *Fabric {
 	return f
 }
 
+// inRange reports whether node is a valid port id.
+func inRange(node int) bool { return node >= 0 && node < denseLimit }
+
 func (f *Fabric) port(node int) *port {
 	if node >= 0 && node < len(f.ports) {
 		return f.ports[node]
 	}
-	return f.portsM[node]
+	return nil
 }
 
-// AddPort registers a node's port. Adding an existing port is an error.
+// AddPort registers a node's port. Adding an existing port, or one
+// whose id is outside [0, 65536), is an error.
 func (f *Fabric) AddPort(node int) error {
+	if !inRange(node) {
+		return fmt.Errorf("fabric: port id %d outside [0, %d)", node, denseLimit)
+	}
 	if f.port(node) != nil {
 		return fmt.Errorf("fabric: port %d already exists", node)
 	}
 	pt := &port{}
 	pt.egress.SetClock(f.env)
 	pt.ingress.SetClock(f.env)
-	if node >= 0 && node < denseLimit {
-		for len(f.ports) <= node {
-			f.ports = append(f.ports, nil)
-		}
-		f.ports[node] = pt
-	} else {
-		if f.portsM == nil {
-			f.portsM = make(map[int]*port)
-		}
-		f.portsM[node] = pt
+	for len(f.ports) <= node {
+		f.ports = append(f.ports, nil)
 	}
-	f.nports++
+	f.ports[node] = pt
 	return nil
 }
 
@@ -159,31 +148,25 @@ func (f *Fabric) newLink() *simtime.Server {
 func (f *Fabric) SetClock(env *simtime.Env) { f.env = env }
 
 // SetLinkDown makes messages from src to dst undeliverable (in that
-// direction only) until SetLinkUp. Used for failure injection.
+// direction only) until SetLinkUp. Used for failure injection. An id
+// outside the port range names no port, so there is nothing to cut.
 func (f *Fabric) SetLinkDown(src, dst int) {
-	if f.linkCut(src, dst) {
+	if !inRange(src) || !inRange(dst) || f.linkCut(src, dst) {
 		return
 	}
 	f.downCount++
-	if src >= 0 && src < denseLimit && dst >= 0 && dst < denseLimit {
-		if f.down == nil {
-			f.down = make([][]bool, len(f.ports))
-		}
-		for len(f.down) <= src {
-			f.down = append(f.down, nil)
-		}
-		row := f.down[src]
-		for len(row) <= dst {
-			row = append(row, false)
-		}
-		f.down[src] = row
-		row[dst] = true
-		return
+	if f.down == nil {
+		f.down = make([][]bool, len(f.ports))
 	}
-	if f.downM == nil {
-		f.downM = make(map[[2]int]bool)
+	for len(f.down) <= src {
+		f.down = append(f.down, nil)
 	}
-	f.downM[[2]int{src, dst}] = true
+	row := f.down[src]
+	for len(row) <= dst {
+		row = append(row, false)
+	}
+	f.down[src] = row
+	row[dst] = true
 }
 
 // SetLinkUp restores delivery from src to dst.
@@ -192,13 +175,7 @@ func (f *Fabric) SetLinkUp(src, dst int) {
 		return
 	}
 	f.downCount--
-	if src >= 0 && src < len(f.down) {
-		if row := f.down[src]; dst >= 0 && dst < len(row) && row[dst] {
-			row[dst] = false
-			return
-		}
-	}
-	delete(f.downM, [2]int{src, dst})
+	f.down[src][dst] = false
 }
 
 // linkCut reports whether the directed pair src->dst is cut.
@@ -211,7 +188,7 @@ func (f *Fabric) linkCut(src, dst int) bool {
 			return row[dst]
 		}
 	}
-	return f.downM[[2]int{src, dst}]
+	return false
 }
 
 // SetNodeDown cuts a node from the fabric entirely: no message to or
@@ -219,21 +196,14 @@ func (f *Fabric) linkCut(src, dst int) bool {
 // (or its top-of-rack port being disabled) without having to
 // enumerate directed pairs.
 func (f *Fabric) SetNodeDown(node int) {
-	if f.NodeDown(node) {
+	if !inRange(node) || f.NodeDown(node) {
 		return
 	}
 	f.nodeDownCount++
-	if node >= 0 && node < denseLimit {
-		for len(f.nodeDown) <= node {
-			f.nodeDown = append(f.nodeDown, false)
-		}
-		f.nodeDown[node] = true
-		return
+	for len(f.nodeDown) <= node {
+		f.nodeDown = append(f.nodeDown, false)
 	}
-	if f.nodeDownM == nil {
-		f.nodeDownM = make(map[int]bool)
-	}
-	f.nodeDownM[node] = true
+	f.nodeDown[node] = true
 }
 
 // SetNodeUp restores a node cut by SetNodeDown. Directed link cuts
@@ -243,11 +213,7 @@ func (f *Fabric) SetNodeUp(node int) {
 		return
 	}
 	f.nodeDownCount--
-	if node >= 0 && node < len(f.nodeDown) && f.nodeDown[node] {
-		f.nodeDown[node] = false
-		return
-	}
-	delete(f.nodeDownM, node)
+	f.nodeDown[node] = false
 }
 
 // NodeDown reports whether node is currently cut from the fabric.
@@ -255,63 +221,30 @@ func (f *Fabric) NodeDown(node int) bool {
 	if f.nodeDownCount == 0 {
 		return false
 	}
-	if node >= 0 && node < len(f.nodeDown) {
-		return f.nodeDown[node]
-	}
-	return f.nodeDownM[node]
-}
-
-// Partition symmetrically severs every pair crossing the (a, b) cut:
-// for each x in a and y in b, both x→y and y→x become undeliverable.
-// Nodes appearing in neither group keep full connectivity.
-func (f *Fabric) Partition(a, b []int) {
-	for _, x := range a {
-		for _, y := range b {
-			f.SetLinkDown(x, y)
-			f.SetLinkDown(y, x)
-		}
-	}
-}
-
-// HealPartition undoes Partition for the same two groups.
-func (f *Fabric) HealPartition(a, b []int) {
-	for _, x := range a {
-		for _, y := range b {
-			f.SetLinkUp(x, y)
-			f.SetLinkUp(y, x)
-		}
-	}
+	return node >= 0 && node < len(f.nodeDown) && f.nodeDown[node]
 }
 
 // SetNodeDelay injects extra one-way latency on every message sent to
 // or from node (a "slow node"). A zero duration removes the injection.
 func (f *Fabric) SetNodeDelay(node int, d simtime.Time) {
+	if !inRange(node) {
+		return
+	}
 	old := f.delayOf(node)
 	if d <= 0 {
 		if old != 0 {
 			f.nodeDelayCount--
-			if node >= 0 && node < len(f.nodeDelay) && f.nodeDelay[node] != 0 {
-				f.nodeDelay[node] = 0
-			} else {
-				delete(f.nodeDelayM, node)
-			}
+			f.nodeDelay[node] = 0
 		}
 		return
 	}
 	if old == 0 {
 		f.nodeDelayCount++
 	}
-	if node >= 0 && node < denseLimit {
-		for len(f.nodeDelay) <= node {
-			f.nodeDelay = append(f.nodeDelay, 0)
-		}
-		f.nodeDelay[node] = d
-		return
+	for len(f.nodeDelay) <= node {
+		f.nodeDelay = append(f.nodeDelay, 0)
 	}
-	if f.nodeDelayM == nil {
-		f.nodeDelayM = make(map[int]simtime.Time)
-	}
-	f.nodeDelayM[node] = d
+	f.nodeDelay[node] = d
 }
 
 // delayOf returns the injected one-way latency for node, or zero.
@@ -322,7 +255,7 @@ func (f *Fabric) delayOf(node int) simtime.Time {
 	if node >= 0 && node < len(f.nodeDelay) {
 		return f.nodeDelay[node]
 	}
-	return f.nodeDelayM[node]
+	return 0
 }
 
 // SetDropHook installs a predicate consulted for every reachable
@@ -339,11 +272,6 @@ func (f *Fabric) SetDropHook(h func(at simtime.Time, src, dst int, size int64) b
 // are nil-safe, so no call site needs a guard.
 func (f *Fabric) SetObs(reg *obs.Registry) { f.reg = reg }
 
-// SetECMPSeed sets the seed mixed into the flow-keyed ECMP hash. The
-// default of zero is itself deterministic; varying the seed explores
-// different (still deterministic) path sets.
-func (f *Fabric) SetECMPSeed(seed uint64) { f.ecmpSeed = seed }
-
 // Reachable reports whether src can currently reach dst.
 func (f *Fabric) Reachable(src, dst int) bool {
 	if f.port(src) == nil || f.port(dst) == nil {
@@ -355,25 +283,16 @@ func (f *Fabric) Reachable(src, dst int) bool {
 	return !f.linkCut(src, dst)
 }
 
-// LeafOf returns the leaf switch a node attaches to, or 0 in
-// single-switch mode.
-func (f *Fabric) LeafOf(node int) int {
-	if f.leafNodes <= 0 {
-		return 0
-	}
-	return node / f.leafNodes
-}
-
 // SpineFor returns the spine switch the flow src->dst is hashed onto,
 // or -1 when the path does not cross the spine layer (single-switch
 // mode, loopback, or a same-leaf pair). The choice is a pure function
-// of (src, dst, ECMP seed): deterministic and direction-sensitive,
+// of (src, dst): deterministic and direction-sensitive,
 // like hardware ECMP over a flow 5-tuple.
 func (f *Fabric) SpineFor(src, dst int) int {
 	if f.leafNodes <= 0 || src == dst || src/f.leafNodes == dst/f.leafNodes {
 		return -1
 	}
-	key := f.ecmpSeed ^ uint64(uint32(src))<<32 ^ uint64(uint32(dst))
+	key := uint64(uint32(src))<<32 ^ uint64(uint32(dst))
 	return int(detrand.Mix64(key) % uint64(f.spines))
 }
 
@@ -469,18 +388,6 @@ func (f *Fabric) EgressBusy(node int) simtime.Time {
 	return 0
 }
 
-// UplinkBusy returns the total busy time of the leaf->spine uplink,
-// for oversubscription reporting. Zero if the link has carried no
-// traffic (or in single-switch mode).
-func (f *Fabric) UplinkBusy(leaf, spine int) simtime.Time {
-	if leaf >= 0 && leaf < len(f.uplinks) {
-		if row := f.uplinks[leaf]; spine >= 0 && spine < len(row) {
-			return row[spine].BusyTotal()
-		}
-	}
-	return 0
-}
-
 // DownlinkBusy returns the total busy time of the spine->leaf
 // downlink, for incast reporting: a fan-in onto one leaf serializes on
 // its downlinks, so their busy fraction is the bottleneck signal. Zero
@@ -504,6 +411,3 @@ func (f *Fabric) IngressBusy(node int) simtime.Time {
 	}
 	return 0
 }
-
-// Ports returns the number of registered ports.
-func (f *Fabric) Ports() int { return f.nports }

@@ -27,6 +27,29 @@ func TestDuplicatePort(t *testing.T) {
 	}
 }
 
+// Port ids index the per-node tables, so AddPort refuses one outside
+// [0, denseLimit), and a cut naming such an id is a no-op.
+func TestAddPortRejectsOutOfRangeID(t *testing.T) {
+	f, _ := newFab(t)
+	for _, id := range []int{-1, denseLimit, denseLimit + 7} {
+		if err := f.AddPort(id); err == nil {
+			t.Errorf("AddPort(%d) succeeded", id)
+		}
+		f.SetLinkDown(0, id)
+		f.SetNodeDown(id)
+		f.SetNodeDelay(id, time.Microsecond)
+		if f.NodeDown(id) || f.Reachable(0, id) {
+			t.Errorf("id %d: down %v, reachable %v", id, f.NodeDown(id), f.Reachable(0, id))
+		}
+	}
+	if err := f.AddPort(denseLimit - 1); err != nil {
+		t.Fatalf("AddPort(%d): %v", denseLimit-1, err)
+	}
+	if _, ok := f.ReservePath(0, 0, 1, 64); !ok {
+		t.Fatal("out-of-range cuts disturbed a valid path")
+	}
+}
+
 func TestUncontendedLatency(t *testing.T) {
 	f, cfg := newFab(t)
 	size := int64(4096)

@@ -65,7 +65,7 @@ func TestNodeDownComposesWithPartition(t *testing.T) {
 
 func TestDropHookLossAndCounting(t *testing.T) {
 	f, _ := newFab(t)
-	reg := obs.NewRegistry(-1)
+	reg := obs.NewDomain(1).Global()
 	f.SetObs(reg)
 	drop := false
 	f.SetDropHook(func(at simtime.Time, src, dst int, size int64) bool { return drop })
@@ -80,7 +80,7 @@ func TestDropHookLossAndCounting(t *testing.T) {
 	if _, ok := f.ReservePath(0, 1, 1, 64); !ok {
 		t.Fatal("loopback message dropped by loss hook")
 	}
-	if got := reg.Counter("fabric.dropped").Value(); got != 1 {
+	if got := reg.Snapshot().Counters["fabric.dropped"]; got != 1 {
 		t.Fatalf("fabric.dropped = %d, want 1", got)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"lite/internal/apps/kvstore"
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/faults"
 	"lite/internal/lite"
 	"lite/internal/params"
@@ -43,7 +43,7 @@ func runConcurrentDrainRace(t *testing.T, seed uint64) drainRaceOutcome {
 	// 0 manager, 1 and 2 shard homes, 3 the common target, 4 and 5
 	// clients, 6 the bystander the fault plan kills.
 	pcfg := params.Default()
-	cls := cluster.MustNew(&pcfg, 7, 1<<30)
+	cls := clustertest.MustNew(&pcfg, 7, 1<<30)
 	opts := lite.DefaultOptions()
 	opts.HeartbeatInterval = 100 * time.Microsecond
 	opts.HeartbeatTimeout = 300 * time.Microsecond

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/faults"
 	"lite/internal/lite"
 	"lite/internal/params"
@@ -90,7 +90,7 @@ type migChaosOutcome struct {
 func runMigrationChaos(t *testing.T, seed uint64, fc migFault) migChaosOutcome {
 	t.Helper()
 	pcfg := params.Default()
-	cls := cluster.MustNew(&pcfg, 6, 1<<30)
+	cls := clustertest.MustNew(&pcfg, 6, 1<<30)
 	opts := lite.DefaultOptions()
 	opts.HeartbeatInterval = 100 * time.Microsecond
 	opts.HeartbeatTimeout = 300 * time.Microsecond

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"lite/internal/apps/kvstore"
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/faults"
 	"lite/internal/lite"
 	"lite/internal/params"
@@ -63,7 +63,7 @@ type onesidedChaosOutcome struct {
 func runOneSidedChaos(t *testing.T, seed uint64, fc onesidedFault) onesidedChaosOutcome {
 	t.Helper()
 	pcfg := params.Default()
-	cls := cluster.MustNew(&pcfg, 5, 1<<30)
+	cls := clustertest.MustNew(&pcfg, 5, 1<<30)
 	opts := lite.DefaultOptions()
 	opts.HeartbeatInterval = 100 * time.Microsecond
 	opts.HeartbeatTimeout = 300 * time.Microsecond

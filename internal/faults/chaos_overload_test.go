@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/faults"
 	"lite/internal/lite"
 	"lite/internal/params"
@@ -37,7 +37,7 @@ const chaosOvFn = lite.FirstUserFunc + 3
 func runChaosOverload(t *testing.T, seed uint64) overloadOutcome {
 	t.Helper()
 	pcfg := params.Default()
-	cls := cluster.MustNew(&pcfg, 4, 1<<30)
+	cls := clustertest.MustNew(&pcfg, 4, 1<<30)
 	opts := lite.DefaultOptions()
 	opts.HeartbeatInterval = 100 * time.Microsecond
 	opts.HeartbeatTimeout = 300 * time.Microsecond

@@ -10,7 +10,7 @@ import (
 
 	"lite/internal/apps/kvstore"
 	"lite/internal/apps/mapreduce"
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/faults"
 	"lite/internal/lite"
 	"lite/internal/params"
@@ -57,7 +57,7 @@ func runChaos(t *testing.T, seed uint64) chaosOutcome {
 	t.Helper()
 	input := workload.NewCorpus(42, 300).Generate(40000)
 	pcfg := params.Default()
-	cls := cluster.MustNew(&pcfg, 5, 1<<30)
+	cls := clustertest.MustNew(&pcfg, 5, 1<<30)
 	opts := lite.DefaultOptions()
 	opts.HeartbeatInterval = 100 * time.Microsecond
 	opts.HeartbeatTimeout = 300 * time.Microsecond

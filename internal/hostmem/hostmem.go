@@ -141,9 +141,6 @@ func (m *Memory) PageSize() int64 { return m.pageSize }
 // TotalBytes returns the physical memory size.
 func (m *Memory) TotalBytes() int64 { return m.totalPages * m.pageSize }
 
-// AllocatedBytes returns the bytes currently allocated.
-func (m *Memory) AllocatedBytes() int64 { return m.allocated * m.pageSize }
-
 // ResidentBytes returns the bytes of page contents the memory holds:
 // a page size per dense page plus 256 bytes per line of a sparse page.
 // Allocated memory that was never written holds nothing.
@@ -304,11 +301,6 @@ func (m *Memory) Unpin(pa PAddr, n int64) error {
 		}
 	}
 	return nil
-}
-
-// Pinned reports whether the page containing pa is pinned.
-func (m *Memory) Pinned(pa PAddr) bool {
-	return m.pins[int64(pa)/m.pageSize] > 0
 }
 
 func (m *Memory) pageSpan(pa PAddr, n int64) (start, count int64, err error) {
@@ -541,26 +533,6 @@ func (as *AddressSpace) Map(n int64) (VAddr, error) {
 	return VAddr(base), nil
 }
 
-// Unmap releases the mapping and physical memory of [va, va+n).
-func (as *AddressSpace) Unmap(va VAddr, n int64) error {
-	if n <= 0 {
-		return ErrBadSize
-	}
-	pages := as.mem.pagesFor(n)
-	vp := int64(va) / as.mem.pageSize
-	for i := int64(0); i < pages; i++ {
-		f, ok := as.table[vp+i]
-		if !ok {
-			return ErrBadAddress
-		}
-		if err := as.mem.Free(PAddr(f*as.mem.pageSize), as.mem.pageSize); err != nil {
-			return err
-		}
-		delete(as.table, vp+i)
-	}
-	return nil
-}
-
 // Translate returns the physical address backing va. The translation
 // is only valid to the end of va's page.
 func (as *AddressSpace) Translate(va VAddr) (PAddr, error) {
@@ -569,12 +541,6 @@ func (as *AddressSpace) Translate(va VAddr) (PAddr, error) {
 		return 0, ErrBadAddress
 	}
 	return PAddr(f*as.mem.pageSize + int64(va)%as.mem.pageSize), nil
-}
-
-// Mapped reports whether va's page is mapped.
-func (as *AddressSpace) Mapped(va VAddr) bool {
-	_, ok := as.table[int64(va)/as.mem.pageSize]
-	return ok
 }
 
 // WriteV copies data into the address space at va, page by page.

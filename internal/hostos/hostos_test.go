@@ -80,7 +80,7 @@ func TestAdaptiveWaitSleepPhase(t *testing.T) {
 	// charged, the sleep is free, and one wakeup latency is paid.
 	cfg := params.Default()
 	os := New(&cfg)
-	reg := obs.NewRegistry(0)
+	reg := obs.NewDomain(1).Node(0)
 	os.SetObs(reg)
 	env := simtime.NewEnv()
 	acct := &simtime.CPUAccount{}
@@ -101,7 +101,7 @@ func TestAdaptiveWaitSleepPhase(t *testing.T) {
 	if acct.Busy() != want {
 		t.Fatalf("cpu = %v, want %v (only window + wakeup charged)", acct.Busy(), want)
 	}
-	if n := reg.Counter("hostos.wait.slept").Value(); n != 1 {
+	if n := reg.Snapshot().Counters["hostos.wait.slept"]; n != 1 {
 		t.Errorf("hostos.wait.slept = %d, want 1", n)
 	}
 }
@@ -109,7 +109,7 @@ func TestAdaptiveWaitSleepPhase(t *testing.T) {
 func TestAdaptiveWaitAlreadyReady(t *testing.T) {
 	cfg := params.Default()
 	os := New(&cfg)
-	reg := obs.NewRegistry(0)
+	reg := obs.NewDomain(1).Node(0)
 	os.SetObs(reg)
 	env := simtime.NewEnv()
 	var f flag
@@ -122,7 +122,7 @@ func TestAdaptiveWaitAlreadyReady(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.Counter("hostos.wait.immediate").Value(); n != 1 {
+	if n := reg.Snapshot().Counters["hostos.wait.immediate"]; n != 1 {
 		t.Errorf("hostos.wait.immediate = %d, want 1", n)
 	}
 }

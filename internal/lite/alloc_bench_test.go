@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"lite/internal/allocbudget"
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/params"
 	"lite/internal/simtime"
 )
@@ -13,7 +13,7 @@ import (
 // echoes FirstUserFunc; call performs one 64 B LT_RPC round trip.
 func rpcEcho(tb testing.TB, client func(p *simtime.Proc, call func())) {
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 2, 1<<30)
+	cls := clustertest.MustNew(&cfg, 2, 1<<30)
 	dep, err := Start(cls, DefaultOptions())
 	if err != nil {
 		tb.Fatal(err)
@@ -94,7 +94,7 @@ func TestRPCRoundTripAllocBudget(t *testing.T) {
 func remote64K(tb testing.TB, client func(p *simtime.Proc, read, write func())) {
 	const size = 64 << 10
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 2, 1<<30)
+	cls := clustertest.MustNew(&cfg, 2, 1<<30)
 	dep, err := Start(cls, DefaultOptions())
 	if err != nil {
 		tb.Fatal(err)

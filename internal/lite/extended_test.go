@@ -86,7 +86,7 @@ func TestMoveLMR(t *testing.T) {
 		if err := c.Write(p, h, 0, data); err != nil {
 			t.Fatal(err)
 		}
-		node1Before := cls.Nodes[1].Mem.AllocatedBytes()
+		node1Before := cls.Nodes[1].Mem.MaxContiguousRun()
 		if err := c.Move(p, h, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestMoveLMR(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatal("data lost in move")
 		}
-		if cls.Nodes[1].Mem.AllocatedBytes() >= node1Before {
+		if cls.Nodes[1].Mem.MaxContiguousRun() <= node1Before {
 			t.Fatal("old home still holds the chunks")
 		}
 	})
@@ -164,41 +164,6 @@ func TestGrantMasterRole(t *testing.T) {
 	run(t, cls)
 }
 
-func TestRegisterLMRFromExistingMemory(t *testing.T) {
-	// Masters may register already-allocated memory as an LMR (§4.1).
-	cls, dep := testDep(t, 2)
-	cls.GoOn(0, "owner", func(p *simtime.Proc) {
-		pa, err := cls.Nodes[0].Mem.AllocContiguous(8192)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cls.Nodes[0].Mem.Write(pa, []byte("pre-existing")); err != nil {
-			t.Fatal(err)
-		}
-		c := dep.Instance(0).KernelClient()
-		_, err = c.RegisterLMR(p, pa, 8192, "pre", PermRead)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	cls.GoOn(1, "reader", func(p *simtime.Proc) {
-		p.Sleep(50 * time.Microsecond)
-		c := dep.Instance(1).KernelClient()
-		h, err := c.Map(p, "pre")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, 12)
-		if err := c.Read(p, h, 0, got); err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != "pre-existing" {
-			t.Fatalf("got %q", got)
-		}
-	})
-	run(t, cls)
-}
-
 func TestUserLevelOpsPaySyscalls(t *testing.T) {
 	cls, dep := testDep(t, 2)
 	cls.GoOn(0, "app", func(p *simtime.Proc) {
@@ -244,6 +209,41 @@ func TestNameCollision(t *testing.T) {
 		c := dep.Instance(1).KernelClient()
 		if _, err := c.Malloc(p, 4096, "dup", PermRead); err != ErrNameTaken {
 			t.Fatalf("remote err = %v, want ErrNameTaken", err)
+		}
+	})
+	run(t, cls)
+}
+
+func TestRegisterLMRFromExistingMemory(t *testing.T) {
+	// Masters may register already-allocated memory as an LMR (§4.1).
+	cls, dep := testDep(t, 2)
+	cls.GoOn(0, "owner", func(p *simtime.Proc) {
+		pa, err := cls.Nodes[0].Mem.AllocContiguous(8192)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cls.Nodes[0].Mem.Write(pa, []byte("pre-existing")); err != nil {
+			t.Fatal(err)
+		}
+		c := dep.Instance(0).KernelClient()
+		_, err = c.RegisterLMR(p, pa, 8192, "pre", PermRead)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	cls.GoOn(1, "reader", func(p *simtime.Proc) {
+		p.Sleep(50 * time.Microsecond)
+		c := dep.Instance(1).KernelClient()
+		h, err := c.Map(p, "pre")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 12)
+		if err := c.Read(p, h, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != "pre-existing" {
+			t.Fatalf("got %q", got)
 		}
 	})
 	run(t, cls)

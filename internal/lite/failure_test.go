@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/params"
 	"lite/internal/simtime"
 )
@@ -14,7 +15,7 @@ import (
 func testDepOpts(t *testing.T, n int, opts Options) (*cluster.Cluster, *Deployment) {
 	t.Helper()
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, n, 1<<30)
+	cls := clustertest.MustNew(&cfg, n, 1<<30)
 	dep, err := Start(cls, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +173,7 @@ func TestHeartbeatDeclaresDeadAndRevives(t *testing.T) {
 		if _, err := c.RPC(p, 2, echoFn, []byte("warm"), 32); err != nil {
 			t.Fatal(err)
 		}
-		epoch0 := dep.ManagerEpoch()
+		epoch0 := dep.memb.epoch
 		cls.Fab.SetNodeDown(2)
 		down := p.Now()
 		deadline := p.Now() + 20*time.Millisecond
@@ -186,8 +187,8 @@ func TestHeartbeatDeclaresDeadAndRevives(t *testing.T) {
 		if el := p.Now() - down; el < heartbeatMiss*dep.opts.HeartbeatTimeout {
 			t.Fatalf("node 2 declared dead %v after it went down, before %d keepalives could time out", el, heartbeatMiss)
 		}
-		if dep.ManagerEpoch() <= epoch0 {
-			t.Fatalf("epoch not bumped: %d -> %d", epoch0, dep.ManagerEpoch())
+		if dep.memb.epoch <= epoch0 {
+			t.Fatalf("epoch not bumped: %d -> %d", epoch0, dep.memb.epoch)
 		}
 		// The epoch broadcast reaches other live instances too.
 		for !dep.Instance(1).NodeDead(2) {
@@ -206,7 +207,7 @@ func TestHeartbeatDeclaresDeadAndRevives(t *testing.T) {
 		}
 		// The node comes back; a successful probe revives it and the
 		// epoch advances again.
-		epochDead := dep.ManagerEpoch()
+		epochDead := dep.memb.epoch
 		cls.Fab.SetNodeUp(2)
 		deadline = p.Now() + 20*time.Millisecond
 		for dep.Instance(0).NodeDead(2) {
@@ -215,7 +216,7 @@ func TestHeartbeatDeclaresDeadAndRevives(t *testing.T) {
 			}
 			p.Sleep(100 * time.Microsecond)
 		}
-		if dep.ManagerEpoch() <= epochDead {
+		if dep.memb.epoch <= epochDead {
 			t.Fatal("revival did not bump the epoch")
 		}
 		out, err := c.RPCRetry(p, 2, echoFn, []byte("back"), 32)
@@ -233,9 +234,11 @@ func TestRPCRetryRidesOutLinkFlap(t *testing.T) {
 	startEchoServer(cls, dep, 1, 1)
 	cls.GoDaemonOn(0, "flap", func(p *simtime.Proc) {
 		p.Sleep(50 * time.Microsecond)
-		cls.Fab.Partition([]int{0}, []int{1})
+		cls.Fab.SetLinkDown(0, 1)
+		cls.Fab.SetLinkDown(1, 0)
 		p.Sleep(3 * time.Millisecond)
-		cls.Fab.HealPartition([]int{0}, []int{1})
+		cls.Fab.SetLinkUp(0, 1)
+		cls.Fab.SetLinkUp(1, 0)
 	})
 	cls.GoOn(0, "client", func(p *simtime.Proc) {
 		c := dep.Instance(0).KernelClient()
@@ -314,7 +317,7 @@ func TestCrashNodeFailsCallersAndRestartRejoins(t *testing.T) {
 		for !dep.Instance(0).NodeDead(2) {
 			p.Sleep(100 * time.Microsecond)
 		}
-		epochDead := dep.ManagerEpoch()
+		epochDead := dep.memb.epoch
 		cls.RestartNode(p, 2)
 		deadline := p.Now() + 30*time.Millisecond
 		for dep.Instance(0).NodeDead(2) {
@@ -323,7 +326,7 @@ func TestCrashNodeFailsCallersAndRestartRejoins(t *testing.T) {
 			}
 			p.Sleep(200 * time.Microsecond)
 		}
-		if dep.ManagerEpoch() <= epochDead {
+		if dep.memb.epoch <= epochDead {
 			t.Fatal("rejoin did not bump the epoch")
 		}
 		out, err := c.RPCRetry(p, 2, echoFn, []byte("again"), 32)

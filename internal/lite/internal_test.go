@@ -171,7 +171,7 @@ func TestAtomicTimesOutOnPartition(t *testing.T) {
 // pollerCPU is the virtual CPU node's shared poller has been charged
 // since observability was enabled.
 func pollerCPU(dom *obs.Domain, node int) simtime.Time {
-	return simtime.Time(dom.Node(node).Counter("cpu.lite-poller").Value())
+	return simtime.Time(dom.Node(node).Snapshot().Counters["cpu.lite-poller"])
 }
 
 func TestPollerCPUAccounted(t *testing.T) {
@@ -216,7 +216,7 @@ func TestAdaptiveWaitDeadline(t *testing.T) {
 	cls.GoOn(0, "waiter", func(p *simtime.Proc) {
 		var cond simtime.Cond
 		start := p.Now()
-		ok := inst.OS().AdaptiveWait(p, &cond, func() bool { return false }, p.Now()+50*time.Microsecond)
+		ok := inst.node.OS.AdaptiveWait(p, &cond, func() bool { return false }, p.Now()+50*time.Microsecond)
 		if ok {
 			t.Fatal("wait succeeded without the predicate holding")
 		}

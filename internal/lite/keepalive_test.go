@@ -131,7 +131,8 @@ func TestStalledNotifierCausesNoFalseDeath(t *testing.T) {
 		for _, sig := range srv.qpSig[2] {
 			queued = queued || sig.sq.queued() > 0
 		}
-		idle = srv.headUpd.Len() == 0
+		_, pending := srv.headUpd.TryRecv(p)
+		idle = !pending
 		p.Sleep(6 * time.Millisecond)
 	})
 	run(t, cls)

@@ -70,9 +70,6 @@ func (i *Instance) LeaseSpares(dst int) int {
 	return i.lease.spares[dst]
 }
 
-// LeaseTarget reports the configured spare-connection target per peer.
-func (i *Instance) LeaseTarget() int { return i.lease.want }
-
 // ConnectPeer (re-)establishes this node's shared-QP connectivity to
 // dst: each of the K shared QPs is either leased from the connection
 // pool (Params.QPLeaseGrant each) or cold-connected through the full

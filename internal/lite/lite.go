@@ -26,7 +26,6 @@ import (
 
 	"lite/internal/cluster"
 	"lite/internal/hostmem"
-	"lite/internal/hostos"
 	"lite/internal/params"
 	"lite/internal/rnic"
 	"lite/internal/simtime"
@@ -443,7 +442,6 @@ func Start(cls *cluster.Cluster, opts Options) (*Deployment, error) {
 		if err != nil {
 			return nil, err
 		}
-		mr.SetOwner("lite/global")
 		inst.globalMR = mr
 		inst.sendCQ = nd.NIC.CreateCQ()
 		inst.sendDisp = verbs.NewDispatcher(inst.sendCQ)
@@ -565,27 +563,6 @@ func (d *Deployment) CheckSendQueues() error {
 	}
 	return nil
 }
-
-// Instance accessors.
-
-// NodeID returns the node this instance runs on.
-func (i *Instance) NodeID() int { return i.node.ID }
-
-// Deployment returns the owning deployment.
-func (i *Instance) Deployment() *Deployment { return i.dep }
-
-// QPCount returns the number of shared queue pairs this node holds
-// (the paper's K×N; §6.1).
-func (i *Instance) QPCount() int {
-	c := 0
-	for _, qs := range i.qpSig {
-		c += len(qs)
-	}
-	return c
-}
-
-// OS returns the node's OS boundary.
-func (i *Instance) OS() *hostos.OS { return i.node.OS }
 
 // Instance returns the deployment's instance at the given node.
 func (d *Deployment) Instance(node int) *Instance { return d.Instances[node] }

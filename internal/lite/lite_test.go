@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/params"
 	"lite/internal/simtime"
 )
@@ -14,7 +15,7 @@ import (
 func testDep(t *testing.T, n int) (*cluster.Cluster, *Deployment) {
 	t.Helper()
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, n, 1<<30)
+	cls := clustertest.MustNew(&cfg, n, 1<<30)
 	dep, err := Start(cls, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

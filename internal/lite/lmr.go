@@ -204,8 +204,8 @@ func (i *Instance) registerName(p *simtime.Proc, ls *lmrState, pri Priority) err
 	return i.ctlRegName(p, ls, pri)
 }
 
-// RegisterLMR registers already-allocated physically contiguous memory
-// as an LMR (masters may do this per §4.1).
+// registerLMRInternal registers already-allocated physically
+// contiguous memory as an LMR (masters may do this per §4.1).
 func (i *Instance) registerLMRInternal(p *simtime.Proc, pa hostmem.PAddr, size int64, name string, defPerm Perm, pri Priority, ten uint16) (LH, error) {
 	p.Work(i.cfg.LITECheck)
 	ls := &lmrState{

@@ -66,9 +66,6 @@ func (i *Instance) NodeDead(node int) bool {
 // MembershipEpoch returns the membership epoch this instance has seen.
 func (i *Instance) MembershipEpoch() uint64 { return i.epoch }
 
-// ManagerEpoch returns the manager's authoritative epoch.
-func (d *Deployment) ManagerEpoch() uint64 { return d.memb.epoch }
-
 // proberLoop runs on the manager node, one daemon per probed peer.
 //
 // With ProbeStagger set, each prober's phase is offset by a

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/load"
 	"lite/internal/params"
 	"lite/internal/simtime"
@@ -32,7 +32,7 @@ func TestRingBytesBoundary(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := params.Default()
-			cls := cluster.MustNew(&cfg, 2, 1<<30)
+			cls := clustertest.MustNew(&cfg, 2, 1<<30)
 			opts := DefaultOptions()
 			opts.RingBytes = tc.ring
 			_, err := Start(cls, opts)
@@ -53,7 +53,7 @@ func TestRingBytesBoundary(t *testing.T) {
 // executing the handler twice.
 func TestRPCDedupDropReply(t *testing.T) {
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 2, 1<<30)
+	cls := clustertest.MustNew(&cfg, 2, 1<<30)
 	opts := DefaultOptions()
 	opts.RPCTimeout = 200 * time.Microsecond
 	opts.RetryBackoff = 20 * time.Microsecond
@@ -118,7 +118,7 @@ func TestRPCDedupDropReply(t *testing.T) {
 // aging into the RPC timeout.
 func TestAdmissionShedsFast(t *testing.T) {
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 2, 1<<30)
+	cls := clustertest.MustNew(&cfg, 2, 1<<30)
 	opts := DefaultOptions()
 	opts.AdmissionHighWater = 2
 	dep, err := Start(cls, opts)
@@ -167,7 +167,7 @@ func TestAdmissionShedsFast(t *testing.T) {
 // ambiguous timeouts — and succeeds once the server drains.
 func TestRetryOverloadBacksOff(t *testing.T) {
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 2, 1<<30)
+	cls := clustertest.MustNew(&cfg, 2, 1<<30)
 	dom := cls.EnableObs()
 	opts := DefaultOptions()
 	opts.AdmissionHighWater = 1
@@ -245,7 +245,7 @@ func runFairnessWorkload(t *testing.T, seed uint64, shared bool) []*load.Result 
 		rate    = 2.0
 	)
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, clients+1, 1<<30)
+	cls := clustertest.MustNew(&cfg, clients+1, 1<<30)
 	opts := DefaultOptions()
 	opts.RPCTimeout = 200 * time.Microsecond
 	opts.RetryBackoff = 20 * time.Microsecond

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/params"
 	"lite/internal/simtime"
 )
@@ -13,7 +14,7 @@ import (
 func testDepQPs(t *testing.T, n, k int) (*cluster.Cluster, *Deployment) {
 	t.Helper()
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, n, 1<<30)
+	cls := clustertest.MustNew(&cfg, n, 1<<30)
 	opts := DefaultOptions()
 	opts.QPsPerPair = k
 	dep, err := Start(cls, opts)

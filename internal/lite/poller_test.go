@@ -64,7 +64,7 @@ func runPollerScenario(t *testing.T, user bool, gap, delay, ping simtime.Time) (
 			})
 		}
 		p.Sleep(gap)
-		count := func(name string) int64 { return dom.Node(0).Counter(name).Value() }
+		count := func(name string) int64 { return dom.Node(0).Snapshot().Counters[name] }
 		sleeps0, prewakes0 := count("lite.poller.sleeps"), count("lite.poller.prewakes")
 		polled0, poll0 := count("lite.poller.caller_polled"), pollerCPU(dom, 0)
 		r.asleepAtCall = inst.pollerAsleep
@@ -196,7 +196,7 @@ func TestUserCallWhileCallerPollsKeepsPollerAwake(t *testing.T) {
 				}
 			}
 			p.Sleep(200 * time.Microsecond) // the poller is asleep
-			prewakes0 := dom.Node(0).Counter("lite.poller.prewakes").Value()
+			prewakes0 := dom.Node(0).Snapshot().Counters["lite.poller.prewakes"]
 			cls.GoOn(0, "user-caller", func(q *simtime.Proc) {
 				q.Sleep(d)
 				t0 := q.Now()
@@ -204,7 +204,7 @@ func TestUserCallWhileCallerPollsKeepsPollerAwake(t *testing.T) {
 					t.Error(err)
 				}
 				lat = q.Now() - t0
-				prewakes = dom.Node(0).Counter("lite.poller.prewakes").Value() - prewakes0
+				prewakes = dom.Node(0).Snapshot().Counters["lite.poller.prewakes"] - prewakes0
 			})
 			if _, err := k.RPC(p, 1, echoFn, []byte("kernel"), 64); err != nil {
 				t.Error(err)

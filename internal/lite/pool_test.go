@@ -93,20 +93,20 @@ func TestOneWorkerStaysWarm(t *testing.T) {
 	inst := dep.Instance(node)
 	var served []servedCall
 	serveLog(t, inst, workers, handler, &served)
-	cpu := dom.Node(node).Counter("cpu.lite-serve")
+	cpu := func() int64 { return dom.Node(node).Snapshot().Counters["cpu.lite-serve"] }
 	var cpu0, cpu1 int64
 	var sent []simtime.Time
 	cls.GoOn(node, "driver", func(p *simtime.Proc) {
 		p.Sleep(20 * time.Microsecond)
 		for k := 0; k < calls; k++ {
 			if k == settle {
-				cpu0 = cpu.Value()
+				cpu0 = cpu()
 			}
 			sent = append(sent, p.Now())
 			dispatchLocal(inst)
 			p.Sleep(period)
 		}
-		cpu1 = cpu.Value()
+		cpu1 = cpu()
 	})
 	run(t, cls)
 	if len(served) != calls {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/params"
 	"lite/internal/simtime"
 )
@@ -56,7 +57,7 @@ func heldSlots(inst *Instance, dst int) (held, lazy int) {
 // one doorbell, a change of node starts the next chain.
 func TestReadVMatchesReads(t *testing.T) {
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 3, 1<<30)
+	cls := clustertest.MustNew(&cfg, 3, 1<<30)
 	opts := DefaultOptions()
 	opts.MaxChunkBytes = 4096 // so a 16 KB LMR on {1,2} alternates nodes
 	dep, err := Start(cls, opts)
@@ -152,7 +153,7 @@ func TestReadVPerSegmentErrors(t *testing.T) {
 		for _, tc := range cases {
 			for _, pos := range []int{0, 1} { // bad segment first, then last
 				first := ReadSeg{good, 0, make([]byte, 16)}
-				if tc.c.Tenant() != 0 {
+				if tc.c.tenant != 0 {
 					first = ReadSeg{owned, 0, nil} // a tenant cannot name the kernel's handle either
 				}
 				segs := []ReadSeg{first, tc.bad}

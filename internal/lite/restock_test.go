@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/params"
 	"lite/internal/simtime"
 )
@@ -22,7 +22,7 @@ func TestRestockNeverStrandsAQP(t *testing.T) {
 		rounds  = 40
 	)
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, nodes, 1<<30)
+	cls := clustertest.MustNew(&cfg, nodes, 1<<30)
 	cls.EnableObs() // before Start, so the boot-time fill is counted too
 	opts := DefaultOptions()
 	opts.RecvBatch = 16 // low water 8: the burst crosses it many times per QP
@@ -71,7 +71,7 @@ func TestRestockNeverStrandsAQP(t *testing.T) {
 		}
 		// Every op the burst delivers to a NIC is a write-imm, and each
 		// consumes exactly one posted receive.
-		restocked := cls.Nodes[node].Obs.Counter("lite.recv_restock.posted").Value()
+		restocked := cls.Nodes[node].Obs.Snapshot().Counters["lite.recv_restock.posted"]
 		consumed := inst.node.NIC.OpsDelivered
 		if restocked-consumed != posted {
 			t.Errorf("node %d: posted %d receives, NIC consumed %d, QPs hold %d (want posted - consumed)", node, restocked, consumed, posted)

@@ -1103,17 +1103,6 @@ func (i *Instance) recvInternal(p *simtime.Proc) (Message, error) {
 	return Message{Src: call.Src, Data: call.Input}, nil
 }
 
-// tryRecvInternal returns a queued message without blocking.
-func (i *Instance) tryRecvInternal(p *simtime.Proc) (Message, bool) {
-	f := i.funcs[funcMsg]
-	if f.queue.len() == 0 {
-		return Message{}, false
-	}
-	call := f.queue.pop()
-	i.memcpyCost(p, int64(len(call.Input)))
-	return Message{Src: call.Src, Data: call.Input}, true
-}
-
 // ---- shared polling thread (§5.1) ----
 
 // pollerHandleCost is the software cost of demultiplexing one CQE in

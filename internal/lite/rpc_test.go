@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/params"
 	"lite/internal/simtime"
 )
@@ -129,7 +130,7 @@ func TestRPCManyClients(t *testing.T) {
 func TestRPCRingWrapAndFlowControl(t *testing.T) {
 	// A tiny ring forces wraparound and head-update flow control.
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 2, 1<<30)
+	cls := clustertest.MustNew(&cfg, 2, 1<<30)
 	opts := DefaultOptions()
 	opts.RingBytes = 4096
 	dep, err := Start(cls, opts)
@@ -426,7 +427,7 @@ func TestSWPriThrottlesLowPriority(t *testing.T) {
 
 func TestHWSepPartitionsQPs(t *testing.T) {
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 2, 1<<30)
+	cls := clustertest.MustNew(&cfg, 2, 1<<30)
 	opts := DefaultOptions()
 	opts.QPsPerPair = 4
 	dep, err := Start(cls, opts)

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/params"
 	"lite/internal/simtime"
 )
@@ -77,7 +77,7 @@ type leaseStormOutcome struct {
 func runLeaseStorm(t *testing.T) leaseStormOutcome {
 	t.Helper()
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 8, 1<<30)
+	cls := clustertest.MustNew(&cfg, 8, 1<<30)
 	opts := DefaultOptions()
 	opts.HeartbeatInterval = 100 * time.Microsecond
 	opts.HeartbeatTimeout = 300 * time.Microsecond
@@ -120,7 +120,7 @@ func runLeaseStorm(t *testing.T) leaseStormOutcome {
 		// empty until the next ConnectPeer paid the cold cost inline.
 		p.SleepUntil(9 * time.Millisecond)
 		for _, v := range victims {
-			if got, want := survivor.LeaseSpares(v), survivor.LeaseTarget(); got != want {
+			if got, want := survivor.LeaseSpares(v), survivor.lease.want; got != want {
 				t.Errorf("spares toward revived node %d = %d, want %d (replenisher re-armed)", v, got, want)
 			}
 		}

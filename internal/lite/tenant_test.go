@@ -5,7 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/params"
 	"lite/internal/simtime"
 )
@@ -177,7 +177,7 @@ func TestTenantRPCCarriesTenantAndCounters(t *testing.T) {
 // ticks its per-tenant admitted counter on the serving node.
 func TestTenantAdmittedCounter(t *testing.T) {
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 2, 1<<30)
+	cls := clustertest.MustNew(&cfg, 2, 1<<30)
 	opts := DefaultOptions()
 	opts.AdmissionHighWater = 64
 	dep, err := Start(cls, opts)
@@ -212,11 +212,16 @@ func TestTenantQPScaling(t *testing.T) {
 	if perNode != want {
 		t.Fatalf("mesh QPs = %d, want n(n-1) x K = %d", perNode, want)
 	}
-	before := cls.Nodes[0].NIC.QPCount()
+	// Lite tags its shared mesh; every other QP is untagged.
+	qps := func() int {
+		nic := cls.Nodes[0].NIC
+		return nic.QPCountByOwner("lite/shared-mesh") + nic.QPCountByOwner("")
+	}
+	before := qps()
 	for ten := uint16(1); ten <= 100; ten++ {
 		_ = dep.Instance(0).TenantClient(ten)
 	}
-	if got := cls.Nodes[0].NIC.QPCount(); got != before {
+	if got := qps(); got != before {
 		t.Fatalf("QP count moved %d -> %d after 100 tenants; must scale with nodes, not tenants", before, got)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/obs"
 	"lite/internal/params"
 	"lite/internal/simtime"
@@ -55,18 +55,18 @@ func TestPoissonAscendingAndRate(t *testing.T) {
 }
 
 // runSynthetic drives the generator against a synthetic service: a
-// single-worker queue simulated with a mutex, each request costing a
+// single-worker queue simulated with a one-permit semaphore, each request costing a
 // fixed service time. Everything is virtual-time deterministic.
 func runSynthetic(t *testing.T, seed uint64) *Result {
 	t.Helper()
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 1, 1<<20)
-	var mu simtime.Mutex
+	cls := clustertest.MustNew(&cfg, 1, 1<<20)
+	worker := simtime.NewSemaphore(1)
 	sched := Poisson(seed, 1.0, 400, simtime.Time(10*time.Microsecond))
 	res := Run(cls, 0, sched, func(p *simtime.Proc, k int) Status {
-		mu.Lock(p)
+		worker.Acquire(p)
 		p.Work(800 * time.Nanosecond)
-		mu.Unlock(p)
+		worker.Release(p.Env())
 		return StatusOK
 	})
 	if err := cls.Run(); err != nil {

@@ -24,17 +24,6 @@ import (
 // consumed the same seed in Poisson.
 const splitMix = 0x9e3779b97f4a7c15
 
-// SplitPoisson splits an aggregate Poisson schedule evenly across
-// issuers sub-streams. Equivalent to SplitPoissonWeighted with equal
-// weights.
-func SplitPoisson(seed uint64, ratePerUs float64, n int, start simtime.Time, issuers int) []Schedule {
-	w := make([]float64, issuers)
-	for i := range w {
-		w[i] = 1
-	}
-	return SplitPoissonWeighted(seed, ratePerUs, n, start, w)
-}
-
 // SplitPoissonWeighted splits an aggregate Poisson(seed, ratePerUs, n,
 // start) schedule across len(weights) sub-streams, assigning each
 // arrival to issuer i with probability weights[i]/sum(weights). The

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/params"
 	"lite/internal/simtime"
 )
@@ -49,7 +49,7 @@ func TestSplitPoissonDeterministic(t *testing.T) {
 func TestSplitPoissonUnionIsAggregate(t *testing.T) {
 	start := simtime.Time(10 * time.Microsecond)
 	agg := Poisson(7, 1.5, 3000, start)
-	split := SplitPoisson(7, 1.5, 3000, start, 4)
+	split := SplitPoissonWeighted(7, 1.5, 3000, start, []float64{1, 1, 1, 1})
 	// Merging the sub-streams in time order must reproduce the
 	// aggregate schedule arrival for arrival: the split only deals out
 	// instants, it never moves or drops them.
@@ -113,13 +113,13 @@ func TestSplitPoissonRejectsBadWeights(t *testing.T) {
 func runMultiSynthetic(t *testing.T, seed uint64) []*Result {
 	t.Helper()
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 3, 1<<20)
-	var mu simtime.Mutex
+	cls := clustertest.MustNew(&cfg, 3, 1<<20)
+	worker := simtime.NewSemaphore(1)
 	scheds := SplitPoissonWeighted(seed, 1.0, 400, simtime.Time(10*time.Microsecond), []float64{2, 1, 1})
 	res := RunMulti(cls, []int{0, 1, 2}, scheds, func(p *simtime.Proc, issuer, k int) Status {
-		mu.Lock(p)
+		worker.Acquire(p)
 		p.Work(800 * time.Nanosecond)
-		mu.Unlock(p)
+		worker.Release(p.Env())
 		return StatusOK
 	})
 	if err := cls.Run(); err != nil {
@@ -153,7 +153,7 @@ func TestRunMultiDeterministic(t *testing.T) {
 
 func TestRunMultiRejectsMismatch(t *testing.T) {
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 2, 1<<20)
+	cls := clustertest.MustNew(&cfg, 2, 1<<20)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mismatched nodes/schedules did not panic")

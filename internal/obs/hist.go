@@ -8,7 +8,6 @@ package obs
 // quantiles of a merged histogram equal quantiles of the combined
 // stream up to bucket resolution.
 type Histogram struct {
-	name    string
 	count   int64
 	sum     Time
 	min     Time
@@ -58,14 +57,6 @@ func (h *Histogram) Record(d Time) {
 	h.count++
 	h.sum += d
 	h.buckets[bucketOf(d)]++
-}
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
 }
 
 // Count returns the number of observations.

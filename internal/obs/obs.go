@@ -32,8 +32,7 @@ type Time = time.Duration
 
 // Counter is a monotonically updated typed counter.
 type Counter struct {
-	name string
-	v    int64
+	v int64
 }
 
 // Add increments the counter. Safe on a nil receiver.
@@ -41,25 +40,6 @@ func (c *Counter) Add(n int64) {
 	if c != nil {
 		c.v += n
 	}
-}
-
-// Inc adds one. Safe on a nil receiver.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count; zero on a nil receiver.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
 }
 
 // idGen hands out span ids; one is shared by all registries of a
@@ -72,7 +52,7 @@ func (g *idGen) id() uint64 {
 }
 
 // Registry is one node's metric and span sink. The zero value is not
-// usable; construct with NewRegistry or through a Domain. All methods
+// usable; construct one through a Domain. All methods
 // are safe (and free) on a nil receiver — a nil *Registry IS the
 // disabled state.
 type Registry struct {
@@ -88,32 +68,6 @@ type Registry struct {
 	spans   []*Span
 }
 
-// NewRegistry returns a standalone registry for the given node id
-// (cluster layers use a Domain instead; standalone registries serve
-// unit tests and single-component setups).
-func NewRegistry(node int) *Registry {
-	tracing := false
-	return &Registry{
-		node:     node,
-		ids:      &idGen{},
-		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Histogram),
-		tracing:  &tracing,
-	}
-}
-
-// Node returns the node id this registry reports for.
-func (r *Registry) Node() int {
-	if r == nil {
-		return -1
-	}
-	return r.node
-}
-
-// Enabled reports whether metrics are being collected (false exactly
-// when the receiver is nil).
-func (r *Registry) Enabled() bool { return r != nil }
-
 // Counter returns (creating on first use) the named counter; nil on a
 // nil registry, so chained Counter(...).Add(...) is always safe.
 func (r *Registry) Counter(name string) *Counter {
@@ -123,7 +77,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &Counter{name: name}
+	c := &Counter{}
 	r.counters[name] = c
 	r.corder = append(r.corder, name)
 	return c
@@ -145,7 +99,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	h := &Histogram{name: name}
+	h := &Histogram{}
 	r.hists[name] = h
 	r.horder = append(r.horder, name)
 	return h
@@ -157,18 +111,6 @@ func (r *Registry) Observe(name string, d Time) {
 		r.Histogram(name).Record(d)
 	}
 }
-
-// EnableTracing turns span collection on for this registry (and, when
-// the registry belongs to a Domain, for all its siblings: the flag is
-// shared so a trace never has holes on some nodes).
-func (r *Registry) EnableTracing() {
-	if r != nil {
-		*r.tracing = true
-	}
-}
-
-// Tracing reports whether spans are being collected.
-func (r *Registry) Tracing() bool { return r != nil && *r.tracing }
 
 // Snapshot returns a deep copy of the registry's metric state.
 func (r *Registry) Snapshot() Snapshot {

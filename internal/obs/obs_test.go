@@ -11,13 +11,9 @@ func TestNilReceiversAreNoops(t *testing.T) {
 	// safe and side-effect free.
 	var r *Registry
 	r.Add("x", 3)
-	r.Counter("x").Inc()
+	r.Counter("x").Add(1)
 	r.Observe("h", time.Microsecond)
 	r.Histogram("h").Record(1)
-	r.EnableTracing()
-	if r.Tracing() || r.Enabled() {
-		t.Fatal("nil registry reports enabled")
-	}
 	s := r.StartSpan(0, "root", nil)
 	if s != nil {
 		t.Fatal("nil registry produced a span")
@@ -39,16 +35,10 @@ func TestNilReceiversAreNoops(t *testing.T) {
 }
 
 func TestCountersAndSnapshots(t *testing.T) {
-	r := NewRegistry(3)
+	r := NewDomain(4).Node(3)
 	r.Add("a", 2)
 	r.Add("a", 3)
-	r.Counter("b").Inc()
-	if v := r.Counter("a").Value(); v != 5 {
-		t.Fatalf("a = %d", v)
-	}
-	if r.Node() != 3 {
-		t.Fatalf("node = %d", r.Node())
-	}
+	r.Counter("b").Add(1)
 	snap := r.Snapshot()
 	r.Add("a", 100)
 	if snap.Counters["a"] != 5 || snap.Counters["b"] != 1 {
@@ -170,13 +160,16 @@ func TestSpanTreeAndHelpers(t *testing.T) {
 		}
 		seen[v.ID] = true
 	}
-	roots := Roots(spans)
-	if len(roots) != 1 || roots[0].Name != "rpc" {
-		t.Fatalf("roots = %+v", roots)
+	parent := map[string]string{}
+	names := map[uint64]string{}
+	for _, v := range spans {
+		names[v.ID] = v.Name
 	}
-	desc := Descendants(spans, roots[0].ID)
-	if len(desc) != 3 {
-		t.Fatalf("descendants = %d", len(desc))
+	for _, v := range spans {
+		parent[v.Name] = names[v.Parent]
+	}
+	if want := map[string]string{"rpc": "", "post": "rpc", "server": "rpc", "check": "server"}; !reflect.DeepEqual(parent, want) {
+		t.Fatalf("span parents = %v, want %v", parent, want)
 	}
 	sums := SumByName(spans)
 	if sums["rpc"] != 100 || sums["post"] != 10 || sums["server"] != 20 || sums["check"] != 5 {
@@ -229,10 +222,10 @@ func TestTracingDisabledRecordsNothing(t *testing.T) {
 	if s := r.StartSpan(0, "x", nil); s != nil {
 		t.Fatal("span recorded with tracing off")
 	}
-	// Enabling through any registry enables the whole domain.
-	r.EnableTracing()
-	if !d.Global().Tracing() {
-		t.Fatal("tracing flag not shared across the domain")
+	// Enabling the domain enables every registry in it.
+	d.EnableTracing()
+	if s := r.StartSpan(0, "x", nil); s == nil {
+		t.Fatal("no node span after enable")
 	}
 	if s := d.Global().StartSpan(0, "x", nil); s == nil {
 		t.Fatal("no span after enable")
@@ -255,7 +248,7 @@ func BenchmarkDisabled(b *testing.B) {
 // BenchmarkEnabledCounter is the reference point for the disabled
 // benchmark: the enabled hot path (existing counter) for comparison.
 func BenchmarkEnabledCounter(b *testing.B) {
-	r := NewRegistry(0)
+	r := NewDomain(1).Node(0)
 	r.Add("counter", 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -62,14 +62,6 @@ func (s *Span) Done(at Time) {
 	s.open = false
 }
 
-// ID returns the span's globally unique id (0 for nil).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // SpanView is the immutable, exported form of a closed span.
 type SpanView struct {
 	ID     uint64 `json:"id"`
@@ -110,41 +102,6 @@ func CountByName(spans []SpanView) map[string]int {
 	out := make(map[string]int)
 	for _, v := range spans {
 		out[v.Name]++
-	}
-	return out
-}
-
-// Descendants returns the spans (from the given set) in the subtree
-// rooted at id, excluding the root itself.
-func Descendants(spans []SpanView, id uint64) []SpanView {
-	children := make(map[uint64][]SpanView)
-	for _, v := range spans {
-		children[v.Parent] = append(children[v.Parent], v)
-	}
-	var out []SpanView
-	var walk func(uint64)
-	walk = func(p uint64) {
-		for _, c := range children[p] {
-			out = append(out, c)
-			walk(c.ID)
-		}
-	}
-	walk(id)
-	return out
-}
-
-// Roots returns the spans whose parent is absent from the set (true
-// roots, plus orphans whose parent was reset away).
-func Roots(spans []SpanView) []SpanView {
-	present := make(map[uint64]bool, len(spans))
-	for _, v := range spans {
-		present[v.ID] = true
-	}
-	var out []SpanView
-	for _, v := range spans {
-		if v.Parent == 0 || !present[v.Parent] {
-			out = append(out, v)
-		}
 	}
 	return out
 }

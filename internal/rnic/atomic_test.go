@@ -241,7 +241,8 @@ func TestConcurrentCASOneWinner(t *testing.T) {
 // execution.
 func TestAtomicBatchedDoorbell(t *testing.T) {
 	c := newCluster(t, 2)
-	reg0, reg1 := obs.NewRegistry(0), obs.NewRegistry(1)
+	regs2 := obs.NewDomain(2)
+	reg0, reg1 := regs2.Node(0), regs2.Node(1)
 	c.nic[0].SetObs(reg0)
 	c.nic[1].SetObs(reg1)
 	mr := c.physMR(t, 1, 4096, allPerm)
@@ -283,13 +284,13 @@ func TestAtomicBatchedDoorbell(t *testing.T) {
 	if got := word(t, mr, 0); got != 20 {
 		t.Errorf("final word = %d, want 20", got)
 	}
-	if n := reg0.Counter("rnic.atomic.faa").Value(); n != 2 {
+	if n := reg0.Snapshot().Counters["rnic.atomic.faa"]; n != 2 {
 		t.Errorf("rnic.atomic.faa = %d, want 2", n)
 	}
-	if n := reg0.Counter("rnic.atomic.masked_cas").Value(); n != 1 {
+	if n := reg0.Snapshot().Counters["rnic.atomic.masked_cas"]; n != 1 {
 		t.Errorf("rnic.atomic.masked_cas = %d, want 1", n)
 	}
-	if n := reg1.Counter("rnic.atomic.executed").Value(); n != 3 {
+	if n := reg1.Snapshot().Counters["rnic.atomic.executed"]; n != 3 {
 		t.Errorf("rnic.atomic.executed = %d, want 3", n)
 	}
 }

@@ -204,8 +204,9 @@ func TestPostRecvList(t *testing.T) {
 	}
 }
 
-// PostRecvN is PostRecvList of n equal entries: it rejects what the
-// list form rejects, and a post leaves the same count and the same run.
+// PostRecvN is n single posts of one entry behind one doorbell: it
+// rejects a bad entry, and a post leaves the same count and the same
+// runs as the single posts.
 func TestPostRecvN(t *testing.T) {
 	c := newCluster(t, 2)
 	mrA := c.physMR(t, 0, 4096, allPerm)
@@ -230,13 +231,6 @@ func TestPostRecvN(t *testing.T) {
 	// The same posts, once per form: an IMM run, one extending it, then
 	// a different buffer.
 	imm, buf := PostedRecv{MR: mrB}, PostedRecv{MR: mrB, Off: 64, Len: 64, WRID: 7}
-	list := func(r PostedRecv, n int) []PostedRecv {
-		rs := make([]PostedRecv, n)
-		for k := range rs {
-			rs[k] = r
-		}
-		return rs
-	}
 	_, listQP := c.rcPair(0, 1)
 	for _, post := range []struct {
 		r PostedRecv
@@ -245,15 +239,17 @@ func TestPostRecvN(t *testing.T) {
 		if err := qb.PostRecvN(post.r, post.n); err != nil {
 			t.Fatal(err)
 		}
-		if err := listQP.PostRecvList(list(post.r, post.n)); err != nil {
-			t.Fatal(err)
+		for k := 0; k < post.n; k++ {
+			if err := listQP.PostRecv(post.r); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if qb.RecvPosted() != 516 || listQP.RecvPosted() != 516 {
-		t.Errorf("RecvPosted = %d (N) and %d (list), want 516", qb.RecvPosted(), listQP.RecvPosted())
+		t.Errorf("RecvPosted = %d (N) and %d (single), want 516", qb.RecvPosted(), listQP.RecvPosted())
 	}
 	got, want := qb.rq[qb.rqHead:], listQP.rq[listQP.rqHead:]
 	if len(got) != 2 || len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("runs = %+v (N), %+v (list); want the same two runs", got, want)
+		t.Errorf("runs = %+v (N), %+v (single); want the same two runs", got, want)
 	}
 }

@@ -139,12 +139,6 @@ func (c *lru[K]) relink(prev, next, s int32) {
 	}
 }
 
-// Len returns the number of resident entries.
-func (c *lru[K]) Len() int { return len(c.slots) }
-
-// Stats returns cumulative hits and misses.
-func (c *lru[K]) Stats() (hits, misses int64) { return c.hits, c.misses }
-
 // mapIndex is the slotIndex for sparse keys.
 type mapIndex[K comparable] map[K]int32
 

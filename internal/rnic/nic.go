@@ -28,14 +28,8 @@ func NewRegistry(env *simtime.Env, cfg *params.Config, fab *fabric.Fabric) *Regi
 	return &Registry{env: env, cfg: cfg, fab: fab}
 }
 
-// Env returns the simulation environment.
-func (r *Registry) Env() *simtime.Env { return r.env }
-
 // Config returns the shared cost model.
 func (r *Registry) Config() *params.Config { return r.cfg }
-
-// Fabric returns the fabric connecting the NICs.
-func (r *Registry) Fabric() *fabric.Fabric { return r.fab }
 
 // NIC returns the NIC installed at the given node, or nil.
 func (r *Registry) NIC(node int) *NIC {
@@ -137,25 +131,12 @@ func (n *NIC) Mem() *hostmem.Memory { return n.mem }
 // Registry returns the registry this NIC belongs to.
 func (n *NIC) Registry() *Registry { return n.reg }
 
-// MRCount returns the number of registered memory regions.
-func (n *NIC) MRCount() int { return n.liveMRs }
-
 // SetObs directs the NIC's counters and pipeline spans into the given
 // registry (normally the owning node's). A nil registry disables
 // collection. Failure counters appear as "rnic.timeouts" and
 // "rnic.rnr_exhausted"; SRAM cache traffic as "rnic.<cache>.hits" /
 // ".misses" for the mrkey, pte and qp caches.
 func (n *NIC) SetObs(reg *obs.Registry) { n.obs = reg }
-
-// Obs returns the NIC's registry (nil when collection is disabled).
-func (n *NIC) Obs() *obs.Registry { return n.obs }
-
-// CacheStats returns hit/miss counters of the three SRAM caches.
-func (n *NIC) CacheStats() (keyHits, keyMisses, pteHits, pteMisses int64) {
-	keyHits, keyMisses = n.keyCache.Stats()
-	pteHits, pteMisses = n.pteCache.Stats()
-	return
-}
 
 // RegisterMR registers a virtual-address memory region of the given
 // address space with the NIC and pins its pages. The caller (driver
@@ -258,9 +239,6 @@ func (n *NIC) lookupQP(qpn int) *QP {
 	}
 	return n.qps[qpn]
 }
-
-// QPCount returns the number of live QPs on this NIC.
-func (n *NIC) QPCount() int { return len(n.qps) - 1 }
 
 // QPCountByOwner returns the number of live QPs tagged with the given
 // owner label (see QP.SetOwner).

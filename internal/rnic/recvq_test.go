@@ -14,11 +14,7 @@ func TestRecvQueueRunsMatchPlainFIFO(t *testing.T) {
 	mr := c.physMR(t, 1, 4096, allPerm)
 
 	imm := PostedRecv{MR: mr}
-	batch := make([]PostedRecv, 512)
-	for k := range batch {
-		batch[k] = imm
-	}
-	if err := qb.PostRecvList(batch); err != nil {
+	if err := qb.PostRecvN(imm, 512); err != nil {
 		t.Fatal(err)
 	}
 	if runs := len(qb.rq) - qb.rqHead; runs != 1 || qb.RecvPosted() != 512 {
@@ -76,8 +72,10 @@ func TestRecvQueueRunsMatchPlainFIFO(t *testing.T) {
 					rs[k] = rs[k-1]
 				}
 			}
-			if err := qb.PostRecvList(rs); err != nil {
-				t.Fatal(err)
+			for _, r := range rs {
+				if err := qb.PostRecv(r); err != nil {
+					t.Fatal(err)
+				}
 			}
 			model = append(model, rs...)
 			if modelFired && len(model) >= lowWater {

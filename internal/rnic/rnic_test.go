@@ -3,6 +3,7 @@ package rnic
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 
@@ -320,8 +321,8 @@ func TestUDSendAndDrop(t *testing.T) {
 			t.Errorf("UD send should complete OK locally, got %v", cqe.Status)
 		}
 		p.Sleep(10 * time.Microsecond)
-		if qb.Drops() != 1 {
-			t.Errorf("drops = %d, want 1", qb.Drops())
+		if qb.drops != 1 {
+			t.Errorf("drops = %d, want 1", qb.drops)
 		}
 		// Second datagram: receive posted => delivered.
 		_ = qb.PostRecv(PostedRecv{MR: rbuf, Len: 64, WRID: 2})
@@ -515,7 +516,7 @@ func TestLinkDownTimesOut(t *testing.T) {
 	src := c.physMR(t, 0, 4096, allPerm)
 	dst := c.physMR(t, 1, 4096, allPerm)
 	qa, _ := c.rcPair(0, 1)
-	c.reg.Fabric().SetLinkDown(0, 1)
+	c.reg.fab.SetLinkDown(0, 1)
 
 	c.env.Go("writer", func(p *simtime.Proc) {
 		start := p.Now()
@@ -545,14 +546,15 @@ func TestDeregisterUnpins(t *testing.T) {
 		t.Fatal(err)
 	}
 	pa, _ := c.as[0].Translate(va)
-	if !c.nic[0].Mem().Pinned(pa) {
-		t.Fatal("page not pinned after RegisterMR")
+	// A pinned page cannot be freed; an unpinned one cannot be unpinned.
+	if err := c.nic[0].Mem().Free(pa, c.cfg.PageSize); !errors.Is(err, hostmem.ErrPinned) {
+		t.Fatalf("Free of a registered page: err = %v, want ErrPinned", err)
 	}
 	if err := c.nic[0].DeregisterMR(mr); err != nil {
 		t.Fatal(err)
 	}
-	if c.nic[0].Mem().Pinned(pa) {
-		t.Fatal("page still pinned after DeregisterMR")
+	if err := c.nic[0].Mem().Unpin(pa, c.cfg.PageSize); !errors.Is(err, hostmem.ErrNotPinned) {
+		t.Fatalf("Unpin after DeregisterMR: err = %v, want ErrNotPinned", err)
 	}
 	if err := c.nic[0].DeregisterMR(mr); err != ErrBadMR {
 		t.Fatalf("double deregister err = %v, want ErrBadMR", err)

@@ -136,26 +136,13 @@ type MR struct {
 	pa   hostmem.PAddr
 	as   *hostmem.AddressSpace
 	va   hostmem.VAddr
-
-	owner string // optional subsystem/tenant label for accounting
 }
 
 // Key returns the region's protection key (serves as lkey and rkey).
 func (m *MR) Key() uint32 { return m.key }
 
-// SetOwner labels the region with the subsystem that registered it
-// (e.g. "lite/global"). Purely an accounting tag: it never affects
-// permission checks or costs.
-func (m *MR) SetOwner(o string) { m.owner = o }
-
-// Owner returns the region's accounting label ("" if untagged).
-func (m *MR) Owner() string { return m.owner }
-
 // Size returns the region's length in bytes.
 func (m *MR) Size() int64 { return m.size }
-
-// Node returns the node the region lives on.
-func (m *MR) Node() int { return m.node }
 
 // Phys reports whether the region was registered with physical
 // addresses (the kernel-only path).
@@ -227,9 +214,6 @@ type CQ struct {
 // hand a completion straight to the thread that waits for it.
 func (c *CQ) SetDeliver(fn func(*simtime.Env, CQE) bool) { c.deliver = fn }
 
-// CQN returns the completion queue number.
-func (c *CQ) CQN() int { return c.cqn }
-
 // Len returns the number of pending completions.
 func (c *CQ) Len() int { return len(c.q) - c.head }
 
@@ -263,33 +247,6 @@ func (c *CQ) TryPoll() (CQE, bool) {
 		c.head = 0
 	}
 	return cqe, true
-}
-
-// Poll blocks until a completion is available and returns it. The
-// caller decides whether the wait was a busy-poll (and charges CPU
-// accordingly) or a sleep.
-func (c *CQ) Poll(p *simtime.Proc) CQE {
-	for {
-		if cqe, ok := c.TryPoll(); ok {
-			return cqe
-		}
-		c.cond.Wait(p)
-	}
-}
-
-// PollTimeout is Poll with a deadline; ok is false on timeout.
-func (c *CQ) PollTimeout(p *simtime.Proc, d simtime.Time) (CQE, bool) {
-	deadline := p.Now() + d
-	for {
-		if cqe, ok := c.TryPoll(); ok {
-			return cqe, true
-		}
-		remain := deadline - p.Now()
-		if remain <= 0 {
-			return CQE{}, false
-		}
-		c.cond.WaitTimeout(p, remain)
-	}
 }
 
 // QPType selects the transport.
@@ -402,15 +359,6 @@ func (q *QP) QPN() int { return q.qpn }
 // use it to prove QP counts scale with nodes, not tenants.
 func (q *QP) SetOwner(o string) { q.owner = o }
 
-// Owner returns the QP's accounting label ("" if untagged).
-func (q *QP) Owner() string { return q.owner }
-
-// Type returns the transport type.
-func (q *QP) Type() QPType { return q.typ }
-
-// NIC returns the owning NIC.
-func (q *QP) NIC() *NIC { return q.nic }
-
 // SendCQ returns the send completion queue.
 func (q *QP) SendCQ() *CQ { return q.sendCQ }
 
@@ -423,9 +371,6 @@ func (q *QP) Connect(remoteNode, remoteQPN int) {
 	q.remoteQPN = remoteQPN
 	q.conn = true
 }
-
-// Connected reports whether an RC QP has been paired.
-func (q *QP) Connected() bool { return q.conn }
 
 // RemoteNode returns the connected peer's node id (RC only).
 func (q *QP) RemoteNode() int { return q.remoteNode }
@@ -487,32 +432,8 @@ func (q *QP) pushRecv(r PostedRecv, n int) {
 // same node as the QP.
 func (q *QP) PostRecv(r PostedRecv) error { return q.PostRecvN(r, 1) }
 
-// PostRecvList posts a batch of receive buffers behind one doorbell.
-// The whole list is validated before any buffer is enqueued, so a bad
-// entry leaves the receive queue untouched.
-func (q *QP) PostRecvList(rs []PostedRecv) error {
-	if len(rs) == 0 {
-		return ErrEmptyList
-	}
-	for k := range rs {
-		r := &rs[k]
-		if r.MR == nil || r.MR.node != q.nic.node {
-			return ErrBadMR
-		}
-		if err := r.MR.checkRange(r.Off, r.Len); err != nil {
-			return err
-		}
-	}
-	for _, r := range rs {
-		q.pushRecv(r, 1)
-	}
-	q.rearmRecvLow()
-	return nil
-}
-
-// PostRecvN posts n copies of one receive buffer behind one doorbell:
-// PostRecvList of a list whose n entries are all r, as the single run
-// the receive queue stores it as.
+// PostRecvN posts n copies of one receive buffer behind one doorbell,
+// as the single run the receive queue stores it as.
 func (q *QP) PostRecvN(r PostedRecv, n int) error {
 	if n <= 0 {
 		return ErrEmptyList
@@ -530,10 +451,6 @@ func (q *QP) PostRecvN(r PostedRecv, n int) error {
 
 // RecvPosted returns the number of posted receive buffers.
 func (q *QP) RecvPosted() int { return q.posted }
-
-// Drops returns the number of UD datagrams dropped because no receive
-// buffer was posted.
-func (q *QP) Drops() int64 { return q.drops }
 
 func (q *QP) popRecv() (PostedRecv, bool) {
 	if q.posted == 0 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/params"
 	"lite/internal/simtime"
 )
@@ -13,7 +14,7 @@ import (
 func newCluster(t *testing.T, n int) *cluster.Cluster {
 	t.Helper()
 	cfg := params.Default()
-	return cluster.MustNew(&cfg, n, 1<<30)
+	return clustertest.MustNew(&cfg, n, 1<<30)
 }
 
 func echo(in []byte) []byte { return append([]byte(nil), in...) }

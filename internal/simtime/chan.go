@@ -1,41 +1,24 @@
 package simtime
 
-// Chan is a virtual-time FIFO channel of values of type T. A capacity
-// of zero gives rendezvous semantics analogous to an unbuffered Go
-// channel; a positive capacity buffers that many values.
+// Chan is a virtual-time FIFO channel of values of type T with a
+// buffer of fixed capacity. Senders never block: TrySend fails on a
+// full buffer.
 type Chan[T any] struct {
 	cap    int
 	buf    []T
 	closed bool
 
-	sendable Cond // signaled when buffer space frees or a receiver arrives
 	recvable Cond // signaled when a value arrives or the channel closes
-
-	// For rendezvous (cap == 0): a parked sender's value waits here for
-	// a receiver to claim it.
-	handoff []handoffEntry[T]
 }
 
-type handoffEntry[T any] struct {
-	v     T
-	taken *bool
-	gen   uint64
-	p     *Proc
-}
-
-// NewChan returns a channel with the given buffer capacity (>= 0).
+// NewChan returns a channel with the given buffer capacity. It panics
+// on a capacity below 1.
 func NewChan[T any](capacity int) *Chan[T] {
-	if capacity < 0 {
-		capacity = 0
+	if capacity < 1 {
+		panic("simtime: Chan capacity below 1")
 	}
 	return &Chan[T]{cap: capacity}
 }
-
-// Len returns the number of buffered values.
-func (c *Chan[T]) Len() int { return len(c.buf) }
-
-// Closed reports whether Close has been called.
-func (c *Chan[T]) Closed() bool { return c.closed }
 
 // Close closes the channel. Receivers drain any buffered values and
 // then observe ok == false. Sending on a closed channel panics.
@@ -45,62 +28,19 @@ func (c *Chan[T]) Close(p *Proc) {
 	}
 	c.closed = true
 	c.recvable.Broadcast(p.env)
-	c.sendable.Broadcast(p.env)
 }
 
-// Send delivers v, blocking until buffer space or a receiver is
-// available. It panics if the channel is closed.
-func (c *Chan[T]) Send(p *Proc, v T) {
-	if c.closed {
-		panic("simtime: send on closed Chan")
-	}
-	if c.cap > 0 {
-		for len(c.buf) >= c.cap {
-			c.sendable.Wait(p)
-			if c.closed {
-				panic("simtime: send on closed Chan")
-			}
-		}
-		c.buf = append(c.buf, v)
-		c.recvable.Signal(p.env)
-		return
-	}
-	// Rendezvous: publish the value and wait for a receiver to take it.
-	taken := false
-	gen := p.prepareWait()
-	c.handoff = append(c.handoff, handoffEntry[T]{v: v, taken: &taken, gen: gen, p: p})
-	c.recvable.Signal(p.env)
-	p.park()
-	if !taken {
-		panic("simtime: Chan rendezvous sender woken without delivery")
-	}
-}
-
-// TrySend delivers v without blocking and reports success. On an
-// unbuffered channel it succeeds only if a receiver is already parked.
+// TrySend buffers v without blocking and reports success. It panics if
+// the channel is closed.
 func (c *Chan[T]) TrySend(p *Proc, v T) bool {
 	if c.closed {
 		panic("simtime: send on closed Chan")
 	}
-	if c.cap > 0 {
-		if len(c.buf) >= c.cap {
-			return false
-		}
-		c.buf = append(c.buf, v)
-		c.recvable.Signal(p.env)
-		return true
-	}
-	if c.recvable.Waiters() == 0 {
+	if len(c.buf) >= c.cap {
 		return false
 	}
-	// A receiver is parked: buffer the value transiently; the receiver
-	// will claim it from the handoff list.
-	taken := false
-	c.handoff = append(c.handoff, handoffEntry[T]{v: v, taken: &taken})
-	if !c.recvable.Signal(p.env) {
-		c.handoff = c.handoff[:len(c.handoff)-1]
-		return false
-	}
+	c.buf = append(c.buf, v)
+	c.recvable.Signal(p.env)
 	return true
 }
 
@@ -108,14 +48,8 @@ func (c *Chan[T]) TrySend(p *Proc, v T) bool {
 // and drained.
 func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 	for {
-		if len(c.buf) > 0 {
-			v = c.buf[0]
-			c.buf = c.buf[1:]
-			c.sendable.Signal(p.env)
+		if v, ok := c.TryRecv(p); ok {
 			return v, true
-		}
-		if e, found := c.takeHandoff(p); found {
-			return e, true
 		}
 		if c.closed {
 			var zero T
@@ -127,35 +61,10 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 
 // TryRecv returns the next value without blocking.
 func (c *Chan[T]) TryRecv(p *Proc) (v T, ok bool) {
-	if len(c.buf) > 0 {
-		v = c.buf[0]
-		c.buf = c.buf[1:]
-		c.sendable.Signal(p.env)
-		return v, true
+	if len(c.buf) == 0 {
+		return v, false
 	}
-	if e, found := c.takeHandoff(p); found {
-		return e, true
-	}
-	var zero T
-	return zero, false
-}
-
-func (c *Chan[T]) takeHandoff(p *Proc) (T, bool) {
-	for len(c.handoff) > 0 {
-		e := c.handoff[0]
-		c.handoff = c.handoff[1:]
-		if *e.taken {
-			continue
-		}
-		*e.taken = true
-		if e.p != nil {
-			// Wake the parked sender; skip if it already timed out.
-			if e.gen == e.p.gen && !e.p.done {
-				p.env.wakeAt(p.env.now, e.p, e.gen, WakeSignal)
-			}
-		}
-		return e.v, true
-	}
-	var zero T
-	return zero, false
+	v = c.buf[0]
+	c.buf = c.buf[1:]
+	return v, true
 }

@@ -12,7 +12,7 @@
 // Virtual time only advances when every process is blocked; it then
 // jumps to the earliest pending event. Processes block by sleeping
 // (Sleep, SleepUntil), by waiting on virtual synchronization primitives
-// (Mutex, Cond, Semaphore, Chan), or by queueing on a Server resource.
+// (Cond, Semaphore, Chan), or by queueing on a Server resource.
 //
 // Processes marked as daemons (GoDaemon) do not keep the simulation
 // alive: Run returns once every non-daemon process has finished, which
@@ -216,9 +216,6 @@ type deadline struct {
 
 // Env returns the environment this process belongs to.
 func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the process's diagnostic name.
-func (p *Proc) Name() string { return p.name }
 
 // SetTrace installs opaque observability context on the process; it
 // travels with the process across blocking points. Pass nil to clear.
@@ -467,14 +464,6 @@ func (p *Proc) Sleep(d Time) {
 func (p *Proc) SleepUntil(t Time) {
 	gen := p.prepareWait()
 	p.env.wakeAt(t, p, gen, WakeTimer)
-	p.park()
-}
-
-// Yield reschedules the process at the current time, letting any other
-// process with a pending event at this instant run first.
-func (p *Proc) Yield() {
-	gen := p.prepareWait()
-	p.env.wakeAt(p.env.now, p, gen, WakeTimer)
 	p.park()
 }
 

@@ -146,14 +146,5 @@ func (s *Server) insert(iv interval, i int) {
 	}
 }
 
-// FreeAt returns the instant the facility next becomes idle after all
-// current reservations.
-func (s *Server) FreeAt() Time {
-	if len(s.busy) == 0 {
-		return 0
-	}
-	return s.busy[len(s.busy)-1].end
-}
-
 // BusyTotal returns the total busy time accumulated by the facility.
 func (s *Server) BusyTotal() Time { return s.acc }

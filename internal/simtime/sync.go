@@ -73,53 +73,6 @@ func (w *waitq) remove(r waiter) {
 	}
 }
 
-// Mutex is a virtual-time mutual-exclusion lock with FIFO handoff.
-// The zero value is an unlocked mutex.
-type Mutex struct {
-	owner *Proc
-	q     waitq
-}
-
-// Lock acquires the mutex, blocking the process in FIFO order if it is
-// held. Lock panics on self-deadlock (re-acquiring a held mutex).
-func (m *Mutex) Lock(p *Proc) {
-	if m.owner == nil {
-		m.owner = p
-		return
-	}
-	if m.owner == p {
-		panic("simtime: recursive Mutex.Lock by " + p.name)
-	}
-	gen := p.prepareWait()
-	m.q.push(waiter{p, gen})
-	p.park()
-	// Ownership was handed to us by Unlock before the wake event fired.
-}
-
-// TryLock acquires the mutex if it is free and reports whether it did.
-func (m *Mutex) TryLock(p *Proc) bool {
-	if m.owner == nil {
-		m.owner = p
-		return true
-	}
-	return false
-}
-
-// Unlock releases the mutex and hands it to the oldest waiter, if any.
-func (m *Mutex) Unlock(p *Proc) {
-	if m.owner != p {
-		panic("simtime: Mutex.Unlock by non-owner " + p.name)
-	}
-	m.owner = nil
-	if w, ok := m.q.popValid(false); ok {
-		m.owner = w.p
-		p.env.wakeAt(p.env.now, w.p, w.gen, WakeSignal)
-	}
-}
-
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.owner != nil }
-
 // Cond is a virtual-time condition variable. Unlike sync.Cond it does
 // not require an associated mutex: because only one process runs at a
 // time, checking the predicate and calling Wait is already atomic.
@@ -211,24 +164,12 @@ func (s *Semaphore) Acquire(p *Proc) {
 	s.n--
 }
 
-// TryAcquire takes a permit without blocking and reports success.
-func (s *Semaphore) TryAcquire(p *Proc) bool {
-	if s.n == 0 {
-		return false
-	}
-	s.n--
-	return true
-}
-
 // Release returns one permit and wakes a waiter if any. It may be
 // called from a process or a scheduler callback.
 func (s *Semaphore) Release(e *Env) {
 	s.n++
 	s.cond.Signal(e)
 }
-
-// Available returns the number of free permits.
-func (s *Semaphore) Available() int { return s.n }
 
 // WaitGroup waits for a collection of processes to finish, mirroring
 // sync.WaitGroup in virtual time.

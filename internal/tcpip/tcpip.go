@@ -57,9 +57,6 @@ type Stack struct {
 	listeners map[int]*Listener
 }
 
-// Node returns the node id.
-func (s *Stack) Node() int { return s.node }
-
 // Listener accepts incoming connections on one port.
 type Listener struct {
 	stack   *Stack
@@ -92,12 +89,6 @@ func (l *Listener) Accept(p *simtime.Proc) (*Conn, error) {
 	return c, nil
 }
 
-// Close shuts the listener down; pending Accepts fail.
-func (l *Listener) Close(e *simtime.Env) {
-	l.closed = true
-	l.cond.Broadcast(e)
-}
-
 // direction is one flow of a full-duplex connection.
 type direction struct {
 	queue    [][]byte
@@ -120,9 +111,6 @@ type Conn struct {
 	st    *connState
 	local int
 }
-
-// LocalNode returns this handle's node.
-func (c *Conn) LocalNode() int { return c.local }
 
 // RemoteNode returns the peer's node.
 func (c *Conn) RemoteNode() int {
@@ -254,20 +242,6 @@ func (c *Conn) Recv(p *simtime.Proc) ([]byte, error) {
 	p.Work(cfg.TCPPerMessage + simtime.Time(packets)*cfg.TCPPerPacket +
 		params.TransferTime(n, cfg.TCPCopyBandwidth))
 	return msg, nil
-}
-
-// TryRecv returns a queued message without blocking; ok is false when
-// the queue is empty.
-func (c *Conn) TryRecv(p *simtime.Proc) ([]byte, bool, error) {
-	d := c.in()
-	if len(d.queue) == 0 {
-		if d.closed && d.inflight == 0 {
-			return nil, false, ErrClosed
-		}
-		return nil, false, nil
-	}
-	msg, err := c.Recv(p)
-	return msg, err == nil, err
 }
 
 // Close shuts down both flows; blocked peers fail with ErrClosed.

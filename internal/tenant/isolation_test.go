@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/lite"
 	"lite/internal/load"
 	"lite/internal/params"
@@ -40,7 +40,7 @@ func runIsolationAll(t *testing.T, greedyFactor float64) []*load.Result {
 		baseU   = 0.08 // offered rate per weight unit, calls/us
 	)
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 3, 1<<30)
+	cls := clustertest.MustNew(&cfg, 3, 1<<30)
 	opts := lite.DefaultOptions()
 	opts.RPCTimeout = 200 * time.Microsecond
 	opts.RetryBackoff = 20 * time.Microsecond
@@ -65,11 +65,11 @@ func runIsolationAll(t *testing.T, greedyFactor float64) []*load.Result {
 	}
 	reg.Attach(dep)
 	for i := range names {
-		c, err := reg.Client(dep, issueNodes[i], names[i], Secret(names[i]))
+		ten, err := reg.Auth(names[i], Secret(names[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		clients[i] = c
+		clients[i] = dep.Instance(issueNodes[i]).TenantClient(ten.ID)
 	}
 	const fn = lite.FirstUserFunc
 	if err := dep.Instance(srvNode).ServeRPC(fn, workers, func(p *simtime.Proc, c *lite.Call) []byte {

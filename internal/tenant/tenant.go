@@ -7,9 +7,9 @@
 // The package is deliberately thin over internal/lite: a tenant ID is
 // lite's uint16 namespace tag, a weight is lite's weighted-credit
 // admission share, and a tenant client is lite's TenantClient. What
-// tenant adds is the control plane — who exists, what they may claim
-// to be (Auth), and how much service they bought (Weight) — plus the
-// workload machinery the multi-tenant experiments share.
+// tenant adds is the control plane — who exists and how much service
+// they bought (Weight) — plus the workload machinery the multi-tenant
+// experiments share.
 package tenant
 
 import (
@@ -26,7 +26,6 @@ const maxTenants = 1<<16 - 1
 // Errors returned by the registry.
 var (
 	ErrExists = errors.New("tenant: name already registered")
-	ErrAuth   = errors.New("tenant: unknown tenant or bad secret")
 	ErrFull   = errors.New("tenant: registry full")
 )
 
@@ -76,56 +75,10 @@ func (r *Registry) Register(name, secret string, weight int) (*Tenant, error) {
 	return t, nil
 }
 
-// Auth validates a tenant's credentials and returns its identity.
-// Unknown names and wrong secrets return the same error, so a caller
-// cannot probe which names exist.
-func (r *Registry) Auth(name, secret string) (*Tenant, error) {
-	t := r.byName[name]
-	if t == nil || t.secret != secret {
-		return nil, ErrAuth
-	}
-	return t, nil
-}
-
-// Lookup returns the tenant with the given ID, nil if unregistered.
-func (r *Registry) Lookup(id uint16) *Tenant {
-	if id < 1 || int(id) > len(r.byID) {
-		return nil
-	}
-	return r.byID[id-1]
-}
-
-// Len returns the number of registered tenants.
-func (r *Registry) Len() int { return len(r.byID) }
-
-// SetWeight updates a tenant's QoS weight (floored at 1). The change
-// reaches deployments on the next Attach.
-func (r *Registry) SetWeight(id uint16, weight int) error {
-	t := r.Lookup(id)
-	if t == nil {
-		return ErrAuth
-	}
-	if weight < 1 {
-		weight = 1
-	}
-	t.Weight = weight
-	return nil
-}
-
 // Attach pushes every registered tenant's QoS weight into the
 // deployment's admission control, in ID order (deterministic).
 func (r *Registry) Attach(dep *lite.Deployment) {
 	for _, t := range r.byID {
 		dep.SetTenantWeight(t.ID, t.Weight)
 	}
-}
-
-// Client authenticates the named tenant and returns a client on the
-// given node scoped to its namespace.
-func (r *Registry) Client(dep *lite.Deployment, node int, name, secret string) (*lite.Client, error) {
-	t, err := r.Auth(name, secret)
-	if err != nil {
-		return nil, err
-	}
-	return dep.Instance(node).TenantClient(t.ID), nil
 }

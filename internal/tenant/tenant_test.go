@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"lite/internal/cluster"
+	"lite/internal/clustertest"
 	"lite/internal/lite"
 	"lite/internal/params"
 	"lite/internal/simtime"
@@ -38,23 +38,14 @@ func TestRegistryRegisterAuthLookup(t *testing.T) {
 	if r.Lookup(1) != a || r.Lookup(0) != nil || r.Lookup(9) != nil {
 		t.Fatal("lookup inconsistent")
 	}
-	if r.Len() != 2 {
-		t.Fatalf("len = %d", r.Len())
-	}
-	if err := r.SetWeight(2, 7); err != nil || b.Weight != 7 {
-		t.Fatalf("set weight: %v, %d", err, b.Weight)
-	}
-	if err := r.SetWeight(2, 0); err != nil || b.Weight != 1 {
-		t.Fatalf("floored weight: %v, %d", err, b.Weight)
-	}
-	if err := r.SetWeight(99, 3); !errors.Is(err, ErrAuth) {
-		t.Fatalf("unknown id error = %v", err)
+	if len(r.byID) != 2 {
+		t.Fatalf("len = %d", len(r.byID))
 	}
 }
 
 func TestRegistryAttachAndClient(t *testing.T) {
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 2, 1<<30)
+	cls := clustertest.MustNew(&cfg, 2, 1<<30)
 	dep, err := lite.Start(cls, lite.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -62,12 +53,11 @@ func TestRegistryAttachAndClient(t *testing.T) {
 	r := NewRegistry()
 	a, _ := r.Register("acme", "pw", 4)
 	r.Attach(dep)
-	c, err := r.Client(dep, 0, "acme", "pw")
-	if err != nil || c.Tenant() != a.ID || c.NodeID() != 0 {
-		t.Fatalf("client: ten=%d node=%d err=%v", c.Tenant(), c.NodeID(), err)
+	if got, err := r.Auth("acme", "pw"); err != nil || got != a {
+		t.Fatalf("auth: %+v, %v", got, err)
 	}
-	if _, err := r.Client(dep, 0, "acme", "nope"); !errors.Is(err, ErrAuth) {
-		t.Fatalf("bad secret client error = %v", err)
+	if _, err := r.Auth("acme", "nope"); !errors.Is(err, ErrAuth) {
+		t.Fatalf("bad secret error = %v", err)
 	}
 }
 
@@ -81,8 +71,8 @@ func TestBuildSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 1000 || reg.Len() != 1000 {
-		t.Fatalf("specs = %d, registered = %d", len(specs), reg.Len())
+	if len(specs) != 1000 || len(reg.byID) != 1000 {
+		t.Fatalf("specs = %d, registered = %d", len(specs), len(reg.byID))
 	}
 	// Specs are ordered by ID; classes appear in config order.
 	if specs[0].Class != "gold" || specs[0].Tenant.ID != 1 || specs[0].Tenant.Weight != 4 {
@@ -159,7 +149,7 @@ func TestPickOpDeterministicAndMixed(t *testing.T) {
 // package's client path is exercised end to end.
 func TestTenantClientRPCSmoke(t *testing.T) {
 	cfg := params.Default()
-	cls := cluster.MustNew(&cfg, 2, 1<<30)
+	cls := clustertest.MustNew(&cfg, 2, 1<<30)
 	dep, err := lite.Start(cls, lite.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -176,12 +166,12 @@ func TestTenantClientRPCSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	cls.GoOn(0, "client", func(p *simtime.Proc) {
-		c, err := r.Client(dep, 0, "acme", "pw")
+		a, err := r.Auth("acme", "pw")
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		out, err := c.RPC(p, 1, fn, []byte("hi"), 64)
+		out, err := dep.Instance(0).TenantClient(a.ID).RPC(p, 1, fn, []byte("hi"), 64)
 		if err != nil || len(out) != 3 || out[2] != 1 {
 			t.Errorf("rpc = %q, %v", out, err)
 		}

@@ -34,7 +34,7 @@ func TestPostRecvChargesDoorbell(t *testing.T) {
 		mr, _ := a.RegisterPhysMR(p, pa, 4096, rnic.PermRead|rnic.PermWrite)
 		qp := a.CreateQP(rnic.UD, a.CreateCQ(), a.CreateCQ())
 		start := p.Now()
-		if err := a.PostRecv(p, qp, rnic.PostedRecv{MR: mr, Len: 64, WRID: 1}); err != nil {
+		if err := a.PostRecvN(p, qp, rnic.PostedRecv{MR: mr, Len: 64, WRID: 1}, 1); err != nil {
 			t.Fatal(err)
 		}
 		if p.Now()-start != cfg.NICDoorbell {

@@ -104,12 +104,6 @@ func (c *Context) PostSendList(p *simtime.Proc, qp *rnic.QP, wrs []rnic.WR) erro
 	return c.nic.PostSendList(p.Now(), qp, wrs)
 }
 
-// PostRecv charges the doorbell and posts a receive buffer.
-func (c *Context) PostRecv(p *simtime.Proc, qp *rnic.QP, r rnic.PostedRecv) error {
-	p.Work(c.cfg.NICDoorbell)
-	return qp.PostRecv(r)
-}
-
 // PostRecvN charges a single doorbell and posts n copies of one receive
 // buffer.
 func (c *Context) PostRecvN(p *simtime.Proc, qp *rnic.QP, r rnic.PostedRecv, n int) error {
@@ -128,11 +122,6 @@ func (c *Context) PollCQ(p *simtime.Proc, cq *rnic.CQ) rnic.CQE {
 		cq.Wait(p)
 		p.Charge(p.Now() - t0)
 	}
-}
-
-// TryPollCQ polls without blocking.
-func (c *Context) TryPollCQ(p *simtime.Proc, cq *rnic.CQ) (rnic.CQE, bool) {
-	return cq.TryPoll()
 }
 
 // ConnectRC creates a connected RC queue pair between two contexts,
