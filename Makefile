@@ -177,9 +177,11 @@ smoke:
 # without -metrics (metric dump lines are '%'-prefixed; the bracketed
 # footer carries wall time, so both are stripped before comparing).
 # breakdown is one traced call on every layer; tab-cpu is the sparse
-# user-level RPC path, where the poller sleeps and is prewaked.
+# user-level RPC path, where the poller sleeps and is prewaked; kv-tput
+# is a kvstore server whose workers sleep between requests and are
+# woken at a request's arrival.
 obs-guard:
-	@for id in breakdown tab-cpu; do \
+	@for id in breakdown tab-cpu kv-tput; do \
 		a=$$($(GO) run ./cmd/litebench $$id | grep -v '^\['); \
 		b=$$($(GO) run ./cmd/litebench -metrics $$id | grep -v '^\[' | grep -v '^%'); \
 		if [ "$$a" = "$$b" ]; then \

@@ -54,8 +54,6 @@ type hadoopMsg struct {
 	// Data-plane messages.
 	Reducer int
 	Buf     []byte `json:",omitempty"`
-	Names   []string
-	Merges  [][3]string
 }
 
 // RunHadoop executes WordCount on the Hadoop-style engine: the same

@@ -12,10 +12,10 @@ import (
 func TestFig13Shape(t *testing.T) {
 	rec := func() []fig13Row {
 		return []fig13Row{
-			{1, 22540, 22570, 29600},
-			{2, 42490, 42460, 33090},
-			{4, 82260, 82240, 35090},
-			{8, 162200, 161790, 36410},
+			{1, 22540, 22570, 27610},
+			{2, 42490, 42460, 31040},
+			{4, 82260, 82240, 32750},
+			{8, 162200, 161790, 33630},
 		}
 	}
 	if err := fig13Shape(rec()); err != nil {
@@ -46,7 +46,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestTabCPUShape(t *testing.T) {
-	const lite, herd, fasst = 18090 * time.Microsecond, 1002520 * time.Microsecond, 1002540 * time.Microsecond
+	const lite, herd, fasst = 16470 * time.Microsecond, 1002520 * time.Microsecond, 1002540 * time.Microsecond
 	if err := tabCPUShape(lite, herd, fasst); err != nil {
 		t.Fatalf("recorded tab-cpu: %v", err)
 	}
@@ -68,10 +68,10 @@ func TestTabCPUShape(t *testing.T) {
 func TestAblWindowShape(t *testing.T) {
 	rec := func() []windowRow {
 		return []windowRow{
-			{1000, 8110, 13400},
-			{4000, 8110, 26260},
-			{8000, 2110, 37730},
-			{25000, 2110, 89150},
+			{1000, 6610, 13520},
+			{4000, 2140, 22760},
+			{8000, 2110, 34860},
+			{25000, 2110, 86280},
 			{100000, 2110, 191500},
 		}
 	}
@@ -83,8 +83,8 @@ func TestAblWindowShape(t *testing.T) {
 		breakIt    func([]windowRow)
 	}{
 		{"latency rises at 25us", "latency rises from 2.11 us at a 8.00 us window", func(r []windowRow) { r[3].lat = r[2].lat + 1 }},
-		{"CPU flat from 1 to 4us", "CPU per request does not rise from 13.40 us at a 1.00 us window", func(r []windowRow) { r[1].cpu = r[0].cpu }},
-		{"CPU falls at 100us", "does not rise from 89.15 us", func(r []windowRow) { r[4].cpu = r[3].cpu - 1 }},
+		{"CPU flat from 1 to 4us", "CPU per request does not rise from 13.52 us at a 1.00 us window", func(r []windowRow) { r[1].cpu = r[0].cpu }},
+		{"CPU falls at 100us", "does not rise from 86.28 us", func(r []windowRow) { r[4].cpu = r[3].cpu - 1 }},
 	} {
 		rows := rec()
 		tc.breakIt(rows)

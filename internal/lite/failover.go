@@ -84,6 +84,7 @@ func (i *Instance) crash(p *simtime.Proc) {
 		}
 		f.queue = fifo[*Call]{}
 		f.held = nil
+		f.coming = 0
 		f.spin.Broadcast(env)
 		f.sleep.Broadcast(env)
 	}

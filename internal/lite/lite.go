@@ -323,9 +323,10 @@ type Instance struct {
 
 	// spinners counts the callers inside the busy window of an LT_RPC
 	// reply wait (awaitReply); pollerAsleep is set while the shared
-	// poller is parked on the receive CQ (pollerSleep).
-	spinners     replySpinners
-	pollerAsleep bool
+	// poller is parked on the receive CQ, pollerAway from the moment it
+	// stops polling until it has paid its wakeup (pollerSleep).
+	spinners                 replySpinners
+	pollerAsleep, pollerAway bool
 }
 
 // replySpinners counts the callers spinning on an LT_RPC reply, by
@@ -446,6 +447,7 @@ func Start(cls *cluster.Cluster, opts Options) (*Deployment, error) {
 		inst.sendCQ = nd.NIC.CreateCQ()
 		inst.sendDisp = verbs.NewDispatcher(inst.sendCQ)
 		inst.recvCQ = nd.NIC.CreateCQ()
+		inst.recvCQ.SetDeliver(inst.prewakeWorker)
 		if err := inst.initScratch(); err != nil {
 			return nil, err
 		}

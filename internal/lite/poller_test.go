@@ -175,17 +175,19 @@ func TestUserReplyNeverWaitsForSleepingPoller(t *testing.T) {
 // so nothing wakes it; the poller must notice the new user spinner on
 // its own and stay awake instead of going back to sleep. Sweeping the
 // user call's start across the kernel reply's arrival, no user call
-// may pay a poller wakeup over the fastest one.
+// may pay a poller wakeup over the fastest one. The sweep is placed
+// around a measured idle kernel call, so it follows the reply wherever
+// the server's costs put it.
 func TestUserCallWhileCallerPollsKeepsPollerAwake(t *testing.T) {
 	wakeup := params.Default().WakeupLatency
-	var fastest, slowest simtime.Time
-	borrowed := 0
-	for d := 4 * time.Microsecond; d <= 5500*time.Nanosecond; d += 10 * time.Nanosecond {
+	// sequence warms both callers, lets the poller fall asleep, and times
+	// an idle kernel call; with userAt >= 0 a user call starts userAt
+	// into it, and its latency and whether it prewoke the poller are
+	// returned too.
+	sequence := func(userAt simtime.Time) (kernelLat, userLat simtime.Time, prewakes int64) {
 		cls, dep := testDep(t, 2)
 		dom := cls.EnableObs()
 		startEchoServer(cls, dep, 1, 2)
-		var lat simtime.Time
-		var prewakes int64
 		cls.GoOn(0, "kernel-caller", func(p *simtime.Proc) {
 			inst := dep.Instance(0)
 			k, u := inst.KernelClient(), inst.UserClient()
@@ -197,20 +199,31 @@ func TestUserCallWhileCallerPollsKeepsPollerAwake(t *testing.T) {
 			}
 			p.Sleep(200 * time.Microsecond) // the poller is asleep
 			prewakes0 := dom.Node(0).Snapshot().Counters["lite.poller.prewakes"]
-			cls.GoOn(0, "user-caller", func(q *simtime.Proc) {
-				q.Sleep(d)
-				t0 := q.Now()
-				if _, err := u.RPC(q, 1, echoFn, []byte("user"), 64); err != nil {
-					t.Error(err)
-				}
-				lat = q.Now() - t0
-				prewakes = dom.Node(0).Snapshot().Counters["lite.poller.prewakes"] - prewakes0
-			})
+			if userAt >= 0 {
+				cls.GoOn(0, "user-caller", func(q *simtime.Proc) {
+					q.Sleep(userAt)
+					t0 := q.Now()
+					if _, err := u.RPC(q, 1, echoFn, []byte("user"), 64); err != nil {
+						t.Error(err)
+					}
+					userLat = q.Now() - t0
+					prewakes = dom.Node(0).Snapshot().Counters["lite.poller.prewakes"] - prewakes0
+				})
+			}
+			t0 := p.Now()
 			if _, err := k.RPC(p, 1, echoFn, []byte("kernel"), 64); err != nil {
 				t.Error(err)
 			}
+			kernelLat = p.Now() - t0
 		})
 		run(t, cls)
+		return kernelLat, userLat, prewakes
+	}
+	idle, _, _ := sequence(-1)
+	var fastest, slowest simtime.Time
+	borrowed := 0
+	for d := idle - time.Microsecond; d <= idle+500*time.Nanosecond; d += 10 * time.Nanosecond {
+		_, lat, prewakes := sequence(d)
 		if fastest == 0 || lat < fastest {
 			fastest = lat
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"lite/internal/obs"
 	"lite/internal/simtime"
 )
 
@@ -176,5 +177,278 @@ func TestPoolWaitRecordsStayBounded(t *testing.T) {
 	run(t, cls)
 	if worst > workers+1 {
 		t.Errorf("%d wait records queued at worst over %d lapsed windows, want at most %d", worst, lapsed, workers+1)
+	}
+}
+
+// --- a request wakes its worker at arrival ---
+
+// counter reads one node's obs counter.
+func counter(dom *obs.Domain, node int, name string) int64 {
+	return dom.Node(node).Snapshot().Counters[name]
+}
+
+// TestIdleRequestPaysOneWakeup: a request that lands on a server whose
+// poller and workers all sleep wakes its worker at arrival
+// (prewakeWorker), so the worker's wakeup runs alongside the poller's
+// and the call costs exactly one WakeupLatency over the same call to a
+// warm server. Waking the worker only at dispatch put the two wakeups
+// in series: two WakeupLatencies.
+func TestIdleRequestPaysOneWakeup(t *testing.T) {
+	cls, dep := testDep(t, 2)
+	dom := cls.EnableObs()
+	startEchoServer(cls, dep, 1, 2)
+	var warm, cold simtime.Time
+	cls.GoOn(0, "client", func(p *simtime.Proc) {
+		c := dep.Instance(0).KernelClient()
+		call := func() simtime.Time {
+			t0 := p.Now()
+			if _, err := c.RPC(p, 1, echoFn, []byte("ping"), 64); err != nil {
+				t.Error(err)
+			}
+			return p.Now() - t0
+		}
+		call()
+		warm = call() // the server's poller and worker are still spinning
+		p.Sleep(50 * time.Microsecond)
+		cold = call()
+	})
+	run(t, cls)
+	if want := warm + cls.Cfg.WakeupLatency; cold != want {
+		t.Errorf("idle call took %v, warm %v: want warm + one wakeup = %v", cold, warm, want)
+	}
+	if n := counter(dom, 1, "lite.rpc.worker_prewakes"); n != 1 {
+		t.Errorf("%d worker prewakes, want 1 (the idle call's)", n)
+	}
+}
+
+// TestSpinningWorkerIsNotPrewoken: a request that finds a worker of its
+// pool inside its busy window wakes nobody at arrival, even with the
+// poller asleep; the spinner takes the call when the poller dispatches
+// it.
+func TestSpinningWorkerIsNotPrewoken(t *testing.T) {
+	const node = 1
+	cls, dep := testDep(t, 2)
+	dom := cls.EnableObs()
+	inst := dep.Instance(node)
+	var served []servedCall
+	serveLog(t, inst, 2, time.Microsecond, &served)
+	var slept0, slept1 int64
+	cls.GoOn(0, "client", func(p *simtime.Proc) {
+		c := dep.Instance(0).KernelClient()
+		if _, err := c.RPC(p, node, echoFn, nil, 64); err != nil { // binds the ring
+			t.Error(err)
+		}
+		p.Sleep(50 * time.Microsecond) // pool and poller asleep
+		dispatchLocal(inst)            // wakes one worker; the CQ stays quiet
+		p.Sleep(4 * time.Microsecond)  // it served the call and spins
+		if !inst.pollerAway || inst.funcs[echoFn].spin.Waiters() != 1 {
+			t.Errorf("setup: poller away %v, %d spinning; want an idle poller and one spinner", inst.pollerAway, inst.funcs[echoFn].spin.Waiters())
+		}
+		slept0 = counter(dom, node, "hostos.wait.slept")
+		if _, err := c.RPC(p, node, echoFn, []byte("ping"), 64); err != nil {
+			t.Error(err)
+		}
+		slept1 = counter(dom, node, "hostos.wait.slept")
+	})
+	run(t, cls)
+	if len(served) != 3 || served[2].p != served[1].p {
+		t.Errorf("%d calls served, want 3, the last two on the spinning worker", len(served))
+	}
+	if slept1 != slept0 {
+		t.Errorf("the request woke %d sleepers with a worker spinning, want 0", slept1-slept0)
+	}
+	if n := counter(dom, node, "lite.rpc.worker_prewakes"); n != 0 {
+		t.Errorf("%d worker prewakes, want 0", n)
+	}
+}
+
+// TestRequestBurstWakesOneWorkerEach: k requests that land together on
+// an idle server with more than k sleeping workers wake exactly k of
+// them — one at the first arrival, while no other is on its way, the
+// others at dispatch — and not one for the arrival and another for the
+// dispatch of the same call.
+func TestRequestBurstWakesOneWorkerEach(t *testing.T) {
+	const (
+		node    = 1
+		workers = 6
+	)
+	for k := 1; k <= 4; k++ {
+		cls, dep := testDep(t, 2)
+		dom := cls.EnableObs()
+		inst := dep.Instance(node)
+		var served []servedCall
+		serveLog(t, inst, workers, time.Microsecond, &served)
+		var slept0 int64
+		c := dep.Instance(0).KernelClient()
+		cls.GoOn(0, "warm", func(p *simtime.Proc) {
+			if _, err := c.RPC(p, node, echoFn, nil, 64); err != nil { // binds the ring
+				t.Error(err)
+			}
+			p.Sleep(50 * time.Microsecond) // pool and poller asleep
+			slept0 = counter(dom, node, "hostos.wait.slept")
+			for j := 0; j < k; j++ {
+				cls.GoOn(0, "caller", func(q *simtime.Proc) {
+					if _, err := c.RPC(q, node, echoFn, []byte("burst"), 64); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+		})
+		run(t, cls)
+		if len(served) != k+1 {
+			t.Errorf("k=%d: %d calls served, want %d", k, len(served)-1, k)
+		}
+		if woke := counter(dom, node, "hostos.wait.slept") - slept0; woke != int64(k) {
+			t.Errorf("k=%d: the burst woke %d workers, want %d", k, woke, k)
+		}
+		if n := counter(dom, node, "lite.rpc.worker_prewakes"); n != 1 {
+			t.Errorf("k=%d: %d workers woken at arrival, want 1", k, n)
+		}
+	}
+}
+
+// TestLateArrivalWakesOneWorker: a request that lands while the
+// poller is already paying its wakeup wakes its worker at arrival; the
+// poller then dispatches the call before that worker reaches its busy
+// window, and the dispatch must leave the call to it instead of waking
+// a second sleeper for the same call.
+func TestLateArrivalWakesOneWorker(t *testing.T) {
+	const node = 1
+	cls, dep := testDep(t, 2)
+	dom := cls.EnableObs()
+	inst := dep.Instance(node)
+	var served []servedCall
+	serveLog(t, inst, 3, time.Microsecond, &served)
+	const otherFn = echoFn + 1
+	var other []servedCall
+	if err := inst.ServeRPC(otherFn, 3, func(p *simtime.Proc, c *Call) []byte {
+		other = append(other, servedCall{p, p.Now()})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c := dep.Instance(0).KernelClient()
+	var sent simtime.Time
+	var slept0, woke int64
+	cls.GoOn(0, "client", func(p *simtime.Proc) {
+		for _, fn := range []int{echoFn, otherFn} { // bind both rings
+			if _, err := c.RPC(p, node, fn, nil, 64); err != nil {
+				t.Error(err)
+			}
+		}
+		p.Sleep(50 * time.Microsecond) // pools and poller asleep
+		slept0 = counter(dom, node, "hostos.wait.slept")
+		cls.GoOn(0, "first", func(q *simtime.Proc) {
+			if _, err := c.RPC(q, node, otherFn, nil, 64); err != nil {
+				t.Error(err)
+			}
+		})
+		p.Sleep(cls.Cfg.WakeupLatency / 2) // the poller is waking for the first
+		sent = p.Now()
+		if _, err := c.RPC(p, node, echoFn, []byte("late"), 64); err != nil {
+			t.Error(err)
+		}
+		p.Sleep(20 * time.Microsecond)
+		woke = counter(dom, node, "hostos.wait.slept") - slept0
+	})
+	run(t, cls)
+	if len(served) != 2 || len(other) != 2 {
+		t.Fatalf("%d and %d calls served, want 2 and 2", len(served), len(other))
+	}
+	if woke != 2 {
+		t.Errorf("two requests woke %d workers, want 2", woke)
+	}
+	if d := served[1].at - sent; d >= 2*cls.Cfg.WakeupLatency {
+		t.Errorf("the late call began %v after it was sent: it waited for a worker woken at dispatch", d)
+	}
+}
+
+// TestPollingPollerPrewakesNobody: while the shared poller is polling,
+// it dispatches a request within its handling cost, so the request's
+// arrival wakes nobody early even though its pool sleeps: calls to
+// another function keep the poller inside its busy window.
+func TestPollingPollerPrewakesNobody(t *testing.T) {
+	const node = 1
+	cls, dep := testDep(t, 2)
+	dom := cls.EnableObs()
+	inst := dep.Instance(node)
+	var served []servedCall
+	serveLog(t, inst, 2, time.Microsecond, &served)
+	const otherFn = echoFn + 1
+	if err := inst.ServeRPC(otherFn, 1, func(p *simtime.Proc, c *Call) []byte { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	c := dep.Instance(0).KernelClient()
+	cls.GoOn(0, "client", func(p *simtime.Proc) {
+		if _, err := c.RPC(p, node, echoFn, nil, 64); err != nil { // binds the ring
+			t.Error(err)
+		}
+		p.Sleep(50 * time.Microsecond) // the poller sleeps, to wake for the calls below
+		for k := 0; k < 10; k++ {      // echoFn's pool falls asleep
+			if _, err := c.RPC(p, node, otherFn, nil, 64); err != nil {
+				t.Error(err)
+			}
+			p.Sleep(time.Microsecond)
+		}
+		if inst.pollerAway || inst.funcs[echoFn].sleep.Waiters() != 2 {
+			t.Errorf("setup: poller away %v, %d asleep; want a polling poller and two sleepers", inst.pollerAway, inst.funcs[echoFn].sleep.Waiters())
+		}
+		if _, err := c.RPC(p, node, echoFn, []byte("ping"), 64); err != nil {
+			t.Error(err)
+		}
+	})
+	run(t, cls)
+	if len(served) != 2 {
+		t.Errorf("%d calls served, want 2", len(served))
+	}
+	if n := counter(dom, node, "lite.rpc.worker_prewakes"); n != 0 {
+		t.Errorf("%d workers woken at arrival with the poller polling, want 0", n)
+	}
+}
+
+// TestCrashDropsWorkerOnItsWay: a worker woken at a request's arrival
+// is on its way when the node crashes. That state dies with the
+// incarnation: the node restarted in the same instant releases none of
+// the sleepers the crash woke, and only the thread already paying its
+// wakeup finishes it.
+func TestCrashDropsWorkerOnItsWay(t *testing.T) {
+	const (
+		node    = 1
+		workers = 3
+	)
+	cls, dep := testDep(t, 2)
+	dom := cls.EnableObs()
+	inst := dep.Instance(node)
+	var served []servedCall
+	serveLog(t, inst, workers, time.Microsecond, &served)
+	f := inst.funcs[echoFn]
+	c := dep.Instance(0).KernelClient()
+	var slept0, slept1 int64
+	cls.GoOn(0, "client", func(p *simtime.Proc) {
+		if _, err := c.RPC(p, node, echoFn, nil, 64); err != nil {
+			t.Error(err)
+		}
+		p.Sleep(50 * time.Microsecond) // pool and poller asleep
+		cls.GoOn(0, "caller", func(q *simtime.Proc) {
+			_, _ = c.RPC(q, node, echoFn, []byte("lost"), 64) // fails with the crash
+		})
+		for f.coming == 0 {
+			p.Sleep(10 * time.Nanosecond)
+		}
+		slept0 = counter(dom, node, "hostos.wait.slept")
+		cls.CrashNode(p, node)
+		if f.coming != 0 {
+			t.Errorf("a crashed node keeps %d workers on their way", f.coming)
+		}
+		cls.RestartNode(p, node)
+		p.Sleep(50 * time.Microsecond)
+		slept1 = counter(dom, node, "hostos.wait.slept")
+		if f.coming != 0 {
+			t.Errorf("the restarted node has %d workers on their way", f.coming)
+		}
+	})
+	run(t, cls)
+	if woke := slept1 - slept0; woke != 1 {
+		t.Errorf("%d threads paid a wakeup across the crash, want 1 (the one on its way)", woke)
 	}
 }

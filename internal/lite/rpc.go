@@ -282,7 +282,12 @@ type rpcFunc struct {
 	// the load does not need let their windows lapse; only when none
 	// spins is the oldest sleeper woken (see dispatchCall).
 	spin, sleep simtime.Cond
-	handler     func(p *simtime.Proc, c *Call)
+	// coming counts the sleepers the receive CQ woke at a request's
+	// arrival (prewakeWorker) that have not yet left their sleep: each
+	// is on its way to the busy window, so the call it was woken for
+	// wakes nobody else when the poller dispatches it.
+	coming  int
+	handler func(p *simtime.Proc, c *Call)
 	// executing counts remote calls dequeued by a server thread whose
 	// reply has not yet posted. Drain's quiescence condition is
 	// queue.len() == 0 && executing == 0.
@@ -587,6 +592,12 @@ func (i *Instance) seqID() uint64 {
 // membership) and with ErrTimeout if no credit arrives within the RPC
 // timeout — a full ring whose head updates were lost must not block
 // forever; the retry layer heals it by renegotiating the binding.
+//
+// A sender that finds the ring full first spins in the kernel for its
+// busy window, counting as a kernel-level spinner: the head update
+// that frees it is then polled on its time while the shared poller
+// sleeps (the caller-poll contract, pollForCaller). Past the window it
+// parks on b.space.
 func (i *Instance) reserveRing(p *simtime.Proc, b *binding, need int64, probe bool) (off, pad int64, err error) {
 	var deadline simtime.Time
 	if i.opts.RPCTimeout > 0 {
@@ -608,6 +619,16 @@ func (i *Instance) reserveRing(p *simtime.Proc, b *binding, need int64, probe bo
 		if r.pull {
 			i.pullCredit(p, b, r.units)
 			continue // posting yielded; credit may already be here
+		}
+		// Every b.space broadcast moves one of these: credit arrived, a
+		// reservation ended the episode, or the binding died or rewound.
+		head := b.credit.head
+		moved := func() bool { return i.stopped || b.dead || b.credit.head != head || !b.credit.asked }
+		i.spinners.kernel++
+		i.node.OS.SpinWait(p, &b.space, moved, deadline)
+		i.spinners.kernel--
+		if moved() {
+			continue
 		}
 		if deadline > 0 {
 			if p.Now() >= deadline {
@@ -972,7 +993,7 @@ func (i *Instance) dispatchCall(f *rpcFunc, call *Call) {
 	if f.handler != nil {
 		i.sysQueue.push(f)
 		i.sysCond.Signal(i.cls.Env)
-	} else if !f.spin.SignalNewest(i.cls.Env) {
+	} else if !f.spin.SignalNewest(i.cls.Env) && f.queue.len() > f.coming {
 		f.sleep.Signal(i.cls.Env)
 	}
 }
@@ -1016,12 +1037,19 @@ func (i *Instance) recvRPCInternal(p *simtime.Proc, fn int) (*Call, error) {
 
 // awaitCall parks the calling server thread until a call is queued for
 // f and dequeues it: the adaptive wait, spinning on f.spin and then
-// sleeping on f.sleep.
+// sleeping on f.sleep. A sleeper also wakes for a call still in the
+// receive CQ (f.coming): it then pays its wakeup and spins, so the call
+// finds it warm when the poller dispatches it. Whichever thread leaves
+// its sleep first while one is on its way counts as that one.
 func (i *Instance) awaitCall(p *simtime.Proc, f *rpcFunc) (*Call, error) {
 	ready := func() bool { return i.stopped || f.queue.len() > 0 }
+	woken := func() bool { return ready() || f.coming > 0 }
 	for {
 		i.node.OS.SpinWait(p, &f.spin, ready, 0)
-		i.node.OS.SleepWait(p, &f.sleep, ready, 0)
+		if !ready() {
+			i.node.OS.SleepWait(p, &f.sleep, woken, 0)
+			f.coming = max(f.coming-1, 0)
+		}
 		if i.stopped {
 			return nil, ErrNodeDead
 		}
@@ -1180,6 +1208,7 @@ func (i *Instance) pollerMaySleep() bool { return i.spinners.user == 0 }
 // wakeup.
 func (i *Instance) pollerSleep(p *simtime.Proc) {
 	i.obsReg().Add("lite.poller.sleeps", 1)
+	i.pollerAway = true
 	for {
 		i.pollerAsleep = true
 		i.recvCQ.Wait(p)
@@ -1189,6 +1218,32 @@ func (i *Instance) pollerSleep(p *simtime.Proc) {
 		}
 	}
 	p.Work(i.cfg.WakeupLatency)
+	i.pollerAway = false
+}
+
+// prewakeWorker is the receive CQ's direct-delivery hook
+// (rnic.CQ.SetDeliver). It never takes a completion; it reads the
+// immediate of each one as it lands. A request to an LT_recvRPC or
+// LT_recv pool that finds the shared poller away (asleep or paying its
+// wakeup), no thread of the pool spinning and none on its way wakes
+// the pool's oldest sleeper now, so that thread's wakeup runs alongside
+// the poller's instead of after the dispatch: the worker-pool rule's
+// demand counts from the request's arrival. The completion queues as
+// ever; the poller parses and dispatches it, and the woken thread,
+// by then in its busy window, takes the call.
+func (i *Instance) prewakeWorker(env *simtime.Env, cqe rnic.CQE) bool {
+	if !i.pollerAway || i.stopped || !cqe.HasImm {
+		return false
+	}
+	tag, fn, _ := decodeImm(cqe.Imm)
+	if tag != tagRPCReq {
+		return false
+	}
+	if f := i.funcs[fn]; f != nil && f.handler == nil && f.coming == 0 && f.spin.Waiters() == 0 && f.sleep.Signal(env) {
+		f.coming++
+		i.obsReg().Add("lite.rpc.worker_prewakes", 1)
+	}
+	return false
 }
 
 // prewakePoller wakes the shared poller if it sleeps, for a user-level

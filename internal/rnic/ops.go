@@ -603,7 +603,7 @@ func (n *NIC) postSendUD(at simtime.Time, qp *QP, wr *WR) {
 	n.env().At(t4, func(e *simtime.Env) {
 		recv, ok := rqp.popRecv()
 		if !ok || recv.Len < length {
-			rqp.drops++
+			rn.obs.Add("rnic.ud_drops", 1)
 			n.reg.bufs.put(payload)
 			return
 		}

@@ -9,6 +9,7 @@ import (
 
 	"lite/internal/fabric"
 	"lite/internal/hostmem"
+	"lite/internal/obs"
 	"lite/internal/params"
 	"lite/internal/simtime"
 )
@@ -310,6 +311,8 @@ func TestUDSendAndDrop(t *testing.T) {
 	rbuf := c.physMR(t, 1, 4096, allPerm)
 	qa := c.nic[0].CreateQP(UD, c.nic[0].CreateCQ(), c.nic[0].CreateCQ())
 	qb := c.nic[1].CreateQP(UD, c.nic[1].CreateCQ(), c.nic[1].CreateCQ())
+	dom := obs.NewDomain(2)
+	c.nic[1].SetObs(dom.Node(1))
 
 	c.env.Go("sender", func(p *simtime.Proc) {
 		// First datagram: no posted receive => silently dropped.
@@ -321,8 +324,8 @@ func TestUDSendAndDrop(t *testing.T) {
 			t.Errorf("UD send should complete OK locally, got %v", cqe.Status)
 		}
 		p.Sleep(10 * time.Microsecond)
-		if qb.drops != 1 {
-			t.Errorf("drops = %d, want 1", qb.drops)
+		if n := dom.Total("rnic.ud_drops"); n != 1 {
+			t.Errorf("rnic.ud_drops = %d, want 1", n)
 		}
 		// Second datagram: receive posted => delivered.
 		_ = qb.PostRecv(PostedRecv{MR: rbuf, Len: 64, WRID: 2})

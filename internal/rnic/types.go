@@ -294,8 +294,6 @@ type QP struct {
 	lowFn    func(*QP)
 	lowFired bool
 
-	drops int64 // UD datagrams dropped for lack of a posted receive
-
 	owner string // optional subsystem/tenant label for accounting
 
 	chain sendChain // RC ordering state of the PostSendList in progress

@@ -143,8 +143,7 @@ func (c *Cond) Broadcast(e *Env) int {
 }
 
 // Waiters returns the number of queued wait records: the processes
-// parked on c that no signal has yet claimed. It is intended for
-// diagnostics.
+// parked on c that no signal has yet claimed.
 func (c *Cond) Waiters() int { return c.q.len() }
 
 // Semaphore is a counting semaphore in virtual time with FIFO wakeup.
