@@ -6,8 +6,9 @@ import (
 	"strings"
 )
 
-// The protocol models (TestRingCreditModel, TestSendQueueModel) share
-// this breadth-first search over hashed states.
+// The protocol models (TestRingCreditModel, TestSendQueueModel,
+// TestOwnershipModel, TestWakeRuleModel) share this breadth-first
+// search over hashed states.
 
 // modelStep names how a model state was reached: an index into the
 // model's verbs and two numbers, formatted only for a report.

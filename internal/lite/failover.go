@@ -68,6 +68,7 @@ func (i *Instance) crash(p *simtime.Proc) {
 		i.failOutbox(dst)
 	}
 	i.headUpd.Close(p)
+	i.wake.crash()
 	i.recvCQ.Broadcast(env)
 	i.sysQueue = fifo[*rpcFunc]{}
 	i.sysCond.Broadcast(env)
@@ -84,7 +85,6 @@ func (i *Instance) crash(p *simtime.Proc) {
 		}
 		f.queue = fifo[*Call]{}
 		f.held = nil
-		f.coming = 0
 		f.spin.Broadcast(env)
 		f.sleep.Broadcast(env)
 	}

@@ -321,20 +321,8 @@ type Instance struct {
 	epoch    uint64
 	deadView []bool
 
-	// spinners counts the callers inside the busy window of an LT_RPC
-	// reply wait (awaitReply); pollerAsleep is set while the shared
-	// poller is parked on the receive CQ, pollerAway from the moment it
-	// stops polling until it has paid its wakeup (pollerSleep).
-	spinners                 replySpinners
-	pollerAsleep, pollerAway bool
-}
-
-// replySpinners counts the callers spinning on an LT_RPC reply, by
-// kind. Kernel spinners poll the receive CQ for the sleeping poller
-// (pollForCaller); user spinners cannot reach the CQ, so they keep the
-// poller awake (pollerMaySleep).
-type replySpinners struct {
-	kernel, user int
+	// wake is the adaptive thread model's state (wake.go).
+	wake wakeRule
 }
 
 // Deployment is a LITE cluster: one Instance per node plus the global

@@ -67,7 +67,7 @@ func runPollerScenario(t *testing.T, user bool, gap, delay, ping simtime.Time) (
 		count := func(name string) int64 { return dom.Node(0).Snapshot().Counters[name] }
 		sleeps0, prewakes0 := count("lite.poller.sleeps"), count("lite.poller.prewakes")
 		polled0, poll0 := count("lite.poller.caller_polled"), pollerCPU(dom, 0)
-		r.asleepAtCall = inst.pollerAsleep
+		r.asleepAtCall = inst.wake.poller == pollerAsleep
 		t0 := p.Now()
 		if !call("Stalled") {
 			return

@@ -241,8 +241,8 @@ func TestSpinningWorkerIsNotPrewoken(t *testing.T) {
 		p.Sleep(50 * time.Microsecond) // pool and poller asleep
 		dispatchLocal(inst)            // wakes one worker; the CQ stays quiet
 		p.Sleep(4 * time.Microsecond)  // it served the call and spins
-		if !inst.pollerAway || inst.funcs[echoFn].spin.Waiters() != 1 {
-			t.Errorf("setup: poller away %v, %d spinning; want an idle poller and one spinner", inst.pollerAway, inst.funcs[echoFn].spin.Waiters())
+		if inst.wake.poller == pollerPolling || inst.funcs[echoFn].spin.Waiters() != 1 {
+			t.Errorf("setup: poller away %v, %d spinning; want an idle poller and one spinner", inst.wake.poller != pollerPolling, inst.funcs[echoFn].spin.Waiters())
 		}
 		slept0 = counter(dom, node, "hostos.wait.slept")
 		if _, err := c.RPC(p, node, echoFn, []byte("ping"), 64); err != nil {
@@ -390,8 +390,8 @@ func TestPollingPollerPrewakesNobody(t *testing.T) {
 			}
 			p.Sleep(time.Microsecond)
 		}
-		if inst.pollerAway || inst.funcs[echoFn].sleep.Waiters() != 2 {
-			t.Errorf("setup: poller away %v, %d asleep; want a polling poller and two sleepers", inst.pollerAway, inst.funcs[echoFn].sleep.Waiters())
+		if inst.wake.poller != pollerPolling || inst.funcs[echoFn].sleep.Waiters() != 2 {
+			t.Errorf("setup: poller away %v, %d asleep; want a polling poller and two sleepers", inst.wake.poller != pollerPolling, inst.funcs[echoFn].sleep.Waiters())
 		}
 		if _, err := c.RPC(p, node, echoFn, []byte("ping"), 64); err != nil {
 			t.Error(err)

@@ -278,25 +278,14 @@ type rpcFunc struct {
 	id    int
 	queue fifo[*Call]
 	// spin parks the server threads inside their busy window, sleep
-	// those past it. A call goes to the newest spinner, so the threads
-	// the load does not need let their windows lapse; only when none
-	// spins is the oldest sleeper woken (see dispatchCall).
+	// those past it; the pool decides whom a call wakes (wake.go).
 	spin, sleep simtime.Cond
-	// coming counts the sleepers the receive CQ woke at a request's
-	// arrival (prewakeWorker) that have not yet left their sleep: each
-	// is on its way to the busy window, so the call it was woken for
-	// wakes nobody else when the poller dispatches it.
-	coming  int
+	*workerPool
 	handler func(p *simtime.Proc, c *Call)
 	// executing counts remote calls dequeued by a server thread whose
 	// reply has not yet posted. Drain's quiescence condition is
 	// queue.len() == 0 && executing == 0.
 	executing int
-	// waiting counts the server threads parked in LT_recvRPC on this
-	// function. Admission reads it: a parked thread that no queued
-	// call has already claimed means the call can run at once, so
-	// shedding it would only idle the server (see handleRPCReq).
-	waiting int
 	// held are the calls a migration fence holds (handleRPCReq), to be
 	// bounced on commit or dispatched on abort.
 	held []*Call
@@ -473,7 +462,7 @@ func (i *Instance) RegisterRPC(id int) error {
 	if _, ok := i.funcs[id]; ok {
 		return fmt.Errorf("lite: RPC function %d already registered", id)
 	}
-	i.funcs[id] = &rpcFunc{id: id}
+	i.funcs[id] = &rpcFunc{id: id, workerPool: i.wake.newPool()}
 	return nil
 }
 
@@ -487,7 +476,7 @@ func (i *Instance) RPCRegistered(id int) bool {
 
 func (i *Instance) registerSystemFuncs() {
 	i.funcs[funcControl] = &rpcFunc{id: funcControl, handler: i.handleControl}
-	i.funcs[funcMsg] = &rpcFunc{id: funcMsg}
+	i.funcs[funcMsg] = &rpcFunc{id: funcMsg, workerPool: i.wake.newPool()}
 	i.funcs[funcLock] = &rpcFunc{id: funcLock, handler: i.handleLock}
 	i.funcs[funcBarrier] = &rpcFunc{id: funcBarrier, handler: i.handleBarrier}
 }
@@ -624,9 +613,9 @@ func (i *Instance) reserveRing(p *simtime.Proc, b *binding, need int64, probe bo
 		// reservation ended the episode, or the binding died or rewound.
 		head := b.credit.head
 		moved := func() bool { return i.stopped || b.dead || b.credit.head != head || !b.credit.asked }
-		i.spinners.kernel++
+		i.wake.callerSpins(false)
 		i.node.OS.SpinWait(p, &b.space, moved, deadline)
-		i.spinners.kernel--
+		i.wake.callerStops(false)
 		if moved() {
 			continue
 		}
@@ -940,27 +929,19 @@ func (i *Instance) rpc(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 }
 
 // awaitReply is LT_RPC's adaptive wait for the reply write-imm: a busy
-// window, then sleep. Whoever waits, no reply waits for a poller wakeup
-// while its caller is still spinning. A kernel-level caller spends its
-// busy window on a core inside the kernel with nothing to do but look
-// for its completion, so while the shared poller sleeps it polls the
-// receive CQ itself (pollForCaller): the reply is demultiplexed at
-// arrival + pollerHandleCost without waking the poller. A user-level
-// caller left the kernel at post time and spins on the §5.2 completion
-// page in user space; it cannot touch the CQ, so it wakes a sleeping
-// poller now, overlapping the wakeup with the round trip, and keeps it
-// awake for its busy window. Once the caller sleeps it stops counting,
-// so the poller spins at most one window past the caller's.
+// window, then sleep. No reply waits for a poller wakeup while its
+// caller still spins: a kernel-level caller, spinning in the kernel,
+// polls the receive CQ for the sleeping poller (pollForCaller); a
+// user-level one spins on the §5.2 completion page in user space, so
+// it wakes the poller now and keeps it awake for its window (wake.go).
 func (i *Instance) awaitReply(p *simtime.Proc, pc *pendingCall, deadline simtime.Time, user bool) bool {
 	ready := func() bool { return pc.done }
-	count := &i.spinners.kernel
-	if user {
-		count = &i.spinners.user
-		i.prewakePoller()
+	if i.wake.callerSpins(user) {
+		i.obsReg().Add("lite.poller.prewakes", 1)
+		i.recvCQ.Broadcast(i.cls.Env) // the poller is its only waiter
 	}
-	*count++
 	i.node.OS.SpinWait(p, &pc.cond, ready, deadline)
-	*count--
+	i.wake.callerStops(user)
 	return i.node.OS.SleepWait(p, &pc.cond, ready, deadline)
 }
 
@@ -993,7 +974,12 @@ func (i *Instance) dispatchCall(f *rpcFunc, call *Call) {
 	if f.handler != nil {
 		i.sysQueue.push(f)
 		i.sysCond.Signal(i.cls.Env)
-	} else if !f.spin.SignalNewest(i.cls.Env) && f.queue.len() > f.coming {
+		return
+	}
+	switch f.dispatch(f.queue.len(), f.spin.Waiters()) {
+	case wakeSpinner:
+		f.spin.SignalNewest(i.cls.Env)
+	case wakeSleeper:
 		f.sleep.Signal(i.cls.Env)
 	}
 }
@@ -1006,12 +992,7 @@ func (i *Instance) recvRPCInternal(p *simtime.Proc, fn int) (*Call, error) {
 	if !ok {
 		return nil, ErrNoSuchRPC
 	}
-	// The thread counts as parked from here to the instant it dequeues
-	// a call or gives up: one increment, one decrement, whatever the
-	// exit, so the count can neither leak nor survive its thread.
-	f.waiting++
 	call, err := i.awaitCall(p, f)
-	f.waiting--
 	if err != nil {
 		return nil, err
 	}
@@ -1037,25 +1018,26 @@ func (i *Instance) recvRPCInternal(p *simtime.Proc, fn int) (*Call, error) {
 
 // awaitCall parks the calling server thread until a call is queued for
 // f and dequeues it: the adaptive wait, spinning on f.spin and then
-// sleeping on f.sleep. A sleeper also wakes for a call still in the
-// receive CQ (f.coming): it then pays its wakeup and spins, so the call
-// finds it warm when the poller dispatches it. Whichever thread leaves
-// its sleep first while one is on its way counts as that one.
+// sleeping on f.sleep. A sleeper woken for a call still in the receive
+// CQ (f.called) pays its wakeup and spins, so the call finds it warm.
 func (i *Instance) awaitCall(p *simtime.Proc, f *rpcFunc) (*Call, error) {
 	ready := func() bool { return i.stopped || f.queue.len() > 0 }
-	woken := func() bool { return ready() || f.coming > 0 }
+	woken := func() bool { return ready() || f.called() }
+	f.enter()
 	for {
 		i.node.OS.SpinWait(p, &f.spin, ready, 0)
 		if !ready() {
 			i.node.OS.SleepWait(p, &f.sleep, woken, 0)
-			f.coming = max(f.coming-1, 0)
+			f.leftSleep()
 		}
 		if i.stopped {
+			f.quits()
 			return nil, ErrNodeDead
 		}
 		if f.queue.len() == 0 {
 			continue // another server thread took it during our wakeup
 		}
+		f.takes()
 		return f.queue.pop(), nil
 	}
 }
@@ -1146,9 +1128,7 @@ const pollerBatchCost = 40 * time.Nanosecond
 // single shared receive CQ for all RPC clients and functions, parses
 // the IMM metadata, and routes work — one thread per node, shared by
 // every application (§5.1, §6.1). It uses the same adaptive model as
-// user threads so an idle node does not burn a core forever, except
-// that it never sleeps while a user-level caller on this node spins on
-// a reply (pollerMaySleep): only the poller can deliver that reply.
+// user threads so an idle node does not burn a core forever (wake.go).
 // Completions that accumulated while it worked are drained in one
 // sweep at the amortized batch cost — the consumer half of CQ
 // moderation (the producer half is selective signaling: unsignaled
@@ -1175,7 +1155,7 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 				i.obsReg().Add("lite.poller.coalesced", 1)
 				pings = i.handleRecvCQE(p, cqe) && pings
 			}
-			if woke && pings && !i.stopped && i.pollerMaySleep() {
+			if woke && pings && !i.stopped && i.wake.pollerIdles() {
 				i.pollerSleep(p)
 				continue
 			}
@@ -1190,7 +1170,7 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 			continue
 		}
 		p.Charge(p.Now() - t0)
-		if !i.pollerMaySleep() {
+		if !i.wake.pollerIdles() {
 			continue
 		}
 		i.pollerSleep(p)
@@ -1198,83 +1178,53 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 	}
 }
 
-// pollerMaySleep reports whether the shared poller may sleep: not
-// while a user-level caller on this node spins on its reply, which only
-// the poller can deliver.
-func (i *Instance) pollerMaySleep() bool { return i.spinners.user == 0 }
-
 // pollerSleep parks the poller until the next completion nobody else
 // polls for, or until a user-level caller needs it, then charges its
 // wakeup.
 func (i *Instance) pollerSleep(p *simtime.Proc) {
 	i.obsReg().Add("lite.poller.sleeps", 1)
-	i.pollerAway = true
 	for {
-		i.pollerAsleep = true
 		i.recvCQ.Wait(p)
-		i.pollerAsleep = false
-		if !i.pollForCaller(p) || !i.pollerMaySleep() {
+		i.wake.pollerWoken()
+		if !i.pollForCaller(p) || !i.wake.pollerIdles() {
 			break
 		}
 	}
 	p.Work(i.cfg.WakeupLatency)
-	i.pollerAway = false
+	i.wake.pollerAwake()
 }
 
 // prewakeWorker is the receive CQ's direct-delivery hook
 // (rnic.CQ.SetDeliver). It never takes a completion; it reads the
-// immediate of each one as it lands. A request to an LT_recvRPC or
-// LT_recv pool that finds the shared poller away (asleep or paying its
-// wakeup), no thread of the pool spinning and none on its way wakes
-// the pool's oldest sleeper now, so that thread's wakeup runs alongside
-// the poller's instead of after the dispatch: the worker-pool rule's
-// demand counts from the request's arrival. The completion queues as
-// ever; the poller parses and dispatches it, and the woken thread,
-// by then in its busy window, takes the call.
+// immediate of each one as it lands, so a request to an LT_recvRPC or
+// LT_recv pool can wake a sleeper at its arrival (requestLands). The
+// completion queues as ever; the poller dispatches it, and the woken
+// thread, by then in its busy window, takes the call.
 func (i *Instance) prewakeWorker(env *simtime.Env, cqe rnic.CQE) bool {
-	if !i.pollerAway || i.stopped || !cqe.HasImm {
+	if i.stopped || !cqe.HasImm {
 		return false
 	}
 	tag, fn, _ := decodeImm(cqe.Imm)
 	if tag != tagRPCReq {
 		return false
 	}
-	if f := i.funcs[fn]; f != nil && f.handler == nil && f.coming == 0 && f.spin.Waiters() == 0 && f.sleep.Signal(env) {
-		f.coming++
+	if f := i.funcs[fn]; f != nil && f.handler == nil && i.wake.requestLands(f.workerPool, f.spin.Waiters(), f.sleep.Waiters()) {
+		f.sleep.Signal(env)
 		i.obsReg().Add("lite.rpc.worker_prewakes", 1)
 	}
 	return false
 }
 
-// prewakePoller wakes the shared poller if it sleeps, for a user-level
-// caller that has just posted its request: the wakeup then runs while
-// the request is on the wire instead of after the reply lands. The
-// poller is the receive CQ's only waiter, so the broadcast reaches it
-// and nothing else.
-func (i *Instance) prewakePoller() {
-	if !i.pollerAsleep {
-		return
-	}
-	i.pollerAsleep = false
-	i.obsReg().Add("lite.poller.prewakes", 1)
-	i.recvCQ.Broadcast(i.cls.Env)
-}
-
-// pollForCaller runs when the shared poller is woken from sleep: if a
-// kernel-level caller is spinning on its reply (spinners.kernel > 0)
-// the queued completions are demultiplexed on that caller's behalf —
-// at the poller's per-CQE cost but on the caller's time, which its busy
-// wait is already charging, so this thread neither pays a wakeup nor
-// burns a busy window afterwards. It reports whether the poller may go
-// back to sleep as far as the CQ goes; false means the completion at
-// the head of the CQ (or the wake itself, a completion or a user-level
-// caller's prewake) is the poller's to handle at full price.
-//
-// The body runs on the poller's proc only because the poller is the
-// receive CQ's only waiter; nothing here is charged to it.
+// pollForCaller runs when the shared poller is woken from sleep: while a
+// kernel-level caller spins on its reply, the queued completions are
+// demultiplexed on that caller's behalf — at the poller's per-CQE cost
+// but on the caller's time, which its busy wait is already charging.
+// It reports whether it handled a completion and left the CQ empty, so
+// the poller may sleep on without paying a wakeup. The body runs on the
+// poller's proc only because the poller is the CQ's only waiter.
 func (i *Instance) pollForCaller(p *simtime.Proc) bool {
 	polled, cost := false, pollerHandleCost
-	for i.spinners.kernel > 0 && !i.stopped {
+	for i.wake.pollsForCaller() && !i.stopped {
 		cqe, ok := i.recvCQ.TryPoll()
 		if !ok {
 			break
@@ -1540,7 +1490,7 @@ func (i *Instance) admitReq(p *simtime.Proc, f *rpcFunc, call *Call, h *reqHdr) 
 	// Work conservation: a server thread is parked that no queued call
 	// has already claimed, so this call would run at once. Banks
 	// arbitrate between callers only when every worker is busy.
-	idle := f.queue.len() < f.waiting
+	idle := f.idle(f.queue.len())
 	a := i.admFor(call.Func)
 	floored := a.idleAdmits
 	w := int64(1)
