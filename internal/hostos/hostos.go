@@ -95,6 +95,17 @@ func (o *OS) SpinWait(p *simtime.Proc, cond *simtime.Cond, ready func() bool, de
 // parks for free and pays one wakeup (the hostos.wakeup span) when
 // ready() holds.
 func (o *OS) SleepWait(p *simtime.Proc, cond *simtime.Cond, ready func() bool, deadline simtime.Time) bool {
+	return o.sleepWait(p, cond, ready, nil, deadline)
+}
+
+// SleepUnless is SleepWait without a deadline for a thread that gone()
+// ends: woken to find gone() true, it returns false without paying a
+// wakeup, as a thread of a crashed kernel never runs again.
+func (o *OS) SleepUnless(p *simtime.Proc, cond *simtime.Cond, ready, gone func() bool) bool {
+	return o.sleepWait(p, cond, ready, gone, 0)
+}
+
+func (o *OS) sleepWait(p *simtime.Proc, cond *simtime.Cond, ready, gone func() bool, deadline simtime.Time) bool {
 	if ready() {
 		return true
 	}
@@ -106,6 +117,9 @@ func (o *OS) SleepWait(p *simtime.Proc, cond *simtime.Cond, ready func() bool, d
 			cond.WaitTimeout(p, deadline-p.Now())
 		} else {
 			cond.Wait(p)
+		}
+		if gone != nil && gone() {
+			return false
 		}
 	}
 	t0 := p.Now()

@@ -57,7 +57,8 @@ func (i *Instance) crash(p *simtime.Proc) {
 	i.adopted = make(map[bindKey]*adoptedWindow)
 
 	// Stop daemons: the header-update thread exits on channel close;
-	// the poller and system workers observe stopped after a wakeup.
+	// the poller, system workers and server threads exit once woken
+	// (alive), without paying a wakeup or touching the wake rule.
 	// Deferred send-queue slots are returned here — nothing of the
 	// dead incarnation will post again to reap their completions — and
 	// every outbox is failed.
@@ -110,6 +111,12 @@ func (i *Instance) crash(p *simtime.Proc) {
 		i.dep.CrashManagerDirectory()
 	}
 }
+
+// alive reports whether the incarnation that booted as boot still
+// runs. A daemon or server thread captures i.boots when it starts and
+// asks this once woken: after a same-instant restart, stopped alone
+// would read false again.
+func (i *Instance) alive(boot uint64) bool { return !i.stopped && i.boots == boot }
 
 // restart re-initializes the instance after a crash and rejoins the
 // cluster: control rings are pointer-reset on both sides, daemons

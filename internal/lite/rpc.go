@@ -1021,16 +1021,17 @@ func (i *Instance) recvRPCInternal(p *simtime.Proc, fn int) (*Call, error) {
 // sleeping on f.sleep. A sleeper woken for a call still in the receive
 // CQ (f.called) pays its wakeup and spins, so the call finds it warm.
 func (i *Instance) awaitCall(p *simtime.Proc, f *rpcFunc) (*Call, error) {
-	ready := func() bool { return i.stopped || f.queue.len() > 0 }
+	boot := i.boots
+	gone := func() bool { return i.boots != boot }
+	ready := func() bool { return !i.alive(boot) || f.queue.len() > 0 }
 	woken := func() bool { return ready() || f.called() }
 	f.enter()
 	for {
 		i.node.OS.SpinWait(p, &f.spin, ready, 0)
-		if !ready() {
-			i.node.OS.SleepWait(p, &f.sleep, woken, 0)
+		if !ready() && i.node.OS.SleepUnless(p, &f.sleep, woken, gone) && i.alive(boot) {
 			f.leftSleep()
 		}
-		if i.stopped {
+		if !i.alive(boot) {
 			f.quits()
 			return nil, ErrNodeDead
 		}
@@ -1141,12 +1142,13 @@ const pollerBatchCost = 40 * time.Nanosecond
 // a busy window for traffic the probe does not bring. Any other CQE in
 // that batch, or an empty CQ after the wakeup, keeps the window.
 func (i *Instance) pollerLoop(p *simtime.Proc) {
+	boot := i.boots
 	woke := false // the poller has just slept and handled nothing since
-	for !i.stopped {
+	for i.alive(boot) {
 		if cqe, ok := i.recvCQ.TryPoll(); ok {
 			p.Work(pollerHandleCost)
 			pings := i.handleRecvCQE(p, cqe)
-			for !i.stopped {
+			for i.alive(boot) {
 				cqe, ok := i.recvCQ.TryPoll()
 				if !ok {
 					break
@@ -1155,8 +1157,10 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 				i.obsReg().Add("lite.poller.coalesced", 1)
 				pings = i.handleRecvCQE(p, cqe) && pings
 			}
-			if woke && pings && !i.stopped && i.wake.pollerIdles() {
-				i.pollerSleep(p)
+			if woke && pings && i.alive(boot) && i.wake.pollerIdles() {
+				if !i.pollerSleep(p, boot) {
+					return
+				}
 				continue
 			}
 			woke = false
@@ -1170,28 +1174,39 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 			continue
 		}
 		p.Charge(p.Now() - t0)
-		if !i.wake.pollerIdles() {
-			continue
+		if i.wake.pollerIdles() && !i.pollerSleep(p, boot) {
+			return
 		}
-		i.pollerSleep(p)
 		woke = true
 	}
 }
 
 // pollerSleep parks the poller until the next completion nobody else
 // polls for, or until a user-level caller needs it, then charges its
-// wakeup.
-func (i *Instance) pollerSleep(p *simtime.Proc) {
+// wakeup. It reports false if the poller's incarnation ended meanwhile:
+// then it touches the wake rule no more, and if a later incarnation
+// already runs, it pays no wakeup either.
+func (i *Instance) pollerSleep(p *simtime.Proc, boot uint64) bool {
 	i.obsReg().Add("lite.poller.sleeps", 1)
 	for {
 		i.recvCQ.Wait(p)
+		if i.boots != boot {
+			return false
+		}
+		if i.stopped {
+			break
+		}
 		i.wake.pollerWoken()
-		if !i.pollForCaller(p) || !i.wake.pollerIdles() {
+		if !i.pollForCaller(p, boot) || !i.wake.pollerIdles() {
 			break
 		}
 	}
 	p.Work(i.cfg.WakeupLatency)
+	if !i.alive(boot) {
+		return false
+	}
 	i.wake.pollerAwake()
+	return true
 }
 
 // prewakeWorker is the receive CQ's direct-delivery hook
@@ -1222,9 +1237,9 @@ func (i *Instance) prewakeWorker(env *simtime.Env, cqe rnic.CQE) bool {
 // It reports whether it handled a completion and left the CQ empty, so
 // the poller may sleep on without paying a wakeup. The body runs on the
 // poller's proc only because the poller is the CQ's only waiter.
-func (i *Instance) pollForCaller(p *simtime.Proc) bool {
+func (i *Instance) pollForCaller(p *simtime.Proc, boot uint64) bool {
 	polled, cost := false, pollerHandleCost
-	for i.wake.pollsForCaller() && !i.stopped {
+	for i.wake.pollsForCaller() && i.alive(boot) {
 		cqe, ok := i.recvCQ.TryPoll()
 		if !ok {
 			break
@@ -1234,7 +1249,7 @@ func (i *Instance) pollForCaller(p *simtime.Proc) bool {
 		i.obsReg().Add("lite.poller.caller_polled", 1)
 		i.handleRecvCQE(p, cqe)
 	}
-	return polled && !i.stopped && i.recvCQ.Len() == 0
+	return polled && i.alive(boot) && i.recvCQ.Len() == 0
 }
 
 // handleRecvCQE demultiplexes one receive completion; ping reports a
@@ -1690,11 +1705,15 @@ func (i *Instance) noteLowRecv(qp *rnic.QP) {
 // systemWorkerLoop executes LITE-internal RPC handlers (control plane,
 // memory operations, locks, barriers) from the system queue.
 func (i *Instance) systemWorkerLoop(p *simtime.Proc) {
-	for !i.stopped {
-		if !i.node.OS.AdaptiveWait(p, &i.sysCond, func() bool { return i.stopped || i.sysQueue.len() > 0 }, 0) {
-			return
+	boot := i.boots
+	gone := func() bool { return i.boots != boot }
+	ready := func() bool { return !i.alive(boot) || i.sysQueue.len() > 0 }
+	for {
+		i.node.OS.SpinWait(p, &i.sysCond, ready, 0)
+		if !ready() {
+			i.node.OS.SleepUnless(p, &i.sysCond, ready, gone)
 		}
-		if i.stopped {
+		if !i.alive(boot) {
 			return
 		}
 		if i.sysQueue.len() == 0 {

@@ -157,9 +157,11 @@ func (f *workerPool) quits() { f.waiting-- }
 // would run a new call at once.
 func (f *workerPool) idle(queued int) bool { return queued < f.waiting }
 
-// crash: the node's kernel went away, and the sleepers on their way
-// with it.
+// crash: the node's kernel went away, and its poller and the sleepers
+// on their way with it. Its threads exit without another event, so the
+// next incarnation's poller starts polling and nobody is on the way.
 func (r *wakeRule) crash() {
+	r.poller = pollerPolling
 	for _, f := range r.pools {
 		f.coming = 0
 	}

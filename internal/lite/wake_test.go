@@ -10,12 +10,14 @@ import (
 // TestWakeRuleModel drives the production wakeRule and workerPool
 // through every interleaving of one node's threads: the shared poller,
 // a pool of workers, a kernel-level and a user-level caller, requests
-// and replies landing in the receive CQ, and a crash and restart at
-// any step. The threads are counted by state; the rule sees only what
-// rpc.go passes it. A thread woken by a signal runs before any time
-// passes, as a proc woken at the current instant does, so a step that
-// takes time (a busy window lapsing, a wakeup being paid, a message
-// landing) is explored only once every woken thread has run.
+// and replies landing in the receive CQ, and a crash at any step with
+// a restart later or in the same instant. The threads are counted by
+// state; the rule sees only what rpc.go passes it. A thread woken by a
+// signal runs before any time passes, as a proc woken at the current
+// instant does, so a step that takes time (a busy window lapsing, a
+// wakeup being paid, a message landing) is explored only once every
+// woken thread has run. The crashed incarnation's threads may still
+// run beside the next one's, and must leave the rule as they find it.
 func TestWakeRuleModel(t *testing.T) {
 	allocbudget.SkipUnderRace(t)
 	for _, m := range wakeModels {
@@ -29,7 +31,7 @@ func TestWakeRuleModel(t *testing.T) {
 
 var wakeModels = []wakeModel{
 	{name: "two workers", workers: 2, reqs: 3, replies: 3},
-	{name: "three workers", workers: 3, reqs: 3, replies: 2},
+	{name: "three workers", workers: 3, reqs: 3, replies: 1},
 }
 
 // wakeModel bounds one search: the pool's threads per incarnation and
@@ -85,16 +87,16 @@ type wmState struct {
 	polled bool // the woken poller has handled a completion for a caller
 	live   [mwStates]int8
 	// dead counts the crashed incarnation's workers that have not yet
-	// left LT_recvRPC; deadPoller its poller, until it exits.
-	dead       [mwStates]int8
-	deadPoller bool
-	cqReqs     int8 // requests in the receive CQ
-	queue      int8 // calls dispatched to the pool
-	callers    [2]wmCaller
-	landed     int8 // requests landed in all
-	posted     int8 // calls the callers posted in all
-	down       bool
-	crashed    bool
+	// left LT_recvRPC. Its poller and busy workers exit without a call
+	// into the rule, so they are not tracked.
+	dead    [mwStates]int8
+	cqReqs  int8 // requests in the receive CQ
+	queue   int8 // calls dispatched to the pool
+	callers [2]wmCaller
+	landed  int8 // requests landed in all
+	posted  int8 // calls the callers posted in all
+	down    bool
+	crashed bool
 }
 
 var wmVerbs = []string{
@@ -105,7 +107,7 @@ var wmVerbs = []string{
 	"worker enters LT_recvRPC", "worker's window lapses", "signaled spinner runs",
 	"signaled sleeper runs", "worker paid its wakeup",
 	"crash", "crash and restart in one instant", "restart",
-	"dead worker runs", "dead worker paid its wakeup", "dead poller exits",
+	"dead worker runs", "dead worker paid its wakeup",
 }
 
 const (
@@ -131,7 +133,6 @@ const (
 	wvRestart
 	wvDeadRuns
 	wvDeadPaid
-	wvDeadPoller
 )
 
 func (m *wakeModel) start() wmState {
@@ -145,7 +146,7 @@ func (m *wakeModel) key(st *wmState) uint64 {
 	h.add(int64(st.rule.poller), int64(st.rule.kernelSpin), int64(st.rule.userSpin),
 		int64(st.pool.waiting), int64(st.pool.coming), int64(st.poller), b2i(st.polled),
 		int64(st.cqReqs), int64(st.queue), int64(st.landed), int64(st.posted),
-		b2i(st.down), b2i(st.crashed), b2i(st.deadPoller))
+		b2i(st.down), b2i(st.crashed))
 	for k := range st.live {
 		h.add(int64(st.live[k]), int64(st.dead[k]))
 	}
@@ -259,17 +260,20 @@ func (st *wmState) land() {
 }
 
 // crash kills the incarnation: the parked workers are signaled and
-// join the dead, the poller dies, and the callers' calls fail.
-func (st *wmState) crash() {
+// join the dead, the poller dies, and the callers' calls fail. It
+// returns the law the crash breaks.
+func (st *wmState) crash() error {
 	st.rule.pools = []*workerPool{&st.pool}
 	st.rule.crash()
 	st.rule.pools = nil
+	if st.rule.poller != pollerPolling || st.pool.coming != 0 {
+		return fmt.Errorf("crash: the next incarnation would start with the poller in state %d and %d workers on their way", st.rule.poller, st.pool.coming)
+	}
 	st.dead = st.live
 	st.dead[mwSpinSig] += st.dead[mwSpin]
 	st.dead[mwSleepSig] += st.dead[mwSleep]
-	st.dead[mwSpin], st.dead[mwSleep] = 0, 0
+	st.dead[mwSpin], st.dead[mwSleep], st.dead[mwBusy] = 0, 0, 0
 	st.live = [mwStates]int8{}
-	st.deadPoller = true
 	st.cqReqs, st.queue = 0, 0
 	for k := range st.callers {
 		c := &st.callers[k]
@@ -281,6 +285,7 @@ func (st *wmState) crash() {
 		}
 	}
 	st.down, st.crashed = true, true
+	return nil
 }
 
 // restart boots the next incarnation: a fresh poller and pool.
@@ -364,19 +369,37 @@ func (m *wakeModel) urgent(st *wmState, try func(bool, int, int, func(*wmState) 
 	}); err != nil {
 		return err
 	}
-	// The crashed incarnation's woken workers see their node down.
-	if err := try(st.dead[mwSpinSig] > 0, wvDeadRuns, mwSpinSig, func(nx *wmState) error {
+	// The crashed incarnation's woken workers see it ended. A sleeper
+	// that runs while its node is down pays its wakeup there; one that
+	// runs after the restart leaves at once.
+	if err := try(st.dead[mwSpinSig] > 0, wvDeadRuns, mwSpinSig, dying(func(nx *wmState) {
 		nx.dead[mwSpinSig]--
 		nx.pool.quits()
-		return nil
-	}); err != nil {
+	})); err != nil {
 		return err
 	}
-	return try(st.dead[mwSleepSig] > 0, wvDeadRuns, mwSleepSig, func(nx *wmState) error {
+	return try(st.dead[mwSleepSig] > 0, wvDeadRuns, mwSleepSig, dying(func(nx *wmState) {
 		nx.dead[mwSleepSig]--
-		nx.dead[mwPaying]++
+		if nx.down {
+			nx.dead[mwPaying]++
+		} else {
+			nx.pool.quits()
+		}
+	}))
+}
+
+// dying wraps a step of the crashed incarnation's threads: it must leave
+// the rule as it found it, but for the waiting count of a thread that
+// leaves LT_recvRPC.
+func dying(f func(nx *wmState)) func(nx *wmState) error {
+	return func(nx *wmState) error {
+		r, coming := nx.rule, nx.pool.coming
+		f(nx)
+		if nx.rule.poller != r.poller || nx.rule.kernelSpin != r.kernelSpin || nx.rule.userSpin != r.userSpin || nx.pool.coming != coming {
+			return fmt.Errorf("crash: a thread of the crashed incarnation changed the wake rule")
+		}
 		return nil
-	})
+	}
 }
 
 // timed explores the steps that take time.
@@ -497,31 +520,19 @@ func (m *wakeModel) timed(st *wmState, step wmStepFn) error {
 		return nil
 	})
 	// The crashed incarnation's threads finish dying.
-	run(st.dead[mwPaying] > 0, wvDeadPaid, 0, func(nx *wmState) error {
+	run(st.dead[mwPaying] > 0, wvDeadPaid, 0, dying(func(nx *wmState) {
 		nx.dead[mwPaying]--
-		nx.pool.leftSleep()
 		nx.pool.quits()
-		return nil
+	}))
+	// Crash, and restart: later, or in the same instant, before any
+	// thread the crash woke has run.
+	run(up && !st.crashed, wvCrash, 0, func(nx *wmState) error { return nx.crash() })
+	run(up && !st.crashed, wvCrashRestart, 0, func(nx *wmState) error {
+		err := nx.crash()
+		m.restart(nx)
+		return err
 	})
-	run(st.dead[mwBusy] > 0, wvDeadRuns, mwBusy, func(nx *wmState) error {
-		nx.dead[mwBusy]--
-		return nil
-	})
-	run(st.deadPoller, wvDeadPoller, 0, func(nx *wmState) error {
-		nx.deadPoller = false
-		nx.rule.pollerAwake()
-		return nil
-	})
-	// Crash and restart.
-	run(up && !st.crashed, wvCrash, 0, func(nx *wmState) error {
-		nx.crash()
-		return nil
-	})
-	gone := !st.deadPoller && inWait(&st.dead) == 0 && st.dead[mwBusy] == 0
-	run(st.down && gone, wvRestart, 0, func(nx *wmState) error {
-		if nx.rule.poller != pollerPolling || nx.pool.coming != 0 {
-			return fmt.Errorf("crash: the next incarnation starts with the poller %d and %d workers on their way", nx.rule.poller, nx.pool.coming)
-		}
+	run(st.down, wvRestart, 0, func(nx *wmState) error {
 		m.restart(nx)
 		return nil
 	})
