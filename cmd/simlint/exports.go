@@ -464,9 +464,10 @@ func satisfiedMethod(named *types.Named, m *types.Func, ifaces map[string][]*typ
 	return false
 }
 
-// lintExports runs the exported-surface rule over the module that
-// holds root, with the committed allowlist.
-func lintExports(root string) ([]finding, error) {
+// lintModule runs the exported-surface rule, with the committed
+// allowlist, and the pure-type rule (pure.go) over the module that
+// holds root.
+func lintModule(root string) ([]finding, error) {
 	dir, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -485,7 +486,25 @@ func lintExports(root string) ([]finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	return checkExports(dir, allow)
+	u, modPath, err := loadModule(dir)
+	if err != nil {
+		return nil, err
+	}
+	return append(u.exportFindings(modPath, allow), u.pureFindings(dir, modPath)...), nil
+}
+
+// loadModule type-checks the module at modDir and those nested in it.
+func loadModule(modDir string) (*universe, string, error) {
+	dirs, err := moduleDirs(modDir)
+	if err != nil {
+		return nil, "", err
+	}
+	u, err := loadUniverse(dirs)
+	if err != nil {
+		return nil, "", err
+	}
+	modPath, err := modulePath(modDir)
+	return u, modPath, err
 }
 
 // modulePath reads the module path from dir's go.mod.
@@ -506,18 +525,14 @@ func modulePath(dir string) (string, error) {
 // internal/ that allow does not list, and each allowlist entry that is
 // stale, names no export, or (paper) has no caller under examples/.
 func checkExports(modDir string, allow map[string]allowEntry) ([]finding, error) {
-	dirs, err := moduleDirs(modDir)
+	u, modPath, err := loadModule(modDir)
 	if err != nil {
 		return nil, err
 	}
-	u, err := loadUniverse(dirs)
-	if err != nil {
-		return nil, err
-	}
-	modPath, err := modulePath(modDir)
-	if err != nil {
-		return nil, err
-	}
+	return u.exportFindings(modPath, allow), nil
+}
+
+func (u *universe) exportFindings(modPath string, allow map[string]allowEntry) []finding {
 	internal := modPath + "/internal/"
 	support := u.testSupport(internal)
 	refs := u.references(modPath+"/examples/", support)
@@ -564,5 +579,5 @@ func checkExports(modDir string, allow map[string]allowEntry) ([]finding, error)
 		}
 		return a.Line < b.Line
 	})
-	return findings, nil
+	return findings
 }

@@ -110,7 +110,7 @@ func main() {
 		}
 		findings = append(findings, fs...)
 	}
-	exportFindings, err := lintExports(root)
+	exportFindings, err := lintModule(root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 		os.Exit(2)

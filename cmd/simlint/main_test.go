@@ -203,10 +203,11 @@ func TestExportFixtures(t *testing.T) {
 	}
 }
 
-// TestNoUnreferencedExports holds the repository to the rule, so
-// go test ./... enforces it as make lint does.
+// TestNoUnreferencedExports holds the repository to the
+// exported-surface and pure-type rules, so go test ./... enforces them
+// as make lint does.
 func TestNoUnreferencedExports(t *testing.T) {
-	findings, err := lintExports(filepath.Join("..", "..", "internal"))
+	findings, err := lintModule(filepath.Join("..", "..", "internal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +220,52 @@ func TestParseAllowlistRejectsMalformedLines(t *testing.T) {
 	for _, line := range []string{"paper lite/x.Y", "other lite/x.Y why", "lite/x.Y LT_y"} {
 		if _, err := parseAllowlist(line); err == nil {
 			t.Errorf("parseAllowlist(%q) accepted it", line)
+		}
+	}
+}
+
+// TestPureFixtures runs the pure-type rule over a fixture module whose
+// internal/lite mirrors the pure files: it must flag exactly the
+// BAD-marked lines, a pure file's banned import and each assignment
+// another file makes to a pure type's field (a plain, compound, inc/dec
+// or element write, a promoted field included), and leave reads,
+// method calls, the type's own file and other types' fields alone.
+func TestPureFixtures(t *testing.T) {
+	abs, err := filepath.Abs(filepath.Join("testdata", "pure"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := checkPure(abs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	err = filepath.WalkDir(abs, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		src, err := readLines(path)
+		for i, line := range src {
+			if strings.Contains(line, "// BAD") {
+				want[fmt.Sprintf("%s:%d", path, i+1)] = true
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, f := range findings {
+		key := fmt.Sprintf("%s:%d", f.pos.Filename, f.pos.Line)
+		if !want[key] || got[key] {
+			t.Errorf("unexpected finding: %s: %s", f.pos, f.msg)
+		}
+		got[key] = true
+	}
+	for key := range want {
+		if !got[key] {
+			t.Errorf("BAD marker at %s produced no finding", key)
 		}
 	}
 }
