@@ -120,6 +120,7 @@ func fig4() (*Table, error) {
 		Header: []string{"#(L)MRs", "Verbs write (us)", "LITE_write (us)"},
 	}
 	counts := []int{10, 100, 1000, 10000, 50000}
+	var rows []fig4Row
 	for _, n := range counts {
 		ops := 1000
 		v, err := verbsWriteLatency(n, ops)
@@ -131,9 +132,10 @@ func fig4() (*Table, error) {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("%d", n), us(v), us(l))
+		rows = append(rows, fig4Row{n, v, l})
 	}
 	t.Note("paper: Verbs degrades past ~100 MRs (NIC key-cache thrash); LITE stays flat (one global physical MR)")
-	return t, nil
+	return t, fig4Shape(rows)
 }
 
 // writeThroughput measures blocking-write throughput with the given

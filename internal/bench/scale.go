@@ -116,6 +116,7 @@ func fig14() (*Table, error) {
 		Title:  "Scalability with cluster size (8 threads/node; 64B LT_write; 64B->8B LT_RPC)",
 		Header: []string{"Nodes", "LT_write (req/us)", "LT_RPC (req/us)"},
 	}
+	var rows []fig14Row
 	for _, n := range []int{2, 4, 6, 8} {
 		w, err := clusterWriteRate(n)
 		if err != nil {
@@ -126,9 +127,11 @@ func fig14() (*Table, error) {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("%d", n), reqPerUs(int64(n*fig14Threads*fig14WriteOps), w), reqPerUs(int64(n*fig14Threads*fig14RPCOps), r))
+		perNode := func(ops int, d simtime.Time) float64 { return float64(fig14Threads*ops) / (float64(d) / 1000) }
+		rows = append(rows, fig14Row{n, perNode(fig14WriteOps, w), perNode(fig14RPCOps, r)})
 	}
 	t.Note("paper: both scale near-linearly with node count on K x N shared QPs")
-	return t, nil
+	return t, fig14Shape(rows)
 }
 
 func logTput() (*Table, error) {

@@ -73,3 +73,52 @@ func ablWindowShape(rows []windowRow) error {
 	}
 	return nil
 }
+
+// fig4Row is one (L)MR count of Fig 4: the mean 64 B write latency.
+type fig4Row struct {
+	mrs         int
+	verbs, lite simtime.Time
+}
+
+// fig4Shape: LITE's write latency stays within 5 % of its 10-MR value
+// at every count (one global physical MR), while Verbs' at 1 000 MRs is
+// at least 1.5x its 100-MR value (the NIC's key cache thrashes).
+func fig4Shape(rows []fig4Row) error {
+	at := map[int]fig4Row{}
+	for _, r := range rows {
+		at[r.mrs] = r
+	}
+	base, v100, v1000 := at[10].lite, at[100].verbs, at[1000].verbs
+	for _, r := range rows {
+		if d := r.lite - base; float64(max(d, -d)) > 0.05*float64(base) {
+			return fmt.Errorf("LITE writes in %s us at %d MRs, not within 5%% of %s us at 10", us(r.lite), r.mrs, us(base))
+		}
+	}
+	if float64(v1000) < 1.5*float64(v100) {
+		return fmt.Errorf("Verbs writes in %s us at 1000 MRs, under 1.5x its %s us at 100", us(v1000), us(v100))
+	}
+	return nil
+}
+
+// fig14Row is one cluster size of Fig 14: LT_write and LT_RPC requests
+// per µs per node.
+type fig14Row struct {
+	nodes      int
+	write, rpc float64
+}
+
+// fig14Shape: both scale near-linearly, so each per-node rate at the
+// largest cluster is within 10 % of its rate at the smallest.
+func fig14Shape(rows []fig14Row) error {
+	lo, hi := rows[0], rows[len(rows)-1]
+	for _, c := range []struct {
+		name     string
+		from, to float64
+	}{{"LT_write", lo.write, hi.write}, {"LT_RPC", lo.rpc, hi.rpc}} {
+		if d := c.to - c.from; max(d, -d) > 0.10*c.from {
+			return fmt.Errorf("%s runs %.2f req/us per node at %d nodes, not within 10%% of %.2f at %d",
+				c.name, c.to, hi.nodes, c.from, lo.nodes)
+		}
+	}
+	return nil
+}

@@ -93,3 +93,59 @@ func TestAblWindowShape(t *testing.T) {
 		}
 	}
 }
+
+func TestFig4Shape(t *testing.T) {
+	rec := func() []fig4Row {
+		return []fig4Row{
+			{10, 1390, 1510},
+			{100, 1400, 1510},
+			{1000, 2940, 1510},
+			{10000, 3950, 1510},
+			{50000, 4360, 1510},
+		}
+	}
+	if err := fig4Shape(rec()); err != nil {
+		t.Fatalf("recorded fig4: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		breakIt    func([]fig4Row)
+	}{
+		{"LITE 6% slower at 50000 MRs", "LITE writes in 1.60 us at 50000 MRs", func(r []fig4Row) { r[4].lite = 1600 }},
+		{"LITE 6% faster at 1000 MRs", "at 1000 MRs, not within 5%", func(r []fig4Row) { r[2].lite = 1419 }},
+		{"Verbs flat to 1000 MRs", "Verbs writes in 2.09 us at 1000 MRs, under 1.5x its 1.40 us", func(r []fig4Row) { r[2].verbs = 2090 }},
+	} {
+		rows := rec()
+		tc.breakIt(rows)
+		if err := fig4Shape(rows); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func TestFig14Shape(t *testing.T) {
+	rec := func() []fig14Row {
+		return []fig14Row{
+			{2, 3.215, 1.850},
+			{4, 3.035, 1.785},
+			{6, 3.007, 1.767},
+			{8, 2.996, 1.778},
+		}
+	}
+	if err := fig14Shape(rec()); err != nil {
+		t.Fatalf("recorded fig14: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		breakIt    func([]fig14Row)
+	}{
+		{"LT_write per node falls 20%", "LT_write runs 2.57 req/us per node at 8 nodes, not within 10% of 3.21 at 2", func(r []fig14Row) { r[3].write = 2.572 }},
+		{"LT_RPC per node rises 20%", "LT_RPC runs 2.22 req/us per node at 8 nodes", func(r []fig14Row) { r[3].rpc = 2.22 }},
+	} {
+		rows := rec()
+		tc.breakIt(rows)
+		if err := fig14Shape(rows); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+}
