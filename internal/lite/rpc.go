@@ -1216,7 +1216,7 @@ func (i *Instance) pollerSleep(p *simtime.Proc, boot uint64) bool {
 // completion queues as ever; the poller dispatches it, and the woken
 // thread, by then in its busy window, takes the call.
 func (i *Instance) prewakeWorker(env *simtime.Env, cqe rnic.CQE) bool {
-	if i.stopped || !cqe.HasImm {
+	if !cqe.HasImm {
 		return false
 	}
 	tag, fn, _ := decodeImm(cqe.Imm)
