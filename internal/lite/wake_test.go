@@ -405,12 +405,10 @@ func dying(f func(nx *wmState)) func(nx *wmState) error {
 // timed explores the steps that take time.
 func (m *wakeModel) timed(st *wmState, step wmStepFn) error {
 	cq := st.cqReqs > 0 || st.callers[0].reply == mrCQ || st.callers[1].reply == mrCQ
-	var todo []error
+	var err error
 	run := func(ok bool, verb, a int, f func(*wmState) error) {
-		if ok && len(todo) == 0 {
-			if err := step(verb, a, f); err != nil {
-				todo = append(todo, err)
-			}
+		if ok && err == nil {
+			err = step(verb, a, f)
 		}
 	}
 	up := !st.down
@@ -536,8 +534,5 @@ func (m *wakeModel) timed(st *wmState, step wmStepFn) error {
 		m.restart(nx)
 		return nil
 	})
-	if len(todo) > 0 {
-		return todo[0]
-	}
-	return nil
+	return err
 }
