@@ -521,17 +521,9 @@ func modulePath(dir string) (string, error) {
 	return "", fmt.Errorf("%s/go.mod declares no module", dir)
 }
 
-// checkExports reports each unreferenced export under modDir's
+// exportFindings reports each unreferenced export under the module's
 // internal/ that allow does not list, and each allowlist entry that is
 // stale, names no export, or (paper) has no caller under examples/.
-func checkExports(modDir string, allow map[string]allowEntry) ([]finding, error) {
-	u, modPath, err := loadModule(modDir)
-	if err != nil {
-		return nil, err
-	}
-	return u.exportFindings(modPath, allow), nil
-}
-
 func (u *universe) exportFindings(modPath string, allow map[string]allowEntry) []finding {
 	internal := modPath + "/internal/"
 	support := u.testSupport(internal)

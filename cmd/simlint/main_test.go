@@ -165,10 +165,11 @@ func TestExportFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := checkExports(abs, allow)
+	u, modPath, err := loadModule(abs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings := u.exportFindings(modPath, allow)
 	want := map[string]bool{} // "file:line" of each BAD marker
 	err = filepath.WalkDir(abs, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
@@ -235,10 +236,11 @@ func TestPureFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := checkPure(abs)
+	u, modPath, err := loadModule(abs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings := u.pureFindings(abs, modPath)
 	want := map[string]bool{}
 	err = filepath.WalkDir(abs, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {

@@ -27,16 +27,8 @@ var pureFiles = []string{
 // pureBanned are the module packages a pure file must not import.
 var pureBanned = []string{"internal/simtime", "internal/rnic", "internal/verbs", "internal/hostos"}
 
-// checkPure reports each breach of the pure-type rule in the module at
-// modDir.
-func checkPure(modDir string) ([]finding, error) {
-	u, modPath, err := loadModule(modDir)
-	if err != nil {
-		return nil, err
-	}
-	return u.pureFindings(modDir, modPath), nil
-}
-
+// pureFindings reports each breach of the pure-type rule in the module
+// at modDir.
 func (u *universe) pureFindings(modDir, modPath string) []finding {
 	var findings []finding
 	report := func(pos token.Pos, format string, args ...any) {

@@ -126,3 +126,42 @@ func TestAdaptiveWaitAlreadyReady(t *testing.T) {
 		t.Errorf("hostos.wait.immediate = %d, want 1", n)
 	}
 }
+
+func TestSleepUnlessLeavesWithoutWakeup(t *testing.T) {
+	// A sleeper woken to find its wait called off leaves at once and
+	// pays nothing; one woken to find its completion pays its wakeup.
+	for _, off := range []bool{true, false} {
+		cfg := params.Default()
+		os := New(&cfg)
+		reg := obs.NewDomain(1).Node(0)
+		os.SetObs(reg)
+		env := simtime.NewEnv()
+		acct := &simtime.CPUAccount{}
+		var f flag
+		gone := false
+		env.After(time.Microsecond, func(e *simtime.Env) {
+			if off {
+				gone = true
+				f.cond.Broadcast(e)
+			} else {
+				f.complete(e)
+			}
+		})
+		env.Go("sleeper", func(p *simtime.Proc) {
+			p.SetCPUAccount(acct)
+			if got := os.SleepUnless(p, &f.cond, f.ready, func() bool { return gone }); got == off {
+				t.Errorf("off %v: SleepUnless = %v", off, got)
+			}
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want, slept := cfg.WakeupLatency, int64(1)
+		if off {
+			want, slept = 0, 0
+		}
+		if acct.Busy() != want || reg.Snapshot().Counters["hostos.wait.slept"] != slept {
+			t.Errorf("off %v: cpu %v and %d wakeups, want %v and %d", off, acct.Busy(), reg.Snapshot().Counters["hostos.wait.slept"], want, slept)
+		}
+	}
+}

@@ -50,11 +50,11 @@ type workerPool struct {
 	coming int
 }
 
-// wake names the thread a dispatch wakes.
-type wake uint8
+// whom names the thread a dispatch wakes.
+type whom uint8
 
 const (
-	wakeNobody wake = iota
+	wakeNobody whom = iota
 	wakeSpinner
 	wakeSleeper
 )
@@ -125,7 +125,7 @@ func (r *wakeRule) requestLands(f *workerPool, spinning, sleeping int) bool {
 // dispatch: a call for f was queued, queued in all, while spinning of
 // f's threads spin. A spinner takes it; failing one, a sleeper is woken
 // only for calls the sleepers on their way do not cover.
-func (f *workerPool) dispatch(queued, spinning int) wake {
+func (f *workerPool) dispatch(queued, spinning int) whom {
 	switch {
 	case spinning > 0:
 		return wakeSpinner
