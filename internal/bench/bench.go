@@ -221,6 +221,9 @@ func us(d simtime.Time) string { return fmt.Sprintf("%.2f", float64(d)/1000.0) }
 // ms formats a duration in milliseconds.
 func ms(d simtime.Time) string { return fmt.Sprintf("%.2f", d.Seconds()*1000) }
 
+// bytesPerSec returns bytes moved over a duration as bytes/s.
+func bytesPerSec(bytes int64, d simtime.Time) float64 { return float64(bytes) / d.Seconds() }
+
 // gbps formats bytes over a duration as GB/s.
 func gbps(bytes int64, d simtime.Time) string {
 	if d <= 0 {

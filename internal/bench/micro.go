@@ -6,6 +6,7 @@ import (
 	"lite/internal/cluster"
 	"lite/internal/hostmem"
 	"lite/internal/lite"
+	"lite/internal/params"
 	"lite/internal/rnic"
 	"lite/internal/simtime"
 	"lite/internal/verbs"
@@ -242,9 +243,9 @@ func fig6() (*Table, error) {
 	}
 	sizes := []int{8, 64, 512, 4096, 32768}
 
-	rows := make([][]string, len(sizes))
+	rows := make([]fig6Row, len(sizes))
 	for k, s := range sizes {
-		rows[k] = []string{fmt.Sprintf("%d", s)}
+		rows[k].size = s
 	}
 	// Verbs and LITE on one cluster.
 	cls, dep, err := newLITE(2)
@@ -263,18 +264,22 @@ func fig6() (*Table, error) {
 		h, _ := kc.MallocAt(p, []int{1}, 64<<10, "", lite.PermRead|lite.PermWrite)
 		for k, s := range sizes {
 			buf := make([]byte, s)
-			for _, op := range []func(i int) error{
-				func(i int) error {
+			r := &rows[k]
+			for _, m := range []struct {
+				lat *simtime.Time
+				op  func(i int) error
+			}{
+				{&r.verbs, func(i int) error {
 					return write(p, rnic.WR{WRID: uint64(s*1000 + i + 1), LocalMR: src, Len: int64(s), RemoteKey: rmr.Key()})
-				},
-				func(int) error { return kc.Write(p, h, 0, buf) },
-				func(int) error { return uc.Write(p, h, 0, buf) },
+				}},
+				{&r.kl, func(int) error { return kc.Write(p, h, 0, buf) }},
+				{&r.user, func(int) error { return uc.Write(p, h, 0, buf) }},
 			} {
-				lat, err := meanLatency(p, 1, 60, op)
+				lat, err := meanLatency(p, 1, 60, m.op)
 				if err != nil {
 					return err
 				}
-				rows[k] = append(rows[k], us(lat))
+				*m.lat = lat
 			}
 		}
 		return nil
@@ -321,7 +326,7 @@ func fig6() (*Table, error) {
 			if err != nil {
 				return err
 			}
-			rows[k] = append(rows[k], us(rtt/2))
+			rows[k].tcp = rtt / 2
 		}
 		conn.Close(p.Env())
 		return nil
@@ -330,9 +335,11 @@ func fig6() (*Table, error) {
 		return nil, err
 	}
 
-	t.Rows = rows
+	for _, r := range rows {
+		t.AddRow(fmt.Sprintf("%d", r.size), us(r.verbs), us(r.kl), us(r.user), us(r.tcp))
+	}
 	t.Note("paper: LITE KL ~= Verbs; LITE user slightly above (two crossings); TCP/IP an order of magnitude higher")
-	return t, nil
+	return t, fig6Shape(rows)
 }
 
 func fig7() (*Table, error) {
@@ -344,27 +351,33 @@ func fig7() (*Table, error) {
 	sizes := []int{1 << 10, 4 << 10, 16 << 10, 64 << 10}
 	const ops = 300
 	region := int64(2 << 20) // fits every cache: best case for both stacks
+	var rows []fig7Row
 	for _, ws := range sizes {
+		r := fig7Row{size: ws}
 		cells := []string{fmt.Sprintf("%d", ws/1024)}
 		for _, cfgRun := range []struct {
 			lite    bool
 			threads int
-		}{{false, 1}, {true, 1}, {false, 8}, {true, 8}} {
+			rate    *float64
+		}{{false, 1, &r.verbs1}, {true, 1, &r.lite1}, {false, 8, &r.verbs8}, {true, 8, &r.lite8}} {
 			el, err := writeThroughput(cfgRun.lite, region, ws, cfgRun.threads, ops)
 			if err != nil {
 				return nil, err
 			}
+			*cfgRun.rate = bytesPerSec(int64(cfgRun.threads*ops*ws), el)
 			cells = append(cells, gbps(int64(cfgRun.threads*ops*ws), el))
 		}
 		el, err := tcpStreamTime(ws, ops*2)
 		if err != nil {
 			return nil, err
 		}
+		r.tcpip = bytesPerSec(int64(2*ops*ws), el)
 		cells = append(cells, gbps(int64(2*ops*ws), el))
 		t.AddRow(cells...)
+		rows = append(rows, r)
 	}
 	t.Note("paper: LITE-8 ~= Verbs-8 at the ~4GB/s link peak (RDMA-CM ~= Verbs, not modelled); TCP/IP well below")
-	return t, nil
+	return t, fig7Shape(rows, params.Default().LinkBandwidth)
 }
 
 // tcpStreamTime measures a one-directional TCP stream of count

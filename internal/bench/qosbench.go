@@ -109,6 +109,7 @@ func fig15() (*Table, error) {
 		Header: []string{"App", "No b/g traffic", "SW-Pri", "HW-Sep", "No QoS"},
 	}
 	type runFn func(lite.QoSMode, bool) (float64, error)
+	var rows []fig15Row
 	for _, app := range []struct {
 		name string
 		run  runFn
@@ -117,18 +118,24 @@ func fig15() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		r := fig15Row{app: app.name}
 		row := []string{app.name, "1.00"}
-		for _, mode := range []lite.QoSMode{lite.QoSSWPri, lite.QoSHWSep, lite.QoSNone} {
-			v, err := app.run(mode, true)
+		for _, m := range []struct {
+			mode  lite.QoSMode
+			ratio *float64
+		}{{lite.QoSSWPri, &r.swPri}, {lite.QoSHWSep, &r.hwSep}, {lite.QoSNone, &r.noQoS}} {
+			v, err := app.run(m.mode, true)
 			if err != nil {
 				return nil, err
 			}
+			*m.ratio = v / base
 			row = append(row, fmt.Sprintf("%.2f", v/base))
 		}
 		t.AddRow(row...)
+		rows = append(rows, r)
 	}
 	t.Note("paper: SW-Pri keeps high-priority apps near their no-background performance; HW-Sep is worse; no QoS worst")
-	return t, nil
+	return t, fig15Shape(rows)
 }
 
 // fig16 reproduces the synthetic QoS timeline: low-priority writers

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"time"
 
 	"lite/internal/simtime"
 )
@@ -118,6 +120,83 @@ func fig14Shape(rows []fig14Row) error {
 		if d := c.to - c.from; max(d, -d) > 0.10*c.from {
 			return fmt.Errorf("%s runs %.2f req/us per node at %d nodes, not within 10%% of %.2f at %d",
 				c.name, c.to, hi.nodes, c.from, lo.nodes)
+		}
+	}
+	return nil
+}
+
+// fig6Row is one request size of Fig 6: the mean one-way write latency
+// of each stack.
+type fig6Row struct {
+	size                 int
+	verbs, kl, user, tcp simtime.Time
+}
+
+// fig6KLSlack is how far LITE's kernel-level write may sit from a bare
+// Verbs write and still read as equal (paper: "LITE KL ~= Verbs").
+const fig6KLSlack = 200 * time.Nanosecond
+
+// fig6Shape: LITE KL is within 0.2 us of Verbs at every size, LITE user
+// is above LITE KL (two crossings), and TCP/IP is at least 5x Verbs up
+// to 4 KB, where per-message software cost dominates.
+func fig6Shape(rows []fig6Row) error {
+	for _, r := range rows {
+		if d := r.kl - r.verbs; max(d, -d) > fig6KLSlack {
+			return fmt.Errorf("at %d B LITE KL writes in %s us, not within 0.2 us of Verbs %s us", r.size, us(r.kl), us(r.verbs))
+		}
+		if r.user <= r.kl {
+			return fmt.Errorf("at %d B LITE user writes in %s us, not above LITE KL %s us", r.size, us(r.user), us(r.kl))
+		}
+		if r.size <= 4096 && r.tcp < 5*r.verbs {
+			return fmt.Errorf("at %d B TCP/IP takes %s us, under 5x Verbs %s us", r.size, us(r.tcp), us(r.verbs))
+		}
+	}
+	return nil
+}
+
+// fig7Row is one request size of Fig 7: write throughput in bytes/s.
+type fig7Row struct {
+	size                                int
+	verbs1, lite1, verbs8, lite8, tcpip float64
+}
+
+// fig7Tie is how far LITE-8 may sit below Verbs-8 and still keep up:
+// the table's rounding, half of its last printed digit (0.01 GB/s).
+const fig7Tie = 0.005e9
+
+// fig7Shape: with 8 threads LITE keeps up with Verbs at every size (a
+// tie at the table's precision counts) and reaches the link peak
+// (within 5 % of link bytes/s) at 64 KB, and TCP/IP is the slowest
+// stack at every size.
+func fig7Shape(rows []fig7Row, link float64) error {
+	for _, r := range rows {
+		if r.lite8 < r.verbs8-fig7Tie {
+			return fmt.Errorf("at %d KB LITE-8 writes %.3f GB/s, below Verbs-8 %.3f", r.size>>10, r.lite8/1e9, r.verbs8/1e9)
+		}
+		if r.size == 64<<10 && math.Abs(r.lite8-link) > 0.05*link {
+			return fmt.Errorf("at 64 KB LITE-8 writes %.2f GB/s, not within 5%% of the %.2f GB/s link", r.lite8/1e9, link/1e9)
+		}
+		if low := min(r.verbs1, r.lite1, r.verbs8, r.lite8); r.tcpip >= low {
+			return fmt.Errorf("at %d KB TCP/IP writes %.2f GB/s, not below every RDMA stack (slowest %.2f)", r.size>>10, r.tcpip/1e9, low/1e9)
+		}
+	}
+	return nil
+}
+
+// fig15Row is one application of Fig 15: its performance under
+// background traffic with each QoS policy, normalised to its
+// performance without background traffic.
+type fig15Row struct {
+	app                 string
+	swPri, hwSep, noQoS float64
+}
+
+// fig15Shape: for each application SW-Pri >= HW-Sep >= No QoS.
+func fig15Shape(rows []fig15Row) error {
+	for _, r := range rows {
+		if r.swPri < r.hwSep || r.hwSep < r.noQoS {
+			return fmt.Errorf("%s runs at %.3f with SW-Pri, %.3f with HW-Sep and %.3f with no QoS, not in that order",
+				r.app, r.swPri, r.hwSep, r.noQoS)
 		}
 	}
 	return nil

@@ -149,3 +149,95 @@ func TestFig14Shape(t *testing.T) {
 		}
 	}
 }
+
+func TestFig6Shape(t *testing.T) {
+	rec := func() []fig6Row {
+		return []fig6Row{
+			{8, 1360, 1480, 1710, 18430},
+			{64, 1390, 1510, 1740, 18500},
+			{512, 1590, 1710, 1940, 19110},
+			{4096, 3250, 3370, 3600, 23940},
+			{32768, 16440, 16560, 16790, 62620},
+		}
+	}
+	if err := fig6Shape(rec()); err != nil {
+		t.Fatalf("recorded fig6: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		breakIt    func([]fig6Row)
+	}{
+		{"LITE KL 0.3 us above Verbs at 512 B", "at 512 B LITE KL writes in 1.89 us, not within 0.2 us of Verbs 1.59", func(r []fig6Row) { r[2].kl = 1890 }},
+		{"LITE KL 0.3 us below Verbs at 32 KB", "at 32768 B LITE KL", func(r []fig6Row) { r[4].kl = 16140 }},
+		{"LITE user equals LITE KL at 8 B", "at 8 B LITE user writes in 1.48 us, not above LITE KL", func(r []fig6Row) { r[0].user = r[0].kl }},
+		{"TCP/IP under 5x Verbs at 4 KB", "at 4096 B TCP/IP takes 16.00 us, under 5x Verbs 3.25", func(r []fig6Row) { r[3].tcp = 16000 }},
+	} {
+		rows := rec()
+		tc.breakIt(rows)
+		if err := fig6Shape(rows); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	// Past 4 KB the wire dominates both stacks, so TCP/IP need not be 5x.
+	rows := rec()
+	rows[4].tcp = 2 * rows[4].verbs
+	if err := fig6Shape(rows); err != nil {
+		t.Errorf("TCP/IP 2x Verbs at 32 KB: %v, want no error", err)
+	}
+}
+
+func TestFig7Shape(t *testing.T) {
+	const link = 4.2e9
+	rec := func() []fig7Row {
+		return []fig7Row{
+			{1 << 10, 0.43e9, 0.53e9, 3.61e9, 4.08e9, 0.11e9},
+			{4 << 10, 1.04e9, 1.22e9, 4.16708e9, 4.16687e9, 0.36e9},
+			{16 << 10, 1.72e9, 1.82e9, 4.19e9, 4.19e9, 0.90e9},
+			{64 << 10, 2.07e9, 2.07e9, 4.20e9, 4.20e9, 1.30e9},
+		}
+	}
+	if err := fig7Shape(rec(), link); err != nil {
+		t.Fatalf("recorded fig7: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		breakIt    func([]fig7Row)
+	}{
+		{"LITE-8 0.01 GB/s below Verbs-8 at 16 KB", "at 16 KB LITE-8 writes 4.180 GB/s, below Verbs-8 4.190", func(r []fig7Row) { r[2].lite8 = 4.18e9 }},
+		{"LITE-8 6% under the link at 64 KB", "at 64 KB LITE-8 writes 3.94 GB/s, not within 5% of the 4.20 GB/s link", func(r []fig7Row) { r[3].lite8, r[3].verbs8 = 3.94e9, 3.94e9 }},
+		{"TCP/IP above Verbs-1 at 1 KB", "at 1 KB TCP/IP writes 0.50 GB/s, not below every RDMA stack (slowest 0.43)", func(r []fig7Row) { r[0].tcpip = 0.50e9 }},
+	} {
+		rows := rec()
+		tc.breakIt(rows)
+		if err := fig7Shape(rows, link); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func TestFig15Shape(t *testing.T) {
+	rec := func() []fig15Row {
+		return []fig15Row{
+			{"LITE-Log", 0.64, 0.42, 0.10},
+			{"LITE-Graph", 0.62, 0.56, 0.44},
+		}
+	}
+	if err := fig15Shape(rec()); err != nil {
+		t.Fatalf("recorded fig15: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		breakIt    func([]fig15Row)
+	}{
+		// Overlapping the source DMA, the wire and the sink DMA while
+		// still booking whole messages gave this order.
+		{"HW-Sep above SW-Pri for LITE-Graph", "LITE-Graph runs at 0.653 with SW-Pri, 0.797 with HW-Sep", func(r []fig15Row) { r[1].swPri, r[1].hwSep = 0.653, 0.797 }},
+		{"No QoS above HW-Sep for LITE-Log", "LITE-Log runs at 0.640 with SW-Pri, 0.420 with HW-Sep and 0.430 with no QoS", func(r []fig15Row) { r[0].noQoS = 0.43 }},
+	} {
+		rows := rec()
+		tc.breakIt(rows)
+		if err := fig15Shape(rows); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+}
