@@ -51,3 +51,47 @@ func TestSameInstantRestartEndsTheOldIncarnation(t *testing.T) {
 	})
 	run(t, cls)
 }
+
+// TestCrashedThreadsLeaveWithoutAWakeup: the crash wakes every sleeping
+// server thread, system worker and the poller of the node so that they
+// exit, and none of them pays a wakeup on the way out: the node is
+// down, so nothing is left for them to run. hostos counts the server
+// threads' and system workers' wakeups; the poller charges its own.
+func TestCrashedThreadsLeaveWithoutAWakeup(t *testing.T) {
+	const (
+		node    = 1
+		workers = 3
+	)
+	cls, dep := testDep(t, 2)
+	dom := cls.EnableObs()
+	inst := dep.Instance(node)
+	var served []servedCall
+	serveLog(t, inst, workers, time.Microsecond, &served)
+	f := inst.funcs[echoFn]
+	cls.GoOn(0, "driver", func(p *simtime.Proc) {
+		p.Sleep(50 * time.Microsecond) // every thread of node 1 asleep
+		if n := f.sleep.Waiters(); n != workers {
+			t.Fatalf("%d server threads asleep on node %d, want %d", n, node, workers)
+		}
+		kinds := []string{"cpu.lite-sys", "cpu.lite-poller"}
+		cpu0 := make([]int64, len(kinds))
+		for k, kind := range kinds {
+			cpu0[k] = counter(dom, node, kind)
+		}
+		slept0 := counter(dom, node, "hostos.wait.slept")
+		cls.CrashNode(p, node)
+		p.Sleep(50 * time.Microsecond)
+		if n := f.spin.Waiters() + f.sleep.Waiters() + inst.sysCond.Waiters(); n != 0 {
+			t.Errorf("%d threads still parked on crashed node %d", n, node)
+		}
+		if n := counter(dom, node, "hostos.wait.slept") - slept0; n != 0 {
+			t.Errorf("%d threads paid a wakeup leaving crashed node %d, want 0", n, node)
+		}
+		for k, kind := range kinds {
+			if d := counter(dom, node, kind) - cpu0[k]; d != 0 {
+				t.Errorf("%s grew by %d ns on crashed node %d, want 0", kind, d, node)
+			}
+		}
+	})
+	run(t, cls)
+}

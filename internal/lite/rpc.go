@@ -1022,8 +1022,8 @@ func (i *Instance) recvRPCInternal(p *simtime.Proc, fn int) (*Call, error) {
 // CQ (f.called) pays its wakeup and spins, so the call finds it warm.
 func (i *Instance) awaitCall(p *simtime.Proc, f *rpcFunc) (*Call, error) {
 	boot := i.boots
-	gone := func() bool { return i.boots != boot }
-	ready := func() bool { return !i.alive(boot) || f.queue.len() > 0 }
+	gone := func() bool { return !i.alive(boot) }
+	ready := func() bool { return gone() || f.queue.len() > 0 }
 	woken := func() bool { return ready() || f.called() }
 	f.enter()
 	for {
@@ -1184,22 +1184,22 @@ func (i *Instance) pollerLoop(p *simtime.Proc) {
 // pollerSleep parks the poller until the next completion nobody else
 // polls for, or until a user-level caller needs it, then charges its
 // wakeup. It reports false if the poller's incarnation ended meanwhile:
-// then it touches the wake rule no more, and if a later incarnation
-// already runs, it pays no wakeup either.
+// then it touches the wake rule no more, and if it was woken with its
+// node down, it pays no wakeup either.
 func (i *Instance) pollerSleep(p *simtime.Proc, boot uint64) bool {
 	i.obsReg().Add("lite.poller.sleeps", 1)
 	for {
 		i.recvCQ.Wait(p)
-		if i.boots != boot {
+		if !i.alive(boot) {
 			return false
-		}
-		if i.stopped {
-			break
 		}
 		i.wake.pollerWoken()
 		if !i.pollForCaller(p, boot) || !i.wake.pollerIdles() {
 			break
 		}
+	}
+	if !i.alive(boot) {
+		return false
 	}
 	p.Work(i.cfg.WakeupLatency)
 	if !i.alive(boot) {
@@ -1706,8 +1706,8 @@ func (i *Instance) noteLowRecv(qp *rnic.QP) {
 // memory operations, locks, barriers) from the system queue.
 func (i *Instance) systemWorkerLoop(p *simtime.Proc) {
 	boot := i.boots
-	gone := func() bool { return i.boots != boot }
-	ready := func() bool { return !i.alive(boot) || i.sysQueue.len() > 0 }
+	gone := func() bool { return !i.alive(boot) }
+	ready := func() bool { return gone() || i.sysQueue.len() > 0 }
 	for {
 		i.node.OS.SpinWait(p, &i.sysCond, ready, 0)
 		if !ready() {
