@@ -74,7 +74,7 @@ func chaosRun() (*Table, error) {
 	t.AddRow("result correct", fmt.Sprintf("%v", correct))
 	t.AddRow("crashes / restarts injected", fmt.Sprintf("%d / %d", inj.Crashes, inj.Restarts))
 	t.AddRow("directed link cuts", fmt.Sprintf("%d", inj.Flaps))
-	t.AddRow("messages dropped by loss window", fmt.Sprintf("%d", inj.Dropped()))
+	t.AddRow("packets dropped by loss window", fmt.Sprintf("%d", inj.Dropped()))
 	t.AddRow("NIC RC timeouts (all nodes)", fmt.Sprintf("%d", nicTimeouts))
 	t.AddRow("NIC RNR retries exhausted (all nodes)", fmt.Sprintf("%d", nicRNR))
 	t.Note("seed 0x%X: crash node 2 @150us, restart @6ms, flap 1<->4 0.3-1.5ms, 0.2%% loss 0.1-4ms", seed)

@@ -5,10 +5,14 @@
 //
 // The fabric is a pure timing facility: it owns the per-node egress and
 // ingress link occupancies (and, in Clos mode, the per-uplink
-// occupancies) and computes, for a message of a given size posted at a
-// given instant, when its last byte is available at the destination
-// port. The NIC layers (rnic, tcpip) decide what happens at delivery.
-// Links are cut-through: a message's serialization delay is paid once,
+// occupancies) and computes, for a packet of a given size posted at a
+// given instant, when it starts on the source's egress link and when
+// its last byte is available at the destination port. The NIC layers
+// (rnic, tcpip) decide what a packet is and what happens at delivery:
+// rnic sends an RC message longer than params.Config.MTU as a train of
+// MTU packets, releasing each when the one before it starts on the
+// egress, so other messages' packets interleave with it on every link.
+// Links are cut-through: a packet's serialization delay is paid once,
 // while every link it crosses is occupied for one serialization time
 // (so incast, outcast, and uplink contention all queue correctly).
 //
@@ -63,11 +67,12 @@ type Fabric struct {
 	nodeDelayCount int
 
 	// dropHook, when set, is consulted for every otherwise-reachable
-	// message; returning true silently drops it. Used for
+	// packet; returning true silently drops it. Used for
 	// probabilistic loss injection.
 	dropHook func(at simtime.Time, src, dst int, size int64) bool
-	// reg receives fabric counters ("fabric.msgs", "fabric.bytes",
-	// "fabric.dropped", "fabric.clos.remote") and queueing histograms.
+	// reg receives fabric counters ("fabric.msgs", "fabric.packets",
+	// "fabric.bytes", "fabric.dropped", "fabric.clos.remote") and
+	// queueing histograms.
 	reg *obs.Registry
 
 	// Clos topology (leafNodes == 0 means single switch).
@@ -259,7 +264,7 @@ func (f *Fabric) delayOf(node int) simtime.Time {
 }
 
 // SetDropHook installs a predicate consulted for every reachable
-// message; returning true drops the message as if the path were down.
+// packet; returning true drops the packet as if the path were down.
 // Pass nil to remove. Fault injectors use it for seeded probabilistic
 // loss.
 func (f *Fabric) SetDropHook(h func(at simtime.Time, src, dst int, size int64) bool) {
@@ -322,25 +327,37 @@ func (f *Fabric) downlink(spine, leaf int) *simtime.Server {
 	return row[leaf]
 }
 
-// ReservePath books transmission of size bytes from src to dst with
-// the message ready to transmit at time at, and returns the instant the
-// last byte has arrived at dst's port. It returns ok=false if the path
-// is unreachable, in which case the message must be considered lost.
+// ReservePath books transmission of a one-packet message of size bytes
+// from src to dst, ready to transmit at time at, and returns the instant
+// the last byte has arrived at dst's port. It returns ok=false if the
+// path is unreachable, in which case the message must be considered
+// lost.
 //
 // Loopback (src == dst) bypasses the wire entirely and costs only the
 // switch-free local turnaround (zero; NIC pipelines still apply).
 func (f *Fabric) ReservePath(at simtime.Time, src, dst int, size int64) (simtime.Time, bool) {
+	_, done, ok := f.ReservePacket(at, src, dst, size, true)
+	return done, ok
+}
+
+// ReservePacket books one packet of size bytes (header included) as
+// ReservePath books a message, and also returns the instant the packet
+// starts on src's egress link, which paces the release of the packet
+// behind it. first marks a message's first packet: "fabric.msgs" counts
+// those, "fabric.packets" counts every packet. Each packet consults the
+// drop hook on its own.
+func (f *Fabric) ReservePacket(at simtime.Time, src, dst int, size int64, first bool) (start, done simtime.Time, ok bool) {
 	if !f.Reachable(src, dst) {
-		return 0, false
+		return 0, 0, false
 	}
 	if src == dst {
 		// Loopback never touches the wire, so probabilistic loss does
 		// not apply to it.
-		return at, true
+		return at, at, true
 	}
 	if f.dropHook != nil && f.dropHook(at, src, dst, size) {
 		f.reg.Add("fabric.dropped", 1)
-		return 0, false
+		return 0, 0, false
 	}
 	sp := f.port(src)
 	dp := f.port(dst)
@@ -369,14 +386,17 @@ func (f *Fabric) ReservePath(at simtime.Time, src, dst int, size int64) (simtime
 		f.reg.Observe("fabric.clos.spine_wait", (upDone-serUp-headArrive)+(dnDone-serUp-head2))
 		headArrive = dnDone - serUp + f.cfg.PropagationDelay + f.cfg.SwitchDelay
 	}
-	done := dp.ingress.Reserve(headArrive, ser)
-	f.reg.Add("fabric.msgs", 1)
+	done = dp.ingress.Reserve(headArrive, ser)
+	if first {
+		f.reg.Add("fabric.msgs", 1)
+	}
+	f.reg.Add("fabric.packets", 1)
 	f.reg.Add("fabric.bytes", size)
-	// Queue wait: time spent waiting behind earlier messages for
-	// the egress link, beyond the message's own serialization.
+	// Queue wait: time spent waiting behind earlier packets for the
+	// egress link, beyond the packet's own serialization.
 	f.reg.Observe("fabric.queue_wait", egressDone-ser-at)
 	f.reg.Observe("fabric.serialize", ser)
-	return done, true
+	return egressDone - ser, done, true
 }
 
 // EgressBusy returns the total busy time of a node's egress link, for

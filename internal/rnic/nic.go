@@ -120,6 +120,8 @@ type NIC struct {
 	commits freeList[commit]
 	imms    freeList[immDelivery]
 	reads   freeList[readOp]
+	streams freeList[stream]
+	helds   freeList[heldWR]
 }
 
 // Node returns the node id this NIC is installed at.

@@ -17,7 +17,7 @@ func (n *NIC) PostSend(at simtime.Time, qp *QP, wr WR) error {
 		return err
 	}
 	n.Doorbells++
-	n.dispatch(at, qp, &wr)
+	n.post(at, qp, &wr)
 	return nil
 }
 
@@ -29,7 +29,9 @@ func (n *NIC) PostSend(at simtime.Time, qp *QP, wr WR) error {
 // nothing. READ members keep RC's order (see sendChain): they execute
 // at the responder in chain order, their completions arrive in chain
 // order, and the transport timeout of an unsignaled member, which has no
-// CQE of its own, is reported by the next signaled READ.
+// CQE of its own, is reported by the next signaled READ. Members held
+// behind a multi-packet message (packet.go) keep these rules when they
+// are released.
 func (n *NIC) PostSendList(at simtime.Time, qp *QP, wrs []WR) error {
 	if len(wrs) == 0 {
 		return ErrEmptyList
@@ -40,32 +42,52 @@ func (n *NIC) PostSendList(at simtime.Time, qp *QP, wrs []WR) error {
 		}
 	}
 	n.Doorbells++
-	qp.chain.begin()
+	qp.chain.begin(n.Doorbells)
 	for k := range wrs {
-		n.dispatch(at, qp, &wrs[k])
+		n.post(at, qp, &wrs[k])
 	}
 	qp.chain.on = false
 	return nil
 }
 
-// dispatch routes one validated work request into the NIC pipelines.
-// Nothing downstream keeps wr: every deferred step is a record holding
-// only the fields it reads.
-func (n *NIC) dispatch(at simtime.Time, qp *QP, wr *WR) {
+// post takes one validated work request at its post instant. The NIC
+// reads a WRITE's or SEND's gather buffer now (the host buffer is the
+// caller's again once the post returns), then dispatches the request,
+// or holds it while an earlier multi-packet message holds the QP's
+// request direction (packet.go).
+func (n *NIC) post(at simtime.Time, qp *QP, wr *WR) {
 	n.OpsPosted++
 	if wr.Inline {
 		n.obs.Add("rnic.inline_wqes", 1)
 	}
+	var payload []byte
+	switch wr.Kind {
+	case OpWrite, OpWriteImm, OpSend:
+		payload = n.reg.snapshot(wr)
+	}
+	if qp.req.blocked() {
+		h := n.helds.get()
+		*h = heldWR{wr: *wr, payload: payload, at: at, chain: qp.chain}
+		qp.req.held.push(h)
+		return
+	}
+	n.dispatch(at, qp, wr, payload)
+}
+
+// dispatch routes one work request, with its payload snapshot, into the
+// NIC pipelines. Nothing downstream keeps wr: every deferred step is a
+// record holding only the fields it reads.
+func (n *NIC) dispatch(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 	switch wr.Kind {
 	case OpWrite, OpWriteImm:
-		n.postWrite(at, qp, wr)
+		n.postWrite(at, qp, wr, payload)
 	case OpRead:
 		n.postRead(at, qp, wr)
 	case OpSend:
 		if qp.typ == UD {
-			n.postSendUD(at, qp, wr)
+			n.postSendUD(at, qp, wr, payload)
 		} else {
-			n.postSendRC(at, qp, wr)
+			n.postSendRC(at, qp, wr, payload)
 		}
 	case OpFetchAdd, OpCmpSwap, OpMaskFetchAdd, OpMaskCmpSwap:
 		n.postAtomic(at, qp, wr)
@@ -133,11 +155,11 @@ func (n *NIC) localCost(wr *WR) simtime.Time {
 }
 
 // txSchedule books the transmit-side pipeline stages of an outbound
-// request: WQE processing in the tx pipe, then the payload DMA read.
-// Inline WQEs process faster (no WQE fetch from the host send queue)
-// and skip the DMA stage entirely, so t1 == t2 and no tx_dma span is
-// ever recorded for them.
-func (n *NIC) txSchedule(at simtime.Time, qp *QP, wr *WR) (t1, t2 simtime.Time) {
+// request: WQE processing in the tx pipe, then the DMA read of its first
+// packet's payload (first bytes). Inline WQEs process faster (no WQE
+// fetch from the host send queue) and skip the DMA stage entirely, so
+// t1 == t2 and no tx_dma span is ever recorded for them.
+func (n *NIC) txSchedule(at simtime.Time, qp *QP, wr *WR, first int64) (t1, t2 simtime.Time) {
 	cfg := n.cfg()
 	proc := cfg.NICProcess
 	if wr.Inline {
@@ -147,7 +169,7 @@ func (n *NIC) txSchedule(at simtime.Time, qp *QP, wr *WR) (t1, t2 simtime.Time) 
 	if wr.Inline {
 		return t1, t1
 	}
-	return t1, n.dma.Reserve(t1, params.TransferTime(wr.Len, cfg.DMABandwidth))
+	return t1, n.dma.Reserve(t1, n.dmaTime(first))
 }
 
 // writeLocal scatters result bytes into a request's local buffer. It
@@ -227,9 +249,9 @@ func (n *NIC) failAfterTimeout(at simtime.Time, qp *QP, ref wrRef) {
 }
 
 // snapshot copies the gather buffer into a pooled payload buffer at
-// post time (the host buffer must stay stable until completion, as with
-// real RDMA). It returns nil for a zero-length request, one with no
-// gather buffer, or one whose buffer cannot be read.
+// post time (the caller may reuse the host buffer once the post
+// returns, as LITE does). It returns nil for a zero-length request, one
+// with no gather buffer, or one whose buffer cannot be read.
 func (r *Registry) snapshot(wr *WR) []byte {
 	if wr.Len == 0 || wr.LocalBuf == nil && wr.LocalMR == nil {
 		return nil
@@ -265,69 +287,49 @@ func (c *commit) Fire(*simtime.Env) {
 }
 
 // postWrite implements one-sided RDMA write and write-with-immediate.
-func (n *NIC) postWrite(at simtime.Time, qp *QP, wr *WR) {
+func (n *NIC) postWrite(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 	cfg := n.cfg()
 	ref := refOf(wr)
-	t1, t2 := n.txSchedule(at, qp, wr)
+	first := n.firstPacket(wr.Len)
+	t1, t2 := n.txSchedule(at, qp, wr, first)
 
 	dst := qp.remoteNode
-	t3, ok := n.reg.fab.ReservePath(t2, n.node, dst, wr.Len+int64(cfg.WireHeader))
+	start, t3, ok := n.reg.fab.ReservePacket(t2, n.node, dst, first+int64(cfg.WireHeader), true)
 	rn := n.peer(dst)
 	if !ok || rn == nil {
+		n.reg.bufs.put(payload)
 		n.failAfterTimeout(at, qp, ref)
 		return
 	}
 	rqp := rn.lookupQP(qp.remoteQPN)
 	if rqp == nil {
+		n.reg.bufs.put(payload)
 		n.failAfterTimeout(at, qp, ref)
 		return
 	}
 	rmr, found := rn.LookupMR(wr.RemoteKey)
-	if !found {
-		n.nack(t3, rn, qp, ref, StatusBadKey)
+	st := StatusOK
+	switch {
+	case !found:
+		st = StatusBadKey
+	case rmr.perm&PermWrite == 0:
+		st = StatusAccessError
+	case rmr.checkRange(wr.RemoteOff, wr.Len) != nil:
+		st = StatusLengthError
+	}
+	if st != StatusOK {
+		n.reg.bufs.put(payload)
+		n.nack(t3, rn, qp, ref, st)
 		return
 	}
-	if rmr.perm&PermWrite == 0 {
-		n.nack(t3, rn, qp, ref, StatusAccessError)
-		return
+	s := n.streams.get()
+	*s = stream{n: n, qp: qp, src: n, sink: rn, kind: wr.Kind, ref: ref, left: wr.Len - first,
+		rqp: rqp, rmr: rmr, off: wr.RemoteOff, imm: wr.Imm, payload: payload,
+		trace: wr.Trace, inline: wr.Inline, at: at, t1: t1, d0: t2, a0: t3}
+	s.rxFrom = rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN)+rn.mrAccessCost(rmr, wr.RemoteOff, wr.Len))
+	if s.carry(first, start) {
+		s.finish(t2, t3, first)
 	}
-	if rmr.checkRange(wr.RemoteOff, wr.Len) != nil {
-		n.nack(t3, rn, qp, ref, StatusLengthError)
-		return
-	}
-	t4 := rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN)+rn.mrAccessCost(rmr, wr.RemoteOff, wr.Len))
-	t5 := rn.dma.Reserve(t4, params.TransferTime(wr.Len, cfg.DMABandwidth))
-
-	// Pipeline spans: the NIC computes its whole timeline up front, so
-	// the stages are recorded as pre-computed intervals hanging off the
-	// caller's span (carried in-simulation on the WR — never on the
-	// wire, so tracing cannot change message sizes or timing).
-	if wr.Trace != nil {
-		n.obs.AddSpan(at, t1, "rnic.tx", wr.Trace)
-		if !wr.Inline {
-			n.obs.AddSpan(t1, t2, "rnic.tx_dma", wr.Trace)
-		}
-		n.obs.AddSpan(t2, t3, "fabric.wire", wr.Trace)
-		rn.obs.AddSpan(t3, t4, "rnic.rx", wr.Trace)
-		rn.obs.AddSpan(t4, t5, "rnic.rx_dma", wr.Trace)
-	}
-
-	// The gather buffer is read at post time; taking the snapshot only
-	// once the request is known to reach the responder reads the same
-	// bytes, since nothing runs in between.
-	payload := n.reg.snapshot(wr)
-	if wr.Kind == OpWriteImm {
-		// The immediate consumes a posted receive at the target; retry
-		// on receiver-not-ready, failing after RNRRetryMax attempts.
-		d := n.imms.get()
-		*d = immDelivery{n: n, rn: rn, rqp: rqp, qp: qp, rmr: rmr, ref: ref, off: wr.RemoteOff, imm: wr.Imm, payload: payload}
-		n.env().Schedule(t5, d)
-		return
-	}
-	c := n.commits.get()
-	*c = commit{n: n, rn: rn, rmr: rmr, off: wr.RemoteOff, payload: payload}
-	n.env().Schedule(t5, c)
-	n.ackBack(t5, dst, qp, ref, StatusOK)
 }
 
 // immDelivery commits a write-imm at the target: it writes the payload,
@@ -476,67 +478,57 @@ func (n *NIC) postRead(at simtime.Time, qp *QP, wr *WR) {
 		return
 	}
 	t4 := rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN)+rn.mrAccessCost(rmr, wr.RemoteOff, wr.Len))
-	t5 := rn.dma.Reserve(t4, params.TransferTime(wr.Len, cfg.DMABandwidth))
-	if qp.chain.on {
-		t5 = notBefore(&qp.chain.exec, t5)
-	}
 
-	// Snapshot the remote bytes at the instant the remote DMA reads them.
 	r := n.reads.get()
-	*r = readOp{n: n, rn: rn, rmr: rmr, roff: wr.RemoteOff, len: wr.Len}
-	n.env().Schedule(t5, r)
-
-	back, ok := n.reg.fab.ReservePath(t5, dst, n.node, wr.Len+int64(cfg.WireHeader))
-	if !ok {
-		r.lost = true
-		n.failAfterTimeout(t5, qp, ref)
+	*r = readOp{n: n, rn: rn, rmr: rmr, roff: wr.RemoteOff, len: wr.Len, buf: wr.LocalBuf, mr: wr.LocalMR, off: wr.LocalOff}
+	s := n.streams.get()
+	*s = stream{n: n, qp: qp, src: rn, sink: n, kind: OpRead, ref: ref, read: r, ready: t4,
+		trace: wr.Trace, at: at, t1: t1, reqAt: t3}
+	if qp.resp.blocked() {
+		qp.resp.held.push(s)
 		return
 	}
-	t7 := n.rxPipe.Reserve(back, cfg.NICProcess)
-	t8 := n.dma.Reserve(t7, params.TransferTime(wr.Len, cfg.DMABandwidth))
-	if wr.Trace != nil {
-		n.obs.AddSpan(at, t1, "rnic.tx", wr.Trace)
-		n.obs.AddSpan(t1, t3, "fabric.wire", wr.Trace)
-		rn.obs.AddSpan(t3, t4, "rnic.rx", wr.Trace)
-		rn.obs.AddSpan(t4, t5, "rnic.rx_dma", wr.Trace)
-		n.obs.AddSpan(t5, back, "fabric.wire", wr.Trace)
-		n.obs.AddSpan(back, t7, "rnic.rx", wr.Trace)
-		n.obs.AddSpan(t7, t8, "rnic.rx_dma", wr.Trace)
-	}
-	r.buf, r.mr, r.off = wr.LocalBuf, wr.LocalMR, wr.LocalOff
-	n.env().Schedule(t8, r)
-	st := StatusOK
 	if qp.chain.on {
-		t8, st = qp.chain.complete(t8, wr.Signaled, st)
+		s.doneFloor = qp.chain.done
 	}
-	n.completeSend(t8, qp, ref, st)
+	n.respond(s, t4)
 }
 
 // postSendRC implements two-sided send on a reliable connection.
-func (n *NIC) postSendRC(at simtime.Time, qp *QP, wr *WR) {
+func (n *NIC) postSendRC(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 	cfg := n.cfg()
 	ref := refOf(wr)
-	_, t2 := n.txSchedule(at, qp, wr)
+	first := n.firstPacket(wr.Len)
+	_, t2 := n.txSchedule(at, qp, wr, first)
 
 	dst := qp.remoteNode
-	t3, ok := n.reg.fab.ReservePath(t2, n.node, dst, wr.Len+int64(cfg.WireHeader))
+	start, t3, ok := n.reg.fab.ReservePacket(t2, n.node, dst, first+int64(cfg.WireHeader), true)
 	rn := n.peer(dst)
 	if !ok || rn == nil {
+		n.reg.bufs.put(payload)
 		n.failAfterTimeout(at, qp, ref)
 		return
 	}
 	rqp := rn.lookupQP(qp.remoteQPN)
 	if rqp == nil {
+		n.reg.bufs.put(payload)
 		n.failAfterTimeout(at, qp, ref)
 		return
 	}
-	t4 := rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN))
-	n.deliverSend(t4, rn, rqp, qp, ref, n.reg.snapshot(wr), 0)
+	s := n.streams.get()
+	*s = stream{n: n, qp: qp, src: n, sink: rn, kind: OpSend, ref: ref, left: wr.Len - first,
+		rqp: rqp, payload: payload, a0: t3}
+	s.rxFrom = rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN))
+	if s.carry(first, start) {
+		s.finish(t2, t3, first)
+	}
 }
 
 // deliverSend commits a two-sided send into a posted receive buffer,
-// retrying on receiver-not-ready.
-func (n *NIC) deliverSend(t simtime.Time, rn *NIC, rqp *QP, qp *QP, ref wrRef, payload []byte, attempt int) {
+// retrying on receiver-not-ready. Its receive DMA moves the message's
+// last tail bytes: a multi-packet send's earlier packets were DMAed as
+// they arrived.
+func (n *NIC) deliverSend(t simtime.Time, rn *NIC, rqp *QP, qp *QP, ref wrRef, payload []byte, attempt int, tail int64) {
 	cfg := n.cfg()
 	n.env().At(t, func(e *simtime.Env) {
 		recv, ok := rqp.popRecv()
@@ -546,7 +538,7 @@ func (n *NIC) deliverSend(t simtime.Time, rn *NIC, rqp *QP, qp *QP, ref wrRef, p
 				n.completeSend(e.Now(), qp, ref, StatusRNRExceeded)
 				return
 			}
-			n.deliverSend(e.Now()+cfg.RNRRetryDelay, rn, rqp, qp, ref, payload, attempt+1)
+			n.deliverSend(e.Now()+cfg.RNRRetryDelay, rn, rqp, qp, ref, payload, attempt+1, tail)
 			return
 		}
 		if recv.Len < ref.len {
@@ -560,7 +552,7 @@ func (n *NIC) deliverSend(t simtime.Time, rn *NIC, rqp *QP, qp *QP, ref wrRef, p
 		// Receive-side DMA and translation of the receive buffer.
 		cost := rn.mrAccessCost(recv.MR, recv.Off, ref.len)
 		t5 := rn.rxPipe.Reserve(e.Now(), cost)
-		t6 := rn.dma.Reserve(t5, params.TransferTime(ref.len, cfg.DMABandwidth))
+		t6 := rn.dma.Reserve(t5, n.dmaTime(tail))
 		e.At(t6, func(e2 *simtime.Env) {
 			rn.OpsDelivered++
 			_ = recv.MR.WriteAt(recv.Off, payload)
@@ -580,10 +572,11 @@ func (n *NIC) deliverSend(t simtime.Time, rn *NIC, rqp *QP, qp *QP, ref wrRef, p
 }
 
 // postSendUD implements unreliable datagram send: fire and forget,
-// dropped silently if the destination has no posted receive.
-func (n *NIC) postSendUD(at simtime.Time, qp *QP, wr *WR) {
+// dropped silently if the destination has no posted receive. A datagram
+// is one packet, booked whole.
+func (n *NIC) postSendUD(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 	cfg := n.cfg()
-	_, t2 := n.txSchedule(at, qp, wr)
+	_, t2 := n.txSchedule(at, qp, wr, wr.Len)
 
 	// UD completes locally as soon as the datagram leaves the NIC.
 	n.completeSend(t2, qp, refOf(wr), StatusOK)
@@ -591,15 +584,16 @@ func (n *NIC) postSendUD(at simtime.Time, qp *QP, wr *WR) {
 	t3, ok := n.reg.fab.ReservePath(t2, n.node, wr.DestNode, wr.Len+int64(cfg.UDHeader))
 	rn := n.peer(wr.DestNode)
 	if !ok || rn == nil {
+		n.reg.bufs.put(payload)
 		return // lost on the wire; UD gives no feedback
 	}
 	rqp := rn.lookupQP(wr.DestQPN)
 	if rqp == nil || rqp.typ != UD {
+		n.reg.bufs.put(payload)
 		return
 	}
 	t4 := rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(wr.DestQPN))
 	srcNode, srcQPN, length := n.node, qp.qpn, wr.Len
-	payload := n.reg.snapshot(wr)
 	n.env().At(t4, func(e *simtime.Env) {
 		recv, ok := rqp.popRecv()
 		if !ok || recv.Len < length {

@@ -9,7 +9,9 @@
 // contexts — plus FIFO processing pipelines (transmit, receive) and a
 // DMA engine, all modeled as simtime resource servers. Memory regions
 // registered with physical addresses (the kernel-only path LITE
-// exploits) bypass the PTE cache entirely.
+// exploits) bypass the PTE cache entirely. An RC message longer than
+// one MTU crosses the DMA engines and the links as MTU packets
+// (packet.go).
 //
 // On the host clock the datapath allocates nothing per operation once
 // warm: a payload lives in a pooled buffer for exactly as long as it is
@@ -297,6 +299,12 @@ type QP struct {
 	owner string // optional subsystem/tenant label for accounting
 
 	chain sendChain // RC ordering state of the PostSendList in progress
+
+	// RC order of multi-packet messages (packet.go): WRs held behind a
+	// multi-packet WRITE or SEND, and READ responses held behind a
+	// multi-packet READ response.
+	req  lane[*heldWR]
+	resp lane[*stream]
 }
 
 // recvRun is n consecutive posted receives sharing one descriptor.
@@ -316,13 +324,14 @@ type recvRun struct {
 // computed later (write-imm delivery, RNR retries) belong to no chain.
 type sendChain struct {
 	on   bool
+	id   int64        // the chain's doorbell: it tells chains apart
 	exec simtime.Time // responder instant of the latest READ member
 	done simtime.Time // completion instant of the latest member
 	lost bool         // an unsignaled member timed out without a CQE
 }
 
-// begin arms the chain state for one PostSendList dispatch.
-func (c *sendChain) begin() { c.on, c.exec, c.done, c.lost = true, 0, 0, false }
+// begin arms the chain state for the PostSendList rung as doorbell id.
+func (c *sendChain) begin(id int64) { *c = sendChain{on: true, id: id} }
 
 // notBefore returns t moved no earlier than *prev, and records the
 // result as the new *prev.
