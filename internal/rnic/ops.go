@@ -65,13 +65,20 @@ func (n *NIC) post(at simtime.Time, qp *QP, wr *WR) {
 	case OpWrite, OpWriteImm, OpSend:
 		payload = n.reg.snapshot(wr)
 	}
-	if qp.req.blocked() {
-		h := n.helds.get()
-		*h = heldWR{wr: *wr, payload: payload, at: at, chain: qp.chain}
-		qp.req.held.push(h)
+	if qp.reqBlocked() {
+		n.hold(at, qp, wr, payload)
 		return
 	}
 	n.dispatch(at, qp, wr, payload)
+}
+
+// hold queues wr behind the multi-packet message that holds qp's
+// request direction. It is apart from post so that the common path's
+// stack frame stays small: the held record copies the whole WR.
+func (n *NIC) hold(at simtime.Time, qp *QP, wr *WR, payload []byte) {
+	h := n.helds.get()
+	*h = heldWR{wr: *wr, payload: payload, at: at, chain: qp.chain}
+	qp.order.req.held.push(h)
 }
 
 // dispatch routes one work request, with its payload snapshot, into the
@@ -484,8 +491,8 @@ func (n *NIC) postRead(at simtime.Time, qp *QP, wr *WR) {
 	s := n.streams.get()
 	*s = stream{n: n, qp: qp, src: rn, sink: n, kind: OpRead, ref: ref, read: r, ready: t4,
 		trace: wr.Trace, at: at, t1: t1, reqAt: t3}
-	if qp.resp.blocked() {
-		qp.resp.held.push(s)
+	if qp.respBlocked() {
+		qp.order.resp.held.push(s)
 		return
 	}
 	if qp.chain.on {

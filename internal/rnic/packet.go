@@ -74,6 +74,18 @@ type lane[T any] struct {
 
 func (l *lane[T]) blocked() bool { return l.busy || l.held.len() > 0 }
 
+// qpOrder is an RC QP's order in its two directions.
+type qpOrder struct {
+	req  lane[*heldWR] // WRs held behind a multi-packet WRITE or SEND
+	resp lane[*stream] // READ responses held behind a multi-packet one
+}
+
+// reqBlocked reports whether a multi-packet WRITE or SEND holds the
+// QP's request direction; respBlocked, whether a multi-packet READ
+// response holds its response direction.
+func (q *QP) reqBlocked() bool  { return q.order != nil && q.order.req.blocked() }
+func (q *QP) respBlocked() bool { return q.order != nil && q.order.resp.blocked() }
+
 // heldWR is a work request posted behind a multi-packet message on its
 // QP's request direction: the request, the payload snapshot its gather
 // buffer gave at post, its post instant, and the chain state of the
@@ -147,10 +159,13 @@ func (s *stream) carry(first int64, start simtime.Time) bool {
 	}
 	s.multi = true
 	s.sink.dma.Reserve(max(s.a0, s.rxFrom), s.n.dmaTime(first))
+	if s.qp.order == nil {
+		s.qp.order = &qpOrder{}
+	}
 	if s.kind == OpRead {
-		s.qp.resp.busy = true
+		s.qp.order.resp.busy = true
 	} else {
-		s.qp.req.busy = true
+		s.qp.order.req.busy = true
 	}
 	s.n.env().Schedule(start, s)
 	return false
@@ -180,19 +195,20 @@ func (s *stream) Fire(e *simtime.Env) {
 // commit or delivery, the ack and the completion.
 func (s *stream) finish(d, a simtime.Time, k int64) {
 	n, qp := s.n, s.qp
-	switch s.kind {
-	case OpRead:
+	if s.kind == OpRead {
 		exec, done := s.finishRead(d, a, k)
 		if s.multi {
 			n.releaseResp(n.env().Now(), qp, exec, done)
 		}
-	case OpSend:
-		n.deliverSend(max(a, s.rxFrom), s.sink, s.rqp, qp, s.ref, s.payload, 0, k)
-	default:
-		s.finishWrite(d, a, k)
-	}
-	if s.multi && s.kind != OpRead {
-		n.releaseReq(n.env().Now(), qp)
+	} else {
+		if s.kind == OpSend {
+			n.deliverSend(max(a, s.rxFrom), s.sink, s.rqp, qp, s.ref, s.payload, 0, k)
+		} else {
+			s.finishWrite(d, a, k)
+		}
+		if s.multi {
+			n.releaseReq(n.env().Now(), qp)
+		}
 	}
 	n.streams.put(s)
 }
@@ -322,9 +338,10 @@ func (s *stream) fail(now simtime.Time) {
 // one of them is a multi-packet message itself. A WR that a
 // PostSendList posted runs under its chain's rules again.
 func (n *NIC) releaseReq(now simtime.Time, qp *QP) {
-	qp.req.busy = false
-	for !qp.req.busy {
-		h, ok := qp.req.held.pop()
+	l := &qp.order.req
+	l.busy = false
+	for !l.busy {
+		h, ok := l.held.pop()
 		if !ok {
 			return
 		}
@@ -347,9 +364,10 @@ func (n *NIC) releaseReq(now simtime.Time, qp *QP) {
 // is a multi-packet response itself. Each executes and completes no
 // earlier than the one before it.
 func (n *NIC) releaseResp(now simtime.Time, qp *QP, exec, done simtime.Time) {
-	qp.resp.busy = false
-	for !qp.resp.busy {
-		s, ok := qp.resp.held.pop()
+	l := &qp.order.resp
+	l.busy = false
+	for !l.busy {
+		s, ok := l.held.pop()
 		if !ok {
 			return
 		}

@@ -274,6 +274,9 @@ type QP struct {
 	nic  *NIC
 	typ  QPType
 	conn bool
+	// lowFired belongs to the low-water notification below; it sits
+	// beside conn so the two bools share one word.
+	lowFired bool
 	// RC peer.
 	remoteNode int
 	remoteQPN  int
@@ -294,17 +297,14 @@ type QP struct {
 	// restock brings it back to lowWater or above.
 	lowWater int
 	lowFn    func(*QP)
-	lowFired bool
 
 	owner string // optional subsystem/tenant label for accounting
 
 	chain sendChain // RC ordering state of the PostSendList in progress
 
-	// RC order of multi-packet messages (packet.go): WRs held behind a
-	// multi-packet WRITE or SEND, and READ responses held behind a
-	// multi-packet READ response.
-	req  lane[*heldWR]
-	resp lane[*stream]
+	// order is the RC order of multi-packet messages (packet.go),
+	// allocated by the QP's first one: most QPs never carry one.
+	order *qpOrder
 }
 
 // recvRun is n consecutive posted receives sharing one descriptor.
@@ -323,11 +323,11 @@ type recvRun struct {
 // signaled READ. Active only while PostSendList dispatches: completions
 // computed later (write-imm delivery, RNR retries) belong to no chain.
 type sendChain struct {
-	on   bool
-	id   int64        // the chain's doorbell: it tells chains apart
 	exec simtime.Time // responder instant of the latest READ member
 	done simtime.Time // completion instant of the latest member
-	lost bool         // an unsignaled member timed out without a CQE
+	id   int64        // the chain's doorbell: it tells chains apart
+	on   bool
+	lost bool // an unsignaled member timed out without a CQE
 }
 
 // begin arms the chain state for the PostSendList rung as doorbell id.
