@@ -66,7 +66,7 @@ func ringLedgers(dep *Deployment) []ringLedger {
 				clientAsked: b.credit.asked, serverIsEager: ring.credit.eager(),
 			}
 			if f := si.funcs[key.fn]; f != nil {
-				for _, c := range f.queue.all() {
+				for _, c := range f.queue.All() {
 					if !c.local && c.Src == ci.node.ID {
 						l.unconsumed += c.headDelta
 					}

@@ -3,6 +3,7 @@ package lite
 import (
 	"sort"
 
+	"lite/internal/fifo"
 	"lite/internal/simtime"
 )
 
@@ -71,20 +72,20 @@ func (i *Instance) crash(p *simtime.Proc) {
 	i.headUpd.Close(p)
 	i.wake.crash()
 	i.recvCQ.Broadcast(env)
-	i.sysQueue = fifo[*rpcFunc]{}
+	i.sysQueue = fifo.Queue[*rpcFunc]{}
 	i.sysCond.Broadcast(env)
 	for _, fn := range i.sortedFuncIDs() {
 		f := i.funcs[fn]
 		// Queued node-local calls have waiters parked on their own
 		// pendingCall; fail them before dropping the queue.
-		for _, call := range f.queue.all() {
+		for _, call := range f.queue.All() {
 			if call.local && call.pend != nil && !call.pend.done {
 				call.pend.err = ErrNodeDead
 				call.pend.done = true
 				call.pend.cond.Broadcast(env)
 			}
 		}
-		f.queue = fifo[*Call]{}
+		f.queue = fifo.Queue[*Call]{}
 		f.held = nil
 		f.spin.Broadcast(env)
 		f.sleep.Broadcast(env)
@@ -134,10 +135,10 @@ func (i *Instance) restart(p *simtime.Proc) {
 	i.adm = nil
 	i.pending = pendingTable{}
 	i.headUpd = simtime.NewChan[headUpdate](4096)
-	i.sysQueue = fifo[*rpcFunc]{}
+	i.sysQueue = fifo.Queue[*rpcFunc]{}
 	i.scratch.next = 0
 	for _, fn := range i.sortedFuncIDs() {
-		i.funcs[fn].queue = fifo[*Call]{}
+		i.funcs[fn].queue = fifo.Queue[*Call]{}
 	}
 
 	// Revive the control bindings in both directions with rewound

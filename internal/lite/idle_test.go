@@ -251,8 +251,8 @@ func TestWaitingCountIsConserved(t *testing.T) {
 	})
 	cls.GoOn(0, "driver", func(p *simtime.Proc) {
 		check := func(when string, want int) {
-			if f.waiting != want || f.queue.len() != 0 || f.executing != 0 {
-				t.Errorf("%s: waiting %d queue %d executing %d, want %d parked and nothing else", when, f.waiting, f.queue.len(), f.executing, want)
+			if f.waiting != want || f.queue.Len() != 0 || f.executing != 0 {
+				t.Errorf("%s: waiting %d queue %d executing %d, want %d parked and nothing else", when, f.waiting, f.queue.Len(), f.executing, want)
 			}
 		}
 		burst(p, 0)

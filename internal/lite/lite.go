@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"lite/internal/cluster"
+	"lite/internal/fifo"
 	"lite/internal/hostmem"
 	"lite/internal/params"
 	"lite/internal/rnic"
@@ -289,7 +290,7 @@ type Instance struct {
 	boots   uint64
 	headUpd *simtime.Chan[headUpdate]
 
-	sysQueue fifo[*rpcFunc]
+	sysQueue fifo.Queue[*rpcFunc]
 	sysCond  simtime.Cond
 
 	// Migration state (migrate.go): the ownership view (owner.go), dedup

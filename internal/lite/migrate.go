@@ -154,7 +154,7 @@ func (i *Instance) drainQuiesce(p *simtime.Proc, f *rpcFunc) error {
 	if i.opts.RPCTimeout > 0 {
 		deadline = p.Now() + 4*i.opts.RPCTimeout
 	}
-	for f.queue.len() > 0 || f.executing > 0 {
+	for f.queue.Len() > 0 || f.executing > 0 {
 		if i.stopped {
 			return ErrNodeDead
 		}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"lite/internal/fifo"
 	"lite/internal/hostmem"
 	"lite/internal/rnic"
 	"lite/internal/simtime"
@@ -276,7 +277,7 @@ type rpcCall struct {
 // the kernel worker pool.
 type rpcFunc struct {
 	id    int
-	queue fifo[*Call]
+	queue fifo.Queue[*Call]
 	// spin parks the server threads inside their busy window, sleep
 	// those past it; the pool decides whom a call wakes (wake.go).
 	spin, sleep simtime.Cond
@@ -284,7 +285,7 @@ type rpcFunc struct {
 	handler func(p *simtime.Proc, c *Call)
 	// executing counts remote calls dequeued by a server thread whose
 	// reply has not yet posted. Drain's quiescence condition is
-	// queue.len() == 0 && executing == 0.
+	// queue.Len() == 0 && executing == 0.
 	executing int
 	// held are the calls a migration fence holds (handleRPCReq), to be
 	// bounced on commit or dispatched on abort.
@@ -970,13 +971,13 @@ func (i *Instance) rpcLocal(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 }
 
 func (i *Instance) dispatchCall(f *rpcFunc, call *Call) {
-	f.queue.push(call)
+	f.queue.Push(call)
 	if f.handler != nil {
-		i.sysQueue.push(f)
+		i.sysQueue.Push(f)
 		i.sysCond.Signal(i.cls.Env)
 		return
 	}
-	switch f.dispatch(f.queue.len(), f.spin.Waiters()) {
+	switch f.dispatch(f.queue.Len(), f.spin.Waiters()) {
 	case wakeSpinner:
 		f.spin.SignalNewest(i.cls.Env)
 	case wakeSleeper:
@@ -1023,7 +1024,7 @@ func (i *Instance) recvRPCInternal(p *simtime.Proc, fn int) (*Call, error) {
 func (i *Instance) awaitCall(p *simtime.Proc, f *rpcFunc) (*Call, error) {
 	boot := i.boots
 	gone := func() bool { return !i.alive(boot) }
-	ready := func() bool { return gone() || f.queue.len() > 0 }
+	ready := func() bool { return gone() || f.queue.Len() > 0 }
 	woken := func() bool { return ready() || f.called() }
 	f.enter()
 	for {
@@ -1035,11 +1036,12 @@ func (i *Instance) awaitCall(p *simtime.Proc, f *rpcFunc) (*Call, error) {
 			f.quits()
 			return nil, ErrNodeDead
 		}
-		if f.queue.len() == 0 {
+		if f.queue.Len() == 0 {
 			continue // another server thread took it during our wakeup
 		}
 		f.takes()
-		return f.queue.pop(), nil
+		call, _ := f.queue.Pop()
+		return call, nil
 	}
 }
 
@@ -1497,7 +1499,7 @@ func (i *Instance) admitReq(p *simtime.Proc, f *rpcFunc, call *Call, h *reqHdr) 
 		return true
 	}
 	reg := i.obsReg()
-	reg.Observe("lite.rpc.queue_depth", simtime.Time(f.queue.len()))
+	reg.Observe("lite.rpc.queue_depth", simtime.Time(f.queue.Len()))
 	if i.opts.AdmissionHighWater <= 0 {
 		return true
 	}
@@ -1505,7 +1507,7 @@ func (i *Instance) admitReq(p *simtime.Proc, f *rpcFunc, call *Call, h *reqHdr) 
 	// Work conservation: a server thread is parked that no queued call
 	// has already claimed, so this call would run at once. Banks
 	// arbitrate between callers only when every worker is busy.
-	idle := f.idle(f.queue.len())
+	idle := f.idle(f.queue.Len())
 	a := i.admFor(call.Func)
 	floored := a.idleAdmits
 	w := int64(1)
@@ -1515,7 +1517,7 @@ func (i *Instance) admitReq(p *simtime.Proc, f *rpcFunc, call *Call, h *reqHdr) 
 		p.Work(i.cfg.TenantCheck)
 		w = i.dep.tenantWeight(call.Tenant)
 	}
-	cost, hint, ok := a.admit(keyOf(call), w, int64(len(call.Input)), f.queue.len(), idle)
+	cost, hint, ok := a.admit(keyOf(call), w, int64(len(call.Input)), f.queue.Len(), idle)
 	if call.Tenant != 0 {
 		i.tenantCount(call.Tenant, tenObsAdmit, ok)
 	}
@@ -1707,7 +1709,7 @@ func (i *Instance) noteLowRecv(qp *rnic.QP) {
 func (i *Instance) systemWorkerLoop(p *simtime.Proc) {
 	boot := i.boots
 	gone := func() bool { return !i.alive(boot) }
-	ready := func() bool { return gone() || i.sysQueue.len() > 0 }
+	ready := func() bool { return gone() || i.sysQueue.Len() > 0 }
 	for {
 		i.node.OS.SpinWait(p, &i.sysCond, ready, 0)
 		if !ready() {
@@ -1716,16 +1718,16 @@ func (i *Instance) systemWorkerLoop(p *simtime.Proc) {
 		if !i.alive(boot) {
 			return
 		}
-		if i.sysQueue.len() == 0 {
+		if i.sysQueue.Len() == 0 {
 			// Another worker drained the queue while this one was
 			// paying its wakeup latency.
 			continue
 		}
-		f := i.sysQueue.pop()
-		if f.queue.len() == 0 {
+		f, _ := i.sysQueue.Pop()
+		if f.queue.Len() == 0 {
 			continue
 		}
-		call := f.queue.pop()
+		call, _ := f.queue.Pop()
 		if !call.local {
 			i.queueHeadUpdate(p, call.Src, call.Func, call.headDelta)
 		}
