@@ -5,9 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"lite/internal/clustertest"
-	"lite/internal/lite"
-	"lite/internal/params"
 	"lite/internal/simtime"
 )
 
@@ -92,24 +89,12 @@ func TestPutKeepsInPlaceHandle(t *testing.T) {
 // drop it and pay another lookup + LT_map. The window's position is a
 // property of the cost model, so the reader's start is swept across
 // the whole PUT and the test demands that some offset lands inside.
-//
-// The window is the server's memcpy of the value. The read that must
-// land in it starts after a lookup and an LT_map (~24 us), and its 256
-// KB cross the link as 64 packets before the responder reads the data
-// at the last one (~64 us). At the default 6 GB/s the memcpy takes
-// 44 us, so the server here copies at 2 GB/s (131 us).
 func TestGetRereadsWhenVersionRunsAhead(t *testing.T) {
 	const size = 256 << 10 // a wide window: the write's memcpy takes tens of us
 	v1, v2 := bytes.Repeat([]byte{1}, size), bytes.Repeat([]byte{2}, size)
 	hits := 0
 	for off := time.Duration(0); off < 400*time.Microsecond; off += 4 * time.Microsecond {
-		cfg := params.Default()
-		cfg.MemcpyBandwidth = 2e9
-		cls := clustertest.MustNew(&cfg, 3, 1<<30)
-		dep, err := lite.Start(cls, lite.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
+		cls, dep := testEnv(t, 3)
 		s, err := Start(cls, dep, []int{0}, 2)
 		if err != nil {
 			t.Fatal(err)

@@ -9,7 +9,7 @@
 // given instant, when it starts on the source's egress link and when
 // its last byte is available at the destination port. The NIC layers
 // (rnic, tcpip) decide what a packet is and what happens at delivery:
-// rnic sends an RC message longer than params.Config.MTU as a train of
+// rnic sends an RC message longer than its 4 KB MTU as a train of
 // MTU packets, releasing each when the one before it starts on the
 // egress, so other messages' packets interleave with it on every link.
 // Links are cut-through: a packet's serialization delay is paid once,

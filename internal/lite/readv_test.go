@@ -271,3 +271,42 @@ func TestReadVLostSegmentFails(t *testing.T) {
 	})
 	run(t, cls)
 }
+
+// The same rule when the lost segment is longer than one MTU and its
+// second response packet is the one dropped, after its first packet
+// went out and the segment behind it was held: the chain's signaled
+// last READ reports the loss instead of success over a buffer that was
+// never filled.
+func TestReadVLostPacketOfLargeSegmentFails(t *testing.T) {
+	cls, dep := testDep(t, 2)
+	cls.GoOn(0, "app", func(p *simtime.Proc) {
+		c := dep.Instance(0).KernelClient()
+		h, err := mallocFilled(p, c, []int{1}, 16<<10, 5)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		packets := 0
+		cls.Fab.SetDropHook(func(at simtime.Time, src, dst int, size int64) bool {
+			if src == 1 && dst == 0 && size > 4096 {
+				packets++ // a full response packet of the 8 KB segment
+			}
+			return src == 1 && dst == 0 && size > 4096 && packets == 2
+		})
+		segs := []ReadSeg{{h, 0, make([]byte, 8<<10)}, {h, 8 << 10, make([]byte, 8)}}
+		if err := c.ReadV(p, segs); !errors.Is(err, ErrTimeout) {
+			t.Errorf("ReadV over a segment that lost its second packet: err = %v, want ErrTimeout", err)
+		}
+		if packets < 2 {
+			t.Errorf("the fabric carried %d full response packets, want the segment's 2", packets)
+		}
+		cls.Fab.SetDropHook(nil)
+		if err := c.ReadV(p, segs); err != nil {
+			t.Errorf("ReadV after the loss: %v", err)
+		}
+		if want := pattern(5, 8<<10+8); !bytes.Equal(append(segs[0].Buf, segs[1].Buf...), want) {
+			t.Error("ReadV after the loss read the wrong bytes")
+		}
+	})
+	run(t, cls)
+}

@@ -95,12 +95,6 @@ type Config struct {
 	RNRRetryMax int
 	// WireHeader is the per-packet wire header size in bytes (RC).
 	WireHeader int
-	// MTU is the largest payload in bytes one RC packet carries
-	// (InfiniBand's largest MTU is 4096). The NIC sends a longer message
-	// as a train of MTU packets, each with its own WireHeader, so the
-	// source DMA, the links and the sink DMA overlap and other messages'
-	// packets interleave with it. Zero sends every message as one packet.
-	MTU int
 	// AckBytes is the size of an RC acknowledgment on the wire.
 	AckBytes int
 	// RCTimeout is the reliable-connection transport timeout after
@@ -209,7 +203,6 @@ func Default() Config {
 		RNRRetryDelay:     2 * time.Microsecond,
 		RNRRetryMax:       16,
 		WireHeader:        30,
-		MTU:               4096,
 		AckBytes:          16,
 		RCTimeout:         4 * time.Millisecond,
 		QPConnectTime:     600 * time.Microsecond,

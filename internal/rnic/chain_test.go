@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"lite/internal/params"
 	"lite/internal/simtime"
 )
 
@@ -153,4 +154,89 @@ func TestChainLostUnsignaledMemberFailsTheSignaledOne(t *testing.T) {
 		}
 	})
 	c.run(t)
+}
+
+// lostChainMember posts wrs as one chain on a fresh pair while the
+// fabric drops the nth response packet (counted from 1) from the
+// responder, and returns the one completion the chain's signaled
+// member reports, the instant it arrived and the instant of the drop.
+func lostChainMember(t *testing.T, wrs []WR, nth int) (cqe CQE, at, dropped simtime.Time) {
+	t.Helper()
+	c := newCluster(t, 2)
+	dst := c.physMR(t, 1, 256<<10, allPerm)
+	qa, _ := c.rcPair(0, 1)
+	resp := 0
+	c.reg.fab.SetDropHook(func(now simtime.Time, src, _ int, _ int64) bool {
+		if src != 1 {
+			return false
+		}
+		resp++
+		if resp == nth {
+			dropped = now
+		}
+		return resp == nth
+	})
+	for k := range wrs {
+		wrs[k].LocalBuf = make([]byte, wrs[k].Len)
+		wrs[k].RemoteKey = dst.Key()
+	}
+	c.env.Go("reader", func(p *simtime.Proc) {
+		if err := c.nic[0].PostSendList(p.Now(), qa, wrs); err != nil {
+			t.Error(err)
+			return
+		}
+		cqe = qa.SendCQ().Poll(p)
+		at = p.Now()
+	})
+	c.run(t)
+	if dropped == 0 {
+		t.Fatalf("the fabric never carried response packet %d", nth)
+	}
+	if n := qa.SendCQ().Len(); n != 0 {
+		t.Errorf("%d completions beyond the signaled member's", n)
+	}
+	if n := out(c.reg); n != 0 {
+		t.Errorf("%d payload buffers still out", n)
+	}
+	return cqe, at, dropped
+}
+
+// The chain rule holds when the member that is lost is a multi-packet
+// READ whose second response packet is dropped, after its first packet
+// went out and the members behind it were held: the signaled member
+// behind it completes StatusTimeout, no earlier than the lost member's
+// transport timeout. So does a lost single-packet member held behind a
+// multi-packet one, a multi-packet signaled member behind a member lost
+// at post, and a member that a multi-packet WRITE held until after the
+// loss.
+func TestChainLostMemberAcrossPackets(t *testing.T) {
+	read := func(n int64) WR { return WR{Kind: OpRead, Len: n} }
+	for _, tc := range []struct {
+		name string
+		wrs  []WR // the last member is signaled
+		nth  int  // the response packet the fabric drops
+	}{
+		{"multi-packet member's second packet", []WR{read(8 << 10), read(8)}, 2},
+		{"same, one more member held behind it", []WR{read(8 << 10), read(8), read(8)}, 2},
+		{"member held behind a multi-packet one", []WR{read(8 << 10), read(8), read(8)}, 3},
+		{"multi-packet signaled member behind a lost one", []WR{read(8), read(8 << 10)}, 1},
+		{"member released by a WRITE after the loss", []WR{read(8 << 10), {Kind: OpWrite, Len: 64 << 10}, read(8)}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wrs := tc.wrs
+			for k := range wrs {
+				wrs[k].WRID = uint64(k + 1)
+				wrs[k].RemoteOff = int64(k) * (64 << 10)
+			}
+			last := len(wrs) - 1
+			wrs[last].Signaled = true
+			cqe, at, dropped := lostChainMember(t, wrs, tc.nth)
+			if cqe.WRID != wrs[last].WRID || cqe.Status != StatusTimeout {
+				t.Errorf("cqe = %+v, want WRID %d StatusTimeout", cqe, wrs[last].WRID)
+			}
+			if timeout := params.Default().RCTimeout; at < dropped+timeout {
+				t.Errorf("completed at %v, before the drop at %v plus the %v transport timeout", at, dropped, timeout)
+			}
+		})
+	}
 }

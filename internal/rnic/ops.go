@@ -78,7 +78,7 @@ func (n *NIC) post(at simtime.Time, qp *QP, wr *WR) {
 func (n *NIC) hold(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 	h := n.helds.get()
 	*h = heldWR{wr: *wr, payload: payload, at: at, chain: qp.chain}
-	qp.order.req.held.push(h)
+	qp.order.req.held.Push(h)
 }
 
 // dispatch routes one work request, with its payload snapshot, into the
@@ -297,7 +297,7 @@ func (c *commit) Fire(*simtime.Env) {
 func (n *NIC) postWrite(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 	cfg := n.cfg()
 	ref := refOf(wr)
-	first := n.firstPacket(wr.Len)
+	first := firstPacket(wr.Len)
 	t1, t2 := n.txSchedule(at, qp, wr, first)
 
 	dst := qp.remoteNode
@@ -415,9 +415,10 @@ func (n *NIC) ackBack(t simtime.Time, dst int, qp *QP, ref wrRef, st Status) {
 }
 
 // readOp is an RDMA read's two deferred steps. It first fires at the
-// responder's DMA instant and snapshots the remote bytes into a pooled
-// buffer; it fires again at the requester's DMA instant and scatters
-// them into the local buffer, which returns the payload buffer.
+// responder's DMA instant (of the first packet, for a multi-packet
+// response) and snapshots the remote bytes into a pooled buffer; it
+// fires again at the requester's last DMA instant and scatters them
+// into the local buffer, which returns the payload buffer.
 type readOp struct {
 	n, rn *NIC
 	rmr   *MR
@@ -435,16 +436,15 @@ type readOp struct {
 }
 
 func (r *readOp) Fire(*simtime.Env) {
-	n := r.n
 	if !r.snapped {
 		r.snapped = true
 		r.rn.OpsDelivered++
 		if r.lost {
-			n.reads.put(r)
+			r.drop()
 			return
 		}
 		if r.len > 0 {
-			r.data = n.reg.bufs.get(r.len)
+			r.data = r.n.reg.bufs.get(r.len)
 			if r.rmr.ReadAt(r.roff, r.data) != nil {
 				// The DMA delivers zeros, never a pooled buffer's
 				// leftovers.
@@ -454,8 +454,23 @@ func (r *readOp) Fire(*simtime.Env) {
 		return
 	}
 	writeLocal(r.buf, r.mr, r.off, r.data)
-	n.reg.bufs.put(r.data)
-	n.reads.put(r)
+	r.drop()
+}
+
+// abandon ends a read whose response will not arrive: its snapshot
+// step, if still to come, is its last.
+func (r *readOp) abandon() {
+	if r.snapped {
+		r.drop()
+		return
+	}
+	r.lost = true
+}
+
+// drop returns the read's payload buffer and its record.
+func (r *readOp) drop() {
+	r.n.reg.bufs.put(r.data)
+	r.n.reads.put(r)
 }
 
 // postRead implements one-sided RDMA read.
@@ -491,12 +506,12 @@ func (n *NIC) postRead(at simtime.Time, qp *QP, wr *WR) {
 	s := n.streams.get()
 	*s = stream{n: n, qp: qp, src: rn, sink: n, kind: OpRead, ref: ref, read: r, ready: t4,
 		trace: wr.Trace, at: at, t1: t1, reqAt: t3}
-	if qp.respBlocked() {
-		qp.order.resp.held.push(s)
-		return
-	}
 	if qp.chain.on {
-		s.doneFloor = qp.chain.done
+		s.doneFloor, s.chain, s.lost = qp.chain.done, qp.chain.id, qp.chain.lost
+	}
+	if qp.respBlocked() {
+		qp.order.resp.held.Push(s)
+		return
 	}
 	n.respond(s, t4)
 }
@@ -505,7 +520,7 @@ func (n *NIC) postRead(at simtime.Time, qp *QP, wr *WR) {
 func (n *NIC) postSendRC(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 	cfg := n.cfg()
 	ref := refOf(wr)
-	first := n.firstPacket(wr.Len)
+	first := firstPacket(wr.Len)
 	_, t2 := n.txSchedule(at, qp, wr, first)
 
 	dst := qp.remoteNode

@@ -1,14 +1,15 @@
 package rnic
 
 import (
+	"lite/internal/fifo"
 	"lite/internal/obs"
 	"lite/internal/params"
 	"lite/internal/simtime"
 )
 
-// MTU packets. An RC message of at most one MTU (params.Config.MTU) is
-// booked whole when it is posted: the source DMA engine, every link of
-// its path and the sink's DMA engine, one stage after another. A longer
+// MTU packets. An RC message of at most one MTU is booked whole when it
+// is posted: the source DMA engine, every link of its path and the
+// sink's DMA engine, one stage after another. A longer
 // message is a stream of MTU packets, each carrying its own WireHeader.
 // Its first packet is booked at post time like a one-packet message;
 // each later packet is released when the one before it starts on the
@@ -20,7 +21,11 @@ import (
 // The first packet pays the message's header processing: the receive
 // pipe, and the MR-key and PTE costs of the whole range. The commit,
 // the completion and the ack follow the last packet's sink DMA. A
-// READ's data is read at its last response packet's source DMA.
+// READ's response reads the whole region at its first packet's source
+// DMA, as a one-packet response does: the first bytes are read as the
+// first packet leaves, as on hardware, and the rest at the same
+// instant. (Hardware reads each packet's bytes as that packet leaves,
+// so a write landing in between can tear a response; here it cannot.)
 //
 // RC keeps order on a QP in two directions. On the request direction,
 // every WR posted behind a multi-packet WRITE or SEND is held, with the
@@ -28,51 +33,21 @@ import (
 // released its last packet. On the response direction, a READ's
 // response is held behind a multi-packet READ response, and then
 // executes and completes no earlier than it. A message of one packet
-// holds neither direction.
+// holds neither direction. A multi-packet READ keeps sendChain's rules
+// across the instants it ends at: the READs of its chain behind it
+// execute and complete after it, and the next signaled one reports an
+// unsignaled member's failure, which has no CQE of its own.
 //
 // UD datagrams are one packet on real hardware and are booked whole.
-
-// fifo is a queue that reuses its backing array, as CQ.q does.
-type fifo[T any] struct {
-	items []T
-	head  int
-}
-
-func (q *fifo[T]) len() int { return len(q.items) - q.head }
-
-func (q *fifo[T]) push(x T) {
-	if q.head > 0 && len(q.items) == cap(q.items) {
-		k := copy(q.items, q.items[q.head:])
-		clear(q.items[k:])
-		q.items = q.items[:k]
-		q.head = 0
-	}
-	q.items = append(q.items, x)
-}
-
-func (q *fifo[T]) pop() (x T, ok bool) {
-	if q.head == len(q.items) {
-		return x, false
-	}
-	x = q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return x, true
-}
 
 // lane is one direction of an RC QP's order: busy while a multi-packet
 // message is releasing its packets, with what waits behind it.
 type lane[T any] struct {
 	busy bool
-	held fifo[T]
+	held fifo.Queue[T]
 }
 
-func (l *lane[T]) blocked() bool { return l.busy || l.held.len() > 0 }
+func (l *lane[T]) blocked() bool { return l.busy || l.held.Len() > 0 }
 
 // qpOrder is an RC QP's order in its two directions.
 type qpOrder struct {
@@ -121,10 +96,15 @@ type stream struct {
 
 	// READ: the two deferred steps, the instant the responder may start
 	// the response, and the instants before which the response may
-	// neither execute nor complete (RC order on the QP).
+	// neither execute nor complete (RC order on the QP). chain is the
+	// doorbell of the PostSendList that posted it (0 for a PostSend),
+	// and lost is set once a member of that chain up to this one has
+	// failed unsignaled, without a CQE.
 	read                 *readOp
 	ready                simtime.Time
 	execFloor, doneFloor simtime.Time
+	chain                int64
+	lost                 bool
 
 	// Pipeline spans: the post, the end of the tx pipe, the READ
 	// request's arrival, and the first packet's source DMA end and
@@ -136,12 +116,43 @@ type stream struct {
 	d0, a0 simtime.Time
 }
 
+// mtu is the largest payload in bytes one RC packet carries:
+// InfiniBand's largest MTU, which the paper's testbed uses.
+const mtu = 4096
+
 // firstPacket returns the payload bytes of a message's first packet.
-func (n *NIC) firstPacket(size int64) int64 {
-	if mtu := int64(n.cfg().MTU); mtu > 0 && size > mtu {
-		return mtu
+func firstPacket(size int64) int64 { return min(size, mtu) }
+
+// respTail is what a READ response leaves for the responses behind it
+// on its QP and for the later READs of its chain: they execute no
+// earlier than exec and complete no earlier than done, and the chain's
+// signaled ones report a lost member.
+type respTail struct {
+	exec, done simtime.Time
+	chain      int64
+	lost       bool
+}
+
+// tail returns the respTail of s, which executed at exec and ended at
+// done.
+func (s *stream) tail(exec, done simtime.Time) respTail {
+	return respTail{exec: exec, done: done, chain: s.chain, lost: s.lost}
+}
+
+// follow orders s behind the response that left t.
+func (s *stream) follow(t respTail) {
+	s.execFloor, s.doneFloor = max(s.execFloor, t.exec), max(s.doneFloor, t.done)
+	s.lost = s.lost || t.lost && s.chain != 0 && s.chain == t.chain
+}
+
+// follow orders the chain's later members behind a READ response of it
+// that ended after the PostSendList returned.
+func (c *sendChain) follow(t respTail) {
+	if t.chain == 0 || t.chain != c.id {
+		return
 	}
-	return size
+	c.exec, c.done = max(c.exec, t.exec), max(c.done, t.done)
+	c.lost = c.lost || t.lost
 }
 
 // dmaTime is the DMA engine's time to move size bytes.
@@ -174,12 +185,12 @@ func (s *stream) carry(first int64, start simtime.Time) bool {
 // Fire releases the stream's next packet.
 func (s *stream) Fire(e *simtime.Env) {
 	n, cfg := s.n, s.n.cfg()
-	k := min(s.left, int64(cfg.MTU))
+	k := min(s.left, mtu)
 	s.left -= k
 	d := s.src.dma.Reserve(e.Now(), n.dmaTime(k))
 	start, a, ok := n.reg.fab.ReservePacket(d, s.src.node, s.sink.node, k+int64(cfg.WireHeader), false)
 	if !ok {
-		s.fail(e.Now())
+		s.fail(e.Now(), d)
 		return
 	}
 	if s.left > 0 {
@@ -198,7 +209,7 @@ func (s *stream) finish(d, a simtime.Time, k int64) {
 	if s.kind == OpRead {
 		exec, done := s.finishRead(d, a, k)
 		if s.multi {
-			n.releaseResp(n.env().Now(), qp, exec, done)
+			n.releaseResp(n.env().Now(), qp, s.tail(exec, done))
 		}
 	} else {
 		if s.kind == OpSend {
@@ -248,9 +259,9 @@ func (s *stream) finishWrite(d, a simtime.Time, k int64) {
 	n.ackBack(t5, rn.node, s.qp, s.ref, StatusOK)
 }
 
-// finishRead lands a READ's last response packet: the responder reads
-// the data at its source DMA (d), the requester scatters it after its
-// sink DMA, and the READ completes. It returns the execution and
+// finishRead lands a READ's last response packet, whose source DMA ends
+// at d: the requester scatters the data after its sink DMA, and the
+// READ completes. It returns the execution and
 // completion instants, which the READs behind it on the QP follow.
 func (s *stream) finishRead(d, a simtime.Time, k int64) (exec, done simtime.Time) {
 	n, rn, qp, r := s.n, s.src, s.qp, s.read
@@ -264,12 +275,11 @@ func (s *stream) finishRead(d, a simtime.Time, k int64) (exec, done simtime.Time
 		n.obs.AddSpan(s.a0, s.rxFrom, "rnic.rx", s.trace)
 		n.obs.AddSpan(s.rxFrom, t8, "rnic.rx_dma", s.trace)
 	}
-	if s.multi {
-		// The responder reads the data as its last packet leaves.
-		n.env().Schedule(d, r)
-	}
 	n.env().Schedule(t8, r)
 	st := StatusOK
+	if s.lost && s.ref.signaled {
+		st = StatusTimeout
+	}
 	if qp.chain.on {
 		t8, st = qp.chain.complete(t8, s.ref.signaled, st)
 	}
@@ -280,52 +290,65 @@ func (s *stream) finishRead(d, a simtime.Time, k int64) (exec, done simtime.Time
 
 // respond starts a READ's response at the responder at time at: it
 // books the first packet and, for a one-packet response, finishes it.
-// It returns the response's execution and completion instants, with
-// ok false when the response failed or still has packets to release.
-func (n *NIC) respond(s *stream, at simtime.Time) (exec, done simtime.Time, ok bool) {
+// It reports whether the response ended here, failed or completed,
+// and if so what it leaves for the responses behind it; a multi-packet
+// response ends at its last packet instead.
+func (n *NIC) respond(s *stream, at simtime.Time) (respTail, bool) {
 	cfg := n.cfg()
 	rn, qp, r := s.src, s.qp, s.read
-	first := n.firstPacket(r.len)
+	first := firstPacket(r.len)
 	s.left = r.len - first
 	d0 := rn.dma.Reserve(at, n.dmaTime(first))
 	if qp.chain.on {
 		d0 = notBefore(&qp.chain.exec, d0)
 	}
 	d0 = max(d0, s.execFloor)
-	if s.left == 0 {
-		// Snapshot the remote bytes at the instant the remote DMA reads
-		// them.
-		n.env().Schedule(d0, r)
-	}
+	// Snapshot the remote bytes as the first packet's DMA reads them.
+	n.env().Schedule(d0, r)
 	start, back, ok := n.reg.fab.ReservePacket(d0, rn.node, n.node, first+int64(cfg.WireHeader), true)
 	if !ok {
-		r.lost = true
-		if s.left > 0 {
-			n.env().Schedule(d0, r)
-		}
-		n.failAfterTimeout(d0, qp, s.ref)
+		r.abandon()
+		done := s.timeout(d0)
+		t := s.tail(d0, done)
 		n.streams.put(s)
-		return 0, 0, false
+		return t, true
 	}
 	s.d0, s.a0 = d0, back
 	s.rxFrom = n.rxPipe.Reserve(back, cfg.NICProcess)
 	if !s.carry(first, start) {
-		return 0, 0, false
+		return respTail{}, false
 	}
-	exec, done = s.finishRead(d0, back, first)
+	t := s.tail(s.finishRead(d0, back, first))
 	n.streams.put(s)
-	return exec, done, true
+	return t, true
 }
 
-// fail ends a multi-packet stream whose packet was dropped or found its
-// path down at time now: no later packet of it is released, and the WR
-// fails after the RC transport timeout.
-func (s *stream) fail(now simtime.Time) {
+// timeout fails s's WR after the RC transport timeout from now, the
+// instant one of its packets was dropped or found its path down, and
+// returns the failure's completion instant. A READ's failure completes
+// no earlier than the READs before it on its QP, and an unsignaled
+// one's, which has no CQE, marks its chain lost.
+func (s *stream) timeout(now simtime.Time) simtime.Time {
 	n, qp := s.n, s.qp
-	n.completeSend(now+n.cfg().RCTimeout, qp, s.ref, StatusTimeout)
+	t := max(now+n.cfg().RCTimeout, s.doneFloor)
+	if qp.chain.on {
+		t, _ = qp.chain.complete(t, s.ref.signaled, StatusTimeout)
+	}
+	s.lost = s.lost || !s.ref.signaled
+	n.completeSend(t, qp, s.ref, StatusTimeout)
+	return t
+}
+
+// fail ends, at time now, a multi-packet stream whose packet handed to
+// the fabric at lost was dropped or found its path down: no later packet
+// of it is released, the messages held behind it go on from now, and
+// the WR fails after the RC transport timeout from lost.
+func (s *stream) fail(now, lost simtime.Time) {
+	n, qp := s.n, s.qp
+	done := s.timeout(lost)
 	if s.kind == OpRead {
-		n.reads.put(s.read)
-		n.releaseResp(now, qp, now, now)
+		s.read.abandon()
+		n.releaseResp(now, qp, s.tail(lost, done))
 	} else {
 		n.reg.bufs.put(s.payload)
 		n.releaseReq(now, qp)
@@ -341,7 +364,7 @@ func (n *NIC) releaseReq(now simtime.Time, qp *QP) {
 	l := &qp.order.req
 	l.busy = false
 	for !l.busy {
-		h, ok := l.held.pop()
+		h, ok := l.held.Pop()
 		if !ok {
 			return
 		}
@@ -359,21 +382,22 @@ func (n *NIC) releaseReq(now simtime.Time, qp *QP) {
 }
 
 // releaseResp ends the multi-packet READ response on qp's response
-// direction at time now, which executed at exec and completed at done,
-// and starts the responses held behind it, in order, until one of them
-// is a multi-packet response itself. Each executes and completes no
-// earlier than the one before it.
-func (n *NIC) releaseResp(now simtime.Time, qp *QP, exec, done simtime.Time) {
+// direction at time now, which left prev, and starts the responses held
+// behind it, in order, until one of them is a multi-packet response
+// itself. Each follows the one before it. Once the direction is free,
+// the later READs of the last response's chain follow it too.
+func (n *NIC) releaseResp(now simtime.Time, qp *QP, prev respTail) {
 	l := &qp.order.resp
 	l.busy = false
 	for !l.busy {
-		s, ok := l.held.pop()
+		s, ok := l.held.Pop()
 		if !ok {
+			qp.chain.follow(prev)
 			return
 		}
-		s.execFloor, s.doneFloor = exec, done
-		if e, d, ok := n.respond(s, max(now, s.ready)); ok {
-			exec, done = e, d
+		s.follow(prev)
+		if t, ended := n.respond(s, max(now, s.ready)); ended {
+			prev = t
 		}
 	}
 }

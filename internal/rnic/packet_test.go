@@ -61,8 +61,8 @@ func TestOnePacketMessagesKeepTheirTimeline(t *testing.T) {
 // packetTimes returns one MTU packet's DMA time and its serialisation
 // with its header, and the one-way propagation plus switch delay.
 func packetTimes(cfg *params.Config) (dma, ser, prop simtime.Time) {
-	return params.TransferTime(int64(cfg.MTU), cfg.DMABandwidth),
-		params.TransferTime(int64(cfg.MTU+cfg.WireHeader), cfg.LinkBandwidth),
+	return params.TransferTime(mtu, cfg.DMABandwidth),
+		params.TransferTime(int64(mtu+cfg.WireHeader), cfg.LinkBandwidth),
 		cfg.PropagationDelay + cfg.SwitchDelay
 }
 
@@ -277,5 +277,46 @@ func TestDroppedPacketFailsTheMessage(t *testing.T) {
 	}
 	if out(c.reg) != 0 {
 		t.Errorf("%d payload buffers still out", out(c.reg))
+	}
+}
+
+// A multi-packet READ response reads the whole region at one instant,
+// its first packet's source DMA, as a one-packet response does: the
+// first bytes (a version header, say) are read as on hardware, where
+// the first packet leaves first, and a write that lands while the
+// later packets are still leaving shows in none of them.
+func TestMultiPacketReadSnapshotsAtFirstPacket(t *testing.T) {
+	const size = 64 << 10
+	c := newCluster(t, 2)
+	cfg := &c.cfg
+	dma, ser, prop := packetTimes(cfg)
+	cold := cfg.NICProcess + cfg.QPMiss + cfg.MRKeyMissBase
+	request := prop + params.TransferTime(int64(cfg.WireHeader), cfg.LinkBandwidth)
+	firstDMA := cold + request + cold + dma
+	dst := c.physMR(t, 1, size, allPerm)
+	qa, _ := c.rcPair(0, 1)
+	old, neu := bytes.Repeat([]byte{1}, size), bytes.Repeat([]byte{2}, size)
+	if err := dst.WriteAt(0, old); err != nil {
+		t.Fatal(err)
+	}
+	c.env.Go("responder-cpu", func(p *simtime.Proc) {
+		p.Sleep(firstDMA + 5*ser) // between the first packet and the last
+		if err := dst.WriteAt(0, neu); err != nil {
+			t.Error(err)
+		}
+	})
+	got := make([]byte, size)
+	c.env.Go("reader", func(p *simtime.Proc) {
+		if err := c.nic[0].PostSend(p.Now(), qa, WR{Kind: OpRead, WRID: 1, Signaled: true, LocalBuf: got, Len: size, RemoteKey: dst.Key()}); err != nil {
+			t.Error(err)
+			return
+		}
+		if cqe := qa.SendCQ().Poll(p); cqe.Status != StatusOK {
+			t.Errorf("cqe = %+v, want OK", cqe)
+		}
+	})
+	c.run(t)
+	if !bytes.Equal(got, old) {
+		t.Errorf("READ returned %d new bytes; want the region as it was at the first packet's DMA", bytes.Count(got, []byte{2}))
 	}
 }

@@ -22,6 +22,7 @@ package rnic
 import (
 	"errors"
 
+	"lite/internal/fifo"
 	"lite/internal/hostmem"
 	"lite/internal/obs"
 	"lite/internal/simtime"
@@ -197,13 +198,9 @@ type CQE struct {
 // busy-polling callers charge the wait to their CPU account themselves.
 type CQ struct {
 	cqn int
-	// q[head:] holds the pending completions. Consuming advances head
-	// instead of re-slicing the base away, and Push compacts in place
-	// when the tail is full — the backing array is reused forever
-	// instead of reallocating once per queue lap (at 1M+ events the
-	// completion path must be alloc-free).
-	q    []CQE
-	head int
+	// q holds the pending completions in one reused backing array (at
+	// 1M+ events the completion path must be alloc-free).
+	q    fifo.Queue[CQE]
 	cond simtime.Cond
 	// deliver, when set, is offered each completion before it is
 	// queued; see SetDeliver.
@@ -217,7 +214,7 @@ type CQ struct {
 func (c *CQ) SetDeliver(fn func(*simtime.Env, CQE) bool) { c.deliver = fn }
 
 // Len returns the number of pending completions.
-func (c *CQ) Len() int { return len(c.q) - c.head }
+func (c *CQ) Len() int { return c.q.Len() }
 
 // Push appends a completion and wakes one poller, unless the
 // direct-delivery hook takes it. It may be called from scheduler
@@ -226,30 +223,12 @@ func (c *CQ) Push(e *simtime.Env, cqe CQE) {
 	if c.deliver != nil && c.deliver(e, cqe) {
 		return
 	}
-	if c.head > 0 && len(c.q) == cap(c.q) {
-		n := copy(c.q, c.q[c.head:])
-		clear(c.q[n:])
-		c.q = c.q[:n]
-		c.head = 0
-	}
-	c.q = append(c.q, cqe)
+	c.q.Push(cqe)
 	c.cond.Signal(e)
 }
 
 // TryPoll removes and returns the oldest completion, if any.
-func (c *CQ) TryPoll() (CQE, bool) {
-	if c.head == len(c.q) {
-		return CQE{}, false
-	}
-	cqe := c.q[c.head]
-	c.q[c.head] = CQE{} // release references held by the slot
-	c.head++
-	if c.head == len(c.q) {
-		c.q = c.q[:0]
-		c.head = 0
-	}
-	return cqe, true
-}
+func (c *CQ) TryPoll() (CQE, bool) { return c.q.Pop() }
 
 // QPType selects the transport.
 type QPType int
@@ -287,7 +266,7 @@ type QP struct {
 	// descriptors — a restock posts hundreds of the same zero-byte IMM
 	// buffer, which one run stores — consumed by advancing rqHead and
 	// compacted in place on post, the same alloc-free ring discipline
-	// as CQ.q. posted counts the receives across all runs.
+	// as fifo.Queue. posted counts the receives across all runs.
 	rq     []recvRun
 	rqHead int
 	posted int
