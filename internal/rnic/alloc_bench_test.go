@@ -45,34 +45,48 @@ func benchmarkPostSend(b *testing.B, inline bool) {
 func BenchmarkPostSendInline(b *testing.B) { benchmarkPostSend(b, true) }
 func BenchmarkPostSendDMA(b *testing.B)    { benchmarkPostSend(b, false) }
 
-// TestPostSendAllocBudget pins the steady state of benchmarkPostSend:
-// posting a signaled 64 B write and reaping its completion allocates
-// nothing, inline or not.
+// TestPostSendAllocBudget pins the steady state of benchmarkPostSend
+// and of the other verbs LITE posts: posting a signaled request and
+// reaping its completion allocates nothing, for a 64 B WRITE (inline or
+// not), READ and WRITE_IMM, and for a 64 KB WRITE and READ, which cross
+// the wire as MTU packets.
 func TestPostSendAllocBudget(t *testing.T) {
 	allocbudget.SkipUnderRace(t)
-	for _, inline := range []bool{true, false} {
+	for _, tc := range []struct {
+		kind   OpKind
+		size   int64
+		inline bool
+	}{
+		{OpWrite, 64, true}, {OpWrite, 64, false}, {OpRead, 64, false},
+		{OpWriteImm, 64, false}, {OpWrite, 64 << 10, false}, {OpRead, 64 << 10, false},
+	} {
 		c := newCluster(t, 2)
-		src := c.physMR(t, 0, 4096, allPerm)
-		dst := c.physMR(t, 1, 4096, allPerm)
-		qa, _ := c.rcPair(0, 1)
+		src := c.physMR(t, 0, 64<<10, allPerm)
+		dst := c.physMR(t, 1, 64<<10, allPerm)
+		qa, qb := c.rcPair(0, 1)
+		if err := qb.PostRecvN(PostedRecv{MR: dst}, 1<<20); err != nil {
+			t.Fatal(err)
+		}
 		c.env.Go("poster", func(p *simtime.Proc) {
 			wr := WR{
-				Kind: OpWrite, Signaled: true, Inline: inline,
-				LocalMR: src, Len: 64, RemoteKey: dst.Key(),
+				Kind: tc.kind, Signaled: true, Inline: tc.inline,
+				LocalMR: src, Len: tc.size, RemoteKey: dst.Key(),
 			}
 			post := func() {
 				wr.WRID++
 				if err := c.nic[0].PostSend(p.Now(), qa, wr); err != nil {
 					t.Fatal(err)
 				}
-				qa.SendCQ().Poll(p)
+				if cqe := qa.SendCQ().Poll(p); cqe.Status != StatusOK {
+					t.Fatalf("%v of %d B: cqe = %+v", tc.kind, tc.size, cqe)
+				}
 			}
 			// Warm the caches, the pools and one lap of the event wheel.
 			for i := 0; i < 2000; i++ {
 				post()
 			}
 			if allocs := testing.AllocsPerRun(2000, post); allocs > 0 {
-				t.Errorf("inline=%v: %.0f allocations per post, want 0", inline, allocs)
+				t.Errorf("%v of %d B, inline=%v: %.0f allocations per post, want 0", tc.kind, tc.size, tc.inline, allocs)
 			}
 		})
 		c.run(t)

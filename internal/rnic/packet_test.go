@@ -40,7 +40,8 @@ func soloLatency(t *testing.T, kind OpKind, size int64) simtime.Time {
 
 // A message of at most one MTU is booked exactly as before packets:
 // each kind and size completes at the instant whole-message booking
-// gave it.
+// gave it. So do a UD datagram's delivery and a WRITE_IMM that waits
+// for a receive through RNR retries.
 func TestOnePacketMessagesKeepTheirTimeline(t *testing.T) {
 	for _, tc := range []struct {
 		kind OpKind
@@ -50,12 +51,92 @@ func TestOnePacketMessagesKeepTheirTimeline(t *testing.T) {
 		{OpWrite, 8, 4262}, {OpWrite, 256, 4377}, {OpWrite, 4096, 6145},
 		{OpWriteImm, 8, 4262}, {OpWriteImm, 256, 4377}, {OpWriteImm, 4096, 6145},
 		{OpRead, 8, 4356}, {OpRead, 256, 4471}, {OpRead, 4096, 6239},
-		{OpSend, 8, 4262}, {OpSend, 256, 4377}, {OpSend, 4096, 6145},
+		{OpFetchAdd, 8, 4769}, {OpCmpSwap, 8, 4769},
 	} {
 		if got := soloLatency(t, tc.kind, tc.size); got != tc.want {
 			t.Errorf("%v of %d B completes at %v, want %v", tc.kind, tc.size, got, tc.want)
 		}
 	}
+	if got, want := udDelivery(t, 64), simtime.Time(3798); got != want {
+		t.Errorf("UD SEND of 64 B is received at %v, want %v", got, want)
+	}
+	for _, tc := range []struct {
+		recvAt simtime.Time
+		want   simtime.Time
+		st     Status
+	}{
+		// The first delivery attempt finds no receive; one posted before
+		// the first retry takes it.
+		{5 * time.Microsecond, 6262, StatusOK},
+		// No receive: the last of RNRRetryMax retries fails it.
+		{-1, 35769, StatusRNRExceeded},
+	} {
+		if got, st := writeImmRNR(t, tc.recvAt); got != tc.want || st != tc.st {
+			t.Errorf("WRITE_IMM with a receive at %v completes %v at %v, want %v at %v", tc.recvAt, st, got, tc.st, tc.want)
+		}
+	}
+}
+
+// udDelivery sends one size-byte UD datagram to a posted receive on an
+// idle two-node cluster at instant 0 and returns the instant its
+// receive completion is pushed.
+func udDelivery(t *testing.T, size int64) simtime.Time {
+	t.Helper()
+	c := newCluster(t, 2)
+	src := c.physMR(t, 0, 4096, allPerm)
+	rbuf := c.physMR(t, 1, 4096, allPerm)
+	qa := c.nic[0].CreateQP(UD, c.nic[0].CreateCQ(), c.nic[0].CreateCQ())
+	qb := c.nic[1].CreateQP(UD, c.nic[1].CreateCQ(), c.nic[1].CreateCQ())
+	if err := qb.PostRecv(PostedRecv{MR: rbuf, Len: 4096, WRID: 9}); err != nil {
+		t.Fatal(err)
+	}
+	var done simtime.Time
+	c.env.Go("sender", func(p *simtime.Proc) {
+		wr := WR{Kind: OpSend, WRID: 1, LocalMR: src, Len: size, DestNode: 1, DestQPN: qb.QPN()}
+		if err := c.nic[0].PostSend(p.Now(), qa, wr); err != nil {
+			t.Error(err)
+			return
+		}
+		if cqe := qb.RecvCQ().Poll(p); cqe.Status != StatusOK || cqe.Len != size {
+			t.Errorf("recv cqe = %+v", cqe)
+		}
+		done = p.Now()
+	})
+	c.run(t)
+	return done
+}
+
+// writeImmRNR posts one signaled 8 B WRITE_IMM at instant 0 to a peer
+// with no posted receive, which posts one at recvAt (never, if recvAt
+// is negative), and returns the instant and status of its send
+// completion.
+func writeImmRNR(t *testing.T, recvAt simtime.Time) (simtime.Time, Status) {
+	t.Helper()
+	c := newCluster(t, 2)
+	src := c.physMR(t, 0, 4096, allPerm)
+	dst := c.physMR(t, 1, 4096, allPerm)
+	qa, qb := c.rcPair(0, 1)
+	if recvAt >= 0 {
+		c.env.Go("late-poster", func(p *simtime.Proc) {
+			p.Sleep(recvAt)
+			if err := qb.PostRecv(PostedRecv{MR: dst, WRID: 9}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	var done simtime.Time
+	var st Status
+	c.env.Go("poster", func(p *simtime.Proc) {
+		wr := WR{Kind: OpWriteImm, WRID: 1, Signaled: true, LocalMR: src, Len: 8, RemoteKey: dst.Key()}
+		if err := c.nic[0].PostSend(p.Now(), qa, wr); err != nil {
+			t.Error(err)
+			return
+		}
+		st = qa.SendCQ().Poll(p).Status
+		done = p.Now()
+	})
+	c.run(t)
+	return done, st
 }
 
 // packetTimes returns one MTU packet's DMA time and its serialisation
