@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"lite/internal/obs"
 	"lite/internal/simtime"
 )
 
@@ -83,7 +84,8 @@ func TestValidateErrors(t *testing.T) {
 		{"foreign local MR", qa, WR{Kind: OpWrite, LocalMR: foreign, Len: 8}, ErrBadMR},
 		{"local bounds", qa, WR{Kind: OpWrite, LocalMR: local, LocalOff: 4090, Len: 64}, ErrBounds},
 		{"atomic size", qa, WR{Kind: OpFetchAdd, LocalMR: local, Len: 4}, ErrAtomicSize},
-		{"missing local MR", qa, WR{Kind: OpSend, Len: 8}, ErrBadMR},
+		{"missing local MR", qa, WR{Kind: OpWrite, Len: 8}, ErrBadMR},
+		{"SEND on RC", qa, WR{Kind: OpSend, LocalMR: local, Len: 8}, ErrBadQPState},
 		{"short LocalBuf", qa, WR{Kind: OpWrite, LocalBuf: make([]byte, 4), Len: 8}, ErrBounds},
 	}
 	for _, tc := range cases {
@@ -187,23 +189,32 @@ func TestWriteImmRNRExceededReportsError(t *testing.T) {
 	c.run(t)
 }
 
+// A datagram longer than the receive it finds is dropped: the sender
+// completes locally as ever, the receiver sees nothing, and the drop is
+// counted.
 func TestSendBufferTooSmall(t *testing.T) {
 	c := newCluster(t, 2)
 	src := c.physMR(t, 0, 4096, allPerm)
 	rbuf := c.physMR(t, 1, 4096, allPerm)
-	qa, qb := c.rcPair(0, 1)
+	qa := c.nic[0].CreateQP(UD, c.nic[0].CreateCQ(), c.nic[0].CreateCQ())
+	qb := c.nic[1].CreateQP(UD, c.nic[1].CreateCQ(), c.nic[1].CreateCQ())
+	dom := obs.NewDomain(2)
+	c.nic[1].SetObs(dom.Node(1))
 	_ = qb.PostRecv(PostedRecv{MR: rbuf, Len: 8, WRID: 3}) // too small for 64B
 	c.env.Go("sender", func(p *simtime.Proc) {
 		_ = c.nic[0].PostSend(p.Now(), qa, WR{
 			Kind: OpSend, WRID: 1, Signaled: true, LocalMR: src, Len: 64,
+			DestNode: 1, DestQPN: qb.QPN(),
 		})
-		if cqe := qa.SendCQ().Poll(p); cqe.Status != StatusLengthError {
-			t.Errorf("send status = %v, want LENGTH_ERROR", cqe.Status)
+		if cqe := qa.SendCQ().Poll(p); cqe.Status != StatusOK {
+			t.Errorf("send status = %v, want OK", cqe.Status)
 		}
-	})
-	c.env.Go("receiver", func(p *simtime.Proc) {
-		if cqe := qb.RecvCQ().Poll(p); cqe.Status != StatusLengthError {
-			t.Errorf("recv status = %v, want LENGTH_ERROR", cqe.Status)
+		p.Sleep(10 * time.Microsecond)
+		if n := qb.RecvCQ().Len(); n != 0 {
+			t.Errorf("%d receive completions for a datagram that did not fit", n)
+		}
+		if n := dom.Total("rnic.ud_drops"); n != 1 {
+			t.Errorf("rnic.ud_drops = %d, want 1", n)
 		}
 	})
 	c.run(t)

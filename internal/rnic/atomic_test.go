@@ -28,119 +28,6 @@ func putWord(t *testing.T, mr *MR, off int64, v uint64) {
 	}
 }
 
-func TestMaskedAddFieldBoundaries(t *testing.T) {
-	cases := []struct {
-		val, delta, boundary, want uint64
-	}{
-		// Zero boundary degenerates to a plain 64-bit add.
-		{10, 5, 0, 15},
-		{^uint64(0), 1, 0, 0},
-		// Split at bit 31: two 32-bit fields, low-field carry discarded.
-		{0x00000000_ffffffff, 1, 1 << 31, 0},
-		{0x00000001_ffffffff, 1, 1 << 31, 1 << 32},
-		// High field increments independently.
-		{0x00000002_00000005, 1<<32 | 3, 1 << 31, 0x00000003_00000008},
-		// Eight 8-bit counters, each saturating mod 256.
-		{0x01ff01ff01ff01ff, 0x0101010101010101, 0x8080808080808080, 0x0200020002000200},
-	}
-	for _, c := range cases {
-		if got := maskedAdd(c.val, c.delta, c.boundary); got != c.want {
-			t.Errorf("maskedAdd(%#x, %#x, %#x) = %#x, want %#x", c.val, c.delta, c.boundary, got, c.want)
-		}
-	}
-}
-
-func TestMaskedCASRule(t *testing.T) {
-	all := ^uint64(0)
-	cases := []struct {
-		old, cmp, swp, cmpMask, swapMask, want uint64
-	}{
-		// Plain CAS: both masks all-ones.
-		{5, 5, 9, all, all, 9},
-		{5, 6, 9, all, all, 5},
-		// Compare only the low byte; unmasked compare bits ignored.
-		{0xab05, 0xcd05, 0xffff, 0xff, all, 0xffff},
-		{0xab05, 0xcd06, 0xffff, 0xff, all, 0xab05},
-		// Swap only the high byte of the low 16 bits.
-		{0xab05, 5, 0x1200, 0xff, 0xff00, 0x1205},
-		// Swap mask zero: a pure compare, the word never changes.
-		{0xab05, 5, all, 0xff, 0, 0xab05},
-	}
-	for _, c := range cases {
-		if got := maskedCASNext(c.old, c.cmp, c.swp, c.cmpMask, c.swapMask); got != c.want {
-			t.Errorf("maskedCASNext(%#x, %#x, %#x, %#x, %#x) = %#x, want %#x",
-				c.old, c.cmp, c.swp, c.cmpMask, c.swapMask, got, c.want)
-		}
-	}
-}
-
-func TestMaskedAtomicsOverWire(t *testing.T) {
-	c := newCluster(t, 2)
-	mr := c.physMR(t, 1, 4096, allPerm)
-	qa, _ := c.rcPair(0, 1)
-	putWord(t, mr, 0, 0xab05)
-	putWord(t, mr, 8, 0x00000000_ffffffff)
-
-	c.env.Go("atomics", func(p *simtime.Proc) {
-		var res uint64
-		buf := make([]byte, 8)
-		post := func(wr WR) uint64 {
-			wr.Signaled = true
-			wr.Len = 8
-			wr.LocalBuf = buf
-			wr.AtomicResult = &res
-			wr.RemoteKey = mr.Key()
-			if err := c.nic[0].PostSend(p.Now(), qa, wr); err != nil {
-				t.Fatal(err)
-			}
-			cqe := qa.SendCQ().Poll(p)
-			if cqe.Status != StatusOK {
-				t.Fatalf("atomic completion status = %v", cqe.Status)
-			}
-			return res
-		}
-
-		// Masked CAS: compare the low byte only, swap bits 8-15 only.
-		old := post(WR{Kind: OpMaskCmpSwap, WRID: 1, RemoteOff: 0,
-			Compare: 5, Swap: 0x1200, CompareMask: 0xff, SwapMask: 0xff00})
-		if old != 0xab05 {
-			t.Errorf("masked CAS returned %#x, want 0xab05", old)
-		}
-		if got := word(t, mr, 0); got != 0x1205 {
-			t.Errorf("word after masked CAS = %#x, want 0x1205", got)
-		}
-		// The fetched value is also scattered into the local buffer.
-		if lb := binary.LittleEndian.Uint64(buf); lb != 0xab05 {
-			t.Errorf("local buffer = %#x, want 0xab05", lb)
-		}
-
-		// Masked CAS whose compare fails under the mask: no change.
-		old = post(WR{Kind: OpMaskCmpSwap, WRID: 2, RemoteOff: 0,
-			Compare: 6, Swap: 0xff00, CompareMask: 0xff, SwapMask: 0xff00})
-		if old != 0x1205 || word(t, mr, 0) != 0x1205 {
-			t.Errorf("failed masked CAS: old=%#x word=%#x, want both 0x1205", old, word(t, mr, 0))
-		}
-
-		// Masked FAA with a 32-bit boundary: the low field wraps without
-		// carrying into the high field.
-		old = post(WR{Kind: OpMaskFetchAdd, WRID: 3, RemoteOff: 8,
-			Add: 1, BoundaryMask: 1 << 31})
-		if old != 0x00000000_ffffffff {
-			t.Errorf("masked FAA returned %#x", old)
-		}
-		if got := word(t, mr, 8); got != 0 {
-			t.Errorf("word after masked FAA = %#x, want 0 (no carry across boundary)", got)
-		}
-
-		// Plain CAS still behaves (regression for the shared code path).
-		old = post(WR{Kind: OpCmpSwap, WRID: 4, RemoteOff: 8, Compare: 0, Swap: 7})
-		if old != 0 || word(t, mr, 8) != 7 {
-			t.Errorf("plain CAS: old=%#x word=%#x, want 0 and 7", old, word(t, mr, 8))
-		}
-	})
-	c.run(t)
-}
-
 func TestAtomicValidationTypedErrors(t *testing.T) {
 	c := newCluster(t, 2)
 	mr := c.physMR(t, 1, 4096, allPerm)
@@ -148,7 +35,7 @@ func TestAtomicValidationTypedErrors(t *testing.T) {
 	buf := make([]byte, 16)
 
 	c.env.Go("bad", func(p *simtime.Proc) {
-		for _, kind := range []OpKind{OpFetchAdd, OpCmpSwap, OpMaskFetchAdd, OpMaskCmpSwap} {
+		for _, kind := range []OpKind{OpFetchAdd, OpCmpSwap} {
 			// Wrong size.
 			err := c.nic[0].PostSend(p.Now(), qa, WR{
 				Kind: kind, Len: 16, LocalBuf: buf, RemoteKey: mr.Key()})
@@ -260,11 +147,12 @@ func TestAtomicBatchedDoorbell(t *testing.T) {
 				AtomicResult: &results[i],
 			}
 		}
-		// The middle one is a masked CAS validating the first add landed.
+		// The middle one is a CAS that leaves the word as it is, which
+		// validates that the first add landed.
 		wrs[1] = WR{
-			Kind: OpMaskCmpSwap, WRID: 2, Signaled: true, Len: 8,
+			Kind: OpCmpSwap, WRID: 2, Signaled: true, Len: 8,
 			LocalBuf: bufs[1], RemoteKey: mr.Key(),
-			Compare: 10, Swap: 0, CompareMask: 0xff, SwapMask: 0,
+			Compare: 10, Swap: 10,
 			AtomicResult: &results[1],
 		}
 		if err := c.nic[0].PostSendList(p.Now(), qa, wrs); err != nil {
@@ -273,6 +161,12 @@ func TestAtomicBatchedDoorbell(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			if cqe := qa.SendCQ().Poll(p); cqe.Status != StatusOK {
 				t.Fatalf("completion %d status %v", i, cqe.Status)
+			}
+		}
+		// The fetched value is also scattered into the local buffer.
+		for i, b := range bufs {
+			if lb := binary.LittleEndian.Uint64(b); lb != results[i] {
+				t.Errorf("local buffer %d = %d, want the fetched %d", i, lb, results[i])
 			}
 		}
 	})
@@ -287,8 +181,8 @@ func TestAtomicBatchedDoorbell(t *testing.T) {
 	if n := reg0.Snapshot().Counters["rnic.atomic.faa"]; n != 2 {
 		t.Errorf("rnic.atomic.faa = %d, want 2", n)
 	}
-	if n := reg0.Snapshot().Counters["rnic.atomic.masked_cas"]; n != 1 {
-		t.Errorf("rnic.atomic.masked_cas = %d, want 1", n)
+	if n := reg0.Snapshot().Counters["rnic.atomic.cas"]; n != 1 {
+		t.Errorf("rnic.atomic.cas = %d, want 1", n)
 	}
 	if n := reg1.Snapshot().Counters["rnic.atomic.executed"]; n != 3 {
 		t.Errorf("rnic.atomic.executed = %d, want 3", n)

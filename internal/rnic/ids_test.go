@@ -66,7 +66,7 @@ func TestOutOfRangeIDs(t *testing.T) {
 		for _, qpn := range []int{0, -1, pastQPN} {
 			q := c.nic[0].CreateQP(RC, c.nic[0].CreateCQ(), c.nic[0].CreateCQ())
 			q.Connect(1, qpn)
-			for _, kind := range []OpKind{OpWrite, OpRead, OpSend, OpFetchAdd} {
+			for _, kind := range []OpKind{OpWrite, OpRead, OpFetchAdd} {
 				wr := badKey(kind, dst.Key())
 				if err := c.nic[0].PostSend(p.Now(), q, wr); err != nil {
 					t.Fatalf("%v to qpn %d: PostSend = %v", kind, qpn, err)

@@ -51,7 +51,7 @@ func (n *NIC) PostSendList(at simtime.Time, qp *QP, wrs []WR) error {
 }
 
 // post takes one validated work request at its post instant. The NIC
-// reads a WRITE's or SEND's gather buffer now (the host buffer is the
+// reads the gather buffer of a WRITE, a WRITE_IMM or a UD SEND now (the host buffer is the
 // caller's again once the post returns), then dispatches the request,
 // or holds it while an earlier multi-packet message holds the QP's
 // request direction (packet.go).
@@ -91,12 +91,8 @@ func (n *NIC) dispatch(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 	case OpRead:
 		n.postRead(at, qp, wr)
 	case OpSend:
-		if qp.typ == UD {
-			n.postSendUD(at, qp, wr, payload)
-		} else {
-			n.postSendRC(at, qp, wr, payload)
-		}
-	case OpFetchAdd, OpCmpSwap, OpMaskFetchAdd, OpMaskCmpSwap:
+		n.postSendUD(at, qp, wr, payload)
+	case OpFetchAdd, OpCmpSwap:
 		n.postAtomic(at, qp, wr)
 	}
 }
@@ -109,8 +105,13 @@ func (n *NIC) validate(qp *QP, wr *WR) error {
 		return ErrUDOneSided
 	}
 	switch wr.Kind {
-	case OpWrite, OpWriteImm, OpRead, OpSend:
-	case OpFetchAdd, OpCmpSwap, OpMaskFetchAdd, OpMaskCmpSwap:
+	case OpWrite, OpWriteImm, OpRead:
+	case OpSend:
+		// Two-sided SEND is modeled on UD only: nothing posts it on RC.
+		if qp.typ == RC {
+			return ErrBadQPState
+		}
+	case OpFetchAdd, OpCmpSwap:
 		if wr.Len != 8 {
 			return ErrAtomicSize
 		}
@@ -245,14 +246,69 @@ func (n *NIC) completeSend(t simtime.Time, qp *QP, ref wrRef, st Status) {
 	n.pushAt(t, qp.sendCQ, CQE{WRID: ref.id, QPN: qp.qpn, Kind: ref.kind, Status: st, Len: ref.len})
 }
 
-// failAfterTimeout completes the request in error after the RC
-// transport timeout. Used when the destination is unreachable.
-func (n *NIC) failAfterTimeout(at simtime.Time, qp *QP, ref wrRef) {
-	t := at + n.cfg().RCTimeout
+// timeout fails a request after the RC transport timeout from at, the
+// instant it (or one of its packets, or its ack) was lost, and returns
+// the failure's completion instant: no earlier than floor (the RC order
+// of a stream's READ; zero for a failure at post), nor than the chain
+// members before it.
+func (n *NIC) timeout(at simtime.Time, qp *QP, ref wrRef, floor simtime.Time) simtime.Time {
+	t := max(at+n.cfg().RCTimeout, floor)
 	if qp.chain.on {
 		t, _ = qp.chain.complete(t, ref.signaled, StatusTimeout)
 	}
 	n.completeSend(t, qp, ref, StatusTimeout)
+	return t
+}
+
+// responder resolves what a request on qp for [off, off+size) of the
+// remote region key finds at its peer: the peer's QP, the region, and
+// the request's fate. That is StatusTimeout when the request did not
+// arrive (the fabric lost it) or its peer or the peer's QP is missing,
+// a nack's status when the key, the permission perm or the range is
+// bad, and StatusOK otherwise. It books nothing.
+func (n *NIC) responder(arrived bool, qp *QP, key uint32, off, size int64, perm Perm) (*QP, *MR, Status) {
+	var rqp *QP
+	if rn := n.peer(qp.remoteNode); arrived && rn != nil {
+		rqp = rn.lookupQP(qp.remoteQPN)
+	}
+	if rqp == nil {
+		return nil, nil, StatusTimeout
+	}
+	rmr, found := rqp.nic.LookupMR(key)
+	switch {
+	case !found:
+		return rqp, nil, StatusBadKey
+	case rmr.perm&perm == 0:
+		return rqp, rmr, StatusAccessError
+	case rmr.checkRange(off, size) != nil:
+		return rqp, rmr, StatusLengthError
+	}
+	return rqp, rmr, StatusOK
+}
+
+// refuse fails a request posted at at that its responder did not take
+// (st, from responder): a lost one after the transport timeout, a
+// rejected one after a negative ack round trip from rqp's NIC, which
+// the request reached at t.
+func (n *NIC) refuse(at, t simtime.Time, qp, rqp *QP, ref wrRef, st Status) {
+	if st == StatusTimeout {
+		n.timeout(at, qp, ref, 0)
+		return
+	}
+	// Error detected at remote rx pipeline; small processing then nack.
+	cfg, rn := n.cfg(), rqp.nic
+	t4 := rn.rxPipe.Reserve(t, cfg.NICProcess)
+	back, ok := n.reg.fab.ReservePath(t4, rn.node, n.node, int64(cfg.AckBytes))
+	if !ok {
+		n.timeout(t, qp, ref, 0)
+		return
+	}
+	t6 := n.rxPipe.Reserve(back, n.ackProcess())
+	if qp.chain.on {
+		t6 = notBefore(&qp.chain.done, t6)
+	}
+	// Errors are always reported, signaled or not.
+	n.pushAt(t6, qp.sendCQ, CQE{WRID: ref.id, QPN: qp.qpn, Kind: ref.kind, Status: st, Len: ref.len})
 }
 
 // snapshot copies the gather buffer into a pooled payload buffer at
@@ -300,35 +356,14 @@ func (n *NIC) postWrite(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 	first := firstPacket(wr.Len)
 	t1, t2 := n.txSchedule(at, qp, wr, first)
 
-	dst := qp.remoteNode
-	start, t3, ok := n.reg.fab.ReservePacket(t2, n.node, dst, first+int64(cfg.WireHeader), true)
-	rn := n.peer(dst)
-	if !ok || rn == nil {
-		n.reg.bufs.put(payload)
-		n.failAfterTimeout(at, qp, ref)
-		return
-	}
-	rqp := rn.lookupQP(qp.remoteQPN)
-	if rqp == nil {
-		n.reg.bufs.put(payload)
-		n.failAfterTimeout(at, qp, ref)
-		return
-	}
-	rmr, found := rn.LookupMR(wr.RemoteKey)
-	st := StatusOK
-	switch {
-	case !found:
-		st = StatusBadKey
-	case rmr.perm&PermWrite == 0:
-		st = StatusAccessError
-	case rmr.checkRange(wr.RemoteOff, wr.Len) != nil:
-		st = StatusLengthError
-	}
+	start, t3, ok := n.reg.fab.ReservePacket(t2, n.node, qp.remoteNode, first+int64(cfg.WireHeader), true)
+	rqp, rmr, st := n.responder(ok, qp, wr.RemoteKey, wr.RemoteOff, wr.Len, PermWrite)
 	if st != StatusOK {
 		n.reg.bufs.put(payload)
-		n.nack(t3, rn, qp, ref, st)
+		n.refuse(at, t3, qp, rqp, ref, st)
 		return
 	}
+	rn := rqp.nic
 	s := n.streams.get()
 	*s = stream{n: n, qp: qp, src: n, sink: rn, kind: wr.Kind, ref: ref, left: wr.Len - first,
 		rqp: rqp, rmr: rmr, off: wr.RemoteOff, imm: wr.Imm, payload: payload,
@@ -368,38 +403,12 @@ func (d *immDelivery) Fire(e *simtime.Env) {
 		if len(d.payload) > 0 {
 			_ = d.rmr.WriteAt(d.off, d.payload)
 		}
-		d.rqp.recvCQ.Push(e, CQE{
-			QPN:     d.rqp.qpn,
-			Kind:    OpWriteImm,
-			Status:  StatusOK,
-			Imm:     d.imm,
-			HasImm:  true,
-			Len:     d.ref.len,
-			SrcNode: n.node,
-			SrcQPN:  d.qp.qpn,
-		})
+		d.rqp.recvCQ.Push(e, CQE{QPN: d.rqp.qpn, Kind: OpWriteImm, Status: StatusOK,
+			Imm: d.imm, HasImm: true, Len: d.ref.len, SrcNode: n.node, SrcQPN: d.qp.qpn})
 		n.ackBack(e.Now(), d.rn.node, d.qp, d.ref, StatusOK)
 	}
 	n.reg.bufs.put(d.payload)
 	n.imms.put(d)
-}
-
-// nack completes the request in error after a negative ack round trip.
-func (n *NIC) nack(t simtime.Time, rn *NIC, qp *QP, ref wrRef, st Status) {
-	// Error detected at remote rx pipeline; small processing then nack.
-	cfg := n.cfg()
-	t4 := rn.rxPipe.Reserve(t, cfg.NICProcess)
-	back, ok := n.reg.fab.ReservePath(t4, rn.node, n.node, int64(cfg.AckBytes))
-	if !ok {
-		n.failAfterTimeout(t, qp, ref)
-		return
-	}
-	t6 := n.rxPipe.Reserve(back, n.ackProcess())
-	if qp.chain.on {
-		t6 = notBefore(&qp.chain.done, t6)
-	}
-	// Errors are always reported, signaled or not.
-	n.pushAt(t6, qp.sendCQ, CQE{WRID: ref.id, QPN: qp.qpn, Kind: ref.kind, Status: st, Len: ref.len})
 }
 
 // ackBack schedules the RC acknowledgment and the sender completion.
@@ -407,7 +416,7 @@ func (n *NIC) ackBack(t simtime.Time, dst int, qp *QP, ref wrRef, st Status) {
 	cfg := n.cfg()
 	back, ok := n.reg.fab.ReservePath(t, dst, n.node, int64(cfg.AckBytes))
 	if !ok {
-		n.failAfterTimeout(t, qp, ref)
+		n.timeout(t, qp, ref, 0)
 		return
 	}
 	t6 := n.rxPipe.Reserve(back, n.ackProcess())
@@ -479,26 +488,13 @@ func (n *NIC) postRead(at simtime.Time, qp *QP, wr *WR) {
 	ref := refOf(wr)
 	t1 := n.txPipe.Reserve(at, cfg.NICProcess+n.qpCost(qp.qpn)+n.localCost(wr))
 
-	dst := qp.remoteNode
-	t3, ok := n.reg.fab.ReservePath(t1, n.node, dst, int64(cfg.WireHeader))
-	rn := n.peer(dst)
-	if !ok || rn == nil || rn.lookupQP(qp.remoteQPN) == nil {
-		n.failAfterTimeout(at, qp, ref)
+	t3, ok := n.reg.fab.ReservePath(t1, n.node, qp.remoteNode, int64(cfg.WireHeader))
+	rqp, rmr, st := n.responder(ok, qp, wr.RemoteKey, wr.RemoteOff, wr.Len, PermRead)
+	if st != StatusOK {
+		n.refuse(at, t3, qp, rqp, ref, st)
 		return
 	}
-	rmr, found := rn.LookupMR(wr.RemoteKey)
-	if !found {
-		n.nack(t3, rn, qp, ref, StatusBadKey)
-		return
-	}
-	if rmr.perm&PermRead == 0 {
-		n.nack(t3, rn, qp, ref, StatusAccessError)
-		return
-	}
-	if rmr.checkRange(wr.RemoteOff, wr.Len) != nil {
-		n.nack(t3, rn, qp, ref, StatusLengthError)
-		return
-	}
+	rn := rqp.nic
 	t4 := rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN)+rn.mrAccessCost(rmr, wr.RemoteOff, wr.Len))
 
 	r := n.reads.get()
@@ -514,83 +510,6 @@ func (n *NIC) postRead(at simtime.Time, qp *QP, wr *WR) {
 		return
 	}
 	n.respond(s, t4)
-}
-
-// postSendRC implements two-sided send on a reliable connection.
-func (n *NIC) postSendRC(at simtime.Time, qp *QP, wr *WR, payload []byte) {
-	cfg := n.cfg()
-	ref := refOf(wr)
-	first := firstPacket(wr.Len)
-	_, t2 := n.txSchedule(at, qp, wr, first)
-
-	dst := qp.remoteNode
-	start, t3, ok := n.reg.fab.ReservePacket(t2, n.node, dst, first+int64(cfg.WireHeader), true)
-	rn := n.peer(dst)
-	if !ok || rn == nil {
-		n.reg.bufs.put(payload)
-		n.failAfterTimeout(at, qp, ref)
-		return
-	}
-	rqp := rn.lookupQP(qp.remoteQPN)
-	if rqp == nil {
-		n.reg.bufs.put(payload)
-		n.failAfterTimeout(at, qp, ref)
-		return
-	}
-	s := n.streams.get()
-	*s = stream{n: n, qp: qp, src: n, sink: rn, kind: OpSend, ref: ref, left: wr.Len - first,
-		rqp: rqp, payload: payload, a0: t3}
-	s.rxFrom = rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN))
-	if s.carry(first, start) {
-		s.finish(t2, t3, first)
-	}
-}
-
-// deliverSend commits a two-sided send into a posted receive buffer,
-// retrying on receiver-not-ready. Its receive DMA moves the message's
-// last tail bytes: a multi-packet send's earlier packets were DMAed as
-// they arrived.
-func (n *NIC) deliverSend(t simtime.Time, rn *NIC, rqp *QP, qp *QP, ref wrRef, payload []byte, attempt int, tail int64) {
-	cfg := n.cfg()
-	n.env().At(t, func(e *simtime.Env) {
-		recv, ok := rqp.popRecv()
-		if !ok {
-			if attempt >= cfg.RNRRetryMax {
-				n.reg.bufs.put(payload)
-				n.completeSend(e.Now(), qp, ref, StatusRNRExceeded)
-				return
-			}
-			n.deliverSend(e.Now()+cfg.RNRRetryDelay, rn, rqp, qp, ref, payload, attempt+1, tail)
-			return
-		}
-		if recv.Len < ref.len {
-			// Message does not fit the posted buffer.
-			n.reg.bufs.put(payload)
-			rqp.recvCQ.Push(e, CQE{QPN: rqp.qpn, Kind: OpRecv, Status: StatusLengthError,
-				SrcNode: n.node, SrcQPN: qp.qpn, RecvWRID: recv.WRID})
-			n.ackBack(e.Now(), rn.node, qp, ref, StatusLengthError)
-			return
-		}
-		// Receive-side DMA and translation of the receive buffer.
-		cost := rn.mrAccessCost(recv.MR, recv.Off, ref.len)
-		t5 := rn.rxPipe.Reserve(e.Now(), cost)
-		t6 := rn.dma.Reserve(t5, n.dmaTime(tail))
-		e.At(t6, func(e2 *simtime.Env) {
-			rn.OpsDelivered++
-			_ = recv.MR.WriteAt(recv.Off, payload)
-			n.reg.bufs.put(payload)
-			rqp.recvCQ.Push(e2, CQE{
-				QPN:      rqp.qpn,
-				Kind:     OpRecv,
-				Status:   StatusOK,
-				Len:      ref.len,
-				SrcNode:  n.node,
-				SrcQPN:   qp.qpn,
-				RecvWRID: recv.WRID,
-			})
-		})
-		n.ackBack(t6, rn.node, qp, ref, StatusOK)
-	})
 }
 
 // postSendUD implements unreliable datagram send: fire and forget,
@@ -629,54 +548,10 @@ func (n *NIC) postSendUD(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 			rn.OpsDelivered++
 			_ = recv.MR.WriteAt(recv.Off, payload)
 			n.reg.bufs.put(payload)
-			rqp.recvCQ.Push(e2, CQE{
-				QPN:      rqp.qpn,
-				Kind:     OpRecv,
-				Status:   StatusOK,
-				Len:      length,
-				SrcNode:  srcNode,
-				SrcQPN:   srcQPN,
-				RecvWRID: recv.WRID,
-			})
+			rqp.recvCQ.Push(e2, CQE{QPN: rqp.qpn, Kind: OpRecv, Status: StatusOK,
+				Len: length, SrcNode: srcNode, SrcQPN: srcQPN, RecvWRID: recv.WRID})
 		})
 	})
-}
-
-// maskedAdd adds delta to val with carries confined by boundary: each
-// set bit of boundary marks the most significant bit of an independent
-// field, so the addition of one field never carries into the next.
-// This is the ConnectX masked-fetch-add ("extended atomics") rule; a
-// zero boundary degenerates to a plain 64-bit add.
-func maskedAdd(val, delta, boundary uint64) uint64 {
-	if boundary == 0 {
-		return val + delta
-	}
-	var out uint64
-	lo := uint(0)
-	for bit := uint(0); bit < 64; bit++ {
-		if boundary&(1<<bit) != 0 || bit == 63 {
-			width := bit - lo + 1
-			fieldMask := ^uint64(0)
-			if width < 64 {
-				fieldMask = (uint64(1)<<width - 1) << lo
-			}
-			sum := (val&fieldMask)>>lo + (delta&fieldMask)>>lo
-			out |= sum << lo & fieldMask
-			lo = bit + 1
-		}
-	}
-	return out
-}
-
-// maskedCASNext returns the word after a masked compare-and-swap of
-// old: if old matches cmp under cmpMask, the bits under swapMask are
-// replaced from swp; otherwise the word is unchanged. Plain CAS is the
-// degenerate case with both masks all-ones.
-func maskedCASNext(old, cmp, swp, cmpMask, swapMask uint64) uint64 {
-	if old&cmpMask != cmp&cmpMask {
-		return old
-	}
-	return old&^swapMask | swp&swapMask
 }
 
 // AtomicNext returns the word an atomic work request leaves behind when
@@ -688,11 +563,9 @@ func (wr *WR) AtomicNext(old uint64) uint64 {
 	case OpFetchAdd:
 		return old + wr.Add
 	case OpCmpSwap:
-		return maskedCASNext(old, wr.Compare, wr.Swap, ^uint64(0), ^uint64(0))
-	case OpMaskFetchAdd:
-		return maskedAdd(old, wr.Add, wr.BoundaryMask)
-	case OpMaskCmpSwap:
-		return maskedCASNext(old, wr.Compare, wr.Swap, wr.CompareMask, wr.SwapMask)
+		if old == wr.Compare {
+			return wr.Swap
+		}
 	}
 	return old
 }
@@ -704,15 +577,11 @@ func (n *NIC) atomicObs(kind OpKind) {
 		n.obs.Add("rnic.atomic.faa", 1)
 	case OpCmpSwap:
 		n.obs.Add("rnic.atomic.cas", 1)
-	case OpMaskFetchAdd:
-		n.obs.Add("rnic.atomic.masked_faa", 1)
-	case OpMaskCmpSwap:
-		n.obs.Add("rnic.atomic.masked_cas", 1)
 	}
 }
 
-// postAtomic implements 8-byte masked atomics (fetch-add, cmp-swap and
-// their masked variants) executed at the remote NIC in arrival order.
+// postAtomic implements the 8-byte atomics, fetch-add and cmp-swap,
+// executed at the remote NIC in arrival order.
 func (n *NIC) postAtomic(at simtime.Time, qp *QP, wr *WR) {
 	cfg := n.cfg()
 	ref := refOf(wr)
@@ -721,24 +590,12 @@ func (n *NIC) postAtomic(at simtime.Time, qp *QP, wr *WR) {
 
 	dst := qp.remoteNode
 	t3, ok := n.reg.fab.ReservePath(t1, n.node, dst, int64(cfg.WireHeader)+16)
-	rn := n.peer(dst)
-	if !ok || rn == nil || rn.lookupQP(qp.remoteQPN) == nil {
-		n.failAfterTimeout(at, qp, ref)
+	rqp, rmr, st := n.responder(ok, qp, wr.RemoteKey, wr.RemoteOff, 8, PermAtomic)
+	if st != StatusOK {
+		n.refuse(at, t3, qp, rqp, ref, st)
 		return
 	}
-	rmr, found := rn.LookupMR(wr.RemoteKey)
-	if !found {
-		n.nack(t3, rn, qp, ref, StatusBadKey)
-		return
-	}
-	if rmr.perm&PermAtomic == 0 {
-		n.nack(t3, rn, qp, ref, StatusAccessError)
-		return
-	}
-	if rmr.checkRange(wr.RemoteOff, 8) != nil {
-		n.nack(t3, rn, qp, ref, StatusLengthError)
-		return
-	}
+	rn := rqp.nic
 	// The remote rx pipeline is the atomicity serialization point: two
 	// concurrent atomics to one address reserve it back to back, and
 	// each read-modify-write executes whole at its reserved instant, so
@@ -759,7 +616,7 @@ func (n *NIC) postAtomic(at simtime.Time, qp *QP, wr *WR) {
 
 	back, ok := n.reg.fab.ReservePath(t4, dst, n.node, int64(cfg.WireHeader)+8)
 	if !ok {
-		n.failAfterTimeout(t4, qp, ref)
+		n.timeout(t4, qp, ref, 0)
 		return
 	}
 	t6 := n.rxPipe.Reserve(back, n.ackProcess())

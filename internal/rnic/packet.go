@@ -28,7 +28,7 @@ import (
 // so a write landing in between can tear a response; here it cannot.)
 //
 // RC keeps order on a QP in two directions. On the request direction,
-// every WR posted behind a multi-packet WRITE or SEND is held, with the
+// every WR posted behind a multi-packet WRITE or WRITE_IMM is held, with the
 // payload its gather buffer held at post, until that message has
 // released its last packet. On the response direction, a READ's
 // response is held behind a multi-packet READ response, and then
@@ -51,11 +51,11 @@ func (l *lane[T]) blocked() bool { return l.busy || l.held.Len() > 0 }
 
 // qpOrder is an RC QP's order in its two directions.
 type qpOrder struct {
-	req  lane[*heldWR] // WRs held behind a multi-packet WRITE or SEND
+	req  lane[*heldWR] // WRs held behind a multi-packet WRITE or WRITE_IMM
 	resp lane[*stream] // READ responses held behind a multi-packet one
 }
 
-// reqBlocked reports whether a multi-packet WRITE or SEND holds the
+// reqBlocked reports whether a multi-packet WRITE or WRITE_IMM holds the
 // QP's request direction; respBlocked, whether a multi-packet READ
 // response holds its response direction.
 func (q *QP) reqBlocked() bool  { return q.order != nil && q.order.req.blocked() }
@@ -73,8 +73,8 @@ type heldWR struct {
 }
 
 // stream is one RC message on its way from the NIC whose DMA engine
-// reads it (src) to the one whose DMA engine writes it (sink): a WRITE,
-// WRITE_IMM or SEND from the requester, or a READ's response to it. For
+// reads it (src) to the one whose DMA engine writes it (sink): a WRITE
+// or WRITE_IMM from the requester, or a READ's response to it. For
 // a multi-packet message it is also the event that releases the next
 // packet.
 type stream struct {
@@ -87,7 +87,7 @@ type stream struct {
 	rxFrom    simtime.Time // end of the first packet's receive pipe: the sink DMAs no packet before it
 	multi     bool         // more than one packet: it holds its QP's direction
 
-	// WRITE, WRITE_IMM and SEND: where the payload lands.
+	// WRITE and WRITE_IMM: where the payload lands.
 	rqp     *QP
 	rmr     *MR
 	off     int64
@@ -203,7 +203,7 @@ func (s *stream) Fire(e *simtime.Env) {
 
 // finish books the last packet (of k bytes, source DMA ending at d,
 // arriving at a) into the sink and schedules what follows it: the
-// commit or delivery, the ack and the completion.
+// commit, the ack and the completion.
 func (s *stream) finish(d, a simtime.Time, k int64) {
 	n, qp := s.n, s.qp
 	if s.kind == OpRead {
@@ -212,11 +212,7 @@ func (s *stream) finish(d, a simtime.Time, k int64) {
 			n.releaseResp(n.env().Now(), qp, s.tail(exec, done))
 		}
 	} else {
-		if s.kind == OpSend {
-			n.deliverSend(max(a, s.rxFrom), s.sink, s.rqp, qp, s.ref, s.payload, 0, k)
-		} else {
-			s.finishWrite(d, a, k)
-		}
+		s.finishWrite(d, a, k)
 		if s.multi {
 			n.releaseReq(n.env().Now(), qp)
 		}
@@ -308,8 +304,7 @@ func (n *NIC) respond(s *stream, at simtime.Time) (respTail, bool) {
 	start, back, ok := n.reg.fab.ReservePacket(d0, rn.node, n.node, first+int64(cfg.WireHeader), true)
 	if !ok {
 		r.abandon()
-		done := s.timeout(d0)
-		t := s.tail(d0, done)
+		t := s.timeout(d0)
 		n.streams.put(s)
 		return t, true
 	}
@@ -323,20 +318,14 @@ func (n *NIC) respond(s *stream, at simtime.Time) (respTail, bool) {
 	return t, true
 }
 
-// timeout fails s's WR after the RC transport timeout from now, the
+// timeout fails s's WR after the RC transport timeout from lost, the
 // instant one of its packets was dropped or found its path down, and
-// returns the failure's completion instant. A READ's failure completes
-// no earlier than the READs before it on its QP, and an unsignaled
-// one's, which has no CQE, marks its chain lost.
-func (s *stream) timeout(now simtime.Time) simtime.Time {
-	n, qp := s.n, s.qp
-	t := max(now+n.cfg().RCTimeout, s.doneFloor)
-	if qp.chain.on {
-		t, _ = qp.chain.complete(t, s.ref.signaled, StatusTimeout)
-	}
+// returns what it leaves for the messages behind it. A READ's failure
+// completes no earlier than the READs before it on its QP, and an
+// unsignaled one's, which has no CQE, marks its chain lost.
+func (s *stream) timeout(lost simtime.Time) respTail {
 	s.lost = s.lost || !s.ref.signaled
-	n.completeSend(t, qp, s.ref, StatusTimeout)
-	return t
+	return s.tail(lost, s.n.timeout(lost, s.qp, s.ref, s.doneFloor))
 }
 
 // fail ends, at time now, a multi-packet stream whose packet handed to
@@ -345,10 +334,10 @@ func (s *stream) timeout(now simtime.Time) simtime.Time {
 // the WR fails after the RC transport timeout from lost.
 func (s *stream) fail(now, lost simtime.Time) {
 	n, qp := s.n, s.qp
-	done := s.timeout(lost)
+	t := s.timeout(lost)
 	if s.kind == OpRead {
 		s.read.abandon()
-		n.releaseResp(now, qp, s.tail(lost, done))
+		n.releaseResp(now, qp, t)
 	} else {
 		n.reg.bufs.put(s.payload)
 		n.releaseReq(now, qp)

@@ -110,30 +110,35 @@ func TestRNRExhaustedWriteImmReturnsBufferOnce(t *testing.T) {
 	}
 }
 
-// Zero-length writes, write-imms, reads and sends carry no payload and
-// take no buffer.
+// Zero-length writes, write-imms, reads and UD sends carry no payload
+// and take no buffer.
 func TestZeroLengthOpsTakeNoBuffer(t *testing.T) {
 	c := newCluster(t, 2)
 	src := c.physMR(t, 0, 4096, allPerm)
 	dst := c.physMR(t, 1, 4096, allPerm)
 	qa, qb := c.rcPair(0, 1)
-	for k := 0; k < 2; k++ {
-		_ = qb.PostRecv(PostedRecv{MR: dst, Len: 0, WRID: uint64(k)})
-	}
+	ua := c.nic[0].CreateQP(UD, c.nic[0].CreateCQ(), c.nic[0].CreateCQ())
+	ub := c.nic[1].CreateQP(UD, c.nic[1].CreateCQ(), c.nic[1].CreateCQ())
+	_ = qb.PostRecv(PostedRecv{MR: dst, Len: 0, WRID: 1})
+	_ = ub.PostRecv(PostedRecv{MR: dst, Len: 0, WRID: 2})
 	c.env.Go("poster", func(p *simtime.Proc) {
 		wrs := []WR{
 			{Kind: OpWrite, LocalMR: src, RemoteKey: dst.Key()},
 			{Kind: OpWriteImm, RemoteKey: dst.Key(), Imm: 7},
 			{Kind: OpRead, LocalMR: src, RemoteKey: dst.Key()},
-			{Kind: OpSend, LocalMR: src},
+			{Kind: OpSend, LocalMR: src, DestNode: 1, DestQPN: ub.QPN()},
 		}
 		for k, wr := range wrs {
 			wr.WRID, wr.Signaled = uint64(k+1), true
-			if err := c.nic[0].PostSend(p.Now(), qa, wr); err != nil {
+			qp := qa
+			if wr.Kind == OpSend {
+				qp = ua
+			}
+			if err := c.nic[0].PostSend(p.Now(), qp, wr); err != nil {
 				t.Errorf("%v: %v", wr.Kind, err)
 				return
 			}
-			if cqe := qa.SendCQ().Poll(p); cqe.Status != StatusOK {
+			if cqe := qp.SendCQ().Poll(p); cqe.Status != StatusOK {
 				t.Errorf("%v: status %v", wr.Kind, cqe.Status)
 			}
 			if c.reg.bufs.gets != 0 {

@@ -197,49 +197,53 @@ func TestBadKeyAndBounds(t *testing.T) {
 	c.run(t)
 }
 
-func TestSendRecvRC(t *testing.T) {
+// Two-sided SEND is modeled on UD only. On an RC QP it is refused at
+// post, alone or in a chain, and nothing of it is posted: no doorbell,
+// no packet, no completion, no receive consumed.
+func TestSendOnRCIsRefused(t *testing.T) {
 	c := newCluster(t, 2)
+	dom := obs.NewDomain(2)
+	c.reg.fab.SetObs(dom.Global())
 	src := c.physMR(t, 0, 4096, allPerm)
+	dst := c.physMR(t, 1, 4096, allPerm)
 	rbuf := c.physMR(t, 1, 4096, allPerm)
 	qa, qb := c.rcPair(0, 1)
-
-	if err := qb.PostRecv(PostedRecv{MR: rbuf, Off: 0, Len: 1024, WRID: 77}); err != nil {
+	if err := qb.PostRecv(PostedRecv{MR: rbuf, Len: 1024, WRID: 77}); err != nil {
 		t.Fatal(err)
 	}
-	msg := []byte("two-sided message")
-	c.env.Go("sender", func(p *simtime.Proc) {
-		_ = src.WriteAt(0, msg)
-		_ = c.nic[0].PostSend(p.Now(), qa, WR{
-			Kind: OpSend, WRID: 5, Signaled: true,
-			LocalMR: src, Len: int64(len(msg)),
-		})
-		if cqe := qa.SendCQ().Poll(p); cqe.Status != StatusOK {
-			t.Errorf("send status = %v", cqe.Status)
-		}
-	})
-	c.env.Go("receiver", func(p *simtime.Proc) {
-		cqe := qb.RecvCQ().Poll(p)
-		if cqe.Status != StatusOK || cqe.RecvWRID != 77 || cqe.Len != int64(len(msg)) {
-			t.Errorf("recv cqe = %+v", cqe)
-		}
-		got := make([]byte, len(msg))
-		_ = rbuf.ReadAt(0, got)
-		if !bytes.Equal(got, msg) {
-			t.Errorf("recv buffer = %q", got)
-		}
-	})
+	send := WR{Kind: OpSend, WRID: 5, Signaled: true, LocalMR: src, Len: 64}
+	write := WR{Kind: OpWrite, WRID: 6, Signaled: true, LocalMR: src, Len: 64, RemoteKey: dst.Key()}
+	if err := c.nic[0].PostSend(0, qa, send); err != ErrBadQPState {
+		t.Errorf("PostSend of an RC SEND: err = %v, want ErrBadQPState", err)
+	}
+	if err := c.nic[0].PostSendList(0, qa, []WR{write, send}); err != ErrBadQPState {
+		t.Errorf("PostSendList with an RC SEND: err = %v, want ErrBadQPState", err)
+	}
 	c.run(t)
+	if n := c.nic[0]; n.Doorbells != 0 || n.OpsPosted != 0 {
+		t.Errorf("%d doorbells and %d WRs posted, want none", n.Doorbells, n.OpsPosted)
+	}
+	if got := dom.Total("fabric.packets"); got != 0 {
+		t.Errorf("fabric carried %d packets, want none", got)
+	}
+	if qa.SendCQ().Len() != 0 || qb.RecvCQ().Len() != 0 || qb.RecvPosted() != 1 {
+		t.Errorf("send CQ %d, receive CQ %d, posted receives %d; want 0, 0, 1",
+			qa.SendCQ().Len(), qb.RecvCQ().Len(), qb.RecvPosted())
+	}
 }
 
-func TestSendRNRRetryThenSuccess(t *testing.T) {
+// A WRITE_IMM that finds no posted receive retries on
+// receiver-not-ready and delivers once a receive is posted.
+func TestWriteImmRNRRetryThenSuccess(t *testing.T) {
 	c := newCluster(t, 2)
 	src := c.physMR(t, 0, 4096, allPerm)
-	rbuf := c.physMR(t, 1, 4096, allPerm)
+	dst := c.physMR(t, 1, 4096, allPerm)
 	qa, qb := c.rcPair(0, 1)
 
 	c.env.Go("sender", func(p *simtime.Proc) {
 		_ = c.nic[0].PostSend(p.Now(), qa, WR{
-			Kind: OpSend, WRID: 1, Signaled: true, LocalMR: src, Len: 64,
+			Kind: OpWriteImm, WRID: 1, Signaled: true, LocalMR: src, Len: 64,
+			RemoteKey: dst.Key(), Imm: 3,
 		})
 		if cqe := qa.SendCQ().Poll(p); cqe.Status != StatusOK {
 			t.Errorf("send status = %v", cqe.Status)
@@ -247,27 +251,10 @@ func TestSendRNRRetryThenSuccess(t *testing.T) {
 	})
 	c.env.Go("late-poster", func(p *simtime.Proc) {
 		p.Sleep(5 * time.Microsecond) // a couple of RNR retries happen first
-		_ = qb.PostRecv(PostedRecv{MR: rbuf, Len: 64, WRID: 1})
+		_ = qb.PostRecv(PostedRecv{MR: dst, WRID: 1})
 		cqe := qb.RecvCQ().Poll(p)
-		if cqe.Status != StatusOK {
-			t.Errorf("recv status = %v", cqe.Status)
-		}
-	})
-	c.run(t)
-}
-
-func TestSendRNRExceeded(t *testing.T) {
-	c := newCluster(t, 2)
-	src := c.physMR(t, 0, 4096, allPerm)
-	qa, _ := c.rcPair(0, 1)
-
-	c.env.Go("sender", func(p *simtime.Proc) {
-		_ = c.nic[0].PostSend(p.Now(), qa, WR{
-			Kind: OpSend, WRID: 1, Signaled: true, LocalMR: src, Len: 64,
-		})
-		cqe := qa.SendCQ().Poll(p)
-		if cqe.Status != StatusRNRExceeded {
-			t.Errorf("status = %v, want RNR_EXCEEDED", cqe.Status)
+		if cqe.Status != StatusOK || cqe.Imm != 3 || cqe.Len != 64 {
+			t.Errorf("recv cqe = %+v", cqe)
 		}
 	})
 	c.run(t)

@@ -40,36 +40,18 @@ const (
 	OpRecv
 	OpFetchAdd
 	OpCmpSwap
-	// Masked extended atomics (ConnectX "extended atomic operations"):
-	// a masked compare-and-swap compares and swaps only under caller
-	// masks, and a masked fetch-and-add treats the 64-bit word as
-	// independent fields whose carries do not cross the boundary mask.
-	OpMaskCmpSwap
-	OpMaskFetchAdd
 )
 
-func (k OpKind) String() string {
-	switch k {
-	case OpWrite:
-		return "WRITE"
-	case OpWriteImm:
-		return "WRITE_IMM"
-	case OpRead:
-		return "READ"
-	case OpSend:
-		return "SEND"
-	case OpRecv:
-		return "RECV"
-	case OpFetchAdd:
-		return "FETCH_ADD"
-	case OpCmpSwap:
-		return "CMP_SWAP"
-	case OpMaskCmpSwap:
-		return "MASK_CMP_SWAP"
-	case OpMaskFetchAdd:
-		return "MASK_FETCH_ADD"
+var opNames = [...]string{"WRITE", "WRITE_IMM", "READ", "SEND", "RECV", "FETCH_ADD", "CMP_SWAP"}
+
+func (k OpKind) String() string { return name(opNames[:], int(k)) }
+
+// name returns names[i], or "UNKNOWN" when i is out of range.
+func name(names []string, i int) string {
+	if i < 0 || i >= len(names) {
+		return "UNKNOWN"
 	}
-	return "UNKNOWN"
+	return names[i]
 }
 
 // Status is a completion status.
@@ -85,23 +67,9 @@ const (
 	StatusBadKey
 )
 
-func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "OK"
-	case StatusAccessError:
-		return "ACCESS_ERROR"
-	case StatusTimeout:
-		return "TIMEOUT"
-	case StatusRNRExceeded:
-		return "RNR_EXCEEDED"
-	case StatusLengthError:
-		return "LENGTH_ERROR"
-	case StatusBadKey:
-		return "BAD_KEY"
-	}
-	return "UNKNOWN"
-}
+var statusNames = [...]string{"OK", "ACCESS_ERROR", "TIMEOUT", "RNR_EXCEEDED", "LENGTH_ERROR", "BAD_KEY"}
+
+func (s Status) String() string { return name(statusNames[:], int(s)) }
 
 // Errors returned synchronously by posting paths.
 var (
@@ -501,17 +469,6 @@ type WR struct {
 	Add     uint64
 	Compare uint64
 	Swap    uint64
-
-	// Masked-atomic operands (ConnectX extended atomics). For
-	// OpMaskCmpSwap the compare applies only under CompareMask and the
-	// swap replaces only the bits under SwapMask. For OpMaskFetchAdd
-	// each set bit of BoundaryMask marks the most significant bit of an
-	// independent field: carries do not propagate across it, so several
-	// narrow counters can share one 64-bit word. Plain OpCmpSwap and
-	// OpFetchAdd ignore all three.
-	CompareMask  uint64
-	SwapMask     uint64
-	BoundaryMask uint64
 
 	// AtomicResult, if non-nil, receives the 8-byte old value in
 	// addition to it being written to the local buffer.
