@@ -156,25 +156,29 @@ func TestChainLostUnsignaledMemberFailsTheSignaledOne(t *testing.T) {
 	c.run(t)
 }
 
-// lostChainMember posts wrs as one chain on a fresh pair while the
-// fabric drops the nth response packet (counted from 1) from the
-// responder, and returns the one completion the chain's signaled
-// member reports, the instant it arrived and the instant of the drop.
-func lostChainMember(t *testing.T, wrs []WR, nth int) (cqe CQE, at, dropped simtime.Time) {
+// lostChainMember posts wrs as one chain from node 0 on a fresh pair
+// while the fabric drops the nth packet (counted from 1) that node from
+// sends — 1 for the responder's, 0 for the requester's — and returns
+// the one completion the chain's signaled member reports, the instant
+// it arrived and the instant of the drop.
+func lostChainMember(t *testing.T, wrs []WR, from, nth int) (cqe CQE, at, dropped simtime.Time) {
 	t.Helper()
 	c := newCluster(t, 2)
 	dst := c.physMR(t, 1, 256<<10, allPerm)
-	qa, _ := c.rcPair(0, 1)
-	resp := 0
+	qa, qb := c.rcPair(0, 1)
+	if err := qb.PostRecvN(PostedRecv{MR: dst}, len(wrs)); err != nil {
+		t.Fatal(err)
+	}
+	sent := 0
 	c.reg.fab.SetDropHook(func(now simtime.Time, src, _ int, _ int64) bool {
-		if src != 1 {
+		if src != from {
 			return false
 		}
-		resp++
-		if resp == nth {
+		sent++
+		if sent == nth {
 			dropped = now
 		}
-		return resp == nth
+		return sent == nth
 	})
 	for k := range wrs {
 		wrs[k].LocalBuf = make([]byte, wrs[k].Len)
@@ -190,7 +194,7 @@ func lostChainMember(t *testing.T, wrs []WR, nth int) (cqe CQE, at, dropped simt
 	})
 	c.run(t)
 	if dropped == 0 {
-		t.Fatalf("the fabric never carried response packet %d", nth)
+		t.Fatalf("the fabric never carried packet %d from node %d", nth, from)
 	}
 	if n := qa.SendCQ().Len(); n != 0 {
 		t.Errorf("%d completions beyond the signaled member's", n)
@@ -230,12 +234,56 @@ func TestChainLostMemberAcrossPackets(t *testing.T) {
 			}
 			last := len(wrs) - 1
 			wrs[last].Signaled = true
-			cqe, at, dropped := lostChainMember(t, wrs, tc.nth)
+			cqe, at, dropped := lostChainMember(t, wrs, 1, tc.nth)
 			if cqe.WRID != wrs[last].WRID || cqe.Status != StatusTimeout {
 				t.Errorf("cqe = %+v, want WRID %d StatusTimeout", cqe, wrs[last].WRID)
 			}
 			if timeout := params.Default().RCTimeout; at < dropped+timeout {
 				t.Errorf("completed at %v, before the drop at %v plus the %v transport timeout", at, dropped, timeout)
+			}
+		})
+	}
+}
+
+// The chain rule holds for WRITEs and WRITE_IMMs too, as LITE's answer
+// batches (WRITE_IMM chains with only the last member signaled) need:
+// when an unsignaled member's request is lost — its only packet at
+// post, or the last packet of a multi-packet member with the rest held
+// behind it — the signaled member completes StatusTimeout, no earlier
+// than the lost member's transport timeout, never OK.
+func TestChainLostWriteMemberFailsTheSignaledOne(t *testing.T) {
+	w := func(kind OpKind, n int64) WR { return WR{Kind: kind, Len: n} }
+	for _, tc := range []struct {
+		name string
+		wrs  []WR // the last member is signaled
+		nth  int  // the request packet the fabric drops
+	}{
+		{"WRITE lost at post", []WR{w(OpWrite, 64), w(OpWrite, 64)}, 1},
+		{"WRITE's last packet, member held behind it", []WR{w(OpWrite, 8<<10), w(OpWrite, 64)}, 2},
+		{"multi-packet member held behind a lost one", []WR{w(OpWrite, 8<<10), w(OpWrite, 8<<10)}, 2},
+		{"multi-packet member behind one lost at post", []WR{w(OpWrite, 64), w(OpWrite, 8<<10)}, 1},
+		{"WRITE_IMM lost at post", []WR{w(OpWriteImm, 64), w(OpWriteImm, 64)}, 1},
+		{"WRITE_IMM's last packet", []WR{w(OpWriteImm, 8<<10), w(OpWriteImm, 64)}, 2},
+		{"WRITE_IMM behind a lost WRITE", []WR{w(OpWrite, 8<<10), w(OpWrite, 64), w(OpWriteImm, 64)}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wrs := tc.wrs
+			for k := range wrs {
+				wrs[k].WRID = uint64(k + 1)
+				wrs[k].RemoteOff = int64(k) * (64 << 10)
+			}
+			last := len(wrs) - 1
+			wrs[last].Signaled = true
+			cqe, at, dropped := lostChainMember(t, wrs, 0, tc.nth)
+			if cqe.WRID != wrs[last].WRID || cqe.Status != StatusTimeout {
+				t.Errorf("cqe = %+v at %v, want WRID %d StatusTimeout", cqe, at, wrs[last].WRID)
+			}
+			// A request lost at post times out from its post, at 0.
+			if tc.nth == 1 {
+				dropped = 0
+			}
+			if timeout := params.Default().RCTimeout; at < dropped+timeout {
+				t.Errorf("completed at %v, before the loss at %v plus the %v transport timeout", at, dropped, timeout)
 			}
 		})
 	}

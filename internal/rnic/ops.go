@@ -29,7 +29,8 @@ func (n *NIC) PostSend(at simtime.Time, qp *QP, wr WR) error {
 // nothing. READ members keep RC's order (see sendChain): they execute
 // at the responder in chain order, their completions arrive in chain
 // order, and the transport timeout of an unsignaled member, which has no
-// CQE of its own, is reported by the next signaled READ. Members held
+// CQE of its own, is reported by the next signaled READ, WRITE or
+// WRITE_IMM, no earlier than that timeout. Members held
 // behind a multi-packet message (packet.go) keep these rules when they
 // are released.
 func (n *NIC) PostSendList(at simtime.Time, qp *QP, wrs []WR) error {
@@ -98,19 +99,15 @@ func (n *NIC) dispatch(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 }
 
 func (n *NIC) validate(qp *QP, wr *WR) error {
-	if qp.typ == RC && !qp.conn {
+	// Two-sided SEND is modeled on UD only: nothing posts it on RC.
+	if qp.typ == RC && (!qp.conn || wr.Kind == OpSend) {
 		return ErrBadQPState
 	}
 	if qp.typ == UD && wr.Kind != OpSend {
 		return ErrUDOneSided
 	}
 	switch wr.Kind {
-	case OpWrite, OpWriteImm, OpRead:
-	case OpSend:
-		// Two-sided SEND is modeled on UD only: nothing posts it on RC.
-		if qp.typ == RC {
-			return ErrBadQPState
-		}
+	case OpWrite, OpWriteImm, OpRead, OpSend:
 	case OpFetchAdd, OpCmpSwap:
 		if wr.Len != 8 {
 			return ErrAtomicSize
@@ -369,6 +366,7 @@ func (n *NIC) postWrite(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 		rqp: rqp, rmr: rmr, off: wr.RemoteOff, imm: wr.Imm, payload: payload,
 		trace: wr.Trace, inline: wr.Inline, at: at, t1: t1, d0: t2, a0: t3}
 	s.rxFrom = rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN)+rn.mrAccessCost(rmr, wr.RemoteOff, wr.Len))
+	s.join(&qp.chain)
 	if s.carry(first, start) {
 		s.finish(t2, t3, first)
 	}
@@ -387,6 +385,8 @@ type immDelivery struct {
 	imm     uint32
 	payload []byte
 	attempt int
+	lost    bool         // behind a chain member lost without a CQE
+	floor   simtime.Time // that member's failure instant
 }
 
 func (d *immDelivery) Fire(e *simtime.Env) {
@@ -405,14 +405,17 @@ func (d *immDelivery) Fire(e *simtime.Env) {
 		}
 		d.rqp.recvCQ.Push(e, CQE{QPN: d.rqp.qpn, Kind: OpWriteImm, Status: StatusOK,
 			Imm: d.imm, HasImm: true, Len: d.ref.len, SrcNode: n.node, SrcQPN: d.qp.qpn})
-		n.ackBack(e.Now(), d.rn.node, d.qp, d.ref, StatusOK)
+		n.ackBack(e.Now(), d.rn.node, d.qp, d.ref, d.lost, d.floor)
 	}
 	n.reg.bufs.put(d.payload)
 	n.imms.put(d)
 }
 
-// ackBack schedules the RC acknowledgment and the sender completion.
-func (n *NIC) ackBack(t simtime.Time, dst int, qp *QP, ref wrRef, st Status) {
+// ackBack schedules the RC acknowledgment and the sender completion. A
+// signaled WR behind a chain member that failed without a CQE (lost)
+// reports that failure instead, no earlier than floor, the instant it
+// completed at.
+func (n *NIC) ackBack(t simtime.Time, dst int, qp *QP, ref wrRef, lost bool, floor simtime.Time) {
 	cfg := n.cfg()
 	back, ok := n.reg.fab.ReservePath(t, dst, n.node, int64(cfg.AckBytes))
 	if !ok {
@@ -420,6 +423,10 @@ func (n *NIC) ackBack(t simtime.Time, dst int, qp *QP, ref wrRef, st Status) {
 		return
 	}
 	t6 := n.rxPipe.Reserve(back, n.ackProcess())
+	st := StatusOK
+	if lost && ref.signaled {
+		t6, st = max(t6, floor), StatusTimeout
+	}
 	n.completeSend(t6, qp, ref, st)
 }
 
@@ -502,9 +509,7 @@ func (n *NIC) postRead(at simtime.Time, qp *QP, wr *WR) {
 	s := n.streams.get()
 	*s = stream{n: n, qp: qp, src: rn, sink: n, kind: OpRead, ref: ref, read: r, ready: t4,
 		trace: wr.Trace, at: at, t1: t1, reqAt: t3}
-	if qp.chain.on {
-		s.doneFloor, s.chain, s.lost = qp.chain.done, qp.chain.id, qp.chain.lost
-	}
+	s.join(&qp.chain)
 	if qp.respBlocked() {
 		qp.order.resp.held.Push(s)
 		return

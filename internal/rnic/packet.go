@@ -36,7 +36,9 @@ import (
 // holds neither direction. A multi-packet READ keeps sendChain's rules
 // across the instants it ends at: the READs of its chain behind it
 // execute and complete after it, and the next signaled one reports an
-// unsignaled member's failure, which has no CQE of its own.
+// unsignaled member's failure, which has no CQE of its own. So does a
+// multi-packet WRITE or WRITE_IMM that loses a packet, to the next
+// signaled member of its chain.
 //
 // UD datagrams are one packet on real hardware and are booked whole.
 
@@ -99,7 +101,9 @@ type stream struct {
 	// neither execute nor complete (RC order on the QP). chain is the
 	// doorbell of the PostSendList that posted it (0 for a PostSend),
 	// and lost is set once a member of that chain up to this one has
-	// failed unsignaled, without a CQE.
+	// failed unsignaled, without a CQE. A WRITE or WRITE_IMM keeps
+	// chain, lost and doneFloor too, and completes no earlier than
+	// doneFloor only when lost.
 	read                 *readOp
 	ready                simtime.Time
 	execFloor, doneFloor simtime.Time
@@ -137,6 +141,13 @@ type respTail struct {
 // done.
 func (s *stream) tail(exec, done simtime.Time) respTail {
 	return respTail{exec: exec, done: done, chain: s.chain, lost: s.lost}
+}
+
+// join records the chain state of the PostSendList posting s, if any.
+func (s *stream) join(c *sendChain) {
+	if c.on {
+		s.doneFloor, s.chain, s.lost = c.done, c.id, c.lost
+	}
 }
 
 // follow orders s behind the response that left t.
@@ -214,7 +225,7 @@ func (s *stream) finish(d, a simtime.Time, k int64) {
 	} else {
 		s.finishWrite(d, a, k)
 		if s.multi {
-			n.releaseReq(n.env().Now(), qp)
+			n.releaseReq(n.env().Now(), qp, respTail{})
 		}
 	}
 	n.streams.put(s)
@@ -245,14 +256,15 @@ func (s *stream) finishWrite(d, a simtime.Time, k int64) {
 		// The immediate consumes a posted receive at the target; retry
 		// on receiver-not-ready, failing after RNRRetryMax attempts.
 		imm := n.imms.get()
-		*imm = immDelivery{n: n, rn: rn, rqp: s.rqp, qp: s.qp, rmr: s.rmr, ref: s.ref, off: s.off, imm: s.imm, payload: s.payload}
+		*imm = immDelivery{n: n, rn: rn, rqp: s.rqp, qp: s.qp, rmr: s.rmr, ref: s.ref, off: s.off, imm: s.imm, payload: s.payload,
+			lost: s.lost, floor: s.doneFloor}
 		n.env().Schedule(t5, imm)
 		return
 	}
 	c := n.commits.get()
 	*c = commit{n: n, rn: rn, rmr: s.rmr, off: s.off, payload: s.payload}
 	n.env().Schedule(t5, c)
-	n.ackBack(t5, rn.node, s.qp, s.ref, StatusOK)
+	n.ackBack(t5, rn.node, s.qp, s.ref, s.lost, s.doneFloor)
 }
 
 // finishRead lands a READ's last response packet, whose source DMA ends
@@ -340,18 +352,20 @@ func (s *stream) fail(now, lost simtime.Time) {
 		n.releaseResp(now, qp, t)
 	} else {
 		n.reg.bufs.put(s.payload)
-		n.releaseReq(now, qp)
+		n.releaseReq(now, qp, t)
 	}
 	n.streams.put(s)
 }
 
 // releaseReq ends the multi-packet message on qp's request direction at
-// time now and dispatches the WRs held behind it, in post order, until
-// one of them is a multi-packet message itself. A WR that a
-// PostSendList posted runs under its chain's rules again.
-func (n *NIC) releaseReq(now simtime.Time, qp *QP) {
+// time now, which left prev, and dispatches the WRs held behind it, in
+// post order, until one of them is a multi-packet message itself. A WR
+// that a PostSendList posted runs under its chain's rules again, and
+// learns of a member of its chain that prev lost.
+func (n *NIC) releaseReq(now simtime.Time, qp *QP, prev respTail) {
 	l := &qp.order.req
 	l.busy = false
+	qp.chain.follow(prev)
 	for !l.busy {
 		h, ok := l.held.Pop()
 		if !ok {
@@ -362,6 +376,7 @@ func (n *NIC) releaseReq(now simtime.Time, qp *QP) {
 		}
 		if h.chain.on && qp.chain.id != h.chain.id {
 			qp.chain = h.chain
+			qp.chain.follow(prev)
 		}
 		qp.chain.on = h.chain.on
 		n.dispatch(now, qp, &h.wr, h.payload)

@@ -267,8 +267,10 @@ type recvRun struct {
 // so without this a later READ of a chain could execute at the
 // responder, or complete, before an earlier one, and a member that
 // timed out unsignaled (no CQE) would go unnoticed behind a successful
-// signaled READ. Active only while PostSendList dispatches: completions
-// computed later (write-imm delivery, RNR retries) belong to no chain.
+// signaled member. WRITEs and WRITE_IMMs keep only that loss rule, which
+// a stream or a write-imm delivery carries past the PostSendList that
+// posted it. Active only while PostSendList dispatches: completions
+// computed later (RNR retries) belong to no chain.
 type sendChain struct {
 	exec simtime.Time // responder instant of the latest READ member
 	done simtime.Time // completion instant of the latest member
