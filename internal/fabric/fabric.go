@@ -336,17 +336,18 @@ func (f *Fabric) downlink(spine, leaf int) *simtime.Server {
 // Loopback (src == dst) bypasses the wire entirely and costs only the
 // switch-free local turnaround (zero; NIC pipelines still apply).
 func (f *Fabric) ReservePath(at simtime.Time, src, dst int, size int64) (simtime.Time, bool) {
-	_, done, ok := f.ReservePacket(at, src, dst, size, true)
+	_, done, ok := f.ReservePacket(at, src, dst, size, 0)
 	return done, ok
 }
 
 // ReservePacket books one packet of size bytes (header included) as
 // ReservePath books a message, and also returns the instant the packet
 // starts on src's egress link, which paces the release of the packet
-// behind it. first marks a message's first packet: "fabric.msgs" counts
-// those, "fabric.packets" counts every packet. Each packet consults the
-// drop hook on its own.
-func (f *Fabric) ReservePacket(at simtime.Time, src, dst int, size int64, first bool) (start, done simtime.Time, ok bool) {
+// behind it. prev is the instant the message's previous packet leaves
+// that link, and zero for a message's first packet: "fabric.msgs"
+// counts those, "fabric.packets" counts every packet. Each packet
+// consults the drop hook on its own.
+func (f *Fabric) ReservePacket(at simtime.Time, src, dst int, size int64, prev simtime.Time) (start, done simtime.Time, ok bool) {
 	if !f.Reachable(src, dst) {
 		return 0, 0, false
 	}
@@ -387,14 +388,15 @@ func (f *Fabric) ReservePacket(at simtime.Time, src, dst int, size int64, first 
 		headArrive = dnDone - serUp + f.cfg.PropagationDelay + f.cfg.SwitchDelay
 	}
 	done = dp.ingress.Reserve(headArrive, ser)
-	if first {
+	if prev == 0 {
 		f.reg.Add("fabric.msgs", 1)
 	}
 	f.reg.Add("fabric.packets", 1)
 	f.reg.Add("fabric.bytes", size)
-	// Queue wait: time spent waiting behind earlier packets for the
-	// egress link, beyond the packet's own serialization.
-	f.reg.Observe("fabric.queue_wait", egressDone-ser-at)
+	// Queue wait: time spent waiting for the egress link behind other
+	// messages' packets, beyond the packet's own serialization and its
+	// own message's previous packet: contention, not pacing.
+	f.reg.Observe("fabric.queue_wait", egressDone-ser-max(at, prev))
 	f.reg.Observe("fabric.serialize", ser)
 	return egressDone - ser, done, true
 }

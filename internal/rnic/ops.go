@@ -353,7 +353,7 @@ func (n *NIC) postWrite(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 	first := firstPacket(wr.Len)
 	t1, t2 := n.txSchedule(at, qp, wr, first)
 
-	start, t3, ok := n.reg.fab.ReservePacket(t2, n.node, qp.remoteNode, first+int64(cfg.WireHeader), true)
+	start, t3, ok := n.reg.fab.ReservePacket(t2, n.node, qp.remoteNode, first+int64(cfg.WireHeader), 0)
 	rqp, rmr, st := n.responder(ok, qp, wr.RemoteKey, wr.RemoteOff, wr.Len, PermWrite)
 	if st != StatusOK {
 		n.reg.bufs.put(payload)

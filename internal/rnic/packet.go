@@ -199,7 +199,9 @@ func (s *stream) Fire(e *simtime.Env) {
 	k := min(s.left, mtu)
 	s.left -= k
 	d := s.src.dma.Reserve(e.Now(), n.dmaTime(k))
-	start, a, ok := n.reg.fab.ReservePacket(d, s.src.node, s.sink.node, k+int64(cfg.WireHeader), false)
+	// The packet before this one, a full one, started on the egress now.
+	prev := e.Now() + params.TransferTime(mtu+int64(cfg.WireHeader), cfg.LinkBandwidth)
+	start, a, ok := n.reg.fab.ReservePacket(d, s.src.node, s.sink.node, k+int64(cfg.WireHeader), prev)
 	if !ok {
 		s.fail(e.Now(), d)
 		return
@@ -313,7 +315,7 @@ func (n *NIC) respond(s *stream, at simtime.Time) (respTail, bool) {
 	d0 = max(d0, s.execFloor)
 	// Snapshot the remote bytes as the first packet's DMA reads them.
 	n.env().Schedule(d0, r)
-	start, back, ok := n.reg.fab.ReservePacket(d0, rn.node, n.node, first+int64(cfg.WireHeader), true)
+	start, back, ok := n.reg.fab.ReservePacket(d0, rn.node, n.node, first+int64(cfg.WireHeader), 0)
 	if !ok {
 		r.abandon()
 		t := s.timeout(d0)

@@ -401,3 +401,46 @@ func TestMultiPacketReadSnapshotsAtFirstPacket(t *testing.T) {
 		t.Errorf("READ returned %d new bytes; want the region as it was at the first packet's DMA", bytes.Count(got, []byte{2}))
 	}
 }
+
+// fabric.queue_wait counts contention only. The later packets of a
+// lone 64 KB WRITE wait on the egress for their own predecessors, which
+// is the message's own pacing, so it records no wait; a 64 B WRITE on
+// another QP 5 us into it waits for a bulk packet on the link, and that
+// wait is recorded.
+func TestQueueWaitCountsContentionOnly(t *testing.T) {
+	maxWait := func(small bool) simtime.Time {
+		c := newCluster(t, 2)
+		dom := obs.NewDomain(2)
+		c.reg.fab.SetObs(dom.Global())
+		src := c.physMR(t, 0, 128<<10, allPerm)
+		dst := c.physMR(t, 1, 128<<10, allPerm)
+		q1, _ := c.rcPair(0, 1)
+		q2, _ := c.rcPair(0, 1)
+		c.env.Go("poster", func(p *simtime.Proc) {
+			if err := c.nic[0].PostSend(p.Now(), q1, WR{Kind: OpWrite, WRID: 1, Signaled: true, LocalMR: src, Len: 64 << 10, RemoteKey: dst.Key()}); err != nil {
+				t.Error(err)
+				return
+			}
+			if small {
+				p.Sleep(5 * time.Microsecond)
+				if err := c.nic[0].PostSend(p.Now(), q2, WR{Kind: OpWrite, WRID: 2, Signaled: true, LocalMR: src, Len: 64, RemoteKey: dst.Key(), RemoteOff: 96 << 10}); err != nil {
+					t.Error(err)
+					return
+				}
+				q2.SendCQ().Poll(p)
+			}
+			q1.SendCQ().Poll(p)
+		})
+		c.run(t)
+		if got := dom.Total("fabric.packets"); got < 17 {
+			t.Fatalf("fabric carried %d packets, want the bulk's 16 and its ack at least", got)
+		}
+		return dom.Global().Histogram("fabric.queue_wait").Max()
+	}
+	if got := maxWait(false); got != 0 {
+		t.Errorf("lone 64 KB WRITE: largest queue wait %v, want 0", got)
+	}
+	if got := maxWait(true); got <= 0 {
+		t.Errorf("64 B WRITE behind another QP's 64 KB WRITE: largest queue wait %v, want > 0", got)
+	}
+}
