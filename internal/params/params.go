@@ -83,7 +83,7 @@ type Config struct {
 	QPCacheEntries int
 	// QPMiss is the penalty for reloading an evicted QP context.
 	QPMiss time.Duration
-	// AtomicProcess is the extra remote-NIC time for a masked atomic.
+	// AtomicProcess is the extra remote-NIC time for an atomic.
 	AtomicProcess time.Duration
 	// UDHeader is the extra bytes of a UD datagram (GRH).
 	UDHeader int

@@ -64,7 +64,6 @@ func (r *Registry) NewNIC(node int, mem *hostmem.Memory) (*NIC, error) {
 		keyCache: newDenseLRU[uint32](r.cfg.MRKeyCacheEntries),
 		pteCache: newLRU[pteKey](int(r.cfg.PTECacheBytes / r.cfg.PageSize)),
 		qpCache:  newDenseLRU[int](r.cfg.QPCacheEntries),
-		nextCQN:  1,
 	}
 	// On the registry's clock the pipelines keep only the busy intervals
 	// still ahead of it: every reservation is made at or after now.
@@ -103,8 +102,6 @@ type NIC struct {
 	keyCache *lru[uint32]
 	pteCache *lru[pteKey]
 	qpCache  *lru[int]
-
-	nextCQN int
 
 	// Counters for diagnostics and experiments.
 	OpsPosted    int64
@@ -221,11 +218,7 @@ func (n *NIC) LookupMR(key uint32) (*MR, bool) {
 }
 
 // CreateCQ returns a new completion queue.
-func (n *NIC) CreateCQ() *CQ {
-	cq := &CQ{cqn: n.nextCQN}
-	n.nextCQN++
-	return cq
-}
+func (n *NIC) CreateCQ() *CQ { return &CQ{} }
 
 // CreateQP returns a new queue pair using the given completion queues.
 func (n *NIC) CreateQP(typ QPType, sendCQ, recvCQ *CQ) *QP {

@@ -258,42 +258,43 @@ func (n *NIC) timeout(at simtime.Time, qp *QP, ref wrRef, floor simtime.Time) si
 }
 
 // responder resolves what a request on qp for [off, off+size) of the
-// remote region key finds at its peer: the peer's QP, the region, and
-// the request's fate. That is StatusTimeout when the request did not
+// remote region key finds at its peer: the peer's NIC and QP, the
+// region, and the request's fate. That is StatusTimeout when the request did not
 // arrive (the fabric lost it) or its peer or the peer's QP is missing,
 // a nack's status when the key, the permission perm or the range is
 // bad, and StatusOK otherwise. It books nothing.
-func (n *NIC) responder(arrived bool, qp *QP, key uint32, off, size int64, perm Perm) (*QP, *MR, Status) {
-	var rqp *QP
-	if rn := n.peer(qp.remoteNode); arrived && rn != nil {
-		rqp = rn.lookupQP(qp.remoteQPN)
+func (n *NIC) responder(arrived bool, qp *QP, key uint32, off, size int64, perm Perm) (*NIC, *QP, *MR, Status) {
+	rn := n.peer(qp.remoteNode)
+	if !arrived || rn == nil {
+		return nil, nil, nil, StatusTimeout
 	}
+	rqp := rn.lookupQP(qp.remoteQPN)
 	if rqp == nil {
-		return nil, nil, StatusTimeout
+		return nil, nil, nil, StatusTimeout
 	}
-	rmr, found := rqp.nic.LookupMR(key)
+	rmr, found := rn.LookupMR(key)
 	switch {
 	case !found:
-		return rqp, nil, StatusBadKey
+		return rn, rqp, nil, StatusBadKey
 	case rmr.perm&perm == 0:
-		return rqp, rmr, StatusAccessError
+		return rn, rqp, rmr, StatusAccessError
 	case rmr.checkRange(off, size) != nil:
-		return rqp, rmr, StatusLengthError
+		return rn, rqp, rmr, StatusLengthError
 	}
-	return rqp, rmr, StatusOK
+	return rn, rqp, rmr, StatusOK
 }
 
 // refuse fails a request posted at at that its responder did not take
 // (st, from responder): a lost one after the transport timeout, a
-// rejected one after a negative ack round trip from rqp's NIC, which
-// the request reached at t.
-func (n *NIC) refuse(at, t simtime.Time, qp, rqp *QP, ref wrRef, st Status) {
+// rejected one after a negative ack round trip from rn, which the
+// request reached at t.
+func (n *NIC) refuse(at, t simtime.Time, rn *NIC, qp *QP, ref wrRef, st Status) {
 	if st == StatusTimeout {
 		n.timeout(at, qp, ref, 0)
 		return
 	}
 	// Error detected at remote rx pipeline; small processing then nack.
-	cfg, rn := n.cfg(), rqp.nic
+	cfg := n.cfg()
 	t4 := rn.rxPipe.Reserve(t, cfg.NICProcess)
 	back, ok := n.reg.fab.ReservePath(t4, rn.node, n.node, int64(cfg.AckBytes))
 	if !ok {
@@ -354,13 +355,12 @@ func (n *NIC) postWrite(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 	t1, t2 := n.txSchedule(at, qp, wr, first)
 
 	start, t3, ok := n.reg.fab.ReservePacket(t2, n.node, qp.remoteNode, first+int64(cfg.WireHeader), 0)
-	rqp, rmr, st := n.responder(ok, qp, wr.RemoteKey, wr.RemoteOff, wr.Len, PermWrite)
+	rn, rqp, rmr, st := n.responder(ok, qp, wr.RemoteKey, wr.RemoteOff, wr.Len, PermWrite)
 	if st != StatusOK {
 		n.reg.bufs.put(payload)
-		n.refuse(at, t3, qp, rqp, ref, st)
+		n.refuse(at, t3, rn, qp, ref, st)
 		return
 	}
-	rn := rqp.nic
 	s := n.streams.get()
 	*s = stream{n: n, qp: qp, src: n, sink: rn, kind: wr.Kind, ref: ref, left: wr.Len - first,
 		rqp: rqp, rmr: rmr, off: wr.RemoteOff, imm: wr.Imm, payload: payload,
@@ -403,8 +403,16 @@ func (d *immDelivery) Fire(e *simtime.Env) {
 		if len(d.payload) > 0 {
 			_ = d.rmr.WriteAt(d.off, d.payload)
 		}
-		d.rqp.recvCQ.Push(e, CQE{QPN: d.rqp.qpn, Kind: OpWriteImm, Status: StatusOK,
-			Imm: d.imm, HasImm: true, Len: d.ref.len, SrcNode: n.node, SrcQPN: d.qp.qpn})
+		d.rqp.recvCQ.Push(e, CQE{
+			QPN:     d.rqp.qpn,
+			Kind:    OpWriteImm,
+			Status:  StatusOK,
+			Imm:     d.imm,
+			HasImm:  true,
+			Len:     d.ref.len,
+			SrcNode: n.node,
+			SrcQPN:  d.qp.qpn,
+		})
 		n.ackBack(e.Now(), d.rn.node, d.qp, d.ref, d.lost, d.floor)
 	}
 	n.reg.bufs.put(d.payload)
@@ -496,12 +504,11 @@ func (n *NIC) postRead(at simtime.Time, qp *QP, wr *WR) {
 	t1 := n.txPipe.Reserve(at, cfg.NICProcess+n.qpCost(qp.qpn)+n.localCost(wr))
 
 	t3, ok := n.reg.fab.ReservePath(t1, n.node, qp.remoteNode, int64(cfg.WireHeader))
-	rqp, rmr, st := n.responder(ok, qp, wr.RemoteKey, wr.RemoteOff, wr.Len, PermRead)
+	rn, _, rmr, st := n.responder(ok, qp, wr.RemoteKey, wr.RemoteOff, wr.Len, PermRead)
 	if st != StatusOK {
-		n.refuse(at, t3, qp, rqp, ref, st)
+		n.refuse(at, t3, rn, qp, ref, st)
 		return
 	}
-	rn := rqp.nic
 	t4 := rn.rxPipe.Reserve(t3, cfg.NICProcess+rn.qpCost(qp.remoteQPN)+rn.mrAccessCost(rmr, wr.RemoteOff, wr.Len))
 
 	r := n.reads.get()
@@ -553,8 +560,15 @@ func (n *NIC) postSendUD(at simtime.Time, qp *QP, wr *WR, payload []byte) {
 			rn.OpsDelivered++
 			_ = recv.MR.WriteAt(recv.Off, payload)
 			n.reg.bufs.put(payload)
-			rqp.recvCQ.Push(e2, CQE{QPN: rqp.qpn, Kind: OpRecv, Status: StatusOK,
-				Len: length, SrcNode: srcNode, SrcQPN: srcQPN, RecvWRID: recv.WRID})
+			rqp.recvCQ.Push(e2, CQE{
+				QPN:      rqp.qpn,
+				Kind:     OpRecv,
+				Status:   StatusOK,
+				Len:      length,
+				SrcNode:  srcNode,
+				SrcQPN:   srcQPN,
+				RecvWRID: recv.WRID,
+			})
 		})
 	})
 }
@@ -575,32 +589,25 @@ func (wr *WR) AtomicNext(old uint64) uint64 {
 	return old
 }
 
-// atomicObs records the per-kind posting counter for an atomic verb.
-func (n *NIC) atomicObs(kind OpKind) {
-	switch kind {
-	case OpFetchAdd:
-		n.obs.Add("rnic.atomic.faa", 1)
-	case OpCmpSwap:
-		n.obs.Add("rnic.atomic.cas", 1)
-	}
-}
-
 // postAtomic implements the 8-byte atomics, fetch-add and cmp-swap,
 // executed at the remote NIC in arrival order.
 func (n *NIC) postAtomic(at simtime.Time, qp *QP, wr *WR) {
 	cfg := n.cfg()
 	ref := refOf(wr)
-	n.atomicObs(wr.Kind)
+	if wr.Kind == OpFetchAdd {
+		n.obs.Add("rnic.atomic.faa", 1)
+	} else {
+		n.obs.Add("rnic.atomic.cas", 1)
+	}
 	t1 := n.txPipe.Reserve(at, cfg.NICProcess+n.qpCost(qp.qpn)+n.localCost(wr))
 
 	dst := qp.remoteNode
 	t3, ok := n.reg.fab.ReservePath(t1, n.node, dst, int64(cfg.WireHeader)+16)
-	rqp, rmr, st := n.responder(ok, qp, wr.RemoteKey, wr.RemoteOff, 8, PermAtomic)
+	rn, _, rmr, st := n.responder(ok, qp, wr.RemoteKey, wr.RemoteOff, 8, PermAtomic)
 	if st != StatusOK {
-		n.refuse(at, t3, qp, rqp, ref, st)
+		n.refuse(at, t3, rn, qp, ref, st)
 		return
 	}
-	rn := rqp.nic
 	// The remote rx pipeline is the atomicity serialization point: two
 	// concurrent atomics to one address reserve it back to back, and
 	// each read-modify-write executes whole at its reserved instant, so

@@ -3,13 +3,13 @@ package rnic
 import "math/bits"
 
 // Payload lifetime. A payload buffer holds the bytes of one operation
-// while they are in flight: a write's or send's snapshot of the gather
-// buffer, taken at post time (also for a request held behind a
+// while they are in flight: a write's or UD send's snapshot of the
+// gather buffer, taken at post time (also for a request held behind a
 // multi-packet message, packet.go), and a read's snapshot of the remote
 // bytes, taken when the responder's DMA reads them. Buffers come from
 // the registry's bufPool and go back at the instant they are consumed —
 // after the remote commit or the write-imm's delivery, after the local
-// scatter of a read, when a send lands or an RNR retry gives up — or at
+// scatter of a read, when a datagram lands or an RNR retry gives up — or at
 // the instant a failure path gives the operation up. A zero-length
 // operation takes none. Pooled buffers are not zeroed: a path fills the
 // whole buffer before anything reads it, and a failed snapshot clears

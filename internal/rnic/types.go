@@ -165,7 +165,6 @@ type CQE struct {
 // CQ is a completion queue. Pollers wait on its condition variable;
 // busy-polling callers charge the wait to their CPU account themselves.
 type CQ struct {
-	cqn int
 	// q holds the pending completions in one reused backing array (at
 	// 1M+ events the completion path must be alloc-free).
 	q    fifo.Queue[CQE]
