@@ -30,9 +30,9 @@ func (n *NIC) PostSend(at simtime.Time, qp *QP, wr WR) error {
 // at the responder in chain order, their completions arrive in chain
 // order, and the transport timeout of an unsignaled member, which has no
 // CQE of its own, is reported by the next signaled READ, WRITE or
-// WRITE_IMM, no earlier than that timeout. Members held
-// behind a multi-packet message (packet.go) keep these rules when they
-// are released.
+// WRITE_IMM, no earlier than that timeout. Members held behind a
+// multi-packet message (packet.go) keep these rules when they are
+// released.
 func (n *NIC) PostSendList(at simtime.Time, qp *QP, wrs []WR) error {
 	if len(wrs) == 0 {
 		return ErrEmptyList
@@ -52,10 +52,10 @@ func (n *NIC) PostSendList(at simtime.Time, qp *QP, wrs []WR) error {
 }
 
 // post takes one validated work request at its post instant. The NIC
-// reads the gather buffer of a WRITE, a WRITE_IMM or a UD SEND now (the host buffer is the
-// caller's again once the post returns), then dispatches the request,
-// or holds it while an earlier multi-packet message holds the QP's
-// request direction (packet.go).
+// reads the gather buffer of a WRITE, WRITE_IMM or UD SEND now (the
+// host buffer is the caller's again once the post returns), then
+// dispatches the request, or holds it while an earlier multi-packet
+// message holds the QP's request direction (packet.go).
 func (n *NIC) post(at simtime.Time, qp *QP, wr *WR) {
 	n.OpsPosted++
 	if wr.Inline {
@@ -245,9 +245,9 @@ func (n *NIC) completeSend(t simtime.Time, qp *QP, ref wrRef, st Status) {
 
 // timeout fails a request after the RC transport timeout from at, the
 // instant it (or one of its packets, or its ack) was lost, and returns
-// the failure's completion instant: no earlier than floor (the RC order
-// of a stream's READ; zero for a failure at post), nor than the chain
-// members before it.
+// the failure's completion instant: no earlier than floor (a stream's
+// doneFloor; zero for a failure at post), nor than the chain members
+// before it.
 func (n *NIC) timeout(at simtime.Time, qp *QP, ref wrRef, floor simtime.Time) simtime.Time {
 	t := max(at+n.cfg().RCTimeout, floor)
 	if qp.chain.on {
@@ -259,10 +259,10 @@ func (n *NIC) timeout(at simtime.Time, qp *QP, ref wrRef, floor simtime.Time) si
 
 // responder resolves what a request on qp for [off, off+size) of the
 // remote region key finds at its peer: the peer's NIC and QP, the
-// region, and the request's fate. That is StatusTimeout when the request did not
-// arrive (the fabric lost it) or its peer or the peer's QP is missing,
-// a nack's status when the key, the permission perm or the range is
-// bad, and StatusOK otherwise. It books nothing.
+// region, and the request's fate. That is StatusTimeout when the
+// request did not arrive (the fabric lost it) or its peer or the
+// peer's QP is missing, a nack's status when the key, the permission
+// perm or the range is bad, and StatusOK otherwise. It books nothing.
 func (n *NIC) responder(arrived bool, qp *QP, key uint32, off, size int64, perm Perm) (*NIC, *QP, *MR, Status) {
 	rn := n.peer(qp.remoteNode)
 	if !arrived || rn == nil {

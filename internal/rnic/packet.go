@@ -28,9 +28,9 @@ import (
 // so a write landing in between can tear a response; here it cannot.)
 //
 // RC keeps order on a QP in two directions. On the request direction,
-// every WR posted behind a multi-packet WRITE or WRITE_IMM is held, with the
-// payload its gather buffer held at post, until that message has
-// released its last packet. On the response direction, a READ's
+// every WR posted behind a multi-packet WRITE or WRITE_IMM is held,
+// with the payload its gather buffer held at post, until that message
+// has released its last packet. On the response direction, a READ's
 // response is held behind a multi-packet READ response, and then
 // executes and completes no earlier than it. A message of one packet
 // holds neither direction. A multi-packet READ keeps sendChain's rules
@@ -57,8 +57,8 @@ type qpOrder struct {
 	resp lane[*stream] // READ responses held behind a multi-packet one
 }
 
-// reqBlocked reports whether a multi-packet WRITE or WRITE_IMM holds the
-// QP's request direction; respBlocked, whether a multi-packet READ
+// reqBlocked reports whether a multi-packet WRITE or WRITE_IMM holds
+// the QP's request direction; respBlocked, whether a multi-packet READ
 // response holds its response direction.
 func (q *QP) reqBlocked() bool  { return q.order != nil && q.order.req.blocked() }
 func (q *QP) respBlocked() bool { return q.order != nil && q.order.resp.blocked() }
