@@ -29,6 +29,7 @@ func fig18() (*Table, error) {
 		secs := func(d simtime.Time) string { return fmt.Sprintf("%.3f", d.Seconds()) }
 		t.AddRow(system, secs(res.Map), secs(res.Reduce), secs(res.Merge), secs(res.Total))
 	}
+	var rows []fig18Row
 
 	// Phoenix: single node, all threads.
 	cls, err := newBare(1)
@@ -40,6 +41,7 @@ func fig18() (*Table, error) {
 		return nil, err
 	}
 	row("Phoenix (1 node)", res)
+	phoenix := res.Map + res.Reduce
 	// LITE-MR and Hadoop at 2, 4, 8 worker nodes.
 	for _, workers := range []int{2, 4, 8} {
 		nodes := make([]int, workers)
@@ -56,6 +58,7 @@ func fig18() (*Table, error) {
 			return nil, err
 		}
 		row(fmt.Sprintf("LITE-MR (%d nodes)", workers), res)
+		r := fig18Row{nodes: workers, phoenixMR: phoenix, liteMR: res.Map + res.Reduce, liteTotal: res.Total}
 		hcls, err := newBare(workers + 1)
 		if err != nil {
 			return nil, err
@@ -64,9 +67,11 @@ func fig18() (*Table, error) {
 			return nil, err
 		}
 		row(fmt.Sprintf("Hadoop (%d nodes)", workers), res)
+		r.hadoopTotal = res.Total
+		rows = append(rows, r)
 	}
 	t.Note("paper: LITE-MR beats Hadoop 4.3-5.3x; beats Phoenix in map+reduce, loses the merge phase")
-	return t, nil
+	return t, fig18Shape(rows)
 }
 
 func fig19() (*Table, error) {
@@ -77,6 +82,7 @@ func fig19() (*Table, error) {
 	}
 	g := workload.NewPowerLawGraph(7, 60000, 900000)
 	const iters = 10
+	var rows []fig19Row
 	for _, n := range []int{4, 7} {
 		nodes := make([]int, n)
 		for i := range nodes {
@@ -109,7 +115,8 @@ func fig19() (*Table, error) {
 		}
 		t.AddRow(fmt.Sprintf("%d", n), ms(times[0]), ms(times[1]), ms(times[2]), ms(times[3]),
 			fmt.Sprintf("%.1fx", float64(times[3])/float64(times[0])))
+		rows = append(rows, fig19Row{nodes: n, lite: times[0], dsm: times[1], grappa: times[2], powerGraph: times[3]})
 	}
 	t.Note("paper: LITE-Graph outperforms PowerGraph 3.5-5.6x and beats Grappa; Graph-DSM sits between LITE-Graph and the baselines")
-	return t, nil
+	return t, fig19Shape(rows)
 }
