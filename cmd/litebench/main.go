@@ -179,13 +179,16 @@ const compareEPSRetimes = 2
 
 // compareReport re-runs every experiment recorded in the committed
 // report (with run, bench.Run outside tests) and compares the header,
-// every row cell and every note, then the virtual duration and the
-// event count — the bench guard that catches accidental changes (or unrecorded
+// every row cell and every note, then the virtual duration, the event
+// count and every counter and histogram field of the metrics — the
+// bench guard that catches accidental changes (or unrecorded
 // improvements) in the simulated timeline and in what the tables say.
-// The simulation is deterministic, so all must match the committed
-// entry exactly; only the columns an experiment declares host-dependent
+// The runs collect metrics, which moves no event (obs-guard). The
+// simulation is deterministic, so all must match the committed entry
+// exactly; only the columns an experiment declares host-dependent
 // (Table.HostColumns) are skipped. Returns a process exit code.
 func compareReport(path string, run func(id string) (*bench.Table, error)) int {
+	bench.SetObsEnabled(true)
 	rep, err := bench.ReadJSON(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench-guard: %v\n", err)
@@ -217,6 +220,12 @@ func compareReport(path string, run func(id string) (*bench.Table, error)) int {
 		if tab.Events != r.Events {
 			fmt.Fprintf(os.Stderr, "bench-guard: %s: event count changed: committed %d, fresh run %d (if the change is intentional, re-record it: %s)\n",
 				r.ID, r.Events, tab.Events, rerecord(path, r.ID))
+			code = 1
+			continue
+		}
+		if diff := diffMetrics(r.Metrics, bench.NewJSONResult(r.ID, tab, 0, nil).Metrics); diff != "" {
+			fmt.Fprintf(os.Stderr, "bench-guard: %s: %s (if the change is intentional, re-record it: %s)\n",
+				r.ID, diff, rerecord(path, r.ID))
 			code = 1
 			continue
 		}
@@ -293,6 +302,69 @@ func diffTable(r *bench.JSONResult, tab *bench.Table) string {
 		}
 	}
 	return ""
+}
+
+// diffMetrics describes the first difference between a committed
+// entry's metrics and a fresh run's — a counter, or a field of a
+// histogram — or returns "" if there is none.
+func diffMetrics(was, now *bench.JSONMetrics) string {
+	if was == nil {
+		was = &bench.JSONMetrics{}
+	}
+	if now == nil {
+		now = &bench.JSONMetrics{}
+	}
+	var names []string
+	for name := range was.Counters {
+		names = append(names, name)
+	}
+	for name := range now.Counters {
+		if _, ok := was.Counters[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		a, inWas := was.Counters[name]
+		b, inNow := now.Counters[name]
+		if a != b || inWas != inNow {
+			return fmt.Sprintf("counter %s changed: committed %s, fresh run %s", name, counterText(a, inWas), counterText(b, inNow))
+		}
+	}
+	for k := 0; k < max(len(was.Histograms), len(now.Histograms)); k++ {
+		if k >= len(was.Histograms) || k >= len(now.Histograms) || was.Histograms[k].Name != now.Histograms[k].Name {
+			return fmt.Sprintf("histograms changed: committed %s, fresh run %s", histNames(was.Histograms), histNames(now.Histograms))
+		}
+		a, b := was.Histograms[k], now.Histograms[k]
+		for _, f := range []struct {
+			name string
+			a, b int64
+		}{
+			{"count", a.Count, b.Count}, {"sum_ns", a.SumNs, b.SumNs}, {"min_ns", a.MinNs, b.MinNs},
+			{"max_ns", a.MaxNs, b.MaxNs}, {"mean_ns", a.MeanNs, b.MeanNs}, {"p50_ns", a.P50Ns, b.P50Ns},
+			{"p99_ns", a.P99Ns, b.P99Ns}, {"p999_ns", a.P999Ns, b.P999Ns},
+		} {
+			if f.a != f.b {
+				return fmt.Sprintf("histogram %s %s changed: committed %d, fresh run %d", a.Name, f.name, f.a, f.b)
+			}
+		}
+	}
+	return ""
+}
+
+func counterText(v int64, ok bool) string {
+	if !ok {
+		return "absent"
+	}
+	return fmt.Sprint(v)
+}
+
+func histNames(hs []bench.JSONHist) string {
+	names := make([]string, len(hs))
+	for k, h := range hs {
+		names[k] = h.Name
+	}
+	return fmt.Sprintf("%q", names)
 }
 
 // rerecord is the command that re-records one entry of the report at

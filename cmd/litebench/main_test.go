@@ -2,23 +2,42 @@ package main
 
 import (
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"lite/internal/bench"
 )
 
+// withObs turns metric collection on for the rest of the test, as
+// compareReport does for its runs.
+func withObs(t *testing.T) {
+	bench.SetObsEnabled(true)
+	t.Cleanup(func() { bench.SetObsEnabled(false) })
+}
+
 // TestCompareReportIsExact pins the bench guard's contract: a committed
 // entry passes only when the fresh run reproduces its virtual duration,
-// event count, every row cell and every note to the unit; only a column
-// the experiment declares host-dependent may differ.
+// event count, every row cell, every note and every metric to the unit;
+// only a column the experiment declares host-dependent may differ.
 func TestCompareReportIsExact(t *testing.T) {
+	withObs(t)
 	tab, err := bench.Run("trace")
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := bench.NewJSONResult("trace", tab, 0, nil)
+	if good.Metrics == nil || len(good.Metrics.Counters) == 0 || len(good.Metrics.Histograms) == 0 {
+		t.Fatalf("trace recorded metrics %+v, want counters and histograms", good.Metrics)
+	}
+	anyCounter := func(m *bench.JSONMetrics) string {
+		for name := range m.Counters {
+			return name
+		}
+		return ""
+	}
 	for _, c := range []struct {
 		name   string
 		host   []string // columns the fresh run declares host-dependent
@@ -34,6 +53,12 @@ func TestCompareReportIsExact(t *testing.T) {
 		{"a missing row", nil, func(r *bench.JSONResult) { r.Rows = r.Rows[1:] }, 1},
 		{"a changed note", nil, func(r *bench.JSONResult) { r.Notes[1] += "." }, 1},
 		{"a changed host column", []string{"Dur (us)"}, func(r *bench.JSONResult) { r.Rows[1][3] += "0" }, 0},
+		{"a counter off by one", nil, func(r *bench.JSONResult) { r.Metrics.Counters[anyCounter(r.Metrics)]++ }, 1},
+		{"a counter missing", nil, func(r *bench.JSONResult) { delete(r.Metrics.Counters, anyCounter(r.Metrics)) }, 1},
+		{"a counter the run does not make", nil, func(r *bench.JSONResult) { r.Metrics.Counters["stale.counter"] = 0 }, 1},
+		{"a histogram's p99 off by 1 ns", nil, func(r *bench.JSONResult) { r.Metrics.Histograms[0].P99Ns++ }, 1},
+		{"a histogram missing", nil, func(r *bench.JSONResult) { r.Metrics.Histograms = r.Metrics.Histograms[1:] }, 1},
+		{"no metrics recorded", nil, func(r *bench.JSONResult) { r.Metrics = nil }, 1},
 	} {
 		r := good
 		r.Rows = make([][]string, len(good.Rows))
@@ -41,6 +66,7 @@ func TestCompareReportIsExact(t *testing.T) {
 			r.Rows[i] = append([]string(nil), row...)
 		}
 		r.Notes = append([]string(nil), good.Notes...)
+		r.Metrics = &bench.JSONMetrics{Counters: maps.Clone(good.Metrics.Counters), Histograms: slices.Clone(good.Metrics.Histograms)}
 		c.mutate(&r)
 		path := filepath.Join(t.TempDir(), "feed.json")
 		if err := bench.UpdateJSON(path, []bench.JSONResult{r}); err != nil {
