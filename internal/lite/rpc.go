@@ -276,7 +276,6 @@ type rpcCall struct {
 // calls for LT_recvRPC; system functions carry a handler executed by
 // the kernel worker pool.
 type rpcFunc struct {
-	id    int
 	queue fifo.Queue[*Call]
 	// spin parks the server threads inside their busy window, sleep
 	// those past it; the pool decides whom a call wakes (wake.go).
@@ -463,7 +462,7 @@ func (i *Instance) RegisterRPC(id int) error {
 	if _, ok := i.funcs[id]; ok {
 		return fmt.Errorf("lite: RPC function %d already registered", id)
 	}
-	i.funcs[id] = &rpcFunc{id: id, workerPool: i.wake.newPool()}
+	i.funcs[id] = &rpcFunc{workerPool: i.wake.newPool()}
 	return nil
 }
 
@@ -476,10 +475,10 @@ func (i *Instance) RPCRegistered(id int) bool {
 }
 
 func (i *Instance) registerSystemFuncs() {
-	i.funcs[funcControl] = &rpcFunc{id: funcControl, handler: i.handleControl}
-	i.funcs[funcMsg] = &rpcFunc{id: funcMsg, workerPool: i.wake.newPool()}
-	i.funcs[funcLock] = &rpcFunc{id: funcLock, handler: i.handleLock}
-	i.funcs[funcBarrier] = &rpcFunc{id: funcBarrier, handler: i.handleBarrier}
+	i.funcs[funcControl] = &rpcFunc{handler: i.handleControl}
+	i.funcs[funcMsg] = &rpcFunc{workerPool: i.wake.newPool()}
+	i.funcs[funcLock] = &rpcFunc{handler: i.handleLock}
+	i.funcs[funcBarrier] = &rpcFunc{handler: i.handleBarrier}
 }
 
 // setupBinding establishes the client-side ring for (dst, fn). The
