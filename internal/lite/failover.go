@@ -72,8 +72,6 @@ func (i *Instance) crash(p *simtime.Proc) {
 	i.headUpd.Close(p)
 	i.wake.crash()
 	i.recvCQ.Broadcast(env)
-	i.sysQueue = fifo.Queue[*rpcFunc]{}
-	i.sysCond.Broadcast(env)
 	for _, fn := range i.sortedFuncIDs() {
 		f := i.funcs[fn]
 		// Queued node-local calls have waiters parked on their own
@@ -135,7 +133,6 @@ func (i *Instance) restart(p *simtime.Proc) {
 	i.adm = nil
 	i.pending = pendingTable{}
 	i.headUpd = simtime.NewChan[headUpdate](4096)
-	i.sysQueue = fifo.Queue[*rpcFunc]{}
 	i.scratch.next = 0
 	for _, fn := range i.sortedFuncIDs() {
 		i.funcs[fn].queue = fifo.Queue[*Call]{}

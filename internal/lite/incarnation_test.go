@@ -26,7 +26,7 @@ func TestSameInstantRestartEndsTheOldIncarnation(t *testing.T) {
 	var served, peer []servedCall
 	serveLog(t, inst, workers, time.Microsecond, &served)
 	serveLog(t, dep.Instance(0), 1, time.Microsecond, &peer)
-	f := inst.funcs[echoFn]
+	f, sys := inst.funcs[echoFn], inst.funcs[funcControl]
 	cls.GoOn(0, "driver", func(p *simtime.Proc) {
 		p.Sleep(50 * time.Microsecond) // every thread of node 1 asleep
 		cls.CrashNode(p, node)
@@ -35,7 +35,7 @@ func TestSameInstantRestartEndsTheOldIncarnation(t *testing.T) {
 		if n := f.spin.Waiters() + f.sleep.Waiters(); n != workers {
 			t.Errorf("%d server threads parked on node %d, want the pool's %d", n, node, workers)
 		}
-		if n := inst.sysCond.Waiters(); n != systemWorkers {
+		if n := sys.spin.Waiters() + sys.sleep.Waiters(); n != systemWorkers {
 			t.Errorf("%d system workers parked on node %d, want %d", n, node, systemWorkers)
 		}
 		sleeps0 := counter(dom, node, "lite.poller.sleeps")
@@ -67,7 +67,7 @@ func TestCrashedThreadsLeaveWithoutAWakeup(t *testing.T) {
 	inst := dep.Instance(node)
 	var served []servedCall
 	serveLog(t, inst, workers, time.Microsecond, &served)
-	f := inst.funcs[echoFn]
+	f, sys := inst.funcs[echoFn], inst.funcs[funcControl]
 	cls.GoOn(0, "driver", func(p *simtime.Proc) {
 		p.Sleep(50 * time.Microsecond) // every thread of node 1 asleep
 		if n := f.sleep.Waiters(); n != workers {
@@ -81,7 +81,7 @@ func TestCrashedThreadsLeaveWithoutAWakeup(t *testing.T) {
 		slept0 := counter(dom, node, "hostos.wait.slept")
 		cls.CrashNode(p, node)
 		p.Sleep(50 * time.Microsecond)
-		if n := f.spin.Waiters() + f.sleep.Waiters() + inst.sysCond.Waiters(); n != 0 {
+		if n := f.spin.Waiters() + f.sleep.Waiters() + sys.spin.Waiters() + sys.sleep.Waiters(); n != 0 {
 			t.Errorf("%d threads still parked on crashed node %d", n, node)
 		}
 		if n := counter(dom, node, "hostos.wait.slept") - slept0; n != 0 {

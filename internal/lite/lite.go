@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"lite/internal/cluster"
-	"lite/internal/fifo"
 	"lite/internal/hostmem"
 	"lite/internal/params"
 	"lite/internal/rnic"
@@ -289,9 +288,6 @@ type Instance struct {
 	// (ErrMaybeExecuted) instead of silently re-executing.
 	boots   uint64
 	headUpd *simtime.Chan[headUpdate]
-
-	sysQueue fifo.Queue[*rpcFunc]
-	sysCond  simtime.Cond
 
 	// Migration state (migrate.go): the ownership view (owner.go), dedup
 	// windows shipped ahead of a client's binding, and the application's

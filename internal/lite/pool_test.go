@@ -221,6 +221,38 @@ func TestIdleRequestPaysOneWakeup(t *testing.T) {
 	}
 }
 
+// TestIdleControlCallPaysOneWakeup: a control call to a node whose
+// every thread sleeps pays one wakeup, as a request to an application
+// pool does: a system worker is woken at the request's arrival, so its
+// wakeup runs alongside the poller's instead of after the dispatch.
+func TestIdleControlCallPaysOneWakeup(t *testing.T) {
+	cls, dep := testDep(t, 2)
+	dom := cls.EnableObs()
+	var warm, cold simtime.Time
+	cls.GoOn(0, "client", func(p *simtime.Proc) {
+		inst := dep.Instance(0)
+		bind := func(fn int) simtime.Time { // the first binding to fn
+			t0 := p.Now()
+			if _, err := inst.ctl(p, 1, wire{copBind}.u32(uint32(fn)), 24, PriHigh); err != nil {
+				t.Error(err)
+			}
+			return p.Now() - t0
+		}
+		bind(FirstUserFunc)
+		bind(FirstUserFunc + 1)        // the second still misses the NICs' QP-context caches
+		warm = bind(FirstUserFunc + 2) // node 1's poller and system worker still spin
+		p.Sleep(50 * time.Microsecond)
+		cold = bind(FirstUserFunc + 3)
+	})
+	run(t, cls)
+	if want := warm + cls.Cfg.WakeupLatency; cold != want {
+		t.Errorf("idle control call took %v, warm %v: want warm + one wakeup = %v", cold, warm, want)
+	}
+	if n := counter(dom, 1, "lite.rpc.worker_prewakes"); n != 1 {
+		t.Errorf("%d worker prewakes, want 1 (the idle call's)", n)
+	}
+}
+
 // TestSpinningWorkerIsNotPrewoken: a request that finds a worker of its
 // pool inside its busy window wakes nobody at arrival, even with the
 // poller asleep; the spinner takes the call when the poller dispatches
@@ -379,6 +411,7 @@ func TestPollingPollerPrewakesNobody(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := dep.Instance(0).KernelClient()
+	var prewakes0 int64
 	cls.GoOn(0, "client", func(p *simtime.Proc) {
 		if _, err := c.RPC(p, node, echoFn, nil, 64); err != nil { // binds the ring
 			t.Error(err)
@@ -393,6 +426,9 @@ func TestPollingPollerPrewakesNobody(t *testing.T) {
 		if inst.wake.poller != pollerPolling || inst.funcs[echoFn].sleep.Waiters() != 2 {
 			t.Errorf("setup: poller away %v, %d asleep; want a polling poller and two sleepers", inst.wake.poller != pollerPolling, inst.funcs[echoFn].sleep.Waiters())
 		}
+		// The first call to otherFn binds its ring through a control
+		// call, which woke a system worker at arrival; count from here.
+		prewakes0 = counter(dom, node, "lite.rpc.worker_prewakes")
 		if _, err := c.RPC(p, node, echoFn, []byte("ping"), 64); err != nil {
 			t.Error(err)
 		}
@@ -401,7 +437,7 @@ func TestPollingPollerPrewakesNobody(t *testing.T) {
 	if len(served) != 2 {
 		t.Errorf("%d calls served, want 2", len(served))
 	}
-	if n := counter(dom, node, "lite.rpc.worker_prewakes"); n != 0 {
+	if n := counter(dom, node, "lite.rpc.worker_prewakes") - prewakes0; n != 0 {
 		t.Errorf("%d workers woken at arrival with the poller polling, want 0", n)
 	}
 }

@@ -272,16 +272,16 @@ type rpcCall struct {
 	retryStamp
 }
 
-// rpcFunc is a registered RPC function. Application functions queue
-// calls for LT_recvRPC; system functions carry a handler executed by
-// the kernel worker pool.
+// rpcFunc is a registered RPC function: the queue its server threads
+// take calls from. An application function's threads run LT_recvRPC;
+// funcControl, funcLock and funcBarrier share one rpcFunc, whose
+// threads are the node's system workers (systemWorkerLoop).
 type rpcFunc struct {
 	queue fifo.Queue[*Call]
 	// spin parks the server threads inside their busy window, sleep
 	// those past it; the pool decides whom a call wakes (wake.go).
 	spin, sleep simtime.Cond
 	*workerPool
-	handler func(p *simtime.Proc, c *Call)
 	// executing counts remote calls dequeued by a server thread whose
 	// reply has not yet posted. Drain's quiescence condition is
 	// queue.Len() == 0 && executing == 0.
@@ -475,10 +475,9 @@ func (i *Instance) RPCRegistered(id int) bool {
 }
 
 func (i *Instance) registerSystemFuncs() {
-	i.funcs[funcControl] = &rpcFunc{handler: i.handleControl}
+	sys := &rpcFunc{workerPool: i.wake.newPool()}
+	i.funcs[funcControl], i.funcs[funcLock], i.funcs[funcBarrier] = sys, sys, sys
 	i.funcs[funcMsg] = &rpcFunc{workerPool: i.wake.newPool()}
-	i.funcs[funcLock] = &rpcFunc{handler: i.handleLock}
-	i.funcs[funcBarrier] = &rpcFunc{handler: i.handleBarrier}
 }
 
 // setupBinding establishes the client-side ring for (dst, fn). The
@@ -971,11 +970,6 @@ func (i *Instance) rpcLocal(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 
 func (i *Instance) dispatchCall(f *rpcFunc, call *Call) {
 	f.queue.Push(call)
-	if f.handler != nil {
-		i.sysQueue.Push(f)
-		i.sysCond.Signal(i.cls.Env)
-		return
-	}
 	switch f.dispatch(f.queue.Len(), f.spin.Waiters()) {
 	case wakeSpinner:
 		f.spin.SignalNewest(i.cls.Env)
@@ -1212,23 +1206,33 @@ func (i *Instance) pollerSleep(p *simtime.Proc, boot uint64) bool {
 
 // prewakeWorker is the receive CQ's direct-delivery hook
 // (rnic.CQ.SetDeliver). It never takes a completion; it reads the
-// immediate of each one as it lands, so a request to an LT_recvRPC or
-// LT_recv pool can wake a sleeper at its arrival (requestLands). The
-// completion queues as ever; the poller dispatches it, and the woken
-// thread, by then in its busy window, takes the call.
+// immediate of each one as it lands, so a request to a pool can wake a
+// sleeper at its arrival (requestLands). The completion queues as
+// ever; the poller dispatches it, and the woken thread, by then in its
+// busy window, takes the call. A keepalive wakes nobody: the poller
+// answers it itself.
 func (i *Instance) prewakeWorker(env *simtime.Env, cqe rnic.CQE) bool {
 	if !cqe.HasImm {
 		return false
 	}
-	tag, fn, _ := decodeImm(cqe.Imm)
-	if tag != tagRPCReq {
+	tag, fn, off := decodeImm(cqe.Imm)
+	if tag != tagRPCReq || fn == funcControl && i.keepalive(cqe, off) {
 		return false
 	}
-	if f := i.funcs[fn]; f != nil && f.handler == nil && i.wake.requestLands(f.workerPool, f.spin.Waiters(), f.sleep.Waiters()) {
+	if f := i.funcs[fn]; f != nil && i.wake.requestLands(f.workerPool, f.spin.Waiters(), f.sleep.Waiters()) {
 		f.sleep.Signal(env)
 		i.obsReg().Add("lite.rpc.worker_prewakes", 1)
 	}
 	return false
+}
+
+// keepalive reports whether the control request cqe landed at off is
+// a keepalive: input [copPing], as handleRPCReq tells it.
+func (i *Instance) keepalive(cqe rnic.CQE, off int64) bool {
+	ring := i.ringFrom(cqe.SrcNode, funcControl)
+	var op [1]byte
+	return ring != nil && cqe.Len == ringHdr+1 &&
+		i.node.Mem.Read(ring.pa+hostmem.PAddr(off+ringHdr), op[:]) == nil && op[0] == copPing
 }
 
 // pollForCaller runs when the shared poller is woken from sleep: while a
@@ -1703,33 +1707,27 @@ func (i *Instance) noteLowRecv(qp *rnic.QP) {
 	i.lowRecv = append(i.lowRecv, qp)
 }
 
-// systemWorkerLoop executes LITE-internal RPC handlers (control plane,
-// memory operations, locks, barriers) from the system queue.
+// systemWorkerLoop is a system worker: a thread of the pool that
+// serves funcControl, funcLock and funcBarrier, running the handler
+// call.Func names. Unlike LT_recvRPC it copies no input and counts no
+// serve: the handlers read the call in place, and Drain waits only on
+// application functions.
 func (i *Instance) systemWorkerLoop(p *simtime.Proc) {
-	boot := i.boots
-	gone := func() bool { return !i.alive(boot) }
-	ready := func() bool { return gone() || i.sysQueue.Len() > 0 }
-	for {
-		i.node.OS.SpinWait(p, &i.sysCond, ready, 0)
-		if !ready() {
-			i.node.OS.SleepUnless(p, &i.sysCond, ready, gone)
-		}
-		if !i.alive(boot) {
+	for boot := i.boots; i.alive(boot); {
+		call, err := i.awaitCall(p, i.funcs[funcControl])
+		if err != nil {
 			return
 		}
-		if i.sysQueue.Len() == 0 {
-			// Another worker drained the queue while this one was
-			// paying its wakeup latency.
-			continue
-		}
-		f, _ := i.sysQueue.Pop()
-		if f.queue.Len() == 0 {
-			continue
-		}
-		call, _ := f.queue.Pop()
 		if !call.local {
 			i.queueHeadUpdate(p, call.Src, call.Func, call.headDelta)
 		}
-		f.handler(p, call)
+		switch call.Func {
+		case funcControl:
+			i.handleControl(p, call)
+		case funcLock:
+			i.handleLock(p, call)
+		case funcBarrier:
+			i.handleBarrier(p, call)
+		}
 	}
 }
