@@ -273,9 +273,9 @@ type rpcCall struct {
 }
 
 // rpcFunc is a registered RPC function: the queue its server threads
-// take calls from. An application function's threads run LT_recvRPC;
-// funcControl, funcLock and funcBarrier share one rpcFunc, whose
-// threads are the node's system workers (systemWorkerLoop).
+// take calls from, in LT_recvRPC for an application function. The
+// system workers (systemWorkerLoop) serve one shared by funcControl,
+// funcLock and funcBarrier.
 type rpcFunc struct {
 	queue fifo.Queue[*Call]
 	// spin parks the server threads inside their busy window, sleep
@@ -1206,17 +1206,16 @@ func (i *Instance) pollerSleep(p *simtime.Proc, boot uint64) bool {
 
 // prewakeWorker is the receive CQ's direct-delivery hook
 // (rnic.CQ.SetDeliver). It never takes a completion; it reads the
-// immediate of each one as it lands, so a request to a pool can wake a
-// sleeper at its arrival (requestLands). The completion queues as
-// ever; the poller dispatches it, and the woken thread, by then in its
-// busy window, takes the call. A keepalive wakes nobody: the poller
-// answers it itself.
+// immediate of each one as it lands, so a request to a pool, but for
+// a keepalive, can wake a sleeper at its arrival (requestLands). The
+// completion queues as ever; the poller dispatches it, and the woken
+// thread, by then in its busy window, takes the call.
 func (i *Instance) prewakeWorker(env *simtime.Env, cqe rnic.CQE) bool {
 	if !cqe.HasImm {
 		return false
 	}
 	tag, fn, off := decodeImm(cqe.Imm)
-	if tag != tagRPCReq || fn == funcControl && i.keepalive(cqe, off) {
+	if tag != tagRPCReq || fn == funcControl && i.landedPing(cqe, off) {
 		return false
 	}
 	if f := i.funcs[fn]; f != nil && i.wake.requestLands(f.workerPool, f.spin.Waiters(), f.sleep.Waiters()) {
@@ -1226,13 +1225,17 @@ func (i *Instance) prewakeWorker(env *simtime.Env, cqe rnic.CQE) bool {
 	return false
 }
 
-// keepalive reports whether the control request cqe landed at off is
-// a keepalive: input [copPing], as handleRPCReq tells it.
-func (i *Instance) keepalive(cqe rnic.CQE, off int64) bool {
+// landedPing: is the control request cqe landed at off a keepalive?
+func (i *Instance) landedPing(cqe rnic.CQE, off int64) bool {
 	ring := i.ringFrom(cqe.SrcNode, funcControl)
-	var op [1]byte
-	return ring != nil && cqe.Len == ringHdr+1 &&
-		i.node.Mem.Read(ring.pa+hostmem.PAddr(off+ringHdr), op[:]) == nil && op[0] == copPing
+	var head [1]byte
+	return ring != nil && i.node.Mem.Read(ring.pa+hostmem.PAddr(off+ringHdr), head[:]) == nil &&
+		isPing(funcControl, cqe.Len-ringHdr, head[:])
+}
+
+// isPing: is an n-byte input to fn that begins with head a keepalive?
+func isPing(fn int, n int64, head []byte) bool {
+	return fn == funcControl && n == 1 && head[0] == copPing
 }
 
 // pollForCaller runs when the shared poller is woken from sleep: while a
@@ -1394,7 +1397,7 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) (ping b
 	}
 	delta := ring.credit.arrive(h.pad, ringHdr+int64(len(input)))
 
-	if fn == funcControl && len(input) == 1 && input[0] == copPing {
+	if isPing(fn, int64(len(input)), input) {
 		// A keepalive is answered here, by the poller, with [cstOK]
 		// [membership epoch]: no system worker wakes to build nine
 		// bytes, and pollerLoop opens no busy window after it. The reply
@@ -1707,11 +1710,10 @@ func (i *Instance) noteLowRecv(qp *rnic.QP) {
 	i.lowRecv = append(i.lowRecv, qp)
 }
 
-// systemWorkerLoop is a system worker: a thread of the pool that
-// serves funcControl, funcLock and funcBarrier, running the handler
-// call.Func names. Unlike LT_recvRPC it copies no input and counts no
-// serve: the handlers read the call in place, and Drain waits only on
-// application functions.
+// systemWorkerLoop is a thread of the pool serving funcControl,
+// funcLock and funcBarrier with the handler call.Func names. Unlike
+// LT_recvRPC it copies no input and counts no serve: handlers read the
+// call in place, and Drain waits only on application functions.
 func (i *Instance) systemWorkerLoop(p *simtime.Proc) {
 	for boot := i.boots; i.alive(boot); {
 		call, err := i.awaitCall(p, i.funcs[funcControl])
