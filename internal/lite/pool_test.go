@@ -411,7 +411,7 @@ func TestPollingPollerPrewakesNobody(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := dep.Instance(0).KernelClient()
-	var prewakes0 int64
+	var bindPrewakes int64
 	cls.GoOn(0, "client", func(p *simtime.Proc) {
 		if _, err := c.RPC(p, node, echoFn, nil, 64); err != nil { // binds the ring
 			t.Error(err)
@@ -421,14 +421,17 @@ func TestPollingPollerPrewakesNobody(t *testing.T) {
 			if _, err := c.RPC(p, node, otherFn, nil, 64); err != nil {
 				t.Error(err)
 			}
+			if k == 0 {
+				// The first call binds otherFn's ring through a control
+				// call that lands with the poller and the system pool
+				// asleep: the one prewake of the run.
+				bindPrewakes = counter(dom, node, "lite.rpc.worker_prewakes")
+			}
 			p.Sleep(time.Microsecond)
 		}
 		if inst.wake.poller != pollerPolling || inst.funcs[echoFn].sleep.Waiters() != 2 {
 			t.Errorf("setup: poller away %v, %d asleep; want a polling poller and two sleepers", inst.wake.poller != pollerPolling, inst.funcs[echoFn].sleep.Waiters())
 		}
-		// The first call to otherFn binds its ring through a control
-		// call, which woke a system worker at arrival; count from here.
-		prewakes0 = counter(dom, node, "lite.rpc.worker_prewakes")
 		if _, err := c.RPC(p, node, echoFn, []byte("ping"), 64); err != nil {
 			t.Error(err)
 		}
@@ -437,7 +440,10 @@ func TestPollingPollerPrewakesNobody(t *testing.T) {
 	if len(served) != 2 {
 		t.Errorf("%d calls served, want 2", len(served))
 	}
-	if n := counter(dom, node, "lite.rpc.worker_prewakes") - prewakes0; n != 0 {
+	if bindPrewakes != 1 {
+		t.Errorf("binding otherFn's ring woke %d workers at arrival, want 1 (a system worker)", bindPrewakes)
+	}
+	if n := counter(dom, node, "lite.rpc.worker_prewakes") - bindPrewakes; n != 0 {
 		t.Errorf("%d workers woken at arrival with the poller polling, want 0", n)
 	}
 }
