@@ -55,17 +55,14 @@ type System struct {
 	ends map[int]*NodeDSM
 }
 
-var dsmBootCount int
-
 // Boot creates a DSM of the given size across nodes. It must run in a
 // simulation process; the caller's node allocates nothing special —
 // each home allocates its share. Every participating node gets an
 // invalidation server thread.
 func Boot(p *simtime.Proc, cls *cluster.Cluster, dep *lite.Deployment, nodes []int, size int64, cfg Config) (*System, error) {
-	dsmBootCount++
 	s := &System{
 		cls: cls, dep: dep, cfg: cfg, nodes: nodes,
-		size: size, name: fmt.Sprintf("dsm%d", dsmBootCount),
+		size: size, name: fmt.Sprintf("dsm%d", dep.NextAppSeq()),
 		ends: make(map[int]*NodeDSM),
 	}
 	s.pages = (size + cfg.PageSize - 1) / cfg.PageSize

@@ -227,3 +227,24 @@ func TestCachedReadsAreFast(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBootNamesAreDeploymentScoped: a DSM names its home LMRs from
+// deployment-scoped state (lite.Deployment.NextAppSeq), so the first
+// DSM on every fresh deployment has the same names, whatever booted
+// earlier in the process.
+func TestBootNamesAreDeploymentScoped(t *testing.T) {
+	for k := 0; k < 2; k++ {
+		cls, dep := testEnv(t, 2)
+		cls.GoOn(0, "app", func(p *simtime.Proc) {
+			if _, err := Boot(p, cls, dep, []int{0, 1}, 1<<16, DefaultConfig()); err != nil {
+				t.Error(err)
+			}
+		})
+		if err := cls.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if dep.LMRSizeByName("dsm1-home-0") == 0 {
+			t.Errorf("DSM %d on a fresh deployment published no dsm1-home-0", k)
+		}
+	}
+}

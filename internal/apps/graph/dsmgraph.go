@@ -8,8 +8,6 @@ import (
 	"lite/internal/workload"
 )
 
-var dsmGraphRun int
-
 // RunDSM executes PageRank on LITE-Graph-DSM: the same engine design
 // as LITE-Graph, but the globally shared contribution vector lives in
 // LITE-DSM and is accessed with plain loads and stores (page faults
@@ -17,13 +15,13 @@ var dsmGraphRun int
 // invalidations). The paper finds it slower than LITE-Graph — the
 // extra DSM layer — but still far ahead of PowerGraph (§8.4).
 func RunDSM(cls *cluster.Cluster, dep *lite.Deployment, cfg Config, g *workload.Graph) (*Result, error) {
-	dsmGraphRun++
+	runID := int(dep.NextAppSeq()) // deployment-scoped: see NextAppSeq
 	n := g.NumVertices
 	gt := g.Transpose()
 	nodes := cfg.Nodes
 	res := &Result{Ranks: make([]float64, n)}
 	errs := make([]error, len(nodes))
-	barrierID := uint64(0xD000 + dsmGraphRun*64)
+	barrierID := uint64(0xD000 + runID*64)
 
 	var sys *dsm.System
 	var bootErr error

@@ -171,3 +171,29 @@ func TestFloatSerializationRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestRunNamesAreDeploymentScoped: a run names its LMRs from
+// deployment-scoped state (lite.Deployment.NextAppSeq), so the first
+// run on every fresh deployment publishes the same names. With a
+// process-global counter, the runs earlier in the process widened the
+// names, and every message carrying one, by a byte per digit.
+func TestRunNamesAreDeploymentScoped(t *testing.T) {
+	g := testGraph()
+	cfg := DefaultConfig([]int{0, 1}, 2, 1)
+	for k := 0; k < 2; k++ {
+		cls, dep := newLITECluster(t, 2)
+		if _, err := RunLITE(cls, dep, cfg, g); err != nil {
+			t.Fatal(err)
+		}
+		if dep.LMRSizeByName("pg1-contrib-0") == 0 {
+			t.Errorf("LITE-Graph run %d on a fresh deployment published no pg1-contrib-0", k)
+		}
+		cls, dep = newLITECluster(t, 2)
+		if _, err := RunDSM(cls, dep, cfg, g); err != nil {
+			t.Fatal(err)
+		}
+		if dep.LMRSizeByName("dsm2-home-0") == 0 { // the run takes 1, its DSM 2
+			t.Errorf("Graph-DSM run %d on a fresh deployment published no dsm2-home-0", k)
+		}
+	}
+}

@@ -10,8 +10,6 @@ import (
 	"lite/internal/workload"
 )
 
-var liteGraphRun int
-
 // RunLITE executes PageRank on LITE-Graph. Each node owns a contiguous
 // vertex range; per-iteration contribution vectors live in named LMRs
 // (one per node plus an 8-byte version header used for delta caching);
@@ -20,8 +18,7 @@ var liteGraphRun int
 // as PowerGraph replicates structure via vertex mirrors — only rank
 // data crosses the network.
 func RunLITE(cls *cluster.Cluster, dep *lite.Deployment, cfg Config, g *workload.Graph) (*Result, error) {
-	liteGraphRun++
-	runID := liteGraphRun
+	runID := int(dep.NextAppSeq()) // deployment-scoped: see NextAppSeq
 	n := g.NumVertices
 	gt := g.Transpose()
 	nodes := cfg.Nodes

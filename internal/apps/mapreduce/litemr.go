@@ -12,8 +12,6 @@ import (
 // mrFn is the RPC function id LITE-MR workers serve.
 const mrFn = lite.FirstUserFunc + 4
 
-var liteMRRun int // distinguishes LMR names across runs
-
 // taskMsg is a worker assignment (JSON over LT_RPC, as the paper's
 // LITE-MR exchanges control messages with LT_RPC and bulk data with
 // LT_read).
@@ -57,8 +55,7 @@ func mergeOutName(runID, attempt, round, k int) string {
 // on the survivors under a fresh attempt namespace. Workers also
 // re-arm their serving loop if their node restarts mid-run.
 func RunLITE(cls *cluster.Cluster, dep *lite.Deployment, cfg Config, input []byte) (*Result, error) {
-	liteMRRun++
-	runID := liteMRRun
+	runID := int(dep.NextAppSeq()) // distinguishes LMR names across runs on dep
 	res := &Result{Counts: make(map[string]int64)}
 	var runErr error
 

@@ -171,3 +171,21 @@ func TestLITEMRMapReduceFasterThanPhoenix(t *testing.T) {
 			liteRes.Merge, phxRes.Merge)
 	}
 }
+
+// TestRunNamesAreDeploymentScoped: a run names its LMRs from
+// deployment-scoped state (lite.Deployment.NextAppSeq), so the first
+// run on every fresh deployment publishes the same names and task
+// messages, whatever ran earlier in the process.
+func TestRunNamesAreDeploymentScoped(t *testing.T) {
+	input := testInput(20000)
+	for k := 0; k < 2; k++ {
+		cls, dep := newLITECluster(t, 3)
+		cfg := DefaultConfig(0, []int{1, 2}, 1, 2)
+		if _, err := RunLITE(cls, dep, cfg, input); err != nil {
+			t.Fatal(err)
+		}
+		if dep.LMRSizeByName("mr1-input") == 0 {
+			t.Errorf("run %d on a fresh deployment published no mr1-input", k)
+		}
+	}
+}
