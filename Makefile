@@ -126,7 +126,9 @@ bench-smoke:
 # and fails if any virtual-time figure, event count, row cell or note
 # differs from the committed one at all (only columns an experiment
 # declares host-dependent are skipped): changes must be deliberate (and
-# re-recorded with bench-smoke), never accidental.
+# re-recorded with bench-smoke), never accidental. Each entry runs with
+# metrics off and again with them on; the second run must reproduce the
+# same timeline and every committed counter and histogram field.
 bench-guard:
 	$(GO) run ./cmd/litebench -compare BENCH_litebench.json
 

@@ -179,16 +179,18 @@ const compareEPSRetimes = 2
 
 // compareReport re-runs every experiment recorded in the committed
 // report (with run, bench.Run outside tests) and compares the header,
-// every row cell and every note, then the virtual duration, the event
-// count and every counter and histogram field of the metrics — the
-// bench guard that catches accidental changes (or unrecorded
-// improvements) in the simulated timeline and in what the tables say.
-// The runs collect metrics, which moves no event (obs-guard). The
-// simulation is deterministic, so all must match the committed entry
-// exactly; only the columns an experiment declares host-dependent
-// (Table.HostColumns) are skipped. Returns a process exit code.
+// every row cell and every note, then the virtual duration and the
+// event count — the bench guard that catches accidental changes (or
+// unrecorded improvements) in the simulated timeline and in what the
+// tables say. Each entry runs twice: with metrics off, the default
+// timeline, and with metrics on, which must reproduce it too (metrics
+// move no event) and every counter and histogram field of the
+// committed metrics. The simulation is deterministic, so all must
+// match the committed entry exactly; only the columns an experiment
+// declares host-dependent (Table.HostColumns) are skipped. Returns a
+// process exit code.
 func compareReport(path string, run func(id string) (*bench.Table, error)) int {
-	bench.SetObsEnabled(true)
+	defer bench.SetObsEnabled(bench.ObsEnabled())
 	rep, err := bench.ReadJSON(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench-guard: %v\n", err)
@@ -199,34 +201,37 @@ func compareReport(path string, run func(id string) (*bench.Table, error)) int {
 		if r.Error != "" {
 			continue
 		}
+		fail := func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "bench-guard: %s: %s (if the change is intentional, re-record it: %s)\n",
+				r.ID, fmt.Sprintf(format, args...), rerecord(path, r.ID))
+			code = 1
+		}
+		bench.SetObsEnabled(false)
 		tab, err := run(r.ID)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bench-guard: %s: %v\n", r.ID, err)
 			code = 1
 			continue
 		}
-		if diff := diffTable(&r, tab); diff != "" {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s: %s (if the change is intentional, re-record it: %s)\n",
-				r.ID, diff, rerecord(path, r.ID))
+		if diff := diffTimeline(&r, tab); diff != "" {
+			fail("%s", diff)
+			continue
+		}
+		bench.SetObsEnabled(true)
+		withObs, err := run(r.ID)
+		bench.SetObsEnabled(false)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bench-guard: %s: with metrics: %v\n", r.ID, err)
 			code = 1
 			continue
 		}
-		if got := int64(tab.Virtual); got != r.VirtualNs {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s: virtual time drifted %+dns: committed %dns, fresh run %dns (if the change is intentional, re-record it: %s)\n",
-				r.ID, got-r.VirtualNs, r.VirtualNs, got, rerecord(path, r.ID))
+		if diff := diffTimeline(&r, withObs); diff != "" {
+			fmt.Fprintf(os.Stderr, "bench-guard: %s: collecting metrics moved the timeline: %s\n", r.ID, diff)
 			code = 1
 			continue
 		}
-		if tab.Events != r.Events {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s: event count changed: committed %d, fresh run %d (if the change is intentional, re-record it: %s)\n",
-				r.ID, r.Events, tab.Events, rerecord(path, r.ID))
-			code = 1
-			continue
-		}
-		if diff := diffMetrics(r.Metrics, bench.NewJSONResult(r.ID, tab, 0, nil).Metrics); diff != "" {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s: %s (if the change is intentional, re-record it: %s)\n",
-				r.ID, diff, rerecord(path, r.ID))
-			code = 1
+		if diff := diffMetrics(r.Metrics, bench.NewJSONResult(r.ID, withObs, 0, nil).Metrics); diff != "" {
+			fail("%s", diff)
 			continue
 		}
 		// Events/sec is the one host-dependent figure in the feed:
@@ -265,6 +270,22 @@ func compareReport(path string, run func(id string) (*bench.Table, error)) int {
 		fmt.Printf("bench-guard: %-10s ok (%dns, %d events)\n", r.ID, r.VirtualNs, r.Events)
 	}
 	return code
+}
+
+// diffTimeline describes the first difference between a committed
+// entry and a fresh run's table (diffTable), virtual duration or event
+// count, or returns "" if there is none.
+func diffTimeline(r *bench.JSONResult, tab *bench.Table) string {
+	if diff := diffTable(r, tab); diff != "" {
+		return diff
+	}
+	if got := int64(tab.Virtual); got != r.VirtualNs {
+		return fmt.Sprintf("virtual time drifted %+dns: committed %dns, fresh run %dns", got-r.VirtualNs, r.VirtualNs, got)
+	}
+	if tab.Events != r.Events {
+		return fmt.Sprintf("event count changed: committed %d, fresh run %d", r.Events, tab.Events)
+	}
+	return ""
 }
 
 // diffTable describes the first difference between a committed entry

@@ -169,6 +169,9 @@ var runClusters []*cluster.Cluster
 // experiments.
 func SetObsEnabled(v bool) { obsEnabled = v }
 
+// ObsEnabled reports whether experiments run now collect metrics.
+func ObsEnabled() bool { return obsEnabled }
+
 // track registers a cluster with the current experiment run.
 func track(cls *cluster.Cluster) *cluster.Cluster {
 	if obsEnabled {
