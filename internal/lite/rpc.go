@@ -1215,22 +1215,21 @@ func (i *Instance) prewakeWorker(env *simtime.Env, cqe rnic.CQE) bool {
 		return false
 	}
 	tag, fn, off := decodeImm(cqe.Imm)
-	if tag != tagRPCReq || fn == funcControl && i.landedPing(cqe, off) {
+	if tag != tagRPCReq {
 		return false
+	}
+	if fn == funcControl {
+		ring := i.ringFrom(cqe.SrcNode, fn)
+		var head [1]byte
+		if ring != nil && i.node.Mem.Read(ring.pa+hostmem.PAddr(off+ringHdr), head[:]) == nil && isPing(fn, cqe.Len-ringHdr, head[:]) {
+			return false
+		}
 	}
 	if f := i.funcs[fn]; f != nil && i.wake.requestLands(f.workerPool, f.spin.Waiters(), f.sleep.Waiters()) {
 		f.sleep.Signal(env)
 		i.obsReg().Add("lite.rpc.worker_prewakes", 1)
 	}
 	return false
-}
-
-// landedPing: is the control request cqe landed at off a keepalive?
-func (i *Instance) landedPing(cqe rnic.CQE, off int64) bool {
-	ring := i.ringFrom(cqe.SrcNode, funcControl)
-	var head [1]byte
-	return ring != nil && i.node.Mem.Read(ring.pa+hostmem.PAddr(off+ringHdr), head[:]) == nil &&
-		isPing(funcControl, cqe.Len-ringHdr, head[:])
 }
 
 // isPing: is an n-byte input to fn that begins with head a keepalive?
